@@ -42,6 +42,7 @@ it on any stream — pinned by the partition property tests in
 from __future__ import annotations
 
 import heapq
+import math
 import zlib
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -140,6 +141,34 @@ _POP_MASK = (1 << _POP_SHIFT) - 1
 _COLS_CACHE_MAX = 65536
 
 
+def cross_bins(start: float, width: float, until: float) -> tuple[float, int]:
+    """``while until >= start + width: start += width`` without the loop.
+
+    Returns the final ``start``, bit-identical to the repeated float
+    addition, and the number of additions.  Floats that share an ulp
+    are its multiples, so each addition among them advances by one
+    ``step`` (``width`` rounded to that grid: 60 s is on it) and a run
+    is one exact multiply.  A pass jumps to ``until`` or to the end of
+    the binade (epoch seconds 2004-2038 are one); the ``while`` checks
+    the landed bin and takes the plain step across a binade edge, or
+    where ``width`` ties between grid points and half-even alternates.
+    """
+    crossed = 0
+    while until >= (nxt := start + width):
+        k = 1
+        ulp = math.ulp(start)
+        tie = math.fmod(width, ulp) * 2.0 == ulp
+        if start * nxt > 0.0 and math.ulp(nxt) == ulp and not tie:
+            # Last float with this ulp in the direction of travel.
+            last = ulp * (2**53 - 1) if start > 0.0 else -ulp * (2**52 + 1)
+            step = nxt - start
+            k = max(1, int((min(until, last) - start) / ulp) // int(step / ulp))
+            nxt = start + k * step
+        start = nxt
+        crossed += k
+    return start, crossed
+
+
 class TaggedRun:
     """A deferred span of tagged rows inside a columnar batch view.
 
@@ -200,6 +229,8 @@ class MonitorPartition:
         self._gapped = gapped
         #: pop -> key -> entry (the stable baseline).
         self.baseline: dict[PoP, dict[PathKey, _BaselineEntry]] = {}
+        #: running count of (pop, key) baseline entries.
+        self.total_baseline_entries = 0
         #: key/PoP intern tables: id assignment order is arrival order
         #: and is never observable (all serialised forms use objects).
         self._key_ids: dict[PathKey, int] = {}
@@ -326,6 +357,8 @@ class MonitorPartition:
         old = entries.get(key)
         if old is not None:
             self._count_entry(pop, old, -1)
+        else:
+            self.total_baseline_entries += 1
         entry = _BaselineEntry(
             near_asn=tag.near_asn,
             far_asn=tag.far_asn,
@@ -343,6 +376,7 @@ class MonitorPartition:
             entry = entries.pop(key, None)
             if entry is not None:
                 self._count_entry(pop, entry, -1)
+                self.total_baseline_entries -= 1
             if not entries:
                 self.baseline.pop(pop, None)
                 self._as_totals.pop(pop, None)
@@ -869,15 +903,12 @@ class MonitorPartition:
     def pending_count(self) -> int:
         return len(self._pending)
 
-    @property
-    def total_baseline_entries(self) -> int:
-        return sum(len(entries) for entries in self.baseline.values())
-
     # ------------------------------------------------------------------
     # Partition state fragments (merged/split by the coordinator)
     # ------------------------------------------------------------------
     def reset(self) -> None:
         self.baseline.clear()
+        self.total_baseline_entries = 0
         self._key_ids.clear()
         self._keys.clear()
         self._pop_ids.clear()
@@ -1020,8 +1051,11 @@ class PartitionedMonitor:
         signals: list[OutageSignal] = []
         if self._bin_start is None:
             self._bin_start = self._bin_floor(tagged.time)
-        while tagged.time >= self._bin_start + self.params.bin_interval_s:
-            signals.extend(self.close_bin())
+        width = self.params.bin_interval_s
+        if tagged.time >= self._bin_start + width:
+            signals = self.close_bin()
+            if tagged.time >= self._bin_start + width:
+                self._cross_empty_bins(tagged.time)
         key = tagged.key
         if (key[0], key[1]) not in self._gapped:
             self._events.append(tagged)
@@ -1079,6 +1113,22 @@ class PartitionedMonitor:
         self._bin_start = bin_end
         self.bins_processed += 1
         return signals
+
+    def _cross_empty_bins(self, until: float) -> None:
+        """Close the run of empty bins before the bin holding ``until``.
+
+        Right after :meth:`close_bin` nothing is deferred or diverted:
+        stepping would emit nothing, empty ``last_diverted`` and promote
+        in heap order up to the last bin end, as one promote call does.
+        """
+        self._bin_start, crossed = cross_bins(
+            self._bin_start, self.params.bin_interval_s, until
+        )
+        self.last_diverted = {}
+        for part in self._part_list:
+            part.last_diverted = {}
+            part.promote_pending(self._bin_start)
+        self.bins_processed += crossed
 
     # ------------------------------------------------------------------
     # Queries used by investigation / Kepler

@@ -128,14 +128,19 @@ class BinStats:
     hist: LogHistogram = field(default_factory=LogHistogram)
 
     def record(
-        self, latency_s: float, baseline_entries: int, pending_entries: int
+        self,
+        latency_s: float,
+        baseline_entries: int,
+        pending_entries: int,
+        bins: int = 1,
     ) -> None:
-        self.count += 1
-        self.total_latency_s += latency_s
+        """Record ``bins`` closed bins of ``latency_s`` each."""
+        self.count += bins
+        self.total_latency_s += latency_s * bins
         self.max_latency_s = max(self.max_latency_s, latency_s)
         self.last_baseline_entries = baseline_entries
         self.last_pending_entries = pending_entries
-        self.hist.record(latency_s)
+        self.hist.record(latency_s, bins)
 
     @property
     def mean_latency_s(self) -> float:
@@ -230,9 +235,13 @@ class PipelineMetrics:
         return hist
 
     def record_bin(
-        self, latency_s: float, baseline_entries: int, pending_entries: int
+        self,
+        latency_s: float,
+        baseline_entries: int,
+        pending_entries: int,
+        bins: int = 1,
     ) -> None:
-        self.bins.record(latency_s, baseline_entries, pending_entries)
+        self.bins.record(latency_s, baseline_entries, pending_entries, bins)
 
     def hist_summaries(self) -> dict[str, dict]:
         """Every non-empty histogram, keyed by taxonomy name.

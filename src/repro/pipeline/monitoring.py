@@ -9,8 +9,9 @@ lifecycle stages re-evaluate open outages — the exact order the
 monolithic detector used.  State messages update the feed-gap set and
 emit nothing.
 
-Each bin close also records a gauge sample (latency, baseline and
-pending population) into the shared metrics registry.
+Each bin-closing call also records one gauge sample (latency, baseline
+and pending population), weighted by the bins it closed, into the
+shared metrics registry.
 """
 
 from __future__ import annotations
@@ -88,12 +89,13 @@ class BinningMonitorStage(PassthroughStage):
                 # streams); attribute the latency evenly across them so
                 # bins_closed matches the monitor's own count.
                 closed = max(1, self.monitor.bins_processed - bins_before)
-                for _ in range(closed):
-                    self.metrics.record_bin(
-                        latency_s=latency / closed,
-                        baseline_entries=self.monitor.total_baseline_entries,
-                        pending_entries=self.monitor.pending_count,
-                    )
+                pending = self.monitor.pending_count
+                self.metrics.record_bin(
+                    latency_s=latency / closed,
+                    baseline_entries=self.monitor.total_baseline_entries,
+                    pending_entries=pending,
+                    bins=closed,
+                )
                 self.metrics.trace.emit(
                     "bin_close",
                     "bin",
@@ -101,7 +103,7 @@ class BinningMonitorStage(PassthroughStage):
                     bin=prev_bin,
                     closed=closed,
                     signals=len(signals) if signals else 0,
-                    pending=self.monitor.pending_count,
+                    pending=pending,
                 )
             out.append(
                 BinAdvanced(now=new_bin if new_bin is not None else element.time)

@@ -41,6 +41,10 @@ for the next frame the producer publishes a *wrap marker* (a u32
 remain — the consumer skips an unreadable residue implicitly), bumps
 the ``wraps`` counter and restarts at slot zero; the skipped bytes
 count toward both cursors so the free-space arithmetic stays exact.
+The wrap is published as soon as the residue is free, ahead of the
+frame: a frame longer than the slot it wraps from cannot fit together
+with its residue even into an empty ring, only after the consumer has
+skipped the tail.
 
 Frame layout after the u32 length prefix::
 
@@ -273,34 +277,48 @@ class ShmRing:
         return _U64.unpack_from(self._buf, 16)[0]
 
     # -- producer --------------------------------------------------------
-    def try_put(self, header: Any, batch: tuple | None = None,
-                fault: str | None = None) -> bool:
-        """Encode and publish one frame; ``False`` when it does not fit."""
+    def _encode(self, header: Any, batch: tuple | None) -> tuple[int, list, int]:
+        """``(codec, parts, payload bytes)`` of one frame, size-checked."""
         codec, parts = encode_frame(header, batch)
         payload = 2 + 4 * len(parts) + sum(len(part) for part in parts)
-        total = 4 + payload
-        if total > self.capacity - 8:
+        if 4 + payload > self.capacity - 8:
             raise ValueError(
-                f"wire frame of {total} bytes cannot fit a "
+                f"wire frame of {4 + payload} bytes cannot fit a "
                 f"{self.capacity}-byte ring even when empty — lower "
                 "process_batch (or feed batch_size) below the ring size"
             )
+        return codec, parts, payload
+
+    def try_put(self, header: Any, batch: tuple | None = None,
+                fault: str | None = None) -> bool:
+        """Encode and publish one frame; ``False`` when it does not fit."""
+        return self._publish(*self._encode(header, batch), fault)
+
+    def _publish(self, codec: int, parts: list, payload: int,
+                 fault: str | None) -> bool:
+        total = 4 + payload
         write = self._write_cursor()
         read = self._read_cursor()
         free = self.capacity - (write - read)
         slot = write % self.capacity
-        skip = 0
-        if slot + total > self.capacity:
-            skip = self.capacity - slot
-        if skip + total > free:
-            return False
         buf = self._buf
-        if skip:
+        if slot + total > self.capacity:
+            # Wrap first, as a publish of its own: a frame longer than
+            # the slot never sees ``skip + total`` free bytes, even on
+            # an empty ring, but once the consumer has skipped the tail
+            # the frame lands at slot zero.
+            skip = self.capacity - slot
+            if skip > free:
+                return False
             if skip >= 4:
                 _U32.pack_into(buf, _HEADER_BYTES + slot, _WRAP_MARKER)
             _U64.pack_into(buf, 16, self.wraps() + 1)
             write += skip
+            _U64.pack_into(buf, 0, write)
+            free -= skip
             slot = 0
+        if total > free:
+            return False
         base = _HEADER_BYTES + slot
         _U32.pack_into(buf, base, payload)
         offset = base + 4
@@ -332,7 +350,8 @@ class ShmRing:
     def put(self, header: Any, batch: tuple | None = None,
             fault: str | None = None) -> None:
         """Blocking :meth:`try_put`; sleep-polls and counts stalls."""
-        while not self.try_put(header, batch, fault=fault):
+        frame = self._encode(header, batch)
+        while not self._publish(*frame, fault):
             self.put_stalls += 1
             time.sleep(RING_POLL_S)
 

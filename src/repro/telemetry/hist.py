@@ -69,17 +69,17 @@ class LogHistogram:
             sub = 2 if mantissa < _M3 else 3
         return exponent * _SUBBUCKETS + sub
 
-    def record(self, value: float) -> None:
-        """Record one sample (no-op while telemetry is disabled)."""
+    def record(self, value: float, n: int = 1) -> None:
+        """Record ``n`` equal samples (no-op while telemetry is disabled)."""
         if not _STATE.enabled:
             return
         if value <= _FLOOR:
             value = _FLOOR
         bucket = self._bucket(value)
         counts = self.counts
-        counts[bucket] = counts.get(bucket, 0) + 1
-        self.count += 1
-        self.total += value
+        counts[bucket] = counts.get(bucket, 0) + n
+        self.count += n
+        self.total += value * n
         if value < self.min:
             self.min = value
         if value > self.max:

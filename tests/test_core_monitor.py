@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bgp.messages import BGPStateMessage, ElemType, SessionState
 from repro.core.input import PoPTag, TaggedPath
-from repro.core.monitor import MonitorParams, OutageMonitor
+from repro.core.monitor import (
+    MonitorParams,
+    OutageMonitor,
+    PartitionedMonitor,
+    cross_bins,
+)
 from repro.docmine.dictionary import PoP, PoPKind
 
 POP_F = PoP(PoPKind.FACILITY, "f1")
@@ -27,6 +34,17 @@ def tagged(key, time, pops=(POP_F,), near=10, far=30, withdraw=False, path=(1, 1
 
 def key(i: int):
     return ("rrc00", 100, f"10.0.{i}.0/24")
+
+
+def session_message(time, peer, loss):
+    down, up = SessionState.IDLE, SessionState.ESTABLISHED
+    return BGPStateMessage(
+        time=time,
+        collector=peer[0],
+        peer_asn=peer[1],
+        old_state=up if loss else down,
+        new_state=down if loss else up,
+    )
 
 
 def primed_monitor(n_paths=10, t_fail=0.10):
@@ -140,22 +158,10 @@ class TestDivergence:
 
 class TestFeedGaps:
     def _loss(self, time):
-        return BGPStateMessage(
-            time=time,
-            collector="rrc00",
-            peer_asn=100,
-            old_state=SessionState.ESTABLISHED,
-            new_state=SessionState.IDLE,
-        )
+        return session_message(time, ("rrc00", 100), loss=True)
 
     def _recovery(self, time):
-        return BGPStateMessage(
-            time=time,
-            collector="rrc00",
-            peer_asn=100,
-            old_state=SessionState.IDLE,
-            new_state=SessionState.ESTABLISHED,
-        )
+        return session_message(time, ("rrc00", 100), loss=False)
 
     def test_gapped_peer_paths_not_counted(self):
         monitor = primed_monitor(10)
@@ -367,3 +373,172 @@ class TestMonitorPartitions:
             PartitionedMonitor(MonitorParams(), partitions=0)
         with pytest.raises(ValueError):
             PartitionedMonitor(MonitorParams(), partitions=2, local=(5,))
+
+
+def recomputed_baseline_entries(monitor) -> int:
+    return sum(
+        len(entries)
+        for part in monitor.partitions
+        for entries in part.baseline.values()
+    )
+
+
+class TestBaselineEntryCounter:
+    """``total_baseline_entries`` is a running counter: pin it to the sum."""
+
+    def test_counter_follows_install_remove_promote_and_restore(self):
+        params = MonitorParams(stable_window_s=120.0)
+        monitor = PartitionedMonitor(params, partitions=2)
+        for i in range(6):
+            monitor.prime(tagged(key(i), time=0.0, pops=(POP_F, POP_C)))
+        # Re-priming an installed key replaces the entry, adds nothing.
+        monitor.prime(tagged(key(0), time=0.0, pops=(POP_F, POP_C)))
+        assert monitor.total_baseline_entries == 12
+        monitor.observe(tagged(key(0), time=10.0, withdraw=True))  # removal
+        monitor.observe(tagged(key(7), time=20.0))  # candidate
+        monitor.observe(tagged(key(1), time=400.0))  # closes, promotes key 7
+        assert monitor.total_baseline_entries == 11
+        assert monitor.total_baseline_entries == recomputed_baseline_entries(
+            monitor
+        )
+        restored = PartitionedMonitor(params, partitions=3)
+        restored.prime(tagged(key(9), time=0.0))  # wiped by the restore
+        restored.load_state(monitor.state_dict())
+        assert restored.total_baseline_entries == 11
+        assert recomputed_baseline_entries(restored) == 11
+
+
+# ----------------------------------------------------------------------
+# Event-driven bin clock against the stepping clock it replaced
+# ----------------------------------------------------------------------
+def stepping_observe(monitor, element):
+    """``PartitionedMonitor.observe`` as it was: one close per empty bin.
+
+    Kept as the oracle for the fast-forward — the only place the
+    per-bin loop survives.
+    """
+    signals = []
+    if monitor._bin_start is None:
+        monitor._bin_start = monitor._bin_floor(element.time)
+    width = monitor.params.bin_interval_s
+    while element.time >= monitor._bin_start + width:
+        signals.extend(monitor.close_bin())
+    if (element.key[0], element.key[1]) not in monitor._gapped:
+        monitor._events.append(element)
+    return signals
+
+
+CLOCK_POPS = (
+    POP_F,
+    POP_C,
+    PoP(PoPKind.FACILITY, "f2"),
+    PoP(PoPKind.IXP, "ix1"),
+)
+CLOCK_PEERS = (("rrc00", 100), ("rrc01", 200))
+
+
+def clock_key(i: int):
+    collector, peer = CLOCK_PEERS[i % 2]
+    return (collector, peer, f"10.0.{i}.0/24")
+
+
+#: Bins between consecutive elements: mostly the dense case and short
+#: hops, sometimes a quiet stretch of up to 10^5 bins.
+gap_strategy = st.one_of(
+    st.integers(0, 3), st.integers(0, 300), st.integers(0, 100_000)
+)
+clock_op_strategy = st.one_of(
+    st.tuples(
+        st.just("announce"),
+        st.integers(0, 7),
+        st.lists(st.sampled_from(CLOCK_POPS), max_size=3, unique=True),
+    ),
+    st.tuples(st.just("withdraw"), st.integers(0, 7), st.none()),
+    st.tuples(st.just("loss"), st.sampled_from(CLOCK_PEERS), st.none()),
+    st.tuples(st.just("recovery"), st.sampled_from(CLOCK_PEERS), st.none()),
+)
+
+
+class TestEventDrivenClock:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        width=st.sampled_from([60.0, 1.0, 0.5, 0.1, 7.3]),
+        origin=st.sampled_from([0.0, 977.0, 1.5e9, 2.0**31 - 4000.0]),
+        window_bins=st.sampled_from([0, 2, 40, 5000]),
+        partitions=st.sampled_from([1, 2, 4]),
+        restored_partitions=st.sampled_from([1, 2, 4]),
+        steps=st.lists(
+            st.tuples(
+                clock_op_strategy,
+                gap_strategy,
+                st.floats(0.0, 1.0, exclude_max=True),
+            ),
+            min_size=1,
+            max_size=7,
+        ),
+        cut=st.integers(0, 7),
+    )
+    def test_fast_forward_equals_stepping(
+        self, width, origin, window_bins, partitions, restored_partitions,
+        steps, cut,
+    ):
+        params = MonitorParams(
+            bin_interval_s=width, stable_window_s=window_bins * width
+        )
+        real = PartitionedMonitor(params, partitions=partitions)
+        oracle = PartitionedMonitor(params, partitions=partitions)
+        for monitor in (real, oracle):
+            for i in range(4):
+                monitor.prime(
+                    tagged(clock_key(i), time=origin, pops=CLOCK_POPS[:2])
+                )
+        now = origin
+        for index, ((op, subject, pops), gap, frac) in enumerate(steps):
+            if index == cut:
+                # Checkpoint cut between two events — mid-gap whenever
+                # the next element is bins away — into another layout.
+                state = real.state_dict()
+                real = PartitionedMonitor(params, partitions=restored_partitions)
+                real.load_state(state)
+                assert real.total_baseline_entries == (
+                    recomputed_baseline_entries(real)
+                )
+            now += (gap + frac) * width
+            if op in ("loss", "recovery"):
+                message = session_message(now, subject, loss=op == "loss")
+                real.observe_state(message)
+                oracle.observe_state(message)
+                continue
+            element = tagged(
+                clock_key(subject),
+                time=now,
+                pops=tuple(pops or ()),
+                withdraw=op == "withdraw",
+            )
+            assert real.observe(element) == stepping_observe(oracle, element)
+            assert real.last_diverted == oracle.last_diverted
+            assert real.bins_processed == oracle.bins_processed
+            assert real.current_bin_start.hex() == oracle.current_bin_start.hex()
+        assert real.close_bin() == oracle.close_bin()
+        assert real.state_dict() == oracle.state_dict()
+        assert real.total_baseline_entries == recomputed_baseline_entries(real)
+        assert real.total_baseline_entries == oracle.total_baseline_entries
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        width=st.sampled_from([60.0, 1.0, 0.5, 0.1, 7.3, 1 / 3, 2.0**-20 * 3]),
+        start=st.one_of(
+            st.sampled_from([0.0, 1.0, 2.0**31 - 120.0, -(2.0**20) - 7.0]),
+            st.floats(-1e6, 2e9, allow_nan=False),
+        ),
+        bins=st.integers(0, 20_000),
+        frac=st.floats(-1.0, 1.0),
+    )
+    def test_cross_bins_equals_repeated_addition(self, width, start, bins, frac):
+        until = start + (bins + frac) * width
+        edge, crossed = start, 0
+        while until >= edge + width:
+            edge += width
+            crossed += 1
+        jumped, count = cross_bins(start, width, until)
+        assert (jumped.hex(), count) == (edge.hex(), crossed)

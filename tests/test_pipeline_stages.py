@@ -215,6 +215,13 @@ class TestBinningMonitorStage:
         stage.feed(tagged(key(0), time=10.0, withdraw=True))
         stage.feed(tagged(key(1), time=200.0))
         assert metrics.bins.count == monitor.bins_processed == 3
+        # The two empty bins are crossed in one step and metered as one
+        # weighted sample: the histogram still counts every bin and the
+        # call's latency is still split evenly across them.
+        bins = metrics.bins
+        assert bins.hist.count == 3
+        assert bins.total_latency_s == pytest.approx(3 * bins.max_latency_s)
+        assert bins.hist.total == pytest.approx(bins.total_latency_s)
 
     def test_flush_closes_trailing_bin_without_advance(self):
         monitor = self._primed()

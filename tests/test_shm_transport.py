@@ -12,6 +12,8 @@ teardown (including faulted teardown).
 from __future__ import annotations
 
 import os
+import threading
+import time
 
 import pytest
 
@@ -143,6 +145,42 @@ class TestRingProtocol:
         frame = ring.get()
         frame.release()
         assert ring.try_put(("batch", published), batch)  # space reclaimed
+
+    def test_large_frame_past_the_midpoint_is_accepted(self):
+        # Write slot past capacity - total but below total: the wrap
+        # residue plus the frame exceed the capacity, so the frame only
+        # fits once the wrap has been published and consumed on its own.
+        # The old try_put asked for skip + total free bytes and put()
+        # polled for ever on an empty ring.
+        ring = self._ring(capacity=1024)
+        ring.put(("batch", 0), (bytes(560), []))
+        ring.get().release()
+        assert ring.occupancy() == 0
+        batch = (bytes(range(256)) * 2 + bytes(88), list(range(8)))
+        got: list = []
+
+        def drain() -> None:
+            deadline = time.monotonic() + 10.0
+            while not got and time.monotonic() < deadline:
+                frame = ring.get()
+                if frame is None:
+                    time.sleep(0.0005)
+                    continue
+                got.append((frame.header(), frame.batch(copy_kinds=True)))
+                frame.release()
+
+        consumer = threading.Thread(target=drain)
+        consumer.start()
+        producer = threading.Thread(
+            target=ring.put, args=(("batch", 1), batch), daemon=True
+        )
+        producer.start()
+        producer.join(timeout=10.0)
+        consumer.join(timeout=10.0)
+        assert not producer.is_alive(), "put() never returned"
+        assert not consumer.is_alive()
+        assert got == [(("batch", 1), batch)]
+        assert ring.wraps() == 1 and ring.occupancy() == 0
 
     def test_oversize_frame_raises(self):
         ring = self._ring(capacity=1024)

@@ -127,6 +127,32 @@ class TestLogHistogram:
 
         assert marshal.loads(marshal.dumps(hist.to_wire())) == hist.to_wire()
 
+    def test_weighted_record_equals_repeated_record(self):
+        # record(v, n) is n calls of record(v): same buckets, count,
+        # extremes and quantiles, also after merge and over the wire
+        # (the sum differs only by float association).
+        weighted, repeated = LogHistogram(), LogHistogram()
+        for value, n in ((7.3e-6, 185_000), (0.0, 3), (2.5e-4, 1), (0.02, 40)):
+            weighted.record(value, n)
+            for _ in range(n):
+                repeated.record(value)
+        merged_w, merged_r = LogHistogram(), LogHistogram()
+        merged_w.record(1.5)
+        merged_r.record(1.5)
+        merged_w.merge(weighted)
+        merged_r.merge(repeated)
+        wire_w = LogHistogram.from_wire(merged_w.to_wire())
+        wire_r = LogHistogram.from_wire(merged_r.to_wire())
+        for got, want in (
+            (weighted, repeated), (merged_w, merged_r), (wire_w, wire_r)
+        ):
+            assert got.counts == want.counts
+            assert got.count == want.count
+            assert (got.min, got.max) == (want.min, want.max)
+            assert got.total == pytest.approx(want.total, rel=1e-9)
+            for q in (0.0, 0.5, 0.95, 0.99, 1.0):
+                assert got.quantile(q) == want.quantile(q)
+
     def test_empty_and_disabled(self):
         hist = LogHistogram()
         assert hist.as_dict() == {"count": 0}
