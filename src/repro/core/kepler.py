@@ -22,6 +22,7 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass, field
 from collections.abc import Iterable
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from repro.bgp.messages import BGPUpdate, StreamElement
@@ -61,8 +62,8 @@ if TYPE_CHECKING:
 CHECKPOINT_VERSION = 3
 CHECKPOINT_FORMAT = "kepler-checkpoint"
 
-#: First-generation collector threshold while the stream loop runs
-#: (see :meth:`Kepler.process`).  Steady-state allocations are
+#: First-generation collector threshold while the chain runs a staged
+#: batch (see :meth:`Kepler.process`).  Steady-state allocations are
 #: acyclic, so delaying cycle detection trades a bounded amount of
 #: cycle-garbage latency for not re-walking the heap every ~700
 #: allocations.
@@ -186,7 +187,9 @@ class KeplerParams:
     transport: str = "queue"
     #: Elements per chunk on the in-process chain's ``feed_many`` fast
     #: path (the linear and thread-sharded runtimes' batch size; the
-    #: multiprocess runtimes batch by ``process_batch`` instead).
+    #: multiprocess runtimes batch by ``process_batch`` instead).  Also
+    #: the bound of the facade's admission buffer under every runtime:
+    #: :meth:`Kepler.process` never holds this many elements back.
     feed_chunk: int = 4096
 
 
@@ -241,6 +244,12 @@ class Kepler:
         self.pipeline = self.stages.pipeline
         #: primed baseline paths (installed outside the streaming path).
         self.primed_paths = 0
+        # Admission staging (see ``process``): elements handed over but
+        # not yet run through the chain, and the end of the bin the last
+        # element that *was* run fell in (the monitor's ``_bin_floor``
+        # formula plus one width).  -inf: the first call runs at once.
+        self._staged: list[StreamElement] = []
+        self._flush_edge = float("-inf")
 
     # ------------------------------------------------------------------
     # Runtime factories (called repeatedly under supervision)
@@ -381,29 +390,36 @@ class Kepler:
     # ------------------------------------------------------------------
     # Facade views over stage state (the historical attribute API)
     # ------------------------------------------------------------------
+    # Every view runs the staged elements first (``_flush``): a read
+    # never sees a detector behind what ``process`` was handed.
     @property
     def records(self) -> list[OutageRecord]:
         """Finalized (closed or merged) outage records."""
+        self._flush()
         return self.stages.records
 
     @property
     def open(self) -> dict[PoP, OutageRecord]:
         """Open outages keyed by located PoP."""
+        self._flush()
         return self.stages.open
 
     @property
     def signal_log(self) -> list[SignalClassification]:
         """Every classification ever made, for sensitivity analysis."""
+        self._flush()
         return self.stages.signal_log
 
     @property
     def rejected(self) -> list[SignalClassification]:
         """Signals rejected by the data plane (false-positive pruning)."""
+        self._flush()
         return self.stages.rejected
 
     @property
     def metrics(self) -> PipelineMetrics:
         """Per-stage counters and bin gauges of this detector."""
+        self._flush()
         return self.stages.metrics
 
     def metrics_live(self) -> dict:
@@ -416,13 +432,19 @@ class Kepler:
         runtimes read their live registries.  Adds ``depths``
         (queue/ring occupancy), ``hists`` (p50/p95/p99 summaries) and,
         under the ingest tier, per-feed admission counts (``feeds``).
+
+        Unlike the facade views this does **not** run the admission
+        buffer (the chain belongs to the thread inside ``process``), so
+        the counters are at most one bin or ``feed_chunk`` elements
+        behind ``process``; ``depths["staged"]`` says by how many.
         """
         live = getattr(self.stages, "metrics_live", None)
         if live is not None:
-            return live()
-        snap = self.stages.metrics.snapshot()
-        snap.setdefault("depths", {})
-        snap.setdefault("live", {"workers": 0, "workers_reporting": 0})
+            snap = live()
+        else:
+            snap = self.stages.metrics.snapshot()
+            snap.setdefault("live", {"workers": 0, "workers_reporting": 0})
+        snap.setdefault("depths", {})["staged"] = len(self._staged)
         return snap
 
     # ------------------------------------------------------------------
@@ -436,6 +458,7 @@ class Kepler:
         """
         from repro.pipeline import PrimingUpdate
 
+        self._flush()
         before = self.stages.monitoring.primed
         for update in updates:
             self.pipeline.feed(PrimingUpdate(update=update))
@@ -446,17 +469,80 @@ class Kepler:
     def process(self, elements: Iterable[StreamElement]) -> None:
         """Consume a time-sorted element stream.
 
-        Elements travel in chunks (:meth:`StagePipeline.feed_many`),
-        so the per-stage dispatch and metering cost is paid per chunk,
-        not per element — output is identical to feeding one at a time.
+        Kepler decides once per bin, so nothing can observe an element
+        before its bin closes.  ``process`` therefore only *stages*
+        what it is handed and runs the chain
+        (:meth:`StagePipeline.feed_many`) when the newest staged
+        element falls in a later bin than the last element already run
+        (an element that opens a bin of the stream is never held back),
+        when ``feed_chunk`` elements are staged, or when anything reads
+        detector state (every facade view, ``snapshot``, ``prime``,
+        ``process_feeds``, ``finalize``).  Output is identical for
+        every chunking of a stream, so a per-element live loop costs an
+        ``extend`` and a compare per call and the chain still sees
+        bin-sized batches.  A list of ``feed_chunk`` or more elements
+        arriving at an empty buffer is run as-is, uncopied; a lazy
+        source is staged ``feed_chunk`` elements at a time, never
+        materialised.
+
+        What does not read through the facade (``metrics_live``, the
+        validator's probes, ``kepler.stages``) sees the chain less than
+        one bin of stream time behind the calls.  The monitor's own
+        clock follows *tagged* elements only: when the element that
+        opens a bin carries no location tag, the previous bin's close
+        waits for the next run instead of the bin's first tagged
+        element.
+
+        Only the last staged element is tested (the stream is sorted by
+        contract): an unsorted input moves when the chain runs, never
+        what comes out.  The staged list is detached before the chain
+        runs, so a run that raises is not fed again; the exception
+        surfaces from whichever call or read triggered the run.
+        ``close`` discards staged elements — finish with ``finalize``.
+        """
+        staged = self._staged
+        chunk = self.params.feed_chunk
+        if type(elements) is list:
+            if not staged and len(elements) >= chunk:
+                self._run_chain(elements)
+                return
+            staged.extend(elements)
+        else:
+            source = iter(elements)
+            while True:
+                staged = self._staged
+                staged.extend(islice(source, chunk - len(staged)))
+                if len(staged) < chunk:
+                    break
+                self._flush()
+        if staged:
+            edge = self._flush_edge
+            # An element without a time (a priming update, a foreign
+            # object ingest will drop) is run at once.
+            if getattr(staged[-1], "time", edge) >= edge or len(staged) >= chunk:
+                self._flush()
+
+    def _flush(self) -> None:
+        """Run whatever ``process`` staged through the chain."""
+        staged = self._staged
+        if staged:
+            self._staged = []
+            self._run_chain(staged)
+
+    def _run_chain(self, elements: list[StreamElement]) -> None:
+        """Feed a non-empty batch to the runtime, collector held off.
 
         The cyclic collector's first-generation threshold is raised
-        for the duration of the loop (and restored after): steady-state
-        stream processing allocates heavily but acyclically — tagged
-        paths, baseline entries, signal batches — and at the default
-        threshold every few hundred allocations trigger a scan whose
-        full-heap generations re-walk the long-lived RIB baseline.
+        while the batch runs (and restored after): steady-state stream
+        processing allocates heavily but acyclically — tagged paths,
+        baseline entries, signal batches — and at the default threshold
+        every few hundred allocations trigger a scan whose full-heap
+        generations re-walk the long-lived RIB baseline.
         """
+        last = getattr(elements[-1], "time", None)
+        if last is not None:
+            width = self.params.monitor.bin_interval_s
+            self._flush_edge = (last // width + 1) * width
         thresholds = gc.get_threshold()
         if thresholds[0]:
             gc.set_threshold(_STREAM_GC_GEN0, *thresholds[1:])
@@ -490,15 +576,21 @@ class Kepler:
                 "process_feeds requires the ingest tier"
                 " (KeplerParams(ingest_feeds=N))"
             )
+        self._flush()
         self.stages.process_feeds(feeds)
 
     def finalize(self, end_time: float | None = None) -> list[OutageRecord]:
         """Flush bins, close tracking, merge oscillations; return records."""
+        self._flush()
         self.pipeline.flush()
         return self.stages.finalize_records(end_time)
 
     def close(self) -> None:
-        """Release runtime resources (worker processes, thread pools)."""
+        """Release runtime resources (worker processes, thread pools).
+
+        Staged elements are not run: a detector closed without
+        ``finalize`` never exposed their effect.
+        """
         for target in (self.stages, self.pipeline):
             close = getattr(target, "close", None)
             if close is not None:
@@ -518,6 +610,8 @@ class Kepler:
         and :class:`KeplerParams` are the operator's deployment inputs.
         ``restore`` must therefore be called on a Kepler constructed
         with the same configuration, typically in a new process.
+        Elements :meth:`process` has staged are run first, so a
+        document never holds any.
 
         The runtime is *not* part of the document's identity: the
         in-process chains snapshot off their live stages, the
@@ -529,6 +623,7 @@ class Kepler:
         emits for the monitor stage); :meth:`restore` converts between
         layouts, so any checkpoint restores into any runtime.
         """
+        self._flush()
         return {
             "format": CHECKPOINT_FORMAT,
             "version": CHECKPOINT_VERSION,
@@ -553,6 +648,7 @@ class Kepler:
         restores stage-by-stage.  After restoring, processing the
         remainder of the stream yields output identical to an
         uninterrupted run, whichever runtime wrote the document.
+        Anything :meth:`process` had staged here is discarded.
         """
         from repro.pipeline.checkpoint import convert_pipeline_state
 
@@ -567,6 +663,8 @@ class Kepler:
             checkpoint["pipeline"], checkpoint["shards"], self._doc_layout()
         )
         self.primed_paths = checkpoint["primed_paths"]
+        self._staged = []
+        self._flush_edge = float("-inf")
         self.stages.restore_parts(
             {
                 "rejected": checkpoint["rejected"],
