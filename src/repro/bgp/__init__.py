@@ -13,6 +13,7 @@ from repro.bgp.messages import (
     SessionState,
 )
 from repro.bgp.sanitize import (
+    deprepend,
     has_as_loop,
     is_private_asn,
     is_special_purpose_asn,
@@ -29,6 +30,7 @@ __all__ = [
     "BGPStateMessage",
     "ElemType",
     "SessionState",
+    "deprepend",
     "has_as_loop",
     "is_private_asn",
     "is_special_purpose_asn",

@@ -51,6 +51,50 @@ class Community:
         return cls(int(match.group(1)), int(match.group(2)))
 
 
+#: Interned communities by ``(asn, value)``: streams repeat them
+#: constantly, and identical objects make downstream set/dict operations
+#: cheaper.  A per-process derived cache, cleared wholesale at the cap;
+#: the eviction count is telemetry only.
+_INTERN_MAX = 65536
+_COMMUNITY_INTERN: dict[tuple[int, int], Community] = {}
+_intern_evictions = 0
+
+
+def _intern_community(asn: int, value: int) -> Community:
+    global _intern_evictions
+    key = (asn, value)
+    community = _COMMUNITY_INTERN.get(key)
+    if community is None:
+        if len(_COMMUNITY_INTERN) >= _INTERN_MAX:
+            _intern_evictions += len(_COMMUNITY_INTERN)
+            _COMMUNITY_INTERN.clear()
+        community = object.__new__(Community)
+        community.__dict__["asn"] = asn
+        community.__dict__["value"] = value
+        community.__dict__["_hash"] = hash(key)
+        _COMMUNITY_INTERN[key] = community
+    return community
+
+
+def communities_from_flat(flat: tuple[int, ...]) -> tuple[Community, ...]:
+    """Rebuild an interned ``Community`` tuple from flat ``(asn, value)`` ints."""
+    interned = _COMMUNITY_INTERN.get
+    return tuple(
+        interned((flat[i], flat[i + 1]))
+        or _intern_community(flat[i], flat[i + 1])
+        for i in range(0, len(flat), 2)
+    )
+
+
+def community_intern_stats() -> dict[str, int]:
+    """Size/cap/eviction counters of the community intern table."""
+    return {
+        "size": len(_COMMUNITY_INTERN),
+        "cap": _INTERN_MAX,
+        "evictions": _intern_evictions,
+    }
+
+
 def parse_communities(text: str) -> tuple[Community, ...]:
     """Parse a whitespace-separated list of communities.
 

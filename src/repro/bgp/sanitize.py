@@ -7,6 +7,8 @@ private ASNs, or special-purpose ASNs."
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import groupby
+from operator import itemgetter
 
 #: Private-use ASN ranges (RFC 6996).
 _PRIVATE_16 = range(64512, 65535)  # 65535 itself is reserved, handled below
@@ -22,6 +24,16 @@ _SPECIAL = {
 }
 _DOCUMENTATION = range(64496, 64512)  # RFC 5398
 _DOCUMENTATION_32 = range(65536, 65552)  # RFC 5398 (32-bit)
+
+#: ``sanitize_path``'s cheap reserved-ASN test: every reserved ASN below
+#: the 32-bit private range (0, AS_TRANS and the contiguous 64496-65551
+#: block), and the start of that range, above which all but 2**32 and
+#: beyond is reserved.
+_RESERVED_LOW = frozenset(_SPECIAL).union(
+    _DOCUMENTATION, _PRIVATE_16, _DOCUMENTATION_32
+)
+_RESERVED_HIGH = _PRIVATE_32.start
+_RUN_HEAD = itemgetter(0)
 
 
 def is_private_asn(asn: int) -> bool:
@@ -65,14 +77,25 @@ def sanitize_path(path: Sequence[int]) -> tuple[int, ...] | None:
     """Return the de-prepended path, or ``None`` if it must be discarded.
 
     Discards empty paths, paths with loops, and paths containing private
-    or special-purpose ASNs, per Section 4.1.
+    or special-purpose ASNs, per Section 4.1.  Equivalent to::
+
+        None if not path or has_as_loop(path) or any(
+            is_private_asn(a) or is_special_purpose_asn(a) for a in path
+        ) else deprepend(path)
+
+    but the raw path — which prepending can stretch to hundreds of hops
+    — is walked once, in C (a ``groupby`` run collapse); everything else
+    reads the short de-prepended result.  An ASN re-appears after a
+    different ASN exactly when the de-prepended path holds it twice, so
+    the loop verdict is a duplicate test on ``clean``; and de-prepending
+    drops no distinct ASN, so the reserved-ASN verdict is the same on
+    ``clean`` as on ``path``.
     """
-    if not path:
+    clean = tuple(map(_RUN_HEAD, groupby(path)))
+    if not clean or len(set(clean)) != len(clean):
         return None
-    if has_as_loop(path):
-        return None
-    clean = deprepend(path)
-    for asn in clean:
-        if is_private_asn(asn) or is_special_purpose_asn(asn):
-            return None
+    if max(clean) >= _RESERVED_HIGH or not _RESERVED_LOW.isdisjoint(clean):
+        for asn in clean:
+            if is_private_asn(asn) or is_special_purpose_asn(asn):
+                return None
     return clean

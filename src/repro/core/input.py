@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.bgp.communities import communities_from_flat
 from repro.bgp.messages import BGPUpdate, ElemType
 from repro.bgp.sanitize import sanitize_path
 from repro.core.colocation import ColocationMap
@@ -66,6 +67,8 @@ class TaggedPath:
 MEMO_MAX_ENTRIES = 65536
 
 _MEMO_MISS = object()
+#: what a withdrawal "tags" to: no path, no tags.
+_WITHDRAWN: tuple[tuple[int, ...], tuple[PoPTag, ...]] = ((), ())
 _TAGGED_NEW = TaggedPath.__new__
 
 
@@ -106,6 +109,9 @@ class InputModule:
         #: entries dropped by generation rotation (cache telemetry,
         #: surfaced as a metrics gauge — never checkpointed).
         self.memo_evictions = 0
+        #: generation rotations so far; a batch tagger that keeps its
+        #: own per-batch shortcut drops it when this moves.
+        self.memo_rotations = 0
         #: (as_path ints, flat community ints) -> (clean path, tags),
         #: or None when the sanitizer discards the path.
         self._memo: dict[
@@ -113,57 +119,48 @@ class InputModule:
             tuple[tuple[int, ...], tuple[PoPTag, ...]] | None,
         ] = {}
         self._memo_old: dict = {}
+        #: The hit-path probe, ``memo_probe(key, default)``: the young
+        #: generation's ``dict.get``, valid for the module's lifetime
+        #: because rotation empties that dict in place.  Batch loops
+        #: hoist it and hand a missed key to :meth:`memo_miss`.
+        self.memo_probe = self._memo.get
         self._gen_max = max(1, memo_max // 2)
 
     def process(self, update: BGPUpdate) -> TaggedPath | None:
         """Parse one update; ``None`` when the path must be discarded."""
         elem_type = update.elem_type
-        key: PathKey = (
-            update.collector,
-            update.peer_asn,
-            update.prefix,
-        )
         if elem_type is ElemType.WITHDRAWAL:
-            self.parsed_count += 1
-            tagged = _TAGGED_NEW(TaggedPath)
-            fields = tagged.__dict__
-            fields["key"] = key
-            fields["time"] = update.time
-            fields["elem_type"] = elem_type
-            fields["as_path"] = ()
-            fields["tags"] = ()
-            fields["afi"] = update.afi
-            return tagged
-        communities = update.communities
-        if len(communities) == 1:
-            community = communities[0]
-            memo_key = (
-                update.as_path,
-                (community.asn, community.value),
-            )
+            cached = _WITHDRAWN
         else:
-            flat: list[int] = []
-            for community in communities:
-                flat.append(community.asn)
-                flat.append(community.value)
-            memo_key = (update.as_path, tuple(flat))
-        cached = self._memo.get(memo_key, _MEMO_MISS)
-        if cached is not _MEMO_MISS:
-            self.memo_hits += 1
-        else:
-            cached = self._lookup(memo_key[0], memo_key[1], communities)
-        if cached is None:
-            self.discarded_count += 1
-            return None
+            communities = update.communities
+            if len(communities) == 1:
+                community = communities[0]
+                memo_key = (
+                    update.as_path,
+                    (community.asn, community.value),
+                )
+            else:
+                flat: list[int] = []
+                for community in communities:
+                    flat.append(community.asn)
+                    flat.append(community.value)
+                memo_key = (update.as_path, tuple(flat))
+            cached = self.memo_probe(memo_key, _MEMO_MISS)
+            if cached is not _MEMO_MISS:
+                self.memo_hits += 1
+            else:
+                cached = self.memo_miss(memo_key, communities)
+            if cached is None:
+                self.discarded_count += 1
+                return None
         self.parsed_count += 1
-        clean_path, tags = cached
         tagged = _TAGGED_NEW(TaggedPath)
         fields = tagged.__dict__
-        fields["key"] = key
+        fields["key"] = (update.collector, update.peer_asn, update.prefix)
         fields["time"] = update.time
         fields["elem_type"] = elem_type
-        fields["as_path"] = clean_path
-        fields["tags"] = tags
+        fields["as_path"] = cached[0]
+        fields["tags"] = cached[1]
         fields["afi"] = update.afi
         return tagged
 
@@ -183,13 +180,14 @@ class InputModule:
         """
         append = out.append
         extend = out.extend
-        memo_get = self._memo.get
-        lookup = self._lookup
+        memo_get = self.memo_probe
+        memo_miss = self.memo_miss
         miss = _MEMO_MISS
         new = _TAGGED_NEW
         cls = TaggedPath
         update_cls = BGPUpdate
         withdrawal = ElemType.WITHDRAWAL
+        withdrawn = _WITHDRAWN
         parsed = 0
         hits = 0
         discarded = 0
@@ -201,48 +199,34 @@ class InputModule:
                     extend(fallback(update))
                 continue
             elem_type = update.elem_type
-            key = (
-                update.collector,
-                update.peer_asn,
-                update.prefix,
-            )
             if elem_type is withdrawal:
-                parsed += 1
-                tagged = new(cls)
-                fields = tagged.__dict__
-                fields["key"] = key
-                fields["time"] = update.time
-                fields["elem_type"] = elem_type
-                fields["as_path"] = ()
-                fields["tags"] = ()
-                fields["afi"] = update.afi
-                append(tagged)
-                continue
-            communities = update.communities
-            if len(communities) == 1:
-                community = communities[0]
-                memo_key = (
-                    update.as_path,
-                    (community.asn, community.value),
-                )
+                cached = withdrawn
             else:
-                flat: list[int] = []
-                for community in communities:
-                    flat.append(community.asn)
-                    flat.append(community.value)
-                memo_key = (update.as_path, tuple(flat))
-            cached = memo_get(memo_key, miss)
-            if cached is not miss:
-                hits += 1
-            else:
-                cached = lookup(memo_key[0], memo_key[1], communities)
-            if cached is None:
-                discarded += 1
-                continue
+                communities = update.communities
+                if len(communities) == 1:
+                    community = communities[0]
+                    memo_key = (
+                        update.as_path,
+                        (community.asn, community.value),
+                    )
+                else:
+                    flat: list[int] = []
+                    for community in communities:
+                        flat.append(community.asn)
+                        flat.append(community.value)
+                    memo_key = (update.as_path, tuple(flat))
+                cached = memo_get(memo_key, miss)
+                if cached is not miss:
+                    hits += 1
+                else:
+                    cached = memo_miss(memo_key, communities)
+                if cached is None:
+                    discarded += 1
+                    continue
             parsed += 1
             tagged = new(cls)
             fields = tagged.__dict__
-            fields["key"] = key
+            fields["key"] = (update.collector, update.peer_asn, update.prefix)
             fields["time"] = update.time
             fields["elem_type"] = elem_type
             fields["as_path"] = cached[0]
@@ -253,42 +237,45 @@ class InputModule:
         self.memo_hits += hits
         self.discarded_count += discarded
 
-    def _lookup(
+    def memo_miss(
         self,
-        as_path: tuple[int, ...],
-        flat_communities: tuple[int, ...],
-        communities,
+        memo_key: tuple[tuple[int, ...], tuple[int, ...]],
+        communities=None,
     ) -> tuple[tuple[int, ...], tuple[PoPTag, ...]] | None:
-        """Memoised (clean path, tags) for one id-tuple attribute pair.
+        """Resolve a key the caller built and ``memo_probe`` just missed.
 
-        ``communities`` may be a ``Community`` tuple or ``None``; it is
-        only touched on a full miss, where the columnar path rebuilds
-        objects lazily from the flat ints.
+        The one miss routine behind every entry point — ``process``,
+        ``process_batch`` and serde's two batch taggers: an
+        old-generation probe, else sanitise and map, then insert, so a
+        miss hashes the raw AS path three times (the caller's probe
+        included), twice while the old generation is empty.
+        ``communities`` may be ``None`` (the columnar path): the
+        objects are rebuilt from the key's flat ints only when tags
+        must actually be computed.
+
+        Rotation empties the young dict *in place* so that hoisted
+        ``memo_probe`` references keep probing the young generation
+        after a mid-batch rotation.
         """
-        memo_key = (as_path, flat_communities)
-        cached = self._memo.get(memo_key, _MEMO_MISS)
-        if cached is not _MEMO_MISS:
-            self.memo_hits += 1
-            return cached
-        cached = self._memo_old.get(memo_key, _MEMO_MISS)
+        old = self._memo_old
+        cached = old.get(memo_key, _MEMO_MISS) if old else _MEMO_MISS
         if cached is not _MEMO_MISS:
             self.memo_hits += 1
         else:
-            if communities is None:
-                from repro.core.serde import communities_from_flat
-
-                communities = communities_from_flat(flat_communities)
-            clean = sanitize_path(as_path)
-            cached = (
-                None
-                if clean is None
-                else (clean, self._map_tags(clean, communities))
-            )
-        if len(self._memo) >= self._gen_max:
-            self.memo_evictions += len(self._memo_old)
-            self._memo_old = self._memo
-            self._memo = {}
-        self._memo[memo_key] = cached
+            clean = sanitize_path(memo_key[0])
+            if clean is None:
+                cached = None
+            else:
+                if communities is None:
+                    communities = communities_from_flat(memo_key[1])
+                cached = (clean, self._map_tags(clean, communities))
+        memo = self._memo
+        if len(memo) >= self._gen_max:
+            self.memo_evictions += len(old)
+            self.memo_rotations += 1
+            self._memo_old = memo.copy()
+            memo.clear()
+        memo[memo_key] = cached
         return cached
 
     # ------------------------------------------------------------------
@@ -297,19 +284,23 @@ class InputModule:
     ) -> tuple[PoPTag, ...]:
         tags: list[PoPTag] = []
         seen: set[tuple[PoP, int | None]] = set()
-        position = {asn: i for i, asn in enumerate(path)}
+        entries = self.dictionary.entries
+        rs_pops = self.dictionary.rs_asn_to_pop
         for community in communities:
-            pop = self.dictionary.lookup(community)
+            asn = community.asn
+            rs_pop = rs_pops.get(asn)
+            entry = entries.get(community)
+            pop = rs_pop if entry is None else entry.pop
             if pop is None:
                 continue
-            if community.asn in self.dictionary.rs_asn_to_pop:
+            if rs_pop is not None:
                 tag = self._route_server_tag(pop, path)
-            else:
-                idx = position.get(community.asn)
-                if idx is None:
-                    continue  # leaked community from an off-path AS
+            elif asn in path:
+                idx = path.index(asn)  # sanitised: each ASN occurs once
                 far = path[idx + 1] if idx + 1 < len(path) else None
-                tag = PoPTag(pop=pop, near_asn=community.asn, far_asn=far)
+                tag = PoPTag(pop=pop, near_asn=asn, far_asn=far)
+            else:
+                continue  # leaked community from an off-path AS
             dedup_key = (tag.pop, tag.near_asn)
             if dedup_key in seen:
                 continue

@@ -40,7 +40,10 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.bgp.communities import Community
+from repro.bgp.communities import (
+    communities_from_flat,
+    community_intern_stats,
+)
 from repro.bgp.messages import (
     BGPStateMessage,
     BGPUpdate,
@@ -223,14 +226,15 @@ _POPKIND_VALUE = {k: k.value for k in PoPKind}
 # the ``__dict__`` fill.
 # Small immutable values (communities, PoPs) are interned: streams
 # repeat them constantly, and identical objects also make downstream
-# set/dict operations cheaper.
+# set/dict operations cheaper.  The community table lives next to
+# ``Community`` in :mod:`repro.bgp.communities`, where the input module
+# can reach it without importing this one.
 _INTERN_MAX = 65536
-_COMMUNITY_INTERN: dict[tuple[int, int], Community] = {}
 _POP_INTERN: dict[tuple[str, str], PoP] = {}
 #: Cumulative entries dropped per intern table when a full table is
 #: cleared (cache telemetry, surfaced through ``intern_stats`` and the
 #: metrics gauges — never checkpointed, never part of pipeline state).
-_INTERN_EVICTIONS = {"community": 0, "pop": 0, "path": 0, "tagset": 0}
+_INTERN_EVICTIONS = {"pop": 0, "path": 0, "tagset": 0}
 
 
 def _slot_setters(cls, names: tuple[str, ...]) -> tuple:
@@ -280,44 +284,18 @@ def intern_stats() -> dict[str, dict[str, int]]:
     object sharing is degrading).
     """
     sizes = {
-        "community": len(_COMMUNITY_INTERN),
-        "pop": len(_POP_INTERN),
         "path": len(_PATH_INTERN),
+        "pop": len(_POP_INTERN),
         "tagset": len(_TAGSET_INTERN),
     }
-    return {
-        name: {
-            "size": sizes[name],
+    stats = {"community": community_intern_stats()}
+    for name, size in sizes.items():
+        stats[name] = {
+            "size": size,
             "cap": _INTERN_MAX,
             "evictions": _INTERN_EVICTIONS[name],
         }
-        for name in sorted(sizes)
-    }
-
-
-def _intern_community(asn: int, value: int) -> Community:
-    key = (asn, value)
-    community = _COMMUNITY_INTERN.get(key)
-    if community is None:
-        if len(_COMMUNITY_INTERN) >= _INTERN_MAX:
-            _INTERN_EVICTIONS["community"] += len(_COMMUNITY_INTERN)
-            _COMMUNITY_INTERN.clear()
-        community = object.__new__(Community)
-        community.__dict__["asn"] = asn
-        community.__dict__["value"] = value
-        community.__dict__["_hash"] = hash(key)
-        _COMMUNITY_INTERN[key] = community
-    return community
-
-
-def communities_from_flat(flat: tuple[int, ...]) -> tuple[Community, ...]:
-    """Rebuild an interned ``Community`` tuple from flat ``(asn, value)`` ints."""
-    interned = _COMMUNITY_INTERN.get
-    return tuple(
-        interned((flat[i], flat[i + 1]))
-        or _intern_community(flat[i], flat[i + 1])
-        for i in range(0, len(flat), 2)
-    )
+    return stats
 
 
 def _intern_pop(kind: str, pop_id: str) -> PoP:
@@ -365,15 +343,7 @@ def update_from_json(data: list[Any]) -> BGPUpdate:
     # tuple(t) on an exact tuple returns it unchanged (free); decoding
     # from a JSON list still lands on a proper tuple.
     _SET_U_PATH(update, tuple(path))
-    interned = _COMMUNITY_INTERN.get
-    _SET_U_COMM(
-        update,
-        tuple(
-            interned((flat[i], flat[i + 1]))
-            or _intern_community(flat[i], flat[i + 1])
-            for i in range(0, len(flat), 2)
-        ),
-    )
+    _SET_U_COMM(update, communities_from_flat(flat))
     _SET_U_AFI(update, afi)
     return update
 
@@ -855,7 +825,8 @@ def tag_wire_batch(input_module, batch: tuple, fallback=None) -> tuple:
     memo probe against ``input_module`` — the same two-generation memo
     the scalar path uses, keyed on the very tuples sitting in the
     tables — and every repeat is one dict hit.  Counters fold into the
-    module's totals exactly as the scalar path would have counted them.
+    module's totals exactly as the scalar path would have counted them
+    (the pair cache is dropped when the memo rotates mid-batch).
 
     Elements outside the update families (``other`` rows) go through
     ``fallback`` (e.g. ``TaggingStage.feed``) and keep their slot
@@ -965,7 +936,9 @@ def tag_wire_batch(input_module, batch: tuple, fallback=None) -> tuple:
     pair_cache: dict = {}
     pair_get = pair_cache.get
     pair_miss = _PAIR_MISS
-    lookup = input_module._lookup
+    memo_get = input_module.memo_probe
+    memo_miss = input_module.memo_miss
+    rotations = input_module.memo_rotations
     parsed = 0
     hits = 0
     discarded = 0
@@ -988,7 +961,18 @@ def tag_wire_batch(input_module, batch: tuple, fallback=None) -> tuple:
             if pair is not pair_miss:
                 hits += 1
             else:
-                cached = lookup(path_tab[pi], comm_tab[ci], None)
+                memo_key = (path_tab[pi], comm_tab[ci])
+                cached = memo_get(memo_key, pair_miss)
+                if cached is not pair_miss:
+                    hits += 1
+                else:
+                    cached = memo_miss(memo_key)
+                    if input_module.memo_rotations != rotations:
+                        # Cached pairs aged into the old generation,
+                        # where the scalar path would promote them on
+                        # their next use: send them back to the memo.
+                        rotations = input_module.memo_rotations
+                        pair_cache.clear()
                 if cached is None:
                     pair = None
                 else:
@@ -1151,8 +1135,8 @@ def tag_elements_to_wire(input_module, elements, fallback=None) -> tuple:
     empty_tags = ()
     out_tag_tab.append(empty_tags)
     out_tag_vals[empty_tags] = empty_tags_index = 0
-    memo_get = input_module._memo.get
-    lookup = input_module._lookup
+    memo_get = input_module.memo_probe
+    memo_miss = input_module.memo_miss
     miss = _PAIR_MISS
     pair_ids: dict = {}
     pair_ids_get = pair_ids.get
@@ -1206,7 +1190,7 @@ def tag_elements_to_wire(input_module, elements, fallback=None) -> tuple:
         if cached is not miss:
             hits += 1
         else:
-            cached = lookup(memo_key[0], memo_key[1], communities)
+            cached = memo_miss(memo_key, communities)
         if cached is None:
             discarded += 1
             continue

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.bgp.collector import Collector, CollectorPeer
 from repro.bgp.communities import Community, communities_from_asn, parse_communities
@@ -159,6 +161,66 @@ class TestSanitize:
 
     def test_sanitize_discards_empty(self):
         assert sanitize_path(()) is None
+
+
+#: Both sides of every reserved-range edge (64495 | 64496-65551 | 65552,
+#: 4199999999 | 4200000000-4294967295), plus 0 and AS_TRANS.
+_BOUNDARY_ASNS = (
+    0, 23456, 64495, 64496, 65551, 65552,
+    4199999999, 4200000000, 4294967294, 4294967295,
+)  # fmt: skip
+#: A pool small enough that generated paths repeat ASNs (loops), with
+#: 16- and 32-bit public ASNs.
+_PUBLIC_ASNS = (174, 3356, 64495, 65552, 131072, 4199999999)
+_asns = st.one_of(
+    st.sampled_from(_PUBLIC_ASNS),
+    st.sampled_from(_BOUNDARY_ASNS),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+_run_lengths = st.one_of(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=700),
+)
+
+
+@st.composite
+def _raw_paths(draw):
+    """AS paths as runs: prepending, loops, a reserved ASN anywhere."""
+    runs = draw(st.lists(st.tuples(_asns, _run_lengths), max_size=6))
+    path = [asn for asn, length in runs for _ in range(length)]
+    return draw(st.sampled_from((list, tuple)))(path)
+
+
+def _sanitize_oracle(path):
+    """Section 4.1 spelled out with the readable per-hop predicates."""
+    if (
+        not path
+        or has_as_loop(path)
+        or any(is_private_asn(a) or is_special_purpose_asn(a) for a in path)
+    ):
+        return None
+    return deprepend(path)
+
+
+class TestSanitizeAgainstOracle:
+    @given(_raw_paths())
+    @example([174, 174, 3356, 174])  # A A B A: prepending before the loop
+    @example((174, 3356, 3356, 174))  # A B B A: prepending inside the loop
+    @example((174,) + (3356,) * 700 + (131072, 131072))
+    @example([4294967296, 174])  # beyond 32 bits: not reserved
+    @settings(max_examples=400)
+    def test_matches_oracle(self, path):
+        got = sanitize_path(path)
+        assert got == _sanitize_oracle(path)
+        assert got is None or type(got) is tuple
+
+    @pytest.mark.parametrize("boundary", _BOUNDARY_ASNS)
+    @pytest.mark.parametrize("position", range(5))
+    def test_boundary_asn_at_every_position(self, boundary, position):
+        path = [174, 3356, 3356, 131072]
+        path.insert(position, boundary)
+        assert sanitize_path(path) == _sanitize_oracle(path)
+        assert sanitize_path(tuple(path)) == _sanitize_oracle(tuple(path))
 
 
 class TestRib:

@@ -194,12 +194,14 @@ class TestColumnarRoundTrip:
 import dataclasses
 import json
 from functools import lru_cache
-from types import SimpleNamespace
 
 from hypothesis import HealthCheck
 
+from repro.core.colocation import ColocationMap
+from repro.core.input import InputModule
 from repro.core.kepler import KeplerParams
 from repro.core.serde import tag_elements_to_wire, tagged_view
+from repro.docmine.dictionary import CommunityDictionary
 from repro.pipeline.runtime import StagePipeline
 from repro.routing.events import FacilityFailure, FacilityRecovery
 from repro.scenarios import build_world
@@ -400,15 +402,9 @@ class TestViewMaterialisation:
     @given(st.lists(tagged_paths(), min_size=1, max_size=30))
     @settings(max_examples=100)
     def test_object_family_rows_match_source(self, tagged):
-        stub = SimpleNamespace(
-            _memo={},
-            _lookup=None,
-            parsed_count=0,
-            memo_hits=0,
-            discarded_count=0,
-        )
+        module = InputModule(CommunityDictionary(), ColocationMap())
         batch = tag_elements_to_wire(
-            stub, tagged, fallback=lambda element: [element]
+            module, tagged, fallback=lambda element: [element]
         )
         view = tagged_view(batch)
         assert view is not None

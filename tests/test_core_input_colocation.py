@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+
+import pytest
 
 from repro.bgp.communities import Community
 from repro.bgp.messages import BGPUpdate, ElemType
@@ -11,6 +14,13 @@ from repro.core.colocation import (
     build_colocation_map,
 )
 from repro.core.input import InputModule
+from repro.core.serde import (
+    decode_batch,
+    encode_batch,
+    tag_elements_to_wire,
+    tag_wire_batch,
+    tagged_view,
+)
 from repro.docmine.dictionary import (
     CommunityDictionary,
     DictionaryEntry,
@@ -142,6 +152,169 @@ class TestInputModule:
             update((1, 10, 30), [Community(10, 101), Community(10, 101)])
         )
         assert tagged is not None and len(tagged.tags) == 1
+
+
+def _via_process(mod, chunk):
+    return [t for t in map(mod.process, chunk) if t is not None]
+
+
+def _via_process_batch(mod, chunk):
+    out: list = []
+    mod.process_batch(chunk, out)
+    return out
+
+
+def _via_wire_view(mod, chunk):
+    view = tagged_view(tag_elements_to_wire(mod, chunk))
+    return [view.tagged_at(i) for i in range(len(view.t_key))]
+
+
+def _via_wire_batch(mod, chunk):
+    return decode_batch(tag_wire_batch(mod, encode_batch(chunk)))
+
+
+_ENTRY_POINTS = (
+    _via_process,
+    _via_process_batch,
+    _via_wire_view,
+    _via_wire_batch,
+)
+
+
+def _memo_stream(n=400):
+    """Updates over 14 attribute pairs, three of them discards.
+
+    Skewed picks against an 8-entry memo: hot pairs repeat inside a
+    generation, cold ones return after their generation was dropped, and
+    pairs age into the old generation and get promoted back.
+    """
+    rs, fac, city = Community(59900, 0), Community(10, 101), Community(30, 301)
+    pairs = [
+        ((1, 10, 30), [fac]),
+        ((1, 10, 10, 10, 30), [fac]),
+        ((2, 10, 30), [fac, city]),
+        ((20, 30, 5), [rs]),
+        ((20, 20, 30, 5), [rs, fac]),
+        ((1, 2, 3), [rs]),
+        ((1, 2, 3), [Community(999, 1)]),
+        ((7, 30, 8), [city]),
+        ((7, 30), [city]),
+        ((9, 10, 30, 20), [fac, city, rs]),
+        ((4, 5, 6), []),
+        ((1, 2, 1), [fac]),  # loop
+        ((1, 1, 2, 2, 1), []),  # loop behind prepending
+        ((10, 64512, 30), [fac]),  # private ASN
+    ]
+    rng = random.Random(5)
+    weights = [8, 6, 5, 4, 3, 3, 2, 2, 2, 1, 1, 3, 1, 2]
+    stream = []
+    for i in range(n):
+        if i % 17 == 16:
+            stream.append(update((), [], withdraw=True, time=float(i)))
+            continue
+        path, communities = rng.choices(pairs, weights)[0]
+        stream.append(
+            update(path, communities, time=float(i), prefix=f"10.0.{i % 5}.0/24")
+        )
+    return stream
+
+
+class TestMemoEntryPoints:
+    """One memo, four ways in: same answers, same counters."""
+
+    @staticmethod
+    def _run(entry, stream, chunk):
+        mod = InputModule(make_dictionary(), make_colo(), memo_max=8)
+        tagged = []
+        for start in range(0, len(stream), chunk):
+            tagged.extend(entry(mod, stream[start : start + chunk]))
+        counters = (
+            mod.parsed_count,
+            mod.discarded_count,
+            mod.memo_hits,
+            mod.memo_evictions,
+        )
+        return tagged, counters
+
+    def test_entry_points_and_chunkings_agree(self):
+        stream = _memo_stream()
+        reference, counters = self._run(_via_process, stream, 1)
+        parsed, discarded, hits, evictions = counters
+        # The stream does what the test needs it to do.
+        assert parsed == len(reference) and discarded > 20
+        assert hits > 50 and evictions > 50
+        for entry in _ENTRY_POINTS:
+            for chunk in (1, 3, len(stream)):
+                tagged, got = self._run(entry, stream, chunk)
+                assert tagged == reference, (entry.__name__, chunk)
+                assert got == counters, (entry.__name__, chunk)
+
+    def test_hoisted_probe_survives_rotation(self):
+        """A key aged mid-batch is promoted, exactly as ``process`` does."""
+        a, b, c, d, e = (
+            update((n, 10, 30), [Community(10, 101)]) for n in range(1, 6)
+        )
+        # gen_max is 2: c's insert rotates {a, b} into the old
+        # generation, and the repeated a must be promoted out of it —
+        # or d's rotation drops it and the last a is a full miss.
+        batches = ([a, b, c, a, a], [d, e, a])
+        scalar = InputModule(make_dictionary(), make_colo(), memo_max=4)
+        for batch in batches:
+            _via_process(scalar, batch)
+        assert scalar.memo_hits == 3
+        for entry in _ENTRY_POINTS[1:]:
+            mod = InputModule(make_dictionary(), make_colo(), memo_max=4)
+            for batch in batches:
+                assert len(entry(mod, batch)) == len(batch)
+            assert mod.memo_hits == 3, entry.__name__
+            assert mod.memo_evictions == scalar.memo_evictions
+
+
+class _CountingPath(tuple):
+    """An AS path that counts how often it is hashed."""
+
+    hashed = 0
+
+    def __hash__(self):
+        self.hashed += 1
+        return super().__hash__()
+
+
+class TestMissPathHashing:
+    """The raw path — 645 hops on ``tagging_heavy`` — is hashed once on
+    a hit and at most three times on a miss (probe, old-generation
+    probe, insert).  A non-timing guard on the miss routine."""
+
+    @staticmethod
+    def _hashes(entry, mod, path, communities=(Community(10, 101),)):
+        counted = _CountingPath(path)
+        # Not via ``update()``: ``tuple(path)`` would shed the subclass.
+        element = BGPUpdate(
+            time=0.0,
+            collector="rrc00",
+            peer_asn=path[0],
+            prefix="10.0.0.0/24",
+            elem_type=ElemType.ANNOUNCEMENT,
+            as_path=counted,
+            communities=communities,
+        )
+        assert len(entry(mod, [element])) == 1
+        return counted.hashed
+
+    @pytest.mark.parametrize("entry", [_via_process_batch, _via_wire_view])
+    def test_hash_budget(self, entry):
+        mod = InputModule(make_dictionary(), make_colo(), memo_max=4)
+        prepended = (1,) + (10,) * 640 + (30,)
+        assert self._hashes(entry, mod, prepended) <= 2  # miss, no old gen
+        assert self._hashes(entry, mod, prepended) == 1  # hit
+        self._hashes(entry, mod, (2, 10, 30))
+        assert mod.memo_rotations == 0
+        self._hashes(entry, mod, (3, 10, 30))
+        assert mod.memo_rotations == 1  # the old generation now exists
+        assert self._hashes(entry, mod, (4,) + prepended) <= 3  # full miss
+        assert self._hashes(entry, mod, prepended) <= 3  # old-gen promotion
+        assert self._hashes(entry, mod, prepended) == 1
+        assert mod.memo_hits == 3
 
 
 class TestColocationMap:
