@@ -1,7 +1,7 @@
 """Pipeline throughput: end-to-end updates/sec and per-stage timings.
 
-Four measurements, recorded into ``BENCH_pipeline_throughput.json`` at
-the repository root:
+Measurements recorded into ``BENCH_pipeline_throughput.json`` at the
+repository root:
 
 * **end_to_end** — a synthesized world-scale stream (>= 200k elements:
   announcements with real dictionary communities, withdrawals, state
@@ -19,25 +19,19 @@ the repository root:
   I/O and overlap across shard chains; the sharded runtime must beat
   the linear chain end to end by >= 1.5x while producing identical
   records;
-* **process_runtime** — a tagging-heavy stream (real announcements
-  carry large community sets and pathologically prepended paths, so
-  sanitisation and the community walk dominate) replayed through the
-  linear chain and through ``Kepler(process_workers=3)`` — three
-  forked tagging workers plus the driver process, which keeps running
-  ingest and the monitor-onward chain (four processes, one per core
-  on the 4-core CI runner).  Tagging is CPU-bound (the GIL capped the
-  thread-pooled runtime), so the multiprocess runtime must beat the
-  linear chain end to end by >= 1.8x on >= 4 cores, with records,
-  rejects and signal log byte-identical; on smaller machines the
-  speedup is recorded but the gate is not enforced (there is nothing
-  to parallelise onto);
-* **transport** — the process-runtime workload replayed at 4 workers
-  on both data planes: pickled multiprocessing queues against
-  shared-memory SPSC rings (flat struct-of-arrays frames, zero-copy
-  decode).  Output must be byte-identical always; on >= 4 cores the
-  shm transport must beat the queue transport end to end by >= 1.5x
-  (``gate_enforced`` false on smaller machines, where the speedup is
-  still recorded);
+* **transport** — a tagging-heavy stream (real announcements carry
+  large community sets and pathologically prepended paths, so the
+  wire batches are fat) replayed through ``Kepler(shard_processes=4)``
+  on both data planes of its broadcast edge: pickled multiprocessing
+  queues against shared-memory SPSC rings (flat struct-of-arrays
+  frames, zero-copy decode).  Output must be byte-identical always; on
+  >= 4 cores the shm transport must beat the queue transport end to
+  end by >= 1.5x (``gate_enforced`` false on smaller machines, where
+  the speedup is still recorded);
+* **recovery** — the same stream through supervised
+  ``Kepler(shard_processes=2)`` with and without injected worker
+  kills: supervision overhead and mean time-to-recover, output
+  identity always (informational, no speed gate);
 * **partitioned_monitor** — a monitor-bound stream (memo-friendly
   tagging, large per-PoP baselines under sustained divergence churn
   across 32 PoPs) replayed through the linear singleton-monitor chain
@@ -513,10 +507,9 @@ def run_sharded_scaling() -> dict:
 
 
 # ----------------------------------------------------------------------
-# Process runtime: tagging-heavy stream, linear vs multiprocess
+# Tagging-heavy stream (the transport and recovery entries replay it)
 # ----------------------------------------------------------------------
 PROC_ELEMENTS = 60_000
-PROC_TAG_WORKERS = 3  # + the driver process = one per core at 4 cores
 PROC_BATCH = 2048
 PROC_DECOYS = 2  # non-location communities per announcement
 #: Distinct values per decoy community (live streams draw informational
@@ -526,13 +519,11 @@ PROC_DECOY_VALUES = 3000
 #: Pathological AS-path prepending: the sanitiser's worst case, which
 #: real feeds do contain (prepend-loop paths past 500 hops have been
 #: recorded by route collectors).  Sanitisation cost scales with raw
-#: hops; the wire cost of a hop is a fraction of that, which is
-#: exactly the profile that rewards fanning tagging out.
+#: hops, and every hop rides the wire, so batches are as fat as a
+#: real feed makes them.
 PROC_PREPENDS = 640
 PROC_PREFIX_SPACE = 60  # distinct prefix octet values (key reuse)
-PROC_SPEEDUP_GATE = 1.8
-PROC_MIN_CORES = 4
-PROC_TIMING_RUNS = 2  # best-of-N wall clock for both runtimes
+PROC_TIMING_RUNS = 2  # best-of-N wall clock per layout
 
 
 class PureValidator:
@@ -562,10 +553,9 @@ def synthesize_rich_stream(world, n_elements: int) -> list[StreamElement]:
     announced prefix.  The route-server community is the expensive
     part of the input module (the Giotsas & Zhou member-pair search
     walks the whole AS path), and decoy value *combinations* never
-    repeat, so the tagging memo cannot shortcut the work — this is
-    the CPU-bound tagging profile the multiprocess runtime exists to
-    parallelise, while the monitor's per-key state stays compact
-    (stable prefix->community assignment, bounded key space).
+    repeat, so the tagging memo cannot shortcut the work, while the
+    monitor's per-key state stays compact (stable prefix->community
+    assignment, bounded key space).
     """
     entries = sorted(
         world.dictionary.entries.items(), key=lambda kv: str(kv[0])
@@ -693,21 +683,19 @@ def _process_observed(kepler: Kepler) -> tuple:
     )
 
 
-def _run_process_workload(
-    world, priming, elements, process_workers: int, transport: str = "queue"
-) -> tuple[float, tuple]:
-    """Best-of-N wall clock (first run also checks output identity)."""
+def _run_rich_workload(
+    world, priming, elements, params: KeplerParams, runs: int = PROC_TIMING_RUNS
+) -> tuple[float, tuple, dict]:
+    """Best-of-``runs`` wall clock of one layout over the rich stream.
+
+    Returns ``(seconds, observed, recovery)``: the output of the first
+    run (for the identity checks) and the recovery counters of the
+    last (read after the clock stops).
+    """
     best = float("inf")
     observed = None
-    for _ in range(PROC_TIMING_RUNS):
-        kepler = world.make_kepler(
-            params=KeplerParams(
-                process_workers=process_workers,
-                process_batch=PROC_BATCH,
-                transport=transport,
-            ),
-            validator=PureValidator(),
-        )
+    for _ in range(runs):
+        kepler = world.make_kepler(params=params, validator=PureValidator())
         kepler.prime(priming)
         began = time.perf_counter()
         kepler.process(elements)
@@ -715,56 +703,14 @@ def _run_process_workload(
         elapsed = time.perf_counter() - began
         if observed is None:
             observed = _process_observed(kepler)
+        recovery = kepler.metrics.snapshot()["recovery"]
         kepler.close()
         best = min(best, elapsed)
-    return best, observed
-
-
-def run_process_runtime() -> dict:
-    from repro.pipeline import fork_available
-
-    cores = (
-        len(os.sched_getaffinity(0))
-        if hasattr(os, "sched_getaffinity")
-        else (os.cpu_count() or 1)
-    )
-    if not fork_available():
-        return {"skipped": "fork start method unavailable", "cores": cores}
-    world = build_world(seed=1)
-    elements = synthesize_rich_stream(world, PROC_ELEMENTS)
-    priming = world.rib_snapshot(0.0)
-    elements.extend(_baseline_churn(priming, PROC_ELEMENTS))
-    elements.sort(key=lambda e: e.sort_key())
-    linear_s, linear_out = _run_process_workload(world, priming, elements, 0)
-    process_s, process_out = _run_process_workload(
-        world, priming, elements, PROC_TAG_WORKERS
-    )
-    assert process_out == linear_out, (
-        "process-runtime output diverged from the linear chain"
-    )
-    speedup = linear_s / process_s
-    gate_enforced = cores >= PROC_MIN_CORES
-    return {
-        "elements": len(elements),
-        "prepended_hops": PROC_PREPENDS,
-        "communities_per_announcement": PROC_DECOYS + 2,
-        "records": len(linear_out[0]),
-        "signal_log": len(linear_out[1]),
-        "rejected": len(linear_out[2]),
-        "output_identical": True,
-        "linear_seconds": round(linear_s, 3),
-        "process_seconds": round(process_s, 3),
-        "tag_workers": PROC_TAG_WORKERS,
-        "batch": PROC_BATCH,
-        "cores": cores,
-        "speedup": round(speedup, 2),
-        "speedup_gate": PROC_SPEEDUP_GATE,
-        "gate_enforced": gate_enforced,
-    }
+    return best, observed, recovery
 
 
 # ----------------------------------------------------------------------
-# Transport: the same multiprocess workload, queue vs shared memory
+# Transport: the shard-process runtime, queue vs shared memory
 # ----------------------------------------------------------------------
 TRANSPORT_WORKERS = 4
 TRANSPORT_SPEEDUP_GATE = 1.5
@@ -772,13 +718,13 @@ TRANSPORT_MIN_CORES = 4
 
 
 def run_transport() -> dict:
-    """Queue vs shm data plane on the tagging-heavy process workload.
+    """Queue vs shm data plane on the tagging-heavy stream.
 
-    Same stream and runtime as :func:`run_process_runtime`, but at
-    :data:`TRANSPORT_WORKERS` workers and holding everything except
-    ``KeplerParams.transport`` fixed, so the delta is purely the wire:
+    ``shard_processes=TRANSPORT_WORKERS`` with everything except
+    ``KeplerParams.transport`` held fixed, so the delta is purely the
+    broadcast edge (the per-bin rounds stay on queues either way):
     pickled queue messages (two codec passes plus pipe copies per hop)
-    against flat frames in per-edge shared-memory rings (one codec
+    against flat frames in per-worker shared-memory rings (one codec
     pass, a single ``memmove`` into the segment, zero-copy decode).
     Output identity is asserted always; the >= 1.5x speedup gate only
     applies with enough cores for the workers to actually overlap.
@@ -797,12 +743,21 @@ def run_transport() -> dict:
     priming = world.rib_snapshot(0.0)
     elements.extend(_baseline_churn(priming, PROC_ELEMENTS))
     elements.sort(key=lambda e: e.sort_key())
-    queue_s, queue_out = _run_process_workload(
-        world, priming, elements, TRANSPORT_WORKERS, transport="queue"
-    )
-    shm_s, shm_out = _run_process_workload(
-        world, priming, elements, TRANSPORT_WORKERS, transport="shm"
-    )
+
+    def timed(transport: str):
+        return _run_rich_workload(
+            world,
+            priming,
+            elements,
+            KeplerParams(
+                shard_processes=TRANSPORT_WORKERS,
+                process_batch=PROC_BATCH,
+                transport=transport,
+            ),
+        )
+
+    queue_s, queue_out, _ = timed("queue")
+    shm_s, shm_out, _ = timed("shm")
     assert shm_out == queue_out, (
         "shm transport output diverged from the queue transport"
     )
@@ -816,7 +771,7 @@ def run_transport() -> dict:
         "output_identical": True,
         "queue_seconds": round(queue_s, 3),
         "shm_seconds": round(shm_s, 3),
-        "workers": TRANSPORT_WORKERS,
+        "shard_processes": TRANSPORT_WORKERS,
         "batch": PROC_BATCH,
         "cores": cores,
         "speedup": round(speedup, 2),
@@ -1387,39 +1342,36 @@ def run_recovery() -> dict:
         stall_timeout_s=10.0,
     )
 
-    def timed(supervised: bool, plan: FaultPlan | None):
-        kepler = world.make_kepler(
-            params=KeplerParams(
-                process_workers=REC_WORKERS,
+    def timed(supervised: bool):
+        # One run each: a fault plan fires once, so a faulted run
+        # cannot be repeated for a best-of-N.
+        return _run_rich_workload(
+            world,
+            priming,
+            elements,
+            KeplerParams(
+                shard_processes=REC_WORKERS,
                 process_batch=REC_BATCH,
                 supervised=supervised,
                 recovery=policy,
             ),
-            validator=PureValidator(),
+            runs=1,
         )
-        kepler.prime(priming)
-        began = time.perf_counter()
-        kepler.process(elements)
-        kepler.finalize(end_time=elements[-1].time + 3600.0)
-        elapsed = time.perf_counter() - began
-        observed = _process_observed(kepler)
-        recovery = (
-            kepler.metrics.snapshot()["recovery"] if supervised else None
-        )
-        kepler.close()
-        return elapsed, observed, recovery
 
-    plain_s, plain_out, _ = timed(False, None)
-    clean_s, clean_out, _ = timed(True, None)
+    plain_s, plain_out, _ = timed(False)
+    clean_s, clean_out, _ = timed(True)
+    # A worker's element clock restarts with every generation, so the
+    # same offset lands each successive kill one step further down the
+    # stream (each spec fires once, in spec order).
     step = len(elements) // (REC_KILLS + 1)
     plan = FaultPlan(
         [
-            FaultSpec(scope="tag", kind="kill", at_element=step * (i + 1))
-            for i in range(REC_KILLS)
+            FaultSpec(scope="shard", kind="kill", at_element=step, worker_id=0)
+            for _ in range(REC_KILLS)
         ]
     )
     with faults.injected(plan):
-        faulted_s, faulted_out, recovery = timed(True, plan)
+        faulted_s, faulted_out, recovery = timed(True)
     assert clean_out == plain_out, (
         "supervised runtime diverged from the unsupervised chain"
     )
@@ -1429,7 +1381,7 @@ def run_recovery() -> dict:
     assert recovery["restarts"] >= REC_KILLS, recovery
     return {
         "elements": len(elements),
-        "process_workers": REC_WORKERS,
+        "shard_processes": REC_WORKERS,
         "checkpoint_interval": REC_CHECKPOINT_INTERVAL,
         "kills_injected": REC_KILLS,
         "restarts": recovery["restarts"],
@@ -1454,20 +1406,12 @@ def _identity_runtimes() -> list[tuple[str, dict]]:
         ("shards", {"shards": 2, "shard_workers": 2}),
     ]
     if fork_available():
-        # Each forked runtime runs on both transports; crossed with
+        # The forked runtime runs on both transports; crossed with
         # the ingest_feeds loop in run_identity this covers every
         # runtime x ingest layout x transport cell of the matrix.
         for transport in ("queue", "shm"):
             suffix = "+shm" if transport == "shm" else ""
-            combos += [
-                (
-                    f"process_workers{suffix}",
-                    {
-                        "process_workers": 2,
-                        "process_batch": 512,
-                        "transport": transport,
-                    },
-                ),
+            combos.append(
                 (
                     f"shard_processes{suffix}",
                     {
@@ -1475,8 +1419,8 @@ def _identity_runtimes() -> list[tuple[str, dict]]:
                         "process_batch": 512,
                         "transport": transport,
                     },
-                ),
-            ]
+                )
+            )
     return combos
 
 
@@ -1637,7 +1581,6 @@ def test_pipeline_throughput():
     hot = run_hot_path()
     end_to_end = run_end_to_end()
     sharded = run_sharded_scaling()
-    process = run_process_runtime()
     transport = run_transport()
     partitioned = run_partitioned_monitor()
     ingest_tier = run_ingest_tier()
@@ -1647,7 +1590,6 @@ def test_pipeline_throughput():
         "hot_path": hot,
         "end_to_end": end_to_end,
         "sharded_scaling": sharded,
-        "process_runtime": process,
         "transport": transport,
         "partitioned_monitor": partitioned,
         "ingest_tier": ingest_tier,
@@ -1669,12 +1611,6 @@ def test_pipeline_throughput():
     assert end_to_end["elements_per_sec"] > 1_000, end_to_end
     # Sharding gate: >= 1.5x end to end on the multi-PoP workload.
     assert sharded["speedup"] >= 1.5, sharded
-    # Process-runtime gates: output identity always; the >= 1.8x
-    # speedup only where there are cores to parallelise onto.
-    if "skipped" not in process:
-        assert process["output_identical"], process
-        if process["gate_enforced"]:
-            assert process["speedup"] >= PROC_SPEEDUP_GATE, process
     # Transport gates: queue/shm output identity always; shm must beat
     # the queue data plane >= 1.5x where the workers actually overlap.
     if "skipped" not in transport:

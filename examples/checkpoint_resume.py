@@ -12,10 +12,10 @@ property the hard way:
    process;
 2. *(subprocess B)* construct a detector from the shipped inputs,
    ``restore()`` the checkpoint, consume the remainder, write its
-   final records — under the **multiprocess stage runtime**
-   (``KeplerParams(process_workers=2)``) where the platform can fork,
+   final records — under the **shard-process runtime**
+   (``KeplerParams(shard_processes=2)``) where the platform can fork,
    proving the checkpoint document is interchangeable between the
-   in-process and queue-connected runtimes;
+   in-process and multiprocess runtimes;
 3. *(this process)* compare: the resumed run must match the
    uninterrupted one record for record.
 
@@ -126,15 +126,15 @@ def second_half(workdir: pathlib.Path) -> None:
 
     with (workdir / "handoff.pickle").open("rb") as fh:
         handoff = pickle.load(fh)
-    # Resume under the multiprocess runtime where possible: a linear
-    # checkpoint restores into the queue-connected runtime (and back),
-    # since both compose the same versioned document.
-    process_workers = 2 if fork_available() else 0
+    # Resume under the shard-process runtime where possible: a linear
+    # checkpoint restores into it (and back), since both compose the
+    # same versioned document.
+    shard_processes = 2 if fork_available() else 0
     kepler = Kepler(
         dictionary=handoff["dictionary"],
         colo=handoff["colo"],
         as2org=handoff["as2org"],
-        params=KeplerParams(process_workers=process_workers),
+        params=KeplerParams(shard_processes=shard_processes),
     )
     kepler.restore(
         json.loads((workdir / "kepler-checkpoint.json").read_text())
@@ -146,7 +146,7 @@ def second_half(workdir: pathlib.Path) -> None:
     )
     print(
         f"[second-half] resumed from checkpoint"
-        f" (process_workers={process_workers}), processed"
+        f" (shard_processes={shard_processes}), processed"
         f" {len(handoff['remainder'])} remaining elements,"
         f" {len(kepler.records)} records"
     )

@@ -126,16 +126,8 @@ class KeplerParams:
     #: Worth enabling when data-plane probes dominate downstream cost:
     #: probes are I/O and overlap across shards.
     shard_workers: int = 0
-    #: Number of tagging worker *processes* for the multiprocess
-    #: runtime (0 = in-process execution).  With >= 1, tagging — the
-    #: dominant embarrassingly parallel CPU stage — fans out over this
-    #: many forked workers, while ingest and the monitor-onward chain
-    #: (the sharded runtime when ``shards >= 2``) keep running in the
-    #: calling process: ``process_workers + 1`` processes in total.
-    #: See :mod:`repro.pipeline.parallel`; requires the ``fork`` start
-    #: method (POSIX).
-    process_workers: int = 0
-    #: Elements per inter-process message batch (amortises IPC cost).
+    #: Elements per columnar batch the shard-process driver broadcasts
+    #: to its workers (amortises the codec and the queue/ring hop).
     process_batch: int = 512
     #: Number of PoP partitions of the in-process monitor (0 or 1 =
     #: the singleton monitor).  With >= 2 the monitor core runs as N
@@ -145,13 +137,14 @@ class KeplerParams:
     #: any N (the correctness layer under ``shard_processes``).
     monitor_partitions: int = 0
     #: Number of end-to-end shard worker *processes* (0 = off; >= 2
-    #: enables the shard-process runtime).  Each worker runs a full
-    #: tagging -> monitor-partition -> classification -> localisation
-    #: -> validation -> record chain over the broadcast element
-    #: stream; the driver keeps ingest, the probe cache and the
-    #: per-bin cross-shard syncs (concurrent-PoP union, city scope,
-    #: candidate re-route).  Mutually exclusive with ``shards`` /
-    #: ``process_workers``; requires the ``fork`` start method.
+    #: enables the shard-process runtime).  Each worker runs the
+    #: stream stages tagging -> monitor-partition -> record over the
+    #: broadcast element stream; the driver keeps ingest, the probe
+    #: cache and the per-bin analysis (classification -> localisation
+    #: -> validation over the merged signals, one fused exchange per
+    #: worker per bin).  See :mod:`repro.pipeline.parallel`.  Mutually
+    #: exclusive with ``shards`` / ``monitor_partitions``; requires
+    #: the ``fork`` start method (POSIX).
     shard_processes: int = 0
     #: Number of collector feed workers of the sharded ingest tier
     #: (0 = driver-side ingest, the historical path).  With >= 1 the
@@ -178,16 +171,16 @@ class KeplerParams:
     #: Supervision knobs (ignored unless ``supervised``).
     recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
     #: Data-plane transport of the multiprocess runtimes
-    #: (``process_workers`` / ``shard_processes`` / forked
-    #: ``ingest_feeds``): ``"queue"`` ships batches over
-    #: ``multiprocessing.Queue``; ``"shm"`` writes them into
+    #: (``shard_processes`` / forked ``ingest_feeds``): ``"queue"``
+    #: ships batches over ``multiprocessing.Queue``; ``"shm"`` writes
+    #: them into
     #: shared-memory SPSC rings (:mod:`repro.pipeline.shm`) — same
     #: bytes out, fewer copies per hop.  Control messages stay on
     #: queues either way; in-process runtimes ignore the knob.
     transport: str = "queue"
     #: Elements per chunk on the in-process chain's ``feed_many`` fast
     #: path (the linear and thread-sharded runtimes' batch size; the
-    #: multiprocess runtimes batch by ``process_batch`` instead).  Also
+    #: shard-process runtime batches by ``process_batch`` instead).  Also
     #: the bound of the facade's admission buffer under every runtime:
     #: :meth:`Kepler.process` never holds this many elements back.
     feed_chunk: int = 4096
@@ -207,14 +200,12 @@ class Kepler:
         self.params = params or KeplerParams()
         if self.params.shard_processes >= 2 and (
             self.params.shards >= 2
-            or self.params.process_workers >= 1
             or self.params.monitor_partitions >= 2
         ):
             raise ValueError(
                 "shard_processes is a complete runtime of its own (it"
                 " implies one monitor partition per worker) and cannot"
-                " be combined with shards, process_workers or"
-                " monitor_partitions"
+                " be combined with shards or monitor_partitions"
             )
         if self.params.transport not in ("queue", "shm"):
             raise ValueError("transport must be 'queue' or 'shm'")
@@ -296,7 +287,6 @@ class Kepler:
         # by importing this module — a cycle at import time, not at use.
         from repro.pipeline import (
             build_kepler_pipeline,
-            build_process_kepler_pipeline,
             build_shard_process_kepler_pipeline,
             build_sharded_kepler_pipeline,
         )
@@ -321,18 +311,6 @@ class Kepler:
         else:
             stages = build_kepler_pipeline(
                 chunk_size=self.params.feed_chunk, **wiring
-            )
-        if self.params.process_workers >= 1:
-            # Wrap the in-process chain in the multiprocess runtime:
-            # the workers fork *now*, inheriting the freshly-built
-            # stages, and own them from here on.  The facade keeps
-            # reading one API — the wrapper materialises views from
-            # worker barriers.
-            stages = build_process_kepler_pipeline(
-                stages,
-                workers=self.params.process_workers,
-                batch_size=self.params.process_batch,
-                transport=self.params.transport,
             )
         if self.params.ingest_feeds >= 1:
             # Outermost wrapper: the sharded ingest tier replaces the

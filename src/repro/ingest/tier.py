@@ -20,7 +20,7 @@ of its own:
                                            ▼
                               downstream runtime sink
                               (linear / sharded chain: feed_from(1),
-                               process runtimes: feed_admitted_wires)
+                               shard processes: feed_admitted_wires)
 
 * **Two delivery modes.**  ``feed_many`` (the historical
   ``Kepler.process`` path) demultiplexes an already-merged stream by
@@ -91,7 +91,6 @@ from repro.pipeline.metrics import (
     StageMetrics,
 )
 from repro.pipeline.parallel import (
-    ProcessStagePipeline,
     ShardProcessPipeline,
     fork_available,
     unpack_wires,
@@ -942,7 +941,7 @@ def _driver_ingest(inner) -> IngestStage:
     ingest = getattr(inner, "ingest", None)
     if ingest is not None:
         return ingest
-    return inner.pipeline._ingest  # the multiprocess runtimes
+    return inner.pipeline._ingest  # the shard-process runtime
 
 
 def _driver_registry(inner) -> PipelineMetrics:
@@ -1105,13 +1104,13 @@ def build_ingest_kepler_pipeline(
 ) -> IngestKeplerPipeline:
     """Wrap a chain runtime in the sharded collector ingest tier.
 
-    ``inner`` is any of the four runtime wrappers the facade builds
-    (linear, thread-sharded, tag-process, shard-process); the sink is
-    chosen to match — wire forwarding for the multiprocess runtimes,
-    post-ingest chain entry for the in-process ones.
+    ``inner`` is any of the three runtime wrappers the facade builds
+    (linear, thread-sharded, shard-process); the sink is chosen to
+    match — wire forwarding for the shard-process runtime, post-ingest
+    chain entry for the in-process ones.
     """
     runtime = inner.pipeline
-    if isinstance(runtime, (ProcessStagePipeline, ShardProcessPipeline)):
+    if isinstance(runtime, ShardProcessPipeline):
         sink = WireSink(runtime)
     else:
         sink = ChainSink(runtime)

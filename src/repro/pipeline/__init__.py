@@ -53,11 +53,8 @@ from repro.pipeline.localisation import LocalisationStage, common_city
 from repro.pipeline.metrics import BinStats, PipelineMetrics, StageMetrics
 from repro.pipeline.monitoring import BinningMonitorStage
 from repro.pipeline.parallel import (
-    ProcessKeplerPipeline,
-    ProcessStagePipeline,
     ShardProcessKeplerPipeline,
     ShardProcessPipeline,
-    build_process_kepler_pipeline,
     build_shard_process_kepler_pipeline,
     fork_available,
 )
@@ -227,8 +224,6 @@ __all__ = [
     "PoisonedBatchError",
     "PrimedPath",
     "PrimingUpdate",
-    "ProcessKeplerPipeline",
-    "ProcessStagePipeline",
     "RecordStage",
     "RecoverableWorkerError",
     "ShardBatch",
@@ -254,7 +249,6 @@ __all__ = [
     "WorkerStallError",
     "FEED_CHUNK",
     "build_kepler_pipeline",
-    "build_process_kepler_pipeline",
     "build_shard_process_kepler_pipeline",
     "build_sharded_kepler_pipeline",
     "common_city",

@@ -326,13 +326,18 @@ def shard_pipeline_state(state: dict, shards: int) -> dict:
 def strip_checkpoint_telemetry(doc: dict) -> dict:
     """A deep copy of a snapshot with wall-clock telemetry removed.
 
-    Checkpoint documents are byte-identical across runtimes — and, with
-    the supervision layer, across faulted and unfaulted runs — *except*
-    for the wall-clock fields: per-stage ``seconds`` and the bin-close
-    latency gauges, which measure the run rather than the stream (a
-    recovery replay legitimately pays the stage time twice).  This
-    helper removes exactly those fields so the chaos suite (and any
-    cross-runtime comparison) can assert equality on everything else.
+    Checkpoint documents of one runtime are byte-identical across
+    faulted and unfaulted runs (the supervision layer's property)
+    *except* for the wall-clock fields: per-stage ``seconds`` and the
+    bin-close latency gauges, which measure the run rather than the
+    stream (a recovery replay legitimately pays the stage time twice).
+    This helper removes exactly those fields so the chaos suite can
+    assert equality on everything else.  Across runtimes the stripped
+    documents agree on the stage states, cache and rejects, but the
+    shard-process document also differs from the linear one in the
+    per-stage ``fed``/``emitted`` counters after the monitor (its
+    driver analysis is fed one merged batch per bin): compare a
+    shard-process document against another shard-process run's.
 
     Accepts a full :meth:`repro.core.kepler.Kepler.snapshot` document
     or a bare ``checkpoint_parts`` dict, in either pipeline layout

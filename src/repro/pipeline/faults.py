@@ -63,6 +63,13 @@ from dataclasses import dataclass
 
 #: Per-spec fired-flag slots; workers index by ``wid % _WORKER_SLOTS``.
 _WORKER_SLOTS = 16
+#: Worker families a spec can aim at (the scopes :func:`arm` is called
+#: with, plus the wildcard) and the kinds the armed hooks read.
+SCOPES = ("shard", "feed", "*")
+KINDS = (
+    "kill", "stall", "corrupt", "corrupt_payload",
+    "torn_write", "stale_cursor", "drop_ctl", "dup_ctl",
+)
 
 
 class FaultInjected(Exception):
@@ -73,9 +80,11 @@ class FaultInjected(Exception):
 class FaultSpec:
     """One fault: where it arms, what it does, when it fires.
 
-    ``scope`` picks the worker family — ``"tag"`` (tag-process
-    runtime), ``"shard"`` (shard-process runtime), ``"feed"`` (ingest
-    tier), ``"*"`` (any).  ``worker_id`` pins the fault to one worker
+    ``scope`` picks the worker family — ``"shard"`` (shard-process
+    runtime), ``"feed"`` (ingest tier), ``"*"`` (any); a scope or kind
+    that names no seam is a ``ValueError``, because such a spec would
+    never fire and its test would pass while injecting nothing.
+    ``worker_id`` pins the fault to one worker
     (``None`` arms every worker of the scope — each fires
     independently, which for broadcast runtimes keeps the replicas
     consistent).  Element-count faults fire on the batch that carries
@@ -93,6 +102,18 @@ class FaultSpec:
     worker_id: int | None = None
     stall_s: float = 0.0
     once: bool = True
+
+    def __post_init__(self) -> None:
+        if self.scope not in SCOPES:
+            raise ValueError(
+                f"fault scope {self.scope!r} names no worker family"
+                f" (expected one of {SCOPES})"
+            )
+        if self.kind not in KINDS:
+            raise ValueError(
+                f"fault kind {self.kind!r} is read by no hook"
+                f" (expected one of {KINDS})"
+            )
 
 
 class FaultPlan:
@@ -138,10 +159,6 @@ def install(plan: FaultPlan) -> None:
 def clear() -> None:
     global _PLAN
     _PLAN = None
-
-
-def installed() -> FaultPlan | None:
-    return _PLAN
 
 
 @contextmanager

@@ -1,10 +1,10 @@
 """Worker liveness: one error vocabulary, one teardown helper.
 
-Every parallel runtime in this codebase — the tag-process fan-out and
-the shard-process runtime (:mod:`repro.pipeline.parallel`) and the
-sharded ingest tier (:mod:`repro.ingest.tier`) — watches a set of
-forked (or threaded) workers through bounded queues, and until PR 8
-each of them reported failure its own way: a bare ``RuntimeError``
+Every parallel runtime in this codebase — the shard-process runtime
+(:mod:`repro.pipeline.parallel`) and the sharded ingest tier
+(:mod:`repro.ingest.tier`) — watches a set of forked (or threaded)
+workers through bounded queues, and until PR 8 each of them reported
+failure its own way: a bare ``RuntimeError``
 naming the dead processes, a scattered ``join(timeout=2.0)`` /
 ``terminate()`` teardown sequence per ``close()``.  This module is the
 shared vocabulary:

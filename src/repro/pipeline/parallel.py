@@ -1,64 +1,93 @@
-"""Queue-connected multiprocess runtime: the GIL-escape for tagging.
+"""Shard-process runtime: end-to-end worker chains, no singleton monitor.
 
-``BENCH_pipeline_throughput.json`` shows the staged pipeline spending
-~93% of end-to-end wall time in the CPU-bound ``tagging`` and
-``monitor`` stages — the PR-2 thread pool only overlaps data-plane
-I/O, so a single core caps the whole detector.  This module fans the
-tagging stage out over worker OS processes connected by batched
-message queues:
+``KeplerParams(shard_processes=N)`` forks N worker processes, and every
+worker runs the stateful stream stages
 
-.. code-block:: text
+    tagging -> monitor partition -> record
 
-         driver process                      tag worker processes
-    ──────────────────────────              ──────────────────────
-    IngestStage ── seq-numbered batches ──▶ TaggingStage[0..N-1]
-         ▲        (least-loaded dealing)            │
-         │                                          │ tagged batches
-         └── reorder by seq ◀───────────────────────┘
-         │
-         ▼
-    BinningMonitorStage → classification … → record chain
-    (the linear chain *or* the whole sharded runtime, live in
-     the driver process)
+over the same broadcast element stream.  Worker *w*'s monitor is a
+``PartitionedMonitor(partitions=N, local=(w,))`` — it maintains the
+baseline, pending and divergence state of exactly the PoPs with
+``partition_of(pop, N) == w`` and computes exactly partition *w*'s
+share of every bin close.  The per-bin analysis stages —
+classification, localisation, validation — run *in the driver*, on
+the merged global signal stream: they execute once per bin (not per
+element), their cost is negligible next to the stream stages, and
+centralising them collapses the bin-close barrier to a single fused
+exchange per worker.
 
-* **Transport** is the columnar batch codec of the checkpoint serde
-  (:mod:`repro.core.serde`): a batch ships as one struct-of-arrays
-  tuple — parallel field columns plus per-batch interned AS-path /
-  community / tag-set id tables — and marshals to one bytes object
-  (both ends are forks of one interpreter), so queue pickling
-  degenerates to a memcpy.  Workers run the tagging stage *on the
-  columns* (:func:`~repro.core.serde.tag_wire_batch`): repeated
-  attribute pairs cost one dict probe against the batch's id columns
-  and no intermediate objects exist; the driver decodes tagged rows
-  through per-process intern tables, so identical paths and tag sets
-  stay the *same objects* across batches and the monitor's
-  ``id()``-keyed derived-column caches hit across batch boundaries.
-* **Ordering**: the driver stamps every batch with a sequence number
-  and round-robins across tag workers; returned batches pass through
-  a reorder buffer and feed the monitor strictly in stream order, so
-  output is byte-identical to the in-process chain.
-* **Tagging parallelism** is safe because tagging is per-element pure
-  (memoised on the ``(as_path, communities)`` pair); the per-worker
-  parse counters are summed back at every barrier.
-* **The monitor and everything downstream stay in the driver**: the
-  monitor is an order-dependent singleton (it cannot fan out), and
-  localisation and the record lifecycle read it through direct
-  references — keeping them local preserves those references, keeps
-  every facade view (records, signal log, probe cache) live, and
-  leaves a whole core to an extra tagging worker.  With
-  ``KeplerParams(shards=N)`` the driver hosts the sharded runtime,
-  including its probe-overlapping thread pool.
-* **Snapshots** use a drain-barrier protocol: the driver flushes its
-  partial batch, posts a barrier token down every tag queue, and
-  pumps returned batches until every worker has acked *and* every
-  shipped sequence number has been fed — the queues are provably
-  quiet, and the workers' tagging counters compose into the same
-  versioned document the in-process runtimes write.  Checkpoints are
-  fully interchangeable between runtimes with the same shard layout.
+The driver therefore keeps:
+
+* **ingest** (admission + the stream clock) and the broadcast fan-out
+  of columnar element batches to every worker;
+* the **analysis chain and its shared state** — the one
+  classification window, the probe cache (at-most-one-probe-per-
+  (PoP, bin) is structural: only the driver probes), the signal log
+  and the reject list, all with exact linear-chain semantics since
+  they process the same merged batches in the same order;
+* the **per-bin sync** (the only cross-shard hop): bins close in
+  lockstep on every worker (same stream, same clock), and each close
+  is ONE fused exchange per worker —
+
+      1. every worker ships, in a single message, its partial
+         signals *and* everything the driver analysis needs from
+         its monitor partition: the baseline far-AS/link sets of
+         the PoPs in its share of the correlation window, and its
+         monitor's last-diverted path keys            ("bin")
+      2. the driver merges the partials under the monitor's signal
+         sort key (the linear close order), runs classification →
+         localisation → validation against the shipped baselines,
+         stamps each candidate with its PoP's diverted keys, and
+         broadcasts the candidate list in linear emission
+         order                                        ("fin")
+      3. every worker applies the full candidate list to its
+         record stage, then the bin marker, and posts a fire-and-
+         forget round-done marker that lets the driver prune its
+         probe cache and round memos                  ("rdone")
+
+Each worker prunes its shipped window share against its *local* bin
+clock (the max bin_start among its own signals), which can only lag
+the global clock — so the shipped read set is always a superset of
+the PoPs the driver's window holds for that partition, never a miss.
+
+The **record lifecycle is replicated, not sharded**: every worker
+applies the identical, globally-ordered candidate sequence, so all
+record stages (and their return-tracking state, which lives in the
+worker's monitor partition and is fed by the full broadcast stream)
+are byte-identical replicas.  The record stage is the pipeline's
+cheapest stage by orders of magnitude, and replication removes every
+cross-partition monitor read a located-elsewhere record would
+otherwise need — candidates carry their signal PoP's diverted keys
+across the partition boundary (``OutageCandidate.diverted_keys``,
+stamped by the driver from the shipped last-diverted maps).
+
+**Transport** is the columnar batch codec of the checkpoint serde
+(:mod:`repro.core.serde`): a batch ships as one struct-of-arrays
+tuple — parallel field columns plus per-batch interned AS-path /
+community / tag-set id tables — and marshals to one bytes object
+(both ends are forks of one interpreter), so queue pickling
+degenerates to a memcpy.  Workers tag *on the columns*
+(:func:`~repro.core.serde.tag_wire_batch`) and the monitor folds the
+tagged columns in place.  With ``transport="shm"`` the broadcast
+batches ride one :class:`~repro.pipeline.shm.ShmRing` per worker while
+control stays on the queues.
+
+Checkpoints compose the **linear canonical document** at a drain
+barrier: worker 0's tagging/record states (replicas), the merged
+monitor partitions (`merge_monitor_states`), the driver's
+classification document (log + window — already canonical, it IS the
+linear stage), and the driver's ingest/cache/reject state — so a
+shard-process snapshot restores into any runtime and vice versa.
+
+Determinism caveat: the validator is treated as a pure function of
+(PoP, time) — ``validate`` is memoised in the driver's cache
+(exactly like every other runtime) and ``restored_fraction`` is
+memoised per bin round, because the replicated record stages read
+it once each.
 
 Workers are forked (start method ``fork``), so the stages built in
 the parent are inherited without pickling; each worker owns its copy
-of the tagging stage from then on.
+from then on.
 """
 
 from __future__ import annotations
@@ -94,23 +123,17 @@ from repro.pipeline.liveness import (
     worker_exits,
 )
 from repro.pipeline.metrics import PipelineMetrics
-from repro.pipeline.sharding import ShardedStagePipeline
 from repro.pipeline.shm import RING_POLL_S, ShmRing
 
 _LOG = logging.getLogger("repro.pipeline.parallel")
 
-#: Elements per IPC batch: large enough that marshalling and queue
-#: wakeups amortise, small enough to keep the reorder buffer shallow.
-DEFAULT_BATCH = 1024
-#: Bounded queue depth (in batches) — backpressure, not buffering.
-TAG_QUEUE_DEPTH = 8
+#: Bounded input-queue depth (in batches) — backpressure, not buffering.
+IN_QUEUE_DEPTH = 8
 #: How long a blocked barrier waits between worker liveness checks.
 WAIT_POLL_S = 5.0
 #: Quarantined batches kept for inspection (the count is unbounded,
 #: the payload buffer is not).
 DEAD_LETTER_CAP = 16
-
-_ZERO_TAGGING_STATE = {"parsed_count": 0, "discarded_count": 0}
 
 
 def fork_available() -> bool:
@@ -159,7 +182,7 @@ def _unpack(codec: str, payload: Any) -> list[list]:
 
 #: Public names for the wire-batch codec, shared with the ingest tier
 #: (:mod:`repro.ingest`): its forked feed workers publish the same
-#: marshal-packed wire batches these runtimes ship.
+#: marshal-packed wire batches the shard-process runtime ships.
 pack_wires = _pack
 unpack_wires = _unpack
 
@@ -212,17 +235,14 @@ def _batch_signature(payload: Any) -> int:
     return zlib.crc32(data)
 
 
-def _register_ring_gauges(
-    registry: PipelineMetrics, send_rings, recv_rings
-) -> None:
-    """Publish driver-side ring telemetry as pull-gauges.
+def _register_ring_gauges(registry: PipelineMetrics, rings) -> None:
+    """Publish the driver's broadcast-ring telemetry as pull-gauges.
 
     Occupancy and wraps come from the shared segment headers (exact
-    across processes); the stall counters are the driver's own
-    endpoint-local counts.  Gauges never enter ``state_dict``, so the
+    across processes); the stall counter is the driver's own
+    endpoint-local count.  Gauges never enter ``state_dict``, so the
     checkpoint byte-identity contract is untouched.
     """
-    rings = (*send_rings, *recv_rings)
     # replace=True: supervisor rebuilds re-register against the same
     # registry with fresh ring objects — an intentional refresh.
     registry.gauge_source(
@@ -235,12 +255,7 @@ def _register_ring_gauges(
     )
     registry.gauge_source(
         "ring_send_stalls",
-        lambda: sum(r.put_stalls for r in send_rings),
-        replace=True,
-    )
-    registry.gauge_source(
-        "ring_recv_stalls",
-        lambda: sum(r.get_stalls for r in recv_rings),
+        lambda: sum(r.put_stalls for r in rings),
         replace=True,
     )
 
@@ -255,7 +270,7 @@ def _poll_interval(stall_timeout_s: float | None) -> float:
 def _note_quarantine(
     runtime, signature: int, codec: str, payload: Any, detail: str
 ) -> None:
-    """Driver-side dead-lettering shared by both process runtimes.
+    """Driver-side dead-lettering of one poisoned wire batch.
 
     The count is the graceful-degradation metric
     (``PipelineMetrics.recovery.quarantined_batches`` on the composed
@@ -281,1141 +296,12 @@ def _note_quarantine(
             runtime.quarantined,
             last,
         )
-        registry = getattr(runtime, "_registry", None)
-        if registry is not None:
-            registry.trace.emit(
-                "quarantine",
-                "fault",
-                signature=signature & 0xFFFFFFFF,
-                detail=last,
-            )
-
-
-# ----------------------------------------------------------------------
-# Worker loop (top-level so the forked children stay importable)
-# ----------------------------------------------------------------------
-def _tag_worker_loop(
-    worker_id: int,
-    tagging,
-    registry: PipelineMetrics,
-    in_q,
-    ret_q,
-    in_ring=None,
-    ret_ring=None,
-) -> None:
-    """One tagging worker: a columnar batch in, a columnar batch out.
-
-    The whole batch runs through
-    :func:`~repro.core.serde.tag_wire_batch` — the community→PoP
-    derivation as a bulk pass over the batch's interned id columns,
-    with no intermediate element objects.  The transform cost is
-    metered into the stage handle — it is the true cost of running
-    the stage remotely.
-
-    With the shm transport, data frames arrive on ``in_ring`` and go
-    back on ``ret_ring`` while control stays on the queues.  Control
-    can overtake data across the two channels, so every control
-    message carries the driver's sent-frame mark as its last element
-    and is honoured only after this worker has consumed that many
-    frames — the cross-channel ordering barrier.  The input frame is
-    released only after the tagging outcome is known: its ``kinds``
-    column is a borrowed view into the ring, and the quarantine path
-    needs the raw frame bytes.
-    """
-    handle = registry.stage(tagging.name)
-    armed = faults.arm("tag", worker_id)
-    frame_interval = telemetry.live_interval()
-    last_frame = time.monotonic()
-
-    def run_batch(seq, batch, quarantine) -> None:
-        nonlocal last_frame
-        n = len(batch[0])
-        if armed is not None:
-            batch = armed.corrupt_batch(batch, n)
-            armed.on_elements(n)
-        began = time.perf_counter()
-        try:
-            out = tag_wire_batch(tagging.input, batch, tagging.feed)
-        except Exception:
-            # Poison batch: dead-letter it driver-side and keep the
-            # stream alive — the driver skips this seq.
-            quarantine(seq, traceback.format_exc())
-            return
-        delta = time.perf_counter() - began
-        handle.seconds += delta
-        handle.fed += n
-        handle.batches += 1
-        handle.emitted += len(out[0])
-        if n:
-            handle.hist.record(delta * 1e9 / n)
-        if ret_ring is not None:
-            ret_ring.put(("batch", seq), out)
-        else:
-            ret_q.put(("batch", seq, *_pack(out)))
-        # Live telemetry frame, piggybacked on the return queue (the
-        # return path carries no frame marks, so an interleaved frame
-        # cannot disturb the shm ordering barrier).  Throttled so a
-        # fast worker does not flood the driver.
-        now = time.monotonic()
-        if now - last_frame >= frame_interval:
-            last_frame = now
-            ret_q.put(("mtx", worker_id, _metrics_with_batches(registry)))
-
-    def handle_control(msg) -> None:
-        if msg[0] == "ctl":
-            action = armed.on_control() if armed is not None else None
-            ack = (
-                "ack",
-                msg[1],
-                worker_id,
-                {
-                    "state": tagging.state_dict(),
-                    "metrics": _metrics_with_batches(registry),
-                },
-            )
-            if action != "drop":
-                ret_q.put(ack)
-                if action == "dup":
-                    ret_q.put(ack)
-        elif msg[0] == "load":
-            registry.reset()
-            tagging.load_state(msg[1]["state"])
-            fed, emitted, seconds = msg[1]["stage_metrics"]
-            handle.fed = fed
-            handle.emitted = emitted
-            handle.seconds = seconds
-
-    try:
-        if in_ring is None:
-            while True:
-                msg = in_q.get()
-                kind = msg[0]
-                if kind == "batch":
-                    seq = msg[1]
-                    try:
-                        batch = _unpack(msg[2], msg[3])
-                    except Exception:
-                        ret_q.put(
-                            (
-                                "quar",
-                                seq,
-                                _batch_signature(msg[3]),
-                                msg[2],
-                                msg[3],
-                                traceback.format_exc(),
-                            )
-                        )
-                        continue
-                    run_batch(
-                        seq,
-                        batch,
-                        lambda s, tb, m=msg: ret_q.put(
-                            ("quar", s, _batch_signature(m[3]), m[2], m[3], tb)
-                        ),
-                    )
-                elif kind == "stop":
-                    return
-                else:
-                    handle_control(msg)
-        ring_done = 0  # frames consumed (quarantined frames included)
-        pending: deque = deque()  # (control message, sent-frame mark)
-        while True:
-            if pending and ring_done >= pending[0][1]:
-                handle_control(pending.popleft()[0])
-                continue
-            frame = in_ring.get()
-            if frame is not None:
-                ring_done += 1
-                seq = None
-                try:
-                    seq = frame.header()[1]
-                    batch = frame.batch()
-                except Exception:
-                    if seq is None:
-                        # Header unreadable: the reorder buffer cannot
-                        # skip an unknown seq — surface as a crash.
-                        frame.release()
-                        raise
-                    raw = frame.raw()
-                    frame.release()
-                    ret_q.put(
-                        (
-                            "quar",
-                            seq,
-                            _batch_signature(raw),
-                            "shm",
-                            raw,
-                            traceback.format_exc(),
-                        )
-                    )
-                    continue
-
-                def quarantine(s, tb, frame=frame):
-                    raw = frame.raw()
-                    ret_q.put(
-                        ("quar", s, _batch_signature(raw), "shm", raw, tb)
-                    )
-
-                try:
-                    run_batch(seq, batch, quarantine)
-                finally:
-                    frame.release()
-                continue
-            if pending:
-                # Owed frames before the queued control applies: poll
-                # only the ring.
-                time.sleep(RING_POLL_S)
-                continue
-            try:
-                msg = in_q.get_nowait()
-            except queue_mod.Empty:
-                time.sleep(RING_POLL_S)
-                continue
-            if msg[0] == "stop":
-                return
-            mark = msg[-1]
-            if ring_done >= mark:
-                handle_control(msg[:-1])
-            else:
-                pending.append((msg[:-1], mark))
-    except Exception:
-        ret_q.put(
-            ("err", f"tag worker {worker_id} failed:\n{traceback.format_exc()}")
+        runtime._registry.trace.emit(
+            "quarantine",
+            "fault",
+            signature=signature & 0xFFFFFFFF,
+            detail=last,
         )
-
-
-# ----------------------------------------------------------------------
-# Driver-side runtime
-# ----------------------------------------------------------------------
-class ProcessStagePipeline:
-    """Multiprocess pipeline runtime with the StagePipeline surface.
-
-    Wraps an in-process chain wrapper (linear
-    :class:`~repro.pipeline.KeplerPipeline` or the sharded twin):
-    ingest and the monitor-onward chain keep running in the calling
-    process, while tagging — the dominant, embarrassingly parallel
-    stage — fans out over ``workers`` forked processes.  ``feed`` /
-    ``feed_many`` are pipelined: elements batch into worker queues and
-    tagged batches are pumped back through the monitor as they return,
-    so facade reads and control operations (``flush``, ``state_dict``,
-    ``sync``) first run a drain barrier that quiesces the queues.
-    """
-
-    #: When set, a blocked barrier that sees no worker progress for
-    #: this long raises :class:`WorkerStallError` (the supervision
-    #: layer's hung-queue detector).  ``None`` = wait forever, the
-    #: pre-supervision behaviour.
-    stall_timeout_s: float | None = None
-    #: Per-worker join deadline used by :func:`reap_workers` in
-    #: :meth:`close`.
-    teardown_deadline_s: float = 2.0
-
-    def __init__(
-        self,
-        inner,
-        workers: int = 2,
-        batch_size: int = DEFAULT_BATCH,
-        transport: str = "queue",
-    ) -> None:
-        if workers < 1:
-            raise ValueError("the process runtime needs >= 1 tag worker")
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if transport not in ("queue", "shm"):
-            raise ValueError("transport must be 'queue' or 'shm'")
-        if not fork_available():
-            raise RuntimeError(
-                "ProcessStagePipeline requires the 'fork' start method"
-                " (unavailable on this platform); use the in-process"
-                " runtime instead"
-            )
-        self.inner = inner
-        self.workers = workers
-        self.batch_size = batch_size
-        self.transport = transport
-        self._ingest = inner.ingest
-        # The registry the driver meters ingest into: the linear
-        # wrapper exposes the shared registry as `.metrics`, the
-        # sharded wrapper as `.upstream_metrics`.
-        registry = getattr(inner, "upstream_metrics", None)
-        self._registry: PipelineMetrics = (
-            registry if registry is not None else inner.metrics
-        )
-        self._ingest_handle = self._registry.stage(self._ingest.name)
-        self._sharded = isinstance(inner.pipeline, ShardedStagePipeline)
-        upstream = (
-            inner.pipeline.upstream if self._sharded else inner.pipeline
-        )
-        self._monitor_index = upstream.stages.index(inner.monitoring)
-
-        ctx = multiprocessing.get_context("fork")
-        self._tag_qs = [ctx.Queue(TAG_QUEUE_DEPTH) for _ in range(workers)]
-        self._ret_q = ctx.Queue()
-        # Rings exist BEFORE the fork: the children inherit the mapped
-        # segments (nothing is pickled) and the driver owns — and on
-        # close unlinks — every one of them.
-        shm_mode = transport == "shm"
-        self._in_rings = [ShmRing() for _ in range(workers)] if shm_mode else []
-        self._ret_rings = (
-            [ShmRing() for _ in range(workers)] if shm_mode else []
-        )
-        #: frames shipped per worker — the mark each control message
-        #: carries so queue control cannot overtake ring data.
-        self._sent = [0] * workers
-        #: driver-side fault seam for the ring publishes (kill/stall
-        #: specs never fire here — only note_elements + ring_fault).
-        self._send_faults = (
-            faults.arm("tag", -1, forked=False) if shm_mode else None
-        )
-        self._procs = [
-            ctx.Process(
-                target=_tag_worker_loop,
-                args=(
-                    wid,
-                    inner.tagging,
-                    self._registry,
-                    self._tag_qs[wid],
-                    self._ret_q,
-                    self._in_rings[wid] if shm_mode else None,
-                    self._ret_rings[wid] if shm_mode else None,
-                ),
-                daemon=True,
-                name=f"kepler-tag-{wid}",
-            )
-            for wid in range(workers)
-        ]
-        for proc in self._procs:
-            proc.start()
-        # Registered post-fork so the worker registries stay free of
-        # driver-side ring gauges.
-        if shm_mode:
-            _register_ring_gauges(
-                self._registry, self._in_rings, self._ret_rings
-            )
-        # Post-fork: the workers own the tagging stage; the driver's
-        # copy (and its tagging metrics entry) stay zero and are
-        # replaced by the worker sum at every barrier.
-        self._buffer: list[list] = []
-        self._ship_seq = 0
-        self._next_seq = 0
-        self._stash: dict[int, tuple[str, Any] | None] = {}
-        #: control acks drained mid-pump, collected by sync() — a pump
-        #: inside a full-queue retry must stash them, never drop them.
-        self._ctl = ControlStash()
-        self._bid = 0
-        self._outputs: list[Any] = []
-        self._closed = False
-        #: quarantine surface: total count, capped payload buffer,
-        #: log-once signature set (see :func:`_note_quarantine`).
-        self.quarantined = 0
-        self.dead_letters: deque = deque(maxlen=DEAD_LETTER_CAP)
-        self._quar_seen: set[int] = set()
-        #: monotonic instant the driver last saw worker progress while
-        #: blocked (``None`` = not currently blocked).
-        self._idle_since: float | None = None
-        #: latest live metrics frame per worker, refreshed by the pump
-        #: ("mtx" messages the workers piggyback on the return queue).
-        #: Read by :meth:`metrics_live` without a drain barrier.
-        self._live_frames: dict[int, dict] = {}
-
-    # ------------------------------------------------------------------
-    # StagePipeline-compatible surface
-    # ------------------------------------------------------------------
-    def feed(self, element: Any) -> list[Any]:
-        began = time.perf_counter()
-        outs = self._ingest.feed(element)
-        handle = self._ingest_handle
-        handle.seconds += time.perf_counter() - began
-        handle.fed += 1
-        handle.batches += 1
-        handle.emitted += len(outs)
-        buffer = self._buffer
-        buffer.extend(outs)
-        if len(buffer) >= self.batch_size:
-            self._ship()
-        return self._take_outputs()
-
-    def feed_many(self, elements: Iterable[Any]) -> list[Any]:
-        ingest = self._ingest.feed
-        handle = self._ingest_handle
-        buffer = self._buffer
-        size = self.batch_size
-        fed = 0
-        emitted = 0
-        began = time.perf_counter()
-        for element in elements:
-            fed += 1
-            outs = ingest(element)
-            emitted += len(outs)
-            buffer.extend(outs)
-            if len(buffer) >= size:
-                handle.seconds += time.perf_counter() - began
-                self._ship()
-                buffer = self._buffer  # _ship rebinds the attribute
-                began = time.perf_counter()
-        handle.seconds += time.perf_counter() - began
-        handle.fed += fed
-        handle.batches += 1
-        handle.emitted += emitted
-        return self._take_outputs()
-
-    def feed_admitted(self, elements: list[Any]) -> list[Any]:
-        """Queue pre-admitted elements for the tag workers.
-
-        The entry point of the sharded ingest tier: admission already
-        ran in a feed worker (counted there), so the chunk bypasses the
-        driver's ingest stage and goes straight into the shipping
-        buffer, preserving arrival order with everything fed through
-        the ordinary path.
-        """
-        self._buffer.extend(elements)
-        if len(self._buffer) >= self.batch_size:
-            self._ship()
-        return self._take_outputs()
-
-    def feed_admitted_batch(self, batch: tuple) -> list[Any]:
-        """Queue one pre-built columnar wire batch for the tag workers.
-
-        The batch-native entry point of the sharded ingest tier: the
-        driver folds released envelopes straight into a columnar batch
-        (no object materialisation) and posts it behind whatever the
-        shipping buffer currently holds, preserving arrival order.
-        """
-        self._ship()
-        self._post_batch(batch)
-        return self._take_outputs()
-
-    def feed_admitted_wires(self, wires: list[list]) -> list[Any]:
-        """Envelope-encoded variant of :meth:`feed_admitted`.
-
-        Forked ingest feed workers ship per-element envelopes (they
-        sort batches by wire key without decoding); the driver folds
-        them into one columnar batch and the rows ride the wire lane
-        end to end.
-        """
-        return self.feed_admitted_batch(wires_to_batch(wires))
-
-    def flush(self) -> list[Any]:
-        self.sync()
-        self._outputs.extend(self.inner.pipeline.flush())
-        return self._take_outputs()
-
-    # ------------------------------------------------------------------
-    # Shipping and pumping (the driver is also the detector)
-    # ------------------------------------------------------------------
-    def _ship(self) -> None:
-        if not self._buffer:
-            return
-        batch = encode_batch(self._buffer)
-        self._buffer = []
-        self._post_batch(batch)
-
-    def _post_batch(self, batch: tuple) -> None:
-        if self._in_rings:
-            seq = self._ship_seq
-            self._ship_seq += 1
-            fault = None
-            if self._send_faults is not None:
-                self._send_faults.note_elements(len(batch[0]))
-                fault = self._send_faults.ring_fault()
-            wid = self._least_loaded_worker()
-            ring = self._in_rings[wid]
-            waited = None
-            while not ring.try_put(("batch", seq), batch, fault=fault):
-                # Backpressure by cursor distance: make room by
-                # consuming the return path (the workers free input
-                # bytes as they release processed frames).
-                if waited is None:
-                    waited = time.perf_counter()
-                ring.put_stalls += 1
-                self._pump(block=True)
-            if waited is not None:
-                self._registry.hist("ring_wait_s").record(
-                    time.perf_counter() - waited
-                )
-            self._sent[wid] += 1
-            self._pump()
-            return
-        message = ("batch", self._ship_seq, *_pack(batch))
-        self._ship_seq += 1
-        target = self._least_loaded_queue()
-        waited = None
-        while True:
-            try:
-                target.put_nowait(message)
-                break
-            except queue_mod.Full:
-                # The worker is busy and its queue is full: make room
-                # by consuming returned batches (the driver is the only
-                # consumer, so this always unblocks the cycle).
-                if waited is None:
-                    waited = time.perf_counter()
-                self._pump(block=True)
-                target = self._least_loaded_queue()
-        if waited is not None:
-            self._registry.hist("queue_wait_s").record(
-                time.perf_counter() - waited
-            )
-        # Opportunistically drain whatever the workers have finished,
-        # so a slow producer sees records incrementally and the reorder
-        # stash stays bounded instead of deferring all monitor work to
-        # the next barrier.
-        self._pump()
-
-    def _least_loaded_worker(self) -> int:
-        """Ring flavour of :meth:`_least_loaded_queue`: deal by bytes."""
-        if self.workers == 1:
-            return 0
-        return min(
-            range(self.workers),
-            key=lambda wid: self._in_rings[wid].occupancy(),
-        )
-
-    def _least_loaded_queue(self):
-        """Deal the next batch to the emptiest worker queue.
-
-        Which worker tags which batch is immaterial — tagging is
-        per-element pure, the reorder buffer restores stream order and
-        the parse counters are summed — so dealing by queue depth
-        keeps a slow worker from becoming the barrier's straggler.
-        ``qsize`` is unimplemented on some platforms; fall back to
-        round-robin there.
-        """
-        if self.workers == 1:
-            return self._tag_qs[0]
-        try:
-            return min(self._tag_qs, key=lambda q: q.qsize())
-        except NotImplementedError:
-            return self._tag_qs[(self._ship_seq - 1) % self.workers]
-
-    def _pump(self, block: bool = False) -> None:
-        """Drain the return path; feed ready batches in seq order.
-
-        Barrier acks are stashed on ``self._ctl`` (a pump may run
-        inside a full-queue send retry, where dropping them would hang
-        the barrier) and collected by :meth:`sync`.
-        """
-        if self._ret_rings:
-            self._pump_shm(block)
-            return
-        while True:
-            try:
-                msg = (
-                    self._ret_q.get(
-                        timeout=_poll_interval(self.stall_timeout_s)
-                    )
-                    if block
-                    else self._ret_q.get_nowait()
-                )
-            except queue_mod.Empty:
-                if block:
-                    self._blocked_tick()
-                    continue
-                return
-            self._idle_since = None
-            kind = msg[0]
-            if kind == "batch":
-                self._stash[msg[1]] = (msg[2], msg[3])
-                self._drain_stash()
-                block = False  # made progress; drain the rest lazily
-            elif kind == "quar":
-                # The worker dead-lettered this seq: record it and mark
-                # the slot done so the reorder buffer moves past it.
-                _, seq, signature, codec, payload, detail = msg
-                _note_quarantine(self, signature, codec, payload, detail)
-                self._stash[seq] = None
-                self._drain_stash()
-                block = False
-            elif kind == "ack":
-                self._ctl.stash(msg)
-                block = False
-            elif kind == "mtx":
-                # Piggybacked live telemetry frame; never satisfies a
-                # barrier, just refreshes the metrics_live cache.
-                self._live_frames[msg[1]] = msg[2]
-            elif kind == "err":
-                detail = msg[1]
-                self.close()
-                raise WorkerCrashError(
-                    f"pipeline worker failed:\n{detail}"
-                )
-
-    def _pump_shm(self, block: bool) -> None:
-        """Ring flavour of the pump: return rings carry the batches.
-
-        The driver decodes eagerly and *copies* the kinds column
-        (``copy_kinds=True``): the reorder stash may hold the batch
-        across many frames, while the ring slot must be released now.
-        Control traffic (quar/ack/err) still arrives on the return
-        queue.
-        """
-        idle_spins = 0
-        while True:
-            progress = False
-            for ring in self._ret_rings:
-                frame = ring.get()
-                while frame is not None:
-                    progress = True
-                    seq = frame.header()[1]
-                    batch = frame.batch(copy_kinds=True)
-                    frame.release()
-                    self._stash[seq] = ("=", batch)
-                    self._drain_stash()
-                    frame = ring.get()
-            while True:
-                try:
-                    msg = self._ret_q.get_nowait()
-                except queue_mod.Empty:
-                    break
-                progress = True
-                kind = msg[0]
-                if kind == "quar":
-                    _, seq, signature, codec, payload, detail = msg
-                    _note_quarantine(self, signature, codec, payload, detail)
-                    self._stash[seq] = None
-                    self._drain_stash()
-                elif kind == "ack":
-                    self._ctl.stash(msg)
-                elif kind == "mtx":
-                    self._live_frames[msg[1]] = msg[2]
-                elif kind == "err":
-                    detail = msg[1]
-                    self.close()
-                    raise WorkerCrashError(
-                        f"pipeline worker failed:\n{detail}"
-                    )
-            if progress:
-                self._idle_since = None
-                return
-            if not block:
-                return
-            idle_spins += 1
-            if idle_spins % 25 == 0:
-                for ring in self._ret_rings:
-                    ring.get_stalls += 1
-                self._blocked_tick()
-            time.sleep(RING_POLL_S)
-
-    def _drain_stash(self) -> None:
-        """Feed reorder-buffer entries that are next in stream order."""
-        while self._next_seq in self._stash:
-            entry = self._stash.pop(self._next_seq)
-            if entry is not None:  # None = quarantined slot
-                codec, payload = entry
-                # "=" marks an already-decoded ring batch.
-                self._feed_tagged(
-                    payload if codec == "=" else _unpack(codec, payload)
-                )
-            self._next_seq += 1
-
-    def _blocked_tick(self) -> None:
-        """One bounded wait elapsed without progress: liveness + stall."""
-        self._check_alive()
-        timeout = self.stall_timeout_s
-        if timeout is None:
-            return
-        now = time.monotonic()
-        if self._idle_since is None:
-            self._idle_since = now
-            return
-        stalled = now - self._idle_since
-        if stalled >= timeout:
-            depths = self._queue_depth_sample()
-            self.close()
-            raise WorkerStallError(
-                stalled, timeout, depths, noun="tag worker(s)"
-            )
-
-    def _queue_depth_sample(self) -> dict[str, int]:
-        named = {f"tag[{i}]": q for i, q in enumerate(self._tag_qs)}
-        named["ret"] = self._ret_q
-        sample = queue_depths(named)
-        for i, ring in enumerate(self._in_rings):
-            sample[f"ring_in[{i}]"] = ring.occupancy()
-        for i, ring in enumerate(self._ret_rings):
-            sample[f"ring_ret[{i}]"] = ring.occupancy()
-        return sample
-
-    def _feed_tagged(self, batch: tuple) -> None:
-        # The tagged batch arrives columnar from the tag workers; the
-        # monitor consumes it directly as a column view — only the
-        # divergent minority of rows ever becomes objects (see
-        # BinningMonitorStage.feed_wire_run).  The monitor is the
-        # chain's depth_first barrier: each fold emission's signal
-        # batches and bin markers clear the downstream stages before
-        # the next slot advances the monitor, and the cascade is
-        # excluded from the monitor's time.
-        pipeline = self.inner.pipeline
-        index = self._monitor_index
-        outputs = self._outputs
-        monitor = self.inner.monitoring
-        handle = self._registry.stage(monitor.name)
-        sharded = self._sharded
-        upstream = pipeline.upstream if sharded else pipeline
-        view = None
-        if upstream.use_wire_lane:
-            began = time.perf_counter()
-            view = monitor.prepare_wire(batch)
-            handle.seconds += time.perf_counter() - began
-        if view is None:
-            # Object oracle / update-family fallback: decode in one
-            # columnar pass and feed the monitor element by element.
-            feed = monitor.feed
-            fed = 0
-            emitted = 0
-            began = time.perf_counter()
-            for element in decode_batch(batch):
-                fed += 1
-                outs = feed(element)
-                if not outs:
-                    continue
-                emitted += len(outs)
-                handle.seconds += time.perf_counter() - began
-                if sharded:
-                    outputs.extend(
-                        pipeline._dispatch(upstream._run(index + 1, outs))
-                    )
-                else:
-                    outputs.extend(pipeline._run(index + 1, outs))
-                began = time.perf_counter()
-            handle.seconds += time.perf_counter() - began
-            handle.fed += fed
-            handle.batches += 1
-            handle.emitted += emitted
-            return
-        feed_wire_run = monitor.feed_wire_run
-        slot, n = 0, view.n
-        while slot < n:
-            began = time.perf_counter()
-            outs, advanced = feed_wire_run(view, slot)
-            delta = time.perf_counter() - began
-            handle.seconds += delta
-            handle.fed += advanced - slot
-            handle.batches += 1
-            handle.emitted += len(outs)
-            if advanced > slot:
-                handle.hist.record(delta * 1e9 / (advanced - slot))
-            slot = advanced
-            if not outs:
-                continue
-            if sharded:
-                outputs.extend(
-                    pipeline._dispatch(upstream._run(index + 1, outs))
-                )
-            else:
-                outputs.extend(pipeline._run(index + 1, outs))
-
-    def _take_outputs(self) -> list[Any]:
-        if not self._outputs:
-            return []
-        outputs = self._outputs
-        self._outputs = []
-        return outputs
-
-    # ------------------------------------------------------------------
-    # Drain barrier
-    # ------------------------------------------------------------------
-    def sync(self) -> list[dict]:
-        """Quiesce the queues; return per-worker tagging info.
-
-        On return every element fed so far has cleared the full chain,
-        so the live ``inner`` views and states are exact.
-        """
-        if self._closed:
-            raise RuntimeError("pipeline is closed")
-        self._ship()
-        self._bid += 1
-        bid = self._bid
-        for wid, tag_q in enumerate(self._tag_qs):
-            message = (
-                ("ctl", bid, self._sent[wid])
-                if self._in_rings
-                else ("ctl", bid)
-            )
-            self._put_checked(tag_q, message)
-        # Keyed by wid: a duplicated control ack (see the fault module)
-        # must not satisfy the barrier in place of a missing worker.
-        acks: dict[int, Any] = {}
-        while True:
-            for ack in self._ctl.pop("ack"):
-                if ack[1] == bid:
-                    acks[ack[2]] = ack
-            if len(acks) >= self.workers and self._next_seq >= self._ship_seq:
-                break
-            self._pump(block=True)
-        return [acks[wid][3] for wid in sorted(acks)]
-
-    def _put_checked(self, tag_q, message) -> None:
-        """Bounded control put that keeps pumping the return path.
-
-        A control token must not block forever on the full queue of a
-        worker that died or hung — :func:`drain_put` retries the put
-        while the pump drains returned batches (freeing the worker)
-        and its blocked waits feed the liveness/stall detector.
-        """
-        drain_put(tag_q, message, self._pump_blocked)
-        self._idle_since = None
-
-    def _pump_blocked(self) -> None:
-        self._pump(block=True)
-
-    def _check_alive(self) -> None:
-        dead = worker_exits(self._procs)
-        if dead:
-            depths = self._queue_depth_sample()
-            pending = len(self._stash)
-            self.close()
-            raise WorkerDeathError(
-                dead, depths, pending_ctl=pending, noun="tag worker(s)"
-            )
-
-    # ------------------------------------------------------------------
-    # Metrics and checkpointing
-    # ------------------------------------------------------------------
-    def metrics_view(self) -> PipelineMetrics:
-        """Aggregate metrics: driver-side chain + tag worker registries.
-
-        The driver-side base is the inner wrapper's own metrics view —
-        the shared registry for the linear chain, the composed
-        upstream-plus-shard-chains view for the sharded runtime — so
-        downstream shard stages are never dropped; the workers then
-        contribute the tagging counters the driver's registry holds at
-        zero.
-        """
-        infos = self.sync()
-        inner_view = self.inner.metrics
-        composed = PipelineMetrics()
-        for stage in (
-            self.inner.pipeline.upstream.stages
-            if self._sharded
-            else self.inner.pipeline.stages
-        ):
-            composed.stage(stage.name)
-        composed.absorb(inner_view)
-        composed.absorb_bins(inner_view)
-        composed.adopt_gauges(inner_view)
-        scratch = PipelineMetrics()
-        for wid, info in enumerate(infos):
-            _load_with_batches(scratch, info["metrics"])
-            composed.absorb(scratch)
-            _adopt_worker_gauges(composed, wid, info["metrics"])
-        composed.recovery.quarantined_batches = self.quarantined
-        return composed
-
-    def metrics_live(self) -> dict:
-        """Non-draining metrics snapshot of the *running* pipeline.
-
-        Unlike :meth:`metrics_view` this never syncs: the driver-side
-        chain is read in place and the tagging side comes from the
-        latest piggybacked worker frames (at most one live-interval
-        stale).  Worker gauges appear namespaced (``w0.memo_hits``).
-        Adds ``depths`` (queue/ring occupancy) and a ``live`` section
-        describing sampling freshness.
-        """
-        if self._closed:
-            raise RuntimeError("pipeline is closed")
-        inner_view = self.inner.metrics
-        composed = PipelineMetrics()
-        composed.absorb(inner_view)
-        composed.absorb_bins(inner_view)
-        composed.adopt_gauges(inner_view)
-        scratch = PipelineMetrics()
-        frames = dict(self._live_frames)
-        for wid in sorted(frames):
-            _load_with_batches(scratch, frames[wid])
-            composed.absorb(scratch)
-            _adopt_worker_gauges(composed, wid, frames[wid])
-        composed.recovery.quarantined_batches = self.quarantined
-        snap = composed.snapshot()
-        snap["depths"] = self._queue_depth_sample()
-        snap["live"] = {
-            "workers": self.workers,
-            "workers_reporting": len(frames),
-            "inflight_batches": self._ship_seq - self._next_seq,
-        }
-        return snap
-
-    @staticmethod
-    def _summed_tagging_state(infos: list[dict]) -> dict:
-        return {
-            "parsed_count": sum(
-                info["state"]["parsed_count"] for info in infos
-            ),
-            "discarded_count": sum(
-                info["state"]["discarded_count"] for info in infos
-            ),
-        }
-
-    def _upstream_doc(self, doc: dict) -> dict:
-        """The sub-document holding the ingest/tagging stage states."""
-        return doc if "stages" in doc else doc["upstream"]
-
-    def state_dict(self) -> dict:
-        return self.checkpoint_parts()["pipeline"]
-
-    def load_state(self, state: dict) -> None:
-        """Restore pipeline state only (cache and rejects untouched),
-        mirroring the in-process runtimes' ``load_state``."""
-        self.sync()  # quiesce in-flight batches first
-        self.inner.pipeline.load_state(state)
-        self._distribute_tagging(self._upstream_doc(state))
-
-    def checkpoint_parts(self) -> dict:
-        """Drain and compose the same document the inner runtime writes.
-
-        Everything but tagging lives in the driver, so the inner
-        wrapper snapshots it directly; the tagging stage state is the
-        sum over workers, and the tagging metrics entry (zero in the
-        driver registry) is absorbed from the worker registries.
-        """
-        infos = self.sync()
-        parts = self.inner.checkpoint_parts()
-        doc = self._upstream_doc(parts["pipeline"])
-        doc["stages"]["tagging"] = self._summed_tagging_state(infos)
-        metrics = PipelineMetrics()
-        metrics.load_state(doc["metrics"])
-        scratch = PipelineMetrics()
-        for info in infos:
-            scratch.load_state(info["metrics"])
-            metrics.absorb(scratch)
-        doc["metrics"] = metrics.state_dict()
-        return parts
-
-    def restore_parts(self, parts: dict) -> None:
-        """Distribute a checkpoint: tagging to the workers, rest local."""
-        self.sync()  # quiesce in-flight batches first
-        self.inner.restore_parts(parts)
-        self._distribute_tagging(self._upstream_doc(parts["pipeline"]))
-
-    def _distribute_tagging(self, doc: dict) -> None:
-        """Hand the loaded tagging state to the workers.
-
-        Worker 0 takes the full tagging counters (and the tagging
-        metrics entry) so the per-worker sum stays exact; the driver's
-        own tagging entries — just loaded by the inner ``load_state``
-        — are zeroed, they would double-count at the next barrier
-        otherwise.
-        """
-        tagging_state = doc["stages"]["tagging"]
-        handle = self._registry.stage(self.inner.tagging.name)
-        stage_metrics = (handle.fed, handle.emitted, handle.seconds)
-        handle.fed = 0
-        handle.emitted = 0
-        handle.seconds = 0.0
-        for wid, tag_q in enumerate(self._tag_qs):
-            payload = {
-                "state": tagging_state
-                if wid == 0
-                else dict(_ZERO_TAGGING_STATE),
-                "stage_metrics": stage_metrics if wid == 0 else (0, 0, 0.0),
-            }
-            message = (
-                ("load", payload, self._sent[wid])
-                if self._in_rings
-                else ("load", payload)
-            )
-            self._put_checked(tag_q, message)
-        # A barrier both orders the loads before any later batch and
-        # confirms the workers applied them.
-        self.sync()
-        self._outputs = []
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Stop the worker processes (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        for tag_q in self._tag_qs:
-            try:
-                tag_q.put_nowait(("stop",))
-            except queue_mod.Full:
-                pass
-        reap_workers(
-            self._procs,
-            (*self._tag_qs, self._ret_q),
-            deadline_s=self.teardown_deadline_s,
-            rings=(*self._in_rings, *self._ret_rings),
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"ProcessStagePipeline({self.inner.pipeline!r},"
-            f" tag_workers={self.workers}, batch={self.batch_size},"
-            f" transport={self.transport!r})"
-        )
-
-
-class ProcessKeplerPipeline:
-    """Facade wrapper: the process runtime behind the Kepler surface.
-
-    Mirrors :class:`~repro.pipeline.KeplerPipeline` /
-    :class:`~repro.pipeline.sharding.ShardedKeplerPipeline`.  All
-    state except tagging lives in the driver process, so the facade
-    views read the live objects — after a drain barrier, because
-    elements may still be in flight through the tag workers.
-    """
-
-    def __init__(self, pipeline: ProcessStagePipeline) -> None:
-        self.pipeline = pipeline
-        self.inner = pipeline.inner
-
-    def _drained(self):
-        self.pipeline.sync()
-        return self.inner
-
-    # -- facade views ---------------------------------------------------
-    @property
-    def records(self):
-        return self._drained().records
-
-    @property
-    def open(self):
-        return self._drained().open
-
-    @property
-    def signal_log(self):
-        return self._drained().signal_log
-
-    @property
-    def rejected(self):
-        return self._drained().rejected
-
-    @property
-    def cache(self):
-        return self._drained().cache
-
-    @property
-    def metrics(self) -> PipelineMetrics:
-        return self.pipeline.metrics_view()
-
-    def metrics_live(self) -> dict:
-        """Composed live snapshot without draining the tag workers."""
-        return self.pipeline.metrics_live()
-
-    @property
-    def monitoring(self):
-        return self._drained().monitoring
-
-    # -- lifecycle ------------------------------------------------------
-    def finalize_records(self, end_time: float | None = None):
-        # flush() (via Kepler.finalize) has already drained; syncing
-        # again is cheap and keeps direct callers safe.
-        return self._drained().finalize_records(end_time)
-
-    def checkpoint_parts(self) -> dict:
-        return self.pipeline.checkpoint_parts()
-
-    def restore_parts(self, parts: dict) -> None:
-        self.pipeline.restore_parts(parts)
-
-    def close(self) -> None:
-        self.pipeline.close()
-        close = getattr(self.inner.pipeline, "close", None)
-        if close is not None:
-            close()
-
-
-def build_process_kepler_pipeline(
-    inner,
-    workers: int = 2,
-    batch_size: int = DEFAULT_BATCH,
-    transport: str = "queue",
-) -> ProcessKeplerPipeline:
-    """Fork the multiprocess runtime around an in-process chain wrapper."""
-    return ProcessKeplerPipeline(
-        ProcessStagePipeline(
-            inner,
-            workers=workers,
-            batch_size=batch_size,
-            transport=transport,
-        )
-    )
-
-
-# ======================================================================
-# Shard-process runtime: end-to-end worker chains, no singleton monitor
-# ======================================================================
-#
-# The tagging fan-out above still funnels every TaggedPath into one
-# monitor in the driver — the last order-dependent singleton on the hot
-# path.  The shard-process runtime removes it: every worker process
-# runs the stateful stream stages
-#
-#     tagging -> monitor partition -> record
-#
-# over the same broadcast element stream.  Worker *w*'s monitor is a
-# ``PartitionedMonitor(partitions=N, local=(w,))`` — it maintains the
-# baseline, pending and divergence state of exactly the PoPs with
-# ``partition_of(pop, N) == w`` and computes exactly partition *w*'s
-# share of every bin close.  The per-bin analysis stages —
-# classification, localisation, validation — run *in the driver*, on
-# the merged global signal stream: they execute once per bin (not per
-# element), their cost is negligible next to the stream stages, and
-# centralising them collapses the bin-close barrier to a single fused
-# exchange per worker.
-#
-# The driver therefore keeps:
-#
-# * **ingest** (admission + the stream clock) and the broadcast fan-out
-#   of columnar element batches to every worker;
-# * the **analysis chain and its shared state** — the one
-#   classification window, the probe cache (at-most-one-probe-per-
-#   (PoP, bin) is structural: only the driver probes), the signal log
-#   and the reject list, all with exact linear-chain semantics since
-#   they process the same merged batches in the same order;
-# * the **per-bin sync** (the only cross-shard hop): bins close in
-#   lockstep on every worker (same stream, same clock), and each close
-#   is ONE fused exchange per worker —
-#
-#       1. every worker ships, in a single message, its partial
-#          signals *and* everything the driver analysis needs from
-#          its monitor partition: the baseline far-AS/link sets of
-#          the PoPs in its share of the correlation window, and its
-#          monitor's last-diverted path keys            ("bin")
-#       2. the driver merges the partials under the monitor's signal
-#          sort key (the linear close order), runs classification →
-#          localisation → validation against the shipped baselines,
-#          stamps each candidate with its PoP's diverted keys, and
-#          broadcasts the candidate list in linear emission
-#          order                                        ("fin")
-#       3. every worker applies the full candidate list to its
-#          record stage, then the bin marker, and posts a fire-and-
-#          forget round-done marker that lets the driver prune its
-#          probe cache and round memos                  ("rdone")
-#
-#   The previous protocol cost four driver round trips per worker per
-#   bin (report / classify / localise / validate phase ladder); the
-#   fused exchange costs exactly one.
-#
-# Each worker prunes its shipped window share against its *local* bin
-# clock (the max bin_start among its own signals), which can only lag
-# the global clock — so the shipped read set is always a superset of
-# the PoPs the driver's window holds for that partition, never a miss.
-#
-# The **record lifecycle is replicated, not sharded**: every worker
-# applies the identical, globally-ordered candidate sequence, so all
-# record stages (and their return-tracking state, which lives in the
-# worker's monitor partition and is fed by the full broadcast stream)
-# are byte-identical replicas.  The record stage is the pipeline's
-# cheapest stage by orders of magnitude, and replication removes every
-# cross-partition monitor read a located-elsewhere record would
-# otherwise need — candidates carry their signal PoP's diverted keys
-# across the partition boundary (``OutageCandidate.diverted_keys``,
-# stamped by the driver from the shipped last-diverted maps).
-#
-# Checkpoints compose the **linear canonical document**: worker 0's
-# tagging/record states (replicas), the merged monitor partitions
-# (`merge_monitor_states`), the driver's classification document
-# (log + window — already canonical, it IS the linear stage), and the
-# driver's ingest/cache/reject state — so a shard-process snapshot
-# restores into any runtime and vice versa.
-#
-# Determinism caveat: the validator is treated as a pure function of
-# (PoP, time) — ``validate`` is memoised in the driver's cache
-# (exactly like every other runtime) and ``restored_fraction`` is
-# memoised per bin round, because the replicated record stages read
-# it once each.
 
 
 class _ShippedBaselines:
@@ -1508,10 +394,11 @@ def _shard_worker_loop(
 
     With the shm transport the broadcast batches arrive on this
     worker's ``in_ring`` replica; every return hop (bin rounds, acks,
-    quarantines) stays on the queues.  Control messages then carry the
-    driver's sent-frame mark as their last element and are honoured
-    only once this worker has consumed that many frames (see
-    :func:`_tag_worker_loop`).
+    quarantines) stays on the queues.  Control can overtake data
+    across the two channels, so every control message then carries the
+    driver's sent-frame mark as its last element and is honoured only
+    once this worker has consumed that many frames — the cross-channel
+    ordering barrier.
     """
     from repro.pipeline.events import BinAdvanced, SignalBatch
 
@@ -1535,6 +422,7 @@ def _shard_worker_loop(
             return None
         last_frame = now
         return _metrics_with_batches(chain.registry)
+
     #: this worker's share of the driver's correlation window — pruned
     #: against the *local* bin clock, which can only lag the global
     #: one, so the shipped read set is a superset of what the driver's
@@ -1563,7 +451,7 @@ def _shard_worker_loop(
         # The fused bin exchange: one message up (partial signals plus
         # the baseline reads and diverted keys the driver analysis
         # needs), one broadcast back (the globally ordered candidate
-        # list).  See the module commentary.
+        # list).  See the module docstring.
         nonlocal round_id
         round_id += 1
         own_window.extend(signals)
@@ -1865,12 +753,13 @@ class ShardProcessPipeline:
     ingest, broadcasts encoded element batches to every worker, serves
     probe / restored-fraction reads against the shared cache and
     validator, and drives the per-bin sync-round phase protocol (see
-    the module commentary above).  ``state_dict`` composes the linear
+    the module docstring).  ``state_dict`` composes the linear
     canonical pipeline document from the worker states.
     """
 
-    #: Stall deadline for blocked barriers (see
-    #: :attr:`ProcessStagePipeline.stall_timeout_s`).
+    #: When set, a blocked barrier that sees no worker progress for
+    #: this long raises :class:`WorkerStallError` (the supervision
+    #: layer's hung-queue detector).  ``None`` = wait forever.
     stall_timeout_s: float | None = None
     #: Per-worker join deadline used by :func:`reap_workers`.
     teardown_deadline_s: float = 2.0
@@ -1887,7 +776,7 @@ class ShardProcessPipeline:
         validation,
         baselines: _ShippedBaselines,
         rejected: list,
-        batch_size: int = DEFAULT_BATCH,
+        batch_size: int,
         transport: str = "queue",
     ) -> None:
         if len(chains) < 2:
@@ -1912,7 +801,7 @@ class ShardProcessPipeline:
         self.cache = cache
         self.validator = validator
         #: the driver-resident analysis chain (linear-chain semantics
-        #: over the merged signal stream; see the module commentary).
+        #: over the merged signal stream; see the module docstring).
         self._classification = classification
         self._localisation = localisation
         self._validation = validation
@@ -1920,7 +809,7 @@ class ShardProcessPipeline:
         self.rejected = rejected
 
         ctx = multiprocessing.get_context("fork")
-        self._in_qs = [ctx.Queue(TAG_QUEUE_DEPTH) for _ in chains]
+        self._in_qs = [ctx.Queue(IN_QUEUE_DEPTH) for _ in chains]
         self._sync_qs = [ctx.Queue() for _ in chains]
         self._ret_q = ctx.Queue()
         # Broadcast input rings, one replica per worker, created
@@ -1953,7 +842,7 @@ class ShardProcessPipeline:
         for proc in self._procs:
             proc.start()
         if shm_mode:
-            _register_ring_gauges(registry, self._in_rings, ())
+            _register_ring_gauges(registry, self._in_rings)
         self._buffer: list[list] = []
         self._bid = 0
         self._fid = 0
@@ -2034,10 +923,11 @@ class ShardProcessPipeline:
     def feed_admitted(self, elements: list[Any]) -> list[Any]:
         """Queue pre-admitted elements for the broadcast.
 
-        Ingest-tier entry point (see
-        :meth:`ProcessStagePipeline.feed_admitted`): admission already
-        ran in a feed worker, so the chunk lands in the broadcast
-        buffer without a driver element-by-element hop.
+        The entry point of the sharded ingest tier: admission already
+        ran in a feed worker (counted there), so the chunk bypasses the
+        driver's ingest stage and lands in the broadcast buffer,
+        preserving arrival order with everything fed through the
+        ordinary path.
         """
         self._buffer.extend(elements)
         if len(self._buffer) >= self.batch_size:
@@ -2046,22 +936,19 @@ class ShardProcessPipeline:
             self._pump()
         return []
 
-    def feed_admitted_batch(self, batch: tuple) -> list[Any]:
-        """Broadcast one pre-built columnar wire batch to the workers.
+    def feed_admitted_wires(self, wires: list[list]) -> list[Any]:
+        """Envelope-encoded variant of :meth:`feed_admitted`.
 
-        The batch-native entry point of the sharded ingest tier: the
-        buffer ships first so arrival order is preserved, then the
-        batch goes out as-is — no object ever materialises in the
-        driver.
+        Forked ingest feed workers ship per-element envelopes (they
+        sort batches by wire key without decoding).  The buffer ships
+        first so arrival order is preserved, then the envelopes fold
+        into one columnar batch that goes out as-is — no object ever
+        materialises in the driver.
         """
         self._ship()
-        self._broadcast_batch(batch)
+        self._broadcast_batch(wires_to_batch(wires))
         self._pump()
         return []
-
-    def feed_admitted_wires(self, wires: list[list]) -> list[Any]:
-        """Envelope-encoded variant of :meth:`feed_admitted`."""
-        return self.feed_admitted_batch(wires_to_batch(wires))
 
     def flush(self) -> list[Any]:
         """Drain the stream, then run the end-of-stream trailing-bin round."""
@@ -2076,7 +963,7 @@ class ShardProcessPipeline:
         done: set[int] = set()
         while True:
             done.update(
-                msg[1] for msg in self._pop_ctl("fdone") if msg[2] == fid
+                msg[1] for msg in self._ctl.pop("fdone") if msg[2] == fid
             )
             if len(done) >= self.workers:
                 break
@@ -2187,15 +1074,6 @@ class ShardProcessPipeline:
                 "advanced": None,
             }
         return state
-
-    def _broadcast_sync(self, message) -> None:
-        self.sync_broadcasts += 1
-        for sync_q in self._sync_qs:
-            sync_q.put(message)
-
-    def _pop_ctl(self, kind: str) -> list:
-        """Remove and return stashed control messages of one kind."""
-        return self._ctl.pop(kind)
 
     def _pump(
         self, block: bool = False, timeout: float | None = None
@@ -2338,7 +1216,9 @@ class ShardProcessPipeline:
             candidates=len(candidates),
             advanced=state["advanced"],
         )
-        self._broadcast_sync(("fin", candidates))
+        self.sync_broadcasts += 1
+        for sync_q in self._sync_qs:
+            sync_q.put(("fin", candidates))
 
     # ------------------------------------------------------------------
     # Drain barrier and worker-state collection
@@ -2370,7 +1250,7 @@ class ShardProcessPipeline:
         # missing worker's.
         acks: dict[int, Any] = {}
         while True:
-            for msg in self._pop_ctl("ack"):
+            for msg in self._ctl.pop("ack"):
                 if msg[1] == bid:
                     acks[msg[2]] = msg
             if len(acks) >= self.workers:
@@ -2395,7 +1275,7 @@ class ShardProcessPipeline:
             self._put_checked(in_q, message)
         finals: dict[int, list] = {}
         while True:
-            for msg in self._pop_ctl("final"):
+            for msg in self._ctl.pop("final"):
                 if msg[2] == fid:
                     finals[msg[1]] = msg[3]
             if len(finals) >= self.workers:
@@ -2748,7 +1628,8 @@ def build_shard_process_kepler_pipeline(
     enable_investigation: bool = True,
     metrics: PipelineMetrics | None = None,
     workers: int = 2,
-    batch_size: int = DEFAULT_BATCH,
+    *,
+    batch_size: int,
     transport: str = "queue",
 ) -> ShardProcessKeplerPipeline:
     """Wire and fork the end-to-end shard-process runtime.

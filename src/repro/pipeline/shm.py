@@ -246,10 +246,9 @@ class ShmRing:
         )
         self._buf = self.shm.buf
         self._buf[:_HEADER_BYTES] = b"\x00" * _HEADER_BYTES
-        #: endpoint-local stall counters (each process counts its own
-        #: side; the driver sums its send and recv sides for gauges).
+        #: endpoint-local producer stall counter (the driver sums its
+        #: rings' for the ``ring_send_stalls`` gauge).
         self.put_stalls = 0
-        self.get_stalls = 0
         self._frame: Frame | None = None
         self._closed = False
 

@@ -100,10 +100,10 @@ class SupervisedKeplerPipeline:
     ``build`` constructs the primary runtime (fresh stage state, fresh
     workers) and is called again for every restart; ``fallback``
     constructs the in-process degradation target.  Both must return a
-    stages wrapper (``KeplerPipeline`` / ``ProcessKeplerPipeline`` /
-    ``ShardProcessKeplerPipeline`` / ``IngestKeplerPipeline`` /
-    ``ShardedKeplerPipeline``) whose checkpoint documents are mutually
-    restorable — which they are whenever both factories use the same
+    stages wrapper (``KeplerPipeline`` / ``ShardProcessKeplerPipeline``
+    / ``IngestKeplerPipeline`` / ``ShardedKeplerPipeline``) whose
+    checkpoint documents are mutually restorable — which they are
+    whenever both factories use the same
     ``shards`` layout, the repo-wide checkpoint contract.
 
     The wrapper is deliberately *not* transparent about incremental

@@ -12,7 +12,7 @@ Three layers of guarantees:
   ``KeplerParams(ingest_feeds=N)``, records, signal log, rejects and
   the per-stage counters are byte-identical to the driver ingest path
   on the same stream, composed with every runtime (linear, thread-
-  sharded, tag-process, shard-process), for both the merged-stream
+  sharded, shard-process), for both the merged-stream
   ``process`` path and per-collector ``process_feeds`` sources.
 * **Checkpoints are ingest-layout-free**: the canonical document's
   ingest section is identical whichever layout wrote it, and a
@@ -353,18 +353,6 @@ class TestIngestTierIdentity:
         assert tier == linear
 
     @needs_fork
-    def test_world_a_process_workers(self, world_a):
-        linear = full_run(world_a, KeplerParams(), True)
-        tier = full_run(
-            world_a,
-            KeplerParams(
-                ingest_feeds=3, process_workers=2, process_batch=128
-            ),
-            True,
-        )
-        assert tier == linear
-
-    @needs_fork
     def test_world_a_shard_processes(self, world_a):
         linear = full_run(world_a, KeplerParams(), True)
         tier = full_run(
@@ -386,18 +374,6 @@ class TestIngestTierIdentity:
         linear = full_run(world_b, KeplerParams(), False)
         tier = full_run(
             world_b, KeplerParams(ingest_feeds=3, shards=2), False
-        )
-        assert tier == linear
-
-    @needs_fork
-    def test_world_b_process_workers(self, world_b):
-        linear = full_run(world_b, KeplerParams(), False)
-        tier = full_run(
-            world_b,
-            KeplerParams(
-                ingest_feeds=2, process_workers=2, process_batch=256
-            ),
-            False,
         )
         assert tier == linear
 

@@ -53,11 +53,10 @@ needs_fork = pytest.mark.skipif(
 LAYOUTS: dict[str, dict] = {
     "linear": {},
     "shards": dict(shards=2),
-    "process_workers": dict(process_workers=2, process_batch=128),
     "shard_processes": dict(shard_processes=2, process_batch=128),
     "ingest_feeds": dict(ingest_feeds=2, shard_processes=2, process_batch=128),
 }
-FORK_LAYOUTS = {"process_workers", "shard_processes", "ingest_feeds"}
+FORK_LAYOUTS = {"shard_processes", "ingest_feeds"}
 
 POLICY = dict(
     checkpoint_interval=512,
@@ -261,30 +260,6 @@ class TestFaultedRunSampling:
             transport=transport,
             **runtime,
         )
-
-    @sampling_settings
-    @given(
-        at_element=st.integers(min_value=1, max_value=4000),
-        period_ms=st.integers(min_value=1, max_value=10),
-    )
-    def test_tag_worker_kill_under_sampling(
-        self, world_a, ground_truth, at_element, period_ms
-    ):
-        expected_doc = baseline_doc(
-            world_a,
-            ("process_workers", "queue"),
-            KeplerParams(transport="queue", **LAYOUTS["process_workers"]),
-        )
-        plan = FaultPlan(
-            [FaultSpec(scope="tag", kind="kill", at_element=at_element, worker_id=0)]
-        )
-        with faults.injected(plan):
-            got, doc, poller = sampled_run(
-                world_a,
-                self._supervised(LAYOUTS["process_workers"], "queue"),
-                period_s=period_ms / 1000.0,
-            )
-        check_identity(got, doc, poller, ground_truth, expected_doc)
 
     @sampling_settings
     @given(

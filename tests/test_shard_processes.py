@@ -1,11 +1,10 @@
 """End-to-end shard-process runtime: no singleton on the hot path.
 
 The shard-process runtime (`repro/pipeline/parallel.py`,
-``KeplerParams(shard_processes=N)``) runs a complete
-tagging -> monitor-partition -> classification -> localisation ->
-validation -> record chain in every worker process, with the driver
-keeping only ingest, the probe cache and the per-bin cross-shard
-syncs.  It must be a pure execution detail:
+``KeplerParams(shard_processes=N)``) runs the stream stages tagging ->
+monitor-partition -> record in every worker process, with the driver
+keeping ingest, the probe cache and the per-bin analysis over the
+merged signals.  It must be a pure execution detail:
 
 * records, signal log and reject list byte-identical to the linear
   singleton chain on two scenario worlds (with and without a
@@ -281,15 +280,40 @@ class TestRuntimeSurface:
         with pytest.raises(RuntimeError, match="closed"):
             detector.snapshot()
 
+    def test_load_state_preserves_cache_and_rejects(self, world_a):
+        """pipeline.load_state must not wipe state it does not carry."""
+        world, snapshot, elements = world_a
+        detector = make_kepler(world, KeplerParams(**SHARDPROC), True)
+        try:
+            detector.prime(snapshot)
+            detector.process(elements)
+            probes_before = detector.stages.cache.probes
+            rejects_before = len(detector.rejected)
+            assert rejects_before > 0
+            detector.pipeline.load_state(detector.pipeline.state_dict())
+            assert detector.stages.cache.probes == probes_before
+            assert len(detector.rejected) == rejects_before
+        finally:
+            detector.close()
+
     def test_rejects_invalid_configuration(self, world_a):
         world, _, _ = world_a
         with pytest.raises(ValueError, match="shard_processes"):
             make_kepler(
-                world,
-                KeplerParams(shard_processes=2, process_workers=1),
-                False,
-            )
-        with pytest.raises(ValueError, match="shard_processes"):
-            make_kepler(
                 world, KeplerParams(shard_processes=2, shards=2), False
             )
+        with pytest.raises(ValueError, match="process_batch"):
+            make_kepler(
+                world, KeplerParams(shard_processes=2, process_batch=0), False
+            )
+
+    def test_fork_only_guard_message(self, world_a, monkeypatch):
+        """The constructor names the missing capability, not a traceback."""
+        from repro.pipeline import parallel
+
+        world, _, _ = world_a
+        monkeypatch.setattr(parallel, "fork_available", lambda: False)
+        with pytest.raises(
+            RuntimeError, match="ShardProcessPipeline requires the 'fork'"
+        ):
+            make_kepler(world, KeplerParams(**SHARDPROC), False)

@@ -282,11 +282,8 @@ def full_run(world_a, params: KeplerParams, by_feeds: bool = False):
 class TestTransportIdentity:
     @pytest.mark.parametrize(
         "layout",
-        [
-            dict(process_workers=2, process_batch=128),
-            dict(shard_processes=2, process_batch=128),
-        ],
-        ids=["process_workers", "shard_processes"],
+        [dict(shard_processes=2, process_batch=128)],
+        ids=["shard_processes"],
     )
     def test_runtime_identity(self, world_a, layout):
         queue = full_run(world_a, KeplerParams(transport="queue", **layout))
@@ -343,16 +340,16 @@ def supervised_params(runtime: dict, **overrides) -> KeplerParams:
 
 @forked
 class TestShmChaos:
-    def test_torn_tag_frame_is_rolled_back_byte_exact(self, world_a):
+    def test_torn_shard_frame_is_rolled_back_byte_exact(self, world_a):
         linear = full_run(world_a, KeplerParams())
         plan = FaultPlan(
-            [FaultSpec(scope="tag", kind="torn_write", at_element=900)]
+            [FaultSpec(scope="shard", kind="torn_write", at_element=900)]
         )
         with faults.injected(plan):
             world, snapshot, elements = world_a
             detector = make_kepler(
                 world,
-                supervised_params(dict(process_workers=2, process_batch=128)),
+                supervised_params(dict(shard_processes=2, process_batch=128)),
             )
             try:
                 detector.prime(snapshot)

@@ -444,20 +444,3 @@ class TestMetricsLive:
             json.dumps(final, sort_keys=True)
         finally:
             telemetry.set_live_interval(telemetry.DEFAULT_LIVE_INTERVAL_S)
-
-    def test_process_workers_live_view(self, world_a):
-        world, snapshot, elements = world_a
-        telemetry.set_live_interval(0.0)
-        try:
-            detector = make_kepler(
-                world, KeplerParams(process_workers=2, process_batch=256)
-            )
-            detector.prime(snapshot)
-            detector.process(elements)
-            snap = detector.metrics_live()
-            detector.finalize(end_time=END_TIME)
-            detector.close()
-            assert snap["live"]["workers"] == 2
-            assert "hists" in snap and snap["hists"]
-        finally:
-            telemetry.set_live_interval(telemetry.DEFAULT_LIVE_INTERVAL_S)
