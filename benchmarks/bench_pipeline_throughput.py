@@ -1046,7 +1046,7 @@ class _CollectingSink:
         self.payloads.extend(payloads)
         return []
 
-    def feed_prime(self, element) -> list:
+    def feed_primes(self, primes) -> list:
         return []
 
     def flush(self) -> list:

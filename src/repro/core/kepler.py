@@ -429,17 +429,27 @@ class Kepler:
     def prime(self, updates: Iterable[BGPUpdate]) -> int:
         """Install a RIB snapshot as the stable baseline (assumed aged).
 
-        Thin wrapper over the ingest-side priming path: each update is
-        wrapped in a :class:`~repro.pipeline.events.PrimingUpdate` and
-        fed through the ordinary ingest->tagging->monitor stages, so a
-        live table transfer can bootstrap the detector mid-stream.
+        Priming is a batch like the stream: updates are wrapped in
+        :class:`~repro.pipeline.events.PrimingUpdate` and run through
+        the ordinary ingest->tagging->monitor stages ``feed_chunk`` at a
+        time (``pipeline.feed_many``, the lane :meth:`process` uses), so
+        a table dump costs what that many announcements cost on whichever
+        runtime is built, and a live table transfer can still bootstrap
+        the detector mid-stream — anything :meth:`process` staged runs
+        first.  A lazy source is pulled one chunk ahead at most, never
+        materialised, and no more than ``feed_chunk`` wrappers are alive.
         """
         from repro.pipeline import PrimingUpdate
 
         self._flush()
         before = self.stages.monitoring.primed
-        for update in updates:
-            self.pipeline.feed(PrimingUpdate(update=update))
+        source = iter(updates)
+        chunk = self.params.feed_chunk
+        while True:
+            batch = list(map(PrimingUpdate, islice(source, chunk)))
+            if not batch:
+                break
+            self._run_chain(batch)
         count = self.stages.monitoring.primed - before
         self.primed_paths += count
         return count

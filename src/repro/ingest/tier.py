@@ -133,8 +133,8 @@ class ChainSink:
             return self.pipeline.feed_wire_from(wires_to_batch(payloads))
         return self.pipeline.feed_from(1, payloads)
 
-    def feed_prime(self, element: Any) -> list:
-        return self.pipeline.feed_from(1, [element])
+    def feed_primes(self, primes: list) -> list:
+        return self.pipeline.feed_from(1, primes)
 
     def flush(self) -> list:
         return self.pipeline.flush()
@@ -158,8 +158,8 @@ class WireSink:
             return self.runtime.feed_admitted_wires(payloads)
         return self.runtime.feed_admitted(payloads)
 
-    def feed_prime(self, element: Any) -> list:
-        return self.runtime.feed_admitted([element])
+    def feed_primes(self, primes: list) -> list:
+        return self.runtime.feed_admitted(primes)
 
     def flush(self) -> list:
         return self.runtime.flush()
@@ -291,7 +291,7 @@ class IngestTier:
         without spinning a worker set up per call.
         """
         if isinstance(element, PrimingUpdate):
-            return self._feed_prime(element)
+            return self._feed_primes([element])
         self._check_usable()
         collector = getattr(element, "collector", None)
         fid = 0 if collector is None else feed_of(collector, self.feeds)
@@ -320,12 +320,14 @@ class IngestTier:
         broadcasts a punctuation key (the chunk's last stream
         position) so feeds that received nothing still advance their
         watermark and the merge releases incrementally.  Priming
-        updates quiesce the current run and pass straight to the sink,
-        preserving their position in the fed order.
+        updates quiesce the current run and pass straight to the sink
+        (consecutive ones as one batch), preserving their position in
+        the fed order.
         """
         self._check_usable()
         outputs: list[Any] = []
         run: _Run | None = None
+        primes: list[Any] = []
         feeds = self.feeds
         try:
             for element in elements:
@@ -333,8 +335,11 @@ class IngestTier:
                     if run is not None:
                         outputs.extend(self._finish_run(run))
                         run = None
-                    outputs.extend(self._feed_prime(element))
+                    primes.append(element)
                     continue
+                if primes:
+                    outputs.extend(self._feed_primes(primes))
+                    primes = []
                 if run is None:
                     run = self._start_chunk_run()
                 collector = getattr(element, "collector", None)
@@ -343,6 +348,8 @@ class IngestTier:
                 run.pending_count += 1
                 if run.pending_count >= self.batch_size:
                     outputs.extend(self._ship_chunk(run))
+            if primes:
+                outputs.extend(self._feed_primes(primes))
             if run is not None:
                 outputs.extend(self._finish_run(run))
                 run = None
@@ -820,11 +827,11 @@ class IngestTier:
                 sample[f"ring[{i}]"] = ring.occupancy()
         return sample
 
-    def _feed_prime(self, element: PrimingUpdate) -> list[Any]:
-        self.priming_updates += 1
-        self.prime_meter.fed += 1
-        self.prime_meter.emitted += 1
-        return self.sink.feed_prime(element)
+    def _feed_primes(self, primes: list[Any]) -> list[Any]:
+        self.priming_updates += len(primes)
+        self.prime_meter.fed += len(primes)
+        self.prime_meter.emitted += len(primes)
+        return self.sink.feed_primes(primes)
 
     # ------------------------------------------------------------------
     # Checkpoint composition (the layout-free ingest section)

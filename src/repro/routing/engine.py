@@ -15,7 +15,9 @@ withdrawals for lost reachability) with realistic timing:
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 from repro.bgp.collector import Collector, CollectorPeer
 from repro.bgp.messages import (
@@ -32,7 +34,7 @@ from repro.routing.interconnection import (
     Interconnection,
     build_adjacencies,
 )
-from repro.routing.policy import AdjacencyIndex, compute_routes
+from repro.routing.policy import AdjacencyIndex, route_table
 from repro.routing.tagging import tag_path
 from repro.topology.entities import ASTier, Topology
 
@@ -139,6 +141,8 @@ class RoutingEngine:
         self.origins = sorted(
             asn for asn, rec in topo.ases.items() if rec.originates
         )
+        self._vantage_set = frozenset(self.vantages)
+        self._origin_set = frozenset(self.origins)
         self._rng = random.Random(self.params.seed ^ 0xE9617E)
         self._event_counter = 0
         #: chronological (time, event) log for time-travel queries.
@@ -164,12 +168,12 @@ class RoutingEngine:
     # ------------------------------------------------------------------
     def _initialise(self) -> None:
         for origin in self.origins:
-            tree = compute_routes(self.index, origin, frozenset(self.failures.ases))
+            tree = route_table(self.index, origin, frozenset(self.failures.ases))
             for vantage in self.vantages:
-                info = tree.get(vantage)
-                if info is None:
+                route = tree.get(vantage)
+                if route is None:
                     continue
-                state = self._realise(info.path)
+                state = self._realise(route[2])
                 if state is None:
                     continue
                 key = (vantage, origin)
@@ -275,11 +279,17 @@ class RoutingEngine:
         at *their* timestamps; this replays the event log up to then.
         """
         state = FailureState()
-        for event_time, event in self.event_log:
-            if event_time > time:
-                break
+        for _, event in self.event_log[: self.event_position(time)]:
             event.apply(state)
         return state
+
+    def event_position(self, time: float) -> int:
+        """How many logged events ``failures_at(time)`` replays.
+
+        Two times with the same position see the same failure state,
+        whatever is applied to the engine afterwards.
+        """
+        return bisect_right(self.event_log, time, key=itemgetter(0))
 
     def apply_event(self, event: InfraEvent, time: float) -> list[StreamElement]:
         """Apply an infrastructure event; return the resulting updates."""
@@ -293,7 +303,7 @@ class RoutingEngine:
         # A failing vantage AS takes its collector session down with it:
         # the feed shows a state message and goes silent, it does not
         # emit withdrawals for the whole table (Section 4.2 gap case).
-        if isinstance(event, ASFailure) and event.asn in set(self.vantages):
+        if isinstance(event, ASFailure) and event.asn in self._vantage_set:
             self._suspended_vantages.add(event.asn)
             elements.append(
                 BGPStateMessage(
@@ -342,20 +352,30 @@ class RoutingEngine:
         for pair in touched_pairs:
             affected.update(self._usage.get(pair, ()))
         # An origin that is itself failing must re-converge too.
-        affected.update(a for a in as_set if a in set(self.origins))
+        affected.update(as_set & self._origin_set)
         return affected
 
     def _reconverge_origin(
         self, origin: int, time: float, recovery: bool
     ) -> list[StreamElement]:
-        tree = compute_routes(self.index, origin, frozenset(self.failures.ases))
+        # With no failure left the network is the one ``_initialise``
+        # converged: every pair's route is its healthy one, no tree and
+        # no ``_realise`` needed.  Overlapping outages still compute.
+        tree = (
+            route_table(self.index, origin, frozenset(self.failures.ases))
+            if self.failures.any_active()
+            else None
+        )
         elements: list[StreamElement] = []
         any_off_healthy = False
         for vantage in self.vantages:
             key = (vantage, origin)
             old = self.routes.get(key)
-            info = tree.get(vantage)
-            new = self._realise(info.path) if info is not None else None
+            if tree is None:
+                new = self.healthy.get(key)
+            else:
+                route = tree.get(vantage)
+                new = self._realise(route[2]) if route is not None else None
             if recovery and key in self._sticky and old is not None:
                 # Pinned to the backup: keep it while it remains valid.
                 if self._still_valid(old):

@@ -43,6 +43,18 @@ class RouteInfo:
         return len(self.path) - 1
 
 
+#: One row of a :func:`route_table`: ``(class, hops, path)`` with the
+#: class as the ``PathClass`` value — lower wins, then fewer hops, then
+#: the lower next-hop ASN (``path[1]``).
+Route = tuple[int, int, tuple[int, ...]]
+
+_ORIGIN = PathClass.ORIGIN.value
+_CUSTOMER = PathClass.CUSTOMER.value
+_PEER = PathClass.PEER.value
+_PROVIDER = PathClass.PROVIDER.value
+_PATH_CLASSES = {c.value: c for c in PathClass}
+
+
 class AdjacencyIndex:
     """Pre-computed neighbor lists with live/dead filtering.
 
@@ -76,7 +88,15 @@ class AdjacencyIndex:
             self.providers_of[asn] = tuple(sorted(providers[asn]))
             self.customers_of[asn] = tuple(sorted(customers[asn]))
             self.peers_of[asn] = tuple(sorted(peers[asn]))
-        self._up_cache: dict[frozenset[int], bool] = {}
+        #: every AS in ascending order: the peer phase's visiting order.
+        self.ases: tuple[int, ...] = tuple(sorted(topo.ases))
+        #: ``asn -> {neighbour: adjacency}``, both directions, so an
+        #: availability query hashes two ints instead of building a set.
+        self._neighbours: dict[int, dict[int, Adjacency]] = {}
+        for adj in adjacencies.values():
+            self._neighbours.setdefault(adj.asn_a, {})[adj.asn_b] = adj
+            self._neighbours.setdefault(adj.asn_b, {})[adj.asn_a] = adj
+        self._up_cache: dict[int, dict[int, bool]] = {}
         self._failures: FailureState | None = None
 
     def set_failures(self, failures: FailureState) -> None:
@@ -88,18 +108,105 @@ class AdjacencyIndex:
         self._up_cache.clear()
 
     def up(self, a: int, b: int) -> bool:
-        pair = frozenset((a, b))
-        cached = self._up_cache.get(pair)
-        if cached is not None:
-            return cached
-        adj = self.adjacencies.get(pair)
-        result = False
-        if adj is not None and self._failures is not None:
-            result = adj.is_up(self._failures)
-        elif adj is not None:
-            result = True
-        self._up_cache[pair] = result
-        return result
+        row = self._up_cache.get(a)
+        if row is None:
+            row = self._up_cache[a] = {}
+        cached = row.get(b)
+        if cached is None:
+            adj = self._neighbours.get(a, {}).get(b)
+            cached = adj is not None and (
+                self._failures is None or adj.is_up(self._failures)
+            )
+            row[b] = cached
+            self._up_cache.setdefault(b, {})[a] = cached
+        return cached
+
+
+def route_table(
+    index: AdjacencyIndex, origin: int, down_ases: frozenset[int] = frozenset()
+) -> dict[int, Route]:
+    """Best Gao-Rexford :data:`Route` of every AS towards ``origin``.
+
+    The one route computation: the routing engine and the traceroute
+    simulator read this table directly, :func:`compute_routes` is the
+    ``RouteInfo`` view over it.  ASes with no policy-compliant path are
+    absent; ``down_ases`` are excluded entirely (AS-level outages).
+    """
+    if origin in down_ases:
+        return {}
+    up = index.up
+    best: dict[int, Route] = {origin: (_ORIGIN, 0, (origin,))}
+
+    # Phase 1: customer routes — BFS uphill over provider edges.
+    providers_of = index.providers_of
+    queue: deque[int] = deque([origin])
+    while queue:
+        u = queue.popleft()
+        _, hops_u, path_u = best[u]
+        hops = hops_u + 1
+        for p in providers_of[u]:
+            if p in down_ases or not up(u, p):
+                continue
+            incumbent = best.get(p)
+            if incumbent is None:
+                best[p] = (_CUSTOMER, hops, (p,) + path_u)
+                queue.append(p)
+            elif _beats(_CUSTOMER, hops, u, incumbent):
+                best[p] = (_CUSTOMER, hops, (p,) + path_u)
+                # BFS order guarantees hops are non-decreasing, so a
+                # later candidate can only win on the ASN tie-break at
+                # equal length; no requeue needed (its own exports keep
+                # the same length and class).
+                if hops == incumbent[1]:
+                    queue.append(p)
+
+    customer_routes = dict(best)
+
+    # Phase 2: peer routes — one lateral step from a customer route.
+    peers_of = index.peers_of
+    for u in index.ases:
+        if u in best or u in down_ases:
+            continue
+        chosen: Route | None = None
+        for v in peers_of[u]:  # ascending: the first of equal length wins
+            route_v = customer_routes.get(v)
+            if route_v is None or v in down_ases or not up(u, v):
+                continue
+            if u in route_v[2]:
+                continue
+            if chosen is None or route_v[1] + 1 < chosen[1]:
+                chosen = (_PEER, route_v[1] + 1, (u,) + route_v[2])
+        if chosen is not None:
+            best[u] = chosen
+
+    # Phase 3: provider routes — flood downhill (provider -> customer).
+    customers_of = index.customers_of
+    queue = deque(sorted(best, key=lambda a: (best[a][1], a)))
+    while queue:
+        u = queue.popleft()
+        _, hops_u, path_u = best[u]
+        hops = hops_u + 1
+        for c in customers_of[u]:
+            if c in down_ases or not up(c, u):
+                continue
+            if c in path_u:
+                continue
+            incumbent = best.get(c)
+            # Customer/peer routes always beat provider routes, so only
+            # a provider route is ever replaced here.
+            if incumbent is None or _beats(_PROVIDER, hops, u, incumbent):
+                best[c] = (_PROVIDER, hops, (c,) + path_u)
+                queue.append(c)
+    return best
+
+
+def _beats(path_class: int, hops: int, next_hop: int, incumbent: Route) -> bool:
+    """Is a candidate strictly preferred over the installed route?"""
+    if path_class != incumbent[0]:
+        return path_class < incumbent[0]
+    if hops != incumbent[1]:
+        return hops < incumbent[1]
+    return next_hop < (incumbent[2][1] if incumbent[1] else 0)
 
 
 def compute_routes(
@@ -110,87 +217,12 @@ def compute_routes(
     ASes with no policy-compliant path are absent from the result.
     ``down_ases`` are excluded entirely (AS-level outages).
     """
-    if origin in down_ases:
-        return {}
-    best: dict[int, RouteInfo] = {
-        origin: RouteInfo(path=(origin,), path_class=PathClass.ORIGIN)
+    return {
+        asn: RouteInfo(path=path, path_class=_PATH_CLASSES[path_class])
+        for asn, (path_class, _, path) in route_table(
+            index, origin, down_ases
+        ).items()
     }
-
-    # Phase 1: customer routes — BFS uphill over provider edges.
-    queue: deque[int] = deque([origin])
-    while queue:
-        u = queue.popleft()
-        route_u = best[u]
-        for p in index.providers_of[u]:
-            if p in down_ases or not index.up(u, p):
-                continue
-            candidate = RouteInfo(
-                path=(p,) + route_u.path, path_class=PathClass.CUSTOMER
-            )
-            incumbent = best.get(p)
-            if incumbent is None:
-                best[p] = candidate
-                queue.append(p)
-            elif _better(candidate, incumbent):
-                best[p] = candidate
-                # BFS order guarantees hops are non-decreasing, so a
-                # later candidate can only win on the ASN tie-break at
-                # equal length; no requeue needed (its own exports keep
-                # the same length and class).
-                if candidate.hops == incumbent.hops:
-                    queue.append(p)
-
-    customer_routes = dict(best)
-
-    # Phase 2: peer routes — one lateral step from a customer route.
-    for u in sorted(index.peers_of):
-        if u in best or u in down_ases:
-            continue
-        candidates: list[RouteInfo] = []
-        for v in index.peers_of[u]:
-            route_v = customer_routes.get(v)
-            if route_v is None or v in down_ases or not index.up(u, v):
-                continue
-            if u in route_v.path:
-                continue
-            candidates.append(
-                RouteInfo(path=(u,) + route_v.path, path_class=PathClass.PEER)
-            )
-        if candidates:
-            best[u] = min(candidates, key=_route_key)
-
-    # Phase 3: provider routes — flood downhill (provider -> customer).
-    frontier = sorted(best, key=lambda a: (best[a].hops, a))
-    queue = deque(frontier)
-    while queue:
-        u = queue.popleft()
-        route_u = best[u]
-        for c in index.customers_of[u]:
-            if c in down_ases or not index.up(c, u):
-                continue
-            if c in route_u.path:
-                continue
-            candidate = RouteInfo(
-                path=(c,) + route_u.path, path_class=PathClass.PROVIDER
-            )
-            incumbent = best.get(c)
-            if incumbent is None or _better(candidate, incumbent):
-                # Customer/peer routes always beat provider routes, so we
-                # only ever replace provider routes here.
-                if incumbent is not None and incumbent.path_class is not PathClass.PROVIDER:
-                    continue
-                best[c] = candidate
-                queue.append(c)
-    return best
-
-
-def _route_key(route: RouteInfo) -> tuple[int, int, int]:
-    next_hop = route.path[1] if len(route.path) > 1 else 0
-    return (route.path_class.value, route.hops, next_hop)
-
-
-def _better(a: RouteInfo, b: RouteInfo) -> bool:
-    return _route_key(a) < _route_key(b)
 
 
 def is_valley_free(

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 from repro.geo.distance import fiber_rtt_ms, haversine_km
 from repro.routing.engine import RoutingEngine
-from repro.routing.interconnection import Interconnection
-from repro.routing.policy import compute_routes
+from repro.routing.interconnection import FailureState, Interconnection
+from repro.routing.policy import Route, route_table
 from repro.traceroute.addressing import AddressPlan
 
 
@@ -77,6 +77,12 @@ class TracerouteSimulator:
         self.topo = engine.topo
         self._rng = random.Random(seed ^ 0x7ACE)
         self.trace_count = 0
+        # A validation campaign probes one failure state many times:
+        # keep it, and the route table per destination under it, until
+        # a probe's time reaches another position of the event log.
+        self._position = -1
+        self._failures = FailureState()
+        self._tables: dict[int, dict[int, Route]] = {}
 
     # ------------------------------------------------------------------
     def trace(self, src_asn: int, dst_asn: int, time: float) -> Traceroute:
@@ -93,21 +99,25 @@ class TracerouteSimulator:
         if src_asn == dst_asn:
             result.reached = True
             return result
-        failures = self.engine.failures_at(time)
-        saved = self.engine.failures
-        self.engine.index.set_failures(failures)
-        try:
-            tree = compute_routes(
-                self.engine.index, dst_asn, frozenset(failures.ases)
-            )
-            info = tree.get(src_asn)
-            state = (
-                self.engine._realise(info.path, failures)
-                if info is not None
-                else None
-            )
-        finally:
-            self.engine.index.set_failures(saved)
+        position = self.engine.event_position(time)
+        if position != self._position:
+            self._position = position
+            self._failures = self.engine.failures_at(time)
+            self._tables.clear()
+        failures = self._failures
+        table = self._tables.get(dst_asn)
+        if table is None:
+            index = self.engine.index
+            index.set_failures(failures)
+            try:
+                table = route_table(index, dst_asn, frozenset(failures.ases))
+            finally:
+                index.set_failures(self.engine.failures)
+            self._tables[dst_asn] = table
+        route = table.get(src_asn)
+        state = (
+            self.engine._realise(route[2], failures) if route is not None else None
+        )
         if state is None:
             return result  # destination unreachable: trace dies
         self._expand_hops(result, state.path, state.interconnections)

@@ -452,7 +452,7 @@ class TestIngestTierIdentity:
                 self.payloads.extend(payloads)
                 return []
 
-            def feed_prime(self, element):
+            def feed_primes(self, primes):
                 return []
 
             def flush(self):
@@ -494,7 +494,7 @@ class TestIngestTierIdentity:
             def feed_released(self, payloads, wired):
                 return []
 
-            def feed_prime(self, element):
+            def feed_primes(self, primes):
                 return []
 
             def flush(self):

@@ -198,11 +198,19 @@ class TestKillRecovery:
         assert recovery["restarts"] >= 1
 
     def test_kill_during_replay_still_converges(self, world_a, linear_run):
-        """A second kill while replaying the journal costs one more restart."""
+        """A second kill while replaying the journal costs one more restart.
+
+        Priming is journalled a chunk at a time, so both cuts sit inside
+        the first unit (4,096 of the 9,753 primed paths).  Worker 0 dies
+        at element 600 of the first generation; worker 1 can then run at
+        most ``IN_QUEUE_DEPTH`` batches of 128 ahead of the dead queue,
+        so element 3000 is reached only by the second generation's
+        replay of that unit (a generation's element clock starts at 0).
+        """
         plan = FaultPlan(
             [
                 FaultSpec(scope="shard", kind="kill", at_element=600, worker_id=0),
-                FaultSpec(scope="shard", kind="kill", at_element=300, worker_id=1),
+                FaultSpec(scope="shard", kind="kill", at_element=3000, worker_id=1),
             ]
         )
         got, recovery, _ = faulted_run(

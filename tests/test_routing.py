@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from _route_oracle import oracle_routes
 from repro.bgp.messages import ElemType
 from repro.routing.engine import CollectorLayout, EngineParams, RoutingEngine
 from repro.routing.events import (
@@ -12,17 +15,32 @@ from repro.routing.events import (
     FacilityFailure,
     FacilityRecovery,
     IXPFailure,
+    IXPPortFailure,
+    IXPPortRecovery,
+    IXPRecovery,
     LinkFailure,
+    LinkRecovery,
     PartialFacilityFailure,
+    PartialFacilityRecovery,
 )
 from repro.routing.interconnection import (
+    Adjacency,
     FailureState,
     InterconnectKind,
+    Interconnection,
     build_adjacencies,
 )
-from repro.routing.policy import AdjacencyIndex, PathClass, compute_routes, is_valley_free
+from repro.routing.policy import (
+    AdjacencyIndex,
+    PathClass,
+    RouteInfo,
+    compute_routes,
+    is_valley_free,
+    route_table,
+)
 from repro.routing.tagging import tag_path
 from repro.bgp.communities import Community
+from repro.topology.entities import Relationship, Topology
 
 
 @pytest.fixture()
@@ -290,3 +308,171 @@ class TestEngine:
         layout = CollectorLayout({"rrc00": (1,)})
         with pytest.raises(KeyError):
             layout.collector_of(2)
+
+
+# ----------------------------------------------------------------------
+# The tuple route table against the RouteInfo BFS it replaced
+# ----------------------------------------------------------------------
+N_FACILITIES = 3
+
+
+@st.composite
+def routing_cases(draw):
+    """A random small AS graph, a failure state on it and a down set.
+
+    Transit edges point from the lower index (provider) to the higher,
+    so the hierarchy is acyclic; peer edges are free.  Every adjacency
+    is one PNI in one of ``N_FACILITIES`` buildings, so facility, link
+    and AS failures each take a different slice of the graph down.
+    """
+    n = draw(st.integers(min_value=3, max_value=9))
+    asns = [100 + 7 * i for i in range(n)]
+    pairs = [(a, b) for i, a in enumerate(asns) for b in asns[i + 1 :]]
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["none", "transit", "transit", "peer"]),
+            min_size=len(pairs),
+            max_size=len(pairs),
+        )
+    )
+    topo = Topology()
+    topo.ases = dict.fromkeys(asns)
+    topo.providers = {asn: set() for asn in asns}
+    adjacencies = {}
+    for (a, b), kind in zip(pairs, kinds):
+        if kind == "none":
+            continue
+        if kind == "transit":
+            topo.providers[b].add(a)
+            relationship = Relationship.CUSTOMER_PROVIDER
+        else:
+            topo.peers.add(frozenset((a, b)))
+            relationship = Relationship.PEER_PEER
+        fac = f"f{draw(st.integers(0, N_FACILITIES - 1))}"
+        adjacencies[frozenset((a, b))] = Adjacency(
+            asn_a=a,
+            asn_b=b,
+            relationship=relationship,
+            interconnections=(
+                Interconnection(InterconnectKind.PNI, a, b, fac, fac),
+            ),
+        )
+
+    def subset(items):
+        return st.sets(st.sampled_from(items)) if items else st.just(set())
+
+    failures = FailureState(
+        facilities=draw(subset([f"f{i}" for i in range(N_FACILITIES)])),
+        links=draw(subset(sorted(adjacencies, key=sorted))),
+        ases=draw(subset(asns)),
+    )
+    down = draw(st.one_of(st.just(failures.ases), subset(asns)))
+    return topo, adjacencies, failures, frozenset(down)
+
+
+class TestRouteTableMatchesOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(case=routing_cases())
+    def test_table_equals_the_routeinfo_bfs(self, case):
+        topo, adjacencies, failures, down = case
+        index = AdjacencyIndex(topo, adjacencies)
+        index.set_failures(failures)
+        for origin in topo.ases:
+            table = route_table(index, origin, down)
+            expected = oracle_routes(index, origin, down)
+            # Same ASes in the same insertion order, same class and path.
+            assert [
+                (asn, RouteInfo(path, PathClass(path_class)))
+                for asn, (path_class, _, path) in table.items()
+            ] == list(expected.items())
+            assert all(hops == len(path) - 1 for _, hops, path in table.values())
+            assert compute_routes(index, origin, down) == expected
+
+    def test_world_scale_tables_equal_the_oracle(self, world):
+        """One healthy and one failed state of the default world."""
+        engine = world.engine
+        index = AdjacencyIndex(world.topo, engine.adjacencies)
+        for failures in (
+            FailureState(),
+            FailureState(facilities={"th-north"}, ases={engine.origins[3]}),
+        ):
+            index.set_failures(failures)
+            down = frozenset(failures.ases)
+            for origin in engine.origins[::9]:
+                assert compute_routes(index, origin, down) == oracle_routes(
+                    index, origin, down
+                )
+
+
+# ----------------------------------------------------------------------
+# Recovery to a clean network reads ``healthy``: same stream as computing
+# ----------------------------------------------------------------------
+class _NeverClean(FailureState):
+    """Reads as active even when empty, so every recovery computes."""
+
+    def any_active(self) -> bool:
+        return True
+
+
+#: (failure, recovery) per target of the small topology; a script step
+#: toggles one target, so outages overlap, nest and clear in any order.
+TOGGLES = [
+    (FacilityFailure("f1"), FacilityRecovery("f1")),
+    (FacilityFailure("f2"), FacilityRecovery("f2")),
+    (FacilityFailure("f3"), FacilityRecovery("f3")),
+    (IXPFailure("ix1"), IXPRecovery("ix1")),
+    (ASFailure(10), ASRecovery(10)),  # a vantage: session state messages
+    (ASFailure(30), ASRecovery(30)),
+    (ASFailure(40), ASRecovery(40)),
+    (LinkFailure(30, 50), LinkRecovery(30, 50)),
+    (LinkFailure(10, 60), LinkRecovery(10, 60)),
+    (PartialFacilityFailure("f1", (30,)), PartialFacilityRecovery("f1", (30,))),
+    (IXPPortFailure("ix1", (20,)), IXPPortRecovery("ix1", (20,))),
+]
+
+
+class TestHealthyReuseMatchesCompute:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        script=st.lists(
+            st.integers(0, len(TOGGLES) - 1), min_size=1, max_size=14
+        ),
+        seed=st.integers(0, 5),
+    )
+    def test_same_elements_and_state_as_forced_compute(
+        self, small_topo, script, seed
+    ):
+        def engine():
+            return RoutingEngine(
+                small_topo,
+                layout=CollectorLayout({"rrc00": (10, 20)}),
+                # High rates: pin pairs and explore often on six ASes.
+                params=EngineParams(
+                    seed=seed, sticky_rate=0.5, exploration_rate=0.5
+                ),
+            )
+
+        reusing, computing = engine(), engine()
+        computing.failures = _NeverClean()
+        active: set[int] = set()
+        # Toggle through the script, then clear whatever is still down.
+        steps = script + sorted(t for t in set(script) if script.count(t) % 2)
+        clean_recoveries = 0
+        for step, target in enumerate(steps):
+            event = TOGGLES[target][target in active]
+            active ^= {target}
+            when = 100.0 * (step + 1)
+            assert reusing.apply_event(event, when) == computing.apply_event(
+                event, when
+            )
+            clean_recoveries += event.is_recovery and not active
+            assert reusing.routes == computing.routes
+            assert reusing._degraded == computing._degraded
+            assert reusing._sticky == computing._sticky
+        assert not reusing.failures.any_active()
+        assert clean_recoveries >= 1
+        assert reusing.changes == computing.changes

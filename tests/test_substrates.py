@@ -105,6 +105,59 @@ class TestTracerouteSimulator:
         assert not during.crosses_facility(victim)
         assert after.crosses_facility(victim)
 
+    def test_one_route_table_per_destination_and_log_position(
+        self, small_topo, monkeypatch
+    ):
+        """A campaign re-probing one failure state computes each
+        destination's table once; a probe time on the other side of an
+        event drops them, and every trace still follows the route a
+        from-scratch computation gives for its own time."""
+        from _route_oracle import oracle_routes
+        from repro.routing.engine import CollectorLayout, RoutingEngine
+        from repro.routing.events import FacilityFailure, FacilityRecovery
+        from repro.routing.policy import AdjacencyIndex
+        from repro.traceroute import simulator as simulator_module
+
+        engine = RoutingEngine(small_topo, layout=CollectorLayout({"rrc00": (10, 20)}))
+        engine.apply_event(FacilityFailure("f2"), 1000.0)
+        engine.apply_event(FacilityRecovery("f2"), 2000.0)
+        sim = TracerouteSimulator(engine, AddressPlan(small_topo), seed=1)
+        computed = []
+        real = simulator_module.route_table
+
+        def counting(index, dst, down):
+            computed.append(dst)
+            return real(index, dst, down)
+
+        monkeypatch.setattr(simulator_module, "route_table", counting)
+        scratch = AdjacencyIndex(small_topo, engine.adjacencies)
+
+        def check(src, dst, when):
+            failures = engine.failures_at(when)
+            scratch.set_failures(failures)
+            info = oracle_routes(scratch, dst, frozenset(failures.ases)).get(src)
+            trace = sim.trace(src, dst, when)
+            assert trace.reached == (info is not None)
+            if info is not None:
+                assert trace.as_path == info.path[1:]
+
+        for src in (10, 20, 30, 60):
+            check(src, 40, 1500.0)
+            check(src, 50, 1700.0)
+        assert computed == [40, 50]  # mid-outage: one table each
+        check(10, 40, 500.0)  # before the failure: another position
+        check(20, 40, 999.0)
+        assert computed == [40, 50, 40]
+        check(10, 40, 1500.0)  # back inside the outage: dropped, recomputed
+        assert computed == [40, 50, 40, 40]
+        # An event applied later than every probe moves no position ...
+        engine.apply_event(FacilityFailure("f1"), 3000.0)
+        check(20, 40, 1999.0)
+        assert computed == [40, 50, 40, 40]
+        # ... and the engine's own availability cache is left as it was.
+        check(10, 50, 3500.0)
+        assert not engine.index.up(10, 30) and engine.index.up(10, 50)
+
 
 class TestPlatform:
     def test_rate_limit_enforced(self, fresh_world):
