@@ -12,13 +12,6 @@ repository root:
   handled at ~1.2k updates/sec because every update scanned the whole
   pending dict.  The reverse-index monitor must beat that baseline by
   >= 2x (it lands around 100x);
-* **sharded_scaling** — a multi-PoP workload (every bin raises
-  PoP-level signals at dozens of PoPs, each requiring a data-plane
-  probe with realistic per-probe latency) replayed through the linear
-  chain and through ``Kepler(shards=4, shard_workers=4)``.  Probes are
-  I/O and overlap across shard chains; the sharded runtime must beat
-  the linear chain end to end by >= 1.5x while producing identical
-  records;
 * **transport** — a tagging-heavy stream (real announcements carry
   large community sets and pathologically prepended paths, so the
   wire batches are fat) replayed through ``Kepler(shard_processes=4)``
@@ -315,126 +308,6 @@ def run_hot_path() -> dict:
     }
 
 
-# ----------------------------------------------------------------------
-# Sharded scaling: many signalling PoPs, probe-latency-bound downstream
-# ----------------------------------------------------------------------
-SHARD_POPS = 24
-SHARD_NEAR = 4  # near-end ASes per PoP (>=3 distinct orgs -> PoP-level)
-SHARD_FAR = 4  # far-end ASes per PoP, disjoint from every near set
-PATHS_PER_PAIR = 20
-WITHDRAW_PER_BIN = 3  # > Tfail of the steady-state per-AS baseline
-SHARD_BINS = 80
-PROBE_LATENCY_S = 0.003  # targeted traceroute turnaround (per probe)
-SHARD_COUNT = 4
-
-
-class ProbingValidator:
-    """Deterministic confirm-everything validator with probe latency."""
-
-    def __init__(self, latency_s: float = PROBE_LATENCY_S) -> None:
-        self.latency_s = latency_s
-        self.calls = 0
-
-    def validate(self, pop: PoP, time_: float) -> ValidationOutcome:
-        self.calls += 1
-        time.sleep(self.latency_s)
-        return ValidationOutcome.CONFIRMED
-
-    def restored_fraction(self, pop: PoP, time_: float) -> float | None:
-        return None
-
-
-def _shard_world() -> tuple[CommunityDictionary, dict[tuple[int, int], Community]]:
-    """A synthetic dictionary: SHARD_POPS facilities, 4 near ASes each."""
-    entries: dict[Community, DictionaryEntry] = {}
-    communities: dict[tuple[int, int], Community] = {}
-    for i in range(SHARD_POPS):
-        pop = PoP(PoPKind.FACILITY, f"bench-f{i}")
-        for j in range(SHARD_NEAR):
-            near = 1000 + i * (SHARD_NEAR + SHARD_FAR) + j
-            community = Community(near, 500 + i)
-            communities[(i, j)] = community
-            entries[community] = DictionaryEntry(
-                community=community,
-                pop=pop,
-                source_url="bench://synthetic",
-                surface=pop.pop_id,
-            )
-    return CommunityDictionary(entries=entries), communities
-
-
-def _shard_prefix(i: int, j: int, p: int) -> str:
-    return f"10.{i}.{j}.{p * 4}/30"
-
-
-def _shard_stream(
-    communities: dict[tuple[int, int], Community],
-) -> tuple[list[BGPUpdate], list[StreamElement]]:
-    """Priming RIB + a stream where every bin signals at every PoP.
-
-    Per (PoP, near-AS) pair: withdraw ``WITHDRAW_PER_BIN`` baseline
-    paths each bin (over Tfail of the pair's steady-state baseline)
-    and re-announce them a second later; with a short stability window
-    the paths rejoin the baseline two bins on, sustaining signals at
-    all ``SHARD_POPS`` PoPs for all ``SHARD_BINS`` bins.
-    """
-    vantage = 99_000
-    priming: list[BGPUpdate] = []
-    for i in range(SHARD_POPS):
-        for j in range(SHARD_NEAR):
-            near = communities[(i, j)].asn
-            for p in range(PATHS_PER_PAIR):
-                far = 1000 + i * (SHARD_NEAR + SHARD_FAR) + SHARD_NEAR + p % SHARD_FAR
-                priming.append(
-                    BGPUpdate(
-                        time=0.0,
-                        collector="rrc00",
-                        peer_asn=vantage,
-                        prefix=_shard_prefix(i, j, p),
-                        elem_type=ElemType.ANNOUNCEMENT,
-                        as_path=(vantage, near, far),
-                        communities=(communities[(i, j)],),
-                    )
-                )
-    elements: list[StreamElement] = []
-    for b in range(SHARD_BINS):
-        t = b * 60.0 + 5.0
-        for i in range(SHARD_POPS):
-            for j in range(SHARD_NEAR):
-                near = communities[(i, j)].asn
-                for m in range(WITHDRAW_PER_BIN):
-                    p = (b * WITHDRAW_PER_BIN + m) % PATHS_PER_PAIR
-                    far = (
-                        1000
-                        + i * (SHARD_NEAR + SHARD_FAR)
-                        + SHARD_NEAR
-                        + p % SHARD_FAR
-                    )
-                    prefix = _shard_prefix(i, j, p)
-                    elements.append(
-                        BGPUpdate(
-                            time=t,
-                            collector="rrc00",
-                            peer_asn=vantage,
-                            prefix=prefix,
-                            elem_type=ElemType.WITHDRAWAL,
-                        )
-                    )
-                    elements.append(
-                        BGPUpdate(
-                            time=t + 1.0,
-                            collector="rrc00",
-                            peer_asn=vantage,
-                            prefix=prefix,
-                            elem_type=ElemType.ANNOUNCEMENT,
-                            as_path=(vantage, near, far),
-                            communities=(communities[(i, j)],),
-                        )
-                    )
-    elements.sort(key=lambda e: e.time)
-    return priming, elements
-
-
 def _record_fields(record) -> tuple:
     return (
         record.signal_pop,
@@ -445,65 +318,6 @@ def _record_fields(record) -> tuple:
         frozenset(record.affected_ases),
         frozenset(record.affected_links),
     )
-
-
-def _run_shard_workload(
-    dictionary: CommunityDictionary,
-    priming: list[BGPUpdate],
-    elements: list[StreamElement],
-    shards: int,
-    workers: int,
-) -> tuple[float, list[tuple], int]:
-    params = KeplerParams(
-        monitor=MonitorParams(stable_window_s=120.0),
-        enable_investigation=False,
-        shards=shards,
-        shard_workers=workers,
-    )
-    kepler = Kepler(
-        dictionary=dictionary,
-        colo=ColocationMap(),
-        as2org={},
-        params=params,
-        validator=ProbingValidator(),
-    )
-    kepler.prime(priming)
-    began = time.perf_counter()
-    kepler.process(elements)
-    kepler.finalize(end_time=SHARD_BINS * 60.0 + 3600.0)
-    elapsed = time.perf_counter() - began
-    records = [_record_fields(r) for r in kepler.records]
-    probes = kepler.validator.calls
-    kepler.close()
-    return elapsed, records, probes
-
-
-def run_sharded_scaling() -> dict:
-    dictionary, communities = _shard_world()
-    priming, elements = _shard_stream(communities)
-    linear_s, linear_records, linear_probes = _run_shard_workload(
-        dictionary, priming, elements, shards=0, workers=0
-    )
-    sharded_s, sharded_records, sharded_probes = _run_shard_workload(
-        dictionary, priming, elements, shards=SHARD_COUNT, workers=SHARD_COUNT
-    )
-    assert sharded_records == linear_records, (
-        "sharded output diverged from the linear chain"
-    )
-    return {
-        "pops": SHARD_POPS,
-        "bins": SHARD_BINS,
-        "elements": len(elements),
-        "probe_latency_ms": PROBE_LATENCY_S * 1000.0,
-        "probes_linear": linear_probes,
-        "probes_sharded": sharded_probes,
-        "records": len(linear_records),
-        "linear_seconds": round(linear_s, 3),
-        "sharded_seconds": round(sharded_s, 3),
-        "shards": SHARD_COUNT,
-        "workers": SHARD_COUNT,
-        "speedup": round(linear_s / sharded_s, 2),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -1401,10 +1215,7 @@ def run_recovery() -> dict:
 def _identity_runtimes() -> list[tuple[str, dict]]:
     from repro.pipeline import fork_available
 
-    combos: list[tuple[str, dict]] = [
-        ("linear", {}),
-        ("shards", {"shards": 2, "shard_workers": 2}),
-    ]
+    combos: list[tuple[str, dict]] = [("linear", {})]
     if fork_available():
         # The forked runtime runs on both transports; crossed with
         # the ingest_feeds loop in run_identity this covers every
@@ -1580,7 +1391,6 @@ def run_regression_check() -> None:
 def test_pipeline_throughput():
     hot = run_hot_path()
     end_to_end = run_end_to_end()
-    sharded = run_sharded_scaling()
     transport = run_transport()
     partitioned = run_partitioned_monitor()
     ingest_tier = run_ingest_tier()
@@ -1589,7 +1399,6 @@ def test_pipeline_throughput():
     report = {
         "hot_path": hot,
         "end_to_end": end_to_end,
-        "sharded_scaling": sharded,
         "transport": transport,
         "partitioned_monitor": partitioned,
         "ingest_tier": ingest_tier,
@@ -1609,8 +1418,6 @@ def test_pipeline_throughput():
     assert hot["speedup"] >= 2.0, hot
     # The staged pipeline must sustain world-scale streaming rates.
     assert end_to_end["elements_per_sec"] > 1_000, end_to_end
-    # Sharding gate: >= 1.5x end to end on the multi-PoP workload.
-    assert sharded["speedup"] >= 1.5, sharded
     # Transport gates: queue/shm output identity always; shm must beat
     # the queue data plane >= 1.5x where the workers actually overlap.
     if "skipped" not in transport:

@@ -41,18 +41,15 @@ from repro.core.signals import MIN_POP_LEVEL_ASES, SignalClassification
 from repro.docmine.dictionary import CommunityDictionary, PoP
 
 if TYPE_CHECKING:
-    from repro.pipeline import (
-        KeplerPipeline,
-        PipelineMetrics,
-        ShardedKeplerPipeline,
-    )
+    from repro.pipeline import KeplerPipeline, PipelineMetrics
     from repro.scenarios import World
 
 #: Checkpoint document version written by :meth:`Kepler.snapshot`.
 #: Version 2: the monitor section is canonical (fully sorted, no
 #: promotion heap — rebuilt on load) so documents are identical across
-#: monitor partition layouts, and the pipeline section converts between
-#: shard layouts on restore (see :mod:`repro.pipeline.checkpoint`).
+#: monitor partition layouts, and a pipeline section in the retired
+#: sharded layout linearises on restore (see
+#: :mod:`repro.pipeline.checkpoint`).
 #: Version 3: the ingest section gains the per-type drop breakdown
 #: (``dropped_types``) and doubles as the ingest tier's layout-free
 #: feed cursor — the sum of the per-feed admission counters plus the
@@ -115,35 +112,16 @@ class KeplerParams:
     #: a time interval", Section 4.3): BGP propagation jitter spreads
     #: one incident's updates over adjacent bins.
     correlation_window_s: float = 180.0
-    #: Number of per-PoP shards for the classification->record half of
-    #: the pipeline (``SignalBatch`` onwards every element is keyed by
-    #: PoP).  0 or 1 builds the linear chain; >= 2 inserts a
-    #: :class:`~repro.pipeline.sharding.ShardRouter` after the monitor
-    #: and runs N independent downstream chains with output identical
-    #: to the linear pipeline.
-    shards: int = 0
-    #: Thread-pool size for concurrent shard ``feed`` (0 = serial).
-    #: Worth enabling when data-plane probes dominate downstream cost:
-    #: probes are I/O and overlap across shards.
-    shard_workers: int = 0
     #: Elements per columnar batch the shard-process driver broadcasts
     #: to its workers (amortises the codec and the queue/ring hop).
     process_batch: int = 512
-    #: Number of PoP partitions of the in-process monitor (0 or 1 =
-    #: the singleton monitor).  With >= 2 the monitor core runs as N
-    #: :class:`~repro.core.monitor.MonitorPartition` cores behind one
-    #: coordinator that merges partial signals at every bin close —
-    #: output and checkpoints are byte-identical to the singleton for
-    #: any N (the correctness layer under ``shard_processes``).
-    monitor_partitions: int = 0
     #: Number of end-to-end shard worker *processes* (0 = off; >= 2
     #: enables the shard-process runtime).  Each worker runs the
     #: stream stages tagging -> monitor-partition -> record over the
     #: broadcast element stream; the driver keeps ingest, the probe
     #: cache and the per-bin analysis (classification -> localisation
     #: -> validation over the merged signals, one fused exchange per
-    #: worker per bin).  See :mod:`repro.pipeline.parallel`.  Mutually
-    #: exclusive with ``shards`` / ``monitor_partitions``; requires
+    #: worker per bin).  See :mod:`repro.pipeline.parallel`.  Requires
     #: the ``fork`` start method (POSIX).
     shard_processes: int = 0
     #: Number of collector feed workers of the sharded ingest tier
@@ -179,10 +157,10 @@ class KeplerParams:
     #: queues either way; in-process runtimes ignore the knob.
     transport: str = "queue"
     #: Elements per chunk on the in-process chain's ``feed_many`` fast
-    #: path (the linear and thread-sharded runtimes' batch size; the
-    #: shard-process runtime batches by ``process_batch`` instead).  Also
-    #: the bound of the facade's admission buffer under every runtime:
-    #: :meth:`Kepler.process` never holds this many elements back.
+    #: path (the shard-process runtime batches by ``process_batch``
+    #: instead).  Also the bound of the facade's admission buffer under
+    #: every runtime: :meth:`Kepler.process` never holds this many
+    #: elements back.
     feed_chunk: int = 4096
 
 
@@ -198,15 +176,6 @@ class Kepler:
         validator: DataPlaneValidator | None = None,
     ) -> None:
         self.params = params or KeplerParams()
-        if self.params.shard_processes >= 2 and (
-            self.params.shards >= 2
-            or self.params.monitor_partitions >= 2
-        ):
-            raise ValueError(
-                "shard_processes is a complete runtime of its own (it"
-                " implies one monitor partition per worker) and cannot"
-                " be combined with shards or monitor_partitions"
-            )
         if self.params.transport not in ("queue", "shm"):
             raise ValueError("transport must be 'queue' or 'shm'")
         if self.params.feed_chunk < 1:
@@ -222,12 +191,12 @@ class Kepler:
             # calls ``_build_stages`` now and again after every crash
             # (fresh stage state each time — a restart must not
             # inherit the dead incarnation's mutated cores), and
-            # ``_build_fallback_stages`` once restarts are exhausted.
+            # ``_build_linear_stages`` once restarts are exhausted.
             from repro.pipeline.supervisor import SupervisedKeplerPipeline
 
             self.stages = SupervisedKeplerPipeline(
                 self._build_stages,
-                self._build_fallback_stages,
+                self._build_linear_stages,
                 self.params.recovery,
             )
         else:
@@ -258,10 +227,7 @@ class Kepler:
         # runtime); this driver-side object then only carries the
         # MonitorParams template and stays empty — read monitor state
         # through the facade views or a snapshot in that mode.
-        self.monitor = OutageMonitor(
-            self.params.monitor,
-            partitions=max(1, self.params.monitor_partitions),
-        )
+        self.monitor = OutageMonitor(self.params.monitor)
         self.investigator = Investigator(
             self.colo, margin=self.params.colocation_margin
         )
@@ -280,38 +246,22 @@ class Kepler:
             enable_investigation=self.params.enable_investigation,
         )
 
-    def _build_stages(self) -> "KeplerPipeline | ShardedKeplerPipeline":
+    def _build_stages(self) -> "KeplerPipeline":
         """Build the runtime the params describe (the primary)."""
         # Imported here, not at module scope: repro.pipeline imports the
         # sibling core modules through the package __init__, which ends
         # by importing this module — a cycle at import time, not at use.
-        from repro.pipeline import (
-            build_kepler_pipeline,
-            build_shard_process_kepler_pipeline,
-            build_sharded_kepler_pipeline,
-        )
+        from repro.pipeline import build_shard_process_kepler_pipeline
 
-        wiring = self._wiring()
         if self.params.shard_processes >= 2:
-            stages: KeplerPipeline | ShardedKeplerPipeline = (
-                build_shard_process_kepler_pipeline(
-                    workers=self.params.shard_processes,
-                    batch_size=self.params.process_batch,
-                    transport=self.params.transport,
-                    **wiring,
-                )
-            )
-        elif self.params.shards >= 2:
-            stages = build_sharded_kepler_pipeline(
-                shards=self.params.shards,
-                workers=self.params.shard_workers,
-                chunk_size=self.params.feed_chunk,
-                **wiring,
+            stages: KeplerPipeline = build_shard_process_kepler_pipeline(
+                workers=self.params.shard_processes,
+                batch_size=self.params.process_batch,
+                transport=self.params.transport,
+                **self._wiring(),
             )
         else:
-            stages = build_kepler_pipeline(
-                chunk_size=self.params.feed_chunk, **wiring
-            )
+            stages = self._build_linear_stages()
         if self.params.ingest_feeds >= 1:
             # Outermost wrapper: the sharded ingest tier replaces the
             # runtime's driver-side ingest hop with per-collector feed
@@ -327,31 +277,17 @@ class Kepler:
             )
         return stages
 
-    def _build_fallback_stages(self) -> "KeplerPipeline | ShardedKeplerPipeline":
-        """The graceful-degradation target: the in-process chain.
+    def _build_linear_stages(self) -> "KeplerPipeline":
+        """The linear chain, also the graceful-degradation target.
 
         No forked workers, no queues, no ingest tier — nothing left to
-        kill or stall.  The shard layout is preserved (``shards >= 2``
-        builds the thread-sharded chain) so the supervisor's
-        checkpoints restore without layout conversion; the
-        shard-process runtime composes linear-layout documents, which
-        is exactly what the linear chain restores.
+        kill or stall.  Every runtime composes linear-layout documents,
+        which is exactly what this chain restores.
         """
-        from repro.pipeline import (
-            build_kepler_pipeline,
-            build_sharded_kepler_pipeline,
-        )
+        from repro.pipeline import build_kepler_pipeline
 
-        wiring = self._wiring()
-        if self.params.shards >= 2:
-            return build_sharded_kepler_pipeline(
-                shards=self.params.shards,
-                workers=self.params.shard_workers,
-                chunk_size=self.params.feed_chunk,
-                **wiring,
-            )
         return build_kepler_pipeline(
-            chunk_size=self.params.feed_chunk, **wiring
+            chunk_size=self.params.feed_chunk, **self._wiring()
         )
 
     # ------------------------------------------------------------------
@@ -574,7 +510,7 @@ class Kepler:
         return self.stages.finalize_records(end_time)
 
     def close(self) -> None:
-        """Release runtime resources (worker processes, thread pools).
+        """Release runtime resources (worker processes and their transport).
 
         Staged elements are not run: a detector closed without
         ``finalize`` never exposed their effect.
@@ -602,38 +538,32 @@ class Kepler:
         document never holds any.
 
         The runtime is *not* part of the document's identity: the
-        in-process chains snapshot off their live stages, the
+        in-process chain snapshots off its live stages, the
         multiprocess runtimes compose the identical document through
         their drain-barrier protocols (``checkpoint_parts`` either
-        way).  The ``shards`` field records the *layout* the pipeline
-        section was written in (0 = linear — also what the
-        shard-process runtime composes, and what a partitioned monitor
-        emits for the monitor stage); :meth:`restore` converts between
-        layouts, so any checkpoint restores into any runtime.
+        way), so any checkpoint restores into any runtime.  ``shards``
+        is the layout of the pipeline section: always 0 (linear) when
+        written; :meth:`restore` still reads the ``>= 2`` documents of
+        the retired thread-sharded runtime.
         """
         self._flush()
         return {
             "format": CHECKPOINT_FORMAT,
             "version": CHECKPOINT_VERSION,
-            # 0 and 1 both mean the linear chain: normalise so their
-            # checkpoints interoperate.
-            "shards": self._doc_layout(),
+            "shards": 0,
             "primed_paths": self.primed_paths,
             **self.stages.checkpoint_parts(),
         }
 
-    def _doc_layout(self) -> int:
-        """Shard layout of the pipeline document this detector writes."""
-        return self.params.shards if self.params.shards >= 2 else 0
-
     def restore(self, checkpoint: dict) -> None:
         """Load a :meth:`snapshot` document into this (fresh) detector.
 
-        Validates the format version, converts the pipeline section to
-        this detector's shard layout when the document was written in a
-        different one (linear <-> sharded, any shard count — see
-        :func:`repro.pipeline.checkpoint.convert_pipeline_state`), then
-        restores stage-by-stage.  After restoring, processing the
+        Validates the format version and the document's layout before
+        touching the detector (a malformed document raises
+        ``ValueError`` naming the field and leaves it as it was),
+        linearises a pipeline section written under ``shards >= 2``
+        (:func:`repro.pipeline.checkpoint.convert_pipeline_state`),
+        then restores stage-by-stage.  After restoring, processing the
         remainder of the stream yields output identical to an
         uninterrupted run, whichever runtime wrote the document.
         Anything :meth:`process` had staged here is discarded.
@@ -647,19 +577,21 @@ class Kepler:
                 f"checkpoint version {checkpoint.get('version')} not"
                 f" supported (expected {CHECKPOINT_VERSION})"
             )
-        pipeline_state = convert_pipeline_state(
-            checkpoint["pipeline"], checkpoint["shards"], self._doc_layout()
-        )
-        self.primed_paths = checkpoint["primed_paths"]
-        self._staged = []
-        self._flush_edge = float("-inf")
+        for name in ("shards", "primed_paths", "rejected", "cache", "pipeline"):
+            if name not in checkpoint:
+                raise ValueError(f"checkpoint lacks the {name!r} field")
         self.stages.restore_parts(
             {
                 "rejected": checkpoint["rejected"],
                 "cache": checkpoint["cache"],
-                "pipeline": pipeline_state,
+                "pipeline": convert_pipeline_state(
+                    checkpoint["pipeline"], checkpoint["shards"]
+                ),
             }
         )
+        self.primed_paths = checkpoint["primed_paths"]
+        self._staged = []
+        self._flush_edge = float("-inf")
 
     # ------------------------------------------------------------------
     def signal_counts(self) -> dict[SignalType, int]:

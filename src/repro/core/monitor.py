@@ -61,10 +61,8 @@ DEFAULT_T_FAIL = 0.10
 def partition_of(pop: PoP, n_partitions: int) -> int:
     """Stable partition assignment of a PoP (identical across processes).
 
-    The same hash assigns PoPs to downstream shard chains
-    (:func:`repro.pipeline.sharding.shard_of` delegates here), so a
-    shard-process worker can co-locate monitor partition *i* with
-    shard chain *i* and classify its own partial signals locally.
+    Shard-process worker *w* of N owns the monitor state of exactly
+    the PoPs with ``partition_of(pop, N) == w``.
     """
     return zlib.crc32(str(pop).encode("utf-8")) % n_partitions
 
@@ -211,8 +209,8 @@ class MonitorPartition:
 
     Return tracking is deliberately ownership-agnostic: a partition
     fed the full stream can track *any* PoP's diverted keys, which is
-    what lets a shard-process worker track the signal PoP of a record
-    whose epicenter was located into its shard from another partition.
+    what lets every shard-process worker track the signal PoP of every
+    record, whichever partition owns that PoP.
     """
 
     def __init__(

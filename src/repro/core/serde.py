@@ -481,7 +481,7 @@ def element_to_wire(element: Any) -> list[Any]:
     if isinstance(element, primed_path):
         return ["pp", tagged_path_to_json(element.path)]
     if isinstance(element, signal_batch):
-        return ["sb", signal_batch_to_json(element.signals), element.now_bin]
+        return ["sb", signal_batch_to_json(element.signals)]
     if isinstance(element, bin_advanced):
         return ["ba", element.now]
     return ["py", element]
@@ -502,9 +502,7 @@ def element_from_wire(wire: list[Any]) -> Any:
     if tag == "pp":
         return primed_path(path=tagged_path_from_json(wire[1]))
     if tag == "sb":
-        return signal_batch(
-            signals=signal_batch_from_json(wire[1]), now_bin=wire[2]
-        )
+        return signal_batch(signals=signal_batch_from_json(wire[1]))
     if tag == "ba":
         return bin_advanced(now=wire[1])
     if tag == "py":

@@ -19,7 +19,7 @@ of its own:
                                            │  sorted element batches
                                            ▼
                               downstream runtime sink
-                              (linear / sharded chain: feed_from(1),
+                              (linear chain: feed_from(1),
                                shard processes: feed_admitted_wires)
 
 * **Two delivery modes.**  ``feed_many`` (the historical
@@ -112,12 +112,11 @@ WAIT_POLL_S = 0.002
 # Downstream sinks: where released elements enter the detector
 # ----------------------------------------------------------------------
 class ChainSink:
-    """Feed released elements into an in-process chain after ingest.
+    """Feed released elements into the in-process chain after ingest.
 
-    Works for both the linear :class:`~repro.pipeline.runtime.StagePipeline`
-    and the :class:`~repro.pipeline.sharding.ShardedStagePipeline` —
-    both expose ``feed_from(1, batch)``, entering at the tagging stage
-    with the chain's barrier semantics intact.
+    :class:`~repro.pipeline.runtime.StagePipeline` exposes
+    ``feed_from(1, batch)``, entering at the tagging stage with the
+    chain's barrier semantics intact.
     """
 
     def __init__(self, pipeline) -> None:
@@ -1006,9 +1005,8 @@ class IngestKeplerPipeline:
         if view is getattr(self.inner.pipeline, "metrics", None):
             # The linear chain exposes its *live* shared registry:
             # compose a copy before adding the tier counters.  Every
-            # other runtime returns a freshly-composed view (including
-            # the sharded per-shard breakdown), which is safe — and
-            # type-preserving — to annotate in place.
+            # other runtime returns a freshly-composed view, which is
+            # safe to annotate in place.
             composed = PipelineMetrics()
             for name in view.stages:
                 composed.stage(name)
@@ -1111,10 +1109,10 @@ def build_ingest_kepler_pipeline(
 ) -> IngestKeplerPipeline:
     """Wrap a chain runtime in the sharded collector ingest tier.
 
-    ``inner`` is any of the three runtime wrappers the facade builds
-    (linear, thread-sharded, shard-process); the sink is chosen to
-    match — wire forwarding for the shard-process runtime, post-ingest
-    chain entry for the in-process ones.
+    ``inner`` is either runtime wrapper the facade builds (linear,
+    shard-process); the sink is chosen to match — wire forwarding for
+    the shard-process runtime, post-ingest chain entry for the linear
+    chain.
     """
     runtime = inner.pipeline
     if isinstance(runtime, ShardProcessPipeline):

@@ -33,7 +33,6 @@ from repro.pipeline.checkpoint import (
     CheckpointableChain,
     convert_pipeline_state,
     linearize_pipeline_state,
-    shard_pipeline_state,
     strip_checkpoint_telemetry,
 )
 from repro.pipeline.classification import ClassificationStage
@@ -45,7 +44,6 @@ from repro.pipeline.events import (
     OutageCandidate,
     PrimedPath,
     PrimingUpdate,
-    ShardBatch,
     SignalBatch,
 )
 from repro.pipeline.ingest import IngestStage, merge_streams
@@ -70,14 +68,6 @@ from repro.pipeline.liveness import (
 from repro.pipeline.record import RecordStage, merge_oscillations
 from repro.pipeline.runtime import FEED_CHUNK, StagePipeline
 from repro.pipeline.shm import ShmRing
-from repro.pipeline.sharding import (
-    ShardChain,
-    ShardedKeplerPipeline,
-    ShardedStagePipeline,
-    ShardRouter,
-    build_sharded_kepler_pipeline,
-    shard_of,
-)
 from repro.pipeline.stage import PassthroughStage, Stage, StatefulStage
 from repro.pipeline.supervisor import (
     SupervisedKeplerPipeline,
@@ -104,8 +94,8 @@ class KeplerPipeline(CheckpointableChain):
     #: chronological data-plane rejects, shared by both reject sites.
     rejected: list[SignalClassification] = field(default_factory=list)
 
-    # Facade surface shared with ShardedKeplerPipeline, so the Kepler
-    # class reads one API whichever chain it built.
+    # Facade surface every runtime's wrapper provides, so the Kepler
+    # class reads one API whichever runtime it built.
     @property
     def records(self):
         return self.record.records
@@ -226,13 +216,8 @@ __all__ = [
     "PrimingUpdate",
     "RecordStage",
     "RecoverableWorkerError",
-    "ShardBatch",
-    "ShardChain",
     "ShardProcessKeplerPipeline",
     "ShardProcessPipeline",
-    "ShardRouter",
-    "ShardedKeplerPipeline",
-    "ShardedStagePipeline",
     "ShmRing",
     "SignalBatch",
     "Stage",
@@ -250,7 +235,6 @@ __all__ = [
     "FEED_CHUNK",
     "build_kepler_pipeline",
     "build_shard_process_kepler_pipeline",
-    "build_sharded_kepler_pipeline",
     "common_city",
     "convert_pipeline_state",
     "fork_available",
@@ -258,7 +242,5 @@ __all__ = [
     "merge_oscillations",
     "merge_streams",
     "reap_workers",
-    "shard_of",
-    "shard_pipeline_state",
     "strip_checkpoint_telemetry",
 ]

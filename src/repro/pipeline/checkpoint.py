@@ -3,27 +3,23 @@
 :class:`repro.core.kepler.Kepler` snapshots through one uniform
 surface — ``checkpoint_parts()`` / ``restore_parts()`` — so the facade
 does not need to know where the underlying state lives.  For the
-in-process runtimes (linear and sharded) the parts come straight off
-the live objects; the multiprocess runtimes override both methods to
-run their drain-barrier protocols and compose the same documents from
-their worker processes (:mod:`repro.pipeline.parallel`).
+in-process chain the parts come straight off the live objects; the
+multiprocess runtimes override both methods to run their
+drain-barrier protocols and compose the same documents from their
+worker processes (:mod:`repro.pipeline.parallel`).
 
-The second half of this module makes checkpoints **layout-free**: a
-pipeline document written by the linear chain, the thread-sharded
-runtime or the shard-process runtime converts losslessly (up to
-observability counters, see :func:`linearize_pipeline_state`) into any
-other layout.  The linear document is the canonical form — the sharded
-document merges into it under explicit sort keys, and splits back out
-of it by the stable PoP hash (:func:`repro.core.monitor.partition_of`)
-— so ``Kepler.restore`` accepts any snapshot into any runtime.
+The second half of this module makes checkpoints **layout-free**: the
+linear pipeline document is the canonical form every runtime writes
+and restores, so ``Kepler.restore`` accepts any snapshot into any
+runtime.  A document the retired thread-sharded runtime wrote
+(``shards >= 2``) is still read: it merges into the linear form under
+explicit sort keys, losslessly up to observability counters (see
+:func:`linearize_pipeline_state`).
 """
 
 from __future__ import annotations
 
-from repro.core.monitor import partition_of
-
-#: Downstream stage names owned by shard chains in the sharded layout.
-_CHAIN_STAGES = ("classify", "localise", "validate", "record")
+#: Stages the retired sharded layout kept in its shared upstream chain.
 _UPSTREAM_STAGES = ("ingest", "tagging", "monitor")
 
 
@@ -31,10 +27,9 @@ class CheckpointableChain:
     """Mixin: checkpoint parts off live ``rejected``/``cache``/``pipeline``.
 
     The three attributes are provided by the concrete wrapper
-    (:class:`~repro.pipeline.KeplerPipeline`,
-    :class:`~repro.pipeline.sharding.ShardedKeplerPipeline`).  The
-    reject list is shared by reference between stages, so restore
-    mutates it in place — every holder observes the restored content.
+    (:class:`~repro.pipeline.KeplerPipeline`).  The reject list is
+    shared by reference between stages, so restore mutates it in
+    place — every holder observes the restored content.
     """
 
     def checkpoint_parts(self) -> dict:
@@ -148,28 +143,36 @@ def _record_json_key(record: dict) -> tuple:
             record["located_pop"])
 
 
-def _pop_of(pop_json: list) -> "object":
-    from repro.core.serde import pop_from_json
-
-    return pop_from_json(pop_json)
-
-
 # ----------------------------------------------------------------------
 # Layout conversion
 # ----------------------------------------------------------------------
-def convert_pipeline_state(state: dict, from_shards: int, to_shards: int) -> dict:
-    """Convert a pipeline document between shard layouts.
+def convert_pipeline_state(state: dict, from_shards: int) -> dict:
+    """The linear pipeline document of a checkpoint's pipeline section.
 
-    ``0`` means the linear layout (also written by the shard-process
-    runtime); ``N >= 2`` the thread-sharded layout with N chains.
-    Same-layout conversion is the identity.
+    ``from_shards`` is the document's ``shards`` field: ``0`` is the
+    linear layout every runtime writes and passes through; ``N >= 2``
+    is the layout of the retired thread-sharded runtime, read by
+    :func:`linearize_pipeline_state`.  The shape is checked first, so
+    a malformed document raises ``ValueError`` naming the field before
+    any of it is loaded.
     """
-    if from_shards == to_shards:
-        return state
-    linear = state if from_shards == 0 else linearize_pipeline_state(state)
-    if to_shards == 0:
-        return linear
-    return shard_pipeline_state(linear, to_shards)
+    if type(from_shards) is not int or from_shards < 0 or from_shards == 1:
+        raise ValueError(
+            f"checkpoint field 'shards' must be 0 or an integer >= 2,"
+            f" not {from_shards!r}"
+        )
+    required = (
+        ("upstream", "chains", "signal_log")
+        if from_shards
+        else ("stages", "metrics")
+    )
+    for name in required:
+        if not isinstance(state, dict) or name not in state:
+            raise ValueError(
+                f"checkpoint pipeline section (shards={from_shards})"
+                f" lacks {name!r}"
+            )
+    return linearize_pipeline_state(state) if from_shards else state
 
 
 def linearize_pipeline_state(state: dict) -> dict:
@@ -238,88 +241,6 @@ def linearize_pipeline_state(state: dict) -> dict:
     return {"stages": stages, "metrics": metrics.state_dict()}
 
 
-def shard_pipeline_state(state: dict, shards: int) -> dict:
-    """Split a linear pipeline document across N shard chains.
-
-    The split is the runtime's own routing: classification-window
-    signals and record lifecycle entries go to the chain owning their
-    (located) PoP under the stable hash.  The router's counters start
-    at zero (the linear document has no router), and the merged
-    downstream metrics land on chain 0 so aggregate snapshots are
-    preserved.
-    """
-    from repro.pipeline.metrics import PipelineMetrics
-
-    stages = state["stages"]
-    upstream_metrics = PipelineMetrics()
-    upstream_metrics.load_state(state["metrics"])
-    chain0_metrics = PipelineMetrics()
-    for name in _CHAIN_STAGES:
-        entry = upstream_metrics.stages.pop(name, None)
-        if entry is not None:
-            handle = chain0_metrics.stage(name)
-            handle.fed = entry.fed
-            handle.emitted = entry.emitted
-            handle.seconds = entry.seconds
-    upstream_metrics.stage("route")
-
-    def shard_of_json(pop_json: list) -> int:
-        return partition_of(_pop_of(pop_json), shards)
-
-    chains = []
-    for index in range(shards):
-        chains.append(
-            {
-                "metrics": (
-                    chain0_metrics if index == 0 else PipelineMetrics()
-                ).state_dict(),
-                "classify": {
-                    "signal_log": [],
-                    "window": [
-                        s
-                        for s in stages["classify"]["window"]
-                        if shard_of_json(s["pop"]) == index
-                    ],
-                },
-                "localise": {},
-                "validate": {},
-                "record": {
-                    "records": [
-                        r
-                        for r in stages["record"]["records"]
-                        if shard_of_json(r["located_pop"]) == index
-                    ],
-                    "open": [
-                        item
-                        for item in stages["record"]["open"]
-                        if shard_of_json(item[0]) == index
-                    ],
-                    "tracked": [
-                        item
-                        for item in stages["record"]["tracked"]
-                        if shard_of_json(item[0]) == index
-                    ],
-                    "watch": [
-                        item
-                        for item in stages["record"]["watch"]
-                        if shard_of_json(item[0]) == index
-                    ],
-                },
-            }
-        )
-    return {
-        "upstream": {
-            "stages": {
-                **{name: stages[name] for name in _UPSTREAM_STAGES},
-                "route": {"batches_routed": 0, "signals_routed": 0},
-            },
-            "metrics": upstream_metrics.state_dict(),
-        },
-        "chains": chains,
-        "signal_log": list(stages["classify"]["signal_log"]),
-    }
-
-
 # ----------------------------------------------------------------------
 # Telemetry stripping: the byte-identity comparison surface
 # ----------------------------------------------------------------------
@@ -340,26 +261,17 @@ def strip_checkpoint_telemetry(doc: dict) -> dict:
     shard-process document against another shard-process run's.
 
     Accepts a full :meth:`repro.core.kepler.Kepler.snapshot` document
-    or a bare ``checkpoint_parts`` dict, in either pipeline layout
-    (linear / sharded).
+    or a bare ``checkpoint_parts`` dict.
     """
     import copy
 
     doc = copy.deepcopy(doc)
     pipeline = doc["pipeline"] if "pipeline" in doc else doc
-    metrics_docs = []
-    if "metrics" in pipeline:  # linear layout
-        metrics_docs.append(pipeline["metrics"])
-    if "upstream" in pipeline:  # sharded layout
-        metrics_docs.append(pipeline["upstream"]["metrics"])
-        for chain in pipeline.get("chains", ()):
-            metrics_docs.append(chain["metrics"])
-    for metrics in metrics_docs:
-        metrics["stages"] = [
-            [name, fed, emitted]
-            for name, fed, emitted, _ in metrics["stages"]
-        ]
-        bins = metrics["bins"]
-        bins.pop("total_latency_s", None)
-        bins.pop("max_latency_s", None)
+    metrics = pipeline["metrics"]
+    metrics["stages"] = [
+        [name, fed, emitted] for name, fed, emitted, _ in metrics["stages"]
+    ]
+    bins = metrics["bins"]
+    bins.pop("total_latency_s", None)
+    bins.pop("max_latency_s", None)
     return doc

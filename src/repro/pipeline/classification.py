@@ -54,16 +54,10 @@ class ClassificationStage(PassthroughStage):
             signals, self.as2org, min_pop_ases=self.min_pop_ases
         )
         self.signal_log.extend(per_bin)
-        # The window clock is the latest bin of the *whole* batch.  A
-        # shard-routed sub-batch carries it explicitly (its own signals
-        # may be empty or trail the global clock); a directly-fed batch
-        # derives it from its signals.
-        if element.now_bin is not None:
-            now_bin = element.now_bin
-        elif signals:
-            now_bin = max(s.bin_start for s in signals)
-        else:
+        if not signals:
             return []
+        # The window clock is the latest bin of the batch.
+        now_bin = max(s.bin_start for s in signals)
         self._window.extend(signals)
         self._window = [
             s

@@ -53,31 +53,9 @@ class BinAdvanced:
 
 @dataclass
 class SignalBatch:
-    """Per-AS outage signals of one or more just-closed bins.
-
-    ``now_bin`` is the correlation-window clock of the batch — the
-    latest ``bin_start`` among the signals of the *whole* batch.  The
-    monitor leaves it ``None`` (classification derives it from the
-    signals); the shard router sets it explicitly on the per-shard
-    sub-batches so every shard prunes its window against the same
-    global clock, including shards whose sub-batch is empty.
-    """
+    """Per-AS outage signals of one or more just-closed bins."""
 
     signals: list[OutageSignal]
-    now_bin: float | None = None
-
-
-@dataclass
-class ShardBatch:
-    """One :class:`SignalBatch` partitioned into per-shard sub-batches.
-
-    ``batches[i]`` is shard *i*'s slice (possibly empty — the shard
-    still re-evaluates its correlation window against ``now_bin``).
-    Produced by :class:`~repro.pipeline.sharding.ShardRouter`, consumed
-    by :class:`~repro.pipeline.sharding.ShardedStagePipeline`.
-    """
-
-    batches: list[SignalBatch]
 
 
 @dataclass

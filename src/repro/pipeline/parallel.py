@@ -1184,7 +1184,7 @@ class ShardProcessPipeline:
             self._baselines.reads = state["reads"]
             diverted = state["diverted"]
             registry = self._registry
-            outs = [SignalBatch(signals=merged, now_bin=None)]
+            outs = [SignalBatch(signals=merged)]
             for stage in (
                 self._classification,
                 self._localisation,

@@ -235,23 +235,12 @@ class StagePipeline:
             from repro.core.serde import decode_batch
 
             return self.feed_from(barrier, decode_batch(batch))
+        # Emitted batches clear the rest of the chain before the next
+        # slot advances the barrier stage (the depth-first contract).
+        # One ``feed_wire_run`` call counts as one metered batch — the
+        # fold-invocation accounting of the object path's ``feed_run``
+        # loop.
         out: list[Any] = []
-        self._drive_wire_view(
-            view, lambda outs: out.extend(self._run(barrier + 1, outs))
-        )
-        return out
-
-    def _drive_wire_view(self, view, sink) -> None:
-        """Meter the barrier's view sweep; ``sink(outs)`` per emission.
-
-        Emitted batches reach ``sink`` before the next slot advances
-        the barrier stage, preserving the depth-first contract.  One
-        ``feed_wire_run`` call counts as one metered batch — the same
-        fold-invocation accounting the object path's ``feed_run`` loop
-        uses, on every runtime.
-        """
-        barrier = self.barrier_index
-        stage, metrics = self._metered[barrier]
         feed_wire_run = stage.feed_wire_run
         slot, n = 0, view.n
         while slot < n:
@@ -266,7 +255,8 @@ class StagePipeline:
                 metrics.hist.record(delta * 1e9 / (advanced - slot))
             slot = advanced
             if outs:
-                sink(outs)
+                out.extend(self._run(barrier + 1, outs))
+        return out
 
     def flush(self) -> list[Any]:
         """Flush stages front to back, cascading trailing elements.

@@ -101,10 +101,9 @@ class SupervisedKeplerPipeline:
     workers) and is called again for every restart; ``fallback``
     constructs the in-process degradation target.  Both must return a
     stages wrapper (``KeplerPipeline`` / ``ShardProcessKeplerPipeline``
-    / ``IngestKeplerPipeline`` / ``ShardedKeplerPipeline``) whose
-    checkpoint documents are mutually restorable — which they are
-    whenever both factories use the same
-    ``shards`` layout, the repo-wide checkpoint contract.
+    / ``IngestKeplerPipeline``) whose checkpoint documents are
+    mutually restorable — which they are: every runtime writes the
+    linear layout, the repo-wide checkpoint contract.
 
     The wrapper is deliberately *not* transparent about incremental
     outputs: a chunk interrupted by a recovery returns ``[]`` (its

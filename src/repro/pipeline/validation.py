@@ -32,8 +32,9 @@ PRUNE_HORIZON_S = 3600.0
 class ValidationCache:
     """Per-(PoP, bin-end) memo over a :class:`DataPlaneValidator`.
 
-    Thread-safe: concurrent shard chains share one cache, and the
-    at-most-one-probe-per-(PoP, bin) invariant must hold across them.
+    Thread-safe: localisation and validation share one cache, and the
+    at-most-one-probe-per-(PoP, bin) invariant must hold for whichever
+    threads call it.
     A miss registers an in-flight marker under the lock, probes outside
     it (probes are slow — that is the point of the memo), and other
     callers of the same key wait on the marker instead of re-probing.
@@ -148,7 +149,7 @@ class ValidationStage(PassthroughStage):
             )
         return out
 
-    # The probe memo and the reject list are shared with localisation
-    # (and, sharded, with every other chain): both are checkpointed once
-    # by the pipeline owner, so this stage has no state of its own —
-    # the inherited empty ``state_dict`` applies.
+    # The probe memo and the reject list are shared with localisation:
+    # both are checkpointed once by the pipeline owner, so this stage
+    # has no state of its own — the inherited empty ``state_dict``
+    # applies.

@@ -6,7 +6,7 @@
 end in the same state from either:
 
 * equal ``primed`` count and telemetry-free ``snapshot()`` for the linear
-  chain, ``shards=2``, ``shard_processes=2``, ``ingest_feeds=2`` and
+  chain, ``shard_processes=2``, ``ingest_feeds=2`` and
   ``supervised=True``, at ``feed_chunk`` 1, 7 and 4096, from a list and
   from a generator;
 * a lazy source is pulled exactly one chunk at a time, never ahead of the
@@ -33,7 +33,6 @@ needs_fork = pytest.mark.skipif(
 
 LAYOUTS = {
     "linear": {},
-    "shards": dict(shards=2),
     "shard_processes": dict(shard_processes=2, process_batch=128),
     "ingest_feeds": dict(ingest_feeds=2),
     "supervised": dict(supervised=True),

@@ -4,24 +4,19 @@ Property-based: a detector snapshotted at an *arbitrary* mid-stream
 cut, serialised through JSON (as a new process would read it), and
 restored into a freshly-constructed detector must finish the stream
 with records and signal log identical to an uninterrupted run — on
-two scenario worlds, with and without a data-plane validator, linear
-and sharded.
+two scenario worlds, with and without a data-plane validator.
 
-Two properties cover the partitioned monitor and the layout-free
-document (version 3):
-
-* ``PartitionedMonitor(partitions=n)`` is byte-identical to the
-  singleton monitor for arbitrary partition counts and arbitrary
-  mid-stream checkpoint cuts, including restores into a *different*
-  partition count (the monitor document is canonical);
-* a snapshot written by any shard layout restores into any other
-  (linear <-> sharded, differing shard counts) with identical
-  continued output.
+The document is fail-closed (a malformed one raises ``ValueError`` and
+leaves the detector as it was), and a ``shards=2`` document written by
+the retired thread-sharded runtime — a committed fixture — still
+restores and resumes to the linear run's output.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+import pathlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -34,7 +29,17 @@ from test_pipeline_equivalence import (
     prepared,
     record_fields,
 )
+from repro.bgp.communities import Community
+from repro.bgp.messages import BGPUpdate, ElemType
+from repro.core.colocation import ColocationMap
 from repro.core.kepler import Kepler, KeplerParams
+from repro.core.monitor import MonitorParams
+from repro.docmine.dictionary import (
+    CommunityDictionary,
+    DictionaryEntry,
+    PoP,
+    PoPKind,
+)
 from repro.scenarios import World, build_world
 
 END_TIME = 80_000.0
@@ -66,7 +71,7 @@ def make_kepler(
     )
 
 
-#: Baselines keyed by (world seed, shards, validator) — each hypothesis
+#: Baselines keyed by (world seed, validator) — each hypothesis
 #: example re-runs the resumed half only, not the uninterrupted run.
 _baselines: dict[tuple, tuple[list, list]] = {}
 
@@ -77,7 +82,7 @@ def uninterrupted(
     with_validator: bool,
 ) -> tuple[list, list]:
     world, snapshot, elements = replay
-    cache_key = (world.seed, params.shards, with_validator)
+    cache_key = (world.seed, with_validator)
     cached = _baselines.get(cache_key)
     if cached is not None:
         return cached
@@ -101,21 +106,15 @@ def resumed_at(
     params: KeplerParams,
     with_validator: bool,
     cut: int,
-    resume_params: KeplerParams | None = None,
 ) -> tuple[list, list]:
-    """Run to ``cut``, snapshot, JSON round-trip, restore, finish.
-
-    ``resume_params`` restores the document into a detector with a
-    *different* configuration (shard layout, monitor partitioning) —
-    the layout-free checkpoint property.
-    """
+    """Run to ``cut``, snapshot, JSON round-trip, restore, finish."""
     world, snapshot, elements = replay
     first = make_kepler(world, params, with_validator)
     first.prime(snapshot)
     first.process(elements[:cut])
     blob = json.dumps(first.snapshot())
 
-    second = make_kepler(world, resume_params or params, with_validator)
+    second = make_kepler(world, params, with_validator)
     second.restore(json.loads(blob))
     second.process(elements[cut:])
     second.finalize(end_time=END_TIME)
@@ -153,91 +152,6 @@ class TestRoundTripProperties:
         cut = int(frac * len(world_b[2]))
         assert resumed_at(world_b, params, False, cut) == baseline
 
-    @settings(
-        max_examples=4,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(frac=st.floats(min_value=0.0, max_value=1.0))
-    def test_world_a_sharded(self, world_a, frac):
-        params = KeplerParams(shards=4)
-        baseline = uninterrupted(world_a, params, True)
-        cut = int(frac * len(world_a[2]))
-        assert resumed_at(world_a, params, True, cut) == baseline
-
-    @settings(
-        max_examples=8,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(
-        partitions=st.integers(min_value=1, max_value=6),
-        restore_partitions=st.integers(min_value=1, max_value=6),
-        frac=st.floats(min_value=0.0, max_value=1.0),
-    )
-    def test_partitioned_monitor_matches_singleton_world_a(
-        self, world_a, partitions, restore_partitions, frac
-    ):
-        """PartitionedMonitor(n) == singleton, any n, any cut, any
-        restore partition count (the monitor document is canonical)."""
-        baseline = uninterrupted(world_a, KeplerParams(), True)
-        cut = int(frac * len(world_a[2]))
-        resumed = resumed_at(
-            world_a,
-            KeplerParams(monitor_partitions=partitions),
-            True,
-            cut,
-            resume_params=KeplerParams(
-                monitor_partitions=restore_partitions
-            ),
-        )
-        assert resumed == baseline
-
-    @settings(
-        max_examples=4,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(
-        partitions=st.integers(min_value=2, max_value=5),
-        frac=st.floats(min_value=0.0, max_value=1.0),
-    )
-    def test_partitioned_monitor_matches_singleton_world_b(
-        self, world_b, partitions, frac
-    ):
-        baseline = uninterrupted(world_b, KeplerParams(), False)
-        cut = int(frac * len(world_b[2]))
-        resumed = resumed_at(
-            world_b,
-            KeplerParams(monitor_partitions=partitions),
-            False,
-            cut,
-        )
-        assert resumed == baseline
-
-    @settings(
-        max_examples=4,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(
-        from_shards=st.sampled_from([0, 2, 4]),
-        to_shards=st.sampled_from([0, 2, 3]),
-        frac=st.floats(min_value=0.1, max_value=0.9),
-    )
-    def test_cross_layout_restore(self, world_a, from_shards, to_shards, frac):
-        """A snapshot from any shard layout resumes in any other."""
-        baseline = uninterrupted(world_a, KeplerParams(), True)
-        cut = int(frac * len(world_a[2]))
-        resumed = resumed_at(
-            world_a,
-            KeplerParams(shards=from_shards),
-            True,
-            cut,
-            resume_params=KeplerParams(shards=to_shards),
-        )
-        assert resumed == baseline
-
 
 class TestCheckpointDocument:
     def test_snapshot_is_json_serialisable_and_versioned(self, world_a):
@@ -273,43 +187,6 @@ class TestCheckpointDocument:
         with pytest.raises(ValueError, match="version"):
             fresh.restore(document)
 
-    def test_shard_mismatch_converts_instead_of_rejecting(self, world_a):
-        """A v3 document converts between shard layouts on restore."""
-        world, snapshot, elements = world_a
-        detector = make_kepler(world, KeplerParams(shards=4), False)
-        detector.prime(snapshot)
-        detector.process(elements[: len(elements) // 3])
-        document = json.loads(json.dumps(detector.snapshot()))
-        fresh = make_kepler(world, KeplerParams(shards=2), False)
-        fresh.restore(document)
-        assert (
-            fresh.monitor.total_baseline_entries
-            == detector.monitor.total_baseline_entries
-        )
-
-    def test_partition_layouts_write_identical_documents(self, world_a):
-        """The monitor document is canonical across partition counts."""
-        world, snapshot, elements = world_a
-        documents = []
-        for partitions in (0, 3):
-            detector = make_kepler(
-                world, KeplerParams(monitor_partitions=partitions), False
-            )
-            detector.prime(snapshot)
-            detector.process(elements[: len(elements) // 3])
-            document = detector.snapshot()
-            # Wall-clock metering differs between runs by nature;
-            # everything else must match byte for byte.
-            metrics = document["pipeline"]["metrics"]
-            metrics["stages"] = [
-                [name, fed, emitted]
-                for name, fed, emitted, _ in metrics["stages"]
-            ]
-            metrics["bins"].pop("total_latency_s")
-            metrics["bins"].pop("max_latency_s")
-            documents.append(json.dumps(document, sort_keys=True))
-        assert documents[0] == documents[1]
-
     def test_restore_rejects_foreign_document(self, world_a):
         world, _, _ = world_a
         fresh = make_kepler(world, KeplerParams(), False)
@@ -343,3 +220,213 @@ class TestCheckpointDocument:
         assert [s["name"] for s in original["stages"]] == [
             s["name"] for s in restored["stages"]
         ]
+
+
+# ----------------------------------------------------------------------
+# The retired thread-sharded layout, and malformed documents
+# ----------------------------------------------------------------------
+#: ``snapshot()`` of ``KeplerParams(shards=2)`` after ``REPLAY_CUT``
+#: elements of :func:`synthetic_replay`, captured at the last commit
+#: that had the thread-sharded runtime (PR 23, ce153cb).
+SHARDED_FIXTURE = (
+    pathlib.Path(__file__).parent / "fixtures" / "shards2_midstream.json"
+)
+REPLAY_CUT = 151
+REPLAY_END = 6000.0
+#: PoP index -> (down bin, up bin) of each full outage of that PoP.
+REPLAY_OUTAGES = {
+    0: [(3, 9), (30, 34)],
+    1: [(5, 40)],
+    2: [(7, 12)],
+    3: [(14, 20)],
+    4: [(15, 18)],
+}
+REPLAY_BINS = 50
+VANTAGE = 9_000
+
+
+def synthetic_replay() -> tuple[CommunityDictionary, list, list]:
+    """Five facility PoPs (3 near x 3 far ASes, 18 paths each) failing
+    and recovering on ``REPLAY_OUTAGES``; no world, no colocation map."""
+    entries: dict[Community, DictionaryEntry] = {}
+
+    def located(asn: int, value: int, pop_id: str) -> Community:
+        community = Community(asn, value)
+        entries[community] = DictionaryEntry(
+            community=community,
+            pop=PoP(PoPKind.FACILITY, pop_id),
+            source_url="fixture://synthetic",
+            surface=pop_id,
+        )
+        return community
+
+    def update(time: float, route: tuple, announce: bool) -> BGPUpdate:
+        prefix, path, community = route
+        return BGPUpdate(
+            time=time,
+            collector="rrc00",
+            peer_asn=VANTAGE,
+            prefix=prefix,
+            elem_type=(
+                ElemType.ANNOUNCEMENT if announce else ElemType.WITHDRAWAL
+            ),
+            as_path=path if announce else (),
+            communities=(community,) if announce else (),
+        )
+
+    priming: list[BGPUpdate] = []
+    elements: list[BGPUpdate] = []
+    for i, outages in REPLAY_OUTAGES.items():
+        for j in range(3):
+            near = 2000 + 10 * i + j
+            community = located(near, 700 + i, f"fx-f{i}")
+            for k in range(6):
+                far = 2000 + 10 * i + 3 + k % 3
+                route = (
+                    f"10.{i}.{j}.{4 * k}/30",
+                    (VANTAGE, near, far),
+                    community,
+                )
+                priming.append(update(0.0, route, True))
+                for down, up in outages:
+                    elements.append(update(down * 60.0 + 5.0, route, False))
+                    elements.append(update(up * 60.0 + 5.0, route, True))
+    # One route outside every failing PoP, re-announced each minute,
+    # keeps the monitor's event-driven bin clock ticking.
+    ticker = (
+        "10.99.0.0/24",
+        (VANTAGE, 2990, 2991),
+        located(2990, 799, "fx-ticker"),
+    )
+    elements.extend(
+        update(b * 60.0 + 30.0, ticker, True) for b in range(REPLAY_BINS)
+    )
+    elements.sort(key=lambda e: e.time)
+    return CommunityDictionary(entries=entries), priming, elements
+
+
+def synthetic_kepler(dictionary: CommunityDictionary) -> Kepler:
+    return Kepler(
+        dictionary=dictionary,
+        colo=ColocationMap(),
+        as2org={},
+        params=KeplerParams(
+            monitor=MonitorParams(stable_window_s=120.0),
+            enable_investigation=False,
+        ),
+        validator=DeterministicValidator(),
+    )
+
+
+def synthetic_output(detector: Kepler) -> tuple[list, list, list]:
+    return (
+        [record_fields(r) for r in detector.records],
+        [
+            (c.pop, c.signal_type, c.bin_start, c.bin_end)
+            for c in detector.signal_log
+        ],
+        [(c.pop, c.bin_start) for c in detector.rejected],
+    )
+
+
+@pytest.fixture(scope="module")
+def sharded_document() -> dict:
+    return json.loads(SHARDED_FIXTURE.read_text())
+
+
+@pytest.fixture(scope="module")
+def replay() -> tuple[CommunityDictionary, list, list]:
+    return synthetic_replay()
+
+
+def test_retired_sharded_document_resumes_to_the_linear_output(
+    sharded_document, replay
+):
+    dictionary, priming, elements = replay
+    # The fixture is the hard case: both chains hold an open record and
+    # a share of the classification window, and a reject is on file.
+    assert sharded_document["shards"] == 2
+    chains = sharded_document["pipeline"]["chains"]
+    assert all(chain["record"]["open"] for chain in chains)
+    assert all(chain["classify"]["window"] for chain in chains)
+    assert sharded_document["rejected"]
+
+    linear = synthetic_kepler(dictionary)
+    linear.prime(priming)
+    linear.process(elements)
+    linear.finalize(end_time=REPLAY_END)
+    assert len(linear.records) >= 3 and linear.rejected
+
+    resumed = synthetic_kepler(dictionary)
+    resumed.restore(copy.deepcopy(sharded_document))
+    assert resumed.snapshot()["shards"] == 0
+    resumed.process(elements[REPLAY_CUT:])
+    resumed.finalize(end_time=REPLAY_END)
+    assert synthetic_output(resumed) == synthetic_output(linear)
+
+
+def _without(*path: str):
+    def mutate(doc: dict) -> None:
+        node = doc
+        for name in path[:-1]:
+            node = node[name]
+        del node[path[-1]]
+
+    return mutate
+
+
+def _with_shards(value):
+    def mutate(doc: dict) -> None:
+        doc["shards"] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "layout, mutate, field",
+    [
+        pytest.param("linear", _without("shards"), "shards", id="no-shards"),
+        pytest.param("linear", _with_shards(-1), "shards", id="shards=-1"),
+        pytest.param("linear", _with_shards(1), "shards", id="shards=1"),
+        pytest.param("linear", _with_shards("2"), "shards", id="shards='2'"),
+        pytest.param(
+            "linear", _with_shards(2), "upstream", id="linear-as-shards=2"
+        ),
+        pytest.param(
+            "sharded", _with_shards(0), "stages", id="sharded-as-shards=0"
+        ),
+        *(
+            pytest.param("linear", _without(*path), path[-1], id="no-" + path[-1])
+            for path in (
+                ("pipeline",),
+                ("primed_paths",),
+                ("pipeline", "stages"),
+                ("pipeline", "metrics"),
+            )
+        ),
+        *(
+            pytest.param(
+                "sharded", _without("pipeline", name), name, id="no-" + name
+            )
+            for name in ("upstream", "chains", "signal_log")
+        ),
+    ],
+)
+def test_malformed_document_is_refused_and_changes_nothing(
+    sharded_document, replay, layout, mutate, field
+):
+    dictionary, priming, elements = replay
+    detector = synthetic_kepler(dictionary)
+    detector.prime(priming)
+    detector.process(elements[:REPLAY_CUT])
+    before = json.dumps(detector.snapshot(), sort_keys=True)
+    # Either donor would move the detector if any of it were loaded.
+    document = (
+        synthetic_kepler(dictionary).snapshot()
+        if layout == "linear"
+        else copy.deepcopy(sharded_document)
+    )
+    mutate(document)
+    with pytest.raises(ValueError, match=field):
+        detector.restore(document)
+    assert json.dumps(detector.snapshot(), sort_keys=True) == before

@@ -199,7 +199,6 @@ from hypothesis import HealthCheck
 
 from repro.core.colocation import ColocationMap
 from repro.core.input import InputModule
-from repro.core.kepler import KeplerParams
 from repro.core.serde import tag_elements_to_wire, tagged_view
 from repro.docmine.dictionary import CommunityDictionary
 from repro.pipeline.runtime import StagePipeline
@@ -308,35 +307,21 @@ def _observed(kepler) -> tuple:
 def _checkpoint_bytes(kepler) -> bytes:
     """The checkpoint document minus run telemetry.
 
-    Metrics registries hold wall-clock stage seconds (never identical
-    between two runs of anything); all semantic state must be.  The
-    sharded layout nests one registry per chain, so strip them
-    recursively.
+    The metrics registry holds wall-clock stage seconds (never identical
+    between two runs of anything); all semantic state must be.
     """
     doc = kepler.snapshot()
-
-    def strip(node):
-        if isinstance(node, dict):
-            node.pop("metrics", None)
-            for value in node.values():
-                strip(value)
-        elif isinstance(node, list):
-            for value in node:
-                strip(value)
-
-    strip(doc)
+    del doc["pipeline"]["metrics"]
     return json.dumps(doc, sort_keys=True, default=repr).encode()
 
 
-def _run_lane(seed, wire_lane, chunk_size, shards, cuts):
+def _run_lane(seed, wire_lane, chunk_size, cuts):
     world, priming, elements = _scenario(seed)
     previous = StagePipeline.use_wire_lane
     StagePipeline.use_wire_lane = wire_lane
     try:
-        kepler = world.make_kepler(params=KeplerParams(shards=shards))
-        chain = kepler.pipeline
-        target = getattr(chain, "upstream", chain)
-        target.chunk_size = chunk_size
+        kepler = world.make_kepler()
+        kepler.pipeline.chunk_size = chunk_size
         kepler.prime(priming)
         spans = sorted({c for c in cuts if c < len(elements)})
         spans.append(len(elements))
@@ -358,7 +343,6 @@ class TestBatchNativeEquivalence:
     @given(
         seed=st.sampled_from([7, 11]),
         chunk_size=st.sampled_from([1, 3, 61, 1024, 4096]),
-        shards=st.sampled_from([0, 2, 3]),
         cuts=st.lists(
             st.integers(min_value=0, max_value=4000), max_size=4
         ),
@@ -371,13 +355,11 @@ class TestBatchNativeEquivalence:
             HealthCheck.filter_too_much,
         ],
     )
-    def test_wire_lane_matches_object_path(
-        self, seed, chunk_size, shards, cuts
-    ):
+    def test_wire_lane_matches_object_path(self, seed, chunk_size, cuts):
         """Identical records, signals, rejects and checkpoint bytes
-        whatever the batch cut points, chunk size and shard count."""
-        via_objects = _run_lane(seed, False, chunk_size, shards, cuts)
-        via_columns = _run_lane(seed, True, chunk_size, shards, cuts)
+        whatever the batch cut points and chunk size."""
+        via_objects = _run_lane(seed, False, chunk_size, cuts)
+        via_columns = _run_lane(seed, True, chunk_size, cuts)
         assert via_columns[0] == via_objects[0]
         assert via_columns[1] == via_objects[1]
         # Not vacuous: the stream must actually raise signals.

@@ -11,8 +11,8 @@ Three layers of guarantees:
 * **The tier is a pure execution detail of the Kepler facade**: with
   ``KeplerParams(ingest_feeds=N)``, records, signal log, rejects and
   the per-stage counters are byte-identical to the driver ingest path
-  on the same stream, composed with every runtime (linear, thread-
-  sharded, shard-process), for both the merged-stream
+  on the same stream, composed with either runtime (linear,
+  shard-process), for both the merged-stream
   ``process`` path and per-collector ``process_feeds`` sources.
 * **Checkpoints are ingest-layout-free**: the canonical document's
   ingest section is identical whichever layout wrote it, and a
@@ -343,15 +343,6 @@ class TestIngestTierIdentity:
         tier = full_run(world_a, KeplerParams(ingest_feeds=3), True)
         assert tier == linear
 
-    def test_world_a_sharded_chain(self, world_a):
-        linear = full_run(world_a, KeplerParams(), True)
-        tier = full_run(
-            world_a,
-            KeplerParams(ingest_feeds=2, shards=4, shard_workers=2),
-            True,
-        )
-        assert tier == linear
-
     @needs_fork
     def test_world_a_shard_processes(self, world_a):
         linear = full_run(world_a, KeplerParams(), True)
@@ -368,13 +359,6 @@ class TestIngestTierIdentity:
         linear = full_run(world_b, KeplerParams(), False)
         assert linear[0], "scenario produced no records to compare"
         tier = full_run(world_b, KeplerParams(ingest_feeds=4), False)
-        assert tier == linear
-
-    def test_world_b_sharded_chain(self, world_b):
-        linear = full_run(world_b, KeplerParams(), False)
-        tier = full_run(
-            world_b, KeplerParams(ingest_feeds=3, shards=2), False
-        )
         assert tier == linear
 
     @needs_fork
@@ -472,20 +456,6 @@ class TestIngestTierIdentity:
         assert one.composed_ingest_state() == many.composed_ingest_state()
         assert one.merge.last_released == many.merge.last_released
 
-    def test_sharded_metrics_breakdown_survives_the_tier(self, world_a):
-        """Enabling ingest_feeds must not drop the per-shard view."""
-        world, snapshot, elements = world_a
-        detector = make_kepler(
-            world, KeplerParams(ingest_feeds=2, shards=3), False
-        )
-        try:
-            detector.prime(snapshot)
-            detector.process(elements[: len(elements) // 4])
-            snap = detector.metrics.snapshot()
-            assert len(snap["shards"]) == 3
-        finally:
-            detector.close()
-
     def test_failed_feed_worker_poisons_the_tier(self):
         """A worker failure surfaces, discards its run, poisons the tier."""
         from repro.ingest import IngestTier
@@ -573,12 +543,9 @@ class TestIngestCheckpoint:
         [
             (KeplerParams(ingest_feeds=3), KeplerParams()),
             (KeplerParams(), KeplerParams(ingest_feeds=4)),
-            (
-                KeplerParams(ingest_feeds=2),
-                KeplerParams(ingest_feeds=3, shards=3),
-            ),
+            (KeplerParams(ingest_feeds=2), KeplerParams(ingest_feeds=3)),
         ],
-        ids=["tier->driver", "driver->tier", "tier->tier+shards"],
+        ids=["tier->driver", "driver->tier", "tier->tier"],
     )
     def test_restores_into_any_ingest_layout(self, world_a, writer, reader):
         world, snapshot, elements = world_a

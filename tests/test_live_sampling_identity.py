@@ -52,7 +52,6 @@ needs_fork = pytest.mark.skipif(
 #: Runtime layouts under test.  Keys name the pytest ids.
 LAYOUTS: dict[str, dict] = {
     "linear": {},
-    "shards": dict(shards=2),
     "shard_processes": dict(shard_processes=2, process_batch=128),
     "ingest_feeds": dict(ingest_feeds=2, shard_processes=2, process_batch=128),
 }
@@ -92,10 +91,10 @@ def ground_truth(world_a) -> tuple:
 
 
 #: Stripped checkpoint JSON of an *unsampled* run, per (layout,
-#: transport).  The canonical document shape is layout-dependent (the
-#: sharded runtimes checkpoint per-chain sections), so the sampling
-#: invariant is sampled == unsampled *same layout*, while records /
-#: signals / rejects are pinned to the linear ground truth.
+#: transport).  The per-stage counters are runtime-dependent (the
+#: shard-process driver analysis is fed one merged batch per bin), so
+#: the sampling invariant is sampled == unsampled *same layout*, while
+#: records / signals / rejects are pinned to the linear ground truth.
 _BASELINE_DOCS: dict[tuple[str, str], str] = {}
 
 

@@ -12,7 +12,7 @@ merged signals.  It must be a pure execution detail:
 * the probe cache's at-most-once-per-(PoP, bin) invariant preserved
   exactly (probe counts match the linear chain);
 * a mid-stream checkpoint composed by the shard workers restores into
-  *any* runtime — singleton, thread-sharded, shard-process — and
+  either runtime — linear, shard-process — and
   finishes the stream byte-identically, and vice versa.
 """
 
@@ -135,9 +135,9 @@ class TestDeterminism:
 
 class TestCheckpointInterchange:
     def test_shard_process_checkpoint_restores_into_any_runtime(self, world_a):
-        """Snapshot under the shard-process runtime -> singleton,
-        thread-sharded and shard-process detectors all resume to the
-        same byte-identical output."""
+        """Snapshot under the shard-process runtime -> linear and
+        shard-process detectors both resume to the same byte-identical
+        output."""
         world, snapshot, elements = world_a
         baseline = full_run(world_a, KeplerParams(), True)
         cut = len(elements) // 3
@@ -150,12 +150,7 @@ class TestCheckpointInterchange:
         finally:
             first.close()
 
-        for resume_params in (
-            KeplerParams(),
-            KeplerParams(shards=4),
-            KeplerParams(monitor_partitions=2),
-            KeplerParams(**SHARDPROC),
-        ):
+        for resume_params in (KeplerParams(), KeplerParams(**SHARDPROC)):
             second = make_kepler(world, resume_params, True)
             try:
                 second.restore(json.loads(blob))
@@ -166,28 +161,27 @@ class TestCheckpointInterchange:
                 second.close()
 
     def test_foreign_checkpoints_restore_into_shard_processes(self, world_a):
-        """Linear and thread-sharded snapshots resume under the
-        shard-process runtime byte-identically."""
+        """A linear snapshot resumes under the shard-process runtime
+        byte-identically."""
         world, snapshot, elements = world_a
         baseline = full_run(world_a, KeplerParams(), True)
         cut = (2 * len(elements)) // 3
 
-        for write_params in (KeplerParams(), KeplerParams(shards=2)):
-            first = make_kepler(world, write_params, True)
-            try:
-                first.prime(snapshot)
-                first.process(elements[:cut])
-                blob = json.dumps(first.snapshot())
-            finally:
-                first.close()
-            second = make_kepler(world, KeplerParams(**SHARDPROC), True)
-            try:
-                second.restore(json.loads(blob))
-                second.process(elements[cut:])
-                second.finalize(end_time=END_TIME)
-                assert observed(second) == baseline, write_params
-            finally:
-                second.close()
+        first = make_kepler(world, KeplerParams(), True)
+        try:
+            first.prime(snapshot)
+            first.process(elements[:cut])
+            blob = json.dumps(first.snapshot())
+        finally:
+            first.close()
+        second = make_kepler(world, KeplerParams(**SHARDPROC), True)
+        try:
+            second.restore(json.loads(blob))
+            second.process(elements[cut:])
+            second.finalize(end_time=END_TIME)
+            assert observed(second) == baseline
+        finally:
+            second.close()
 
     def test_composed_document_matches_linear(self, world_a):
         """The shard workers compose the linear canonical document:
@@ -298,10 +292,6 @@ class TestRuntimeSurface:
 
     def test_rejects_invalid_configuration(self, world_a):
         world, _, _ = world_a
-        with pytest.raises(ValueError, match="shard_processes"):
-            make_kepler(
-                world, KeplerParams(shard_processes=2, shards=2), False
-            )
         with pytest.raises(ValueError, match="process_batch"):
             make_kepler(
                 world, KeplerParams(shard_processes=2, process_batch=0), False
