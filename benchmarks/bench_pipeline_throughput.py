@@ -12,16 +12,9 @@ repository root:
   handled at ~1.2k updates/sec because every update scanned the whole
   pending dict.  The reverse-index monitor must beat that baseline by
   >= 2x (it lands around 100x);
-* **transport** — a tagging-heavy stream (real announcements carry
+* **recovery** — a tagging-heavy stream (real announcements carry
   large community sets and pathologically prepended paths, so the
-  wire batches are fat) replayed through ``Kepler(shard_processes=4)``
-  on both data planes of its broadcast edge: pickled multiprocessing
-  queues against shared-memory SPSC rings (flat struct-of-arrays
-  frames, zero-copy decode).  Output must be byte-identical always; on
-  >= 4 cores the shm transport must beat the queue transport end to
-  end by >= 1.5x (``gate_enforced`` false on smaller machines, where
-  the speedup is still recorded);
-* **recovery** — the same stream through supervised
+  wire batches are fat) through supervised
   ``Kepler(shard_processes=2)`` with and without injected worker
   kills: supervision overhead and mean time-to-recover, output
   identity always (informational, no speed gate);
@@ -321,10 +314,8 @@ def _record_fields(record) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# Tagging-heavy stream (the transport and recovery entries replay it)
+# Tagging-heavy stream (the recovery entry replays it)
 # ----------------------------------------------------------------------
-PROC_ELEMENTS = 60_000
-PROC_BATCH = 2048
 PROC_DECOYS = 2  # non-location communities per announcement
 #: Distinct values per decoy community (live streams draw informational
 #: communities from bounded operator-defined sets, so the values repeat
@@ -337,7 +328,6 @@ PROC_DECOY_VALUES = 3000
 #: real feed makes them.
 PROC_PREPENDS = 640
 PROC_PREFIX_SPACE = 60  # distinct prefix octet values (key reuse)
-PROC_TIMING_RUNS = 2  # best-of-N wall clock per layout
 
 
 class PureValidator:
@@ -498,100 +488,24 @@ def _process_observed(kepler: Kepler) -> tuple:
 
 
 def _run_rich_workload(
-    world, priming, elements, params: KeplerParams, runs: int = PROC_TIMING_RUNS
+    world, priming, elements, params: KeplerParams
 ) -> tuple[float, tuple, dict]:
-    """Best-of-``runs`` wall clock of one layout over the rich stream.
+    """Wall clock of one layout over the rich stream.
 
-    Returns ``(seconds, observed, recovery)``: the output of the first
-    run (for the identity checks) and the recovery counters of the
-    last (read after the clock stops).
+    Returns ``(seconds, observed, recovery)``: the output (for the
+    identity checks) and the recovery counters (read after the clock
+    stops).
     """
-    best = float("inf")
-    observed = None
-    for _ in range(runs):
-        kepler = world.make_kepler(params=params, validator=PureValidator())
-        kepler.prime(priming)
-        began = time.perf_counter()
-        kepler.process(elements)
-        kepler.finalize(end_time=elements[-1].time + 3600.0)
-        elapsed = time.perf_counter() - began
-        if observed is None:
-            observed = _process_observed(kepler)
-        recovery = kepler.metrics.snapshot()["recovery"]
-        kepler.close()
-        best = min(best, elapsed)
-    return best, observed, recovery
-
-
-# ----------------------------------------------------------------------
-# Transport: the shard-process runtime, queue vs shared memory
-# ----------------------------------------------------------------------
-TRANSPORT_WORKERS = 4
-TRANSPORT_SPEEDUP_GATE = 1.5
-TRANSPORT_MIN_CORES = 4
-
-
-def run_transport() -> dict:
-    """Queue vs shm data plane on the tagging-heavy stream.
-
-    ``shard_processes=TRANSPORT_WORKERS`` with everything except
-    ``KeplerParams.transport`` held fixed, so the delta is purely the
-    broadcast edge (the per-bin rounds stay on queues either way):
-    pickled queue messages (two codec passes plus pipe copies per hop)
-    against flat frames in per-worker shared-memory rings (one codec
-    pass, a single ``memmove`` into the segment, zero-copy decode).
-    Output identity is asserted always; the >= 1.5x speedup gate only
-    applies with enough cores for the workers to actually overlap.
-    """
-    from repro.pipeline import fork_available
-
-    cores = (
-        len(os.sched_getaffinity(0))
-        if hasattr(os, "sched_getaffinity")
-        else (os.cpu_count() or 1)
-    )
-    if not fork_available():
-        return {"skipped": "fork start method unavailable", "cores": cores}
-    world = build_world(seed=1)
-    elements = synthesize_rich_stream(world, PROC_ELEMENTS)
-    priming = world.rib_snapshot(0.0)
-    elements.extend(_baseline_churn(priming, PROC_ELEMENTS))
-    elements.sort(key=lambda e: e.sort_key())
-
-    def timed(transport: str):
-        return _run_rich_workload(
-            world,
-            priming,
-            elements,
-            KeplerParams(
-                shard_processes=TRANSPORT_WORKERS,
-                process_batch=PROC_BATCH,
-                transport=transport,
-            ),
-        )
-
-    queue_s, queue_out, _ = timed("queue")
-    shm_s, shm_out, _ = timed("shm")
-    assert shm_out == queue_out, (
-        "shm transport output diverged from the queue transport"
-    )
-    speedup = queue_s / shm_s
-    gate_enforced = cores >= TRANSPORT_MIN_CORES
-    return {
-        "elements": len(elements),
-        "records": len(queue_out[0]),
-        "signal_log": len(queue_out[1]),
-        "rejected": len(queue_out[2]),
-        "output_identical": True,
-        "queue_seconds": round(queue_s, 3),
-        "shm_seconds": round(shm_s, 3),
-        "shard_processes": TRANSPORT_WORKERS,
-        "batch": PROC_BATCH,
-        "cores": cores,
-        "speedup": round(speedup, 2),
-        "speedup_gate": TRANSPORT_SPEEDUP_GATE,
-        "gate_enforced": gate_enforced,
-    }
+    kepler = world.make_kepler(params=params, validator=PureValidator())
+    kepler.prime(priming)
+    began = time.perf_counter()
+    kepler.process(elements)
+    kepler.finalize(end_time=elements[-1].time + 3600.0)
+    elapsed = time.perf_counter() - began
+    observed = _process_observed(kepler)
+    recovery = kepler.metrics.snapshot()["recovery"]
+    kepler.close()
+    return elapsed, observed, recovery
 
 
 # ----------------------------------------------------------------------
@@ -1169,7 +1083,6 @@ def run_recovery() -> dict:
                 supervised=supervised,
                 recovery=policy,
             ),
-            runs=1,
         )
 
     plain_s, plain_out, _ = timed(False)
@@ -1217,21 +1130,11 @@ def _identity_runtimes() -> list[tuple[str, dict]]:
 
     combos: list[tuple[str, dict]] = [("linear", {})]
     if fork_available():
-        # The forked runtime runs on both transports; crossed with
-        # the ingest_feeds loop in run_identity this covers every
-        # runtime x ingest layout x transport cell of the matrix.
-        for transport in ("queue", "shm"):
-            suffix = "+shm" if transport == "shm" else ""
-            combos.append(
-                (
-                    f"shard_processes{suffix}",
-                    {
-                        "shard_processes": 2,
-                        "process_batch": 512,
-                        "transport": transport,
-                    },
-                )
-            )
+        # Crossed with the ingest_feeds loop in run_identity this
+        # covers every runtime x ingest layout cell of the matrix.
+        combos.append(
+            ("shard_processes", {"shard_processes": 2, "process_batch": 512})
+        )
     return combos
 
 
@@ -1241,8 +1144,8 @@ def run_identity() -> dict:
     No timing, no throughput gates — just the invariant that gates
     every optimisation in this file: records, signal log and rejects
     must be byte-identical to the linear chain whichever runtime and
-    transport combination processed the stream.  Fast enough for a CI
-    smoke job (`--identity`).
+    ingest layout processed the stream.  Fast enough for a CI smoke
+    job (`--identity`).
     """
     report: dict = {}
     for seed in IDENTITY_SEEDS:
@@ -1391,7 +1294,6 @@ def run_regression_check() -> None:
 def test_pipeline_throughput():
     hot = run_hot_path()
     end_to_end = run_end_to_end()
-    transport = run_transport()
     partitioned = run_partitioned_monitor()
     ingest_tier = run_ingest_tier()
     recovery = run_recovery()
@@ -1399,7 +1301,6 @@ def test_pipeline_throughput():
     report = {
         "hot_path": hot,
         "end_to_end": end_to_end,
-        "transport": transport,
         "partitioned_monitor": partitioned,
         "ingest_tier": ingest_tier,
         "recovery": recovery,
@@ -1418,14 +1319,6 @@ def test_pipeline_throughput():
     assert hot["speedup"] >= 2.0, hot
     # The staged pipeline must sustain world-scale streaming rates.
     assert end_to_end["elements_per_sec"] > 1_000, end_to_end
-    # Transport gates: queue/shm output identity always; shm must beat
-    # the queue data plane >= 1.5x where the workers actually overlap.
-    if "skipped" not in transport:
-        assert transport["output_identical"], transport
-        if transport["gate_enforced"]:
-            assert (
-                transport["speedup"] >= TRANSPORT_SPEEDUP_GATE
-            ), transport
     # Partitioned-monitor gates: output identity always; the >= 1.5x
     # monitor-stage scale-out only where there are cores for it.
     if "skipped" not in partitioned:
@@ -1463,7 +1356,6 @@ if __name__ == "__main__":
         "--identity",
         "--check-regression",
         "--recovery",
-        "--transport",
         "--telemetry",
     }
     flags = set(sys.argv[1:])
@@ -1471,7 +1363,7 @@ if __name__ == "__main__":
         print(
             "usage: bench_pipeline_throughput.py"
             " [--identity] [--check-regression] [--recovery]"
-            " [--transport] [--telemetry]\n"
+            " [--telemetry]\n"
             "  (no flags runs the full bench and rewrites"
             f" {OUTPUT_JSON.name})"
         )
@@ -1484,19 +1376,6 @@ if __name__ == "__main__":
     if "--recovery" in flags:
         print(json.dumps(run_recovery(), indent=2))
         print("recovery bench passed (informational — no gates)")
-    if "--transport" in flags:
-        entry = run_transport()
-        print(json.dumps(entry, indent=2))
-        if "skipped" in entry:
-            print(f"transport bench skipped: {entry['skipped']}")
-        elif entry["gate_enforced"]:
-            assert entry["speedup"] >= TRANSPORT_SPEEDUP_GATE, entry
-            print("transport bench passed (speed gate enforced)")
-        else:
-            print(
-                "transport bench passed (identity only — too few"
-                " cores for the speed gate)"
-            )
     if "--telemetry" in flags:
         entry = run_telemetry()
         print(json.dumps(entry, indent=2))

@@ -113,7 +113,7 @@ class KeplerParams:
     #: one incident's updates over adjacent bins.
     correlation_window_s: float = 180.0
     #: Elements per columnar batch the shard-process driver broadcasts
-    #: to its workers (amortises the codec and the queue/ring hop).
+    #: to its workers (amortises the codec and the queue hop).
     process_batch: int = 512
     #: Number of end-to-end shard worker *processes* (0 = off; >= 2
     #: enables the shard-process runtime).  Each worker runs the
@@ -148,14 +148,6 @@ class KeplerParams:
     supervised: bool = False
     #: Supervision knobs (ignored unless ``supervised``).
     recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
-    #: Data-plane transport of the multiprocess runtimes
-    #: (``shard_processes`` / forked ``ingest_feeds``): ``"queue"``
-    #: ships batches over ``multiprocessing.Queue``; ``"shm"`` writes
-    #: them into
-    #: shared-memory SPSC rings (:mod:`repro.pipeline.shm`) — same
-    #: bytes out, fewer copies per hop.  Control messages stay on
-    #: queues either way; in-process runtimes ignore the knob.
-    transport: str = "queue"
     #: Elements per chunk on the in-process chain's ``feed_many`` fast
     #: path (the shard-process runtime batches by ``process_batch``
     #: instead).  Also the bound of the facade's admission buffer under
@@ -176,8 +168,6 @@ class Kepler:
         validator: DataPlaneValidator | None = None,
     ) -> None:
         self.params = params or KeplerParams()
-        if self.params.transport not in ("queue", "shm"):
-            raise ValueError("transport must be 'queue' or 'shm'")
         if self.params.feed_chunk < 1:
             raise ValueError("feed_chunk must be positive")
         if self.params.process_batch < 1:
@@ -257,7 +247,6 @@ class Kepler:
             stages: KeplerPipeline = build_shard_process_kepler_pipeline(
                 workers=self.params.shard_processes,
                 batch_size=self.params.process_batch,
-                transport=self.params.transport,
                 **self._wiring(),
             )
         else:
@@ -271,9 +260,7 @@ class Kepler:
             from repro.ingest import build_ingest_kepler_pipeline
 
             stages = build_ingest_kepler_pipeline(
-                stages,
-                feeds=self.params.ingest_feeds,
-                transport=self.params.transport,
+                stages, feeds=self.params.ingest_feeds
             )
         return stages
 
@@ -344,7 +331,7 @@ class Kepler:
         one live interval stale, see
         :func:`repro.telemetry.set_live_interval`), the in-process
         runtimes read their live registries.  Adds ``depths``
-        (queue/ring occupancy), ``hists`` (p50/p95/p99 summaries) and,
+        (queue occupancy), ``hists`` (p50/p95/p99 summaries) and,
         under the ingest tier, per-feed admission counts (``feeds``).
 
         Unlike the facade views this does **not** run the admission

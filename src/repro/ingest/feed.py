@@ -205,7 +205,6 @@ def source_feed_process(
     meter: StageMetrics,
     out_q,
     batch_size: int,
-    ring=None,
 ) -> None:
     """Forked worker: admit **and serde-encode** sources locally.
 
@@ -215,22 +214,11 @@ def source_feed_process(
     copies, so totals compose exactly.  Batches are marshal-packed
     wire lists; the driver derives merge keys with
     :func:`repro.core.serde.wire_sort_key` instead of decoding.
-
-    With a ``ring`` (shm transport) the wire batches go out as
-    header-only ring frames ``(watermark, wires)`` instead, and only
-    control messages (end-of-run, errors) ride ``out_q``.  The
-    end-of-run message then carries the published-frame count so the
-    driver never applies it before draining the ring — control
-    messages can overtake ring data.  Published frames are counted
-    even when a fault spec suppressed the cursor publish (``stale``):
-    the driver's drain-to-mark wait then stalls deterministically,
-    which is the point of the drill.
     """
     feed = admission.feed
     armed = faults.arm("feed", fid, forked=True)
     wires: list[list] = []
     last_key: tuple | None = None
-    published = 0
     # Live-metrics throttle, inherited by value at fork (see
     # repro.telemetry.set_live_interval).
     frame_interval = telemetry.live_interval()
@@ -256,20 +244,11 @@ def source_feed_process(
         except queue_mod.Full:
             pass
 
-    def packed(batch: list[list]) -> tuple:
+    def publish(batch: list[list], watermark: tuple | None) -> None:
         codec, payload = pack_wires(batch)
         if armed is not None:
             codec, payload = armed.corrupt_payload(codec, payload)
-        return (codec, payload)
-
-    def publish(batch: list[list], watermark: tuple | None) -> None:
-        nonlocal published
-        if ring is not None:
-            fault = armed.ring_fault() if armed is not None else None
-            ring.put((watermark, batch), fault=fault)
-            published += 1
-            return
-        out_q.put(("pbatch", fid, *packed(batch), watermark))
+        out_q.put(("pbatch", fid, codec, payload, watermark))
 
     try:
         began = time.perf_counter()
@@ -298,9 +277,6 @@ def source_feed_process(
             "ingest": admission.state_dict(),
             "meter": [meter.fed, meter.emitted, meter.seconds],
         }
-        if ring is not None:
-            out_q.put(("eor", fid, info, published))
-        else:
-            out_q.put(("eor", fid, info))
+        out_q.put(("eor", fid, info))
     except Exception:
         out_q.put(("err", fid, traceback.format_exc()))

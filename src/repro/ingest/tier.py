@@ -95,7 +95,6 @@ from repro.pipeline.parallel import (
     fork_available,
     unpack_wires,
 )
-from repro.pipeline.shm import ShmRing
 
 _LOG = logging.getLogger("repro.ingest.tier")
 
@@ -180,13 +179,6 @@ class _Run:
         self.pending: list[list] = [[] for _ in range(feeds)]
         self.pending_count = 0
         self.eor_seen: set[int] = set()
-        #: shm transport only: per-feed data ring, frames consumed so
-        #: far, and end-of-run messages held back until the ring is
-        #: drained to the worker's published-frame mark (control
-        #: messages can overtake ring data).
-        self.rings: list = [None] * feeds
-        self.consumed: list[int] = [0] * feeds
-        self.eor_pending: dict[int, tuple] = {}
         #: set on abort: thread workers (which cannot be terminated)
         #: stop publishing and exit at their next batch boundary.
         self.cancel = threading.Event()
@@ -226,23 +218,14 @@ class IngestTier:
         feeds: int,
         batch_size: int = ROUTE_CHUNK,
         fork_feeds: bool | None = None,
-        transport: str = "queue",
     ) -> None:
         if feeds < 1:
             raise ValueError("the ingest tier needs >= 1 feed")
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if transport not in ("queue", "shm"):
-            raise ValueError("transport must be 'queue' or 'shm'")
         self.sink = sink
         self.feeds = feeds
         self.batch_size = batch_size
-        #: Data-plane transport for *forked* feed workers: ``"shm"``
-        #: publishes wire batches as shared-memory ring frames
-        #: (:mod:`repro.pipeline.shm`) instead of queue messages.
-        #: Thread feeds always use queues (same address space, nothing
-        #: to win).
-        self.transport = transport
         #: Whether ``process_feeds`` forks its feed workers (None =
         #: fork where the platform allows).  Forked feeds pay a serde
         #: hop per element, which buys core-parallel admission —
@@ -404,10 +387,6 @@ class IngestTier:
                 continue
             if forked:
                 out_q = ctx.Queue(FEED_QUEUE_DEPTH)
-                # Ring created pre-start: the fork inherits the
-                # mapping, the driver stays the owner (and unlinker).
-                ring = ShmRing() if self.transport == "shm" else None
-                run.rings[fid] = ring
                 worker = ctx.Process(
                     target=source_feed_process,
                     args=(
@@ -417,7 +396,6 @@ class IngestTier:
                         self.meters[fid],
                         out_q,
                         self.batch_size,
-                        ring,
                     ),
                     daemon=True,
                     name=f"kepler-feed-{fid}",
@@ -461,9 +439,6 @@ class IngestTier:
             for out_q in run.out_qs:
                 if out_q is not None:
                     out_q.close()
-            for ring in run.rings:
-                if ring is not None:
-                    ring.destroy()
         return outputs
 
     def flush(self) -> list[Any]:
@@ -576,38 +551,6 @@ class IngestTier:
                 out_q = run.out_qs[fid]
                 if out_q is None or fid in run.eor_seen:
                     continue
-                ring = run.rings[fid]
-                if ring is not None:
-                    # Data plane first: drain ring frames up to the
-                    # reorder limit (the ring's bounded capacity is
-                    # the backpressure loop the queues used to be).
-                    while merge.feed_buffered(fid) <= limit:
-                        frame = ring.get()
-                        if frame is None:
-                            break
-                        progress = True
-                        try:
-                            watermark, wires = frame.header()
-                        except Exception as exc:
-                            frame.release()
-                            # Same contract as an undecodable pbatch:
-                            # recoverable, never a silent skip.
-                            raise WorkerCrashError(
-                                f"ingest feed {fid} published an"
-                                f" undecodable wire batch: {exc!r}"
-                            ) from exc
-                        frame.release()
-                        run.consumed[fid] += 1
-                        keyed = [
-                            (wire_sort_key(wire), wire) for wire in wires
-                        ]
-                        merge.push(
-                            fid,
-                            keyed,
-                            tuple(watermark)
-                            if watermark is not None
-                            else None,
-                        )
                 while merge.feed_buffered(fid) <= limit:
                     try:
                         msg = out_q.get_nowait()
@@ -643,13 +586,7 @@ class IngestTier:
                             else None,
                         )
                     elif kind == "eor":
-                        if len(msg) > 3 and run.consumed[fid] < msg[3]:
-                            # Control overtook the ring: hold the
-                            # end-of-run back until the data plane
-                            # drains to the worker's published mark.
-                            run.eor_pending[fid] = msg
-                        else:
-                            self._apply_eor(run, fid, msg[2])
+                        self._apply_eor(run, fid, msg[2])
                         break
                     elif kind == "mtx":
                         # Throttled live counter frame from a forked
@@ -659,11 +596,6 @@ class IngestTier:
                         raise WorkerCrashError(
                             f"ingest feed worker failed:\n{msg[2]}"
                         )
-                pending = run.eor_pending.get(fid)
-                if pending is not None and run.consumed[fid] >= pending[3]:
-                    del run.eor_pending[fid]
-                    self._apply_eor(run, fid, pending[2])
-                    progress = True
             released = merge.release()
             if released:
                 progress = True
@@ -768,7 +700,6 @@ class IngestTier:
                 if worker is not None and hasattr(worker, "terminate")
             ],
             [q for q in run.out_qs if q is not None] if run.wired else (),
-            rings=[ring for ring in run.rings if ring is not None],
         )
         self.merge.discard_buffered()
 
@@ -784,7 +715,6 @@ class IngestTier:
             and not worker.is_alive()
             and fid not in run.eor_seen
             and run.out_qs[fid].empty()
-            and (run.rings[fid] is None or run.rings[fid].occupancy() == 0)
             and self.merge.feed_buffered(fid) <= self.reorder_limit
         ]
         if dead:
@@ -820,11 +750,7 @@ class IngestTier:
         }
         for i, q in enumerate(run.in_qs):
             named[f"in[{i}]"] = q
-        sample = queue_depths(named)
-        for i, ring in enumerate(run.rings):
-            if ring is not None:
-                sample[f"ring[{i}]"] = ring.occupancy()
-        return sample
+        return queue_depths(named)
 
     def _feed_primes(self, primes: list[Any]) -> list[Any]:
         self.priming_updates += len(primes)
@@ -935,7 +861,7 @@ class IngestTier:
     def __repr__(self) -> str:
         return (
             f"IngestTier(feeds={self.feeds}, batch={self.batch_size},"
-            f" transport={self.transport!r}, merge={self.merge!r})"
+            f" merge={self.merge!r})"
         )
 
 
@@ -1104,8 +1030,7 @@ class IngestKeplerPipeline:
 
 
 def build_ingest_kepler_pipeline(
-    inner, feeds: int, batch_size: int = ROUTE_CHUNK,
-    transport: str = "queue",
+    inner, feeds: int, batch_size: int = ROUTE_CHUNK
 ) -> IngestKeplerPipeline:
     """Wrap a chain runtime in the sharded collector ingest tier.
 
@@ -1119,6 +1044,4 @@ def build_ingest_kepler_pipeline(
         sink = WireSink(runtime)
     else:
         sink = ChainSink(runtime)
-    return IngestKeplerPipeline(
-        IngestTier(sink, feeds, batch_size, transport=transport), inner
-    )
+    return IngestKeplerPipeline(IngestTier(sink, feeds, batch_size), inner)

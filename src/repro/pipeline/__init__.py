@@ -67,7 +67,6 @@ from repro.pipeline.liveness import (
 )
 from repro.pipeline.record import RecordStage, merge_oscillations
 from repro.pipeline.runtime import FEED_CHUNK, StagePipeline
-from repro.pipeline.shm import ShmRing
 from repro.pipeline.stage import PassthroughStage, Stage, StatefulStage
 from repro.pipeline.supervisor import (
     SupervisedKeplerPipeline,
@@ -218,7 +217,6 @@ __all__ = [
     "RecoverableWorkerError",
     "ShardProcessKeplerPipeline",
     "ShardProcessPipeline",
-    "ShmRing",
     "SignalBatch",
     "Stage",
     "StageMetrics",

@@ -39,13 +39,6 @@ Fault kinds:
 ``drop_ctl``   swallow one control ack (the driver's barrier hangs
                until the stall detector fires)
 ``dup_ctl``    post one control ack twice (the driver must dedupe)
-``torn_write``  shm transport: zero-fill a ring frame's payload after
-               the header part, so the consumer's column decode fails
-               and the batch is quarantined (:meth:`_ArmedFaults.ring_fault`)
-``stale_cursor``  shm transport: write a ring frame without publishing
-               the write cursor — the frame is silently lost, the
-               consumer's reorder/eor accounting stalls and the
-               liveness layer fires
 =============  ========================================================
 
 Injection is test-only by design: nothing in this module runs unless
@@ -67,8 +60,7 @@ _WORKER_SLOTS = 16
 #: with, plus the wildcard) and the kinds the armed hooks read.
 SCOPES = ("shard", "feed", "*")
 KINDS = (
-    "kill", "stall", "corrupt", "corrupt_payload",
-    "torn_write", "stale_cursor", "drop_ctl", "dup_ctl",
+    "kill", "stall", "corrupt", "corrupt_payload", "drop_ctl", "dup_ctl",
 )
 
 
@@ -218,15 +210,6 @@ class _ArmedFaults:
     def on_element(self) -> None:
         self.on_elements(1)
 
-    def note_elements(self, n: int) -> None:
-        """Advance the element clock without evaluating kill/stall specs.
-
-        Driver-side send paths arm themselves only for the ring-fault
-        seam — a kill spec aimed at a worker scope must never SIGKILL
-        the driver just because it keeps the clock.
-        """
-        self.seen += n
-
     # -- data-corruption faults ----------------------------------------
     def corrupt_batch(self, batch: tuple, n: int) -> tuple:
         """Maybe replace a decoded wire batch with garbage (pre-count).
@@ -255,23 +238,6 @@ class _ArmedFaults:
             if self.plan._try_fire(index, self.wid, spec.once):
                 return ("m", b"\x00not-a-marshal-payload")
         return (codec, payload)
-
-    def ring_fault(self) -> str | None:
-        """``"torn"`` / ``"stale"`` / ``None`` for the next ring publish.
-
-        Fires at the first shared-memory publish after the element
-        clock passes ``at_element`` (ring producers publish at batch
-        boundaries, not per element) — the shm analogue of
-        :meth:`corrupt_payload`.
-        """
-        for index, spec in self._matched:
-            if spec.kind not in ("torn_write", "stale_cursor"):
-                continue
-            if self.seen < spec.at_element:
-                continue
-            if self.plan._try_fire(index, self.wid, spec.once):
-                return "torn" if spec.kind == "torn_write" else "stale"
-        return None
 
     # -- control-plane faults ------------------------------------------
     def on_control(self) -> str | None:

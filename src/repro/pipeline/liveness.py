@@ -21,8 +21,7 @@ shared vocabulary:
   an operator asks first.
 * :func:`reap_workers` is the single teardown helper: join with a
   configurable deadline, terminate the survivors, join again, close
-  the queues, unlink any shared-memory rings.  Idempotent and safe on
-  part-dead worker sets.
+  the queues.  Idempotent and safe on part-dead worker sets.
 * :func:`drain_put` and :class:`ControlStash` are the shared
   bounded-queue send / control-message stash pattern both parallel
   runtimes used to reimplement privately: a driver must keep *pumping
@@ -205,7 +204,6 @@ def reap_workers(
     procs: Iterable[Any],
     queues: Iterable[Any] = (),
     deadline_s: float = 2.0,
-    rings: Iterable[Any] = (),
 ) -> None:
     """Tear a worker set down: join, terminate survivors, close queues.
 
@@ -215,11 +213,7 @@ def reap_workers(
     joined once more, and the queues' feeder threads are cancelled so
     interpreter shutdown never blocks on a queue a dead worker will
     never drain.  Threads (no ``terminate``) are joined and left to
-    die with the process if they ignore it.  ``rings`` are
-    shared-memory transports (see :mod:`repro.pipeline.shm`) to
-    ``destroy()`` — the driver is the segments' owner, so unlinking
-    here is what keeps ``/dev/shm`` clean across kill/restart/degrade
-    cycles even when workers died without cleanup.  Idempotent.
+    die with the process if they ignore it.  Idempotent.
     """
     procs = list(procs)
     for proc in procs:
@@ -237,11 +231,3 @@ def reap_workers(
         close = getattr(q, "close", None)
         if close is not None:
             close()
-    for ring in rings:
-        destroy = getattr(ring, "destroy", None)
-        if destroy is None:
-            continue
-        try:
-            destroy()
-        except Exception:  # pragma: no cover - teardown must not raise
-            pass

@@ -12,8 +12,9 @@ side of observability:
 - every stage carries a :class:`~repro.telemetry.hist.LogHistogram`
   of nanoseconds per element per metered feed call;
 - :class:`BinStats` carries a histogram of bin-close latency;
-- ``hist(name)`` hands out named histograms for transport-level
-  distributions (ring/queue waits, sync-exchange round trips);
+- ``hist(name)`` hands out named histograms for non-stage
+  distributions (today one: ``sync_round_s``, the shard-process
+  runtime's fused sync-exchange round trip);
 - ``trace`` is the bounded :class:`~repro.telemetry.trace.TraceJournal`
   of bin-lifecycle span events.
 
@@ -172,10 +173,9 @@ class PipelineMetrics:
         #: *calling process*; they are observability, not state, and
         #: are deliberately absent from :meth:`state_dict`.
         self._gauge_sources: dict[str, Callable[[], int | float]] = {}
-        #: named histograms for non-stage distributions — transport
-        #: waits (``ring_wait_s``, ``queue_wait_s``), the shard
-        #: runtime's fused sync exchange (``sync_round_s``), etc.
-        #: Run telemetry, merged by :meth:`absorb`.
+        #: named histograms for non-stage distributions — today only
+        #: the shard-process runtime's fused sync exchange
+        #: (``sync_round_s``).  Run telemetry, merged by :meth:`absorb`.
         self.hists: dict[str, LogHistogram] = {}
         #: bounded journal of bin-lifecycle span events.
         self.trace = TraceJournal()

@@ -68,9 +68,7 @@ community / tag-set id tables — and marshals to one bytes object
 (both ends are forks of one interpreter), so queue pickling
 degenerates to a memcpy.  Workers tag *on the columns*
 (:func:`~repro.core.serde.tag_wire_batch`) and the monitor folds the
-tagged columns in place.  With ``transport="shm"`` the broadcast
-batches ride one :class:`~repro.pipeline.shm.ShmRing` per worker while
-control stays on the queues.
+tagged columns in place.
 
 Checkpoints compose the **linear canonical document** at a drain
 barrier: worker 0's tagging/record states (replicas), the merged
@@ -123,7 +121,6 @@ from repro.pipeline.liveness import (
     worker_exits,
 )
 from repro.pipeline.metrics import PipelineMetrics
-from repro.pipeline.shm import RING_POLL_S, ShmRing
 
 _LOG = logging.getLogger("repro.pipeline.parallel")
 
@@ -233,31 +230,6 @@ def _batch_signature(payload: Any) -> int:
     """Stable id of one wire payload (log-once / dedupe key)."""
     data = payload if isinstance(payload, bytes) else repr(payload).encode()
     return zlib.crc32(data)
-
-
-def _register_ring_gauges(registry: PipelineMetrics, rings) -> None:
-    """Publish the driver's broadcast-ring telemetry as pull-gauges.
-
-    Occupancy and wraps come from the shared segment headers (exact
-    across processes); the stall counter is the driver's own
-    endpoint-local count.  Gauges never enter ``state_dict``, so the
-    checkpoint byte-identity contract is untouched.
-    """
-    # replace=True: supervisor rebuilds re-register against the same
-    # registry with fresh ring objects — an intentional refresh.
-    registry.gauge_source(
-        "ring_occupancy_bytes",
-        lambda: sum(r.occupancy() for r in rings),
-        replace=True,
-    )
-    registry.gauge_source(
-        "ring_wraps", lambda: sum(r.wraps() for r in rings), replace=True
-    )
-    registry.gauge_source(
-        "ring_send_stalls",
-        lambda: sum(r.put_stalls for r in rings),
-        replace=True,
-    )
 
 
 def _poll_interval(stall_timeout_s: float | None) -> float:
@@ -388,18 +360,9 @@ class _ShardWorkerChain:
 
 
 def _shard_worker_loop(
-    chain: _ShardWorkerChain, in_q, sync_q, ret_q, in_ring=None
+    chain: _ShardWorkerChain, in_q, sync_q, ret_q
 ) -> None:
-    """One shard worker: stream stages over the broadcast element stream.
-
-    With the shm transport the broadcast batches arrive on this
-    worker's ``in_ring`` replica; every return hop (bin rounds, acks,
-    quarantines) stays on the queues.  Control can overtake data
-    across the two channels, so every control message then carries the
-    driver's sent-frame mark as its last element and is honoured only
-    once this worker has consumed that many frames — the cross-channel
-    ordering barrier.
-    """
+    """One shard worker: stream stages over the broadcast element stream."""
     from repro.pipeline.events import BinAdvanced, SignalBatch
 
     wid = chain.wid
@@ -542,7 +505,12 @@ def _shard_worker_loop(
     wire_lane = _runtime_cls.use_wire_lane
     armed = faults.arm("shard", wid)
 
-    def tag_batch(batch, quarantine):
+    def quarantine(msg, detail: str) -> None:
+        ret_q.put(
+            ("quar", wid, _batch_signature(msg[2]), msg[1], msg[2], detail)
+        )
+
+    def tag_batch(batch, msg):
         """Corrupt/meter/tag one broadcast batch; None on quarantine."""
         n = len(batch[0])
         if armed is not None:
@@ -557,7 +525,7 @@ def _shard_worker_loop(
             # Poison batch: every replica skips the same broadcast
             # batch (the driver dedupes the count by signature), so
             # the record replicas stay consistent.
-            quarantine(traceback.format_exc())
+            quarantine(msg, traceback.format_exc())
             return None
         delta = time.perf_counter() - began
         tag_handle.seconds += delta
@@ -645,97 +613,22 @@ def _shard_worker_loop(
             chain.record.load_state(doc["record"])
 
     try:
-        if in_ring is None:
-            while True:
-                msg = in_q.get()
-                kind = msg[0]
-                if kind == "batch":
-                    try:
-                        batch = _unpack(msg[1], msg[2])
-                    except Exception:
-                        ret_q.put(
-                            (
-                                "quar",
-                                wid,
-                                _batch_signature(msg[2]),
-                                msg[1],
-                                msg[2],
-                                traceback.format_exc(),
-                            )
-                        )
-                        continue
-                    tagged = tag_batch(
-                        batch,
-                        lambda tb, m=msg: ret_q.put(
-                            ("quar", wid, _batch_signature(m[2]), m[1], m[2], tb)
-                        ),
-                    )
-                    if tagged is not None:
-                        consume_tagged(tagged)
-                elif kind == "stop":
-                    return
-                else:
-                    handle_control(msg)
-        ring_done = 0  # frames consumed (quarantined frames included)
-        pending: deque = deque()  # (control message, sent-frame mark)
         while True:
-            if pending and ring_done >= pending[0][1]:
-                handle_control(pending.popleft()[0])
-                continue
-            frame = in_ring.get()
-            if frame is not None:
-                ring_done += 1
+            msg = in_q.get()
+            kind = msg[0]
+            if kind == "batch":
                 try:
-                    batch = frame.batch()
+                    batch = _unpack(msg[1], msg[2])
                 except Exception:
-                    raw = frame.raw()
-                    frame.release()
-                    ret_q.put(
-                        (
-                            "quar",
-                            wid,
-                            _batch_signature(raw),
-                            "shm",
-                            raw,
-                            traceback.format_exc(),
-                        )
-                    )
+                    quarantine(msg, traceback.format_exc())
                     continue
-
-                def quarantine(tb, frame=frame):
-                    raw = frame.raw()
-                    ret_q.put(
-                        ("quar", wid, _batch_signature(raw), "shm", raw, tb)
-                    )
-
-                try:
-                    # The frame is held through tagging only: the
-                    # borrowed kinds view feeds tag_wire_batch, and the
-                    # quarantine path needs the raw frame bytes.  The
-                    # sync rounds below run on fresh tagged columns.
-                    tagged = tag_batch(batch, quarantine)
-                finally:
-                    frame.release()
+                tagged = tag_batch(batch, msg)
                 if tagged is not None:
                     consume_tagged(tagged)
-                continue
-            if pending:
-                # Owed frames before the queued control applies: poll
-                # only the ring.
-                time.sleep(RING_POLL_S)
-                continue
-            try:
-                msg = in_q.get_nowait()
-            except queue_mod.Empty:
-                time.sleep(RING_POLL_S)
-                continue
-            if msg[0] == "stop":
+            elif kind == "stop":
                 return
-            mark = msg[-1]
-            if ring_done >= mark:
-                handle_control(msg[:-1])
             else:
-                pending.append((msg[:-1], mark))
+                handle_control(msg)
     except Exception:
         ret_q.put(
             (
@@ -777,14 +670,11 @@ class ShardProcessPipeline:
         baselines: _ShippedBaselines,
         rejected: list,
         batch_size: int,
-        transport: str = "queue",
     ) -> None:
         if len(chains) < 2:
             raise ValueError("the shard-process runtime needs >= 2 workers")
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if transport not in ("queue", "shm"):
-            raise ValueError("transport must be 'queue' or 'shm'")
         if not fork_available():
             raise RuntimeError(
                 "ShardProcessPipeline requires the 'fork' start method"
@@ -794,7 +684,6 @@ class ShardProcessPipeline:
         self.chains = chains
         self.workers = len(chains)
         self.batch_size = batch_size
-        self.transport = transport
         self._ingest = ingest
         self._registry = registry
         self._ingest_handle = registry.stage(ingest.name)
@@ -812,28 +701,10 @@ class ShardProcessPipeline:
         self._in_qs = [ctx.Queue(IN_QUEUE_DEPTH) for _ in chains]
         self._sync_qs = [ctx.Queue() for _ in chains]
         self._ret_q = ctx.Queue()
-        # Broadcast input rings, one replica per worker, created
-        # pre-fork (inherited mappings, driver-owned segments).  All
-        # return traffic stays on the queues — the bin rounds are
-        # control plane.
-        shm_mode = transport == "shm"
-        self._in_rings = [ShmRing() for _ in chains] if shm_mode else []
-        #: broadcast frames shipped — the shared mark control messages
-        #: carry so they cannot overtake ring data.
-        self._sent = 0
-        self._send_faults = (
-            faults.arm("shard", -1, forked=False) if shm_mode else None
-        )
         self._procs = [
             ctx.Process(
                 target=_shard_worker_loop,
-                args=(
-                    chain,
-                    self._in_qs[w],
-                    self._sync_qs[w],
-                    self._ret_q,
-                    self._in_rings[w] if shm_mode else None,
-                ),
+                args=(chain, self._in_qs[w], self._sync_qs[w], self._ret_q),
                 daemon=True,
                 name=f"kepler-shard-{w}",
             )
@@ -841,8 +712,6 @@ class ShardProcessPipeline:
         ]
         for proc in self._procs:
             proc.start()
-        if shm_mode:
-            _register_ring_gauges(registry, self._in_rings)
         self._buffer: list[list] = []
         self._bid = 0
         self._fid = 0
@@ -955,7 +824,7 @@ class ShardProcessPipeline:
         self._ship()
         self._fid += 1
         fid = self._fid
-        message = self._control_message("flush", fid)
+        message = ("flush", fid)
         for in_q in self._in_qs:
             self._put_checked(in_q, message)
         # A wid set, not a counter: duplicated round-trip messages must
@@ -982,32 +851,10 @@ class ShardProcessPipeline:
         self._pump()
 
     def _broadcast_batch(self, batch: tuple) -> None:
-        """Replicate one columnar batch to every worker (ring or queue).
-
-        One ring-fault decision covers the whole broadcast round, so a
-        torn or stale frame hits every replica identically and the
-        record replicas stay consistent (the quarantine count dedupes
-        by signature; a stale round stalls every worker's mark).
-        """
-        if self._in_rings:
-            fault = None
-            if self._send_faults is not None:
-                self._send_faults.note_elements(len(batch[0]))
-                fault = self._send_faults.ring_fault()
-            for ring in self._in_rings:
-                while not ring.try_put(("batch",), batch, fault=fault):
-                    ring.put_stalls += 1
-                    self._pump(block=True, timeout=0.05)
-                    self._blocked_tick()
-            self._sent += 1
-            return
+        """Replicate one columnar batch to every worker's queue."""
         message = ("batch", *_pack(batch))
         for in_q in self._in_qs:
             self._put_checked(in_q, message)
-
-    def _control_message(self, *parts) -> tuple:
-        """Append the sent-frame mark in shm mode (ordering barrier)."""
-        return (*parts, self._sent) if self._in_rings else parts
 
     def _put_checked(self, in_q, message) -> None:
         """Put that keeps serving round traffic while a queue is full.
@@ -1058,10 +905,7 @@ class ShardProcessPipeline:
         for i, q in enumerate(self._sync_qs):
             named[f"sync[{i}]"] = q
         named["ret"] = self._ret_q
-        sample = queue_depths(named)
-        for i, ring in enumerate(self._in_rings):
-            sample[f"ring_in[{i}]"] = ring.occupancy()
-        return sample
+        return queue_depths(named)
 
     def _round(self, rid: int) -> dict:
         state = self._rounds.get(rid)
@@ -1243,7 +1087,7 @@ class ShardProcessPipeline:
         self._ship()
         self._bid += 1
         bid = self._bid
-        message = self._control_message("ctl", bid, sections)
+        message = ("ctl", bid, sections)
         for in_q in self._in_qs:
             self._put_checked(in_q, message)
         # Keyed by wid: a duplicated ack must not stand in for a
@@ -1270,7 +1114,7 @@ class ShardProcessPipeline:
         self._ship()
         self._fid += 1
         fid = self._fid
-        message = self._control_message("finalize", fid, end_time)
+        message = ("finalize", fid, end_time)
         for in_q in self._in_qs:
             self._put_checked(in_q, message)
         finals: dict[int, list] = {}
@@ -1482,7 +1326,7 @@ class ShardProcessPipeline:
             ]
             self._put_checked(
                 in_q,
-                self._control_message(
+                (
                     "load",
                     {
                         "tagging": stages["tagging"],
@@ -1512,13 +1356,12 @@ class ShardProcessPipeline:
             self._procs,
             (*self._in_qs, *self._sync_qs, self._ret_q),
             deadline_s=self.teardown_deadline_s,
-            rings=self._in_rings,
         )
 
     def __repr__(self) -> str:
         return (
             f"ShardProcessPipeline(workers={self.workers},"
-            f" batch={self.batch_size}, transport={self.transport!r})"
+            f" batch={self.batch_size})"
         )
 
 
@@ -1630,7 +1473,6 @@ def build_shard_process_kepler_pipeline(
     workers: int = 2,
     *,
     batch_size: int,
-    transport: str = "queue",
 ) -> ShardProcessKeplerPipeline:
     """Wire and fork the end-to-end shard-process runtime.
 
@@ -1710,6 +1552,5 @@ def build_shard_process_kepler_pipeline(
         baselines=baselines,
         rejected=rejected,
         batch_size=batch_size,
-        transport=transport,
     )
     return ShardProcessKeplerPipeline(runtime)

@@ -1,12 +1,11 @@
-"""The wire-batch codec fallback paths, queue and ring transports.
+"""The wire-batch codec and its fallback path.
 
 ``_pack``/``_unpack`` (exported as ``pack_wires``/``unpack_wires``)
 are marshal-first with a fallback for payloads marshal rejects, and a
 corrupt or unknown codec tag must surface as
 :class:`~repro.pipeline.liveness.PoisonedBatchError` — the vocabulary
 the quarantine/rollback machinery speaks — never as a bare unmarshal
-crash.  The shm transport's :func:`~repro.pipeline.shm.encode_frame`
-mirrors the same policy with its pickle codec.
+crash.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.pipeline.liveness import PoisonedBatchError
 from repro.pipeline.parallel import pack_wires, unpack_wires
-from repro.pipeline.shm import ShmRing
 
 
 class Opaque:
@@ -75,19 +73,3 @@ class TestQueueCodec:
     def test_unknown_codec_tag_raises_poisoned(self):
         with pytest.raises(PoisonedBatchError):
             unpack_wires("x", b"whatever")
-
-
-class TestRingCodec:
-    @settings(max_examples=25, deadline=None)
-    @given(batch=wires, value=scalars)
-    def test_fallback_frames_roundtrip_through_a_ring(self, batch, value):
-        poisoned = batch + [[Opaque(value)]]
-        ring = ShmRing(capacity=1 << 16)
-        try:
-            ring.put((poisoned, None))  # header-only feed-style frame
-            frame = ring.get()
-            assert chr(frame.codec) == "P"
-            assert frame.header() == (poisoned, None)
-            frame.release()
-        finally:
-            ring.destroy()

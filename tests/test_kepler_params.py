@@ -12,8 +12,8 @@ from repro.core.kepler import KeplerParams, RecoveryPolicy
 def test_knob_census():
     # ROADMAP item 3 counts the layout knobs: today ``process_batch``,
     # ``shard_processes``, ``ingest_feeds``, ``supervised``,
-    # ``recovery``, ``transport`` and ``feed_chunk`` (7); the target is
-    # at most four.  Adding a field here means moving away from it.
+    # ``recovery`` and ``feed_chunk`` (6); the target is at most four.
+    # Adding a field here means moving away from it.
     assert {f.name for f in dataclasses.fields(KeplerParams)} == {
         "monitor",
         "min_pop_ases",
@@ -28,7 +28,6 @@ def test_knob_census():
         "ingest_feeds",
         "supervised",
         "recovery",
-        "transport",
         "feed_chunk",
     }
     assert {f.name for f in dataclasses.fields(RecoveryPolicy)} == {
@@ -44,7 +43,7 @@ def test_knob_census():
 
 
 @pytest.mark.parametrize(
-    "retired", ["shards", "shard_workers", "monitor_partitions"]
+    "retired", ["shards", "shard_workers", "monitor_partitions", "transport"]
 )
 def test_retired_layout_knobs_are_type_errors(retired):
     with pytest.raises(TypeError, match=retired):

@@ -6,7 +6,7 @@ points mid-run — including while a supervised runtime is killing,
 restarting and replaying workers — changes nothing observable.
 Records, signal log, rejects and the telemetry-stripped checkpoint
 document stay byte-identical to the unsampled linear ground truth
-across every runtime layout × transport.
+across every runtime layout.
 
 The poller is deliberately hostile: no synchronisation with the
 driver beyond the public API, an aggressive sampling period, and
@@ -90,22 +90,22 @@ def ground_truth(world_a) -> tuple:
     return observed(detector)
 
 
-#: Stripped checkpoint JSON of an *unsampled* run, per (layout,
-#: transport).  The per-stage counters are runtime-dependent (the
-#: shard-process driver analysis is fed one merged batch per bin), so
-#: the sampling invariant is sampled == unsampled *same layout*, while
-#: records / signals / rejects are pinned to the linear ground truth.
-_BASELINE_DOCS: dict[tuple[str, str], str] = {}
+#: Stripped checkpoint JSON of an *unsampled* run, per layout.  The
+#: per-stage counters are runtime-dependent (the shard-process driver
+#: analysis is fed one merged batch per bin), so the sampling
+#: invariant is sampled == unsampled *same layout*, while records /
+#: signals / rejects are pinned to the linear ground truth.
+_BASELINE_DOCS: dict[str, str] = {}
 
 
-def baseline_doc(world_a, key: tuple[str, str], params: KeplerParams) -> str:
-    doc = _BASELINE_DOCS.get(key)
+def baseline_doc(world_a, layout: str) -> str:
+    doc = _BASELINE_DOCS.get(layout)
     if doc is None:
         world, snapshot, elements = world_a
-        detector = make_kepler(world, params)
+        detector = make_kepler(world, KeplerParams(**LAYOUTS[layout]))
         try:
             detector.prime(snapshot)
-            if "ingest_feeds" in LAYOUTS[key[0]]:
+            if "ingest_feeds" in LAYOUTS[layout]:
                 detector.process_feeds(split_by_collector(elements))
             else:
                 detector.process(elements)
@@ -116,7 +116,7 @@ def baseline_doc(world_a, key: tuple[str, str], params: KeplerParams) -> str:
             )
         finally:
             detector.close()
-        _BASELINE_DOCS[key] = doc
+        _BASELINE_DOCS[layout] = doc
     return doc
 
 
@@ -218,7 +218,7 @@ def check_identity(got, doc, poller, ground_truth, expected_doc) -> None:
 
 
 # ----------------------------------------------------------------------
-# Clean runs: every layout × transport, arbitrary sampling periods
+# Clean runs: every layout, arbitrary sampling periods
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "layout",
@@ -227,20 +227,16 @@ def check_identity(got, doc, poller, ground_truth, expected_doc) -> None:
         for name in LAYOUTS
     ],
 )
-@pytest.mark.parametrize("transport", ["queue", "shm"])
 class TestCleanRunSampling:
     @sampling_settings
     @given(period_ms=st.integers(min_value=1, max_value=25))
     def test_sampling_is_invisible(
-        self, world_a, ground_truth, layout, transport, period_ms
+        self, world_a, ground_truth, layout, period_ms
     ):
-        if transport == "shm" and layout not in FORK_LAYOUTS:
-            pytest.skip("transport only reaches the multiprocess runtimes")
-        params = KeplerParams(transport=transport, **LAYOUTS[layout])
-        expected_doc = baseline_doc(world_a, (layout, transport), params)
+        expected_doc = baseline_doc(world_a, layout)
         got, doc, poller = sampled_run(
             world_a,
-            params,
+            KeplerParams(**LAYOUTS[layout]),
             period_s=period_ms / 1000.0,
             via_feeds=(layout == "ingest_feeds"),
         )
@@ -252,12 +248,11 @@ class TestCleanRunSampling:
 # ----------------------------------------------------------------------
 @needs_fork
 class TestFaultedRunSampling:
-    def _supervised(self, runtime: dict, transport: str) -> KeplerParams:
+    def _supervised(self) -> KeplerParams:
         return KeplerParams(
             supervised=True,
             recovery=RecoveryPolicy(**POLICY),
-            transport=transport,
-            **runtime,
+            **LAYOUTS["shard_processes"],
         )
 
     @sampling_settings
@@ -265,41 +260,30 @@ class TestFaultedRunSampling:
         at_element=st.integers(min_value=1, max_value=4000),
         period_ms=st.integers(min_value=1, max_value=10),
     )
-    @pytest.mark.parametrize("transport", ["queue", "shm"])
     def test_shard_worker_kill_under_sampling(
-        self, world_a, ground_truth, transport, at_element, period_ms
+        self, world_a, ground_truth, at_element, period_ms
     ):
-        expected_doc = baseline_doc(
-            world_a,
-            ("shard_processes", transport),
-            KeplerParams(transport=transport, **LAYOUTS["shard_processes"]),
-        )
+        expected_doc = baseline_doc(world_a, "shard_processes")
         plan = FaultPlan(
             [FaultSpec(scope="shard", kind="kill", at_element=at_element, worker_id=1)]
         )
         with faults.injected(plan):
             got, doc, poller = sampled_run(
                 world_a,
-                self._supervised(LAYOUTS["shard_processes"], transport),
+                self._supervised(),
                 period_s=period_ms / 1000.0,
             )
         check_identity(got, doc, poller, ground_truth, expected_doc)
 
     def test_recovering_sample_is_well_formed(self, world_a, ground_truth):
         """Samples taken mid-rebuild degrade gracefully, never raise."""
-        expected_doc = baseline_doc(
-            world_a,
-            ("shard_processes", "queue"),
-            KeplerParams(transport="queue", **LAYOUTS["shard_processes"]),
-        )
+        expected_doc = baseline_doc(world_a, "shard_processes")
         plan = FaultPlan(
             [FaultSpec(scope="shard", kind="kill", at_element=900, worker_id=0)]
         )
         with faults.injected(plan):
             got, doc, poller = sampled_run(
-                world_a,
-                self._supervised(LAYOUTS["shard_processes"], "queue"),
-                period_s=0.001,
+                world_a, self._supervised(), period_s=0.001
             )
         check_identity(got, doc, poller, ground_truth, expected_doc)
         # Every sample — including any taken during the teardown/rebuild

@@ -17,6 +17,7 @@ dying on them.
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,9 +30,11 @@ from test_pipeline_equivalence import (
     record_fields,
 )
 from repro.core.kepler import Kepler, KeplerParams, RecoveryPolicy
+from repro.ingest import split_by_collector
 from repro.pipeline import (
     FaultPlan,
     FaultSpec,
+    RecoverableWorkerError,
     WorkerDeathError,
     fork_available,
     strip_checkpoint_telemetry,
@@ -135,9 +138,12 @@ def faulted_run(
     params: KeplerParams,
     plan: FaultPlan,
     snapshot_doc: bool = False,
+    by_feeds: bool = False,
 ) -> tuple[tuple, dict, str | None]:
     """Full supervised (or not) run under an installed fault plan.
 
+    ``by_feeds`` streams per-collector sources through
+    ``process_feeds`` (forked feed workers) instead of ``process``.
     Returns ``(observed, recovery_snapshot, stripped_snapshot_json)``.
     """
     world, snapshot, elements = world_a
@@ -145,7 +151,10 @@ def faulted_run(
         detector = make_kepler(world, params)
         try:
             detector.prime(snapshot)
-            detector.process(elements)
+            if by_feeds:
+                detector.process_feeds(split_by_collector(elements))
+            else:
+                detector.process(elements)
             detector.finalize(end_time=END_TIME)
             recovery = detector.metrics.snapshot()["recovery"]
             doc = (
@@ -279,6 +288,43 @@ class TestQuarantine:
         )
         assert got == linear_run[0]
         assert recovery["quarantined_batches"] >= 1
+        assert recovery["restarts"] >= 1
+
+
+class TestFeedCorruptPayload:
+    """A forked feed worker publishes a batch the driver cannot unpack."""
+
+    PLAN = [FaultSpec(scope="feed", kind="corrupt_payload", at_element=1)]
+
+    def test_unsupervised_run_aborts_recoverably(self, world_a):
+        """The run raises a recoverable error (never a silent skip: the
+        feed's watermark promise would break) and reaps its workers."""
+        world, snapshot, elements = world_a
+        with faults.injected(FaultPlan(self.PLAN)):
+            detector = make_kepler(world, KeplerParams(**INGEST))
+            try:
+                detector.prime(snapshot)
+                with pytest.raises(RecoverableWorkerError, match="undecodable"):
+                    detector.process_feeds(split_by_collector(elements))
+                alive = [
+                    proc.name
+                    for proc in multiprocessing.active_children()
+                    if proc.name.startswith("kepler-feed-")
+                ]
+                assert not alive, f"feed workers outlived the run: {alive}"
+            finally:
+                detector.close()
+
+    def test_supervised_run_is_rolled_back_byte_exact(
+        self, world_a, linear_run
+    ):
+        got, recovery, _ = faulted_run(
+            world_a,
+            supervised_params(INGEST),
+            FaultPlan(self.PLAN),
+            by_feeds=True,
+        )
+        assert got == linear_run[0]
         assert recovery["restarts"] >= 1
 
 
@@ -434,7 +480,16 @@ class TestUnsupervisedDiagnostics:
             detector.close()  # idempotent after a crash teardown
 
 
-@pytest.mark.parametrize("field, value", [("scope", "tag"), ("kind", "crash")])
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("scope", "tag"),
+        ("kind", "crash"),
+        # Ring seams of the retired shared-memory transport.
+        ("kind", "torn_write"),
+        ("kind", "stale_cursor"),
+    ],
+)
 def test_fault_aimed_at_nothing_is_rejected(field, value):
     """A spec naming no seam would never fire, and its test would pass
     while injecting nothing: it must not construct."""
