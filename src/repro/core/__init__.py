@@ -16,9 +16,7 @@ from repro.core.events import OutageRecord, OutageSignal, SignalType
 from repro.core.input import InputModule, TaggedPath, PoPTag
 from repro.core.monitor import (
     MonitorParams,
-    MonitorPartition,
     OutageMonitor,
-    PartitionedMonitor,
     merge_monitor_states,
     partition_of,
     pop_sort_key,
@@ -42,9 +40,7 @@ __all__ = [
     "TaggedPath",
     "PoPTag",
     "MonitorParams",
-    "MonitorPartition",
     "OutageMonitor",
-    "PartitionedMonitor",
     "merge_monitor_states",
     "partition_of",
     "pop_sort_key",

@@ -117,7 +117,7 @@ class KeplerParams:
     process_batch: int = 512
     #: Number of end-to-end shard worker *processes* (0 = off; >= 2
     #: enables the shard-process runtime).  Each worker runs the
-    #: stream stages tagging -> monitor-partition -> record over the
+    #: stream stages tagging -> monitor share -> record over the
     #: broadcast element stream; the driver keeps ingest, the probe
     #: cache and the per-bin analysis (classification -> localisation
     #: -> validation over the merged signals, one fused exchange per
@@ -213,8 +213,8 @@ class Kepler:
         """
         self.input = InputModule(self.dictionary, self.colo)
         # Under shard_processes the live monitor state is distributed
-        # across the worker processes (one partition each, built by the
-        # runtime); this driver-side object then only carries the
+        # across the worker processes (one monitor share each, built by
+        # the runtime); this driver-side object then only carries the
         # MonitorParams template and stays empty — read monitor state
         # through the facade views or a snapshot in that mode.
         self.monitor = OutageMonitor(self.params.monitor)

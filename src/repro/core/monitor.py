@@ -17,26 +17,19 @@ Divergence semantics (the paper's three change types):
 State messages suspend the affected peer's paths so collector-session
 resets do not masquerade as outages.
 
-The detection core is partitionable by PoP: every piece of monitor
-state except the binning clock and the feed-gap set is keyed by PoP
-(baseline entries, stability candidates, per-bin divergences, return
-tracking), and the bin-close thresholds aggregate per (PoP, AS) —
-never across PoPs.  The module is therefore split into
-
-* :class:`MonitorPartition` — the pure per-partition core: baseline
-  install/remove, pending promotion, and per-(PoP, AS) bin accumulators
-  for the subset of PoPs it owns (``partition_of(pop, n) == index``);
-* :class:`PartitionedMonitor` — a thin coordinator that owns the
-  binning clock and the shared feed-gap set, broadcasts stream
-  elements to its partitions (each partition touches only its own
-  indexed state), drives synchronized bin advancement, and merges the
-  partitions' partial signals at every bin close under the explicit
-  :func:`signal_sort_key` ordering.
-
-``OutageMonitor`` (the historical name) is the coordinator with one
-partition; ``PartitionedMonitor(partitions=N)`` is byte-identical to
-it on any stream — pinned by the partition property tests in
-``tests/test_checkpoint_roundtrip.py``.
+:class:`OutageMonitor` is one fold and one bin clock over one stream.
+Every piece of its state except the bin clock and the feed-gap set is
+keyed by PoP (baseline entries, stability candidates, per-bin
+divergences), and the bin-close thresholds aggregate per (PoP, AS) —
+never across PoPs.  That is what the optional ownership filter
+``share=(w, n)`` rests on: a share keeps the per-PoP state of exactly
+the PoPs with ``partition_of(pop, n) == w`` and computes exactly that
+share of every bin close.  The shard-process runtime
+(:mod:`repro.pipeline.parallel`) runs one share per worker and merges
+the shares' bin-close signals under :func:`signal_sort_key` and their
+checkpoint documents with :func:`merge_monitor_states`; the share tests
+in ``tests/test_core_monitor.py`` pin both merges to the full
+monitor's output.
 """
 
 from __future__ import annotations
@@ -45,7 +38,6 @@ import heapq
 import math
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.bgp.messages import BGPStateMessage, ElemType
 from repro.core.events import OutageSignal
@@ -77,10 +69,10 @@ def signal_sort_key(signal: OutageSignal) -> tuple[str, str, int]:
 
     ``close_bin`` emits the signals of one bin sorted under this key —
     an explicit contract rather than an artefact of dict iteration —
-    which is what makes the partial-signal merge of a partitioned
-    monitor deterministic: each partition's partial list is sorted, and
-    the coordinator's merge under the same key reproduces the singleton
-    emission byte for byte.
+    which is what makes the shard driver's merge deterministic: each
+    monitor share's bin-close list is sorted, and merging the shares'
+    lists under the same key reproduces the full monitor's emission
+    byte for byte.
     """
     return (signal.pop.kind.value, signal.pop.pop_id, signal.near_asn)
 
@@ -92,8 +84,12 @@ class MonitorParams:
     t_fail: float = DEFAULT_T_FAIL
 
     def __post_init__(self) -> None:
-        if self.bin_interval_s <= 0:
-            raise ValueError("bin_interval_s must be positive")
+        # Fail closed: a NaN or infinite bin width never closes a bin,
+        # and a negative window promotes candidates before first seen.
+        if not (math.isfinite(self.bin_interval_s) and self.bin_interval_s > 0):
+            raise ValueError("bin_interval_s must be finite and positive")
+        if not (math.isfinite(self.stable_window_s) and self.stable_window_s >= 0):
+            raise ValueError("stable_window_s must be finite and non-negative")
         if not 0.0 < self.t_fail <= 1.0:
             raise ValueError("t_fail must be in (0, 1]")
 
@@ -134,7 +130,7 @@ class _TrackState:
 #: Bits reserved for the PoP index in a packed (key, pop) pending id.
 _POP_SHIFT = 20
 _POP_MASK = (1 << _POP_SHIFT) - 1
-#: Cap on the per-partition derived-column caches (tag columns, path
+#: Cap on the monitor's derived-column caches (tag columns, path
 #: AS-sets); wholesale clear on overflow — they are pure caches.
 _COLS_CACHE_MAX = 65536
 
@@ -173,8 +169,8 @@ class TaggedRun:
     The batch-native deferral unit: instead of materialising one
     ``TaggedPath`` per in-bin element, the monitoring stage appends one
     ``TaggedRun`` over the ``[start, stop)`` tagged-family rows of a
-    :class:`~repro.core.serde.TaggedBatchView` to the coordinator's
-    event list.  The per-bin fold consumes it column to column —
+    :class:`~repro.core.serde.TaggedBatchView` to the monitor's event
+    list.  The per-bin fold consumes it column to column —
     interleaving freely with plain ``TaggedPath`` objects in arrival
     order — so skippable steady-state rows never become objects at all.
     The view pins the batch columns alive for the life of the run.
@@ -188,14 +184,23 @@ class TaggedRun:
         self.stop = stop
 
 
-class MonitorPartition:
-    """Per-partition detection core: one PoP subset's monitor state.
+class OutageMonitor:
+    """The stable-path monitor: one fold and one bin clock over a stream.
 
-    Owns every PoP with ``partition_of(pop, n_partitions) == index``
-    (with ``n_partitions == 1`` it owns everything).  The partition is
-    pure with respect to the stream: it holds no binning clock — the
-    coordinator closes bins — and reads the feed-gap set through a
-    reference shared with its siblings.
+    Owns the bin clock, the feed-gap set, the deferred in-bin event
+    buffer and the per-PoP state: baseline, stability candidates
+    (pending heap), per-bin divergences and open-outage return
+    tracking.
+
+    ``share=(w, n)`` is the shard-process worker's ownership filter:
+    the monitor then keeps baseline, pending and divergence state only
+    for the PoPs with ``partition_of(pop, n) == w``, fed the full
+    broadcast stream, and so computes exactly that share of every bin
+    close (see :mod:`repro.pipeline.parallel`).  Baseline queries for
+    other PoPs read empty.  Return tracking ignores the filter: a share
+    sees the full stream, so it can track *any* PoP's diverted keys,
+    which is what lets every worker track the signal PoP of every
+    record.
 
     The hot per-element state is columnar: path keys and PoPs are
     interned to dense integer ids, and per-key PoP membership
@@ -205,26 +210,35 @@ class MonitorPartition:
     views (``baseline``, ``_pending`` entries) are only touched when
     an event actually changes state.  The intern tables grow with the
     key universe — the same order of memory as the baseline itself —
-    and are rebuilt empty on :meth:`reset`.
-
-    Return tracking is deliberately ownership-agnostic: a partition
-    fed the full stream can track *any* PoP's diverted keys, which is
-    what lets every shard-process worker track the signal PoP of every
-    record, whichever partition owns that PoP.
+    and are rebuilt empty on :meth:`load_state`.
     """
 
     def __init__(
         self,
-        params: MonitorParams,
-        gapped: set[tuple[str, int]],
-        n_partitions: int = 1,
-        index: int = 0,
+        params: MonitorParams | None = None,
+        share: tuple[int, int] | None = None,
     ) -> None:
-        self.params = params
-        self.n_partitions = n_partitions
-        self.index = index
-        #: shared feed-gap set, owned and mutated by the coordinator.
-        self._gapped = gapped
+        self.params = params or MonitorParams()
+        if share is not None:
+            index, n = share
+            if n < 1 or not 0 <= index < n:
+                raise ValueError(f"invalid monitor share {share!r}")
+        self.share = share
+        #: collector peers currently in a feed gap.
+        self._gapped: set[tuple[str, int]] = set()
+        #: in-bin elements deferred for the grouped per-bin fold —
+        #: ``TaggedPath`` objects and/or :class:`TaggedRun` column
+        #: spans, in arrival order; the feed-gap admission check
+        #: already ran at arrival time.  The list is cleared in place
+        #: (never rebound): the monitoring stage's batch feeder holds
+        #: a bound ``append`` across calls.
+        self._events: list = []
+        self._bin_start: float | None = None
+        self.bins_processed = 0
+        self._reset()
+
+    def _reset(self) -> None:
+        """Empty per-PoP state, caches and intern tables."""
         #: pop -> key -> entry (the stable baseline).
         self.baseline: dict[PoP, dict[PathKey, _BaselineEntry]] = {}
         #: running count of (pop, key) baseline entries.
@@ -258,7 +272,7 @@ class MonitorPartition:
         #: promotion queue: (since, tiebreak, packed_id); entries whose
         #: candidate was reset are invalidated lazily on pop.  The
         #: tiebreak is a plain int (not itertools.count) so taking a
-        #: checkpoint never mutates the partition.
+        #: checkpoint never mutates the monitor.
         self._pending_heap: list[tuple[float, int, int]] = []
         self._heap_counter = 0
         #: derived-column caches keyed by id() of memo-shared tuples;
@@ -266,21 +280,30 @@ class MonitorPartition:
         #: a live cache hit is always an identity hit.
         self._tags_cols: dict[int, tuple] = {}
         self._path_ases: dict[int, tuple] = {}
-        #: divergences observed in the current bin (own pops only).
+        #: divergences observed in the current bin (owned pops only).
         self._diverted: dict[PoP, set[PathKey]] = {}
         #: open-outage return tracking (any pop — see class docstring).
         self._tracking: dict[PoP, _TrackState] = {}
-        #: diverted keys of the most recently closed bin, per own PoP.
+        #: diverted keys of the most recently closed bin, per owned PoP.
         self.last_diverted: dict[PoP, set[PathKey]] = {}
         #: elements the steady-state fast path discarded without
         #: touching any object state (fold telemetry, never
         #: checkpointed — surfaced as a metrics gauge).
         self.skipped_steady_state = 0
 
+    @property
+    def partitions(self) -> tuple[OutageMonitor]:
+        """``(self,)``: the fold hook's lookup path.
+
+        The ledger's tracer (``benchmarks/ledger/tracing.py``) wraps
+        ``partitions[i].apply_events`` on the instance, which is why
+        :meth:`_flush_events` looks ``apply_events`` up at call time.
+        """
+        return (self,)
+
     def owns(self, pop: PoP) -> bool:
-        if self.n_partitions == 1:
-            return True
-        return partition_of(pop, self.n_partitions) == self.index
+        share = self.share
+        return share is None or partition_of(pop, share[1]) == share[0]
 
     # ------------------------------------------------------------------
     # Interning (internal ids; never serialised)
@@ -317,39 +340,88 @@ class MonitorPartition:
         cache = self._tags_cols
         if len(cache) > _COLS_CACHE_MAX:
             cache.clear()
-        single = self.n_partitions == 1
         mask = 0
         owned = []
         for tag in tags:
             idx = self._intern_pop(tag.pop)
             bit = 1 << idx
             mask |= bit
-            if single or self.owns(tag.pop):
+            if self.owns(tag.pop):
                 owned.append((idx, bit, tag.near_asn, tag.far_asn))
         cols = (tags, mask, tuple(owned))
         cache[id(tags)] = cols
         return cols
 
     # ------------------------------------------------------------------
-    # Baseline priming (initial RIB snapshot, assumed stable)
+    # Streaming interface
     # ------------------------------------------------------------------
     def prime(self, tagged: TaggedPath) -> None:
-        """Install the owned tags of a path into the baseline directly."""
+        """Install a path's owned tags into the baseline (table dump)."""
+        # Earlier stream elements must see the pre-prime baseline: fold
+        # them before the install becomes visible.
+        if self._events:
+            self._flush_events()
+        path_ases = frozenset(tagged.as_path[1:])
         for tag in tagged.tags:
-            if not self.owns(tag.pop):
-                continue
-            self._install(
-                tag.pop, tagged.key, tag, tagged.time,
-                frozenset(tagged.as_path[1:]),
-            )
+            if self.owns(tag.pop):
+                self._install(
+                    tag.pop, tagged.key, tag.near_asn, tag.far_asn,
+                    tagged.time, path_ases,
+                )
 
+    def observe_state(self, message: BGPStateMessage) -> None:
+        peer = (message.collector, message.peer_asn)
+        if message.is_session_loss:
+            self._gapped.add(peer)
+        elif message.is_session_recovery:
+            self._gapped.discard(peer)
+
+    def observe(self, tagged: TaggedPath) -> list[OutageSignal]:
+        """Feed one tagged element; returns signals of any closed bins.
+
+        In-bin elements are admitted (feed-gap check at arrival time)
+        and deferred; the grouped fold over the whole bin runs at the
+        close — or earlier, when a query needs divergence, pending or
+        tracking state mid-bin.  The fold replays arrival order, so
+        any flush prefix is state-identical to per-element application.
+        """
+        signals: list[OutageSignal] = []
+        if self._bin_start is None:
+            self._bin_start = self._bin_floor(tagged.time)
+        width = self.params.bin_interval_s
+        if tagged.time >= self._bin_start + width:
+            signals = self.close_bin()
+            if tagged.time >= self._bin_start + width:
+                self._cross_empty_bins(tagged.time)
+        key = tagged.key
+        if (key[0], key[1]) not in self._gapped:
+            self._events.append(tagged)
+        return signals
+
+    def _flush_events(self) -> None:
+        """Fold the deferred in-bin elements."""
+        events = self._events
+        if not events:
+            return
+        batch = events[:]
+        events.clear()
+        self.apply_events(batch)
+
+    def _bin_floor(self, time: float) -> float:
+        width = self.params.bin_interval_s
+        return (time // width) * width
+
+    # ------------------------------------------------------------------
+    # Baseline bookkeeping (the single install/remove choke points)
+    # ------------------------------------------------------------------
     def _install(
         self,
         pop: PoP,
         key: PathKey,
-        tag: PoPTag,
+        near_asn: int | None,
+        far_asn: int | None,
         since: float,
-        path_ases: frozenset[int] = frozenset(),
+        path_ases: frozenset[int],
     ) -> None:
         entries = self.baseline.setdefault(pop, {})
         old = entries.get(key)
@@ -358,8 +430,8 @@ class MonitorPartition:
         else:
             self.total_baseline_entries += 1
         entry = _BaselineEntry(
-            near_asn=tag.near_asn,
-            far_asn=tag.far_asn,
+            near_asn=near_asn,
+            far_asn=far_asn,
             since=since,
             path_ases=path_ases,
         )
@@ -406,50 +478,8 @@ class MonitorPartition:
                 totals[subject] = updated
 
     # ------------------------------------------------------------------
-    # Pending-candidate bookkeeping (indexed by key for O(1) resets)
+    # The per-bin fold
     # ------------------------------------------------------------------
-    def _pending_add(
-        self,
-        pop: PoP,
-        key: PathKey,
-        entry: tuple[int | None, int | None, float, frozenset[int]],
-    ) -> None:
-        key_idx = self._intern_key(key)
-        packed = key_idx << _POP_SHIFT | self._intern_pop(pop)
-        self._pending[packed] = entry
-        self._pend_mask[key_idx] |= 1 << (packed & _POP_MASK)
-        self._heap_counter += 1
-        heapq.heappush(
-            self._pending_heap,
-            (entry[2], self._heap_counter, packed),
-        )
-
-    def _pending_discard(self, pop: PoP, key: PathKey) -> None:
-        key_idx = self._key_ids.get(key)
-        pop_idx = self._pop_ids.get(pop)
-        if key_idx is None or pop_idx is None:
-            return
-        if self._pending.pop(key_idx << _POP_SHIFT | pop_idx, None) is None:
-            return
-        self._pend_mask[key_idx] &= ~(1 << pop_idx)
-
-    def iter_pending(self):
-        """Yield live ``(pop, key, entry)`` candidates (unordered)."""
-        keys = self._keys
-        pops = self._pops
-        for packed, entry in self._pending.items():
-            yield pops[packed & _POP_MASK], keys[packed >> _POP_SHIFT], entry
-
-    # ------------------------------------------------------------------
-    # Streaming interface (driven by the coordinator)
-    # ------------------------------------------------------------------
-    def apply(self, tagged: TaggedPath) -> None:
-        """Account one in-bin element against this partition's state."""
-        key = tagged.key
-        if (key[0], key[1]) in self._gapped:
-            return  # feed gap: ignore, do not interpret as divergence
-        self.apply_events((tagged,))
-
     def apply_events(self, events) -> None:
         """Fold a run of admitted elements in arrival order.
 
@@ -459,13 +489,16 @@ class MonitorPartition:
         structures (``_pending`` entries, divergence/tracking sets)
         are only touched when a mask test says the element changes
         state.  The feed-gap admission check already ran at arrival
-        time (see :meth:`PartitionedMonitor.observe`).
+        time (see :meth:`observe`).
 
-        Semantics per element are exactly :meth:`apply`'s historical
-        per-element transition — divergence against the baseline
-        mask, return tracking, withdrawal-resets, stability-candidate
-        add/reset — replayed in arrival order, so folding any prefix
-        is state-identical to per-element application.
+        Each element makes the same transition it would alone —
+        divergence against the baseline mask, return tracking,
+        withdrawal-resets, stability-candidate add/reset — replayed in
+        arrival order, so folding any prefix is state-identical to
+        per-element application.  The object branch (``TaggedPath``)
+        and the run branch (:class:`TaggedRun`) are two implementations
+        of that one transition; the columnar property tests compare
+        them.
         """
         key_ids_get = self._key_ids.get
         intern_key = self._intern_key
@@ -509,18 +542,11 @@ class MonitorPartition:
                 # id()-keyed cache probe with a list index: tag-set
                 # table entries repeat across rows, so each distinct
                 # entry resolves its derived columns once per view.
-                # Keyed per partition — derived columns embed this
-                # partition's ownership filter, and an in-process
-                # PartitionedMonitor folds one view through every
-                # partition.
-                cols_cache = view.cols
-                if cols_cache is None:
-                    cols_cache = view.cols = {}
-                cols_tab = cols_cache.get(id(self))
+                # One monitor folds a given view, so the table is that
+                # monitor's (derived columns embed its share filter).
+                cols_tab = view.cols
                 if cols_tab is None:
-                    cols_tab = cols_cache[id(self)] = [None] * len(
-                        tagsets
-                    )
+                    cols_tab = view.cols = [None] * len(tagsets)
                 for key, when, elem, path_idx, tags_idx in zip(
                     view.t_key[start:stop],
                     view.t_time[start:stop],
@@ -717,16 +743,20 @@ class MonitorPartition:
         self.skipped_steady_state += skipped
 
     # ------------------------------------------------------------------
-    # Bin closing: partial signal computation
+    # Bin closing
     # ------------------------------------------------------------------
-    def close_partial(self, bin_start: float, bin_end: float) -> list[OutageSignal]:
-        """Close the bin for this partition's PoPs; return its signals.
+    def close_bin(self) -> list[OutageSignal]:
+        """Close the current bin, emit signals, advance to the next bin.
 
-        The returned list is sorted under :func:`signal_sort_key`
-        (PoPs in :func:`pop_sort_key` order, ASes ascending within a
-        PoP), so the coordinator's cross-partition merge is a stable
-        sorted merge.
+        Signals are emitted sorted under :func:`signal_sort_key` (PoPs
+        in :func:`pop_sort_key` order, ASes ascending within a PoP).
         """
+        if self._events:
+            self._flush_events()
+        if self._bin_start is None:
+            return []
+        bin_start = self._bin_start
+        bin_end = bin_start + self.params.bin_interval_s
         signals: list[OutageSignal] = []
         self.last_diverted = {}
         for pop in sorted(self._diverted, key=pop_sort_key):
@@ -808,9 +838,26 @@ class MonitorPartition:
             for key in diverted_keys:
                 self._remove(pop, key)
         self._diverted.clear()
+        self._promote_pending(bin_end)
+        self._bin_start = bin_end
+        self.bins_processed += 1
         return signals
 
-    def promote_pending(self, now: float) -> None:
+    def _cross_empty_bins(self, until: float) -> None:
+        """Close the run of empty bins before the bin holding ``until``.
+
+        Right after :meth:`close_bin` nothing is deferred or diverted:
+        stepping would emit nothing, empty ``last_diverted`` and promote
+        in heap order up to the last bin end, as one promote call does.
+        """
+        self._bin_start, crossed = cross_bins(
+            self._bin_start, self.params.bin_interval_s, until
+        )
+        self.last_diverted = {}
+        self._promote_pending(self._bin_start)
+        self.bins_processed += crossed
+
+    def _promote_pending(self, now: float) -> None:
         # The heap yields candidates in first-seen order; entries whose
         # candidacy was reset since their push are skipped (their stored
         # ``since`` no longer matches the live entry).  Sustained
@@ -830,24 +877,22 @@ class MonitorPartition:
             entry = self._pending.get(packed)
             if entry is None or entry[2] != since:
                 continue
-            pop = self._pops[packed & _POP_MASK]
-            key = self._keys[packed >> _POP_SHIFT]
             del self._pending[packed]
             self._pend_mask[packed >> _POP_SHIFT] &= ~(
                 1 << (packed & _POP_MASK)
             )
             self._install(
-                pop,
-                key,
-                PoPTag(pop=pop, near_asn=entry[0], far_asn=entry[1]),
-                entry[2],
-                entry[3],
+                self._pops[packed & _POP_MASK],
+                self._keys[packed >> _POP_SHIFT],
+                *entry,
             )
 
     # ------------------------------------------------------------------
     # Open-outage return tracking (ownership-agnostic)
     # ------------------------------------------------------------------
     def start_tracking(self, pop: PoP, keys: set[PathKey]) -> None:
+        if self._events:
+            self._flush_events()
         existing = self._tracking.get(pop)
         if existing is not None:
             existing.keys.update(keys)
@@ -858,12 +903,16 @@ class MonitorPartition:
             self._track_mask[self._intern_key(key)] |= bit
 
     def returned_fraction(self, pop: PoP) -> float | None:
+        if self._events:
+            self._flush_events()
         track = self._tracking.get(pop)
         if track is None:
             return None
         return track.fraction_returned()
 
     def stop_tracking(self, pop: PoP) -> None:
+        if self._events:
+            self._flush_events()
         track = self._tracking.pop(pop, None)
         if track is None:
             return
@@ -898,346 +947,73 @@ class MonitorPartition:
         }
 
     @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
-    # ------------------------------------------------------------------
-    # Partition state fragments (merged/split by the coordinator)
-    # ------------------------------------------------------------------
-    def reset(self) -> None:
-        self.baseline.clear()
-        self.total_baseline_entries = 0
-        self._key_ids.clear()
-        self._keys.clear()
-        self._pop_ids.clear()
-        self._pops.clear()
-        self._base_mask.clear()
-        self._pend_mask.clear()
-        self._track_mask.clear()
-        self._tags_cols.clear()
-        self._path_ases.clear()
-        self._peer_keys.clear()
-        self._as_totals.clear()
-        self._pending.clear()
-        self._pending_heap.clear()
-        self._heap_counter = 0
-        self._diverted.clear()
-        self._tracking.clear()
-        self.last_diverted = {}
-        self.skipped_steady_state = 0
-
-    def load_baseline_entry(
-        self, pop: PoP, key: PathKey, entry_json: list
-    ) -> None:
-        near, far, since, path_ases = entry_json
-        self._install(
-            pop,
-            key,
-            PoPTag(pop=pop, near_asn=near, far_asn=far),
-            since,
-            frozenset(path_ases),
-        )
-
-    def load_pending_entry(
-        self, pop: PoP, key: PathKey, entry_json: list
-    ) -> None:
-        near, far, since, path_ases = entry_json
-        self._pending_add(pop, key, (near, far, since, frozenset(path_ases)))
-
-    def load_tracking_entry(
-        self, pop: PoP, keys: set[PathKey], returned: set[PathKey]
-    ) -> None:
-        self.start_tracking(pop, keys)
-        self._tracking[pop].returned = set(returned)
-
-
-class PartitionedMonitor:
-    """Coordinator: the stable-baseline monitor over N PoP partitions.
-
-    Exposes the historical ``OutageMonitor`` surface.  With
-    ``partitions=1`` (the default, aliased as ``OutageMonitor``) it is
-    the singleton monitor; with ``partitions=N`` every stream element
-    is broadcast to N :class:`MonitorPartition` cores — each touches
-    only its own indexed state — bins advance in lockstep, and every
-    bin close performs a deterministic partial-signal merge under
-    :func:`signal_sort_key`.  Output is byte-identical for any N.
-
-    ``local`` restricts the coordinator to a subset of the partition
-    indices: a shard-process worker runs ``local=(w,)`` against the
-    full broadcast stream and computes exactly partition *w*'s share
-    of every bin (see :mod:`repro.pipeline.parallel`).  Baseline
-    queries for non-local PoPs return empty; return tracking lands on
-    the first local partition regardless of ownership (the partition
-    sees the full stream, so its tracking is complete for any PoP).
-    """
-
-    def __init__(
-        self,
-        params: MonitorParams | None = None,
-        partitions: int = 1,
-        local: Iterable[int] | None = None,
-    ) -> None:
-        self.params = params or MonitorParams()
-        if partitions < 1:
-            raise ValueError("partitions must be >= 1")
-        self.n_partitions = partitions
-        #: collector peers currently in a feed gap (shared by reference
-        #: with every partition; mutated only here).
-        self._gapped: set[tuple[str, int]] = set()
-        indices = sorted(set(range(partitions) if local is None else local))
-        if not indices or any(i < 0 or i >= partitions for i in indices):
-            raise ValueError(f"invalid local partition indices {indices}")
-        self._parts: dict[int, MonitorPartition] = {
-            i: MonitorPartition(self.params, self._gapped, partitions, i)
-            for i in indices
-        }
-        self._part_list = [self._parts[i] for i in indices]
-        self._single = self._part_list[0] if len(self._part_list) == 1 else None
-        #: in-bin elements deferred for the grouped per-bin fold —
-        #: ``TaggedPath`` objects and/or :class:`TaggedRun` column
-        #: spans, in arrival order; the feed-gap admission check
-        #: already ran at arrival time.  The list is cleared in place
-        #: (never rebound): the monitoring stage's batch feeder holds
-        #: a bound ``append`` across calls.
-        self._events: list = []
-        self._bin_start: float | None = None
-        #: merged diverted keys of the most recently closed bin.
-        self.last_diverted: dict[PoP, set[PathKey]] = {}
-        self.bins_processed = 0
-
-    @property
-    def partitions(self) -> list[MonitorPartition]:
-        return self._part_list
-
-    def _owner(self, pop: PoP) -> MonitorPartition | None:
-        if self.n_partitions == 1:
-            return self._part_list[0]
-        return self._parts.get(partition_of(pop, self.n_partitions))
-
-    def _tracking_part(self, pop: PoP) -> MonitorPartition:
-        owner = self._owner(pop)
-        return owner if owner is not None else self._part_list[0]
-
-    # ------------------------------------------------------------------
-    # Streaming interface
-    # ------------------------------------------------------------------
-    def prime(self, tagged: TaggedPath) -> None:
-        """Install a path into the baseline directly (table dump)."""
-        # Earlier stream elements must see the pre-prime baseline: fold
-        # them before the install becomes visible.
-        if self._events:
-            self._flush_events()
-        for part in self._part_list:
-            part.prime(tagged)
-
-    def observe_state(self, message: BGPStateMessage) -> None:
-        peer = (message.collector, message.peer_asn)
-        if message.is_session_loss:
-            self._gapped.add(peer)
-        elif message.is_session_recovery:
-            self._gapped.discard(peer)
-
-    def observe(self, tagged: TaggedPath) -> list[OutageSignal]:
-        """Feed one tagged element; returns signals of any closed bins.
-
-        In-bin elements are admitted (feed-gap check at arrival time)
-        and deferred; the grouped fold over the whole bin runs at the
-        close — or earlier, when a query needs divergence, pending or
-        tracking state mid-bin.  The fold replays arrival order, so
-        any flush prefix is state-identical to per-element application.
-        """
-        signals: list[OutageSignal] = []
-        if self._bin_start is None:
-            self._bin_start = self._bin_floor(tagged.time)
-        width = self.params.bin_interval_s
-        if tagged.time >= self._bin_start + width:
-            signals = self.close_bin()
-            if tagged.time >= self._bin_start + width:
-                self._cross_empty_bins(tagged.time)
-        key = tagged.key
-        if (key[0], key[1]) not in self._gapped:
-            self._events.append(tagged)
-        return signals
-
-    def _flush_events(self) -> None:
-        """Fold the deferred in-bin elements into every partition."""
-        events = self._events
-        if not events:
-            return
-        batch = events[:]
-        events.clear()
-        single = self._single
-        if single is not None:
-            single.apply_events(batch)
-        else:
-            for part in self._part_list:
-                part.apply_events(batch)
-
-    def _bin_floor(self, time: float) -> float:
-        width = self.params.bin_interval_s
-        return (time // width) * width
-
-    # ------------------------------------------------------------------
-    # Bin closing: synchronized advancement + partial-signal merge
-    # ------------------------------------------------------------------
-    def close_bin(self) -> list[OutageSignal]:
-        """Close the current bin, emit signals, advance to the next bin.
-
-        Signals are emitted sorted under :func:`signal_sort_key` —
-        partitions return their partials already sorted, and the
-        cross-partition merge preserves that total order.
-        """
-        if self._events:
-            self._flush_events()
-        if self._bin_start is None:
-            return []
-        bin_start = self._bin_start
-        bin_end = bin_start + self.params.bin_interval_s
-        single = self._single
-        if single is not None:
-            signals = single.close_partial(bin_start, bin_end)
-            self.last_diverted = single.last_diverted
-        else:
-            partials = [
-                part.close_partial(bin_start, bin_end)
-                for part in self._part_list
-            ]
-            signals = list(heapq.merge(*partials, key=signal_sort_key))
-            self.last_diverted = {}
-            for part in self._part_list:
-                self.last_diverted.update(part.last_diverted)
-        for part in self._part_list:
-            part.promote_pending(bin_end)
-        self._bin_start = bin_end
-        self.bins_processed += 1
-        return signals
-
-    def _cross_empty_bins(self, until: float) -> None:
-        """Close the run of empty bins before the bin holding ``until``.
-
-        Right after :meth:`close_bin` nothing is deferred or diverted:
-        stepping would emit nothing, empty ``last_diverted`` and promote
-        in heap order up to the last bin end, as one promote call does.
-        """
-        self._bin_start, crossed = cross_bins(
-            self._bin_start, self.params.bin_interval_s, until
-        )
-        self.last_diverted = {}
-        for part in self._part_list:
-            part.last_diverted = {}
-            part.promote_pending(self._bin_start)
-        self.bins_processed += crossed
-
-    # ------------------------------------------------------------------
-    # Queries used by investigation / Kepler
-    # ------------------------------------------------------------------
-    def baseline_size(self, pop: PoP) -> int:
-        owner = self._owner(pop)
-        return 0 if owner is None else owner.baseline_size(pop)
-
-    def baseline_links(self, pop: PoP) -> set[tuple[int | None, int | None]]:
-        owner = self._owner(pop)
-        return set() if owner is None else owner.baseline_links(pop)
-
-    def baseline_far_ases(self, pop: PoP) -> set[int]:
-        owner = self._owner(pop)
-        return set() if owner is None else owner.baseline_far_ases(pop)
-
-    def monitored_pops(self) -> set[PoP]:
-        pops: set[PoP] = set()
-        for part in self._part_list:
-            pops.update(part.baseline)
-        return pops
-
-    # ------------------------------------------------------------------
-    # Open-outage return tracking
-    # ------------------------------------------------------------------
-    def start_tracking(self, pop: PoP, keys: set[PathKey]) -> None:
-        if self._events:
-            self._flush_events()
-        self._tracking_part(pop).start_tracking(pop, keys)
-
-    def returned_fraction(self, pop: PoP) -> float | None:
-        if self._events:
-            self._flush_events()
-        return self._tracking_part(pop).returned_fraction(pop)
-
-    def stop_tracking(self, pop: PoP) -> None:
-        if self._events:
-            self._flush_events()
-        self._tracking_part(pop).stop_tracking(pop)
-
-    @property
     def current_bin_start(self) -> float | None:
         return self._bin_start
 
+    @property
+    def pending_count(self) -> int:
+        """Number of live stability candidates."""
+        if self._events:
+            self._flush_events()
+        return len(self._pending)
+
     # ------------------------------------------------------------------
-    # Checkpointing: one canonical document for every partition layout
+    # Checkpointing: one canonical document for every share layout
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """JSON-serialisable snapshot of the monitor state.
 
         The document is **canonical**: every list is sorted under
-        explicit keys (:func:`pop_sort_key`, path-key order), so a
-        partitioned monitor composes the same document as the
-        singleton and the two are freely interchangeable on restore.
+        explicit keys (:func:`pop_sort_key`, path-key order), so the
+        shares of a shard-process run compose, through
+        :func:`merge_monitor_states`, the same document as the full
+        monitor, and the two are freely interchangeable on restore.
         Only primary state is stored; the reverse indexes and the
         promotion heap are rebuilt by :meth:`load_state` (promotion
         order is re-derived as (since, pop, key), which is
         output-equivalent — installs into different PoPs commute, and
         per-PoP baseline reads are key- or aggregate-based).
-
-        A coordinator restricted to ``local`` partitions emits only
-        its partitions' share; :func:`merge_monitor_states` composes
-        the full document from such fragments.
         """
         from repro.core.serde import key_to_json, pop_to_json
 
         if self._events:
             self._flush_events()
-        baseline: list = []
-        pending: list = []
-        diverted: list = []
-        tracking: list = []
-        last_diverted: list = []
-        for part in self._part_list:
-            for pop, entries in part.baseline.items():
-                baseline.append(
-                    [
-                        pop_to_json(pop),
-                        [
-                            [key_to_json(key), _entry_to_json(entries[key])]
-                            for key in sorted(entries)
-                        ],
-                    ]
-                )
-            for pop, key, entry in part.iter_pending():
-                pending.append(
-                    [
-                        pop_to_json(pop),
-                        key_to_json(key),
-                        [entry[0], entry[1], entry[2], sorted(entry[3])],
-                    ]
-                )
-            for pop, keys in part._diverted.items():
-                diverted.append(
-                    [pop_to_json(pop), sorted(key_to_json(k) for k in keys)]
-                )
-            for pop, track in part._tracking.items():
-                tracking.append(
-                    [
-                        pop_to_json(pop),
-                        sorted(key_to_json(k) for k in track.keys),
-                        sorted(key_to_json(k) for k in track.returned),
-                    ]
-                )
-        for pop, keys in self.last_diverted.items():
-            owner = self._owner(pop)
-            if owner is None:
-                continue
-            last_diverted.append(
-                [pop_to_json(pop), sorted(key_to_json(k) for k in keys)]
-            )
+        keys = self._keys
+        pops = self._pops
+        baseline = [
+            [
+                pop_to_json(pop),
+                [
+                    [key_to_json(key), _entry_to_json(entries[key])]
+                    for key in sorted(entries)
+                ],
+            ]
+            for pop, entries in self.baseline.items()
+        ]
+        pending = [
+            [
+                pop_to_json(pops[packed & _POP_MASK]),
+                key_to_json(keys[packed >> _POP_SHIFT]),
+                [entry[0], entry[1], entry[2], sorted(entry[3])],
+            ]
+            for packed, entry in self._pending.items()
+        ]
+        diverted = [
+            [pop_to_json(pop), sorted(key_to_json(k) for k in keys)]
+            for pop, keys in self._diverted.items()
+        ]
+        tracking = [
+            [
+                pop_to_json(pop),
+                sorted(key_to_json(k) for k in track.keys),
+                sorted(key_to_json(k) for k in track.returned),
+            ]
+            for pop, track in self._tracking.items()
+        ]
+        last_diverted = [
+            [pop_to_json(pop), sorted(key_to_json(k) for k in keys)]
+            for pop, keys in self.last_diverted.items()
+        ]
         baseline.sort(key=lambda item: item[0])
         pending.sort(key=lambda item: (item[0], item[1]))
         diverted.sort(key=lambda item: item[0])
@@ -1255,102 +1031,72 @@ class PartitionedMonitor:
         }
 
     def load_state(self, state: dict) -> None:
-        """Restore a canonical document, distributing by partition.
+        """Restore a canonical document written by any share layout.
 
-        Accepts a document written by any partition layout.  Baseline,
-        pending and divergence entries land on their owning partition
-        (entries owned by non-local partitions are skipped — a worker
-        coordinator takes only its share); tracking entries land on
-        every local partition's tracking home, which for a restricted
-        coordinator means the full tracking state (tracking is
-        ownership-agnostic and cheap to maintain).
+        Baseline, pending, divergence and last-diverted entries of
+        PoPs this monitor does not own are skipped — a share takes only
+        its part of a full document.  Tracking entries all load
+        (tracking is ownership-agnostic and cheap to maintain).
         """
         from repro.core.serde import key_from_json, pop_from_json
 
         self._events.clear()
-        for part in self._part_list:
-            part.reset()
+        self._reset()
         self._gapped.clear()
         self._gapped.update((c, p) for c, p in state["gapped"])
         for pop_json, entries in state["baseline"]:
             pop = pop_from_json(pop_json)
-            owner = self._owner(pop)
-            if owner is None:
+            if not self.owns(pop):
                 continue
-            for key_json, entry_json in entries:
-                owner.load_baseline_entry(
-                    pop, key_from_json(key_json), entry_json
+            for key_json, (near, far, since, path_ases) in entries:
+                self._install(
+                    pop, key_from_json(key_json), near, far, since,
+                    frozenset(path_ases),
                 )
         # Pending entries re-enter the promotion heap in document order
         # — sorted by (pop, key) — but the heap orders by (since,
         # arrival), so maturation order is (since, pop, key):
         # deterministic, and output-equivalent to the live arrival
         # order (promotions of distinct (pop, key) pairs commute).
-        for pop_json, key_json, entry_json in state["pending"]:
+        for pop_json, key_json, (near, far, since, path_ases) in state["pending"]:
             pop = pop_from_json(pop_json)
-            owner = self._owner(pop)
-            if owner is None:
+            if not self.owns(pop):
                 continue
-            owner.load_pending_entry(pop, key_from_json(key_json), entry_json)
+            key_idx = self._intern_key(key_from_json(key_json))
+            pop_idx = self._intern_pop(pop)
+            packed = key_idx << _POP_SHIFT | pop_idx
+            self._pending[packed] = (near, far, since, frozenset(path_ases))
+            self._pend_mask[key_idx] |= 1 << pop_idx
+            self._heap_counter += 1
+            heapq.heappush(
+                self._pending_heap, (since, self._heap_counter, packed)
+            )
         for pop_json, keys in state["diverted"]:
             pop = pop_from_json(pop_json)
-            owner = self._owner(pop)
-            if owner is None:
-                continue
-            owner._diverted[pop] = {key_from_json(k) for k in keys}
+            if self.owns(pop):
+                self._diverted[pop] = {key_from_json(k) for k in keys}
         self._bin_start = state["bin_start"]
         for pop_json, keys, returned in state["tracking"]:
             pop = pop_from_json(pop_json)
-            self._tracking_part(pop).load_tracking_entry(
-                pop,
-                {key_from_json(k) for k in keys},
-                {key_from_json(k) for k in returned},
-            )
-        self.last_diverted = {}
+            self.start_tracking(pop, {key_from_json(k) for k in keys})
+            self._tracking[pop].returned = {key_from_json(k) for k in returned}
         for pop_json, keys in state["last_diverted"]:
             pop = pop_from_json(pop_json)
-            if self._owner(pop) is None:
-                continue
-            self.last_diverted[pop] = {key_from_json(k) for k in keys}
+            if self.owns(pop):
+                self.last_diverted[pop] = {key_from_json(k) for k in keys}
         self.bins_processed = state["bins_processed"]
-
-    @property
-    def pending_count(self) -> int:
-        """Number of live stability candidates."""
-        if self._events:
-            self._flush_events()
-        return sum(part.pending_count for part in self._part_list)
-
-    @property
-    def total_baseline_entries(self) -> int:
-        """Total (pop, key) baseline entries across all monitored PoPs."""
-        return sum(part.total_baseline_entries for part in self._part_list)
-
-    @property
-    def skipped_steady_state(self) -> int:
-        """Elements the fold's steady-state fast path discarded.
-
-        Summed over partitions — with N partitions every partition
-        sees (and mostly skips) the full stream, so the sum scales
-        with N by construction.  Telemetry only, never checkpointed.
-        """
-        return sum(part.skipped_steady_state for part in self._part_list)
-
-
-#: The historical name: the monitor as one partition.
-OutageMonitor = PartitionedMonitor
 
 
 def merge_monitor_states(fragments: list[dict]) -> dict:
-    """Compose per-partition monitor fragments into the full document.
+    """Compose monitor-share documents into the full document.
 
-    Each fragment is the :meth:`PartitionedMonitor.state_dict` of a
-    ``local``-restricted coordinator over a disjoint PoP subset of one
-    logical monitor.  List sections concatenate and re-sort under the
+    Each fragment is the :meth:`OutageMonitor.state_dict` of one share
+    (``share=(w, n)``) of one logical monitor, over disjoint PoP
+    subsets.  List sections concatenate and re-sort under the
     canonical keys; tracking entries may be replicated across
     fragments (tracking is ownership-agnostic) and deduplicate by PoP;
-    the clock fields must agree — the partitions advance bins in
-    lockstep by construction.
+    the clock fields must agree — the shares advance bins in lockstep
+    by construction.
     """
     if not fragments:
         raise ValueError("no monitor fragments to merge")
@@ -1362,8 +1108,8 @@ def merge_monitor_states(fragments: list[dict]) -> dict:
             or other["gapped"] != head["gapped"]
         ):
             raise ValueError(
-                "monitor partition fragments disagree on shared state"
-                " (bin clock or feed-gap set): partitions out of sync"
+                "monitor share fragments disagree on shared state"
+                " (bin clock or feed-gap set): shares out of sync"
             )
     merged: dict = {
         "bin_start": head["bin_start"],

@@ -97,9 +97,9 @@ class OutageCandidate:
     """A located, validated signal ready for record lifecycle handling.
 
     ``diverted_keys`` carries the signal PoP's just-diverted path keys
-    when the candidate crosses a monitor-partition boundary (the
+    when the candidate crosses a monitor-share boundary (the
     shard-process runtime ships them with the candidate, because the
-    receiving record stage's monitor partition does not own the signal
+    receiving record stage's monitor share does not own the signal
     PoP's ``last_diverted`` view).  ``None`` means "read the live
     monitor", which the in-process chains do.
     """

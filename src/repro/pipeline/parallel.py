@@ -3,13 +3,13 @@
 ``KeplerParams(shard_processes=N)`` forks N worker processes, and every
 worker runs the stateful stream stages
 
-    tagging -> monitor partition -> record
+    tagging -> monitor share -> record
 
-over the same broadcast element stream.  Worker *w*'s monitor is a
-``PartitionedMonitor(partitions=N, local=(w,))`` — it maintains the
-baseline, pending and divergence state of exactly the PoPs with
-``partition_of(pop, N) == w`` and computes exactly partition *w*'s
-share of every bin close.  The per-bin analysis stages —
+over the same broadcast element stream.  Worker *w*'s monitor is an
+``OutageMonitor(params, share=(w, N))`` — it maintains the baseline,
+pending and divergence state of exactly the PoPs with
+``partition_of(pop, N) == w`` and computes exactly share *w* of every
+bin close.  The per-bin analysis stages —
 classification, localisation, validation — run *in the driver*, on
 the merged global signal stream: they execute once per bin (not per
 element), their cost is negligible next to the stream stages, and
@@ -31,7 +31,7 @@ The driver therefore keeps:
 
       1. every worker ships, in a single message, its partial
          signals *and* everything the driver analysis needs from
-         its monitor partition: the baseline far-AS/link sets of
+         its monitor share: the baseline far-AS/link sets of
          the PoPs in its share of the correlation window, and its
          monitor's last-diverted path keys            ("bin")
       2. the driver merges the partials under the monitor's signal
@@ -48,17 +48,17 @@ The driver therefore keeps:
 Each worker prunes its shipped window share against its *local* bin
 clock (the max bin_start among its own signals), which can only lag
 the global clock — so the shipped read set is always a superset of
-the PoPs the driver's window holds for that partition, never a miss.
+the PoPs the driver's window holds for that share, never a miss.
 
 The **record lifecycle is replicated, not sharded**: every worker
 applies the identical, globally-ordered candidate sequence, so all
 record stages (and their return-tracking state, which lives in the
-worker's monitor partition and is fed by the full broadcast stream)
+worker's monitor share and is fed by the full broadcast stream)
 are byte-identical replicas.  The record stage is the pipeline's
 cheapest stage by orders of magnitude, and replication removes every
-cross-partition monitor read a located-elsewhere record would
+cross-share monitor read a located-elsewhere record would
 otherwise need — candidates carry their signal PoP's diverted keys
-across the partition boundary (``OutageCandidate.diverted_keys``,
+across the share boundary (``OutageCandidate.diverted_keys``,
 stamped by the driver from the shipped last-diverted maps).
 
 **Transport** is the columnar batch codec of the checkpoint serde
@@ -72,7 +72,7 @@ tagged columns in place.
 
 Checkpoints compose the **linear canonical document** at a drain
 barrier: worker 0's tagging/record states (replicas), the merged
-monitor partitions (`merge_monitor_states`), the driver's
+monitor shares (`merge_monitor_states`), the driver's
 classification document (log + window — already canonical, it IS the
 linear stage), and the driver's ingest/cache/reject state — so a
 shard-process snapshot restores into any runtime and vice versa.
@@ -334,7 +334,7 @@ class _ShardWorkerChain:
     """The stage set one shard worker owns (built pre-fork).
 
     Only the stateful stream stages live here — tagging, the monitor
-    partition, the record replica.  The analysis stages run in the
+    share, the record replica.  The analysis stages run in the
     driver; ``correlation_window_s`` tells the worker how much of its
     own signal history the driver's window can still hold, i.e. which
     PoPs' baseline reads each fused "bin" message must ship.
@@ -389,7 +389,7 @@ def _shard_worker_loop(
     #: this worker's share of the driver's correlation window — pruned
     #: against the *local* bin clock, which can only lag the global
     #: one, so the shipped read set is a superset of what the driver's
-    #: window holds for this partition.
+    #: window holds for this share.
     own_window: list = []
 
     def feed_record(element) -> None:
@@ -1170,8 +1170,8 @@ class ShardProcessPipeline:
         monitor and record counters are per-worker replicas of the
         same logical work (take worker 0).  Bin gauges: closes are
         lockstep (count from worker 0), the population gauges are
-        per-partition and sum to the global population, and close
-        latencies sum (aggregate CPU across partitions).
+        per-share and sum to the global population, and close
+        latencies sum (aggregate CPU across shares).
         """
         registries: dict[int, PipelineMetrics] = {}
         docs: dict[int, dict] = {}
@@ -1230,7 +1230,7 @@ class ShardProcessPipeline:
                     if hist.count:
                         composed.hist(name).merge(hist)
         # Worker-resident gauges (e.g. the monitor's steady-state skip
-        # counter) are per-partition and sum to the global value; the
+        # counter) are per-share and sum to the global value; the
         # composed view serves the snapshot sampled at sync time.  Each
         # worker's own values stay visible under a ``w{wid}.`` prefix.
         seen = set(composed.gauges())
@@ -1477,14 +1477,14 @@ def build_shard_process_kepler_pipeline(
     """Wire and fork the end-to-end shard-process runtime.
 
     ``monitor`` supplies the :class:`~repro.core.monitor.MonitorParams`
-    template; each worker gets its own single-partition coordinator
-    (``PartitionedMonitor(partitions=workers, local=(w,))``) built
+    template; each worker gets its own monitor share
+    (``OutageMonitor(monitor.params, share=(w, workers))``) built
     pre-fork, along with its record replica.  The driver keeps ingest,
     the analysis chain (classification → localisation → validation
     over the merged signal stream, reading shipped baselines), the
     probe cache over ``validator``, and the global views.
     """
-    from repro.core.monitor import PartitionedMonitor
+    from repro.core.monitor import OutageMonitor
     from repro.pipeline.classification import ClassificationStage
     from repro.pipeline.ingest import IngestStage
     from repro.pipeline.localisation import LocalisationStage
@@ -1502,9 +1502,7 @@ def build_shard_process_kepler_pipeline(
     for wid in range(workers):
         worker_registry = PipelineMetrics()
         worker_registry.register_cache_gauges(input_module)
-        worker_monitor = PartitionedMonitor(
-            monitor.params, partitions=workers, local=(wid,)
-        )
+        worker_monitor = OutageMonitor(monitor.params, share=(wid, workers))
         remote_validator = _RemoteValidator()
         chains.append(
             _ShardWorkerChain(

@@ -147,7 +147,7 @@ class RecordStage(PassthroughStage):
         elif candidate.outcome is ValidationOutcome.REJECTED:
             record.confirmed_by_dataplane = False
         # Track returns on the signal PoP (where communities are visible).
-        # A candidate that crossed a monitor-partition boundary carries
+        # A candidate that crossed a monitor-share boundary carries
         # the diverted keys itself; otherwise read the live monitor.
         if candidate.diverted_keys is not None:
             diverted = candidate.diverted_keys

@@ -11,9 +11,12 @@ from repro.core.input import PoPTag, TaggedPath
 from repro.core.monitor import (
     MonitorParams,
     OutageMonitor,
-    PartitionedMonitor,
     cross_bins,
+    merge_monitor_states,
+    partition_of,
+    signal_sort_key,
 )
+from repro.core.serde import pop_from_json
 from repro.docmine.dictionary import PoP, PoPKind
 
 POP_F = PoP(PoPKind.FACILITY, "f1")
@@ -211,8 +214,17 @@ class TestReturnTracking:
 
 class TestParams:
     def test_invalid_bin_interval(self):
-        with pytest.raises(ValueError):
-            MonitorParams(bin_interval_s=0.0)
+        # NaN and infinity would never close a bin.
+        for width in (0.0, -60.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                MonitorParams(bin_interval_s=width)
+
+    def test_invalid_stable_window(self):
+        # A negative window promotes candidates before first seen.
+        for window in (-60.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                MonitorParams(stable_window_s=window)
+        assert MonitorParams(stable_window_s=0.0).stable_window_s == 0.0
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
@@ -224,8 +236,8 @@ class TestParams:
 class TestEmissionOrder:
     """close_bin's emission order is an explicit, documented contract:
     signals sort under signal_sort_key — (PoP kind, PoP id, AS) —
-    regardless of baseline/divergence insertion order.  The
-    partitioned monitor's partial-signal merge relies on it."""
+    regardless of baseline/divergence insertion order.  The shard
+    driver's merge of monitor shares relies on it."""
 
     POPS = [
         PoP(PoPKind.IXP, "zz-ix"),
@@ -254,8 +266,6 @@ class TestEmissionOrder:
         return monitor
 
     def test_signals_sorted_under_documented_key(self):
-        from repro.core.monitor import signal_sort_key
-
         signals = self._diverted_monitor().close_bin()
         assert len(signals) >= len(self.POPS)
         assert [signal_sort_key(s) for s in signals] == sorted(
@@ -298,89 +308,98 @@ class TestEmissionOrder:
         assert monitor.close_bin() == forward
 
 
-class TestMonitorPartitions:
-    """PartitionedMonitor(n) behaves exactly like the singleton."""
+SHARE_POPS = (
+    POP_F,
+    POP_C,
+    PoP(PoPKind.FACILITY, "f2"),
+    PoP(PoPKind.IXP, "ix1"),
+    PoP(PoPKind.IXP, "ix2"),
+    PoP(PoPKind.CITY, "Paris"),
+)
 
-    def _churn(self, monitor):
-        out = []
-        for i in range(12):
-            monitor.prime(
-                tagged(key(i), time=0.0, pops=(POP_F, POP_C), near=10 + i % 3)
+
+def share_stream(monitor) -> list[list]:
+    """Drive baseline, divergence, tracking and pending state; stop
+    mid-bin with a divergence not yet closed.  Returns each closed
+    bin's signals."""
+    bins = []
+    for i in range(12):
+        monitor.prime(tagged(key(i), time=0.0, pops=SHARE_POPS, near=10 + i % 3))
+    for i in range(6):
+        monitor.observe(tagged(key(i), time=10.0 + i, withdraw=True))
+    bins.append(monitor.close_bin())
+    monitor.start_tracking(POP_F, {key(i) for i in range(6)})
+    for i in range(4):
+        monitor.observe(tagged(key(i), time=70.0 + i, pops=SHARE_POPS[:3]))
+    bins.append(monitor.close_bin())
+    monitor.observe(tagged(key(6), time=130.0, withdraw=True))
+    return bins
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+class TestMonitorShares:
+    """``share=(w, n)`` monitors split the full monitor exactly: what
+    the shard-process driver merges back is what one monitor gives."""
+
+    def test_share_owns_only_its_pops(self, n):
+        full = OutageMonitor()
+        share_stream(full)
+        owned = set()
+        for w in range(n):
+            share = OutageMonitor(share=(w, n))
+            share_stream(share)
+            doc = share.state_dict()
+            for section in ("baseline", "pending", "diverted", "last_diverted"):
+                for row in doc[section]:
+                    pop = pop_from_json(row[0])
+                    assert partition_of(pop, n) == w
+                    owned.add((section, pop))
+        assert owned == {
+            (section, pop_from_json(row[0]))
+            for section in ("baseline", "pending", "diverted", "last_diverted")
+            for row in full.state_dict()[section]
+        }
+
+    def test_merged_signals_equal_full_monitor(self, n):
+        full = share_stream(OutageMonitor())
+        shares = [share_stream(OutageMonitor(share=(w, n))) for w in range(n)]
+        assert any(full)
+        for index, signals in enumerate(full):
+            merged = sorted(
+                (s for bins in shares for s in bins[index]), key=signal_sort_key
             )
-        for i in range(6):
-            out.extend(
-                monitor.observe(tagged(key(i), time=10.0 + i, withdraw=True))
-            )
-        out.extend(monitor.close_bin())
-        for i in range(6):
-            out.extend(monitor.observe(tagged(key(i), time=70.0 + i)))
-        out.extend(monitor.close_bin())
-        return out
+            assert merged == signals
 
-    @pytest.mark.parametrize("partitions", [2, 3, 5])
-    def test_partitioned_signals_match_singleton(self, partitions):
-        from repro.core.monitor import PartitionedMonitor
+    def test_merged_documents_equal_full_state(self, n):
+        full = OutageMonitor()
+        share_stream(full)
+        docs = []
+        for w in range(n):
+            share = OutageMonitor(share=(w, n))
+            share_stream(share)
+            docs.append(share.state_dict())
+        assert merge_monitor_states(docs) == full.state_dict()
 
-        single = self._churn(OutageMonitor(MonitorParams()))
-        partitioned = self._churn(
-            PartitionedMonitor(MonitorParams(), partitions=partitions)
-        )
-        assert partitioned == single
+    def test_full_document_round_trips_through_shares(self, n):
+        # What ShardProcessPipeline.load_state / state_dict do.
+        full = OutageMonitor()
+        share_stream(full)
+        doc = full.state_dict()
+        docs = []
+        for w in range(n):
+            share = OutageMonitor(share=(w, n))
+            share.load_state(doc)
+            docs.append(share.state_dict())
+        assert merge_monitor_states(docs) == doc
 
-    def test_partitions_own_disjoint_pop_subsets(self):
-        from repro.core.monitor import PartitionedMonitor, partition_of
-
-        monitor = PartitionedMonitor(MonitorParams(), partitions=4)
-        for i in range(12):
-            monitor.prime(tagged(key(i), time=0.0, pops=(POP_F, POP_C)))
-        for part in monitor.partitions:
-            for pop in part.baseline:
-                assert partition_of(pop, 4) == part.index
-        assert monitor.baseline_size(POP_F) == 12
-        assert monitor.baseline_size(POP_C) == 12
-        assert monitor.total_baseline_entries == 24
-
-    def test_local_coordinator_computes_its_share(self):
-        from repro.core.monitor import PartitionedMonitor, partition_of
-
-        full = PartitionedMonitor(MonitorParams(), partitions=3)
-        locals_ = [
-            PartitionedMonitor(MonitorParams(), partitions=3, local=(w,))
-            for w in range(3)
-        ]
-        monitors = [full, *locals_]
-        for i in range(9):
-            for m in monitors:
-                m.prime(tagged(key(i), time=0.0, pops=(POP_F, POP_C)))
-        for i in range(9):
-            for m in monitors:
-                m.observe(tagged(key(i), time=10.0, withdraw=True))
-        merged = []
-        for m in locals_:
-            merged.extend(m.close_bin())
-        from repro.core.monitor import signal_sort_key
-
-        merged.sort(key=signal_sort_key)
-        assert merged == full.close_bin()
-        for w, m in enumerate(locals_):
-            for pop in m.monitored_pops():
-                assert partition_of(pop, 3) == w
-
-    def test_invalid_partition_configuration(self):
-        from repro.core.monitor import PartitionedMonitor
-
-        with pytest.raises(ValueError):
-            PartitionedMonitor(MonitorParams(), partitions=0)
-        with pytest.raises(ValueError):
-            PartitionedMonitor(MonitorParams(), partitions=2, local=(5,))
+    def test_invalid_share(self, n):
+        for share in ((n, n), (-1, n), (0, 0), (0, -n)):
+            with pytest.raises(ValueError):
+                OutageMonitor(share=share)
 
 
 def recomputed_baseline_entries(monitor) -> int:
-    return sum(
-        len(entries)
-        for part in monitor.partitions
-        for entries in part.baseline.values()
-    )
+    return sum(len(entries) for entries in monitor.baseline.values())
 
 
 class TestBaselineEntryCounter:
@@ -388,7 +407,7 @@ class TestBaselineEntryCounter:
 
     def test_counter_follows_install_remove_promote_and_restore(self):
         params = MonitorParams(stable_window_s=120.0)
-        monitor = PartitionedMonitor(params, partitions=2)
+        monitor = OutageMonitor(params)
         for i in range(6):
             monitor.prime(tagged(key(i), time=0.0, pops=(POP_F, POP_C)))
         # Re-priming an installed key replaces the entry, adds nothing.
@@ -401,7 +420,7 @@ class TestBaselineEntryCounter:
         assert monitor.total_baseline_entries == recomputed_baseline_entries(
             monitor
         )
-        restored = PartitionedMonitor(params, partitions=3)
+        restored = OutageMonitor(params)
         restored.prime(tagged(key(9), time=0.0))  # wiped by the restore
         restored.load_state(monitor.state_dict())
         assert restored.total_baseline_entries == 11
@@ -412,7 +431,7 @@ class TestBaselineEntryCounter:
 # Event-driven bin clock against the stepping clock it replaced
 # ----------------------------------------------------------------------
 def stepping_observe(monitor, element):
-    """``PartitionedMonitor.observe`` as it was: one close per empty bin.
+    """``OutageMonitor.observe`` as it was: one close per empty bin.
 
     Kept as the oracle for the fast-forward — the only place the
     per-bin loop survives.
@@ -465,8 +484,6 @@ class TestEventDrivenClock:
         width=st.sampled_from([60.0, 1.0, 0.5, 0.1, 7.3]),
         origin=st.sampled_from([0.0, 977.0, 1.5e9, 2.0**31 - 4000.0]),
         window_bins=st.sampled_from([0, 2, 40, 5000]),
-        partitions=st.sampled_from([1, 2, 4]),
-        restored_partitions=st.sampled_from([1, 2, 4]),
         steps=st.lists(
             st.tuples(
                 clock_op_strategy,
@@ -479,14 +496,13 @@ class TestEventDrivenClock:
         cut=st.integers(0, 7),
     )
     def test_fast_forward_equals_stepping(
-        self, width, origin, window_bins, partitions, restored_partitions,
-        steps, cut,
+        self, width, origin, window_bins, steps, cut
     ):
         params = MonitorParams(
             bin_interval_s=width, stable_window_s=window_bins * width
         )
-        real = PartitionedMonitor(params, partitions=partitions)
-        oracle = PartitionedMonitor(params, partitions=partitions)
+        real = OutageMonitor(params)
+        oracle = OutageMonitor(params)
         for monitor in (real, oracle):
             for i in range(4):
                 monitor.prime(
@@ -496,9 +512,9 @@ class TestEventDrivenClock:
         for index, ((op, subject, pops), gap, frac) in enumerate(steps):
             if index == cut:
                 # Checkpoint cut between two events — mid-gap whenever
-                # the next element is bins away — into another layout.
+                # the next element is bins away — into a fresh monitor.
                 state = real.state_dict()
-                real = PartitionedMonitor(params, partitions=restored_partitions)
+                real = OutageMonitor(params)
                 real.load_state(state)
                 assert real.total_baseline_entries == (
                     recomputed_baseline_entries(real)

@@ -8,7 +8,9 @@ paths, pinning down the boundary behaviours:
 * a fresh PoP-level signal on a watched PoP starts a new incident (the
   watch pop-and-restart path);
 * collector feed gaps during an open outage neither fabricate
-  divergence signals nor disturb return tracking.
+  divergence signals nor disturb return tracking;
+* two records that share a signal PoP close on their own paths
+  (expected to fail until return tracking is kept per record).
 """
 
 from __future__ import annotations
@@ -57,11 +59,11 @@ def classification(pop=POP_F, bin_start=0.0) -> SignalClassification:
     )
 
 
-def candidate(bin_start=0.0) -> OutageCandidate:
+def candidate(bin_start=0.0, located=None) -> OutageCandidate:
     c = classification(bin_start=bin_start)
     return OutageCandidate(
         classification=c,
-        located=c.pop,
+        located=c.pop if located is None else located,
         method="near-end",
         outcome=ValidationOutcome.INCONCLUSIVE,
     )
@@ -213,3 +215,45 @@ class TestFeedGapDuringOutage:
         monitor.observe(tagged(key(5), time=130.0, withdraw=True))
         signals = monitor.close_bin()
         assert signals and all(s.pop == POP_F for s in signals)
+
+
+class TestRecordsSharingASignalPoP:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP 1b: return tracking is kept per signal PoP, not per record",
+    )
+    def test_each_record_closes_on_its_own_paths(self):
+        located_a = PoP(PoPKind.FACILITY, "a1")
+        located_b = PoP(PoPKind.FACILITY, "b1")
+        monitor = OutageMonitor(MonitorParams())
+        for i in range(4):
+            monitor.prime(tagged(key(i), time=0.0))
+        stage = RecordStage(
+            monitor, NullValidator(), restore_fraction=0.5, merge_gap_s=MERGE_GAP
+        )
+        # Record A: three of the signal PoP's keys divert in bin 0.
+        for i in range(3):
+            monitor.observe(tagged(key(i), time=10.0, withdraw=True))
+        monitor.close_bin()
+        stage.feed(candidate(bin_start=0.0, located=located_a))
+        stage.feed(BinAdvanced(now=60.0))
+        # Record B: the fourth key diverts one bin later, same signal PoP.
+        monitor.observe(tagged(key(3), time=70.0, withdraw=True))
+        monitor.close_bin()
+        stage.feed(candidate(bin_start=60.0, located=located_b))
+        assert set(stage.open) == {located_a, located_b}
+        # Step 1: only A's keys return.  A closes (3/3); B's one key is
+        # still down, so B stays open.
+        for i in range(3):
+            monitor.observe(tagged(key(i), time=130.0))
+        stage.feed(BinAdvanced(now=180.0))
+        assert located_a not in stage.open
+        assert located_b in stage.open
+        # Step 2: A's watch expires; B's tracking must survive it.
+        stage.feed(BinAdvanced(now=180.0 + MERGE_GAP + 60.0))
+        assert located_a not in stage._watch
+        monitor.observe(tagged(key(3), time=350.0))
+        stage.feed(BinAdvanced(now=360.0))
+        assert located_b not in stage.open
+        closed = [r for r in stage.records if r.located_pop == located_b]
+        assert [r.end for r in closed] == [360.0]

@@ -2,7 +2,7 @@
 
 The shard-process runtime (`repro/pipeline/parallel.py`,
 ``KeplerParams(shard_processes=N)``) runs the stream stages tagging ->
-monitor-partition -> record in every worker process, with the driver
+monitor share -> record in every worker process, with the driver
 keeping ingest, the probe cache and the per-bin analysis over the
 merged signals.  It must be a pure execution detail:
 
