@@ -164,79 +164,6 @@ class InputModule:
         fields["afi"] = update.afi
         return tagged
 
-    def process_batch(self, elements, out: list, fallback=None) -> None:
-        """Tag a chunk of stream elements into ``out``.
-
-        The columnar-tagging entry point: one loop with every lookup
-        hoisted to a local, so the per-element cost is the memo probe
-        and the ``TaggedPath`` fill — no attribute traffic, no
-        per-element method call.  Counters are accumulated locally and
-        folded into the module's totals once per batch (observable
-        state only moves between batches, which is when metrics and
-        checkpoints read it).  Elements that are not plain
-        ``BGPUpdate`` go through ``fallback`` (a callable returning a
-        list, e.g. ``TaggingStage.feed``) and keep their slot order;
-        without one they are appended untouched.
-        """
-        append = out.append
-        extend = out.extend
-        memo_get = self.memo_probe
-        memo_miss = self.memo_miss
-        miss = _MEMO_MISS
-        new = _TAGGED_NEW
-        cls = TaggedPath
-        update_cls = BGPUpdate
-        withdrawal = ElemType.WITHDRAWAL
-        withdrawn = _WITHDRAWN
-        parsed = 0
-        hits = 0
-        discarded = 0
-        for update in elements:
-            if type(update) is not update_cls:
-                if fallback is None:
-                    append(update)
-                else:
-                    extend(fallback(update))
-                continue
-            elem_type = update.elem_type
-            if elem_type is withdrawal:
-                cached = withdrawn
-            else:
-                communities = update.communities
-                if len(communities) == 1:
-                    community = communities[0]
-                    memo_key = (
-                        update.as_path,
-                        (community.asn, community.value),
-                    )
-                else:
-                    flat: list[int] = []
-                    for community in communities:
-                        flat.append(community.asn)
-                        flat.append(community.value)
-                    memo_key = (update.as_path, tuple(flat))
-                cached = memo_get(memo_key, miss)
-                if cached is not miss:
-                    hits += 1
-                else:
-                    cached = memo_miss(memo_key, communities)
-                if cached is None:
-                    discarded += 1
-                    continue
-            parsed += 1
-            tagged = new(cls)
-            fields = tagged.__dict__
-            fields["key"] = (update.collector, update.peer_asn, update.prefix)
-            fields["time"] = update.time
-            fields["elem_type"] = elem_type
-            fields["as_path"] = cached[0]
-            fields["tags"] = cached[1]
-            fields["afi"] = update.afi
-            append(tagged)
-        self.parsed_count += parsed
-        self.memo_hits += hits
-        self.discarded_count += discarded
-
     def memo_miss(
         self,
         memo_key: tuple[tuple[int, ...], tuple[int, ...]],
@@ -244,8 +171,8 @@ class InputModule:
     ) -> tuple[tuple[int, ...], tuple[PoPTag, ...]] | None:
         """Resolve a key the caller built and ``memo_probe`` just missed.
 
-        The one miss routine behind every entry point — ``process``,
-        ``process_batch`` and serde's two batch taggers: an
+        The one miss routine behind all three entry points —
+        ``process`` and serde's two batch taggers: an
         old-generation probe, else sanitise and map, then insert, so a
         miss hashes the raw AS path three times (the caller's probe
         included), twice while the old generation is empty.

@@ -20,6 +20,7 @@ can meter, test or shard the stages individually.
 from __future__ import annotations
 
 import gc
+import math
 from dataclasses import dataclass, field
 from collections.abc import Iterable
 from itertools import islice
@@ -91,6 +92,31 @@ class RecoveryPolicy:
     teardown_deadline_s: float = 0.5
     degrade: bool = True
 
+    def __post_init__(self) -> None:
+        # Fail closed: out of range, each of these would silently mean
+        # something else (no restart budget, no checkpoint cadence, an
+        # empty journal, a stall detector that fires at once or never).
+        if not _is_int(self.max_restarts) or self.max_restarts < 0:
+            raise ValueError("max_restarts must be an int >= 0")
+        if not _is_int(self.checkpoint_interval) or self.checkpoint_interval < 1:
+            raise ValueError("checkpoint_interval must be an int >= 1")
+        if self.journal_limit is not None and (
+            not _is_int(self.journal_limit) or self.journal_limit < 1
+        ):
+            raise ValueError("journal_limit must be None or an int >= 1")
+        if self.stall_timeout_s is not None and not (
+            math.isfinite(self.stall_timeout_s) and self.stall_timeout_s > 0
+        ):
+            raise ValueError("stall_timeout_s must be None or finite and > 0")
+        for name in ("backoff_base_s", "backoff_cap_s", "teardown_deadline_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 @dataclass
 class KeplerParams:
@@ -154,6 +180,16 @@ class KeplerParams:
     #: every runtime: :meth:`Kepler.process` never holds this many
     #: elements back.
     feed_chunk: int = 4096
+
+    def __post_init__(self) -> None:
+        # Fail closed: ``shard_processes=1`` or a negative count would
+        # silently build the linear chain, a negative ``ingest_feeds``
+        # no tier.
+        shards = self.shard_processes
+        if not _is_int(shards) or not (shards == 0 or shards >= 2):
+            raise ValueError("shard_processes must be an int, 0 or >= 2")
+        if not _is_int(self.ingest_feeds) or self.ingest_feeds < 0:
+            raise ValueError("ingest_feeds must be an int >= 0")
 
 
 class Kepler:

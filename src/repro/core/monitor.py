@@ -164,16 +164,14 @@ def cross_bins(start: float, width: float, until: float) -> tuple[float, int]:
 
 
 class TaggedRun:
-    """A deferred span of tagged rows inside a columnar batch view.
+    """The fold's one deferral unit: rows ``[start, stop)`` of the
+    tagged family of a :class:`~repro.core.serde.TaggedBatchView`.
 
-    The batch-native deferral unit: instead of materialising one
-    ``TaggedPath`` per in-bin element, the monitoring stage appends one
-    ``TaggedRun`` over the ``[start, stop)`` tagged-family rows of a
-    :class:`~repro.core.serde.TaggedBatchView` to the monitor's event
-    list.  The per-bin fold consumes it column to column —
-    interleaving freely with plain ``TaggedPath`` objects in arrival
-    order — so skippable steady-state rows never become objects at all.
-    The view pins the batch columns alive for the life of the run.
+    The per-bin fold consumes it column to column, so skippable
+    steady-state rows never become objects.  A row that arrives as an
+    object (the bin-closing row, any :meth:`OutageMonitor.observe`
+    caller) defers as a one-row run (:meth:`of`).  The view pins the
+    batch columns alive for the life of the run.
     """
 
     __slots__ = ("view", "start", "stop")
@@ -182,6 +180,27 @@ class TaggedRun:
         self.view = view
         self.start = start
         self.stop = stop
+
+    @classmethod
+    def of(cls, tagged: TaggedPath) -> TaggedRun:
+        """One ``TaggedPath`` as a one-row run."""
+        return cls(_RowView(tagged.__dict__), 0, 1)
+
+
+class _RowView:
+    """The columns and tables the fold reads, for a batch of one row."""
+
+    __slots__ = ("t_key", "t_time", "t_elem", "t_path", "t_tags", "paths",
+                 "tagsets", "cols")
+
+    def __init__(self, fields: dict) -> None:
+        self.t_key = (fields["key"],)
+        self.t_time = (fields["time"],)
+        self.t_elem = (fields["elem_type"],)
+        self.t_path = self.t_tags = (0,)
+        self.paths = (fields["as_path"],)
+        self.tagsets = (fields["tags"],)
+        self.cols = None
 
 
 class OutageMonitor:
@@ -226,12 +245,11 @@ class OutageMonitor:
         self.share = share
         #: collector peers currently in a feed gap.
         self._gapped: set[tuple[str, int]] = set()
-        #: in-bin elements deferred for the grouped per-bin fold —
-        #: ``TaggedPath`` objects and/or :class:`TaggedRun` column
-        #: spans, in arrival order; the feed-gap admission check
-        #: already ran at arrival time.  The list is cleared in place
-        #: (never rebound): the monitoring stage's batch feeder holds
-        #: a bound ``append`` across calls.
+        #: in-bin rows deferred for the grouped per-bin fold, as
+        #: :class:`TaggedRun` column spans in arrival order; the
+        #: feed-gap admission check already ran at arrival time.  The
+        #: list is cleared in place (never rebound): the monitoring
+        #: stage's batch feeder holds a bound ``append`` across calls.
         self._events: list = []
         self._bin_start: float | None = None
         self.bins_processed = 0
@@ -380,10 +398,11 @@ class OutageMonitor:
         """Feed one tagged element; returns signals of any closed bins.
 
         In-bin elements are admitted (feed-gap check at arrival time)
-        and deferred; the grouped fold over the whole bin runs at the
-        close — or earlier, when a query needs divergence, pending or
-        tracking state mid-bin.  The fold replays arrival order, so
-        any flush prefix is state-identical to per-element application.
+        and deferred as one-row runs; the grouped fold over the whole
+        bin runs at the close — or earlier, when a query needs
+        divergence, pending or tracking state mid-bin.  The fold
+        replays arrival order, so any flush prefix is state-identical
+        to per-element application.
         """
         signals: list[OutageSignal] = []
         if self._bin_start is None:
@@ -395,7 +414,7 @@ class OutageMonitor:
                 self._cross_empty_bins(tagged.time)
         key = tagged.key
         if (key[0], key[1]) not in self._gapped:
-            self._events.append(tagged)
+            self._events.append(TaggedRun.of(tagged))
         return signals
 
     def _flush_events(self) -> None:
@@ -480,25 +499,23 @@ class OutageMonitor:
     # ------------------------------------------------------------------
     # The per-bin fold
     # ------------------------------------------------------------------
-    def apply_events(self, events) -> None:
-        """Fold a run of admitted elements in arrival order.
+    def apply_events(self, runs) -> None:
+        """Fold deferred :class:`TaggedRun` spans in arrival order.
 
-        The columnar hot loop: per element it costs one intern lookup
-        for the key, one identity-cache hit for the tag columns, and a
-        handful of dense-list reads and bitmask tests.  The object
-        structures (``_pending`` entries, divergence/tracking sets)
-        are only touched when a mask test says the element changes
-        state.  The feed-gap admission check already ran at arrival
-        time (see :meth:`observe`).
+        The columnar hot loop: per row it costs one intern lookup for
+        the key, one list index for the tag columns, and a handful of
+        dense-list reads and bitmask tests.  The object structures
+        (``_pending`` entries, divergence/tracking sets) are only
+        touched when a mask test says the row changes state.  The
+        feed-gap admission check already ran at arrival time (see
+        :meth:`observe`).
 
-        Each element makes the same transition it would alone —
-        divergence against the baseline mask, return tracking,
-        withdrawal-resets, stability-candidate add/reset — replayed in
-        arrival order, so folding any prefix is state-identical to
-        per-element application.  The object branch (``TaggedPath``)
-        and the run branch (:class:`TaggedRun`) are two implementations
-        of that one transition; the columnar property tests compare
-        them.
+        Each row makes the same transition it would alone — divergence
+        against the baseline mask, return tracking, withdrawal-resets,
+        stability-candidate add/reset — replayed in arrival order, so
+        folding any prefix is state-identical to per-row application.
+        ``tests/_fold_oracle.py`` states that transition with plain
+        dicts and sets, and ``TestFoldOracle`` holds this loop to it.
         """
         key_ids_get = self._key_ids.get
         intern_key = self._intern_key
@@ -516,177 +533,78 @@ class OutageMonitor:
         diverted = self._diverted
         tracking = self._tracking
         withdrawal = ElemType.WITHDRAWAL
-        run_cls = TaggedRun
         shift = _POP_SHIFT
         skipped = 0
-        for tagged in events:
-            if type(tagged) is run_cls:
-                # Batch-native fold: sweep the run's tagged columns in
-                # place.  Same transitions as the object body below —
-                # the skip decision needs only (key, tag identity,
-                # element kind) and the candidate add needs (path,
-                # time), all of which sit in the view's columns, so no
-                # row ever materialises a TaggedPath.  The view's path
-                # and tag-set tables are serde-interned: identical
-                # values share objects across batches, keeping the
-                # id()-keyed column caches hot.
-                view = tagged.view
-                start = tagged.start
-                stop = tagged.stop
-                paths = view.paths
-                tagsets = view.tagsets
-                # Per-batch withdrawal sentinel: ElemType member for
-                # in-process batches, wire value string for IPC ones.
-                wv = view.wv
-                # The per-view cols table replaces the per-row
-                # id()-keyed cache probe with a list index: tag-set
-                # table entries repeat across rows, so each distinct
-                # entry resolves its derived columns once per view.
-                # One monitor folds a given view, so the table is that
-                # monitor's (derived columns embed its share filter).
-                cols_tab = view.cols
-                if cols_tab is None:
-                    cols_tab = view.cols = [None] * len(tagsets)
-                for key, when, elem, path_idx, tags_idx in zip(
-                    view.t_key[start:stop],
-                    view.t_time[start:stop],
-                    view.t_elem[start:stop],
-                    view.t_path[start:stop],
-                    view.t_tags[start:stop],
-                ):
-                    is_withdrawal = elem == wv
-                    cols = cols_tab[tags_idx]
+        for run in runs:
+            # Sweep the run's columns in place.  The tables hold the
+            # tagging memo's tuples: identical values share objects
+            # across batches, keeping the id()-keyed caches hot.
+            view = run.view
+            start = run.start
+            stop = run.stop
+            paths = view.paths
+            tagsets = view.tagsets
+            # The per-view cols table replaces the per-row id()-keyed
+            # cache probe with a list index: tag-set table entries
+            # repeat across rows, so each distinct entry resolves its
+            # derived columns once per view.  One monitor folds a given
+            # view, so the table is that monitor's (derived columns
+            # embed its share filter).
+            cols_tab = view.cols
+            if cols_tab is None:
+                cols_tab = view.cols = [None] * len(tagsets)
+            for key, when, elem, path_idx, tags_idx in zip(
+                view.t_key[start:stop],
+                view.t_time[start:stop],
+                view.t_elem[start:stop],
+                view.t_path[start:stop],
+                view.t_tags[start:stop],
+            ):
+                is_withdrawal = elem is withdrawal
+                cols = cols_tab[tags_idx]
+                if cols is None:
+                    tags = tagsets[tags_idx]
+                    cols = tags_cols_get(id(tags))
                     if cols is None:
-                        tags = tagsets[tags_idx]
-                        cols = tags_cols_get(id(tags))
-                        if cols is None:
-                            cols = tag_cols(tags)
-                        cols_tab[tags_idx] = cols
-                    update_mask = cols[1]
-                    key_idx = key_ids_get(key)
-                    if key_idx is None:
-                        key_idx = intern_key(key)
-                    kmask = base_mask[key_idx]
-                    tmask = track_mask[key_idx]
-                    pmask = pend_mask[key_idx]
-                    if not tmask:
-                        if is_withdrawal:
-                            if not kmask and not pmask:
-                                skipped += 1
-                                continue
-                        elif (
-                            kmask | pmask
-                        ) == update_mask and not (kmask & pmask):
+                        cols = tag_cols(tags)
+                    cols_tab[tags_idx] = cols
+                update_mask = cols[1]
+                key_idx = key_ids_get(key)
+                if key_idx is None:
+                    key_idx = intern_key(key)
+                kmask = base_mask[key_idx]
+                tmask = track_mask[key_idx]
+                pmask = pend_mask[key_idx]
+                # Steady-state fast path: the row changes nothing.  An
+                # announcement whose tags split exactly into baseline
+                # bits (no divergence, no candidacy reset) and
+                # already-pending bits (since keeps its first-seen
+                # time) is a no-op, as is a withdrawal of a key with no
+                # state at all.  This is the bulk of a stable stream:
+                # re-announcements of pending candidates and of
+                # baseline paths.
+                if not tmask:
+                    if is_withdrawal:
+                        if not kmask and not pmask:
                             skipped += 1
                             continue
-                    if kmask:
-                        div = kmask if is_withdrawal else kmask & ~update_mask
-                        while div:
-                            bit = div & -div
-                            div ^= bit
-                            pop = pops[bit.bit_length() - 1]
-                            keys = diverted.get(pop)
-                            if keys is None:
-                                keys = diverted[pop] = set()
-                            keys.add(key)
-                    if tmask:
-                        while tmask:
-                            bit = tmask & -tmask
-                            tmask ^= bit
-                            track = tracking[pops[bit.bit_length() - 1]]
-                            if not is_withdrawal and update_mask & bit:
-                                track.returned.add(key)
-                            else:
-                                track.returned.discard(key)
-                    if is_withdrawal:
-                        if pmask:
-                            packed_key = key_idx << shift
-                            while pmask:
-                                bit = pmask & -pmask
-                                pmask ^= bit
-                                del pending[
-                                    packed_key | (bit.bit_length() - 1)
-                                ]
-                            pend_mask[key_idx] = 0
-                        continue
-                    new_mask = pmask
-                    for pop_idx, bit, near_asn, far_asn in cols[2]:
-                        if kmask & bit:
-                            if new_mask & bit:
-                                del pending[key_idx << shift | pop_idx]
-                                new_mask &= ~bit
-                            continue
-                        if not (new_mask & bit):
-                            path = paths[path_idx]
-                            cached = path_cache.get(id(path))
-                            if cached is None:
-                                if len(path_cache) > _COLS_CACHE_MAX:
-                                    path_cache.clear()
-                                ases = frozenset(path[1:])
-                                path_cache[id(path)] = (path, ases)
-                            else:
-                                ases = cached[1]
-                            since = when
-                            packed = key_idx << shift | pop_idx
-                            pending[packed] = (near_asn, far_asn, since, ases)
-                            counter += 1
-                            heappush(heap, (since, counter, packed))
-                            new_mask |= bit
-                    stale = new_mask & ~update_mask
-                    if stale:
-                        packed_key = key_idx << shift
-                        new_mask &= ~stale
-                        while stale:
-                            bit = stale & -stale
-                            stale ^= bit
-                            del pending[packed_key | (bit.bit_length() - 1)]
-                    if new_mask != pmask:
-                        pend_mask[key_idx] = new_mask
-                continue
-            source = tagged.__dict__
-            key = source["key"]
-            tags = source["tags"]
-            is_withdrawal = source["elem_type"] is withdrawal
-            cols = tags_cols_get(id(tags))
-            if cols is None:
-                cols = tag_cols(tags)
-            update_mask = cols[1]
-            key_idx = key_ids_get(key)
-            if key_idx is None:
-                key_idx = intern_key(key)
-            kmask = base_mask[key_idx]
-            tmask = track_mask[key_idx]
-            pmask = pend_mask[key_idx]
-            # Steady-state fast path: the element changes nothing.  An
-            # announcement whose tags split exactly into baseline bits
-            # (no divergence, no candidacy reset) and already-pending
-            # bits (since keeps its first-seen time) is a no-op, as is
-            # a withdrawal of a key with no state at all.  This is the
-            # bulk of a stable stream: re-announcements of pending
-            # candidates and of baseline paths.
-            if not tmask:
-                if is_withdrawal:
-                    if not kmask and not pmask:
+                    elif (kmask | pmask) == update_mask and not (kmask & pmask):
                         skipped += 1
                         continue
-                elif (kmask | pmask) == update_mask and not (kmask & pmask):
-                    skipped += 1
-                    continue
-            if kmask:
-                # Divergence check against the baseline.
-                div = kmask if is_withdrawal else kmask & ~update_mask
-                while div:
-                    bit = div & -div
-                    div ^= bit
-                    pop = pops[bit.bit_length() - 1]
-                    keys = diverted.get(pop)
-                    if keys is None:
-                        keys = diverted[pop] = set()
-                    keys.add(key)
-            if tmask:
-                # Return tracking for open outages (indexed: only pops
-                # whose tracked key-set contains this key are touched).
+                if kmask:
+                    # Divergence check against the baseline.
+                    div = kmask if is_withdrawal else kmask & ~update_mask
+                    while div:
+                        bit = div & -div
+                        div ^= bit
+                        pop = pops[bit.bit_length() - 1]
+                        keys = diverted.get(pop)
+                        if keys is None:
+                            keys = diverted[pop] = set()
+                        keys.add(key)
                 while tmask:
+                    # Return tracking for open outages (indexed: only
+                    # pops whose tracked key-set holds this key).
                     bit = tmask & -tmask
                     tmask ^= bit
                     track = tracking[pops[bit.bit_length() - 1]]
@@ -694,51 +612,50 @@ class OutageMonitor:
                         track.returned.add(key)
                     else:
                         track.returned.discard(key)
-            if is_withdrawal:
-                # Stability candidates of a withdrawn key all reset.
-                if pmask:
-                    packed_key = key_idx << shift
-                    while pmask:
-                        bit = pmask & -pmask
-                        pmask ^= bit
-                        del pending[packed_key | (bit.bit_length() - 1)]
-                    pend_mask[key_idx] = 0
-                continue
-            new_mask = pmask
-            for pop_idx, bit, near_asn, far_asn in cols[2]:
-                if kmask & bit:
-                    # Already in the baseline: candidacy resets.
-                    if new_mask & bit:
-                        del pending[key_idx << shift | pop_idx]
-                        new_mask &= ~bit
+                if is_withdrawal:
+                    # Stability candidates of a withdrawn key all reset.
+                    if pmask:
+                        packed_key = key_idx << shift
+                        while pmask:
+                            bit = pmask & -pmask
+                            pmask ^= bit
+                            del pending[packed_key | (bit.bit_length() - 1)]
+                        pend_mask[key_idx] = 0
                     continue
-                if not (new_mask & bit):
-                    path = source["as_path"]
-                    cached = path_cache.get(id(path))
-                    if cached is None:
-                        if len(path_cache) > _COLS_CACHE_MAX:
-                            path_cache.clear()
-                        ases = frozenset(path[1:])
-                        path_cache[id(path)] = (path, ases)
-                    else:
-                        ases = cached[1]
-                    since = source["time"]
-                    packed = key_idx << shift | pop_idx
-                    pending[packed] = (near_asn, far_asn, since, ases)
-                    counter += 1
-                    heappush(heap, (since, counter, packed))
-                    new_mask |= bit
-            # Tags that disappeared reset their pending candidacy.
-            stale = new_mask & ~update_mask
-            if stale:
-                packed_key = key_idx << shift
-                new_mask &= ~stale
-                while stale:
-                    bit = stale & -stale
-                    stale ^= bit
-                    del pending[packed_key | (bit.bit_length() - 1)]
-            if new_mask != pmask:
-                pend_mask[key_idx] = new_mask
+                new_mask = pmask
+                for pop_idx, bit, near_asn, far_asn in cols[2]:
+                    if kmask & bit:
+                        # Already in the baseline: candidacy resets.
+                        if new_mask & bit:
+                            del pending[key_idx << shift | pop_idx]
+                            new_mask &= ~bit
+                        continue
+                    if not (new_mask & bit):
+                        path = paths[path_idx]
+                        cached = path_cache.get(id(path))
+                        if cached is None:
+                            if len(path_cache) > _COLS_CACHE_MAX:
+                                path_cache.clear()
+                            ases = frozenset(path[1:])
+                            path_cache[id(path)] = (path, ases)
+                        else:
+                            ases = cached[1]
+                        packed = key_idx << shift | pop_idx
+                        pending[packed] = (near_asn, far_asn, when, ases)
+                        counter += 1
+                        heappush(heap, (when, counter, packed))
+                        new_mask |= bit
+                # Tags that disappeared reset their pending candidacy.
+                stale = new_mask & ~update_mask
+                if stale:
+                    packed_key = key_idx << shift
+                    new_mask &= ~stale
+                    while stale:
+                        bit = stale & -stale
+                        stale ^= bit
+                        del pending[packed_key | (bit.bit_length() - 1)]
+                if new_mask != pmask:
+                    pend_mask[key_idx] = new_mask
         self._heap_counter = counter
         self.skipped_steady_state += skipped
 

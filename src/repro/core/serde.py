@@ -28,6 +28,13 @@ columns (the input module's memo is keyed on exactly these id tuples),
 so repeated attribute pairs inside a batch cost one dict probe and
 never materialise an intermediate ``BGPUpdate``.
 
+Tagging ends the wire encoding.  Both taggers (:func:`tag_wire_batch`
+over a columnar batch, :func:`tag_elements_to_wire` over stream
+objects) emit one *in-process* tagged batch — key tuples, ``ElemType``
+members, a path table and a table of ``PoPTag`` tuples — which the
+monitor reads through :func:`tagged_view` in the process that tagged
+it.  It is never marshalled.
+
 Conventions:
 
 * a :class:`~repro.docmine.dictionary.PoP` is ``[kind, pop_id]``;
@@ -811,11 +818,110 @@ def decode_batch(batch: tuple) -> list:
 _PAIR_MISS = object()
 
 
+class _TaggedOut:
+    """Output columns of one in-process tagged batch (see
+    :func:`tagged_view`).  Table slot 0 of both tables is the empty
+    path / tag set that withdrawals point at."""
+
+    __slots__ = (
+        "kinds", "t_key", "t_time", "t_elem", "t_path", "t_tags", "t_afi",
+        "s_rows", "paths", "tagsets", "other", "pair_ids", "keepalive",
+    )
+
+    def __init__(self) -> None:
+        self.kinds = bytearray()
+        self.t_key: list = []
+        self.t_time: list = []
+        self.t_elem: list = []
+        self.t_path: list = []
+        self.t_tags: list = []
+        self.t_afi: list = []
+        self.s_rows: tuple = ([], [], [], [], [])
+        self.paths: list = [()]
+        self.tagsets: list = [()]
+        self.other: list = []
+        #: id(memo result) -> (path slot, tag-set slot).  The memo hands
+        #: back the same (path, tags) pair object for repeated lookups,
+        #: so repeats resolve both slots with one probe; new pairs
+        #: append without value dedup (hashing tag-set tuples is pure
+        #: overhead for a batch that never leaves the process).
+        self.pair_ids: dict = {}
+        #: memo results registered by id() stay alive for the batch — a
+        #: memo rotation mid-batch could free one and recycle its id.
+        self.keepalive: list = []
+
+    def slots_of(self, cached: tuple) -> tuple[int, int]:
+        """Table slots of a memo result ``(clean path, tags)``."""
+        pair = self.pair_ids.get(id(cached))
+        if pair is None:
+            pair = (len(self.paths), len(self.tagsets))
+            self.paths.append(cached[0])
+            self.tagsets.append(cached[1])
+            self.pair_ids[id(cached)] = pair
+            self.keepalive.append(cached)
+        return pair
+
+    def add_tagged(self, kind: int, key, time_, elem, path, tags, afi) -> None:
+        self.kinds.append(kind)
+        self.t_key.append(key)
+        self.t_time.append(time_)
+        self.t_elem.append(elem)
+        self.t_path.append(len(self.paths))
+        self.paths.append(path)
+        self.t_tags.append(len(self.tagsets))
+        self.tagsets.append(tags)
+        self.t_afi.append(afi)
+
+    def add(self, element) -> None:
+        """A fallback output as a row (the rare, generic path)."""
+        primed_path = _event_types()[1]
+        if isinstance(element, primed_path):
+            kind, element = _K_PRIMED, element.path
+        elif isinstance(element, TaggedPath):
+            kind = _K_TAGGED
+        elif isinstance(element, BGPStateMessage):
+            self.kinds.append(_K_STATE)
+            for column, value in zip(
+                self.s_rows,
+                (
+                    element.time,
+                    element.collector,
+                    element.peer_asn,
+                    _SESSION_VALUE[element.old_state],
+                    _SESSION_VALUE[element.new_state],
+                ),
+            ):
+                column.append(value)
+            return
+        else:
+            self.kinds.append(_K_OTHER)
+            self.other.append(element_to_wire(element))
+            return
+        source = element.__dict__
+        self.add_tagged(
+            kind, source["key"], source["time"], source["elem_type"],
+            source["as_path"], source["tags"], source["afi"],
+        )
+
+    def batch(self) -> tuple:
+        return (
+            bytes(self.kinds),
+            ((), (), (), (), (), (), (), ()),
+            (self.t_key, self.t_time, self.t_elem, self.t_path, self.t_tags,
+             self.t_afi),
+            self.s_rows,
+            self.paths,
+            (),
+            self.tagsets,
+            self.other,
+        )
+
+
 def tag_wire_batch(input_module, batch: tuple, fallback=None) -> tuple:
     """Run the tagging stage over a columnar batch, column to column.
 
-    The bulk equivalent of decode → ``TaggingStage.feed`` per element →
-    re-encode, with the intermediate objects elided: update rows never
+    The bulk equivalent of decode → ``TaggingStage.feed`` per element,
+    with the intermediate objects elided: update rows never
     materialise a ``BGPUpdate``, and the community→PoP derivation is
     driven entirely by the batch's interned ``(path_idx, comm_idx)``
     columns.  A per-batch pair cache maps each distinct id pair to its
@@ -826,111 +932,32 @@ def tag_wire_batch(input_module, batch: tuple, fallback=None) -> tuple:
     module's totals exactly as the scalar path would have counted them
     (the pair cache is dropped when the memo rotates mid-batch).
 
-    Elements outside the update families (``other`` rows) go through
-    ``fallback`` (e.g. ``TaggingStage.feed``) and keep their slot
-    order; tagged rows pass through with their tables re-interned.
+    The output is the in-process tagged batch of
+    :func:`tag_elements_to_wire`: it is consumed through
+    :func:`tagged_view` by the process that tagged it and is never
+    marshalled.  Elements outside the update families (``other``
+    rows) go through ``fallback`` (e.g. ``TaggingStage.feed``) and
+    keep their slot order; tagged rows pass through with their tables
+    decoded.
     """
     kinds, u_rows, t_rows, s_rows, path_tab, comm_tab, tag_tab, other = batch
     u_iter = zip(*u_rows)
     t_iter = zip(*t_rows)
     s_iter = zip(*s_rows)
     o_iter = iter(other)
-    out_kinds = bytearray()
-    append_kind = out_kinds.append
-    o_t_key: list = []
-    o_t_time: list = []
-    o_t_elem: list = []
-    o_t_path: list = []
-    o_t_tags: list = []
-    o_t_afi: list = []
-    o_s_time: list = []
-    o_s_coll: list = []
-    o_s_peer: list = []
-    o_s_old: list = []
-    o_s_new: list = []
-    out_path_tab: list = []
-    out_tag_tab: list = []
-    out_other: list = []
-    out_path_ids: dict = {}
-    out_path_vals: dict = {}
-    out_tag_ids: dict = {}
-    out_tag_vals: dict = {}
-    #: objects registered in the id-keyed dicts must stay alive for the
-    #: duration of the batch — a memo rotation mid-batch could free one
-    #: and recycle its id for a different tuple.
-    keepalive: list = []
-    kind_value = _POPKIND_VALUE
-
-    def out_path_index(path) -> int:
-        index = out_path_ids.get(id(path))
-        if index is None:
-            index = out_path_vals.get(path)
-            if index is None:
-                index = len(out_path_tab)
-                out_path_tab.append(path)
-                out_path_vals[path] = index
-            out_path_ids[id(path)] = index
-            keepalive.append(path)
-        return index
-
-    def out_tags_index(tags) -> int:
-        index = out_tag_ids.get(id(tags))
-        if index is None:
-            flat: list = []
-            for tag in tags:
-                flat.append(kind_value[tag.pop.kind])
-                flat.append(tag.pop.pop_id)
-                flat.append(tag.near_asn)
-                flat.append(tag.far_asn)
-            key = tuple(flat)
-            index = out_tag_vals.get(key)
-            if index is None:
-                index = len(out_tag_tab)
-                out_tag_tab.append(key)
-                out_tag_vals[key] = index
-            out_tag_ids[id(tags)] = index
-            keepalive.append(tags)
-        return index
-
-    def out_flat_tags_index(flat) -> int:
-        index = out_tag_vals.get(flat)
-        if index is None:
-            index = len(out_tag_tab)
-            out_tag_tab.append(flat)
-            out_tag_vals[flat] = index
-        return index
-
-    def add_out(element) -> None:
-        """Fallback output → out-batch row (the rare, generic path)."""
-        if isinstance(element, TaggedPath):
-            _emit_tagged(element, _K_TAGGED)
-        elif isinstance(element, BGPStateMessage):
-            append_kind(_K_STATE)
-            o_s_time.append(element.time)
-            o_s_coll.append(element.collector)
-            o_s_peer.append(element.peer_asn)
-            o_s_old.append(_SESSION_VALUE[element.old_state])
-            o_s_new.append(_SESSION_VALUE[element.new_state])
-        elif isinstance(element, primed_path):
-            _emit_tagged(element.path, _K_PRIMED)
-        else:
-            append_kind(_K_OTHER)
-            out_other.append(element_to_wire(element))
-
-    def _emit_tagged(tagged, kind: int) -> None:
-        source = tagged.__dict__
-        append_kind(kind)
-        o_t_key.append(source["key"])
-        o_t_time.append(source["time"])
-        o_t_elem.append(_ELEM_VALUE[source["elem_type"]])
-        o_t_path.append(out_path_index(source["as_path"]))
-        o_t_tags.append(out_tags_index(source["tags"]))
-        o_t_afi.append(source["afi"])
-
-    primed_path = _event_types()[1]
-    withdrawal_value = _ELEM_VALUE[ElemType.WITHDRAWAL]
-    empty_path_index = out_path_index(())
-    empty_tags_index = out_flat_tags_index(())
+    out = _TaggedOut()
+    append_kind = out.kinds.append
+    t_key_append = out.t_key.append
+    t_time_append = out.t_time.append
+    t_elem_append = out.t_elem.append
+    t_path_append = out.t_path.append
+    t_tags_append = out.t_tags.append
+    t_afi_append = out.t_afi.append
+    tagsets = out.tagsets
+    slots_of = out.slots_of
+    elem_types = _ELEM_TYPES
+    withdrawal_value = _W_VALUE
+    withdrawal = ElemType.WITHDRAWAL
     pair_cache: dict = {}
     pair_get = pair_cache.get
     pair_miss = _PAIR_MISS
@@ -948,12 +975,12 @@ def tag_wire_batch(input_module, batch: tuple, fallback=None) -> tuple:
                 if kind == _K_PRIMING:
                     continue  # untaggable: cannot seed a baseline
                 append_kind(_K_TAGGED)
-                o_t_key.append((coll, peer, pfx))
-                o_t_time.append(time_)
-                o_t_elem.append(elem)
-                o_t_path.append(empty_path_index)
-                o_t_tags.append(empty_tags_index)
-                o_t_afi.append(afi)
+                t_key_append((coll, peer, pfx))
+                t_time_append(time_)
+                t_elem_append(withdrawal)
+                t_path_append(0)
+                t_tags_append(0)
+                t_afi_append(afi)
                 continue
             pair = pair_get((pi, ci), pair_miss)
             if pair is not pair_miss:
@@ -971,181 +998,77 @@ def tag_wire_batch(input_module, batch: tuple, fallback=None) -> tuple:
                         # their next use: send them back to the memo.
                         rotations = input_module.memo_rotations
                         pair_cache.clear()
-                if cached is None:
-                    pair = None
-                else:
-                    pair = (
-                        out_path_index(cached[0]),
-                        out_tags_index(cached[1]),
-                    )
+                pair = None if cached is None else slots_of(cached)
                 pair_cache[(pi, ci)] = pair
             if pair is None:
                 discarded += 1
                 continue
             parsed += 1
-            if kind == _K_PRIMING and not out_tag_tab[pair[1]]:
+            if kind == _K_PRIMING and not tagsets[pair[1]]:
                 continue  # tagless priming path: no baseline to seed
             append_kind(_K_TAGGED if kind == _K_UPDATE else _K_PRIMED)
-            o_t_key.append((coll, peer, pfx))
-            o_t_time.append(time_)
-            o_t_elem.append(elem)
-            o_t_path.append(pair[0])
-            o_t_tags.append(pair[1])
-            o_t_afi.append(afi)
+            t_key_append((coll, peer, pfx))
+            t_time_append(time_)
+            t_elem_append(elem_types[elem])
+            t_path_append(pair[0])
+            t_tags_append(pair[1])
+            t_afi_append(afi)
         elif kind == _K_TAGGED or kind == _K_PRIMED:
             key, time_, elem, pi, ti, afi = next(t_iter)
-            append_kind(kind)
-            o_t_key.append(key)
-            o_t_time.append(time_)
-            o_t_elem.append(elem)
-            o_t_path.append(out_path_index(tuple(path_tab[pi])))
-            o_t_tags.append(out_flat_tags_index(tuple(tag_tab[ti])))
-            o_t_afi.append(afi)
+            out.add_tagged(
+                kind,
+                (key[0], key[1], key[2]),
+                time_,
+                elem_types[elem],
+                _intern_path(tuple(path_tab[pi])),
+                _tagset_from_flat(tuple(tag_tab[ti])),
+                afi,
+            )
         elif kind == _K_STATE:
-            time_, coll, peer, old, new_state = next(s_iter)
             append_kind(_K_STATE)
-            o_s_time.append(time_)
-            o_s_coll.append(coll)
-            o_s_peer.append(peer)
-            o_s_old.append(old)
-            o_s_new.append(new_state)
+            for column, value in zip(out.s_rows, next(s_iter)):
+                column.append(value)
         else:
             wire = next(o_iter)
             if fallback is None:
                 append_kind(_K_OTHER)
-                out_other.append(wire)
+                out.other.append(wire)
             else:
                 for produced in fallback(element_from_wire(wire)):
-                    add_out(produced)
+                    out.add(produced)
     input_module.parsed_count += parsed
     input_module.memo_hits += hits
     input_module.discarded_count += discarded
-    return (
-        bytes(out_kinds),
-        ((), (), (), (), (), (), (), ()),
-        (o_t_key, o_t_time, o_t_elem, o_t_path, o_t_tags, o_t_afi),
-        (o_s_time, o_s_coll, o_s_peer, o_s_old, o_s_new),
-        out_path_tab,
-        (),
-        out_tag_tab,
-        out_other,
-    )
+    return out.batch()
 
 
 def tag_elements_to_wire(input_module, elements, fallback=None) -> tuple:
     """Tag a chunk of stream *objects* straight into a columnar batch.
 
-    The fusion of :meth:`InputModule.process_batch` and
+    The fusion of ``InputModule.process`` per element and
     :func:`encode_batch`: one pass over the elements that probes the
     tagging memo per ``(as_path, communities)`` pair and appends the
-    result directly to output tag columns — the intermediate
-    ``TaggedPath`` list the scalar path would build is never
-    materialised.  The memo hands back the *same* path/tag tuples for
-    repeated pairs, so the id-first output table dedup below hits on
-    one dict probe per repeat.  Counters fold exactly as
-    ``process_batch`` counts them; elements outside ``BGPUpdate`` go
-    through ``fallback`` (e.g. ``TaggingStage.feed``) and keep their
-    slot order.
+    result directly to output tag columns — no ``TaggedPath`` is ever
+    materialised.  Counters fold exactly as ``process`` counts them;
+    elements outside ``BGPUpdate`` go through ``fallback`` (e.g.
+    ``TaggingStage.feed``) and keep their slot order.  The output is
+    the in-process tagged batch (see :func:`tagged_view`).
     """
-    out_kinds = bytearray()
-    append_kind = out_kinds.append
-    o_t_key: list = []
-    o_t_time: list = []
-    o_t_elem: list = []
-    o_t_path: list = []
-    o_t_tags: list = []
-    o_t_afi: list = []
-    o_s_time: list = []
-    o_s_coll: list = []
-    o_s_peer: list = []
-    o_s_old: list = []
-    o_s_new: list = []
-    out_path_tab: list = []
-    out_tag_tab: list = []
-    out_other: list = []
-    out_path_ids: dict = {}
-    out_path_vals: dict = {}
-    out_tag_ids: dict = {}
-    out_tag_vals: dict = {}
-    keepalive: list = []
-
-    def out_path_index(path) -> int:
-        index = out_path_ids.get(id(path))
-        if index is None:
-            index = out_path_vals.get(path)
-            if index is None:
-                index = len(out_path_tab)
-                out_path_tab.append(path)
-                out_path_vals[path] = index
-            out_path_ids[id(path)] = index
-            keepalive.append(path)
-        return index
-
-    def out_tags_index(tags) -> int:
-        # The tag table keeps the memo's tag-set tuples *as objects*:
-        # this batch is consumed in-process through a column view
-        # (never marshalled), so flattening to the wire encoding and
-        # re-materialising on the other side would be a round trip
-        # through the codec inside one interpreter.  The memo hands
-        # back the same tuple object for repeated pairs, keeping the
-        # monitor's id()-keyed caches hot across batches.
-        index = out_tag_ids.get(id(tags))
-        if index is None:
-            index = out_tag_vals.get(tags)
-            if index is None:
-                index = len(out_tag_tab)
-                out_tag_tab.append(tags)
-                out_tag_vals[tags] = index
-            out_tag_ids[id(tags)] = index
-            keepalive.append(tags)
-        return index
-
-    def _emit_tagged(tagged, kind: int) -> None:
-        source = tagged.__dict__
-        append_kind(kind)
-        o_t_key.append(source["key"])
-        o_t_time.append(source["time"])
-        o_t_elem.append(source["elem_type"])
-        o_t_path.append(out_path_index(source["as_path"]))
-        o_t_tags.append(out_tags_index(source["tags"]))
-        o_t_afi.append(source["afi"])
-
-    def add_out(element) -> None:
-        if isinstance(element, TaggedPath):
-            _emit_tagged(element, _K_TAGGED)
-        elif isinstance(element, BGPStateMessage):
-            append_kind(_K_STATE)
-            o_s_time.append(element.time)
-            o_s_coll.append(element.collector)
-            o_s_peer.append(element.peer_asn)
-            o_s_old.append(_SESSION_VALUE[element.old_state])
-            o_s_new.append(_SESSION_VALUE[element.new_state])
-        elif isinstance(element, primed_path):
-            _emit_tagged(element.path, _K_PRIMED)
-        else:
-            append_kind(_K_OTHER)
-            out_other.append(element_to_wire(element))
-
-    primed_path = _event_types()[1]
+    out = _TaggedOut()
+    append_kind = out.kinds.append
+    t_key_append = out.t_key.append
+    t_time_append = out.t_time.append
+    t_elem_append = out.t_elem.append
+    t_path_append = out.t_path.append
+    t_tags_append = out.t_tags.append
+    t_afi_append = out.t_afi.append
+    slots_of = out.slots_of
+    pair_ids_get = out.pair_ids.get
     update_cls = BGPUpdate
     withdrawal = ElemType.WITHDRAWAL
-    empty_path_index = out_path_index(())
-    empty_tags = ()
-    out_tag_tab.append(empty_tags)
-    out_tag_vals[empty_tags] = empty_tags_index = 0
     memo_get = input_module.memo_probe
     memo_miss = input_module.memo_miss
     miss = _PAIR_MISS
-    pair_ids: dict = {}
-    pair_ids_get = pair_ids.get
-    # Hoisted bound methods: the loop below runs per element of the
-    # hot path, so each append must not pay attribute resolution.
-    t_key_append = o_t_key.append
-    t_time_append = o_t_time.append
-    t_elem_append = o_t_elem.append
-    t_path_append = o_t_path.append
-    t_tags_append = o_t_tags.append
-    t_afi_append = o_t_afi.append
     parsed = 0
     hits = 0
     discarded = 0
@@ -1153,10 +1076,10 @@ def tag_elements_to_wire(input_module, elements, fallback=None) -> tuple:
         if type(element) is not update_cls:
             if fallback is None:
                 append_kind(_K_OTHER)
-                out_other.append(element_to_wire(element))
+                out.other.append(element_to_wire(element))
             else:
                 for produced in fallback(element):
-                    add_out(produced)
+                    out.add(produced)
             continue
         elem_type = element.elem_type
         if elem_type is withdrawal:
@@ -1167,8 +1090,8 @@ def tag_elements_to_wire(input_module, elements, fallback=None) -> tuple:
             )
             t_time_append(element.time)
             t_elem_append(elem_type)
-            t_path_append(empty_path_index)
-            t_tags_append(empty_tags_index)
+            t_path_append(0)
+            t_tags_append(0)
             t_afi_append(element.afi)
             continue
         communities = element.communities
@@ -1199,35 +1122,16 @@ def tag_elements_to_wire(input_module, elements, fallback=None) -> tuple:
         )
         t_time_append(element.time)
         t_elem_append(elem_type)
-        # One probe resolves both output indices: the memo returns the
-        # same (path, tags) pair object for repeated lookups, so the
-        # id-keyed pair table hits on every repeat within the batch.
-        # New pairs append without value dedup — the batch never
-        # crosses a process boundary, so table compactness buys
-        # nothing and hashing tag-set tuples is pure overhead.
         pair = pair_ids_get(id(cached))
         if pair is None:
-            pair = (len(out_path_tab), len(out_tag_tab))
-            out_path_tab.append(cached[0])
-            out_tag_tab.append(cached[1])
-            pair_ids[id(cached)] = pair
-            keepalive.append(cached)
+            pair = slots_of(cached)
         t_path_append(pair[0])
         t_tags_append(pair[1])
         t_afi_append(element.afi)
     input_module.parsed_count += parsed
     input_module.memo_hits += hits
     input_module.discarded_count += discarded
-    return (
-        bytes(out_kinds),
-        ((), (), (), (), (), (), (), ()),
-        (o_t_key, o_t_time, o_t_elem, o_t_path, o_t_tags, o_t_afi),
-        (o_s_time, o_s_coll, o_s_peer, o_s_old, o_s_new),
-        out_path_tab,
-        (),
-        out_tag_tab,
-        out_other,
-    )
+    return out.batch()
 
 
 def wires_to_batch(wires: list) -> tuple:
@@ -1337,17 +1241,16 @@ def wires_to_batch(wires: list) -> tuple:
 # Column views: batch-native consumption without per-row objects
 # ----------------------------------------------------------------------
 class TaggedBatchView:
-    """A cheap column view over a tagged columnar batch.
+    """A cheap column view over an in-process tagged batch.
 
     Built by :func:`tagged_view` on the output of
     :func:`tag_wire_batch` / :func:`tag_elements_to_wire`.  Holds the
-    resolved (interned) path/tag-set tables plus the raw family
-    columns, pre-grouped into maximal same-kind *runs* so a consumer
-    can sweep whole column spans — the monitor's batch-native fold
-    processes a run of tagged rows as one column sweep and only
-    materialises the rare rows that need the object protocol (bin
-    closers, pass-throughs).  ``*_at`` methods materialise one row
-    lazily, byte-identical to :func:`decode_batch` output.
+    path/tag-set tables plus the raw family columns, pre-grouped into
+    maximal same-kind *runs* so a consumer can sweep whole column
+    spans — the monitor's fold processes a run of tagged rows as one
+    column sweep, and only the rare rows that need the object protocol
+    (bin closers, primed paths, pass-throughs) are materialised, one at
+    a time, by the ``*_at`` methods.
     """
 
     __slots__ = (
@@ -1365,8 +1268,6 @@ class TaggedBatchView:
         "other",
         "paths",
         "tagsets",
-        "wv",
-        "elem_decode",
         "cols",
     )
 
@@ -1391,16 +1292,11 @@ class TaggedBatchView:
         fields = tagged.__dict__
         fields["key"] = self.t_key[fam]
         fields["time"] = self.t_time[fam]
-        elem = self.t_elem[fam]
-        decode = self.elem_decode
-        fields["elem_type"] = elem if decode is None else decode[elem]
+        fields["elem_type"] = self.t_elem[fam]
         fields["as_path"] = self.paths[self.t_path[fam]]
         fields["tags"] = self.tagsets[self.t_tags[fam]]
         fields["afi"] = self.t_afi[fam]
         return tagged
-
-    def primed_at(self, fam: int):
-        return _event_types()[1](path=self.tagged_at(fam))
 
     def state_at(self, fam: int) -> BGPStateMessage:
         message = object.__new__(BGPStateMessage)
@@ -1416,42 +1312,35 @@ class TaggedBatchView:
         return element_from_wire(self.other[fam])
 
 
-def tagged_view(batch: tuple) -> TaggedBatchView | None:
-    """Build a :class:`TaggedBatchView`; ``None`` if the batch has
-    update-family rows (the caller must decode and take the object
-    path — raw updates only appear upstream of tagging)."""
+def tagged_view(batch: tuple) -> TaggedBatchView:
+    """Build a :class:`TaggedBatchView` over an in-process tagged batch.
+
+    Both taggers emit one form: key tuples, ``ElemType`` members, a
+    path table and a table of ``PoPTag`` tuples — the tagging memo's
+    objects, shared across rows and batches.  A tagged batch never
+    leaves the process that tagged it, so the view reads the tables as
+    they are.  Fails closed with ``ValueError`` on anything else: raw
+    updates (the batch was never tagged) or tagged rows in the flat
+    marshal-safe encoding (an IPC batch that skipped
+    :func:`tag_wire_batch`).
+    """
     kinds, u_rows, t_rows, s_rows, path_tab, comm_tab, tag_tab, other = batch
     if u_rows[0]:
-        return None
+        raise ValueError(
+            "batch holds untagged update rows: tag it before the monitor"
+        )
+    t_key, t_time, t_elem, t_path, t_tags, t_afi = t_rows
+    if t_elem and type(t_elem[0]) is not ElemType:
+        raise ValueError(
+            "tagged rows are in the wire encoding: decode them with"
+            " tag_wire_batch before the monitor"
+        )
     view = TaggedBatchView()
     n = view.n = len(kinds)
     view.kinds = kinds
     view.cols = None  # consumer-owned per-tag-set cache (see monitor)
-    t_key, t_time, t_elem, t_path, t_tags, t_afi = t_rows
-    if t_key and type(t_key[0]) is not tuple:
-        t_key = [(k[0], k[1], k[2]) for k in t_key]
-    # The elem column distinguishes the two batch families: it carries
-    # ``ElemType`` members in in-process batches (tag_elements_to_wire
-    # — no per-row codec hop) and wire value strings in IPC batches.
-    # In-process tables already hold the memo's path/tag-set tuples as
-    # objects, so they pass through untouched; wire tables carry the
-    # flat encoding and materialise via the intern tables.  The view
-    # pins the matching withdrawal sentinel and decode map.
-    if t_elem and type(t_elem[0]) is not str:
-        view.wv = ElemType.WITHDRAWAL
-        view.elem_decode = None
-        view.paths = path_tab
-        view.tagsets = tag_tab
-    else:
-        view.wv = _W_VALUE
-        view.elem_decode = _ELEM_TYPES
-        view.paths = [_intern_path(tuple(p)) for p in path_tab]
-        view.tagsets = [
-            f
-            if f and type(f[0]) is PoPTag
-            else _tagset_from_flat(tuple(f))
-            for f in tag_tab
-        ]
+    view.paths = path_tab
+    view.tagsets = tag_tab
     view.t_key = t_key
     view.t_time = t_time
     view.t_elem = t_elem

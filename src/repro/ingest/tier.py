@@ -124,10 +124,9 @@ class ChainSink:
     def feed_released(self, payloads: list, wired: bool) -> list:
         if wired:
             # Envelopes from forked feed workers fold straight into a
-            # columnar batch and ride the chain's wire lane — tagging
+            # columnar batch and ride the chain's wire pair — tagging
             # and the monitor fold run column to column, and no object
-            # materialises unless a row diverges (the chain decodes
-            # itself when its wire lane does not apply).
+            # materialises but the bin-closing rows.
             return self.pipeline.feed_wire_from(wires_to_batch(payloads))
         return self.pipeline.feed_from(1, payloads)
 

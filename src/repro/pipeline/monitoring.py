@@ -1,13 +1,18 @@
 """Binning/monitoring stage: stable paths to per-AS signals (§4.2).
 
-Wraps :class:`repro.core.monitor.OutageMonitor`.  Tagged paths advance
-the 60-second binning clock; whenever one or more bins close, their
-per-AS signals are emitted as one
+Wraps :class:`repro.core.monitor.OutageMonitor`.  Tagged rows reach it
+one way: as a column view over a tagged batch
+(:meth:`BinningMonitorStage.feed_wire_run`), whose in-bin runs defer
+into the monitor's fold as :class:`~repro.core.monitor.TaggedRun`
+spans.  Tagged rows advance the 60-second binning clock; whenever one
+or more bins close, their per-AS signals are emitted as one
 :class:`~repro.pipeline.events.SignalBatch`, followed by a
 :class:`~repro.pipeline.events.BinAdvanced` marker so downstream
 lifecycle stages re-evaluate open outages — the exact order the
 monolithic detector used.  State messages update the feed-gap set and
-emit nothing.
+emit nothing.  :meth:`BinningMonitorStage.feed` takes one element: the
+bin-closing row of a view, and every element of a chain without a
+tagging stage in front.
 
 Each bin-closing call also records one gauge sample (latency, baseline
 and pending population), weighted by the bins it closed, into the
@@ -110,77 +115,24 @@ class BinningMonitorStage(PassthroughStage):
             )
         return out
 
-    def feed_run(
-        self, elements: list[Any], start: int
-    ) -> tuple[list[Any], int]:
-        """Consume a run of ``elements[start:]``; stop at the first output.
-
-        The batch entry point used by the runtime's barrier loop: plain
-        in-bin tagged paths are admitted straight into the monitor's
-        deferred fold buffer (one append per element — the grouped fold
-        runs at the bin close), while anything that can emit or reorder
-        observable state — a bin-closing element, a passthrough element
-        — is handled by :meth:`feed` and ends the run, so emitted
-        batches still clear the chain before the monitor advances.
-        Returns ``(outputs, next_index)``.
-        """
-        monitor = self.monitor
-        defer = monitor._events.append
-        gapped = monitor._gapped
-        bin_start = monitor._bin_start
-        width = monitor.params.bin_interval_s
-        limit = None if bin_start is None else bin_start + width
-        n = len(elements)
-        i = start
-        while i < n:
-            element = elements[i]
-            if type(element) is TaggedPath:
-                elem_time = element.__dict__["time"]
-                if limit is None:
-                    bin_start = monitor._bin_floor(elem_time)
-                    monitor._bin_start = bin_start
-                    limit = bin_start + width
-                elif elem_time >= limit:
-                    # Bin close: the per-element path does the metrics
-                    # bookkeeping; stop so outputs cascade first.
-                    return self.feed(element), i + 1
-                if gapped:
-                    key = element.__dict__["key"]
-                    if (key[0], key[1]) in gapped:
-                        i += 1
-                        continue
-                defer(element)
-                i += 1
-                continue
-            if isinstance(element, PrimedPath):
-                monitor.prime(element.path)
-                self.primed += 1
-                i += 1
-                continue
-            if isinstance(element, BGPStateMessage):
-                monitor.observe_state(element)
-                i += 1
-                continue
-            return [element], i + 1
-        return [], n
-
-    def prepare_wire(self, batch: tuple) -> TaggedBatchView | None:
-        """Column view over a tagged wire batch; ``None`` → decode path."""
+    def prepare_wire(self, batch: tuple) -> TaggedBatchView:
+        """Column view over a tagged batch; ``ValueError`` on any other."""
         return tagged_view(batch)
 
     def feed_wire_run(
         self, view: TaggedBatchView, start: int
     ) -> tuple[list[Any], int]:
-        """Batch-native :meth:`feed_run` over a column view.
+        """Consume slots of ``view`` from ``start``.
 
-        Consumes slots of ``view`` from ``start``; stops at the first
-        slot that produces output (a bin-closing row, a passthrough
-        element) so emitted batches still clear the chain before the
-        monitor advances.  In-bin tagged rows defer as
+        Stops at the first slot that produces output (a bin-closing
+        row, a passthrough element) so emitted batches clear the chain
+        before the monitor advances.  In-bin tagged rows defer as
         :class:`~repro.core.monitor.TaggedRun` column spans — the
         common whole-run case is one ``max()`` over the time column
-        plus one append, and no row materialises an object.  Returns
-        ``(outputs, next_slot)``.
+        plus one append, and no row materialises an object.  The
+        bin-closing row enters through :meth:`feed` (which closes the
+        bin and defers the row as a one-row run) so the per-bin
+        metering lives in one place.  Returns ``(outputs, next_slot)``.
         """
         monitor = self.monitor
         defer = monitor._events.append

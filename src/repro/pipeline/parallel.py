@@ -101,12 +101,7 @@ from collections import deque
 from typing import Any, Iterable
 
 from repro import telemetry
-from repro.core.serde import (
-    decode_batch,
-    encode_batch,
-    tag_wire_batch,
-    wires_to_batch,
-)
+from repro.core.serde import encode_batch, tag_wire_batch, wires_to_batch
 from repro.pipeline import faults
 from repro.pipeline.checkpoint import CheckpointableChain
 from repro.pipeline.liveness import (
@@ -464,23 +459,15 @@ def _shard_worker_loop(
                 advanced = mout.now
         sync_round(signals, advanced)
 
-    def feed_tagged(out) -> None:
+    def consume_tagged(tagged) -> None:
+        # Batch-native monitor sweep over the tagged batch's column
+        # view: one fold invocation per metered batch (the same
+        # accounting the driver-side runtimes use); the per-bin sync
+        # round runs per emission, before the next slot advances the
+        # monitor.
         began = time.perf_counter()
-        mouts = chain.monitoring.feed(out)
-        delta = time.perf_counter() - began
-        mon_handle.seconds += delta
-        mon_handle.fed += 1
-        mon_handle.batches += 1
-        mon_handle.emitted += len(mouts)
-        mon_handle.hist.record(delta * 1e9)
-        if mouts:
-            emit_rounds(mouts)
-
-    def feed_tagged_view(view) -> None:
-        # Batch-native monitor sweep: one fold invocation per metered
-        # batch (the same accounting the driver-side runtimes use);
-        # the per-bin sync round runs per emission, before the next
-        # slot advances the monitor.
+        view = chain.monitoring.prepare_wire(tagged)
+        mon_handle.seconds += time.perf_counter() - began
         feed_wire_run = chain.monitoring.feed_wire_run
         slot, n = 0, view.n
         while slot < n:
@@ -496,13 +483,13 @@ def _shard_worker_loop(
             slot = nxt
             if mouts:
                 emit_rounds(mouts)
+        # Keep the driver's live cache warm even between bin closes
+        # (the fused exchange is the primary carrier; this covers long
+        # in-bin stretches).  Shares the sync-round frame throttle.
+        frame = live_frame()
+        if frame is not None:
+            ret_q.put(("mtx", wid, frame))
 
-    # Captured at fork time: flipping StagePipeline.use_wire_lane
-    # before building the runtime forces the object oracle in the
-    # workers too (the property tests' escape hatch).
-    from repro.pipeline.runtime import StagePipeline as _runtime_cls
-
-    wire_lane = _runtime_cls.use_wire_lane
     armed = faults.arm("shard", wid)
 
     def quarantine(msg, detail: str) -> None:
@@ -535,24 +522,6 @@ def _shard_worker_loop(
         if n:
             tag_handle.hist.record(delta * 1e9 / n)
         return tagged
-
-    def consume_tagged(tagged) -> None:
-        view = None
-        if wire_lane:
-            began = time.perf_counter()
-            view = chain.monitoring.prepare_wire(tagged)
-            mon_handle.seconds += time.perf_counter() - began
-        if view is None:
-            for element in decode_batch(tagged):
-                feed_tagged(element)
-        else:
-            feed_tagged_view(view)
-        # Keep the driver's live cache warm even between bin closes
-        # (the fused exchange is the primary carrier; this covers long
-        # in-bin stretches).  Shares the sync-round frame throttle.
-        frame = live_frame()
-        if frame is not None:
-            ret_q.put(("mtx", wid, frame))
 
     def handle_control(msg) -> None:
         nonlocal round_id

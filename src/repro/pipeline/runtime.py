@@ -5,7 +5,16 @@ element through it breadth-per-stage: all outputs of stage *i* are
 computed, then passed on to stage *i+1* together.  Because stages are
 synchronous and order-preserving, this is observationally equivalent
 to depth-first threading (each output of stage *i* reaching stage
-*i+1* before the next output of stage *i* is computed).
+*i+1* before the next output of stage *i* is computed) — up to the
+chain's ``depth_first`` barrier, from which each output clears the
+rest of the chain before the barrier stage advances.
+
+On the Kepler chain the barrier is the monitor and the stage just in
+front of it is tagging.  Such a tagging → monitor pair is the chain's
+*wire pair*, and it is the one way tagged rows reach the monitor: a
+chunk is tagged into one columnar batch, and the monitor consumes it
+through a column view (see :mod:`repro.core.serde`).  A chain without
+a wire pair threads elements through the barrier one at a time.
 
 Per-stage wall time and element counts are recorded into the shared
 :class:`~repro.pipeline.metrics.PipelineMetrics` on every call —
@@ -25,19 +34,20 @@ from repro.pipeline.stage import Stage
 #: Elements threaded through the stage chain per ``feed_many`` chunk.
 #: Large enough to amortise per-stage metering over thousands of
 #: elements, small enough that inter-stage buffers stay cache-sized.
-#: The batch-native lane also dedups its output tables per chunk, so
-#: bigger chunks raise the within-batch repeat rate of (path, tags)
-#: pairs and keys.
+#: The tagged batch also dedups its output tables per chunk, so bigger
+#: chunks raise the within-batch repeat rate of (path, tags) pairs.
 FEED_CHUNK = 4096
 
 
 class StagePipeline:
-    """Composition of stages with metering."""
+    """Composition of stages with metering.
 
-    #: Class-level escape hatch: flip to ``False`` to force the
-    #: object-materialising path everywhere the wire lane would apply
-    #: (the correctness oracle the property tests compare against).
-    use_wire_lane = True
+    ``feed``, ``feed_many`` and ``feed_from`` share one path: stages
+    in front of the wire pair run breadth-per-stage on the chunk, the
+    wire pair tags it into one batch and drives the monitor over its
+    column view (:meth:`_drive_wire_batch`), and every emission clears
+    the rest of the chain before the monitor advances.
+    """
 
     def __init__(
         self,
@@ -70,11 +80,11 @@ class StagePipeline:
             if getattr(stage, "depth_first", False):
                 self.barrier_index = index
                 break
-        # Wire lane: when the stage just before the barrier tags into
-        # columnar batches (``feed_wire``) and the barrier stage
-        # consumes them as column views (``prepare_wire`` +
-        # ``feed_wire_run``), chunks take the batch-native path — no
-        # per-element objects between the two hottest stages.
+        # Wire pair: the stage just before the barrier tags into
+        # columnar batches (``feed_wire``/``feed_wire_batch``) and the
+        # barrier stage consumes them as column views (``prepare_wire``
+        # + ``feed_wire_run``) — no per-element objects between the two
+        # hottest stages.
         self._wire_at = None
         barrier = self.barrier_index
         if 0 < barrier < len(self.stages):
@@ -91,7 +101,7 @@ class StagePipeline:
     # ------------------------------------------------------------------
     def feed(self, element: Any) -> list[Any]:
         """Push one element through all stages; return what falls out."""
-        return self._run(0, [element])
+        return self.feed_from(0, [element])
 
     def feed_many(self, elements: Iterable[Any]) -> list[Any]:
         """Thread a whole element sequence through the chain, chunked.
@@ -102,8 +112,8 @@ class StagePipeline:
         ``depth_first`` barrier (the monitor in the Kepler chain):
         stages before it are pure stream transducers, so breadth-
         per-stage over a chunk is output-identical; from the barrier
-        on, each element threads individually so emitted batches clear
-        the chain before the barrier stage's state advances further.
+        on, each emission clears the chain before the barrier stage's
+        state advances further.
         """
         out: list[Any] = []
         size = self.chunk_size
@@ -111,20 +121,17 @@ class StagePipeline:
             # The common call (a materialised stream): slice chunks out
             # directly instead of copying element by element.
             for start in range(0, len(elements), size):
-                out.extend(self._run_chunk(elements[start : start + size]))
+                out.extend(self.feed_from(0, elements[start : start + size]))
             return out
         chunk: list[Any] = []
         for element in elements:
             chunk.append(element)
             if len(chunk) >= size:
-                out.extend(self._run_chunk(chunk))
+                out.extend(self.feed_from(0, chunk))
                 chunk = []
         if chunk:
-            out.extend(self._run_chunk(chunk))
+            out.extend(self.feed_from(0, chunk))
         return out
-
-    def _run_chunk(self, chunk: list[Any]) -> list[Any]:
-        return self.feed_from(0, chunk)
 
     def feed_from(self, start: int, elements: list[Any]) -> list[Any]:
         """Thread one element batch through ``stages[start:]``.
@@ -137,48 +144,21 @@ class StagePipeline:
         :meth:`feed_many`, so the two entry points are
         output-identical on the same element sequence.
         """
-        barrier = max(self.barrier_index, start)
         wire_at = self._wire_at
-        if (
-            wire_at is not None
-            and self.use_wire_lane
-            and start <= wire_at
-            and barrier == self.barrier_index
-        ):
+        if wire_at is not None and start <= wire_at:
             staged = self._run_span(start, wire_at, elements)
             return self._drive_wire(staged)
+        barrier = max(self.barrier_index, start)
         staged = self._run_span(start, barrier, elements)
         if barrier >= len(self.stages):
             return staged
         out: list[Any] = []
-        stage, metrics = self._metered[barrier]
-        feed_run = getattr(stage, "feed_run", None)
-        if feed_run is not None:
-            # Barrier stages with a batch feeder consume maximal
-            # non-emitting runs in one call; emitted batches still
-            # clear the rest of the chain before the next run starts,
-            # exactly as the per-element loop below.
-            index, count = 0, len(staged)
-            while index < count:
-                began = time.perf_counter()
-                outs, advanced = feed_run(staged, index)
-                delta = time.perf_counter() - began
-                metrics.seconds += delta
-                metrics.fed += advanced - index
-                metrics.batches += 1
-                metrics.emitted += len(outs)
-                if advanced > index:
-                    metrics.hist.record(delta * 1e9 / (advanced - index))
-                index = advanced
-                if outs:
-                    out.extend(self._run(barrier + 1, outs))
-            return out
         for element in staged:
             out.extend(self._run(barrier, [element]))
         return out
 
     # ------------------------------------------------------------------
-    # Wire lane: batch-native tagging + monitor fold
+    # Wire pair: batch-native tagging + monitor fold
     # ------------------------------------------------------------------
     def feed_wire_from(self, batch: tuple) -> list[Any]:
         """Thread one columnar wire batch through ``stages[1:]``.
@@ -186,15 +166,16 @@ class StagePipeline:
         The batch-native sibling of ``feed_from(1, elements)`` used by
         the ingest tier's release path: the released envelopes arrive
         already folded into a columnar batch, tagging runs column to
-        column and the monitor consumes the result as a view.  Falls
-        back to decode + the object path when the wire lane does not
-        apply to this chain.
+        column and the monitor consumes the result as a view.  Raises
+        ``ValueError`` on a chain whose wire pair does not start at
+        stage 1 (right behind ingest).
         """
         wire_at = self._wire_at
-        if wire_at != 1 or not self.use_wire_lane:
-            from repro.core.serde import decode_batch
-
-            return self.feed_from(1, decode_batch(batch))
+        if wire_at != 1:
+            raise ValueError(
+                f"{self!r} has no tagging -> monitor pair at stage 1:"
+                " it cannot take a wire batch"
+            )
         stage, metrics = self._metered[wire_at]
         began = time.perf_counter()
         tagged = stage.feed_wire_batch(batch)
@@ -223,23 +204,21 @@ class StagePipeline:
         return self._drive_wire_batch(batch)
 
     def _drive_wire_batch(self, batch: tuple) -> list[Any]:
-        """Run the barrier stage over a tagged batch's column view."""
+        """Run the barrier stage over a tagged batch's column view.
+
+        A batch the barrier cannot view (untagged update rows, tagged
+        rows in the wire encoding) raises ``ValueError`` before any
+        state or metric moves.
+        """
         barrier = self.barrier_index
         stage, metrics = self._metered[barrier]
         began = time.perf_counter()
         view = stage.prepare_wire(batch)
         metrics.seconds += time.perf_counter() - began
-        if view is None:
-            # Defensive: a batch the barrier cannot view (update-family
-            # rows) decodes onto the object path.
-            from repro.core.serde import decode_batch
-
-            return self.feed_from(barrier, decode_batch(batch))
         # Emitted batches clear the rest of the chain before the next
         # slot advances the barrier stage (the depth-first contract).
-        # One ``feed_wire_run`` call counts as one metered batch — the
-        # fold-invocation accounting of the object path's ``feed_run``
-        # loop.
+        # One ``feed_wire_run`` call counts as one metered batch (one
+        # fold invocation).
         out: list[Any] = []
         feed_wire_run = stage.feed_wire_run
         slot, n = 0, view.n

@@ -44,30 +44,19 @@ class TaggingStage(PassthroughStage):
             return [] if tagged is None else [tagged]
         return [element]
 
-    def feed_batch(self, elements: list[Any]) -> list[Any]:
-        """Batch entry point: one hoisted pass over the whole chunk.
-
-        Plain updates run through :meth:`InputModule.process_batch`
-        (the columnar tagging loop); interleaved priming/state
-        elements fall back to :meth:`feed` and keep their slot order.
-        """
-        out: list[Any] = []
-        self.input.process_batch(elements, out, self.feed)
-        return out
-
     def feed_wire(self, elements: list[Any]) -> tuple:
-        """Tag a chunk of stream objects into a columnar wire batch.
+        """Tag a chunk of stream objects into a tagged batch.
 
-        The batch-native sibling of :meth:`feed_batch`: same counting,
-        but the output is tag-id columns instead of a ``TaggedPath``
-        list — the monitoring stage consumes the batch through a
-        column view and only the divergent minority ever becomes
+        Same counting as :meth:`feed` per element, but the output is
+        columns instead of a ``TaggedPath`` list — the monitoring stage
+        consumes the batch through a column view and only the rows
+        that leave the fold (bin closers, primed paths) ever become
         objects.
         """
         return tag_elements_to_wire(self.input, elements, self.feed)
 
     def feed_wire_batch(self, batch: tuple) -> tuple:
-        """Tag a columnar wire batch column to column (no objects)."""
+        """Tag a columnar wire batch column to column into a tagged batch."""
         return tag_wire_batch(self.input, batch, self.feed)
 
     def state_dict(self) -> dict:

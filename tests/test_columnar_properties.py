@@ -183,25 +183,31 @@ class TestColumnarRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# Batch-native execution: the wire lane must be observationally
-# invisible.  Whole scenario streams run twice — once with the
-# batch-native hot path (tagging straight into columns, monitor
-# folding column runs) and once with the object-materialising path —
-# and everything an operator can see (records, signal log, rejects)
-# plus the checkpoint document must come out identical, whatever the
-# batch cut points, chunk sizes and shard counts.
+# Batch-native execution: chunking must be observationally invisible.
+# Whole scenario streams run through the one lane — tagging straight
+# into columns, the monitor folding column runs — at several chunk
+# sizes and batch cut points, and everything an operator can see
+# (records, signal log, rejects) plus the checkpoint document must come
+# out identical to the uncut run at the default chunk size.
 # ----------------------------------------------------------------------
 import dataclasses
 import json
 from functools import lru_cache
 
+import pytest
 from hypothesis import HealthCheck
 
 from repro.core.colocation import ColocationMap
 from repro.core.input import InputModule
+from repro.core.monitor import OutageMonitor
 from repro.core.serde import tag_elements_to_wire, tagged_view
 from repro.docmine.dictionary import CommunityDictionary
-from repro.pipeline.runtime import StagePipeline
+from repro.pipeline import (
+    FEED_CHUNK,
+    BinningMonitorStage,
+    StagePipeline,
+    TaggingStage,
+)
 from repro.routing.events import FacilityFailure, FacilityRecovery
 from repro.scenarios import build_world
 from repro.topology.builder import WorldParams
@@ -315,28 +321,28 @@ def _checkpoint_bytes(kepler) -> bytes:
     return json.dumps(doc, sort_keys=True, default=repr).encode()
 
 
-def _run_lane(seed, wire_lane, chunk_size, cuts):
+def _run_cut(seed, chunk_size, cuts):
     world, priming, elements = _scenario(seed)
-    previous = StagePipeline.use_wire_lane
-    StagePipeline.use_wire_lane = wire_lane
-    try:
-        kepler = world.make_kepler()
-        kepler.pipeline.chunk_size = chunk_size
-        kepler.prime(priming)
-        spans = sorted({c for c in cuts if c < len(elements)})
-        spans.append(len(elements))
-        start = 0
-        for stop in spans:
-            if stop > start:
-                kepler.process(elements[start:stop])
-                start = stop
-        kepler.finalize(end_time=elements[-1].time + 3600.0)
-        observed = _observed(kepler)
-        checkpoint = _checkpoint_bytes(kepler)
-        kepler.close()
-        return observed, checkpoint
-    finally:
-        StagePipeline.use_wire_lane = previous
+    kepler = world.make_kepler()
+    kepler.pipeline.chunk_size = chunk_size
+    kepler.prime(priming)
+    spans = sorted({c for c in cuts if c < len(elements)})
+    spans.append(len(elements))
+    start = 0
+    for stop in spans:
+        if stop > start:
+            kepler.process(elements[start:stop])
+            start = stop
+    kepler.finalize(end_time=elements[-1].time + 3600.0)
+    observed = _observed(kepler)
+    checkpoint = _checkpoint_bytes(kepler)
+    kepler.close()
+    return observed, checkpoint
+
+
+@lru_cache(maxsize=None)
+def _uncut(seed):
+    return _run_cut(seed, FEED_CHUNK, ())
 
 
 class TestBatchNativeEquivalence:
@@ -355,31 +361,19 @@ class TestBatchNativeEquivalence:
             HealthCheck.filter_too_much,
         ],
     )
-    def test_wire_lane_matches_object_path(self, seed, chunk_size, cuts):
+    def test_output_is_independent_of_chunking(self, seed, chunk_size, cuts):
         """Identical records, signals, rejects and checkpoint bytes
         whatever the batch cut points and chunk size."""
-        via_objects = _run_lane(seed, False, chunk_size, cuts)
-        via_columns = _run_lane(seed, True, chunk_size, cuts)
-        assert via_columns[0] == via_objects[0]
-        assert via_columns[1] == via_objects[1]
+        reference = _uncut(seed)
+        cut = _run_cut(seed, chunk_size, cuts)
+        assert cut[0] == reference[0]
+        assert cut[1] == reference[1]
         # Not vacuous: the stream must actually raise signals.
-        assert via_objects[0][1]
+        assert reference[0][1]
 
 
 class TestViewMaterialisation:
-    """``TaggedBatchView`` row materialisation over both batch
-    families: flat wire tables (IPC batches built by ``encode_batch``
-    / ``wires_to_batch``) and object tables (in-process
-    ``tag_elements_to_wire`` batches)."""
-
-    @given(st.lists(tagged_paths(), min_size=1, max_size=30))
-    @settings(max_examples=100)
-    def test_wire_family_rows_match_decode(self, tagged):
-        batch = encode_batch(tagged)
-        view = tagged_view(batch)
-        assert view is not None
-        materialised = [view.tagged_at(i) for i in range(len(tagged))]
-        assert materialised == decode_batch(batch) == tagged
+    """``TaggedBatchView`` rows over the in-process tagged batch."""
 
     @given(st.lists(tagged_paths(), min_size=1, max_size=30))
     @settings(max_examples=100)
@@ -389,12 +383,10 @@ class TestViewMaterialisation:
             module, tagged, fallback=lambda element: [element]
         )
         view = tagged_view(batch)
-        assert view is not None
         materialised = [view.tagged_at(i) for i in range(len(tagged))]
         assert materialised == tagged
-        # Object family: the view's tables hold the source tuples
-        # themselves (equal values may dedupe to the first occurrence)
-        # — no codec round trip ever rebuilds one.
+        # The view's tables hold the source tuples themselves — no
+        # codec round trip ever rebuilds one.
         source_tags = {id(t.tags) for t in tagged}
         source_paths = {id(t.as_path) for t in tagged}
         for rebuilt in materialised:
@@ -403,3 +395,56 @@ class TestViewMaterialisation:
                 rebuilt.as_path == ()
                 or id(rebuilt.as_path) in source_paths
             )
+
+
+class TestBarrierFailsClosed:
+    """A batch the monitor cannot read is refused before it moves
+    anything: no decode onto a second lane, no partial fold."""
+
+    @staticmethod
+    def _chain():
+        world, priming, elements = _scenario(7)
+        kepler = world.make_kepler()
+        kepler.prime(priming)
+        kepler.process(elements[:500])
+        return kepler, elements
+
+    @staticmethod
+    def _observable(kepler):
+        monitor = kepler.pipeline.stage_named("monitor")
+        metrics = kepler.pipeline.metrics.stage("monitor")
+        return (
+            json.dumps(monitor.state_dict(), sort_keys=True),
+            (metrics.seconds, metrics.fed, metrics.batches, metrics.emitted),
+        )
+
+    def test_untagged_batch_raises_and_changes_nothing(self):
+        kepler, elements = self._chain()
+        before = self._observable(kepler)
+        raw = [e for e in elements[500:600] if isinstance(e, BGPUpdate)]
+        with pytest.raises(ValueError, match="untagged"):
+            kepler.pipeline._drive_wire_batch(encode_batch(raw))
+        assert self._observable(kepler) == before
+        kepler.close()
+
+    def test_wire_encoded_tagged_rows_raise(self):
+        tagged = [
+            TaggedPath(
+                key=("rrc00", 1, "10.0.0.0/8"),
+                time=1.0,
+                elem_type=ElemType.ANNOUNCEMENT,
+                as_path=(1, 2),
+                tags=(),
+                afi=4,
+            )
+        ]
+        with pytest.raises(ValueError, match="wire encoding"):
+            tagged_view(encode_batch(tagged))
+
+    def test_wire_batch_needs_a_pair_at_stage_one(self):
+        module = InputModule(CommunityDictionary(), ColocationMap())
+        pipeline = StagePipeline(
+            [TaggingStage(module), BinningMonitorStage(OutageMonitor())]
+        )
+        with pytest.raises(ValueError, match="stage 1"):
+            pipeline.feed_wire_from(encode_batch([]))

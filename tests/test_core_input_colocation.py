@@ -15,7 +15,6 @@ from repro.core.colocation import (
 )
 from repro.core.input import InputModule
 from repro.core.serde import (
-    decode_batch,
     encode_batch,
     tag_elements_to_wire,
     tag_wire_batch,
@@ -158,27 +157,20 @@ def _via_process(mod, chunk):
     return [t for t in map(mod.process, chunk) if t is not None]
 
 
-def _via_process_batch(mod, chunk):
-    out: list = []
-    mod.process_batch(chunk, out)
-    return out
-
-
-def _via_wire_view(mod, chunk):
-    view = tagged_view(tag_elements_to_wire(mod, chunk))
+def _rows(tagged_batch):
+    view = tagged_view(tagged_batch)
     return [view.tagged_at(i) for i in range(len(view.t_key))]
 
 
+def _via_wire_view(mod, chunk):
+    return _rows(tag_elements_to_wire(mod, chunk))
+
+
 def _via_wire_batch(mod, chunk):
-    return decode_batch(tag_wire_batch(mod, encode_batch(chunk)))
+    return _rows(tag_wire_batch(mod, encode_batch(chunk)))
 
 
-_ENTRY_POINTS = (
-    _via_process,
-    _via_process_batch,
-    _via_wire_view,
-    _via_wire_batch,
-)
+_ENTRY_POINTS = (_via_process, _via_wire_view, _via_wire_batch)
 
 
 def _memo_stream(n=400):
@@ -220,7 +212,7 @@ def _memo_stream(n=400):
 
 
 class TestMemoEntryPoints:
-    """One memo, four ways in: same answers, same counters."""
+    """One memo, three ways in: same answers, same counters."""
 
     @staticmethod
     def _run(entry, stream, chunk):
@@ -301,7 +293,7 @@ class TestMissPathHashing:
         assert len(entry(mod, [element])) == 1
         return counted.hashed
 
-    @pytest.mark.parametrize("entry", [_via_process_batch, _via_wire_view])
+    @pytest.mark.parametrize("entry", [_via_process, _via_wire_view])
     def test_hash_budget(self, entry):
         mod = InputModule(make_dictionary(), make_colo(), memo_max=4)
         prepended = (1,) + (10,) * 640 + (30,)

@@ -7,17 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.messages import BGPStateMessage, ElemType, SessionState
-from repro.core.input import PoPTag, TaggedPath
+from repro.core.colocation import ColocationMap
+from repro.core.input import InputModule, PoPTag, TaggedPath
 from repro.core.monitor import (
     MonitorParams,
     OutageMonitor,
+    TaggedRun,
     cross_bins,
     merge_monitor_states,
     partition_of,
     signal_sort_key,
 )
-from repro.core.serde import pop_from_json
-from repro.docmine.dictionary import PoP, PoPKind
+from repro.core.serde import pop_from_json, tag_elements_to_wire
+from repro.docmine.dictionary import CommunityDictionary, PoP, PoPKind
+from repro.pipeline.monitoring import BinningMonitorStage
+
+from _fold_oracle import FoldOracle
 
 POP_F = PoP(PoPKind.FACILITY, "f1")
 POP_C = PoP(PoPKind.CITY, "London")
@@ -443,7 +448,7 @@ def stepping_observe(monitor, element):
     while element.time >= monitor._bin_start + width:
         signals.extend(monitor.close_bin())
     if (element.key[0], element.key[1]) not in monitor._gapped:
-        monitor._events.append(element)
+        monitor._events.append(TaggedRun.of(element))
     return signals
 
 
@@ -558,3 +563,150 @@ class TestEventDrivenClock:
             crossed += 1
         jumped, count = cross_bins(start, width, until)
         assert (jumped.hex(), count) == (edge.hex(), crossed)
+
+
+# ----------------------------------------------------------------------
+# The one fold against the oracle written from the paper
+# ----------------------------------------------------------------------
+FOLD_KEYS = tuple(clock_key(i) for i in range(4))
+FOLD_PATHS = ((1, 10, 30), (1, 20, 30, 40), (2, 10, 50))
+#: The tag set the set-up primes keys 0-2 with: re-announcing it is
+#: the steady state the fold's skip path absorbs.
+PRIMED_TAGS = ((CLOCK_POPS[0], 10, 30), (CLOCK_POPS[1], 10, 30))
+
+fold_tags = st.one_of(
+    st.just(PRIMED_TAGS),
+    st.lists(
+        st.tuples(
+            st.sampled_from(CLOCK_POPS),
+            st.sampled_from([10, 20]),
+            st.sampled_from([30, None]),
+        ),
+        max_size=3,
+        unique_by=lambda tag: tag[0],
+    ).map(tuple),
+)
+fold_key = st.integers(0, len(FOLD_KEYS) - 1)
+
+
+def _fold_op(kind: str):
+    """``(kind, subject, tags or tracked keys, path)`` for one op kind."""
+    if kind in ("announce", "prime"):
+        return st.tuples(
+            st.just(kind), fold_key, fold_tags, st.sampled_from(FOLD_PATHS)
+        )
+    if kind == "withdraw":
+        return st.tuples(st.just(kind), fold_key, st.none(), st.none())
+    if kind == "track":
+        keys = st.lists(fold_key, min_size=1, max_size=4)
+        return st.tuples(st.just(kind), st.sampled_from(CLOCK_POPS), keys, st.none())
+    if kind == "untrack":
+        return st.tuples(st.just(kind), st.sampled_from(CLOCK_POPS), st.none(), st.none())
+    return st.tuples(st.just(kind), st.sampled_from(CLOCK_PEERS), st.none(), st.none())
+
+
+#: Rows dominate, as on a stream; each control op is one draw in eleven.
+fold_op = st.sampled_from(
+    ("announce",) * 4
+    + ("withdraw",) * 2
+    + ("loss", "recovery", "prime", "track", "untrack")
+).flatmap(_fold_op)
+
+
+def fold_row(index, time, tags=None, path=None, withdraw=False):
+    return TaggedPath(
+        key=FOLD_KEYS[index],
+        time=time,
+        elem_type=ElemType.WITHDRAWAL if withdraw else ElemType.ANNOUNCEMENT,
+        as_path=path or (),
+        tags=tuple(PoPTag(pop=p, near_asn=n, far_asn=f) for p, n, f in tags or ()),
+        afi=4,
+    )
+
+
+@pytest.mark.parametrize("share", [None, (1, 3)], ids=["full", "share1of3"])
+class TestFoldOracle:
+    """One bin of random rows folded by the monitor and by
+    ``tests/_fold_oracle.py``: the in-bin state must agree at every
+    point where nothing is queued, and at the end.
+
+    Rows reach the monitor both ways it takes them: as column views of
+    ``tag_elements_to_wire`` batches cut at random points, and one at a
+    time through ``observe``.  ``prime`` and tracking calls fall between
+    rows and flush the deferred fold, as they do in the chain.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(fold_op, st.booleans(), st.booleans()),
+            min_size=3,
+            max_size=40,
+        )
+    )
+    def test_fold_matches_oracle(self, share, steps):
+        monitor = OutageMonitor(share=share)
+        stage = BinningMonitorStage(monitor)
+        oracle = FoldOracle(share)
+        module = InputModule(CommunityDictionary(), ColocationMap())
+        for i in range(3):
+            primed = fold_row(i, 0.0, PRIMED_TAGS, FOLD_PATHS[0])
+            monitor.prime(primed)
+            oracle.prime(primed)
+        # An open outage tracks two of them from the start.
+        monitor.start_tracking(CLOCK_POPS[0], set(FOLD_KEYS[:2]))
+        oracle.start_tracking(CLOCK_POPS[0], set(FOLD_KEYS[:2]))
+        queued: list = []
+
+        def check():
+            doc = monitor.state_dict()
+            sections = ("baseline", "pending", "diverted", "tracking")
+            assert {s: doc[s] for s in sections} == oracle.sections()
+
+        def feed_queued():
+            if not queued:
+                return
+            batch = tag_elements_to_wire(module, queued, lambda e: [e])
+            queued.clear()
+            view = stage.prepare_wire(batch)
+            slot = 0
+            while slot < view.n:
+                outs, slot = stage.feed_wire_run(view, slot)
+                assert outs == []
+
+        for index, ((op, subject, tags, path), via_observe, cut) in enumerate(
+            steps
+        ):
+            when = 1.0 + index  # one bin: [0, 60)
+            if cut or via_observe or op in ("prime", "track", "untrack"):
+                feed_queued()
+            if op == "prime":
+                row = fold_row(subject, when, tags, path)
+                monitor.prime(row)
+                oracle.prime(row)
+            elif op == "track":
+                keys = {FOLD_KEYS[i] for i in tags}
+                monitor.start_tracking(subject, keys)
+                oracle.start_tracking(subject, keys)
+            elif op == "untrack":
+                monitor.stop_tracking(subject)
+                oracle.stop_tracking(subject)
+            elif op in ("loss", "recovery"):
+                message = session_message(when, subject, loss=op == "loss")
+                oracle.session(subject, op == "loss")
+                if via_observe:
+                    monitor.observe_state(message)
+                else:
+                    queued.append(message)
+            else:
+                row = fold_row(subject, when, tags, path, op == "withdraw")
+                oracle.row(row)
+                if via_observe:
+                    assert monitor.observe(row) == []
+                else:
+                    queued.append(row)
+            if not queued:
+                check()
+        feed_queued()
+        check()
+        assert monitor.bins_processed == 0

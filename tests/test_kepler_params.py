@@ -48,3 +48,57 @@ def test_knob_census():
 def test_retired_layout_knobs_are_type_errors(retired):
     with pytest.raises(TypeError, match=retired):
         KeplerParams(**{retired: 2})
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("shard_processes", 1),
+        ("shard_processes", -3),
+        ("shard_processes", 2.0),
+        ("shard_processes", True),
+        ("ingest_feeds", -1),
+        ("ingest_feeds", 1.5),
+        ("ingest_feeds", False),
+    ],
+)
+def test_layout_knobs_fail_closed(field, value):
+    with pytest.raises(ValueError, match=field):
+        KeplerParams(**{field: value})
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("max_restarts", -1),
+        ("max_restarts", True),
+        ("checkpoint_interval", 0),
+        ("checkpoint_interval", 8.5),
+        ("journal_limit", 0),
+        ("stall_timeout_s", 0),
+        ("stall_timeout_s", -1.0),
+        ("stall_timeout_s", float("inf")),
+        ("stall_timeout_s", float("nan")),
+        ("backoff_base_s", -0.1),
+        ("backoff_cap_s", float("nan")),
+        ("teardown_deadline_s", float("inf")),
+    ],
+)
+def test_recovery_knobs_fail_closed(field, value):
+    with pytest.raises(ValueError, match=field):
+        RecoveryPolicy(**{field: value})
+
+
+def test_edge_values_stay_legal():
+    KeplerParams(shard_processes=0, ingest_feeds=0)
+    KeplerParams(shard_processes=2, ingest_feeds=1)
+    RecoveryPolicy(
+        max_restarts=0,
+        checkpoint_interval=1,
+        journal_limit=None,
+        stall_timeout_s=None,
+        backoff_base_s=0.0,
+        backoff_cap_s=0.0,
+        teardown_deadline_s=0.0,
+    )
+    RecoveryPolicy(journal_limit=1, stall_timeout_s=0.5)
