@@ -190,6 +190,20 @@ class KeplerParams:
             raise ValueError("shard_processes must be an int, 0 or >= 2")
         if not _is_int(self.ingest_feeds) or self.ingest_feeds < 0:
             raise ValueError("ingest_feeds must be an int >= 0")
+        # A fractional chunk fails only at the first ``process``; a
+        # ``restore_fraction`` of 1.0 or NaN never closes a record (the
+        # rule is ``fraction > restore_fraction``).
+        for name in ("feed_chunk", "process_batch", "min_pop_ases"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1")
+        fraction = self.restore_fraction
+        if not (math.isfinite(fraction) and 0 <= fraction < 1):
+            raise ValueError("restore_fraction must be finite and in [0, 1)")
+        for name in ("merge_gap_s", "correlation_window_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 class Kepler:
@@ -204,10 +218,6 @@ class Kepler:
         validator: DataPlaneValidator | None = None,
     ) -> None:
         self.params = params or KeplerParams()
-        if self.params.feed_chunk < 1:
-            raise ValueError("feed_chunk must be positive")
-        if self.params.process_batch < 1:
-            raise ValueError("process_batch must be positive")
         self.dictionary = dictionary
         self.colo = colo
         self.as2org = dict(as2org)

@@ -165,7 +165,7 @@ def cross_bins(start: float, width: float, until: float) -> tuple[float, int]:
 
 class TaggedRun:
     """The fold's one deferral unit: rows ``[start, stop)`` of the
-    tagged family of a :class:`~repro.core.serde.TaggedBatchView`.
+    tagged family of a :class:`~repro.core.serde.TaggedBatch`.
 
     The per-bin fold consumes it column to column, so skippable
     steady-state rows never become objects.  A row that arrives as an

@@ -20,10 +20,13 @@ Two worker styles, mirroring :mod:`repro.pipeline.parallel`:
   becomes every feed's watermark, so an idle collector never stalls
   the merge;
 * **forked processes** (source-driven mode): each worker inherits its
-  collector sources at fork, pulls them directly, admits and
-  serde-encodes locally, and publishes marshal-packed wire batches —
-  the driver never touches elements one by one, it only merges keys
-  and forwards encoded batches downstream.
+  collector sources at fork, pulls them directly, admits locally and
+  serde-encodes what admission passed (``"u"``/``"s"``/``"pu"``
+  envelopes, :func:`~repro.core.serde.element_to_wire`), and publishes
+  marshal-packed wire batches — the driver never touches elements one
+  by one, it only merges keys and forwards encoded batches downstream.
+  Admission is the codec's gate: an element ingest does not admit is
+  dropped and counted before it could reach the encoder.
 
 All counters live in the per-feed admission stage
 (:class:`~repro.pipeline.ingest.IngestStage` instances owned by the
@@ -245,10 +248,10 @@ def source_feed_process(
             pass
 
     def publish(batch: list[list], watermark: tuple | None) -> None:
-        codec, payload = pack_wires(batch)
+        payload = pack_wires(batch)
         if armed is not None:
-            codec, payload = armed.corrupt_payload(codec, payload)
-        out_q.put(("pbatch", fid, codec, payload, watermark))
+            payload = armed.corrupt_payload(payload)
+        out_q.put(("pbatch", fid, payload, watermark))
 
     try:
         began = time.perf_counter()

@@ -561,7 +561,7 @@ class IngestTier:
                         merge.push(fid, msg[2], msg[3])
                     elif kind == "pbatch":
                         try:
-                            wires = unpack_wires(msg[2], msg[3])
+                            wires = unpack_wires(msg[2])
                             keyed = [
                                 (wire_sort_key(wire), wire)
                                 for wire in wires
@@ -576,7 +576,7 @@ class IngestTier:
                                 f"ingest feed {fid} published an"
                                 f" undecodable wire batch: {exc!r}"
                             ) from exc
-                        watermark = msg[4]
+                        watermark = msg[3]
                         merge.push(
                             fid,
                             keyed,

@@ -225,7 +225,7 @@ class _ArmedFaults:
                 return ("corrupt-wire-batch",)
         return batch
 
-    def corrupt_payload(self, codec: str, payload) -> tuple[str, object]:
+    def corrupt_payload(self, payload: bytes) -> bytes:
         """Maybe mangle a packed feed batch so the driver unpack fails.
 
         Fires at the first publish boundary after the element clock
@@ -236,8 +236,8 @@ class _ArmedFaults:
             if spec.kind != "corrupt_payload" or self.seen < spec.at_element:
                 continue
             if self.plan._try_fire(index, self.wid, spec.once):
-                return ("m", b"\x00not-a-marshal-payload")
-        return (codec, payload)
+                return b"\x00not-a-marshal-payload"
+        return payload
 
     # -- control-plane faults ------------------------------------------
     def on_control(self) -> str | None:

@@ -434,11 +434,11 @@ class PipelineMetrics:
         """Point the standard cache gauges at ``input_module``.
 
         Registers the tagging-memo telemetry (``memo_entries``,
-        ``memo_hits``, ``memo_evictions``) plus one size and one
-        eviction gauge per wire-intern table in
-        :mod:`repro.core.serde`.  Safe to call in every builder: the
-        sources are process-local, so a forked worker inheriting the
-        registration samples its *own* caches.
+        ``memo_hits``, ``memo_evictions``) plus the size and eviction
+        gauges of the community intern table
+        (:func:`repro.core.serde.intern_stats`).  Safe to call in every
+        builder: the sources are process-local, so a forked worker
+        inheriting the registration samples its *own* caches.
         """
         from repro.core import serde
 
@@ -455,17 +455,16 @@ class PipelineMetrics:
             lambda: input_module.memo_evictions,
             replace=True,
         )
-        for table in ("community", "pop", "path", "tagset"):
-            self.gauge_source(
-                f"intern_{table}_entries",
-                lambda t=table: serde.intern_stats()[t]["size"],
-                replace=True,
-            )
-            self.gauge_source(
-                f"intern_{table}_evictions",
-                lambda t=table: serde.intern_stats()[t]["evictions"],
-                replace=True,
-            )
+        self.gauge_source(
+            "intern_community_entries",
+            lambda: serde.intern_stats()["community"]["size"],
+            replace=True,
+        )
+        self.gauge_source(
+            "intern_community_evictions",
+            lambda: serde.intern_stats()["community"]["evictions"],
+            replace=True,
+        )
 
     def describe(self) -> str:
         """Compact one-line-per-stage human-readable summary."""

@@ -27,13 +27,7 @@ from typing import Any
 from repro.bgp.messages import BGPStateMessage
 from repro.core.input import TaggedPath
 from repro.core.monitor import OutageMonitor, TaggedRun
-from repro.core.serde import (
-    _K_PRIMED,
-    _K_STATE,
-    _K_TAGGED,
-    TaggedBatchView,
-    tagged_view,
-)
+from repro.core.serde import _K_PRIMED, _K_TAGGED, TaggedBatch, tagged_view
 from repro.pipeline.events import BinAdvanced, PrimedPath, SignalBatch
 from repro.pipeline.metrics import PipelineMetrics
 from repro.pipeline.stage import PassthroughStage
@@ -115,18 +109,18 @@ class BinningMonitorStage(PassthroughStage):
             )
         return out
 
-    def prepare_wire(self, batch: tuple) -> TaggedBatchView:
-        """Column view over a tagged batch; ``ValueError`` on any other."""
+    def prepare_wire(self, batch: TaggedBatch) -> TaggedBatch:
+        """Runs over a tagged batch; ``ValueError`` on anything else."""
         return tagged_view(batch)
 
     def feed_wire_run(
-        self, view: TaggedBatchView, start: int
+        self, view: TaggedBatch, start: int
     ) -> tuple[list[Any], int]:
         """Consume slots of ``view`` from ``start``.
 
         Stops at the first slot that produces output (a bin-closing
-        row, a passthrough element) so emitted batches clear the chain
-        before the monitor advances.  In-bin tagged rows defer as
+        row) so emitted batches clear the chain before the monitor
+        advances.  In-bin tagged rows defer as
         :class:`~repro.core.monitor.TaggedRun` column spans — the
         common whole-run case is one ``max()`` over the time column
         plus one append, and no row materialises an object.  The
@@ -141,7 +135,7 @@ class BinningMonitorStage(PassthroughStage):
         width = monitor.params.bin_interval_s
         limit = None if bin_start is None else bin_start + width
         run_cls = TaggedRun
-        n = view.n
+        n = len(view)
         slot = start
         while slot < n:
             kind, run_start, run_stop, fam = view.run_at(slot)
@@ -189,14 +183,10 @@ class BinningMonitorStage(PassthroughStage):
                 self.primed += run_stop - slot
                 slot = run_stop
                 continue
-            if kind == _K_STATE:
-                state_at = view.state_at
-                for f in range(f0, f1):
-                    monitor.observe_state(state_at(f))
-                slot = run_stop
-                continue
-            # _K_OTHER: passthrough, one element at a time.
-            return [view.other_at(f0)], slot + 1
+            # _K_STATE
+            for message in view.states[f0:f1]:
+                monitor.observe_state(message)
+            slot = run_stop
         return [], n
 
     def flush(self) -> list[Any]:

@@ -61,14 +61,15 @@ otherwise need — candidates carry their signal PoP's diverted keys
 across the share boundary (``OutageCandidate.diverted_keys``,
 stamped by the driver from the shipped last-diverted maps).
 
-**Transport** is the columnar batch codec of the checkpoint serde
-(:mod:`repro.core.serde`): a batch ships as one struct-of-arrays
-tuple — parallel field columns plus per-batch interned AS-path /
-community / tag-set id tables — and marshals to one bytes object
-(both ends are forks of one interpreter), so queue pickling
-degenerates to a memcpy.  Workers tag *on the columns*
-(:func:`~repro.core.serde.tag_wire_batch`) and the monitor folds the
-tagged columns in place.
+**Transport** is the columnar batch codec of :mod:`repro.core.serde`,
+which carries exactly what ingest admits (updates, state messages,
+priming updates): a batch ships as one struct-of-arrays tuple —
+parallel field columns plus per-batch AS-path / community tables —
+and marshals to one bytes object (both ends are forks of one
+interpreter), so queue pickling degenerates to a memcpy.  Workers tag
+*on the columns* (:func:`~repro.core.serde.tag_wire_batch`) into a
+process-local :class:`~repro.core.serde.TaggedBatch`, which the
+monitor folds in place.
 
 Checkpoints compose the **linear canonical document** at a drain
 barrier: worker 0's tagging/record states (replicas), the merged
@@ -133,24 +134,20 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _pack(wires: list[list]) -> tuple[str, Any]:
-    """Serialise a wire batch for the queue.
-
-    The serde wire format is pure builtins (tuples, lists, strings,
-    numbers), which ``marshal`` round-trips far faster than pickling
-    the nested structure — and the queue then pickles one opaque bytes
-    object instead of walking it again.  Safe here because both ends
-    are forks of one interpreter (marshal is version-specific by
-    design).  Batches carrying an opaque ``"py"`` pass-through element
-    fall back to the queue's ordinary pickling.
-    """
-    try:
-        return ("m", marshal.dumps(wires))
-    except ValueError:
-        return ("p", wires)
+#: The wire-batch queue codec, shared with the ingest tier
+#: (:mod:`repro.ingest`): its forked feed workers publish the same
+#: marshal-packed wire batches the shard-process runtime ships.  The
+#: serde wire format is pure builtins (tuples, lists, strings,
+#: numbers), which ``marshal`` round-trips far faster than pickling the
+#: nested structure — and the queue then pickles one opaque bytes object
+#: instead of walking it again.  Safe here because both ends are forks
+#: of one interpreter (marshal is version-specific by design).  There is
+#: no pickle fallback: the codec carries only admitted elements, and
+#: anything marshal cannot serialise raises its ``ValueError``.
+pack_wires = marshal.dumps
 
 
-def _unpack(codec: str, payload: Any) -> list[list]:
+def unpack_wires(payload: bytes) -> Any:
     """Decode a wire payload; corrupt input surfaces as a quarantine.
 
     A torn or tampered payload must never crash the consumer with a
@@ -158,25 +155,12 @@ def _unpack(codec: str, payload: Any) -> list[list]:
     vocabulary every quarantine/dead-letter/rollback path already
     speaks.
     """
-    if codec == "m":
-        try:
-            return marshal.loads(payload)
-        except (ValueError, EOFError, TypeError) as exc:
-            raise PoisonedBatchError(
-                1, noun=f"wire codec ({exc!r}; payload unreadable)"
-            ) from exc
-    if codec == "p":
-        return payload
-    raise PoisonedBatchError(
-        1, noun=f"wire codec (unknown codec tag {codec!r})"
-    )
-
-
-#: Public names for the wire-batch codec, shared with the ingest tier
-#: (:mod:`repro.ingest`): its forked feed workers publish the same
-#: marshal-packed wire batches the shard-process runtime ships.
-pack_wires = _pack
-unpack_wires = _unpack
+    try:
+        return marshal.loads(payload)
+    except (ValueError, EOFError, TypeError) as exc:
+        raise PoisonedBatchError(
+            1, noun=f"wire codec ({exc!r}; payload unreadable)"
+        ) from exc
 
 
 def _metrics_with_batches(registry: PipelineMetrics) -> dict:
@@ -221,10 +205,9 @@ def _adopt_worker_gauges(
         )
 
 
-def _batch_signature(payload: Any) -> int:
+def _batch_signature(payload: bytes) -> int:
     """Stable id of one wire payload (log-once / dedupe key)."""
-    data = payload if isinstance(payload, bytes) else repr(payload).encode()
-    return zlib.crc32(data)
+    return zlib.crc32(payload)
 
 
 def _poll_interval(stall_timeout_s: float | None) -> float:
@@ -235,7 +218,7 @@ def _poll_interval(stall_timeout_s: float | None) -> float:
 
 
 def _note_quarantine(
-    runtime, signature: int, codec: str, payload: Any, detail: str
+    runtime, signature: int, payload: bytes, detail: str
 ) -> None:
     """Driver-side dead-lettering of one poisoned wire batch.
 
@@ -248,7 +231,6 @@ def _note_quarantine(
     runtime.dead_letters.append(
         {
             "signature": signature,
-            "codec": codec,
             "payload": payload,
             "detail": detail,
         }
@@ -469,7 +451,7 @@ def _shard_worker_loop(
         view = chain.monitoring.prepare_wire(tagged)
         mon_handle.seconds += time.perf_counter() - began
         feed_wire_run = chain.monitoring.feed_wire_run
-        slot, n = 0, view.n
+        slot, n = 0, len(view)
         while slot < n:
             began = time.perf_counter()
             mouts, nxt = feed_wire_run(view, slot)
@@ -493,9 +475,7 @@ def _shard_worker_loop(
     armed = faults.arm("shard", wid)
 
     def quarantine(msg, detail: str) -> None:
-        ret_q.put(
-            ("quar", wid, _batch_signature(msg[2]), msg[1], msg[2], detail)
-        )
+        ret_q.put(("quar", wid, _batch_signature(msg[1]), msg[1], detail))
 
     def tag_batch(batch, msg):
         """Corrupt/meter/tag one broadcast batch; None on quarantine."""
@@ -505,9 +485,7 @@ def _shard_worker_loop(
             armed.on_elements(n)
         began = time.perf_counter()
         try:
-            tagged = tag_wire_batch(
-                chain.tagging.input, batch, chain.tagging.feed
-            )
+            tagged = tag_wire_batch(chain.tagging.input, batch)
         except Exception:
             # Poison batch: every replica skips the same broadcast
             # batch (the driver dedupes the count by signature), so
@@ -518,7 +496,7 @@ def _shard_worker_loop(
         tag_handle.seconds += delta
         tag_handle.fed += n
         tag_handle.batches += 1
-        tag_handle.emitted += len(tagged[0])
+        tag_handle.emitted += len(tagged)
         if n:
             tag_handle.hist.record(delta * 1e9 / n)
         return tagged
@@ -587,7 +565,7 @@ def _shard_worker_loop(
             kind = msg[0]
             if kind == "batch":
                 try:
-                    batch = _unpack(msg[1], msg[2])
+                    batch = unpack_wires(msg[1])
                 except Exception:
                     quarantine(msg, traceback.format_exc())
                     continue
@@ -821,7 +799,7 @@ class ShardProcessPipeline:
 
     def _broadcast_batch(self, batch: tuple) -> None:
         """Replicate one columnar batch to every worker's queue."""
-        message = ("batch", *_pack(batch))
+        message = ("batch", pack_wires(batch))
         for in_q in self._in_qs:
             self._put_checked(in_q, message)
 
@@ -954,9 +932,9 @@ class ShardProcessPipeline:
             elif kind == "quar":
                 # Every replica dead-letters the same broadcast batch:
                 # count it once per signature.
-                _, wid, signature, codec, payload, detail = msg
+                _, wid, signature, payload, detail = msg
                 if signature not in self._quar_seen:
-                    _note_quarantine(self, signature, codec, payload, detail)
+                    _note_quarantine(self, signature, payload, detail)
             elif kind == "err":
                 detail = msg[1]
                 self.close()

@@ -12,8 +12,8 @@ rest of the chain before the barrier stage advances.
 On the Kepler chain the barrier is the monitor and the stage just in
 front of it is tagging.  Such a tagging → monitor pair is the chain's
 *wire pair*, and it is the one way tagged rows reach the monitor: a
-chunk is tagged into one columnar batch, and the monitor consumes it
-through a column view (see :mod:`repro.core.serde`).  A chain without
+chunk is tagged into one :class:`~repro.core.serde.TaggedBatch`, and
+the monitor folds its columns in place.  A chain without
 a wire pair threads elements through the barrier one at a time.
 
 Per-stage wall time and element counts are recorded into the shared
@@ -184,7 +184,7 @@ class StagePipeline:
         metrics.seconds += delta
         metrics.fed += fed
         metrics.batches += 1
-        metrics.emitted += len(tagged[0])
+        metrics.emitted += len(tagged)
         if fed:
             metrics.hist.record(delta * 1e9 / fed)
         return self._drive_wire_batch(tagged)
@@ -198,17 +198,17 @@ class StagePipeline:
         metrics.seconds += delta
         metrics.fed += len(staged)
         metrics.batches += 1
-        metrics.emitted += len(batch[0])
+        metrics.emitted += len(batch)
         if staged:
             metrics.hist.record(delta * 1e9 / len(staged))
         return self._drive_wire_batch(batch)
 
     def _drive_wire_batch(self, batch: tuple) -> list[Any]:
-        """Run the barrier stage over a tagged batch's column view.
+        """Run the barrier stage over a tagged batch's runs.
 
-        A batch the barrier cannot view (untagged update rows, tagged
-        rows in the wire encoding) raises ``ValueError`` before any
-        state or metric moves.
+        Anything but a tagged batch (e.g. a raw columnar batch, whose
+        update rows were never tagged) raises ``ValueError`` before
+        any state or metric moves.
         """
         barrier = self.barrier_index
         stage, metrics = self._metered[barrier]
@@ -221,7 +221,7 @@ class StagePipeline:
         # fold invocation).
         out: list[Any] = []
         feed_wire_run = stage.feed_wire_run
-        slot, n = 0, view.n
+        slot, n = 0, len(view)
         while slot < n:
             began = time.perf_counter()
             outs, advanced = feed_wire_run(view, slot)

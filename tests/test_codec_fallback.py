@@ -1,8 +1,8 @@
-"""The wire-batch codec and its fallback path.
+"""The wire-batch queue codec.
 
-``_pack``/``_unpack`` (exported as ``pack_wires``/``unpack_wires``)
-are marshal-first with a fallback for payloads marshal rejects, and a
-corrupt or unknown codec tag must surface as
+``pack_wires``/``unpack_wires`` are ``marshal`` with no fallback (a
+payload marshal rejects raises: ``tests/test_admission_gate.py``), and
+a corrupt or truncated payload must surface as
 :class:`~repro.pipeline.liveness.PoisonedBatchError` — the vocabulary
 the quarantine/rollback machinery speaks — never as a bare unmarshal
 crash.
@@ -16,19 +16,6 @@ from hypothesis import strategies as st
 
 from repro.pipeline.liveness import PoisonedBatchError
 from repro.pipeline.parallel import pack_wires, unpack_wires
-
-
-class Opaque:
-    """A payload marshal rejects (arbitrary class instance)."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __eq__(self, other):
-        return isinstance(other, Opaque) and other.value == self.value
-
-    def __hash__(self):
-        return hash(("Opaque", self.value))
 
 
 #: Wire-shaped scalars: what serde actually puts in envelope slots.
@@ -47,29 +34,15 @@ class TestQueueCodec:
     @settings(max_examples=50, deadline=None)
     @given(batch=wires)
     def test_marshalable_batches_roundtrip(self, batch):
-        codec, payload = pack_wires(batch)
-        assert codec == "m"
-        assert unpack_wires(codec, payload) == batch
-
-    @settings(max_examples=50, deadline=None)
-    @given(batch=wires, value=scalars)
-    def test_non_marshalable_batches_roundtrip_via_fallback(
-        self, batch, value
-    ):
-        poisoned = batch + [[Opaque(value)]]
-        codec, payload = pack_wires(poisoned)
-        assert codec == "p"  # marshal rejected the class instance
-        assert unpack_wires(codec, payload) == poisoned
+        payload = pack_wires(batch)
+        assert isinstance(payload, bytes)
+        assert unpack_wires(payload) == batch
 
     def test_corrupt_marshal_payload_raises_poisoned(self):
         with pytest.raises(PoisonedBatchError):
-            unpack_wires("m", b"\x00not-a-marshal-payload")
+            unpack_wires(b"\x00not-a-marshal-payload")
 
     def test_truncated_marshal_payload_raises_poisoned(self):
-        _, payload = pack_wires([["A", 1]])
+        payload = pack_wires([["A", 1]])
         with pytest.raises(PoisonedBatchError):
-            unpack_wires("m", payload[: len(payload) // 2])
-
-    def test_unknown_codec_tag_raises_poisoned(self):
-        with pytest.raises(PoisonedBatchError):
-            unpack_wires("x", b"whatever")
+            unpack_wires(payload[: len(payload) // 2])

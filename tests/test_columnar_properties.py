@@ -2,13 +2,14 @@
 
 The columnar transport (:func:`repro.core.serde.encode_batch` /
 :func:`~repro.core.serde.decode_batch`) must be observationally
-equivalent to the per-element object path
+equivalent to the per-element envelopes
 (:func:`~repro.core.serde.element_to_wire` /
-:func:`~repro.core.serde.element_from_wire`) over the full inter-stage
-vocabulary.  The strategies deliberately draw paths and community
-tuples from small pools so batches carry *duplicate and interleaved*
-attribute values — the case the per-batch intern tables dedupe — and
-mix every element family in one batch to exercise the slot-order
+:func:`~repro.core.serde.element_from_wire`) over the vocabulary
+ingest admits: announcements, withdrawals, state messages and priming
+updates.  The strategies deliberately draw paths and community tuples
+from small pools so batches carry *duplicate and interleaved*
+attribute values — the case the per-batch tables dedupe — and mix
+every element family in one batch to exercise the slot-order
 ``kinds`` column.
 """
 
@@ -28,17 +29,19 @@ from repro.bgp.messages import (
 )
 from repro.core.input import PoPTag, TaggedPath
 from repro.core.serde import (
+    _K_TAGGED,
+    TaggedBatch,
     decode_batch,
     element_from_wire,
     element_to_wire,
     encode_batch,
 )
 from repro.docmine.dictionary import PoP, PoPKind
-from repro.pipeline.events import BinAdvanced, PrimedPath, PrimingUpdate
+from repro.pipeline.events import PrimingUpdate
 
 # Small pools force cross-element sharing: distinct elements carrying
 # the same attribute tuples is the common case on a real feed (one
-# peer re-announcing its table) and the one the intern tables dedupe.
+# peer re-announcing its table) and the one the batch tables dedupe.
 _PATH_POOL = [
     (65001,),
     (65001, 65002),
@@ -131,10 +134,9 @@ elements = st.one_of(
     announcements(),
     withdrawals(),
     state_messages(),
-    tagged_paths(),
-    announcements().map(lambda u: PrimingUpdate(update=u)),
-    tagged_paths().map(lambda t: PrimedPath(path=t)),
-    times.map(lambda now: BinAdvanced(now=now)),
+    st.one_of(announcements(), withdrawals()).map(
+        lambda u: PrimingUpdate(update=u)
+    ),
 )
 batches = st.lists(elements, max_size=40)
 
@@ -200,7 +202,7 @@ from hypothesis import HealthCheck
 from repro.core.colocation import ColocationMap
 from repro.core.input import InputModule
 from repro.core.monitor import OutageMonitor
-from repro.core.serde import tag_elements_to_wire, tagged_view
+from repro.core.serde import tagged_view
 from repro.docmine.dictionary import CommunityDictionary
 from repro.pipeline import (
     FEED_CHUNK,
@@ -373,15 +375,17 @@ class TestBatchNativeEquivalence:
 
 
 class TestViewMaterialisation:
-    """``TaggedBatchView`` rows over the in-process tagged batch."""
+    """Rows of an in-process ``TaggedBatch``, read back as objects."""
 
     @given(st.lists(tagged_paths(), min_size=1, max_size=30))
     @settings(max_examples=100)
     def test_object_family_rows_match_source(self, tagged):
-        module = InputModule(CommunityDictionary(), ColocationMap())
-        batch = tag_elements_to_wire(
-            module, tagged, fallback=lambda element: [element]
-        )
+        batch = TaggedBatch()
+        for row in tagged:
+            batch.add_tagged(
+                _K_TAGGED, row.key, row.time, row.elem_type, row.as_path,
+                row.tags, row.afi,
+            )
         view = tagged_view(batch)
         materialised = [view.tagged_at(i) for i in range(len(tagged))]
         assert materialised == tagged
@@ -428,6 +432,7 @@ class TestBarrierFailsClosed:
         kepler.close()
 
     def test_wire_encoded_tagged_rows_raise(self):
+        """Tagged rows have no wire form: the codec refuses them."""
         tagged = [
             TaggedPath(
                 key=("rrc00", 1, "10.0.0.0/8"),
@@ -438,8 +443,8 @@ class TestBarrierFailsClosed:
                 afi=4,
             )
         ]
-        with pytest.raises(ValueError, match="wire encoding"):
-            tagged_view(encode_batch(tagged))
+        with pytest.raises(TypeError, match="TaggedPath"):
+            encode_batch(tagged)
 
     def test_wire_batch_needs_a_pair_at_stage_one(self):
         module = InputModule(CommunityDictionary(), ColocationMap())

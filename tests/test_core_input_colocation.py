@@ -15,6 +15,8 @@ from repro.core.colocation import (
 )
 from repro.core.input import InputModule
 from repro.core.serde import (
+    _K_PRIMED,
+    _K_TAGGED,
     encode_batch,
     tag_elements_to_wire,
     tag_wire_batch,
@@ -26,6 +28,8 @@ from repro.docmine.dictionary import (
     PoP,
     PoPKind,
 )
+from repro.pipeline.events import PrimedPath, PrimingUpdate
+from repro.pipeline.tagging import TaggingStage
 from repro.topology.sources import (
     ColocationRecord,
     IXPRecord,
@@ -154,12 +158,21 @@ class TestInputModule:
 
 
 def _via_process(mod, chunk):
-    return [t for t in map(mod.process, chunk) if t is not None]
+    """The reference: ``TaggingStage.feed`` per element, as (kind, row)."""
+    feed = TaggingStage(mod).feed
+    rows = []
+    for element in chunk:
+        for out in feed(element):
+            if isinstance(out, PrimedPath):
+                rows.append((_K_PRIMED, out.path))
+            else:
+                rows.append((_K_TAGGED, out))
+    return rows
 
 
 def _rows(tagged_batch):
-    view = tagged_view(tagged_batch)
-    return [view.tagged_at(i) for i in range(len(view.t_key))]
+    view = tagged_view(tagged_batch)  # the streams carry no state rows
+    return [(kind, view.tagged_at(i)) for i, kind in enumerate(view.kinds)]
 
 
 def _via_wire_view(mod, chunk):
@@ -211,6 +224,20 @@ def _memo_stream(n=400):
     return stream
 
 
+def _priming_stream(n=400):
+    """``_memo_stream`` with every other element a RIB path.
+
+    The ``PrimingUpdate``s carry tagged, tagless (``(4, 5, 6)`` with no
+    community, ``(1, 2, 3)`` with an unknown one), sanitiser-discarded
+    (the loops) and withdrawn updates, interleaved with stream updates
+    that share their memo entries.
+    """
+    return [
+        PrimingUpdate(update=element) if i % 2 else element
+        for i, element in enumerate(_memo_stream(n))
+    ]
+
+
 class TestMemoEntryPoints:
     """One memo, three ways in: same answers, same counters."""
 
@@ -235,6 +262,27 @@ class TestMemoEntryPoints:
         # The stream does what the test needs it to do.
         assert parsed == len(reference) and discarded > 20
         assert hits > 50 and evictions > 50
+        for entry in _ENTRY_POINTS:
+            for chunk in (1, 3, len(stream)):
+                tagged, got = self._run(entry, stream, chunk)
+                assert tagged == reference, (entry.__name__, chunk)
+                assert got == counters, (entry.__name__, chunk)
+
+    def test_priming_rows_agree_with_the_stage(self):
+        """Priming updates tag into ``_K_PRIMED`` rows on all three entry
+        points: tagless and withdrawn ones end at tagging (parsed, no
+        row), sanitiser rejects count as discarded."""
+        stream = _priming_stream()
+        reference, counters = self._run(_via_process, stream, 1)
+        primes = [e.update for e in stream if isinstance(e, PrimingUpdate)]
+        withdrawn = [u for u in primes if u.elem_type is ElemType.WITHDRAWAL]
+        tagless = [u for u in primes if u.as_path in ((4, 5, 6), (1, 2, 3))]
+        primed = [row for kind, row in reference if kind == _K_PRIMED]
+        # The stream does what the test needs it to do.
+        assert withdrawn and len(tagless) > 10
+        assert 20 < len(primed) < len(primes) - len(withdrawn) - len(tagless)
+        assert all(row.tags for row in primed)
+        assert counters[1] > 20 and counters[2] > 50 and counters[3] > 50
         for entry in _ENTRY_POINTS:
             for chunk in (1, 3, len(stream)):
                 tagged, got = self._run(entry, stream, chunk)

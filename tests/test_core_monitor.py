@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.messages import BGPStateMessage, ElemType, SessionState
-from repro.core.colocation import ColocationMap
-from repro.core.input import InputModule, PoPTag, TaggedPath
+from repro.core.input import PoPTag, TaggedPath
 from repro.core.monitor import (
     MonitorParams,
     OutageMonitor,
@@ -18,8 +17,8 @@ from repro.core.monitor import (
     partition_of,
     signal_sort_key,
 )
-from repro.core.serde import pop_from_json, tag_elements_to_wire
-from repro.docmine.dictionary import CommunityDictionary, PoP, PoPKind
+from repro.core.serde import _K_TAGGED, TaggedBatch, pop_from_json
+from repro.docmine.dictionary import PoP, PoPKind
 from repro.pipeline.monitoring import BinningMonitorStage
 
 from _fold_oracle import FoldOracle
@@ -630,9 +629,9 @@ class TestFoldOracle:
     ``tests/_fold_oracle.py``: the in-bin state must agree at every
     point where nothing is queued, and at the end.
 
-    Rows reach the monitor both ways it takes them: as column views of
-    ``tag_elements_to_wire`` batches cut at random points, and one at a
-    time through ``observe``.  ``prime`` and tracking calls fall between
+    Rows reach the monitor both ways it takes them: as tagged batches
+    (built with the batch's own row appenders) cut at random points,
+    and one at a time through ``observe``.  ``prime`` and tracking calls fall between
     rows and flush the deferred fold, as they do in the chain.
     """
 
@@ -648,7 +647,6 @@ class TestFoldOracle:
         monitor = OutageMonitor(share=share)
         stage = BinningMonitorStage(monitor)
         oracle = FoldOracle(share)
-        module = InputModule(CommunityDictionary(), ColocationMap())
         for i in range(3):
             primed = fold_row(i, 0.0, PRIMED_TAGS, FOLD_PATHS[0])
             monitor.prime(primed)
@@ -666,11 +664,20 @@ class TestFoldOracle:
         def feed_queued():
             if not queued:
                 return
-            batch = tag_elements_to_wire(module, queued, lambda e: [e])
+            batch = TaggedBatch()
+            for element in queued:
+                if isinstance(element, TaggedPath):
+                    batch.add_tagged(
+                        _K_TAGGED, element.key, element.time,
+                        element.elem_type, element.as_path, element.tags,
+                        element.afi,
+                    )
+                else:
+                    batch.add_state(element)
             queued.clear()
             view = stage.prepare_wire(batch)
             slot = 0
-            while slot < view.n:
+            while slot < len(view):
                 outs, slot = stage.feed_wire_run(view, slot)
                 assert outs == []
 

@@ -70,6 +70,35 @@ def test_layout_knobs_fail_closed(field, value):
 @pytest.mark.parametrize(
     ("field", "value"),
     [
+        ("feed_chunk", 0),
+        ("feed_chunk", 2.5),
+        ("feed_chunk", True),
+        ("process_batch", 0),
+        ("process_batch", 64.0),
+        ("process_batch", False),
+        ("min_pop_ases", 0),
+        ("min_pop_ases", 2.5),
+        ("min_pop_ases", True),
+        ("restore_fraction", 1.0),
+        ("restore_fraction", -0.1),
+        ("restore_fraction", float("nan")),
+        ("restore_fraction", float("inf")),
+        ("merge_gap_s", -1.0),
+        ("merge_gap_s", float("nan")),
+        ("merge_gap_s", float("inf")),
+        ("correlation_window_s", -60.0),
+        ("correlation_window_s", float("nan")),
+        ("correlation_window_s", float("inf")),
+    ],
+)
+def test_detection_and_chunk_knobs_fail_closed(field, value):
+    with pytest.raises(ValueError, match=field):
+        KeplerParams(**{field: value})
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
         ("max_restarts", -1),
         ("max_restarts", True),
         ("checkpoint_interval", 0),
@@ -92,6 +121,15 @@ def test_recovery_knobs_fail_closed(field, value):
 def test_edge_values_stay_legal():
     KeplerParams(shard_processes=0, ingest_feeds=0)
     KeplerParams(shard_processes=2, ingest_feeds=1)
+    KeplerParams(
+        feed_chunk=1,
+        process_batch=1,
+        min_pop_ases=1,
+        restore_fraction=0.0,
+        merge_gap_s=0.0,
+        correlation_window_s=0.0,
+    )
+    KeplerParams(restore_fraction=0.999, merge_gap_s=0, correlation_window_s=0)
     RecoveryPolicy(
         max_restarts=0,
         checkpoint_interval=1,

@@ -270,7 +270,7 @@ class TestQuarantine:
                 assert recovery["quarantined_batches"] >= 1
                 letters = list(detector.stages.pipeline.dead_letters)
                 assert letters, "dead-letter buffer must be inspectable"
-                assert {"signature", "codec", "payload", "detail"} <= set(
+                assert {"signature", "payload", "detail"} <= set(
                     letters[0]
                 )
                 assert "Traceback" in letters[0]["detail"]
