@@ -29,17 +29,10 @@ repository root:
   to end by >= 1.5x (``gate_enforced`` records whether the machine
   was big enough for the gate to apply);
 * **ingest_tier** — an announcement-heavy multi-collector stream
-  through the path PR 5 replaces (one global-heap ``BGPStream`` merge
-  plus the serial driver ``IngestStage`` hop) and through the sharded
-  ingest tier at 4 feed workers: per-feed admission off the driver
-  and the watermark merge's punctuated bulk release (C-speed
-  sorted-run merges) instead of a per-element global heap.  The
-  released stream must be element-identical always; at 4 feeds on
-  >= 4 cores the tier must beat the heap-merge path by >= 1.5x
-  (``gate_enforced`` false on smaller machines, where the speedup is
-  still recorded).  The source-driven mode (``process_feeds``, forked
-  feed workers encoding for the wire-sink runtimes) is recorded
-  informationally;
+  through one global-heap ``BGPStream`` merge plus the serial driver
+  ``IngestStage`` hop, and as per-collector sources through
+  ``process_feeds`` at 4 forked feed workers.  The released stream
+  must be element-identical always; both timings are informational;
 * **telemetry** — the live telemetry plane's end-to-end cost: the
   world-scale linear workload with histograms/trace recording on
   against ``telemetry.set_enabled(False)`` (< 5% overhead gate), plus
@@ -707,16 +700,14 @@ def run_partitioned_monitor() -> dict:
 
 
 # ----------------------------------------------------------------------
-# Ingest tier: heap-merge + serial admission vs sharded feed workers
+# Ingest tier: heap-merge + serial admission vs forked feed workers
 # ----------------------------------------------------------------------
 IT_ELEMENTS = 120_000
 IT_FEEDS = 4
 #: Collector names chosen to hash onto four *distinct* feeds
 #: (feed_of: rrc00 -> 3, rrc01 -> 1, rrc04 -> 2, rrc05 -> 0), so the
-#: gated measurement really exercises IT_FEEDS-way admission.
+#: source-mode run really exercises IT_FEEDS-way admission.
 IT_COLLECTORS = ("rrc00", "rrc01", "rrc04", "rrc05")
-IT_SPEEDUP_GATE = 1.5
-IT_MIN_CORES = 4
 #: Best-of-N timing, with a gc.collect() before every run: this
 #: section runs last, after the world-scale workloads above have
 #: churned hundreds of MB — without the sweep, collector pauses land
@@ -762,43 +753,43 @@ def _ingest_stream() -> list[BGPUpdate]:
     return elements
 
 
-class _CollectingSink:
-    """Tier sink that just accumulates the released stream."""
+class _CollectingRuntime:
+    """A bare runtime behind the tier: it admits what ``feed_many`` is
+    handed (the no-fork path) and keeps the released stream."""
 
     def __init__(self) -> None:
+        from repro.pipeline import IngestStage, StageMetrics
+
+        self.stage = IngestStage()
+        self.meter = StageMetrics(name="ingest")
         self.payloads: list = []
         self.wired = False
 
-    def feed_released(self, payloads: list, wired: bool) -> list:
-        self.wired = wired
-        self.payloads.extend(payloads)
+    def admission(self):
+        return self.stage, self.meter
+
+    def feed_admitted_wires(self, wires: list) -> list:
+        self.wired = True
+        self.payloads.extend(wires)
         return []
 
-    def feed_primes(self, primes) -> list:
-        return []
-
-    def flush(self) -> list:
+    def feed_many(self, elements) -> list:
+        for element in elements:
+            self.payloads.extend(self.stage.feed(element))
         return []
 
 
 def run_ingest_tier() -> dict:
-    """The replaced path vs the tier that replaces it.
+    """The heap-merge path vs ``process_feeds`` over the same collectors.
 
-    Baseline: the single global-heap ``BGPStream`` merge plus the
-    serial driver ``IngestStage`` hop — every element pays a heap
-    push/pop with full-key tuple comparisons and then serial
-    admission.  Tier (the gated measurement): ``IngestTier.feed_many``
-    at 4 thread feed workers — per-feed admission off the driver, and
-    the watermark merge's punctuated *bulk* release (one C-speed
-    sorted-run merge per chunk) instead of a per-element global heap.
-    The win is algorithmic as much as parallel, so the >= 1.5x gate is
-    enforced from 4 cores but typically holds on one.  The released
-    stream must be element-identical to the baseline admission output
-    always.  The source-driven mode (``process_feeds`` over
-    per-collector feeds, forked workers encoding in parallel for the
-    wire-sink runtimes) is recorded informationally — its serde hop
-    trades driver relief for transport, which pays off composed with
-    the multiprocess runtimes, not against a bare element sink.
+    Reference: the single global-heap ``BGPStream`` merge plus the
+    serial driver ``IngestStage`` hop.  Source mode: ``process_feeds``
+    over per-collector sources, forked feed workers admitting and
+    encoding in parallel.  The released stream must be
+    element-identical to the reference admission output always; both
+    timings are informational — the serde hop trades driver relief for
+    transport, which pays off composed with a detector, not against a
+    bare element sink.
     """
     from repro.bgp.stream import BGPStream
     from repro.core.serde import element_from_wire
@@ -829,42 +820,28 @@ def run_ingest_tier() -> dict:
         if admitted is None:
             admitted = out
 
-    tier_s = float("inf")
+    source_s = float("inf")
     merge_stats: dict = {}
     for _ in range(IT_TIMING_RUNS):
-        sink = _CollectingSink()
+        runtime = _CollectingRuntime()
         gc.collect()
         began = time.perf_counter()
-        tier = IngestTier(sink, feeds=IT_FEEDS)
-        tier.feed_many(elements)
-        tier_s = min(tier_s, time.perf_counter() - began)
-        assert sink.payloads == admitted, (
-            "ingest tier released stream diverged from the heap-merge path"
+        tier = IngestTier(runtime, feeds=IT_FEEDS)
+        tier.process_feeds(sources)
+        source_s = min(source_s, time.perf_counter() - began)
+        released = (
+            [element_from_wire(w) for w in runtime.payloads]
+            if runtime.wired
+            else runtime.payloads
+        )
+        assert released == admitted, (
+            "source-driven released stream diverged from the heap path"
         )
         merge_stats = {
             "late_elements": tier.merge.late_elements,
             "peak_reorder_window": tier.merge.peak_buffered,
         }
 
-    source_s = float("inf")
-    for _ in range(IT_TIMING_RUNS):
-        sink = _CollectingSink()
-        gc.collect()
-        began = time.perf_counter()
-        tier = IngestTier(sink, feeds=IT_FEEDS)
-        tier.process_feeds(sources)
-        source_s = min(source_s, time.perf_counter() - began)
-        released = (
-            [element_from_wire(w) for w in sink.payloads]
-            if sink.wired
-            else sink.payloads
-        )
-        assert released == admitted, (
-            "source-driven released stream diverged from the heap path"
-        )
-
-    speedup = baseline_s / tier_s
-    gate_enforced = cores >= IT_MIN_CORES
     return {
         "elements": len(elements),
         "collectors": list(IT_COLLECTORS),
@@ -872,13 +849,11 @@ def run_ingest_tier() -> dict:
         "output_identical": True,
         **merge_stats,
         "heap_merge_seconds": round(baseline_s, 3),
-        "tier_seconds": round(tier_s, 3),
         "source_mode_seconds": round(source_s, 3),
         "source_mode_forked": fork_available(),
         "cores": cores,
-        "speedup": round(speedup, 2),
-        "speedup_gate": IT_SPEEDUP_GATE,
-        "gate_enforced": gate_enforced,
+        # Identity only: no speed gate applies to this entry.
+        "gate_enforced": False,
     }
 
 
@@ -1329,12 +1304,9 @@ def test_pipeline_throughput():
         ), partitioned
         if partitioned["gate_enforced"]:
             assert partitioned["speedup"] >= PM_SPEEDUP_GATE, partitioned
-    # Ingest-tier gates: released-stream identity always; the >= 1.5x
-    # over the heap-merge path only with forked feeds and the cores
-    # for them.
+    # Ingest tier: released-stream identity always (timings are
+    # informational).
     assert ingest_tier["output_identical"], ingest_tier
-    if ingest_tier["gate_enforced"]:
-        assert ingest_tier["speedup"] >= IT_SPEEDUP_GATE, ingest_tier
     # Recovery: identity under injected kills always; timings are
     # informational (fork + restore + replay cost is machine-bound).
     if "skipped" not in recovery:

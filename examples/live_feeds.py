@@ -1,16 +1,17 @@
 """Multi-feed ingest with a mid-stream resume: the live-collector drill.
 
 A production detector watches many collectors at once.  This example
-drives the sharded ingest tier (``KeplerParams(ingest_feeds=N)``) the
-way an operator would:
+drives the ingest tier (``KeplerParams(ingest_feeds=N)``) the way an
+operator would:
 
 1. build the world and replay an outage scenario, keeping the
    per-collector feeds separate (what BGPStream would hand us per
    collector, before any global merge);
 2. run the first half of the stream through
-   ``Kepler.process_feeds(...)`` — each feed consumed by its own feed
-   worker (forked where the platform allows), the watermark merge
-   releasing the unified sorted stream — and snapshot;
+   ``Kepler.process_feeds(...)`` — each feed consumed by its own
+   forked feed worker (merged in the driver where the platform cannot
+   fork), the watermark merge releasing the unified sorted stream —
+   and snapshot;
 3. restore the snapshot into a detector with a *different* ingest
    layout (the driver ingest path), finish the stream, and compare
    against an uninterrupted single-stream run: records must match

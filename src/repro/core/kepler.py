@@ -52,11 +52,10 @@ if TYPE_CHECKING:
 #: sharded layout linearises on restore (see
 #: :mod:`repro.pipeline.checkpoint`).
 #: Version 3: the ingest section gains the per-type drop breakdown
-#: (``dropped_types``) and doubles as the ingest tier's layout-free
-#: feed cursor — the sum of the per-feed admission counters plus the
-#: merge release clock — so any snapshot restores into any
-#: ``ingest_feeds`` layout (see
-#: :func:`repro.pipeline.checkpoint.compose_ingest_state`).
+#: (``dropped_types``).  It is the driver ingest stage's state under
+#: every ``ingest_feeds`` layout — forked feed workers add their
+#: counters into that stage at end of run, and its clock doubles as the
+#: feed merge's cursor — so any snapshot restores into any layout.
 CHECKPOINT_VERSION = 3
 CHECKPOINT_FORMAT = "kepler-checkpoint"
 
@@ -150,20 +149,15 @@ class KeplerParams:
     #: worker per bin).  See :mod:`repro.pipeline.parallel`.  Requires
     #: the ``fork`` start method (POSIX).
     shard_processes: int = 0
-    #: Number of collector feed workers of the sharded ingest tier
-    #: (0 = driver-side ingest, the historical path).  With >= 1 the
-    #: facade wraps whichever runtime the other knobs built in an
-    #: :class:`~repro.ingest.tier.IngestTier`: per-collector feed
-    #: workers admit and account locally and a watermark merge
-    #: releases the sorted stream downstream — byte-identical to the
-    #: driver ingest path on a time-sorted input stream (the contract
-    #: of every replay surface; an out-of-order input is *re-merged*
-    #: within the reorder window and surfaced via late-element
-    #: accounting, where the driver path would preserve arrival
-    #: order and count ``out_of_order``), composing with every
-    #: runtime above, and unlocking :meth:`Kepler.process_feeds` for
-    #: per-collector sources consumed concurrently (forked feed
-    #: workers where the platform allows).
+    #: Number of forked feed workers :meth:`Kepler.process_feeds` runs
+    #: per-collector sources in (0 = no ``process_feeds``).  With >= 1
+    #: the facade wraps whichever runtime the other knobs built in an
+    #: :class:`~repro.ingest.tier.IngestTier`: each worker admits its
+    #: collectors locally and a watermark merge releases the sorted
+    #: stream downstream.  :meth:`Kepler.process` and :meth:`prime`
+    #: ignore it — they run the driver ingest path of
+    #: ``ingest_feeds=0`` exactly, so output and checkpoint bytes
+    #: never depend on it.
     ingest_feeds: int = 0
     #: Wrap the built runtime in the supervision layer
     #: (:mod:`repro.pipeline.supervisor`): worker death, hung queues
@@ -298,11 +292,10 @@ class Kepler:
         else:
             stages = self._build_linear_stages()
         if self.params.ingest_feeds >= 1:
-            # Outermost wrapper: the sharded ingest tier replaces the
-            # runtime's driver-side ingest hop with per-collector feed
-            # workers and a watermark merge.  Built after any forked
-            # runtime (its feed workers are per-run, so no thread is
-            # alive at the runtimes' construction-time forks).
+            # Outermost wrapper: the ingest tier adds process_feeds
+            # (forked per-collector feed workers and a watermark merge)
+            # and leaves the runtime's driver ingest path in place for
+            # everything else.
             from repro.ingest import build_ingest_kepler_pipeline
 
             stages = build_ingest_kepler_pipeline(
@@ -378,7 +371,8 @@ class Kepler:
         :func:`repro.telemetry.set_live_interval`), the in-process
         runtimes read their live registries.  Adds ``depths``
         (queue occupancy), ``hists`` (p50/p95/p99 summaries) and,
-        under the ingest tier, per-feed admission counts (``feeds``).
+        under the ingest tier, per-feed admission counts of the
+        forked ``process_feeds`` runs (``feeds``).
 
         Unlike the facade views this does **not** run the admission
         buffer (the chain belongs to the thread inside ``process``), so
@@ -513,13 +507,13 @@ class Kepler:
         self,
         feeds: "dict[str, Iterable[StreamElement]] | Iterable[Iterable[StreamElement]]",
     ) -> None:
-        """Consume per-collector element feeds through the ingest tier.
+        """Consume per-collector element feeds in forked feed workers.
 
         Pass a mapping ``{collector: source}`` (see
         :func:`repro.ingest.split_by_collector`) — each time-sorted
         source is pinned to its collector's feed worker, consumed
-        concurrently (forked where the platform allows), and the
-        watermark merge releases exactly the stream
+        concurrently (merged in the driver where the platform cannot
+        fork), and the watermark merge releases exactly the stream
         :func:`~repro.pipeline.ingest.merge_streams` would produce
         over the union, so output is identical to :meth:`process` on
         the pre-merged stream.  A bare sequence of sources is also

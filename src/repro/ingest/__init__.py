@@ -9,33 +9,28 @@ sorted stream, bounded queues turning a slow collector into
 backpressure instead of silent reordering.
 
 * :mod:`repro.ingest.feed` — feed assignment (:func:`feed_of`), the
-  per-collector splitter, and the worker loops (threads for
-  driver-routed streams, forked processes for collector sources);
+  per-collector splitter, the forked feed worker loop and the
+  in-driver merge of the same sources where the platform cannot fork;
 * :mod:`repro.ingest.merge` — :class:`WatermarkMerge`, the pure
   deterministic release core with the documented ``(sort key, feed)``
   tie-break and late-element accounting;
-* :mod:`repro.ingest.tier` — :class:`IngestTier` (the runtime),
-  downstream sinks for every pipeline runtime, and the
-  :class:`IngestKeplerPipeline` facade wrapper built by
-  ``KeplerParams(ingest_feeds=N)``.
+* :mod:`repro.ingest.tier` — :class:`IngestTier` (forked runs over
+  either chain runtime) and the :class:`IngestKeplerPipeline` facade
+  wrapper built by ``KeplerParams(ingest_feeds=N)``.
 """
 
 from repro.ingest.feed import feed_of, split_by_collector
 from repro.ingest.merge import WatermarkMerge
 from repro.ingest.tier import (
-    ChainSink,
     IngestKeplerPipeline,
     IngestTier,
-    WireSink,
     build_ingest_kepler_pipeline,
 )
 
 __all__ = [
-    "ChainSink",
     "IngestKeplerPipeline",
     "IngestTier",
     "WatermarkMerge",
-    "WireSink",
     "build_ingest_kepler_pipeline",
     "feed_of",
     "split_by_collector",

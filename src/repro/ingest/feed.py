@@ -1,37 +1,25 @@
 """Per-collector feed workers: local admission at the mouth of the tier.
 
-A feed worker owns one or more collectors.  It runs the admission and
-accounting that used to happen once, serially, in the driver's
-:class:`~repro.pipeline.ingest.IngestStage` — sanitising element types
-and counting announcements / withdrawals / state messages / drops —
-*locally*, per feed, and publishes the admitted elements as
-seq-ordered batches stamped with a per-feed **low watermark**: a
-promise that no element with a sort key at or below the watermark
-remains unpublished by this feed.  The merge coordinator
+A feed worker is a forked process that owns one or more collector
+sources.  It inherits them at fork, pulls them directly, admits each
+element on a fresh :class:`~repro.pipeline.ingest.IngestStage` that
+starts from the driver stage's stream clock, serde-encodes what
+admission passed (``"u"``/``"s"``/``"pu"`` envelopes,
+:func:`~repro.core.serde.element_to_wire`) and publishes marshal-packed
+wire batches stamped with a per-feed **low watermark**: a promise that
+no element with a sort key at or below the watermark remains
+unpublished by this feed.  The merge coordinator
 (:mod:`repro.ingest.merge`) releases elements downstream only up to
-the minimum watermark across feeds.
+the minimum watermark across feeds; the driver never touches elements
+one by one, it only merges keys and forwards encoded batches.
+Admission is the codec's gate: an element ingest does not admit is
+dropped and counted before it could reach the encoder.
 
-Two worker styles, mirroring :mod:`repro.pipeline.parallel`:
-
-* **threads** (driver-routed mode): the driver demultiplexes an
-  incoming element stream by collector (:func:`feed_of`) and ships
-  per-feed chunks down bounded queues; each chunk carries a
-  punctuation key — the global position of the chunk boundary — which
-  becomes every feed's watermark, so an idle collector never stalls
-  the merge;
-* **forked processes** (source-driven mode): each worker inherits its
-  collector sources at fork, pulls them directly, admits locally and
-  serde-encodes what admission passed (``"u"``/``"s"``/``"pu"``
-  envelopes, :func:`~repro.core.serde.element_to_wire`), and publishes
-  marshal-packed wire batches — the driver never touches elements one
-  by one, it only merges keys and forwards encoded batches downstream.
-  Admission is the codec's gate: an element ingest does not admit is
-  dropped and counted before it could reach the encoder.
-
-All counters live in the per-feed admission stage
-(:class:`~repro.pipeline.ingest.IngestStage` instances owned by the
-tier) and are aggregated on read; forked workers ship their final
-counter state home with their end-of-run message.
+A worker ships its stage state and meter home with its end-of-run
+message, and the tier adds them into the driver's ingest stage — the
+one place admission is counted, under every layout.  Where the
+platform cannot fork, :func:`merged_feed_stream` merges the same
+sources in the driver instead.
 """
 
 from __future__ import annotations
@@ -47,8 +35,12 @@ from repro.bgp.messages import StreamElement
 from repro.core.serde import element_to_wire
 from repro.pipeline import faults
 from repro.pipeline.ingest import IngestStage, merge_streams
-from repro.pipeline.metrics import StageMetrics
 from repro.pipeline.parallel import pack_wires
+
+#: What ``process_feeds`` takes: ``{collector: source}`` or a bare
+#: sequence of sources, each time-sorted.
+Sources = dict[str, Iterable[StreamElement]] | Iterable[Iterable[StreamElement]]
+
 
 def feed_of(collector: str, n_feeds: int) -> int:
     """Stable feed assignment of a collector (identical across processes).
@@ -77,57 +69,41 @@ def split_by_collector(
     return feeds
 
 
-# ----------------------------------------------------------------------
-# Worker loops
-# ----------------------------------------------------------------------
-def chunk_feed_worker(
-    fid: int,
-    admission: IngestStage,
-    meter: StageMetrics,
-    in_q,
-    out_q,
-    cancel,
-) -> None:
-    """Thread worker for driver-routed chunks.
+def assign_feeds(
+    sources: Sources,
+    feeds: int,
+) -> list[list[Iterable[StreamElement]]]:
+    """Per-feed source lists for a ``process_feeds`` call.
 
-    Messages in: ``("elems", elements, punct_key)`` — admit the chunk,
-    publish the admitted ``(key, element)`` entries with the chunk's
-    punctuation as the watermark; ``("eor",)`` — acknowledge end of
-    run and exit (workers are per-run).  The admission stage and meter
-    are the tier's own per-feed objects (shared memory); the tier
-    reads them only after the run joins.  ``cancel`` aborts at the
-    next message boundary (the tier drains the queues, so no put can
-    stay blocked).
+    A mapping ``{collector: source}`` pins each source to
+    ``feed_of(collector)``; a bare sequence of sources is assigned
+    round-robin.
     """
-    feed = admission.feed
-    armed = faults.arm("feed", fid, forked=False)
-    try:
-        while True:
-            msg = in_q.get()
-            if cancel.is_set():
-                return
-            kind = msg[0]
-            if kind == "elems":
-                elements, punct = msg[1], msg[2]
-                if armed is not None:
-                    armed.on_elements(len(elements))
-                entries: list[tuple[tuple, StreamElement]] = []
-                began = time.perf_counter()
-                for element in elements:
-                    for out in feed(element):
-                        entries.append((out.sort_key(), out))
-                meter.seconds += time.perf_counter() - began
-                meter.fed += len(elements)
-                meter.emitted += len(entries)
-                watermark = punct
-                if watermark is None and entries:
-                    watermark = entries[-1][0]
-                out_q.put(("batch", fid, entries, watermark))
-            elif kind == "eor":
-                out_q.put(("eor", fid, None))
-                return
-    except Exception:
-        out_q.put(("err", fid, traceback.format_exc()))
+    assignment: list[list] = [[] for _ in range(feeds)]
+    if isinstance(sources, dict):
+        for collector in sorted(sources):
+            assignment[feed_of(collector, feeds)].append(sources[collector])
+    else:
+        for index, source in enumerate(sources):
+            assignment[index % feeds].append(source)
+    return assignment
+
+
+def merged_feed_stream(
+    sources: Sources,
+    feeds: int,
+) -> Iterable[StreamElement]:
+    """The stream the watermark merge releases, merged in the driver.
+
+    ``heapq.merge`` over the per-feed streams in feed order breaks
+    full-key ties by feed index, per-feed FIFO — the merge's documented
+    order — so feeding this to a runtime equals a forked
+    ``process_feeds`` run.  The ingest tier's no-fork path and the
+    supervisor's degraded path both run it.
+    """
+    return merge_streams(
+        *(_feed_stream(owned) for owned in assign_feeds(sources, feeds) if owned)
+    )
 
 
 def _feed_stream(
@@ -135,115 +111,59 @@ def _feed_stream(
 ) -> Iterable[StreamElement]:
     """One time-sorted stream for a feed that owns several collectors.
 
-    A feed worker may be assigned more than one collector source; the
-    worker merges them lazily by sort key (each source must itself be
-    time-sorted), so the feed's low-watermark promise holds whatever
-    the assignment.
+    A feed may be assigned more than one collector source; it merges
+    them lazily by sort key (each source must itself be time-sorted),
+    so the feed's low-watermark promise holds whatever the assignment.
     """
     if len(sources) == 1:
         return sources[0]
     return merge_streams(*sources)
 
 
-def source_feed_worker(
-    fid: int,
-    sources: list[Iterable[StreamElement]],
-    admission: IngestStage,
-    meter: StageMetrics,
-    out_q,
-    batch_size: int,
-    cancel,
-) -> None:
-    """Thread worker pulling collector sources directly (no routing hop).
-
-    ``cancel`` aborts at the next batch boundary — bounded staleness:
-    the tier's abort path drains the queue and joins this worker
-    before touching the shared admission counters again.
-    """
-    feed = admission.feed
-    armed = faults.arm("feed", fid, forked=False)
-    entries: list[tuple[tuple, StreamElement]] = []
-    try:
-        began = time.perf_counter()
-        fed = 0
-        emitted = 0
-        cancelled = cancel.is_set
-        for element in _feed_stream(sources):
-            if cancelled():
-                return
-            if armed is not None:
-                armed.on_element()
-            fed += 1
-            for out in feed(element):
-                emitted += 1
-                entries.append((out.sort_key(), out))
-            if len(entries) >= batch_size:
-                # Flush the meter with every published batch, so a
-                # cancelled run leaves counters and seconds consistent
-                # with each other (they land in recovery snapshots).
-                meter.seconds += time.perf_counter() - began
-                meter.fed += fed
-                meter.emitted += emitted
-                fed = 0
-                emitted = 0
-                out_q.put(("batch", fid, entries, entries[-1][0]))
-                entries = []
-                began = time.perf_counter()
-        meter.seconds += time.perf_counter() - began
-        meter.fed += fed
-        meter.emitted += emitted
-        if cancel.is_set():
-            return
-        if entries:
-            out_q.put(("batch", fid, entries, entries[-1][0]))
-        out_q.put(("eor", fid, None))
-    except Exception:
-        out_q.put(("err", fid, traceback.format_exc()))
-
-
 def source_feed_process(
     fid: int,
     sources: list[Iterable[StreamElement]],
-    admission: IngestStage,
-    meter: StageMetrics,
+    last_time: float | None,
     out_q,
     batch_size: int,
 ) -> None:
     """Forked worker: admit **and serde-encode** sources locally.
 
-    The fork inherited ``admission``/``meter`` (with their pre-run
-    counts); the child advances its private copies and ships the final
-    state home in the end-of-run message — the parent overwrites its
-    copies, so totals compose exactly.  Batches are marshal-packed
-    wire lists; the driver derives merge keys with
+    Admission runs on a fresh stage holding the driver's clock
+    ``last_time`` (so out-of-order accounting continues the stream);
+    the final stage state and meter go home in the end-of-run message,
+    where the tier adds them into the driver's stage.  Batches are
+    marshal-packed wire lists; the driver derives merge keys with
     :func:`repro.core.serde.wire_sort_key` instead of decoding.
     """
+    admission = IngestStage()
+    admission.last_time = last_time
     feed = admission.feed
-    armed = faults.arm("feed", fid, forked=True)
+    armed = faults.arm("feed", fid)
     wires: list[list] = []
     last_key: tuple | None = None
+    fed = emitted = 0
+    seconds = 0.0
     # Live-metrics throttle, inherited by value at fork (see
     # repro.telemetry.set_live_interval).
     frame_interval = telemetry.live_interval()
     last_frame = time.monotonic()
 
-    def live_frame(fed: int, emitted: int) -> None:
+    def counters() -> dict:
+        return {
+            "ingest": admission.state_dict(),
+            "meter": [fed, emitted, seconds],
+        }
+
+    def live_frame() -> None:
         """Best-effort running-counter frame; dropped if the driver lags."""
         nonlocal last_frame
         now = time.monotonic()
         if now - last_frame < frame_interval:
             return
         last_frame = now
-        frame = {
-            "ingest": admission.state_dict(),
-            "meter": [
-                meter.fed + fed,
-                meter.emitted + emitted,
-                meter.seconds,
-            ],
-        }
         try:
-            out_q.put_nowait(("mtx", fid, frame))
+            out_q.put_nowait(("mtx", fid, counters()))
         except queue_mod.Full:
             pass
 
@@ -255,8 +175,6 @@ def source_feed_process(
 
     try:
         began = time.perf_counter()
-        fed = 0
-        emitted = 0
         for element in _feed_stream(sources):
             if armed is not None:
                 armed.on_element()
@@ -266,20 +184,14 @@ def source_feed_process(
                 wires.append(element_to_wire(out))
                 last_key = out.sort_key()
             if len(wires) >= batch_size:
-                meter.seconds += time.perf_counter() - began
+                seconds += time.perf_counter() - began
                 publish(wires, last_key)
                 wires = []
-                live_frame(fed, emitted)
+                live_frame()
                 began = time.perf_counter()
-        meter.seconds += time.perf_counter() - began
-        meter.fed += fed
-        meter.emitted += emitted
+        seconds += time.perf_counter() - began
         if wires:
             publish(wires, last_key)
-        info = {
-            "ingest": admission.state_dict(),
-            "meter": [meter.fed, meter.emitted, meter.seconds],
-        }
-        out_q.put(("eor", fid, info))
+        out_q.put(("eor", fid, counters()))
     except Exception:
         out_q.put(("err", fid, traceback.format_exc()))

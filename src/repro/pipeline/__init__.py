@@ -56,7 +56,7 @@ from repro.pipeline.parallel import (
     build_shard_process_kepler_pipeline,
     fork_available,
 )
-from repro.pipeline.faults import FaultInjected, FaultPlan, FaultSpec
+from repro.pipeline.faults import FaultPlan, FaultSpec
 from repro.pipeline.liveness import (
     PoisonedBatchError,
     RecoverableWorkerError,
@@ -199,7 +199,6 @@ __all__ = [
     "CheckpointableChain",
     "ClassificationStage",
     "ClassifiedBatch",
-    "FaultInjected",
     "FaultPlan",
     "FaultSpec",
     "IngestStage",

@@ -54,80 +54,6 @@ class CheckpointableChain:
 
 
 # ----------------------------------------------------------------------
-# Ingest-layout conversion (the sharded ingest tier, repro.ingest)
-# ----------------------------------------------------------------------
-def zero_ingest_state() -> dict:
-    """A fresh ingest stage state — by construction, never by hand.
-
-    Derived from a fresh stage so a counter added to ``IngestStage``
-    composes through tier checkpoints automatically: the additive
-    counters are exactly the integer-valued keys
-    (:func:`_ingest_counter_names`); ``last_time`` (the stream clock)
-    and ``dropped_types`` (a per-type dict) compose separately.
-    """
-    from repro.pipeline.ingest import IngestStage
-
-    return IngestStage().state_dict()
-
-
-def _ingest_counter_names(state: dict) -> list[str]:
-    """The additive counter keys of an ingest stage state."""
-    return [name for name, value in state.items() if isinstance(value, int)]
-
-
-def compose_ingest_state(
-    feed_states: list[dict], priming_updates: int, last_time: float | None
-) -> dict:
-    """Merge per-feed admission states into the canonical ingest state.
-
-    The sharded ingest tier keeps one admission stage per feed; the
-    canonical checkpoint document carries only their sum — plus the
-    tier-level priming count (primes bypass the feed workers) and the
-    merge coordinator's release clock as ``last_time`` — so the
-    document is *layout-free*: it never records how many feeds wrote
-    it, and restores into any ingest layout.
-    """
-    composed = zero_ingest_state()
-    counters = _ingest_counter_names(composed)
-    dropped_types: dict[str, int] = {}
-    for state in feed_states:
-        for name in counters:
-            composed[name] += state[name]
-        for type_name, count in state["dropped_types"].items():
-            dropped_types[type_name] = dropped_types.get(type_name, 0) + count
-    composed["priming_updates"] += priming_updates
-    composed["dropped_types"] = {
-        name: dropped_types[name] for name in sorted(dropped_types)
-    }
-    composed["last_time"] = last_time
-    return composed
-
-
-def split_ingest_state(state: dict, feeds: int) -> tuple[list[dict], int]:
-    """Split a canonical ingest state across N feed admissions.
-
-    Returns ``(per_feed_states, priming_updates)``: feed 0 takes the
-    full counters (so :func:`compose_ingest_state` over the split
-    round-trips exactly), every feed takes the stream clock (future
-    out-of-order accounting stays feed-local), and the priming count
-    moves to the tier level.  The inverse direction of
-    :func:`compose_ingest_state` up to the per-feed counter placement
-    — which is unobservable in the canonical document.
-    """
-    per_feed = []
-    for index in range(feeds):
-        feed_state = zero_ingest_state()
-        if index == 0:
-            for name in _ingest_counter_names(feed_state):
-                feed_state[name] = state[name]
-            feed_state["priming_updates"] = 0
-            feed_state["dropped_types"] = dict(state["dropped_types"])
-        feed_state["last_time"] = state["last_time"]
-        per_feed.append(feed_state)
-    return per_feed, state["priming_updates"]
-
-
-# ----------------------------------------------------------------------
 # Canonical sort keys over serialised (JSON-shaped) state
 # ----------------------------------------------------------------------
 def signal_json_key(signal: dict) -> tuple:

@@ -4,7 +4,10 @@ The chaos suite (and the recovery bench) needs to kill a worker at
 element K, hang a queue, corrupt a wire batch or tamper with control
 messages — *deterministically*, inside forked worker processes, and
 without the fault re-firing after the supervisor restores and replays
-the stream.  This module is that lever:
+the stream.  Every worker that arms itself is a forked process — a
+shard worker (:mod:`repro.pipeline.parallel`) or an ingest feed
+worker (:mod:`repro.ingest.feed`) — so a kill is always a real
+``SIGKILL``.  This module is that lever:
 
 * a :class:`FaultPlan` is built in the driver **before** the runtime
   forks its workers; its per-``(spec, worker)`` fired flags are
@@ -25,11 +28,8 @@ the stream.  This module is that lever:
 Fault kinds:
 
 =============  ========================================================
-``kill``       forked workers: ``SIGKILL`` self (death without a
-               result — the driver sees only the exitcode); thread
-               workers: raise :class:`FaultInjected` (threads cannot
-               be killed — the crash surfaces through the worker's
-               "err" message instead)
+``kill``       ``SIGKILL`` self (death without a result — the
+               driver sees only the exitcode)
 ``stall``      sleep ``stall_s`` before processing (hung-queue
                detector fodder)
 ``corrupt``    replace the decoded wire batch with garbage, so
@@ -62,10 +62,6 @@ SCOPES = ("shard", "feed", "*")
 KINDS = (
     "kill", "stall", "corrupt", "corrupt_payload", "drop_ctl", "dup_ctl",
 )
-
-
-class FaultInjected(Exception):
-    """The injected crash raised inside thread-based workers."""
 
 
 @dataclass
@@ -167,12 +163,9 @@ def injected(plan: FaultPlan):
 class _ArmedFaults:
     """A worker's view of the plan: local element clock + hooks."""
 
-    def __init__(
-        self, plan: FaultPlan, scope: str, wid: int, forked: bool
-    ) -> None:
+    def __init__(self, plan: FaultPlan, scope: str, wid: int) -> None:
         self.plan = plan
         self.wid = wid
-        self.forked = forked
         self.seen = 0
         self._matched = [
             (index, spec)
@@ -196,15 +189,9 @@ class _ArmedFaults:
                 continue
             if spec.kind == "stall":
                 time.sleep(spec.stall_s)
-            elif self.forked:
+            else:
                 # Death without a result: no cleanup, no "err" message.
                 os.kill(os.getpid(), signal_mod.SIGKILL)
-            else:
-                self.seen += n
-                raise FaultInjected(
-                    f"injected crash in worker {self.wid} at element"
-                    f" {spec.at_element}"
-                )
         self.seen += n
 
     def on_element(self) -> None:
@@ -257,10 +244,10 @@ class _ArmedFaults:
         return None
 
 
-def arm(scope: str, wid: int, forked: bool = True) -> _ArmedFaults | None:
+def arm(scope: str, wid: int) -> _ArmedFaults | None:
     """A worker arms itself at loop entry (``None`` = no plan, no cost)."""
     plan = _PLAN
     if plan is None:
         return None
-    armed = _ArmedFaults(plan, scope, wid, forked)
+    armed = _ArmedFaults(plan, scope, wid)
     return armed if armed._matched else None

@@ -44,7 +44,8 @@ class IngestStage(PassthroughStage):
         self.dropped_types: dict[str, int] = {}
         self.out_of_order = 0
         self.priming_updates = 0
-        self._last_time: float | None = None
+        #: the stream clock: time of the last admitted stream element.
+        self.last_time: float | None = None
 
     def feed_batch(self, elements: list[Any]) -> list[Any]:
         """Batch admission: count a run of plain updates in one pass.
@@ -54,7 +55,7 @@ class IngestStage(PassthroughStage):
         a run).  The first non-update element falls back to
         :meth:`feed` for the remainder of the chunk.
         """
-        last = self._last_time
+        last = self.last_time
         announcements = withdrawals = out_of_order = 0
         withdrawal = ElemType.WITHDRAWAL
         out: list[Any] | None = None
@@ -103,7 +104,7 @@ class IngestStage(PassthroughStage):
         self.announcements += announcements
         self.withdrawals += withdrawals
         self.out_of_order += out_of_order
-        self._last_time = last
+        self.last_time = last
         if out is not None:
             return out
         return elements if isinstance(elements, list) else list(elements)
@@ -132,10 +133,23 @@ class IngestStage(PassthroughStage):
                 self.dropped_types.get(type_name, 0) + 1
             )
             return []
-        if self._last_time is not None and element.time < self._last_time:
+        if self.last_time is not None and element.time < self.last_time:
             self.out_of_order += 1
-        self._last_time = element.time
+        self.last_time = element.time
         return [element]
+
+    def absorb(self, state: dict) -> None:
+        """Add another stage's counters into this one; keep this clock.
+
+        The ingest tier's forked feed workers admit on fresh stages
+        and ship their state home at end of run; the driver stage stays
+        the one place admission is counted.
+        """
+        for name, value in state.items():
+            if name not in ("last_time", "dropped_types"):
+                setattr(self, name, getattr(self, name) + value)
+        for name, count in state["dropped_types"].items():
+            self.dropped_types[name] = self.dropped_types.get(name, 0) + count
 
     def state_dict(self) -> dict:
         return {
@@ -149,7 +163,7 @@ class IngestStage(PassthroughStage):
             },
             "out_of_order": self.out_of_order,
             "priming_updates": self.priming_updates,
-            "last_time": self._last_time,
+            "last_time": self.last_time,
         }
 
     def load_state(self, state: dict) -> None:
@@ -160,4 +174,4 @@ class IngestStage(PassthroughStage):
         self.dropped_types = dict(state["dropped_types"])
         self.out_of_order = state["out_of_order"]
         self.priming_updates = state["priming_updates"]
-        self._last_time = state["last_time"]
+        self.last_time = state["last_time"]

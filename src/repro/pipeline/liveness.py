@@ -2,8 +2,8 @@
 
 Every parallel runtime in this codebase — the shard-process runtime
 (:mod:`repro.pipeline.parallel`) and the sharded ingest tier
-(:mod:`repro.ingest.tier`) — watches a set of forked (or threaded)
-workers through bounded queues, and until PR 8 each of them reported
+(:mod:`repro.ingest.tier`) — watches a set of forked worker processes
+through bounded queues, and until PR 8 each of them reported
 failure its own way: a bare ``RuntimeError``
 naming the dead processes, a scattered ``join(timeout=2.0)`` /
 ``terminate()`` teardown sequence per ``close()``.  This module is the
@@ -15,8 +15,8 @@ shared vocabulary:
   restore the last checkpoint into fresh workers, replay".  Everything
   else still propagates as a plain error.
 * :class:`WorkerDeathError` carries diagnostics, not just names: the
-  ``exitcode`` of every dead worker (``-9`` for a SIGKILL, ``None``
-  for a dead thread), the last-seen depth of every runtime queue, and
+  ``exitcode`` of every dead worker (``-9`` for a SIGKILL), the
+  last-seen depth of every runtime queue, and
   how many control messages were still pending — the three questions
   an operator asks first.
 * :func:`reap_workers` is the single teardown helper: join with a
@@ -50,8 +50,8 @@ class WorkerDeathError(RecoverableWorkerError):
     """One or more workers died without posting a result.
 
     ``dead`` is a list of ``(name, exitcode)`` pairs — ``exitcode`` is
-    ``None`` for threads (they have none) and negative for a
-    signal-terminated process (``-9`` = SIGKILL).  ``queue_depths``
+    negative for a signal-terminated process (``-9`` = SIGKILL).
+    ``queue_depths``
     maps queue names to their last-observed depth (``-1`` where the
     platform cannot report one), and ``pending_ctl`` counts control
     messages the driver was still holding for an in-progress barrier.
@@ -175,7 +175,7 @@ def drain_put(q: Any, message: tuple, on_full: Callable[[], None]) -> None:
 
 
 def queue_depth(q: Any) -> int:
-    """Best-effort depth of a multiprocessing/thread queue (-1 unknown)."""
+    """Best-effort depth of a multiprocessing queue (-1 unknown)."""
     try:
         return q.qsize()
     except (NotImplementedError, OSError):
@@ -188,16 +188,8 @@ def queue_depths(named: dict[str, Any]) -> dict[str, int]:
 
 
 def worker_exits(procs: Iterable[Any]) -> list[tuple[str, int | None]]:
-    """``(name, exitcode)`` for every non-alive worker in ``procs``.
-
-    Works for processes and threads alike: threads expose no
-    ``exitcode`` attribute and report ``None``.
-    """
-    return [
-        (proc.name, getattr(proc, "exitcode", None))
-        for proc in procs
-        if not proc.is_alive()
-    ]
+    """``(name, exitcode)`` for every non-alive worker in ``procs``."""
+    return [(proc.name, proc.exitcode) for proc in procs if not proc.is_alive()]
 
 
 def reap_workers(
@@ -212,14 +204,13 @@ def reap_workers(
     messages, or are already dead), survivors are terminated and
     joined once more, and the queues' feeder threads are cancelled so
     interpreter shutdown never blocks on a queue a dead worker will
-    never drain.  Threads (no ``terminate``) are joined and left to
-    die with the process if they ignore it.  Idempotent.
+    never drain.  Idempotent.
     """
     procs = list(procs)
     for proc in procs:
         proc.join(timeout=deadline_s)
     for proc in procs:
-        if proc.is_alive() and hasattr(proc, "terminate"):
+        if proc.is_alive():
             proc.terminate()
     for proc in procs:
         if proc.is_alive():

@@ -736,35 +736,24 @@ class ShardProcessPipeline:
         self._pump()
         return []
 
-    def feed_admitted(self, elements: list[Any]) -> list[Any]:
-        """Queue pre-admitted elements for the broadcast.
-
-        The entry point of the sharded ingest tier: admission already
-        ran in a feed worker (counted there), so the chunk bypasses the
-        driver's ingest stage and lands in the broadcast buffer,
-        preserving arrival order with everything fed through the
-        ordinary path.
-        """
-        self._buffer.extend(elements)
-        if len(self._buffer) >= self.batch_size:
-            self._ship()
-        else:
-            self._pump()
-        return []
-
     def feed_admitted_wires(self, wires: list[list]) -> list[Any]:
-        """Envelope-encoded variant of :meth:`feed_admitted`.
+        """Broadcast envelopes a forked ingest feed worker admitted.
 
-        Forked ingest feed workers ship per-element envelopes (they
-        sort batches by wire key without decoding).  The buffer ships
-        first so arrival order is preserved, then the envelopes fold
-        into one columnar batch that goes out as-is — no object ever
-        materialises in the driver.
+        Feed workers ship per-element envelopes (the tier sorts them
+        by wire key without decoding) and their admission counters at
+        end of run, so the envelopes bypass the driver's ingest stage.
+        The buffer ships first so arrival order is preserved, then the
+        envelopes fold into one columnar batch that goes out as-is —
+        no object ever materialises in the driver.
         """
         self._ship()
         self._broadcast_batch(wires_to_batch(wires))
         self._pump()
         return []
+
+    def admission(self) -> tuple[Any, Any]:
+        """The driver's ingest stage and its metrics entry."""
+        return self._ingest, self._ingest_handle
 
     def flush(self) -> list[Any]:
         """Drain the stream, then run the end-of-stream trailing-bin round."""

@@ -27,6 +27,7 @@ from __future__ import annotations
 import time
 from typing import Any, Iterable
 
+from repro.core.serde import wires_to_batch
 from repro.pipeline.metrics import PipelineMetrics
 from repro.pipeline.stage import Stage
 
@@ -42,11 +43,13 @@ FEED_CHUNK = 4096
 class StagePipeline:
     """Composition of stages with metering.
 
-    ``feed``, ``feed_many`` and ``feed_from`` share one path: stages
-    in front of the wire pair run breadth-per-stage on the chunk, the
-    wire pair tags it into one batch and drives the monitor over its
-    column view (:meth:`_drive_wire_batch`), and every emission clears
-    the rest of the chain before the monitor advances.
+    ``feed`` and ``feed_many`` share one path: stages in front of the
+    wire pair run breadth-per-stage on the chunk, the wire pair tags it
+    into one batch and drives the monitor over its column view
+    (:meth:`_drive_wire_batch`), and every emission clears the rest of
+    the chain before the monitor advances.  The ingest tier's forked
+    feed workers enter behind admission through
+    :meth:`feed_admitted_wires`.
     """
 
     def __init__(
@@ -101,7 +104,7 @@ class StagePipeline:
     # ------------------------------------------------------------------
     def feed(self, element: Any) -> list[Any]:
         """Push one element through all stages; return what falls out."""
-        return self.feed_from(0, [element])
+        return self._feed_chunk([element])
 
     def feed_many(self, elements: Iterable[Any]) -> list[Any]:
         """Thread a whole element sequence through the chain, chunked.
@@ -121,35 +124,31 @@ class StagePipeline:
             # The common call (a materialised stream): slice chunks out
             # directly instead of copying element by element.
             for start in range(0, len(elements), size):
-                out.extend(self.feed_from(0, elements[start : start + size]))
+                out.extend(self._feed_chunk(elements[start : start + size]))
             return out
         chunk: list[Any] = []
         for element in elements:
             chunk.append(element)
             if len(chunk) >= size:
-                out.extend(self.feed_from(0, chunk))
+                out.extend(self._feed_chunk(chunk))
                 chunk = []
         if chunk:
-            out.extend(self.feed_from(0, chunk))
+            out.extend(self._feed_chunk(chunk))
         return out
 
-    def feed_from(self, start: int, elements: list[Any]) -> list[Any]:
-        """Thread one element batch through ``stages[start:]``.
+    def _feed_chunk(self, elements: list[Any]) -> list[Any]:
+        """Thread one element chunk through the whole chain.
 
-        The entry point of the sharded ingest tier
-        (:mod:`repro.ingest`): elements that were already admitted by
-        a feed worker enter the chain *after* the ingest stage
-        (``start=1``) without being re-counted.  Batching stops at the
-        chain's ``depth_first`` barrier exactly as in
-        :meth:`feed_many`, so the two entry points are
-        output-identical on the same element sequence.
+        Stages in front of the wire pair run breadth-per-stage on the
+        chunk; with no wire pair, batching stops at the chain's
+        ``depth_first`` barrier and each element clears the chain
+        from there one at a time.
         """
         wire_at = self._wire_at
-        if wire_at is not None and start <= wire_at:
-            staged = self._run_span(start, wire_at, elements)
-            return self._drive_wire(staged)
-        barrier = max(self.barrier_index, start)
-        staged = self._run_span(start, barrier, elements)
+        if wire_at is not None:
+            return self._drive_wire(self._run_span(0, wire_at, elements))
+        barrier = self.barrier_index
+        staged = self._run_span(0, barrier, elements)
         if barrier >= len(self.stages):
             return staged
         out: list[Any] = []
@@ -160,15 +159,15 @@ class StagePipeline:
     # ------------------------------------------------------------------
     # Wire pair: batch-native tagging + monitor fold
     # ------------------------------------------------------------------
-    def feed_wire_from(self, batch: tuple) -> list[Any]:
-        """Thread one columnar wire batch through ``stages[1:]``.
+    def feed_admitted_wires(self, wires: list[list]) -> list[Any]:
+        """Thread released wire envelopes through ``stages[1:]``.
 
-        The batch-native sibling of ``feed_from(1, elements)`` used by
-        the ingest tier's release path: the released envelopes arrive
-        already folded into a columnar batch, tagging runs column to
-        column and the monitor consumes the result as a view.  Raises
-        ``ValueError`` on a chain whose wire pair does not start at
-        stage 1 (right behind ingest).
+        The entry point of the ingest tier's forked feed workers:
+        admission already ran in a worker (its counters are added to
+        stage 0 at end of run), so the envelopes fold into one columnar
+        batch, tagging runs column to column and the monitor consumes
+        the result as a view.  Raises ``ValueError`` on a chain whose
+        wire pair does not start at stage 1 (right behind ingest).
         """
         wire_at = self._wire_at
         if wire_at != 1:
@@ -176,6 +175,7 @@ class StagePipeline:
                 f"{self!r} has no tagging -> monitor pair at stage 1:"
                 " it cannot take a wire batch"
             )
+        batch = wires_to_batch(wires)
         stage, metrics = self._metered[wire_at]
         began = time.perf_counter()
         tagged = stage.feed_wire_batch(batch)
@@ -188,6 +188,10 @@ class StagePipeline:
         if fed:
             metrics.hist.record(delta * 1e9 / fed)
         return self._drive_wire_batch(tagged)
+
+    def admission(self) -> tuple[Stage, Any]:
+        """The admitting stage (stage 0) and its metrics entry."""
+        return self._metered[0]
 
     def _drive_wire(self, staged: list[Any]) -> list[Any]:
         """Tag a staged chunk into a batch and drive the barrier on it."""

@@ -51,7 +51,6 @@ import time
 from collections import deque
 from typing import Any, Callable, Iterable
 
-from repro.pipeline.ingest import merge_streams
 from repro.pipeline.liveness import PoisonedBatchError, RecoverableWorkerError
 from repro.pipeline.metrics import PipelineMetrics, RecoveryStats
 from repro.pipeline.parallel import DEAD_LETTER_CAP
@@ -140,6 +139,10 @@ class SupervisedKeplerPipeline:
         #: runtime rebuilds; telemetry only, never checkpoint state.
         self.trace = TraceJournal(pid_label="supervisor")
         self.inner = build()
+        #: feed count of the primary runtime's ingest tier: the
+        #: degraded path merges ``process_feeds`` sources by it.
+        tier = getattr(self.inner, "tier", None)
+        self._feeds = tier.feeds if tier is not None else 1
         self._apply_policy()
         # The epoch checkpoint: a fresh runtime's (empty) document, so
         # a crash before the first interval still has a restore target.
@@ -245,20 +248,18 @@ class SupervisedKeplerPipeline:
         self._take_checkpoint()
         return outs
 
-    @staticmethod
-    def _dispatch_feeds(inner: Any, materialized) -> list[Any]:
+    def _dispatch_feeds(self, inner: Any, materialized) -> list[Any]:
         target = getattr(inner, "process_feeds", None)
         if target is not None:
             return target(materialized)
-        # Degraded runtime: no tier.  Merge the materialised feeds by
-        # sort key — byte-identical to the watermark merge's release
-        # stream on time-sorted sources.
-        sources = (
-            list(materialized.values())
-            if isinstance(materialized, dict)
-            else list(materialized)
+        # Degraded runtime: no tier.  Merge the materialised feeds in
+        # the driver exactly as the tier does where it cannot fork —
+        # the watermark merge's release stream, by its own contract.
+        from repro.ingest.feed import merged_feed_stream
+
+        return inner.pipeline.feed_many(
+            merged_feed_stream(materialized, self._feeds)
         )
-        return inner.pipeline.feed_many(merge_streams(*sources))
 
     def _maybe_checkpoint(self) -> None:
         trigger = self.policy.checkpoint_interval

@@ -452,4 +452,4 @@ class TestBarrierFailsClosed:
             [TaggingStage(module), BinningMonitorStage(OutageMonitor())]
         )
         with pytest.raises(ValueError, match="stage 1"):
-            pipeline.feed_wire_from(encode_batch([]))
+            pipeline.feed_admitted_wires([])

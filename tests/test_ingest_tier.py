@@ -13,7 +13,10 @@ Three layers of guarantees:
   the per-stage counters are byte-identical to the driver ingest path
   on the same stream, composed with either runtime (linear,
   shard-process), for both the merged-stream
-  ``process`` path and per-collector ``process_feeds`` sources.
+  ``process`` path and per-collector ``process_feeds`` sources —
+  forked or, where the platform cannot fork, merged in the driver.
+  ``process`` *is* the driver ingest path under every layout, so even
+  a reordered stream gives layout-free output and checkpoint bytes.
 * **Checkpoints are ingest-layout-free**: the canonical document's
   ingest section is identical whichever layout wrote it, and a
   snapshot taken under any ``ingest_feeds`` layout restores into any
@@ -424,74 +427,204 @@ class TestIngestTierIdentity:
             detector.process_feeds([[]])
         detector.close()
 
-    def test_single_element_feed_matches_the_run_path(self):
-        """tier.feed(e) (inline fast path) == feed_many([...]) exactly."""
-        from repro.ingest import IngestTier
+    @needs_fork
+    def test_failed_feed_worker_poisons_the_tier(self, world_a):
+        """A forked feed whose source raises: the run surfaces the
+        crash, reaps its workers, discards its buffered entries, and
+        the detector refuses elements until a restore."""
+        import multiprocessing
 
-        class CollectingSink:
-            def __init__(self):
-                self.payloads = []
-
-            def feed_released(self, payloads, wired):
-                self.payloads.extend(payloads)
-                return []
-
-            def feed_primes(self, primes):
-                return []
-
-            def flush(self):
-                return []
-
-        elements = [
-            _element(t, c, "10.0.0.0/24")
-            for t, c in [(1.0, "rrc00"), (2.0, "rrc01"), (3.0, "rrc00")]
-        ]
-        one_sink, many_sink = CollectingSink(), CollectingSink()
-        one = IngestTier(one_sink, feeds=2)
-        many = IngestTier(many_sink, feeds=2)
-        for element in elements:
-            one.feed(element)
-        many.feed_many(elements)
-        assert one_sink.payloads == many_sink.payloads == elements
-        assert one.composed_ingest_state() == many.composed_ingest_state()
-        assert one.merge.last_released == many.merge.last_released
-
-    def test_failed_feed_worker_poisons_the_tier(self):
-        """A worker failure surfaces, discards its run, poisons the tier."""
-        from repro.ingest import IngestTier
-
-        class NullSink:
-            def feed_released(self, payloads, wired):
-                return []
-
-            def feed_primes(self, primes):
-                return []
-
-            def flush(self):
-                return []
+        from repro.pipeline import WorkerCrashError
 
         def broken_source():
             yield _element(1.0, "rrc00", "10.0.0.0/24")
             raise OSError("collector session lost")
 
         healthy = [_element(t, "rrc01", "10.1.0.0/24") for t in (2.0, 3.0)]
-        tier = IngestTier(NullSink(), feeds=2, fork_feeds=False)
-        with pytest.raises(RuntimeError, match="feed worker failed"):
-            tier.process_feeds([broken_source(), healthy])
-        # The abandoned run's buffered entries never leak downstream,
-        # its workers are joined (nothing still mutates the shared
-        # admission counters), and the tier refuses to resume over
-        # the hole in the stream.
-        assert tier.merge.drained
-        import threading
+        detector = make_kepler(world_a[0], KeplerParams(ingest_feeds=2), False)
+        try:
+            blob = json.dumps(detector.snapshot())
+            with pytest.raises(WorkerCrashError, match="feed worker failed"):
+                detector.process_feeds([broken_source(), healthy])
+            # The abandoned run's buffered entries never leak downstream
+            # and no worker outlives it.
+            assert detector.stages.tier.merge.drained
+            assert not [
+                proc.name
+                for proc in multiprocessing.active_children()
+                if proc.name.startswith("kepler-feed-")
+            ]
+            # The stream has a hole: both entry points refuse to resume.
+            with pytest.raises(RuntimeError, match="aborted"):
+                detector.process(healthy)
+            with pytest.raises(RuntimeError, match="aborted"):
+                detector.process_feeds([healthy])
+            detector.restore(json.loads(blob))
+            detector.process_feeds([healthy])
+            assert detector.snapshot()["pipeline"]["stages"]["ingest"][
+                "withdrawals"
+            ] == len(healthy)
+        finally:
+            detector.close()
 
-        assert not [
-            t for t in threading.enumerate() if t.name.startswith("kepler-feed")
-        ]
-        with pytest.raises(RuntimeError, match="aborted"):
-            tier.feed_many(healthy)
-        with pytest.raises(RuntimeError, match="aborted"):
-            tier.process_feeds([healthy])
+    def test_no_fork_run_equals_the_forked_run(self, world_a, monkeypatch):
+        """Without fork, process_feeds merges the sources in the driver:
+        same records, signal log, rejects and stripped snapshot."""
+        from repro.pipeline import parallel, strip_checkpoint_telemetry
+
+        world, snapshot, elements = world_a
+
+        def run() -> tuple:
+            detector = make_kepler(world, KeplerParams(ingest_feeds=3), True)
+            try:
+                detector.prime(snapshot)
+                detector.process_feeds(split_by_collector(elements))
+                merged = detector.stages.tier.merge.released
+                doc = json.dumps(
+                    strip_checkpoint_telemetry(detector.snapshot()),
+                    sort_keys=True,
+                )
+                detector.finalize(end_time=END_TIME)
+                return (observed(detector), doc), merged
+            finally:
+                detector.close()
+
+        forked = run() if fork_available() else None
+        monkeypatch.setattr(parallel, "fork_available", lambda: False)
+        inline, merged = run()
+        assert merged == 0, "the no-fork run went through the feed workers"
+        assert inline[0][0], "scenario produced no records to compare"
+        if forked is not None:
+            assert forked[1] == len(elements)
+            assert inline == forked[0]
+        assert inline[0] == full_run(world_a, KeplerParams(), True)
+
+
+# ----------------------------------------------------------------------
+# Layout independence on a stream we did not sort
+# ----------------------------------------------------------------------
+def _displaced(elements: list, chunk: int) -> list:
+    """World A's stream with cross-collector displacements.
+
+    Adjacent swaps, 300-position swaps, swaps straddling every
+    ``chunk`` boundary (``Kepler.process``'s run edge) and duplicated
+    timestamps — each between elements of different collectors, so
+    the result is out of order across collectors.
+    """
+    import dataclasses
+    import random
+
+    stream = list(elements)
+    rng = random.Random(29)
+    n = len(stream)
+
+    def swap(i: int, j: int) -> None:
+        if stream[i].collector != stream[j].collector:
+            stream[i], stream[j] = stream[j], stream[i]
+
+    for i in rng.sample(range(n - 1), 40):
+        swap(i, i + 1)
+    for i in rng.sample(range(n - 300), 40):
+        swap(i, i + 300)
+    for edge in range(chunk, n, chunk):
+        swap(edge - 2, edge + 1)
+        swap(edge - 1, edge)
+    for i in rng.sample(range(1, n), 40):
+        before = stream[i - 1]
+        if before.collector != stream[i].collector:
+            stream[i] = dataclasses.replace(stream[i], time=before.time)
+    return stream
+
+
+class TestLayoutIndependence:
+    """``Kepler.process`` admits on the driver ingest stage under every
+    ``ingest_feeds`` layout, so even a reordered stream gives the same
+    output and checkpoint bytes."""
+
+    LAYOUTS = (0, 2, 3)
+
+    def _run(self, world_a, stream, feeds):
+        from repro.pipeline import strip_checkpoint_telemetry
+
+        world, snapshot, _ = world_a
+        detector = make_kepler(world, KeplerParams(ingest_feeds=feeds), True)
+        try:
+            detector.prime(snapshot)
+            detector.process(stream)
+            doc = strip_checkpoint_telemetry(detector.snapshot())
+            detector.finalize(end_time=END_TIME)
+            return observed(detector), doc
+        finally:
+            detector.close()
+
+    def test_reordered_stream_is_layout_free(self, world_a):
+        stream = _displaced(world_a[2], KeplerParams().feed_chunk)
+        runs = {feeds: self._run(world_a, stream, feeds) for feeds in self.LAYOUTS}
+        reference, doc = runs[0]
+        ingest = doc["pipeline"]["stages"]["ingest"]
+        assert ingest["out_of_order"] > 0, "the stream was not reordered"
+        assert reference[0], "scenario produced no records to compare"
+        for feeds in self.LAYOUTS[1:]:
+            observed_, other = runs[feeds]
+            assert observed_ == reference, feeds
+            assert other["pipeline"]["stages"]["ingest"] == ingest, feeds
+            assert json.dumps(other, sort_keys=True) == json.dumps(
+                doc, sort_keys=True
+            ), feeds
+
+    @needs_fork
+    @pytest.mark.parametrize("writer, reader", [(3, 0), (2, 3)])
+    def test_process_feeds_snapshot_restore_process(
+        self, world_a, writer, reader
+    ):
+        """process -> process_feeds -> snapshot -> restore into another
+        layout -> process equals one uninterrupted driver-ingest run."""
+        from repro.pipeline import strip_checkpoint_telemetry
+
+        world, snapshot, elements = world_a
+        first_cut, second_cut = len(elements) // 3, 2 * len(elements) // 3
+        head = list(elements[:first_cut])
+        # An element older than the last one ``process`` runs moves into
+        # the feed run: its feed's clock starts from the driver's.
+        late = head.pop(first_cut // 2)
+        assert late.time < head[-1].time
+        middle = [late] + list(elements[first_cut:second_cut])
+        tail = list(elements[second_cut:])
+
+        def stripped(detector) -> str:
+            return json.dumps(
+                strip_checkpoint_telemetry(detector.snapshot()), sort_keys=True
+            )
+
+        whole = make_kepler(world, KeplerParams(), True)
+        try:
+            whole.prime(snapshot)
+            whole.process(head + middle + tail)
+            whole_doc = stripped(whole)
+            whole.finalize(end_time=END_TIME)
+            expected = observed(whole), whole_doc
+        finally:
+            whole.close()
+
+        first = make_kepler(world, KeplerParams(ingest_feeds=writer), True)
+        try:
+            first.prime(snapshot)
+            first.process(head)
+            first.process_feeds(split_by_collector(middle))
+            assert first.stages.tier.merge.late_elements == 1
+            blob = json.dumps(first.snapshot())
+        finally:
+            first.close()
+
+        second = make_kepler(world, KeplerParams(ingest_feeds=reader), True)
+        try:
+            second.restore(json.loads(blob))
+            second.process(tail)
+            second_doc = stripped(second)
+            second.finalize(end_time=END_TIME)
+            assert (observed(second), second_doc) == expected
+        finally:
+            second.close()
 
 
 # ----------------------------------------------------------------------

@@ -189,11 +189,10 @@ class TestKillRecovery:
         assert recovery["replayed_elements"] >= 0
         assert not recovery["degraded"]
 
-    # Feed workers are per-run (one run per supervised chunk), so the
-    # armed element clock resets per run: keep the cut point low enough
-    # to land inside the first run a feed worker sees.  Collector->feed
-    # hashing can leave a feed empty, so arm every feed worker rather
-    # than pinning one — only workers that actually see elements fire.
+    # Feed workers are forked per process_feeds run and see their own
+    # collectors' elements only.  Collector->feed hashing can leave a
+    # feed empty, so arm every feed worker rather than pinning one —
+    # only workers that actually see elements fire.
     @chaos_settings
     @given(at_element=st.integers(min_value=1, max_value=500))
     def test_feed_worker_kill_is_byte_exact(self, world_a, linear_run, at_element):
@@ -201,7 +200,7 @@ class TestKillRecovery:
             [FaultSpec(scope="feed", kind="kill", at_element=at_element)]
         )
         got, recovery, _ = faulted_run(
-            world_a, supervised_params(INGEST), plan
+            world_a, supervised_params(INGEST), plan, by_feeds=True
         )
         assert got == linear_run[0]
         assert recovery["restarts"] >= 1
@@ -376,6 +375,36 @@ class TestGracefulDegradation:
         assert got == linear_run[0]
         assert recovery["degraded"] is True
         assert recovery["restarts"] >= 2
+
+    def test_persistent_feed_kill_degrades_to_the_driver_merge(
+        self, world_a, linear_run, monkeypatch
+    ):
+        """Degraded ``process_feeds`` merges the sources in the driver
+        through the helper the tier's no-fork path runs."""
+        from repro.ingest import feed as feed_mod
+
+        calls: list[int] = []
+        merged = feed_mod.merged_feed_stream
+
+        def spy(sources, feeds):
+            calls.append(feeds)
+            return merged(sources, feeds)
+
+        monkeypatch.setattr(feed_mod, "merged_feed_stream", spy)
+        plan = FaultPlan(
+            [FaultSpec(scope="feed", kind="kill", at_element=1, once=False)]
+        )
+        got, recovery, doc = faulted_run(
+            world_a,
+            supervised_params(INGEST, max_restarts=1),
+            plan,
+            snapshot_doc=True,
+            by_feeds=True,
+        )
+        assert recovery["degraded"] is True
+        assert calls == [INGEST["ingest_feeds"]]
+        assert got == linear_run[0]
+        assert doc == linear_run[1]
 
     def test_degrade_false_reraises_after_budget(self, world_a):
         world, snapshot, elements = world_a
