@@ -67,8 +67,9 @@ class TaggedPath:
 MEMO_MAX_ENTRIES = 65536
 
 _MEMO_MISS = object()
-#: what a withdrawal "tags" to: no path, no tags.
-_WITHDRAWN: tuple[tuple[int, ...], tuple[PoPTag, ...]] = ((), ())
+#: what a withdrawal "tags" to: no path, no tags.  One shared object,
+#: so every withdrawal row of a tagged batch carries the same pair.
+WITHDRAWN: tuple[tuple[int, ...], tuple[PoPTag, ...]] = ((), ())
 _TAGGED_NEW = TaggedPath.__new__
 
 
@@ -79,12 +80,14 @@ class InputModule:
     communities)`` pair — the key, timestamp and prefix pass through
     untouched — so the sanitised path and derived tags are memoised
     per pair.  Repeated announcements from the same peers (the common
-    case on the 37%-of-runtime tagging hot path) skip sanitisation and
-    the community walk entirely.  The memo key is the pair of *id
-    tuples* — the AS path and the flattened ``(asn, value, ...)``
-    community ints — so the columnar wire path can consult the same
-    memo straight from a batch's interned community-id table without
-    materialising ``Community`` objects at all.
+    case on a dense collector stream) skip sanitisation and the
+    community walk entirely, and get back the *same* ``(clean path,
+    tags)`` result object, which a tagged batch carries as the row's
+    pair and the monitor keys its derived columns on.  The memo key is
+    the pair of *id tuples* — the AS path and the flattened ``(asn,
+    value, ...)`` community ints — so the columnar wire path can
+    consult the same memo straight from a batch's interned community-id
+    table without materialising ``Community`` objects at all.
 
     The memo is segmented into two generations: when the young
     generation fills, the old one is dropped and the young one ages
@@ -130,7 +133,7 @@ class InputModule:
         """Parse one update; ``None`` when the path must be discarded."""
         elem_type = update.elem_type
         if elem_type is ElemType.WITHDRAWAL:
-            cached = _WITHDRAWN
+            cached = WITHDRAWN
         else:
             communities = update.communities
             if len(communities) == 1:

@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 
 from repro.bgp.messages import BGPStateMessage, ElemType
 from repro.core.events import OutageSignal
-from repro.core.input import PathKey, PoPTag, TaggedPath
+from repro.core.input import PathKey, TaggedPath
+from repro.core.serde import _K_TAGGED, TaggedBatch
 from repro.docmine.dictionary import PoP
 
 #: Paper defaults.
@@ -130,9 +131,11 @@ class _TrackState:
 #: Bits reserved for the PoP index in a packed (key, pop) pending id.
 _POP_SHIFT = 20
 _POP_MASK = (1 << _POP_SHIFT) - 1
-#: Cap on the monitor's derived-column caches (tag columns, path
-#: AS-sets); wholesale clear on overflow — they are pure caches.
+#: Cap on the monitor's derived-column cache (one entry per tagged
+#: pair); wholesale clear on overflow — it is a pure cache.
 _COLS_CACHE_MAX = 65536
+#: The gap set of a run deferred while no collector session is down.
+_NO_GAP: frozenset = frozenset()
 
 
 def cross_bins(start: float, width: float, until: float) -> tuple[float, int]:
@@ -165,42 +168,38 @@ def cross_bins(start: float, width: float, until: float) -> tuple[float, int]:
 
 class TaggedRun:
     """The fold's one deferral unit: rows ``[start, stop)`` of the
-    tagged family of a :class:`~repro.core.serde.TaggedBatch`.
+    tagged family of a :class:`~repro.core.serde.TaggedBatch`, and the
+    monitor's feed-gap set when the run was deferred.
 
     The per-bin fold consumes it column to column, so skippable
-    steady-state rows never become objects.  A row that arrives as an
-    object (the bin-closing row, any :meth:`OutageMonitor.observe`
-    caller) defers as a one-row run (:meth:`of`).  The view pins the
-    batch columns alive for the life of the run.
+    steady-state rows never become objects, and skips the rows whose
+    peer is in ``gapped``.  State rows form their own runs, so that set
+    is the one current at every row's arrival: the snapshot *is* the
+    arrival-time admission check.  It stays a snapshot because the
+    monitor replaces its gap set and never mutates it.  A row that
+    arrives as an object (the bin-closing row, any
+    :meth:`OutageMonitor.observe` caller) defers as a one-row run
+    (:meth:`of`).  The view pins the batch columns alive for the life
+    of the run.
     """
 
-    __slots__ = ("view", "start", "stop")
+    __slots__ = ("view", "start", "stop", "gapped")
 
-    def __init__(self, view, start: int, stop: int) -> None:
+    def __init__(self, view, start: int, stop: int, gapped: frozenset) -> None:
         self.view = view
         self.start = start
         self.stop = stop
+        self.gapped = gapped
 
     @classmethod
-    def of(cls, tagged: TaggedPath) -> TaggedRun:
+    def of(cls, tagged: TaggedPath, gapped: frozenset = _NO_GAP) -> TaggedRun:
         """One ``TaggedPath`` as a one-row run."""
-        return cls(_RowView(tagged.__dict__), 0, 1)
-
-
-class _RowView:
-    """The columns and tables the fold reads, for a batch of one row."""
-
-    __slots__ = ("t_key", "t_time", "t_elem", "t_path", "t_tags", "paths",
-                 "tagsets", "cols")
-
-    def __init__(self, fields: dict) -> None:
-        self.t_key = (fields["key"],)
-        self.t_time = (fields["time"],)
-        self.t_elem = (fields["elem_type"],)
-        self.t_path = self.t_tags = (0,)
-        self.paths = (fields["as_path"],)
-        self.tagsets = (fields["tags"],)
-        self.cols = None
+        view = TaggedBatch()
+        view.add_tagged(
+            _K_TAGGED, tagged.key, tagged.time, tagged.elem_type,
+            tagged.as_path, tagged.tags, tagged.afi,
+        )
+        return cls(view, 0, 1, gapped)
 
 
 class OutageMonitor:
@@ -243,13 +242,14 @@ class OutageMonitor:
             if n < 1 or not 0 <= index < n:
                 raise ValueError(f"invalid monitor share {share!r}")
         self.share = share
-        #: collector peers currently in a feed gap.
-        self._gapped: set[tuple[str, int]] = set()
+        #: collector peers currently in a feed gap.  Replaced on every
+        #: change, never mutated: a deferred :class:`TaggedRun` holds
+        #: the set current at its deferral.
+        self._gapped: frozenset[tuple[str, int]] = _NO_GAP
         #: in-bin rows deferred for the grouped per-bin fold, as
-        #: :class:`TaggedRun` column spans in arrival order; the
-        #: feed-gap admission check already ran at arrival time.  The
-        #: list is cleared in place (never rebound): the monitoring
-        #: stage's batch feeder holds a bound ``append`` across calls.
+        #: :class:`TaggedRun` column spans in arrival order.  The list
+        #: is cleared in place (never rebound): the monitoring stage's
+        #: batch feeder holds a bound ``append`` across calls.
         self._events: list = []
         self._bin_start: float | None = None
         self.bins_processed = 0
@@ -293,11 +293,11 @@ class OutageMonitor:
         #: checkpoint never mutates the monitor.
         self._pending_heap: list[tuple[float, int, int]] = []
         self._heap_counter = 0
-        #: derived-column caches keyed by id() of memo-shared tuples;
-        #: the cached value holds a reference to its source object, so
-        #: a live cache hit is always an identity hit.
-        self._tags_cols: dict[int, tuple] = {}
-        self._path_ases: dict[int, tuple] = {}
+        #: derived columns per tagged pair, keyed by id() of the
+        #: memo-shared ``(path, tags)`` object (see :meth:`_pair_cols`);
+        #: the cached value holds the pair, so a live cache hit is
+        #: always an identity hit.
+        self._cols: dict[int, list] = {}
         #: divergences observed in the current bin (owned pops only).
         self._diverted: dict[PoP, set[PathKey]] = {}
         #: open-outage return tracking (any pop — see class docstring).
@@ -329,11 +329,16 @@ class OutageMonitor:
     def _intern_key(self, key: PathKey) -> int:
         idx = self._key_ids.get(key)
         if idx is None:
-            idx = self._key_ids[key] = len(self._keys)
-            self._keys.append(key)
-            self._base_mask.append(0)
-            self._pend_mask.append(0)
-            self._track_mask.append(0)
+            idx = self._intern_new_key(key)
+        return idx
+
+    def _intern_new_key(self, key: PathKey) -> int:
+        """Intern a key the caller just missed in ``_key_ids``."""
+        idx = self._key_ids[key] = len(self._keys)
+        self._keys.append(key)
+        self._base_mask.append(0)
+        self._pend_mask.append(0)
+        self._track_mask.append(0)
         return idx
 
     def _intern_pop(self, pop: PoP) -> int:
@@ -345,29 +350,31 @@ class OutageMonitor:
             self._pops.append(pop)
         return idx
 
-    def _tag_cols(self, tags: tuple[PoPTag, ...]) -> tuple:
-        """Derived columns for one (memo-shared) tag tuple.
+    def _pair_cols(self, pair: tuple) -> list:
+        """Derived columns for one (memo-shared) ``(path, tags)`` pair.
 
-        Returns ``(tags, update_mask, owned)`` where ``update_mask``
-        has the bit of every tagged PoP and ``owned`` holds one
-        ``(pop_id, bit, near_asn, far_asn)`` row per owned tag.
-        Cached per distinct tuple identity: the tagging memo shares
-        tag tuples across elements, so the cache hit rate tracks the
-        memo's.
+        Returns ``[pair, update_mask, owned, path_ases]`` where
+        ``update_mask`` has the bit of every tagged PoP, ``owned``
+        holds one ``(pop_id, bit, near_asn, far_asn)`` row per owned
+        tag, and ``path_ases`` (the path's ASes past the vantage) is
+        ``None`` until the fold first needs it for a stability
+        candidate.  Cached per pair identity: the tagging memo hands
+        back one object per repeated pair, so the cache hit rate
+        tracks the memo's.
         """
-        cache = self._tags_cols
+        cache = self._cols
         if len(cache) > _COLS_CACHE_MAX:
             cache.clear()
         mask = 0
         owned = []
-        for tag in tags:
+        for tag in pair[1]:
             idx = self._intern_pop(tag.pop)
             bit = 1 << idx
             mask |= bit
             if self.owns(tag.pop):
                 owned.append((idx, bit, tag.near_asn, tag.far_asn))
-        cols = (tags, mask, tuple(owned))
-        cache[id(tags)] = cols
+        cols = [pair, mask, tuple(owned), None]
+        cache[id(pair)] = cols
         return cols
 
     # ------------------------------------------------------------------
@@ -390,19 +397,18 @@ class OutageMonitor:
     def observe_state(self, message: BGPStateMessage) -> None:
         peer = (message.collector, message.peer_asn)
         if message.is_session_loss:
-            self._gapped.add(peer)
+            self._gapped = self._gapped | {peer}
         elif message.is_session_recovery:
-            self._gapped.discard(peer)
+            self._gapped = self._gapped - {peer}
 
     def observe(self, tagged: TaggedPath) -> list[OutageSignal]:
         """Feed one tagged element; returns signals of any closed bins.
 
-        In-bin elements are admitted (feed-gap check at arrival time)
-        and deferred as one-row runs; the grouped fold over the whole
-        bin runs at the close — or earlier, when a query needs
-        divergence, pending or tracking state mid-bin.  The fold
-        replays arrival order, so any flush prefix is state-identical
-        to per-element application.
+        In-bin elements defer as one-row runs with the current feed-gap
+        set; the grouped fold over the whole bin runs at the close — or
+        earlier, when a query needs divergence, pending or tracking
+        state mid-bin.  The fold replays arrival order, so any flush
+        prefix is state-identical to per-element application.
         """
         signals: list[OutageSignal] = []
         if self._bin_start is None:
@@ -412,9 +418,7 @@ class OutageMonitor:
             signals = self.close_bin()
             if tagged.time >= self._bin_start + width:
                 self._cross_empty_bins(tagged.time)
-        key = tagged.key
-        if (key[0], key[1]) not in self._gapped:
-            self._events.append(TaggedRun.of(tagged))
+        self._events.append(TaggedRun.of(tagged, self._gapped))
         return signals
 
     def _flush_events(self) -> None:
@@ -503,12 +507,12 @@ class OutageMonitor:
         """Fold deferred :class:`TaggedRun` spans in arrival order.
 
         The columnar hot loop: per row it costs one intern lookup for
-        the key, one list index for the tag columns, and a handful of
-        dense-list reads and bitmask tests.  The object structures
-        (``_pending`` entries, divergence/tracking sets) are only
-        touched when a mask test says the row changes state.  The
-        feed-gap admission check already ran at arrival time (see
-        :meth:`observe`).
+        the key, one identity-keyed lookup for the pair's derived
+        columns, and a handful of dense-list reads and bitmask tests.
+        The object structures (``_pending`` entries, divergence/tracking
+        sets) are only touched when a mask test says the row changes
+        state.  A row whose peer is in its run's feed-gap snapshot is
+        not admitted (see :class:`TaggedRun`).
 
         Each row makes the same transition it would alone — divergence
         against the baseline mask, return tracking, withdrawal-resets,
@@ -518,13 +522,12 @@ class OutageMonitor:
         dicts and sets, and ``TestFoldOracle`` holds this loop to it.
         """
         key_ids_get = self._key_ids.get
-        intern_key = self._intern_key
+        intern_new_key = self._intern_new_key
         base_mask = self._base_mask
         pend_mask = self._pend_mask
         track_mask = self._track_mask
-        tags_cols_get = self._tags_cols.get
-        tag_cols = self._tag_cols
-        path_cache = self._path_ases
+        cols_get = self._cols.get
+        pair_cols = self._pair_cols
         pending = self._pending
         heap = self._pending_heap
         heappush = heapq.heappush
@@ -536,64 +539,56 @@ class OutageMonitor:
         shift = _POP_SHIFT
         skipped = 0
         for run in runs:
-            # Sweep the run's columns in place.  The tables hold the
-            # tagging memo's tuples: identical values share objects
-            # across batches, keeping the id()-keyed caches hot.
             view = run.view
             start = run.start
             stop = run.stop
-            paths = view.paths
-            tagsets = view.tagsets
-            # The per-view cols table replaces the per-row id()-keyed
-            # cache probe with a list index: tag-set table entries
-            # repeat across rows, so each distinct entry resolves its
-            # derived columns once per view.  One monitor folds a given
-            # view, so the table is that monitor's (derived columns
-            # embed its share filter).
-            cols_tab = view.cols
-            if cols_tab is None:
-                cols_tab = view.cols = [None] * len(tagsets)
-            for key, when, elem, path_idx, tags_idx in zip(
+            gapped = run.gapped
+            for key, when, elem, pair in zip(
                 view.t_key[start:stop],
                 view.t_time[start:stop],
                 view.t_elem[start:stop],
-                view.t_path[start:stop],
-                view.t_tags[start:stop],
+                view.t_pair[start:stop],
             ):
-                is_withdrawal = elem is withdrawal
-                cols = cols_tab[tags_idx]
-                if cols is None:
-                    tags = tagsets[tags_idx]
-                    cols = tags_cols_get(id(tags))
+                if gapped and (key[0], key[1]) in gapped:
+                    continue  # feed gap: absence of data, not a change
+                if elem is withdrawal:
+                    # A withdrawal is an announcement that tags no PoP:
+                    # every baseline bit diverges, every candidacy resets.
+                    update_mask = 0
+                    owned = ()
+                else:
+                    cols = cols_get(id(pair))
                     if cols is None:
-                        cols = tag_cols(tags)
-                    cols_tab[tags_idx] = cols
-                update_mask = cols[1]
+                        cols = pair_cols(pair)
+                    update_mask = cols[1]
+                    owned = cols[2]
                 key_idx = key_ids_get(key)
                 if key_idx is None:
-                    key_idx = intern_key(key)
+                    # A first-seen key has no state, so a row that tags
+                    # no PoP is a steady-state skip (below) and needs no
+                    # intern.
+                    if not update_mask:
+                        skipped += 1
+                        continue
+                    key_idx = intern_new_key(key)
                 kmask = base_mask[key_idx]
                 tmask = track_mask[key_idx]
                 pmask = pend_mask[key_idx]
-                # Steady-state fast path: the row changes nothing.  An
-                # announcement whose tags split exactly into baseline
-                # bits (no divergence, no candidacy reset) and
-                # already-pending bits (since keeps its first-seen
-                # time) is a no-op, as is a withdrawal of a key with no
-                # state at all.  This is the bulk of a stable stream:
-                # re-announcements of pending candidates and of
-                # baseline paths.
-                if not tmask:
-                    if is_withdrawal:
-                        if not kmask and not pmask:
-                            skipped += 1
-                            continue
-                    elif (kmask | pmask) == update_mask and not (kmask & pmask):
-                        skipped += 1
-                        continue
+                # Steady-state fast path: the row changes nothing.  A row
+                # whose tags split exactly into baseline bits (no
+                # divergence, no candidacy reset) and already-pending
+                # bits (since keeps its first-seen time) is a no-op —
+                # for a withdrawal, one of a key with no state at all.
+                # This is the bulk of a stable stream: re-announcements
+                # of pending candidates and of baseline paths.
+                if not tmask and (kmask | pmask) == update_mask and not (
+                    kmask & pmask
+                ):
+                    skipped += 1
+                    continue
                 if kmask:
                     # Divergence check against the baseline.
-                    div = kmask if is_withdrawal else kmask & ~update_mask
+                    div = kmask & ~update_mask
                     while div:
                         bit = div & -div
                         div ^= bit
@@ -608,22 +603,12 @@ class OutageMonitor:
                     bit = tmask & -tmask
                     tmask ^= bit
                     track = tracking[pops[bit.bit_length() - 1]]
-                    if not is_withdrawal and update_mask & bit:
+                    if update_mask & bit:
                         track.returned.add(key)
                     else:
                         track.returned.discard(key)
-                if is_withdrawal:
-                    # Stability candidates of a withdrawn key all reset.
-                    if pmask:
-                        packed_key = key_idx << shift
-                        while pmask:
-                            bit = pmask & -pmask
-                            pmask ^= bit
-                            del pending[packed_key | (bit.bit_length() - 1)]
-                        pend_mask[key_idx] = 0
-                    continue
                 new_mask = pmask
-                for pop_idx, bit, near_asn, far_asn in cols[2]:
+                for pop_idx, bit, near_asn, far_asn in owned:
                     if kmask & bit:
                         # Already in the baseline: candidacy resets.
                         if new_mask & bit:
@@ -631,15 +616,9 @@ class OutageMonitor:
                             new_mask &= ~bit
                         continue
                     if not (new_mask & bit):
-                        path = paths[path_idx]
-                        cached = path_cache.get(id(path))
-                        if cached is None:
-                            if len(path_cache) > _COLS_CACHE_MAX:
-                                path_cache.clear()
-                            ases = frozenset(path[1:])
-                            path_cache[id(path)] = (path, ases)
-                        else:
-                            ases = cached[1]
+                        ases = cols[3]
+                        if ases is None:
+                            ases = cols[3] = frozenset(pair[0][1:])
                         packed = key_idx << shift | pop_idx
                         pending[packed] = (near_asn, far_asn, when, ases)
                         counter += 1
@@ -959,8 +938,7 @@ class OutageMonitor:
 
         self._events.clear()
         self._reset()
-        self._gapped.clear()
-        self._gapped.update((c, p) for c, p in state["gapped"])
+        self._gapped = frozenset((c, p) for c, p in state["gapped"])
         for pop_json, entries in state["baseline"]:
             pop = pop_from_json(pop_json)
             if not self.owns(pop):

@@ -47,6 +47,7 @@ Conventions:
 
 from __future__ import annotations
 
+import re
 from typing import Any
 
 from repro.bgp.communities import (
@@ -61,7 +62,7 @@ from repro.bgp.messages import (
 )
 from repro.core.dataplane import ValidationOutcome
 from repro.core.events import OutageRecord, OutageSignal, SignalType
-from repro.core.input import PathKey, TaggedPath
+from repro.core.input import WITHDRAWN, PathKey, TaggedPath
 from repro.core.signals import SignalClassification
 from repro.docmine.dictionary import PoP, PoPKind
 
@@ -685,20 +686,23 @@ def wires_to_batch(wires: list) -> tuple:
 # The tagged batch: tagger to monitor, in one process
 # ----------------------------------------------------------------------
 _PAIR_MISS = object()
+#: A maximal run of one kind code in ``TaggedBatch.kinds``.
+_SAME_KIND_RUN = re.compile(rb"(.)\1*", re.DOTALL)
 
 
 class TaggedBatch:
     """One in-process tagged batch: what a tagger hands the monitor.
 
-    Both taggers build one row by row through :meth:`add_tagged` /
-    :meth:`add_state` (and :meth:`slots_of` for memo results).  Tagged
-    rows (``_K_TAGGED``, ``_K_PRIMED``) are parallel columns — key
-    tuples, times, ``ElemType`` members, afis — plus slots into a path
-    table and a tag-set table that hold the tagging memo's own tuples,
-    shared across rows and batches; slot 0 of both is the empty path /
-    tag set that withdrawals point at.  State rows (``_K_STATE``) hold
-    the ``BGPStateMessage`` itself.  The batch never leaves the process
-    that tagged it, so nothing in it needs to be marshal-safe.
+    Both taggers build one row by row.  Tagged rows (``_K_TAGGED``,
+    ``_K_PRIMED``) are parallel columns — key tuples, times,
+    ``ElemType`` members, afis — plus ``t_pair``: the tagging memo's own
+    ``(clean path, tags)`` result object, shared across rows and
+    batches for a repeated ``(path, communities)`` pair; every
+    withdrawal row holds the one empty pair ``((), ())``.  The monitor
+    keys its derived columns on that object's identity.  State rows
+    (``_K_STATE``) hold the ``BGPStateMessage`` itself.  The batch never
+    leaves the process that tagged it, so nothing in it needs to be
+    marshal-safe.
 
     :func:`tagged_view` groups the rows into maximal same-kind *runs*
     so the monitor's fold sweeps whole column spans; only the rare rows
@@ -707,9 +711,8 @@ class TaggedBatch:
     """
 
     __slots__ = (
-        "kinds", "t_key", "t_time", "t_elem", "t_path", "t_tags", "t_afi",
-        "states", "paths", "tagsets", "pair_ids", "keepalive", "runs",
-        "_run_pos", "cols",
+        "kinds", "t_key", "t_time", "t_elem", "t_pair", "t_afi", "states",
+        "runs", "_run_pos",
     )
 
     def __init__(self) -> None:
@@ -717,51 +720,23 @@ class TaggedBatch:
         self.t_key: list = []
         self.t_time: list = []
         self.t_elem: list = []
-        self.t_path: list = []
-        self.t_tags: list = []
+        self.t_pair: list = []
         self.t_afi: list = []
         self.states: list = []
-        self.paths: list = [()]
-        self.tagsets: list = [()]
-        #: id(memo result) -> (path slot, tag-set slot).  The memo hands
-        #: back the same (path, tags) pair object for repeated lookups,
-        #: so repeats resolve both slots with one probe; new pairs
-        #: append without value dedup (hashing tag-set tuples is pure
-        #: overhead for a batch that never leaves the process).
-        self.pair_ids: dict = {}
-        #: memo results registered by id() stay alive for the batch — a
-        #: memo rotation mid-batch could free one and recycle its id.
-        self.keepalive: list = []
         #: ``(kind, slot_start, slot_stop, fam_start)`` runs, built by
         #: :func:`tagged_view`.
         self.runs: list = []
         self._run_pos = 0
-        #: consumer-owned per-tag-set cache (see ``OutageMonitor``).
-        self.cols = None
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def slots_of(self, cached: tuple) -> tuple[int, int]:
-        """Table slots of a memo result ``(clean path, tags)``."""
-        pair = self.pair_ids.get(id(cached))
-        if pair is None:
-            pair = (len(self.paths), len(self.tagsets))
-            self.paths.append(cached[0])
-            self.tagsets.append(cached[1])
-            self.pair_ids[id(cached)] = pair
-            self.keepalive.append(cached)
-        return pair
 
     def add_tagged(self, kind: int, key, time_, elem, path, tags, afi) -> None:
         self.kinds.append(kind)
         self.t_key.append(key)
         self.t_time.append(time_)
         self.t_elem.append(elem)
-        self.t_path.append(len(self.paths))
-        self.paths.append(path)
-        self.t_tags.append(len(self.tagsets))
-        self.tagsets.append(tags)
+        self.t_pair.append((path, tags))
         self.t_afi.append(afi)
 
     def add_state(self, message: BGPStateMessage) -> None:
@@ -790,8 +765,7 @@ class TaggedBatch:
         fields["key"] = self.t_key[fam]
         fields["time"] = self.t_time[fam]
         fields["elem_type"] = self.t_elem[fam]
-        fields["as_path"] = self.paths[self.t_path[fam]]
-        fields["tags"] = self.tagsets[self.t_tags[fam]]
+        fields["as_path"], fields["tags"] = self.t_pair[fam]
         fields["afi"] = self.t_afi[fam]
         return tagged
 
@@ -803,13 +777,13 @@ def tag_wire_batch(input_module, batch: tuple) -> TaggedBatch:
     with the intermediate objects elided: update rows never
     materialise a ``BGPUpdate``, and the community→PoP derivation is
     driven entirely by the batch's ``(path_idx, comm_idx)`` columns.
-    A per-batch pair cache maps each distinct id pair to its output
-    table slots (or a discard), so the first occurrence pays one memo
-    probe against ``input_module`` — the same two-generation memo the
-    scalar path uses, keyed on the very tuples sitting in the tables —
-    and every repeat is one dict hit.  Counters fold into the module's
-    totals exactly as the scalar path would have counted them (the
-    pair cache is dropped when the memo rotates mid-batch).
+    A per-batch pair cache maps each distinct id pair to its memo
+    result (or ``None``, a discard), so the first occurrence pays one
+    memo probe against ``input_module`` — the same two-generation memo
+    the scalar path uses, keyed on the very tuples sitting in the
+    tables — and every repeat is one dict hit.  Counters fold into the
+    module's totals exactly as the scalar path would have counted them
+    (the pair cache is dropped when the memo rotates mid-batch).
 
     Priming rows tag into ``_K_PRIMED`` rows (withdrawn and tagless ones
     end here, as in ``TaggingStage.feed``) and state rows pass through.
@@ -825,15 +799,13 @@ def tag_wire_batch(input_module, batch: tuple) -> TaggedBatch:
     t_key_append = out.t_key.append
     t_time_append = out.t_time.append
     t_elem_append = out.t_elem.append
-    t_path_append = out.t_path.append
-    t_tags_append = out.t_tags.append
+    t_pair_append = out.t_pair.append
     t_afi_append = out.t_afi.append
     add_state = out.add_state
-    tagsets = out.tagsets
-    slots_of = out.slots_of
     elem_types = _ELEM_TYPES
     withdrawal_value = _W_VALUE
     withdrawal = ElemType.WITHDRAWAL
+    withdrawn = WITHDRAWN
     pair_cache: dict = {}
     pair_get = pair_cache.get
     pair_miss = _PAIR_MISS
@@ -856,8 +828,7 @@ def tag_wire_batch(input_module, batch: tuple) -> TaggedBatch:
             t_key_append((coll, peer, pfx))
             t_time_append(time_)
             t_elem_append(withdrawal)
-            t_path_append(0)
-            t_tags_append(0)
+            t_pair_append(withdrawn)
             t_afi_append(afi)
             continue
         pair = pair_get((pi, ci), pair_miss)
@@ -865,31 +836,29 @@ def tag_wire_batch(input_module, batch: tuple) -> TaggedBatch:
             hits += 1
         else:
             memo_key = (path_tab[pi], comm_tab[ci])
-            cached = memo_get(memo_key, pair_miss)
-            if cached is not pair_miss:
+            pair = memo_get(memo_key, pair_miss)
+            if pair is not pair_miss:
                 hits += 1
             else:
-                cached = memo_miss(memo_key)
+                pair = memo_miss(memo_key)
                 if input_module.memo_rotations != rotations:
                     # Cached pairs aged into the old generation, where
                     # the scalar path would promote them on their next
                     # use: send them back to the memo.
                     rotations = input_module.memo_rotations
                     pair_cache.clear()
-            pair = None if cached is None else slots_of(cached)
             pair_cache[(pi, ci)] = pair
         if pair is None:
             discarded += 1
             continue
         parsed += 1
-        if kind == _K_PRIMING and not tagsets[pair[1]]:
+        if kind == _K_PRIMING and not pair[1]:
             continue  # tagless priming path: no baseline to seed
         append_kind(_K_TAGGED if kind == _K_UPDATE else _K_PRIMED)
         t_key_append((coll, peer, pfx))
         t_time_append(time_)
         t_elem_append(elem_types[elem])
-        t_path_append(pair[0])
-        t_tags_append(pair[1])
+        t_pair_append(pair)
         t_afi_append(afi)
     input_module.parsed_count += parsed
     input_module.memo_hits += hits
@@ -902,9 +871,9 @@ def tag_elements_to_wire(input_module, elements) -> TaggedBatch:
 
     The fusion of ``TaggingStage.feed`` per element and the batch's row
     appenders: one pass over the elements that probes the tagging memo
-    per ``(as_path, communities)`` pair and appends the result directly
-    to the tag columns — no ``TaggedPath`` is ever materialised.  A
-    ``PrimingUpdate`` takes the update arm into a ``_K_PRIMED`` row
+    per ``(as_path, communities)`` pair and appends the memo result
+    itself as the row's pair — no ``TaggedPath`` is ever materialised.
+    A ``PrimingUpdate`` takes the update arm into a ``_K_PRIMED`` row
     (withdrawn and tagless ones end here), state messages pass through,
     and counters fold exactly as ``TaggingStage.feed`` counts them.
     Raises ``TypeError`` naming any element type ingest does not admit.
@@ -914,18 +883,16 @@ def tag_elements_to_wire(input_module, elements) -> TaggedBatch:
     t_key_append = out.t_key.append
     t_time_append = out.t_time.append
     t_elem_append = out.t_elem.append
-    t_path_append = out.t_path.append
-    t_tags_append = out.t_tags.append
+    t_pair_append = out.t_pair.append
     t_afi_append = out.t_afi.append
     add_state = out.add_state
-    slots_of = out.slots_of
-    pair_ids_get = out.pair_ids.get
     update_cls = BGPUpdate
     state_cls = BGPStateMessage
     priming_cls = _priming_cls()
     tagged_kind = _K_TAGGED
     primed_kind = _K_PRIMED
     withdrawal = ElemType.WITHDRAWAL
+    withdrawn = WITHDRAWN
     memo_get = input_module.memo_probe
     memo_miss = input_module.memo_miss
     miss = _PAIR_MISS
@@ -954,8 +921,7 @@ def tag_elements_to_wire(input_module, elements) -> TaggedBatch:
             )
             t_time_append(element.time)
             t_elem_append(elem_type)
-            t_path_append(0)
-            t_tags_append(0)
+            t_pair_append(withdrawn)
             t_afi_append(element.afi)
             continue
         communities = element.communities
@@ -971,16 +937,16 @@ def tag_elements_to_wire(input_module, elements) -> TaggedBatch:
                 flat.append(community.asn)
                 flat.append(community.value)
             memo_key = (element.as_path, tuple(flat))
-        cached = memo_get(memo_key, miss)
-        if cached is not miss:
+        pair = memo_get(memo_key, miss)
+        if pair is not miss:
             hits += 1
         else:
-            cached = memo_miss(memo_key, communities)
-        if cached is None:
+            pair = memo_miss(memo_key, communities)
+        if pair is None:
             discarded += 1
             continue
         parsed += 1
-        if kind == primed_kind and not cached[1]:
+        if kind == primed_kind and not pair[1]:
             continue  # tagless priming path: no baseline to seed
         append_kind(kind)
         t_key_append(
@@ -988,11 +954,7 @@ def tag_elements_to_wire(input_module, elements) -> TaggedBatch:
         )
         t_time_append(element.time)
         t_elem_append(elem_type)
-        pair = pair_ids_get(id(cached))
-        if pair is None:
-            pair = slots_of(cached)
-        t_path_append(pair[0])
-        t_tags_append(pair[1])
+        t_pair_append(pair)
         t_afi_append(element.afi)
     input_module.parsed_count += parsed
     input_module.memo_hits += hits
@@ -1003,10 +965,10 @@ def tag_elements_to_wire(input_module, elements) -> TaggedBatch:
 def tagged_view(batch: TaggedBatch) -> TaggedBatch:
     """Group a :class:`TaggedBatch`'s rows into runs for the monitor.
 
-    Returns the batch itself with ``runs`` built and the consumer cache
-    reset.  Fails closed with ``ValueError`` on anything that is not a
-    tagged batch — above all a raw columnar batch, whose update rows
-    were never tagged.
+    Returns the batch itself with ``runs`` built (one C-speed regex
+    sweep over ``kinds``).  Fails closed with ``ValueError`` on anything
+    that is not a tagged batch — above all a raw columnar batch, whose
+    update rows were never tagged.
     """
     if type(batch) is not TaggedBatch:
         raise ValueError(
@@ -1014,15 +976,11 @@ def tagged_view(batch: TaggedBatch) -> TaggedBatch:
             " tag_elements_to_wire or tag_wire_batch before the monitor"
         )
     kinds = batch.kinds
-    n = len(kinds)
     runs: list = []
     t_at = s_at = 0
-    i = 0
-    while i < n:
+    for match in _SAME_KIND_RUN.finditer(kinds):
+        i, j = match.span()
         kind = kinds[i]
-        j = i + 1
-        while j < n and kinds[j] == kind:
-            j += 1
         if kind == _K_STATE:
             fam = s_at
             s_at += j - i
@@ -1030,8 +988,6 @@ def tagged_view(batch: TaggedBatch) -> TaggedBatch:
             fam = t_at
             t_at += j - i
         runs.append((kind, i, j, fam))
-        i = j
     batch.runs = runs
     batch._run_pos = 0
-    batch.cols = None
     return batch

@@ -4,14 +4,15 @@ Wraps :class:`repro.core.monitor.OutageMonitor`.  Tagged rows reach it
 one way: as a column view over a tagged batch
 (:meth:`BinningMonitorStage.feed_wire_run`), whose in-bin runs defer
 into the monitor's fold as :class:`~repro.core.monitor.TaggedRun`
-spans.  Tagged rows advance the 60-second binning clock; whenever one
-or more bins close, their per-AS signals are emitted as one
+spans, each with the feed-gap set current at its deferral.  Tagged
+rows advance the 60-second binning clock; whenever one or more bins
+close, their per-AS signals are emitted as one
 :class:`~repro.pipeline.events.SignalBatch`, followed by a
 :class:`~repro.pipeline.events.BinAdvanced` marker so downstream
 lifecycle stages re-evaluate open outages — the exact order the
-monolithic detector used.  State messages update the feed-gap set and
-emit nothing.  :meth:`BinningMonitorStage.feed` takes one element: the
-bin-closing row of a view, and every element of a chain without a
+monolithic detector used.  State messages replace the feed-gap set
+and emit nothing.  :meth:`BinningMonitorStage.feed` takes one element:
+the bin-closing row of a view, and every element of a chain without a
 tagging stage in front.
 
 Each bin-closing call also records one gauge sample (latency, baseline
@@ -121,16 +122,16 @@ class BinningMonitorStage(PassthroughStage):
         Stops at the first slot that produces output (a bin-closing
         row) so emitted batches clear the chain before the monitor
         advances.  In-bin tagged rows defer as
-        :class:`~repro.core.monitor.TaggedRun` column spans — the
-        common whole-run case is one ``max()`` over the time column
-        plus one append, and no row materialises an object.  The
-        bin-closing row enters through :meth:`feed` (which closes the
-        bin and defers the row as a one-row run) so the per-bin
-        metering lives in one place.  Returns ``(outputs, next_slot)``.
+        :class:`~repro.core.monitor.TaggedRun` column spans that carry
+        the monitor's current feed-gap set — the common whole-run case
+        is one ``max()`` over the time column plus one append, and no
+        row materialises an object.  The bin-closing row enters
+        through :meth:`feed` (which closes the bin and defers the row
+        as a one-row run) so the per-bin metering lives in one place.
+        Returns ``(outputs, next_slot)``.
         """
         monitor = self.monitor
         defer = monitor._events.append
-        gapped = monitor._gapped
         bin_start = monitor._bin_start
         width = monitor.params.bin_interval_s
         limit = None if bin_start is None else bin_start + width
@@ -147,35 +148,20 @@ class BinningMonitorStage(PassthroughStage):
                     bin_start = monitor._bin_floor(t_time[f0])
                     monitor._bin_start = bin_start
                     limit = bin_start + width
-                if not gapped and max(t_time[f0:f1]) < limit:
-                    # Whole remaining run is in-bin and admitted: one
-                    # deferral covers it (order inside the run is the
-                    # arrival order; no row can close the bin).
-                    defer(run_cls(view, f0, f1))
+                if max(t_time[f0:f1]) < limit:
+                    # Whole remaining run is in-bin: one deferral covers
+                    # it (order inside the run is the arrival order).
+                    defer(run_cls(view, f0, f1, monitor._gapped))
                     slot = run_stop
                     continue
-                t_key = view.t_key
-                seg = f0
-                for f in range(f0, f1):
-                    if t_time[f] >= limit:
-                        # Bin close: the per-element path does the
-                        # metrics bookkeeping; stop so outputs cascade.
-                        if seg < f:
-                            defer(run_cls(view, seg, f))
-                        return (
-                            self.feed(view.tagged_at(f)),
-                            slot + (f - f0) + 1,
-                        )
-                    if gapped:
-                        key = t_key[f]
-                        if (key[0], key[1]) in gapped:
-                            if seg < f:
-                                defer(run_cls(view, seg, f))
-                            seg = f + 1
-                if seg < f1:
-                    defer(run_cls(view, seg, f1))
-                slot = run_stop
-                continue
+                f = f0
+                while t_time[f] < limit:
+                    f += 1
+                # Bin close: the per-element path does the metrics
+                # bookkeeping; stop so outputs cascade.
+                if f0 < f:
+                    defer(run_cls(view, f0, f, monitor._gapped))
+                return self.feed(view.tagged_at(f)), slot + (f - f0) + 1
             if kind == _K_PRIMED:
                 tagged_at = view.tagged_at
                 for f in range(f0, f1):

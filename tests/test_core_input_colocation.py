@@ -310,6 +310,72 @@ class TestMemoEntryPoints:
             assert mod.memo_evictions == scalar.memo_evictions
 
 
+_TAGGERS = (
+    tag_elements_to_wire,
+    lambda mod, chunk: tag_wire_batch(mod, encode_batch(chunk)),
+)
+
+
+@pytest.mark.parametrize("tagger", _TAGGERS, ids=["objects", "wire_batch"])
+class TestPairIdentity:
+    """Each tagged row carries the memo's ``(clean path, tags)`` result
+    object as ``t_pair``: the monitor keys its derived columns on that
+    object's identity."""
+
+    def test_repeated_pair_is_one_object_across_batches(self, tagger):
+        mod = InputModule(make_dictionary(), make_colo())
+        fac = [Community(10, 101)]
+        first = tagger(mod, [update((1, 10, 30), fac, prefix="10.0.1.0/24")])
+        second = tagger(
+            mod,
+            [
+                update((2, 10, 30), fac),
+                update((1, 10, 30), fac, time=1.0, prefix="10.0.2.0/24"),
+                update((1, 10, 30), fac, time=2.0, prefix="10.0.3.0/24"),
+            ],
+        )
+        pair = first.t_pair[0]
+        assert pair == ((1, 10, 30), mod.process(update((1, 10, 30), fac)).tags)
+        assert second.t_pair[1] is pair and second.t_pair[2] is pair
+        assert second.t_pair[0] is not pair
+
+    def test_withdrawals_share_one_empty_pair(self, tagger):
+        mod = InputModule(make_dictionary(), make_colo())
+        chunks = (
+            [
+                update((), [], withdraw=True, prefix=f"10.0.{i}.0/24")
+                for i in range(3)
+            ],
+            [
+                update((1, 10, 30), [Community(10, 101)]),
+                update((), [], withdraw=True, time=1.0),
+            ],
+        )
+        withdrawn = []
+        for chunk in chunks:
+            batch = tagger(mod, chunk)
+            withdrawn.extend(
+                pair
+                for pair, elem in zip(batch.t_pair, batch.t_elem)
+                if elem is ElemType.WITHDRAWAL
+            )
+        assert len(withdrawn) == 4
+        assert withdrawn[0] == ((), ())
+        assert all(pair is withdrawn[0] for pair in withdrawn)
+
+    def test_pairs_equal_by_value_after_a_mid_batch_rotation(self, tagger):
+        stream = _memo_stream()
+        mod = InputModule(make_dictionary(), make_colo(), memo_max=8)
+        batch = tagger(mod, stream)
+        # The batch rotated the memo many times over.
+        assert mod.memo_rotations > 10
+        unrotated = InputModule(make_dictionary(), make_colo())
+        reference = [row for _, row in _via_process(unrotated, stream)]
+        assert len(batch.t_pair) == len(reference)
+        for pair, row in zip(batch.t_pair, reference):
+            assert pair == (row.as_path, row.tags)
+
+
 class _CountingPath(tuple):
     """An AS path that counts how often it is hashed."""
 

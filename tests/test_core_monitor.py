@@ -623,6 +623,26 @@ def fold_row(index, time, tags=None, path=None, withdraw=False):
     )
 
 
+def feed_in_bin_batch(stage, elements):
+    """Feed tagged rows and state messages to a monitoring stage as one
+    tagged batch, built with the batch's own row appenders; no row may
+    close a bin."""
+    batch = TaggedBatch()
+    for element in elements:
+        if isinstance(element, TaggedPath):
+            batch.add_tagged(
+                _K_TAGGED, element.key, element.time, element.elem_type,
+                element.as_path, element.tags, element.afi,
+            )
+        else:
+            batch.add_state(element)
+    view = stage.prepare_wire(batch)
+    slot = 0
+    while slot < len(view):
+        outs, slot = stage.feed_wire_run(view, slot)
+        assert outs == []
+
+
 @pytest.mark.parametrize("share", [None, (1, 3)], ids=["full", "share1of3"])
 class TestFoldOracle:
     """One bin of random rows folded by the monitor and by
@@ -662,24 +682,9 @@ class TestFoldOracle:
             assert {s: doc[s] for s in sections} == oracle.sections()
 
         def feed_queued():
-            if not queued:
-                return
-            batch = TaggedBatch()
-            for element in queued:
-                if isinstance(element, TaggedPath):
-                    batch.add_tagged(
-                        _K_TAGGED, element.key, element.time,
-                        element.elem_type, element.as_path, element.tags,
-                        element.afi,
-                    )
-                else:
-                    batch.add_state(element)
-            queued.clear()
-            view = stage.prepare_wire(batch)
-            slot = 0
-            while slot < len(view):
-                outs, slot = stage.feed_wire_run(view, slot)
-                assert outs == []
+            if queued:
+                feed_in_bin_batch(stage, queued)
+                queued.clear()
 
         for index, ((op, subject, tags, path), via_observe, cut) in enumerate(
             steps
@@ -717,3 +722,68 @@ class TestFoldOracle:
         feed_queued()
         check()
         assert monitor.bins_processed == 0
+
+
+GAP_PEER = ("rrc00", 100)
+
+
+@pytest.mark.parametrize("lane", ["batch", "observe"])
+class TestGapSnapshot:
+    """A deferred run carries the feed-gap set of its deferral.
+
+    The fold runs at bin close, after any state message later in the
+    bin, so the set a row is admitted against must be the one current
+    when it arrived.  Both lanes the monitor takes rows on are checked:
+    tagged batches through ``feed_wire_run`` and ``observe``.
+    """
+
+    @staticmethod
+    def _feed(monitor, lane, elements):
+        if lane == "batch":
+            feed_in_bin_batch(BinningMonitorStage(monitor), elements)
+            return
+        for element in elements:
+            if isinstance(element, BGPStateMessage):
+                monitor.observe_state(element)
+            else:
+                assert monitor.observe(element) == []
+
+    def test_row_deferred_in_a_gap_stays_out_after_recovery(self, lane):
+        monitor = primed_monitor(10)
+        self._feed(
+            monitor,
+            lane,
+            [
+                session_message(5.0, GAP_PEER, loss=True),
+                tagged(key(0), time=10.0, withdraw=True),
+                tagged(key(20), time=11.0),
+                # Recovery lands in the same bin, before the fold runs.
+                session_message(20.0, GAP_PEER, loss=False),
+            ],
+        )
+        assert monitor._events  # nothing folded yet
+        assert monitor.close_bin() == []
+        assert monitor.last_diverted == {}
+        assert monitor.baseline_size(POP_F) == 10
+        assert monitor.pending_count == 0
+
+    def test_row_deferred_before_a_loss_is_folded(self, lane):
+        monitor = primed_monitor(10)
+        self._feed(
+            monitor,
+            lane,
+            [
+                tagged(key(0), time=10.0, withdraw=True),
+                tagged(key(20), time=11.0),
+                session_message(20.0, GAP_PEER, loss=True),
+            ],
+        )
+        assert monitor._events  # nothing folded yet
+        doc = monitor.state_dict()
+        assert doc["diverted"] == [
+            [["facility", "f1"], [["rrc00", 100, "10.0.0.0/24"]]]
+        ]
+        assert [entry[1] for entry in doc["pending"]] == [
+            ["rrc00", 100, "10.0.20.0/24"]
+        ]
+        assert doc["gapped"] == [["rrc00", 100]]
