@@ -18,6 +18,7 @@ tenants can be located through dictionary communities.
 from __future__ import annotations
 
 import re
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 
 from repro.topology.sources import ColocationRecord, IXPRecord
@@ -31,6 +32,8 @@ def _normalize_tokens(text: str) -> tuple[str, ...]:
 #: Minimum community-locatable members for trackability: 3 near-end +
 #: 3 far-end disjoint ASes (Section 5.2).
 MIN_TRACKABLE_MEMBERS = 6
+#: What :meth:`ColocationMap.ixp_member_view` returns for an unknown IXP.
+_NO_MEMBERS: frozenset[int] = frozenset()
 
 
 @dataclass
@@ -107,6 +110,12 @@ class ColocationMap:
     def ixp_members(self, map_id: str) -> set[int]:
         ixp = self.ixps.get(map_id)
         return set(ixp.members) if ixp else set()
+
+    def ixp_member_view(self, map_id: str) -> AbstractSet[int]:
+        """The IXP's member set itself, not a copy: for membership tests
+        on hot paths.  Callers must not mutate it."""
+        ixp = self.ixps.get(map_id)
+        return ixp.members if ixp else _NO_MEMBERS
 
     def common_facilities(self, asn_a: int, asn_b: int) -> set[str]:
         return self.facilities_of_as(asn_a) & self.facilities_of_as(asn_b)

@@ -240,7 +240,7 @@ class InputModule:
 
     def _route_server_tag(self, pop: PoP, path: tuple[int, ...]) -> PoPTag:
         """Attribute a route-server community to the member pair it joins."""
-        members = self.colo.ixp_members(pop.pop_id)
+        members = self.colo.ixp_member_view(pop.pop_id)
         for near, far in zip(path, path[1:]):
             if near in members and far in members:
                 return PoPTag(pop=pop, near_asn=near, far_asn=far)

@@ -134,6 +134,9 @@ _POP_MASK = (1 << _POP_SHIFT) - 1
 #: Cap on the monitor's derived-column cache (one entry per tagged
 #: pair); wholesale clear on overflow — it is a pure cache.
 _COLS_CACHE_MAX = 65536
+#: Late-heap size below which stale entries are left for promotion to
+#: skip.
+_LATE_COMPACT_MIN = 4096
 #: The gap set of a run deferred while no collector session is down.
 _NO_GAP: frozenset = frozenset()
 
@@ -207,8 +210,8 @@ class OutageMonitor:
 
     Owns the bin clock, the feed-gap set, the deferred in-bin event
     buffer and the per-PoP state: baseline, stability candidates
-    (pending heap), per-bin divergences and open-outage return
-    tracking.
+    (which are also the promotion queue), per-bin divergences and
+    open-outage return tracking.
 
     ``share=(w, n)`` is the shard-process worker's ownership filter:
     the monitor then keeps baseline, pending and divergence state only
@@ -283,16 +286,23 @@ class OutageMonitor:
         #: stability candidates: packed (key_id << _POP_SHIFT | pop_id)
         #: -> plain ``(near_asn, far_asn, since, path_ases)`` tuple (the
         #: fold allocates one per candidate; a dataclass would double
-        #: the cost of the hottest allocation in the system).
+        #: the cost of the hottest allocation in the system).  The dict
+        #: is also the promotion queue: a candidate is inserted only
+        #: while absent and a reset deletes it, so on a time-sorted
+        #: stream insertion order is ``since`` order (see
+        #: :meth:`_promote_pending`).
         self._pending: dict[
             int, tuple[int | None, int | None, float, frozenset[int]]
         ] = {}
-        #: promotion queue: (since, tiebreak, packed_id); entries whose
-        #: candidate was reset are invalidated lazily on pop.  The
-        #: tiebreak is a plain int (not itertools.count) so taking a
-        #: checkpoint never mutates the monitor.
-        self._pending_heap: list[tuple[float, int, int]] = []
-        self._heap_counter = 0
+        #: newest ``since`` inserted in order; a candidate older than it
+        #: is *late* and also goes on ``_late``.
+        self._newest = -math.inf
+        #: ``(since, packed)`` min-heap of late candidates, checked
+        #: against the live entry on pop.  Empty on a sorted stream.
+        self._late: list[tuple[float, int]] = []
+        #: lower bound on every in-order candidate's ``since``: a
+        #: promotion threshold below it has no prefix to scan.
+        self._due_floor = -math.inf
         #: derived columns per tagged pair, keyed by id() of the
         #: memo-shared ``(path, tags)`` object (see :meth:`_pair_cols`);
         #: the cached value holds the pair, so a live cache hit is
@@ -393,6 +403,26 @@ class OutageMonitor:
                     tag.pop, tagged.key, tag.near_asn, tag.far_asn,
                     tagged.time, path_ases,
                 )
+
+    def prime_row(self, key: PathKey, time: float, pair: tuple) -> None:
+        """:meth:`prime` for a primed row of a tagged batch.
+
+        The path's AS set comes from the pair's derived columns, so
+        every row and candidate of one memo-shared pair shares it.
+        """
+        if self._events:
+            self._flush_events()
+        cols = self._cols.get(id(pair))
+        if cols is None:
+            cols = self._pair_cols(pair)
+        if not cols[2]:
+            return
+        ases = cols[3]
+        if ases is None:
+            ases = cols[3] = frozenset(pair[0][1:])
+        pops = self._pops
+        for pop_idx, _, near_asn, far_asn in cols[2]:
+            self._install(pops[pop_idx], key, near_asn, far_asn, time, ases)
 
     def observe_state(self, message: BGPStateMessage) -> None:
         peer = (message.collector, message.peer_asn)
@@ -529,9 +559,8 @@ class OutageMonitor:
         cols_get = self._cols.get
         pair_cols = self._pair_cols
         pending = self._pending
-        heap = self._pending_heap
-        heappush = heapq.heappush
-        counter = self._heap_counter
+        late = self._late
+        newest = self._newest
         pops = self._pops
         diverted = self._diverted
         tracking = self._tracking
@@ -621,8 +650,10 @@ class OutageMonitor:
                             ases = cols[3] = frozenset(pair[0][1:])
                         packed = key_idx << shift | pop_idx
                         pending[packed] = (near_asn, far_asn, when, ases)
-                        counter += 1
-                        heappush(heap, (when, counter, packed))
+                        if when < newest:
+                            heapq.heappush(late, (when, packed))
+                        else:
+                            newest = when
                         new_mask |= bit
                 # Tags that disappeared reset their pending candidacy.
                 stale = new_mask & ~update_mask
@@ -635,7 +666,7 @@ class OutageMonitor:
                         del pending[packed_key | (bit.bit_length() - 1)]
                 if new_mask != pmask:
                     pend_mask[key_idx] = new_mask
-        self._heap_counter = counter
+        self._newest = newest
         self.skipped_steady_state += skipped
 
     # ------------------------------------------------------------------
@@ -744,7 +775,8 @@ class OutageMonitor:
 
         Right after :meth:`close_bin` nothing is deferred or diverted:
         stepping would emit nothing, empty ``last_diverted`` and promote
-        in heap order up to the last bin end, as one promote call does.
+        every candidate due by the last bin end, as one promote call
+        does.
         """
         self._bin_start, crossed = cross_bins(
             self._bin_start, self.params.bin_interval_s, until
@@ -754,34 +786,54 @@ class OutageMonitor:
         self.bins_processed += crossed
 
     def _promote_pending(self, now: float) -> None:
-        # The heap yields candidates in first-seen order; entries whose
-        # candidacy was reset since their push are skipped (their stored
-        # ``since`` no longer matches the live entry).  Sustained
-        # announce/withdraw churn leaves stale tuples behind faster
-        # than promotion drains them, so compact when they dominate.
-        if len(self._pending_heap) > max(4096, 4 * len(self._pending)):
-            rebuilt = []
-            for packed, entry in self._pending.items():
-                self._heap_counter += 1
-                rebuilt.append((entry[2], self._heap_counter, packed))
-            heapq.heapify(rebuilt)
-            self._pending_heap = rebuilt
+        """Install every candidate first seen at or before ``now - W``.
+
+        In-order candidates sit in ``_pending`` in ``since`` order, so
+        the due ones are a prefix of it; a late candidate may sit behind
+        one that is not due yet, and ``_late`` holds it in ``since``
+        order.  Draining both promotes exactly the due set.  Promotions
+        of distinct (pop, key) pairs commute, so their order is not
+        observable.
+        """
+        pending = self._pending
+        late = self._late
+        if len(late) > max(_LATE_COMPACT_MIN, 2 * len(pending)):
+            # Resets leave stale late entries behind; drop them once
+            # they dominate.
+            late[:] = [
+                item for item in late
+                if (entry := pending.get(item[1])) is not None
+                and entry[2] == item[0]
+            ]
+            heapq.heapify(late)
         threshold = now - self.params.stable_window_s
-        heap = self._pending_heap
-        while heap and heap[0][0] <= threshold:
-            since, _, packed = heapq.heappop(heap)
-            entry = self._pending.get(packed)
-            if entry is None or entry[2] != since:
-                continue
-            del self._pending[packed]
-            self._pend_mask[packed >> _POP_SHIFT] &= ~(
-                1 << (packed & _POP_MASK)
-            )
-            self._install(
-                self._pops[packed & _POP_MASK],
-                self._keys[packed >> _POP_SHIFT],
-                *entry,
-            )
+        if threshold < self._due_floor and not (
+            late and late[0][0] <= threshold
+        ):
+            return
+        due = []
+        floor = self._newest
+        for packed, entry in pending.items():
+            if entry[2] > threshold:
+                floor = entry[2]
+                break
+            due.append(packed)
+        self._due_floor = floor
+        for packed in due:
+            self._promote(packed, pending.pop(packed))
+        while late and late[0][0] <= threshold:
+            since, packed = heapq.heappop(late)
+            entry = pending.get(packed)
+            if entry is not None and entry[2] == since:
+                del pending[packed]
+                self._promote(packed, entry)
+
+    def _promote(self, packed: int, entry: tuple) -> None:
+        """Move a candidate, already out of ``_pending``, into the baseline."""
+        key_idx = packed >> _POP_SHIFT
+        pop_idx = packed & _POP_MASK
+        self._pend_mask[key_idx] &= ~(1 << pop_idx)
+        self._install(self._pops[pop_idx], self._keys[key_idx], *entry)
 
     # ------------------------------------------------------------------
     # Open-outage return tracking (ownership-agnostic)
@@ -865,7 +917,7 @@ class OutageMonitor:
         :func:`merge_monitor_states`, the same document as the full
         monitor, and the two are freely interchangeable on restore.
         Only primary state is stored; the reverse indexes and the
-        promotion heap are rebuilt by :meth:`load_state` (promotion
+        promotion queue are rebuilt by :meth:`load_state` (promotion
         order is re-derived as (since, pop, key), which is
         output-equivalent — installs into different PoPs commute, and
         per-PoP baseline reads are key- or aggregate-based).
@@ -948,24 +1000,23 @@ class OutageMonitor:
                     pop, key_from_json(key_json), near, far, since,
                     frozenset(path_ases),
                 )
-        # Pending entries re-enter the promotion heap in document order
-        # — sorted by (pop, key) — but the heap orders by (since,
-        # arrival), so maturation order is (since, pop, key):
-        # deterministic, and output-equivalent to the live arrival
+        # Pending entries enter the queue in (since, pop, key) order:
+        # the document is sorted by (pop, key) and the sort is stable.
+        # Deterministic, and output-equivalent to the live arrival
         # order (promotions of distinct (pop, key) pairs commute).
-        for pop_json, key_json, (near, far, since, path_ases) in state["pending"]:
+        for pop_json, key_json, (near, far, since, path_ases) in sorted(
+            state["pending"], key=lambda row: row[2][2]
+        ):
             pop = pop_from_json(pop_json)
             if not self.owns(pop):
                 continue
             key_idx = self._intern_key(key_from_json(key_json))
             pop_idx = self._intern_pop(pop)
-            packed = key_idx << _POP_SHIFT | pop_idx
-            self._pending[packed] = (near, far, since, frozenset(path_ases))
-            self._pend_mask[key_idx] |= 1 << pop_idx
-            self._heap_counter += 1
-            heapq.heappush(
-                self._pending_heap, (since, self._heap_counter, packed)
+            self._pending[key_idx << _POP_SHIFT | pop_idx] = (
+                near, far, since, frozenset(path_ases),
             )
+            self._pend_mask[key_idx] |= 1 << pop_idx
+            self._newest = since
         for pop_json, keys in state["diverted"]:
             pop = pop_from_json(pop_json)
             if self.owns(pop):

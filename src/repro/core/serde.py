@@ -705,9 +705,9 @@ class TaggedBatch:
     marshal-safe.
 
     :func:`tagged_view` groups the rows into maximal same-kind *runs*
-    so the monitor's fold sweeps whole column spans; only the rare rows
-    that need the object protocol (bin closers, primed paths) are
-    materialised, one at a time, by :meth:`tagged_at`.
+    so the monitor's fold and its priming lane sweep whole column
+    spans; only the rare rows that need the object protocol (bin
+    closers) are materialised, one at a time, by :meth:`tagged_at`.
     """
 
     __slots__ = (

@@ -163,9 +163,11 @@ class BinningMonitorStage(PassthroughStage):
                     defer(run_cls(view, f0, f, monitor._gapped))
                 return self.feed(view.tagged_at(f)), slot + (f - f0) + 1
             if kind == _K_PRIMED:
-                tagged_at = view.tagged_at
-                for f in range(f0, f1):
-                    monitor.prime(tagged_at(f))
+                prime_row = monitor.prime_row
+                for key, when, pair in zip(
+                    view.t_key[f0:f1], view.t_time[f0:f1], view.t_pair[f0:f1]
+                ):
+                    prime_row(key, when, pair)
                 self.primed += run_stop - slot
                 slot = run_stop
                 continue

@@ -7,22 +7,29 @@ return tracking.  No interning, masks, caches or skip path: each rule
 is one statement.  ``OutageMonitor.apply_events`` is checked against
 it (``tests/test_core_monitor.py::TestFoldOracle``).
 
-The oracle stops at the bin: promotion, bin close and signals are not
-part of it.
+Past the fold it states the promotion slice: what a bin close does to
+the baseline and the candidates (:meth:`FoldOracle.close_bin`,
+:meth:`FoldOracle.promote`).  The per-AS thresholds and signals are
+not part of it.
 """
 
 from __future__ import annotations
 
 from repro.bgp.messages import ElemType
-from repro.core.monitor import partition_of
+from repro.core.monitor import STABLE_WINDOW_S, partition_of
 from repro.core.serde import key_to_json, pop_to_json
 
 
 class FoldOracle:
     """In-bin monitor state of one stream, one rule per statement."""
 
-    def __init__(self, share: tuple[int, int] | None = None) -> None:
+    def __init__(
+        self,
+        share: tuple[int, int] | None = None,
+        stable_window_s: float = STABLE_WINDOW_S,
+    ) -> None:
         self.share = share
+        self.stable_window_s = stable_window_s
         #: pop -> key -> (near, far, since, path ASes)
         self.baseline: dict = {}
         #: (pop, key) -> (near, far, since, path ASes)
@@ -107,6 +114,30 @@ class FoldOracle:
             pk for pk in self.pending if pk[1] == key and pk[0] not in tagged_pops
         ]:
             del self.pending[pop_key]
+
+    # ------------------------------------------------------------------
+    def promote(self, now: float) -> None:
+        """Every candidate seen for the stable window joins the baseline."""
+        for pop, key in [
+            pk for pk, value in self.pending.items()
+            if value[2] <= now - self.stable_window_s
+        ]:
+            self.baseline.setdefault(pop, {})[key] = self.pending.pop((pop, key))
+
+    def close_bin(self, bin_end: float) -> None:
+        """The bin's changed paths leave the baseline ("after each
+        binning interval, we remove the changed paths from the set of
+        stable paths") — except a gapped peer's, whose change is absence
+        of data — then the candidates due at the bin end are promoted."""
+        for pop, keys in self.diverted.items():
+            entries = self.baseline.get(pop, {})
+            for key in keys:
+                if (key[0], key[1]) not in self.gapped:
+                    entries.pop(key, None)
+            if not entries:
+                self.baseline.pop(pop, None)
+        self.diverted.clear()
+        self.promote(bin_end)
 
     # ------------------------------------------------------------------
     def sections(self) -> dict:

@@ -132,6 +132,20 @@ class TestInputModule:
         tag = tagged.tags[0]
         assert tag.near_asn is None and tag.far_asn is None
 
+    def test_route_server_tag_reads_members_without_copying(self, monkeypatch):
+        mod = self._module()
+
+        def copying(self, map_id):
+            raise AssertionError("member set copied on the tagging path")
+
+        monkeypatch.setattr(type(mod.colo), "ixp_members", copying)
+        tagged = mod.process(update((20, 30, 5), [Community(59900, 0)]))
+        assert tagged is not None
+        tag = tagged.tags[0]
+        assert (tag.pop.pop_id, tag.near_asn, tag.far_asn) == ("mix1", 20, 30)
+        assert mod.colo.ixp_member_view("mix1") is mod.colo.ixps["mix1"].members
+        assert not mod.colo.ixp_member_view("no-such-ixp")
+
     def test_withdrawal_passes_through(self):
         mod = self._module()
         tagged = mod.process(update((), [], withdraw=True))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.monitor as monitor_module
 from repro.bgp.messages import BGPStateMessage, ElemType, SessionState
 from repro.core.input import PoPTag, TaggedPath
 from repro.core.monitor import (
@@ -612,9 +613,9 @@ fold_op = st.sampled_from(
 ).flatmap(_fold_op)
 
 
-def fold_row(index, time, tags=None, path=None, withdraw=False):
+def fold_row(index, time, tags=None, path=None, withdraw=False, keys=FOLD_KEYS):
     return TaggedPath(
-        key=FOLD_KEYS[index],
+        key=keys[index],
         time=time,
         elem_type=ElemType.WITHDRAWAL if withdraw else ElemType.ANNOUNCEMENT,
         as_path=path or (),
@@ -787,3 +788,162 @@ class TestGapSnapshot:
             ["rrc00", 100, "10.0.20.0/24"]
         ]
         assert doc["gapped"] == [["rrc00", 100]]
+
+
+# ----------------------------------------------------------------------
+# Promotion: the candidate dict is the queue, checked against the oracle
+# ----------------------------------------------------------------------
+PROMO_KEYS = tuple(clock_key(i) for i in range(8))
+#: Rows over more keys than the fold test, and withdrawals as often as
+#: announcements, so candidacies keep starting over.
+promo_op = st.one_of(
+    st.tuples(
+        st.just("announce"),
+        st.integers(0, len(PROMO_KEYS) - 1),
+        fold_tags,
+        st.sampled_from(FOLD_PATHS),
+    ),
+    st.tuples(
+        st.just("withdraw"), st.integers(0, len(PROMO_KEYS) - 1), st.none(), st.none()
+    ),
+    fold_op,
+)
+#: Row time offsets from the newest row, in bins: equal timestamps, the
+#: same bin, the next bins, a quiet stretch past the window — and
+#: negative ones, which arrive out of order.
+promo_offset = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1.0),
+    st.floats(-2.0, 0.0),
+    st.floats(-0.5, 0.0),
+    st.integers(1, 3).map(float),
+    st.integers(4, 40).map(float),
+)
+
+
+@pytest.mark.parametrize("share", [None, (1, 3)], ids=["full", "share1of3"])
+class TestPromotionOracle:
+    """Random rows through bin closes and empty-bin crossings, with a
+    checkpoint cut: after every close the monitor's baseline and
+    candidates must be the oracle's (``FoldOracle.close_bin`` and
+    ``promote``).  Out-of-order rows make late candidates, which may
+    sit in the queue behind a candidate that is not due yet."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        window_bins=st.sampled_from([0.0, 0.5, 1.0, 2.5, 10.0]),
+        steps=st.lists(st.tuples(promo_op, promo_offset), min_size=20, max_size=60),
+        cut=st.integers(0, 60),
+    )
+    def test_promotion_matches_oracle(self, share, window_bins, steps, cut):
+        width = 60.0
+        params = MonitorParams(
+            bin_interval_s=width, stable_window_s=window_bins * width
+        )
+        monitor = OutageMonitor(params, share=share)
+        oracle = FoldOracle(share, params.stable_window_s)
+        for i in range(3):
+            primed = fold_row(i, 0.0, PRIMED_TAGS, FOLD_PATHS[0])
+            monitor.prime(primed)
+            oracle.prime(primed)
+
+        def check():
+            doc = monitor.state_dict()
+            sections = oracle.sections()
+            assert doc["baseline"] == sections["baseline"]
+            assert doc["pending"] == sections["pending"]
+
+        newest = 0.0
+        for index, ((op, subject, tags, path), offset) in enumerate(steps):
+            if index == cut:
+                state = monitor.state_dict()
+                monitor = OutageMonitor(params, share=share)
+                monitor.load_state(state)
+            when = max(0.0, newest + offset * width)
+            newest = max(newest, when)
+            if op == "prime":
+                row = fold_row(subject, when, tags, path, keys=PROMO_KEYS)
+                monitor.prime(row)
+                oracle.prime(row)
+            elif op == "track":
+                keys = {PROMO_KEYS[i] for i in tags}
+                monitor.start_tracking(subject, keys)
+                oracle.start_tracking(subject, keys)
+            elif op == "untrack":
+                monitor.stop_tracking(subject)
+                oracle.stop_tracking(subject)
+            elif op in ("loss", "recovery"):
+                monitor.observe_state(
+                    session_message(when, subject, loss=op == "loss")
+                )
+                oracle.session(subject, op == "loss")
+            else:
+                row = fold_row(
+                    subject, when, tags, path, op == "withdraw", keys=PROMO_KEYS
+                )
+                before = monitor.current_bin_start
+                monitor.observe(row)
+                after = monitor.current_bin_start
+                if before is not None and after != before:
+                    oracle.close_bin(before + width)
+                    oracle.promote(after)  # the empty bins crossed
+                oracle.row(row)
+                if before is not None and after != before:
+                    check()
+        end = monitor.current_bin_start
+        monitor.close_bin()
+        if end is not None:
+            oracle.close_bin(end + width)
+        check()
+
+
+class TestBoundedPending:
+    """Announce/withdraw churn with nothing maturing holds only the live
+    candidates: no per-push record outlives its candidacy."""
+
+    KEYS = tuple(("rrc00", 100 + i % 4, f"10.{i}.0.0/16") for i in range(64))
+    POPS = (POP_F, POP_C)
+
+    def _assert_bounded(self, monitor, live):
+        assert monitor.pending_count == live
+        bound = len(self.KEYS) * len(self.POPS)
+        for name, value in vars(monitor).items():
+            # ``_cols`` is the capped derived-column cache, keyed by
+            # pair identity: every one-row run brings its own pair.
+            if name != "_cols" and isinstance(value, (list, dict, set)):
+                assert len(value) <= bound, name
+
+    def test_sorted_churn_holds_only_live_candidates(self):
+        monitor = OutageMonitor()  # two-day window: nothing matures
+        when = 0.0
+        for cycle in range(200):
+            for k in self.KEYS:
+                monitor.observe(tagged(k, when, pops=self.POPS))
+                when += 0.5
+            for k in self.KEYS[cycle % 2 :: 2]:
+                monitor.observe(tagged(k, when, withdraw=True))
+                when += 0.5
+            self._assert_bounded(monitor, len(self.KEYS))
+            assert monitor._late == []
+        assert monitor.bins_processed > 100
+        assert not monitor.baseline
+
+    def test_unsorted_churn_drops_stale_late_candidates(self, monkeypatch):
+        monkeypatch.setattr(monitor_module, "_LATE_COMPACT_MIN", 16)
+        monitor = OutageMonitor()
+        bin_start = 0.0
+        for cycle in range(60):
+            # Every row after the first of a bin is older than it: late.
+            when = bin_start + 59.0
+            for k in self.KEYS:
+                monitor.observe(tagged(k, when, pops=self.POPS))
+                when -= 0.25
+            for k in self.KEYS[cycle % 2 :: 2]:
+                monitor.observe(tagged(k, when, withdraw=True))
+                when -= 0.25
+            bin_start += 60.0
+            monitor.observe(tagged(self.KEYS[0], bin_start, pops=self.POPS))
+            assert monitor.bins_processed == cycle + 1
+            live = len(monitor._pending)
+            assert len(monitor._late) <= max(16, 2 * live)
+        self._assert_bounded(monitor, len(monitor._pending))
