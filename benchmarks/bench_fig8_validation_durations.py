@@ -87,9 +87,9 @@ def test_fig8a_groundtruth_mapping(benchmark, world):
 @pytest.mark.xfail(
     strict=True,
     reason=(
-        "ROADMAP 1b: records that never end (return tracking kept per"
-        " signal PoP, not per record) stretch facility durations past"
-        " IXP ones"
+        "ROADMAP 1b, open half: facility durations still run past IXP"
+        " ones (a path back under another PathKey, or back before its"
+        " record began watching it, never counts as returned)"
     ),
 )
 def test_fig8b_outage_durations(benchmark, history_run):

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.docmine.dictionary import PoP, PoPKind
+
+if TYPE_CHECKING:
+    from repro.core.input import PathKey
 
 
 class SignalType(enum.Enum):
@@ -36,6 +40,9 @@ class OutageSignal:
     #: AS sets of the diverted paths (vantage excluded) — used to spot a
     #: common downstream cause the tagged links do not show.
     path_as_sets: tuple[frozenset[int], ...] = ()
+    #: the diverted paths it counted, sorted and aligned with
+    #: ``path_as_sets``: what an outage opened on it waits on (§4.4).
+    keys: tuple[PathKey, ...] = ()
 
     @property
     def fraction(self) -> float:

@@ -48,15 +48,18 @@ if TYPE_CHECKING:
 #: Checkpoint document version written by :meth:`Kepler.snapshot`.
 #: Version 2: the monitor section is canonical (fully sorted, no
 #: promotion heap — rebuilt on load) so documents are identical across
-#: monitor partition layouts, and a pipeline section in the retired
-#: sharded layout linearises on restore (see
-#: :mod:`repro.pipeline.checkpoint`).
+#: monitor partition layouts.
 #: Version 3: the ingest section gains the per-type drop breakdown
 #: (``dropped_types``).  It is the driver ingest stage's state under
 #: every ``ingest_feeds`` layout — forked feed workers add their
 #: counters into that stage at end of run, and its clock doubles as the
 #: feed merge's cursor — so any snapshot restores into any layout.
-CHECKPOINT_VERSION = 3
+#: Version 4: signals carry the paths they counted (``keys``), the
+#: record stage carries each record's return watch, and the monitor
+#: section drops its two return-tracking sections.  A version-3
+#: document has no signal keys, so it cannot resume exactly and is
+#: refused; the top-level ``shards`` layout field is gone.
+CHECKPOINT_VERSION = 4
 CHECKPOINT_FORMAT = "kepler-checkpoint"
 
 #: First-generation collector threshold while the chain runs a staged
@@ -531,7 +534,7 @@ class Kepler:
         self.stages.process_feeds(feeds)
 
     def finalize(self, end_time: float | None = None) -> list[OutageRecord]:
-        """Flush bins, close tracking, merge oscillations; return records."""
+        """Flush bins, settle open records, merge oscillations; return records."""
         self._flush()
         self.pipeline.flush()
         return self.stages.finalize_records(end_time)
@@ -566,18 +569,14 @@ class Kepler:
 
         The runtime is *not* part of the document's identity: the
         in-process chain snapshots off its live stages, the
-        multiprocess runtimes compose the identical document through
-        their drain-barrier protocols (``checkpoint_parts`` either
-        way), so any checkpoint restores into any runtime.  ``shards``
-        is the layout of the pipeline section: always 0 (linear) when
-        written; :meth:`restore` still reads the ``>= 2`` documents of
-        the retired thread-sharded runtime.
+        multiprocess runtime composes the identical document through
+        its drain-barrier protocol (``checkpoint_parts`` either way),
+        so any checkpoint restores into any runtime.
         """
         self._flush()
         return {
             "format": CHECKPOINT_FORMAT,
             "version": CHECKPOINT_VERSION,
-            "shards": 0,
             "primed_paths": self.primed_paths,
             **self.stages.checkpoint_parts(),
         }
@@ -585,18 +584,16 @@ class Kepler:
     def restore(self, checkpoint: dict) -> None:
         """Load a :meth:`snapshot` document into this (fresh) detector.
 
-        Validates the format version and the document's layout before
-        touching the detector (a malformed document raises
-        ``ValueError`` naming the field and leaves it as it was),
-        linearises a pipeline section written under ``shards >= 2``
-        (:func:`repro.pipeline.checkpoint.convert_pipeline_state`),
-        then restores stage-by-stage.  After restoring, processing the
-        remainder of the stream yields output identical to an
-        uninterrupted run, whichever runtime wrote the document.
-        Anything :meth:`process` had staged here is discarded.
+        Validates the format version and the document's shape before
+        touching the detector (a malformed document, or one of another
+        version, raises ``ValueError`` naming the field and leaves it
+        as it was), then restores stage-by-stage: the monitor before
+        the record stage, which re-opens its records' watches on it.
+        After restoring, processing the remainder of the stream yields
+        output identical to an uninterrupted run, whichever runtime
+        wrote the document.  Anything :meth:`process` had staged here
+        is discarded.
         """
-        from repro.pipeline.checkpoint import convert_pipeline_state
-
         if checkpoint.get("format") != CHECKPOINT_FORMAT:
             raise ValueError("not a Kepler checkpoint document")
         if checkpoint.get("version") != CHECKPOINT_VERSION:
@@ -604,17 +601,15 @@ class Kepler:
                 f"checkpoint version {checkpoint.get('version')} not"
                 f" supported (expected {CHECKPOINT_VERSION})"
             )
-        for name in ("shards", "primed_paths", "rejected", "cache", "pipeline"):
+        for name in ("primed_paths", "rejected", "cache", "pipeline"):
             if name not in checkpoint:
                 raise ValueError(f"checkpoint lacks the {name!r} field")
+        pipeline = checkpoint["pipeline"]
+        for name in ("stages", "metrics"):
+            if not isinstance(pipeline, dict) or name not in pipeline:
+                raise ValueError(f"checkpoint pipeline section lacks {name!r}")
         self.stages.restore_parts(
-            {
-                "rejected": checkpoint["rejected"],
-                "cache": checkpoint["cache"],
-                "pipeline": convert_pipeline_state(
-                    checkpoint["pipeline"], checkpoint["shards"]
-                ),
-            }
+            {name: checkpoint[name] for name in ("rejected", "cache", "pipeline")}
         )
         self.primed_paths = checkpoint["primed_paths"]
         self._staged = []

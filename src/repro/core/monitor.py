@@ -37,7 +37,7 @@ from __future__ import annotations
 import heapq
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.bgp.messages import BGPStateMessage, ElemType
 from repro.core.events import OutageSignal
@@ -113,19 +113,6 @@ def _entry_to_json(entry: _BaselineEntry) -> list:
         entry.since,
         sorted(entry.path_ases),
     ]
-
-
-@dataclass
-class _TrackState:
-    """Return-tracking for one open outage."""
-
-    keys: set[PathKey]
-    returned: set[PathKey] = field(default_factory=set)
-
-    def fraction_returned(self) -> float:
-        if not self.keys:
-            return 1.0
-        return len(self.returned) / len(self.keys)
 
 
 #: Bits reserved for the PoP index in a packed (key, pop) pending id.
@@ -210,22 +197,22 @@ class OutageMonitor:
 
     Owns the bin clock, the feed-gap set, the deferred in-bin event
     buffer and the per-PoP state: baseline, stability candidates
-    (which are also the promotion queue), per-bin divergences and
-    open-outage return tracking.
+    (which are also the promotion queue) and per-bin divergences.  It
+    decides nothing about open outages: it only reports rows of the
+    paths the record stage watches (:meth:`watch`, :meth:`report`).
 
     ``share=(w, n)`` is the shard-process worker's ownership filter:
     the monitor then keeps baseline, pending and divergence state only
     for the PoPs with ``partition_of(pop, n) == w``, fed the full
     broadcast stream, and so computes exactly that share of every bin
     close (see :mod:`repro.pipeline.parallel`).  Baseline queries for
-    other PoPs read empty.  Return tracking ignores the filter: a share
-    sees the full stream, so it can track *any* PoP's diverted keys,
-    which is what lets every worker track the signal PoP of every
-    record.
+    other PoPs read empty.  Watches ignore the filter: a share sees the
+    full stream, so it can report on *any* PoP's paths, which is what
+    lets every worker's record stage watch every record.
 
     The hot per-element state is columnar: path keys and PoPs are
     interned to dense integer ids, and per-key PoP membership
-    (baseline, pending, tracking) is an int bitmask in a dense list
+    (baseline, pending, watched) is an int bitmask in a dense list
     indexed by key id.  The per-bin fold therefore runs on C-speed
     list indexing and integer mask arithmetic; the object-shaped
     views (``baseline``, ``_pending`` entries) are only touched when
@@ -272,7 +259,7 @@ class OutageMonitor:
         self._pops: list[PoP] = []
         #: per-key PoP membership masks, indexed by key id: bit p set
         #: in ``_base_mask[k]`` iff ``_keys[k]`` has a baseline entry
-        #: for ``_pops[p]`` (likewise pending candidates / tracking).
+        #: for ``_pops[p]`` (likewise pending candidates / watches).
         self._base_mask: list[int] = []
         self._pend_mask: list[int] = []
         self._track_mask: list[int] = []
@@ -310,10 +297,11 @@ class OutageMonitor:
         self._cols: dict[int, list] = {}
         #: divergences observed in the current bin (owned pops only).
         self._diverted: dict[PoP, set[PathKey]] = {}
-        #: open-outage return tracking (any pop — see class docstring).
-        self._tracking: dict[PoP, _TrackState] = {}
-        #: diverted keys of the most recently closed bin, per owned PoP.
-        self.last_diverted: dict[PoP, set[PathKey]] = {}
+        #: open watches per (pop, key), any pop (see :meth:`watch`).
+        self._watched: dict[tuple[PoP, PathKey], int] = {}
+        #: per watched (pop, key) with a row since the last
+        #: :meth:`report`: whether its latest row tags the pop.
+        self._report: dict[tuple[PoP, PathKey], bool] = {}
         #: elements the steady-state fast path discarded without
         #: touching any object state (fold telemetry, never
         #: checkpointed — surfaced as a metrics gauge).
@@ -436,7 +424,7 @@ class OutageMonitor:
 
         In-bin elements defer as one-row runs with the current feed-gap
         set; the grouped fold over the whole bin runs at the close — or
-        earlier, when a query needs divergence, pending or tracking
+        earlier, when a query needs divergence, pending or watch
         state mid-bin.  The fold replays arrival order, so any flush
         prefix is state-identical to per-element application.
         """
@@ -539,13 +527,13 @@ class OutageMonitor:
         The columnar hot loop: per row it costs one intern lookup for
         the key, one identity-keyed lookup for the pair's derived
         columns, and a handful of dense-list reads and bitmask tests.
-        The object structures (``_pending`` entries, divergence/tracking
-        sets) are only touched when a mask test says the row changes
-        state.  A row whose peer is in its run's feed-gap snapshot is
-        not admitted (see :class:`TaggedRun`).
+        The object structures (``_pending`` entries, divergence sets,
+        the watch report) are only touched when a mask test says the
+        row changes state.  A row whose peer is in its run's feed-gap
+        snapshot is not admitted (see :class:`TaggedRun`).
 
         Each row makes the same transition it would alone — divergence
-        against the baseline mask, return tracking, withdrawal-resets,
+        against the baseline mask, the watch report, withdrawal-resets,
         stability-candidate add/reset — replayed in arrival order, so
         folding any prefix is state-identical to per-row application.
         ``tests/_fold_oracle.py`` states that transition with plain
@@ -563,7 +551,7 @@ class OutageMonitor:
         newest = self._newest
         pops = self._pops
         diverted = self._diverted
-        tracking = self._tracking
+        report = self._report
         withdrawal = ElemType.WITHDRAWAL
         shift = _POP_SHIFT
         skipped = 0
@@ -627,15 +615,13 @@ class OutageMonitor:
                             keys = diverted[pop] = set()
                         keys.add(key)
                 while tmask:
-                    # Return tracking for open outages (indexed: only
-                    # pops whose tracked key-set holds this key).
+                    # Watched by an open outage at this pop: the latest
+                    # row's verdict is what the report carries.
                     bit = tmask & -tmask
                     tmask ^= bit
-                    track = tracking[pops[bit.bit_length() - 1]]
-                    if update_mask & bit:
-                        track.returned.add(key)
-                    else:
-                        track.returned.discard(key)
+                    report[pops[bit.bit_length() - 1], key] = (
+                        update_mask & bit
+                    ) != 0
                 new_mask = pmask
                 for pop_idx, bit, near_asn, far_asn in owned:
                     if kmask & bit:
@@ -685,9 +671,8 @@ class OutageMonitor:
         bin_start = self._bin_start
         bin_end = bin_start + self.params.bin_interval_s
         signals: list[OutageSignal] = []
-        self.last_diverted = {}
         for pop in sorted(self._diverted, key=pop_sort_key):
-            diverted_keys = {
+            changed = {
                 k
                 for k in self._diverted[pop]
                 if (k[0], k[1]) not in self._gapped
@@ -729,7 +714,7 @@ class OutageMonitor:
                                 if subject is not None:
                                     totals[subject] = totals.get(subject, 0) - 1
             diverted: dict[int, set[PathKey]] = {}
-            for key in diverted_keys:
+            for key in changed:
                 entry = entries.get(key)
                 if entry is None:
                     continue
@@ -742,8 +727,9 @@ class OutageMonitor:
                     continue
                 if len(keys) / total < self.params.t_fail:
                     continue
+                counted = sorted(keys)
                 links = frozenset(
-                    (entries[k].near_asn, entries[k].far_asn) for k in keys
+                    (entries[k].near_asn, entries[k].far_asn) for k in counted
                 )
                 signals.append(
                     OutageSignal(
@@ -755,14 +741,14 @@ class OutageMonitor:
                         baseline_paths=total,
                         links=links,
                         path_as_sets=tuple(
-                            entries[k].path_ases for k in sorted(keys)
+                            entries[k].path_ases for k in counted
                         ),
+                        keys=tuple(counted),
                     )
                 )
             # "After each binning interval, we remove the changed paths
             # from the set of stable paths."
-            self.last_diverted[pop] = set(diverted_keys)
-            for key in diverted_keys:
+            for key in changed:
                 self._remove(pop, key)
         self._diverted.clear()
         self._promote_pending(bin_end)
@@ -774,14 +760,12 @@ class OutageMonitor:
         """Close the run of empty bins before the bin holding ``until``.
 
         Right after :meth:`close_bin` nothing is deferred or diverted:
-        stepping would emit nothing, empty ``last_diverted`` and promote
-        every candidate due by the last bin end, as one promote call
-        does.
+        stepping would emit nothing and promote every candidate due by
+        the last bin end, as one promote call does.
         """
         self._bin_start, crossed = cross_bins(
             self._bin_start, self.params.bin_interval_s, until
         )
-        self.last_diverted = {}
         self._promote_pending(self._bin_start)
         self.bins_processed += crossed
 
@@ -836,44 +820,50 @@ class OutageMonitor:
         self._install(self._pops[pop_idx], self._keys[key_idx], *entry)
 
     # ------------------------------------------------------------------
-    # Open-outage return tracking (ownership-agnostic)
+    # Watched paths of open outages (ownership-agnostic)
     # ------------------------------------------------------------------
-    def start_tracking(self, pop: PoP, keys: set[PathKey]) -> None:
+    def watch(self, pop: PoP, keys) -> None:
+        """Open one more watch on each ``(pop, key)``.
+
+        Rows that arrive from now on for a watched pair are reported
+        (:meth:`report`); rows deferred before the call fold first, so
+        they never are.
+        """
         if self._events:
             self._flush_events()
-        existing = self._tracking.get(pop)
-        if existing is not None:
-            existing.keys.update(keys)
-        else:
-            self._tracking[pop] = _TrackState(keys=set(keys))
+        watched = self._watched
+        track_mask = self._track_mask
         bit = 1 << self._intern_pop(pop)
         for key in keys:
-            self._track_mask[self._intern_key(key)] |= bit
+            count = watched.get((pop, key), 0)
+            watched[pop, key] = count + 1
+            if not count:
+                track_mask[self._intern_key(key)] |= bit
 
-    def returned_fraction(self, pop: PoP) -> float | None:
+    def unwatch(self, pop: PoP, keys) -> None:
+        """Release one watch on each ``(pop, key)``; the last release
+        stops its reports.  Rows deferred before the call fold first."""
         if self._events:
             self._flush_events()
-        track = self._tracking.get(pop)
-        if track is None:
-            return None
-        return track.fraction_returned()
+        watched = self._watched
+        clear = ~(1 << self._pop_ids[pop])
+        for key in keys:
+            count = watched.pop((pop, key)) - 1
+            if count:
+                watched[pop, key] = count
+            else:
+                self._track_mask[self._key_ids[key]] &= clear
 
-    def stop_tracking(self, pop: PoP) -> None:
+    def report(self) -> dict[tuple[PoP, PathKey], bool]:
+        """Take the report: for each watched ``(pop, key)`` that had a
+        row since the last call, whether its latest row tags ``pop``
+        (a withdrawal tags nothing; a gapped peer's rows are not
+        admitted).  Deferred rows fold first."""
         if self._events:
             self._flush_events()
-        track = self._tracking.pop(pop, None)
-        if track is None:
-            return
-        pop_idx = self._pop_ids.get(pop)
-        if pop_idx is None:
-            return
-        clear = ~(1 << pop_idx)
-        key_ids_get = self._key_ids.get
-        track_mask = self._track_mask
-        for key in track.keys:
-            key_idx = key_ids_get(key)
-            if key_idx is not None:
-                track_mask[key_idx] &= clear
+        report = self._report
+        self._report = {}
+        return report
 
     # ------------------------------------------------------------------
     # Queries used by investigation / Kepler
@@ -920,7 +910,10 @@ class OutageMonitor:
         promotion queue are rebuilt by :meth:`load_state` (promotion
         order is re-derived as (since, pop, key), which is
         output-equivalent — installs into different PoPs commute, and
-        per-PoP baseline reads are key- or aggregate-based).
+        per-PoP baseline reads are key- or aggregate-based).  Watches
+        and the report are not stored: their owner, the record stage,
+        takes the report before it serialises and re-opens its watches
+        on load.
         """
         from repro.core.serde import key_to_json, pop_to_json
 
@@ -950,41 +943,24 @@ class OutageMonitor:
             [pop_to_json(pop), sorted(key_to_json(k) for k in keys)]
             for pop, keys in self._diverted.items()
         ]
-        tracking = [
-            [
-                pop_to_json(pop),
-                sorted(key_to_json(k) for k in track.keys),
-                sorted(key_to_json(k) for k in track.returned),
-            ]
-            for pop, track in self._tracking.items()
-        ]
-        last_diverted = [
-            [pop_to_json(pop), sorted(key_to_json(k) for k in keys)]
-            for pop, keys in self.last_diverted.items()
-        ]
         baseline.sort(key=lambda item: item[0])
         pending.sort(key=lambda item: (item[0], item[1]))
         diverted.sort(key=lambda item: item[0])
-        tracking.sort(key=lambda item: item[0])
-        last_diverted.sort(key=lambda item: item[0])
         return {
             "baseline": baseline,
             "pending": pending,
             "gapped": sorted([c, p] for c, p in self._gapped),
             "diverted": diverted,
             "bin_start": self._bin_start,
-            "tracking": tracking,
-            "last_diverted": last_diverted,
             "bins_processed": self.bins_processed,
         }
 
     def load_state(self, state: dict) -> None:
         """Restore a canonical document written by any share layout.
 
-        Baseline, pending, divergence and last-diverted entries of
-        PoPs this monitor does not own are skipped — a share takes only
-        its part of a full document.  Tracking entries all load
-        (tracking is ownership-agnostic and cheap to maintain).
+        Baseline, pending and divergence entries of PoPs this monitor
+        does not own are skipped — a share takes only its part of a
+        full document.  Watches start empty.
         """
         from repro.core.serde import key_from_json, pop_from_json
 
@@ -1022,14 +998,6 @@ class OutageMonitor:
             if self.owns(pop):
                 self._diverted[pop] = {key_from_json(k) for k in keys}
         self._bin_start = state["bin_start"]
-        for pop_json, keys, returned in state["tracking"]:
-            pop = pop_from_json(pop_json)
-            self.start_tracking(pop, {key_from_json(k) for k in keys})
-            self._tracking[pop].returned = {key_from_json(k) for k in returned}
-        for pop_json, keys in state["last_diverted"]:
-            pop = pop_from_json(pop_json)
-            if self.owns(pop):
-                self.last_diverted[pop] = {key_from_json(k) for k in keys}
         self.bins_processed = state["bins_processed"]
 
 
@@ -1039,9 +1007,7 @@ def merge_monitor_states(fragments: list[dict]) -> dict:
     Each fragment is the :meth:`OutageMonitor.state_dict` of one share
     (``share=(w, n)``) of one logical monitor, over disjoint PoP
     subsets.  List sections concatenate and re-sort under the
-    canonical keys; tracking entries may be replicated across
-    fragments (tracking is ownership-agnostic) and deduplicate by PoP;
-    the clock fields must agree — the shares advance bins in lockstep
+    canonical keys; the clock fields must agree — the shares advance bins in lockstep
     by construction.
     """
     if not fragments:
@@ -1062,7 +1028,7 @@ def merge_monitor_states(fragments: list[dict]) -> dict:
         "bins_processed": head["bins_processed"],
         "gapped": head["gapped"],
     }
-    for section in ("baseline", "pending", "diverted", "last_diverted"):
+    for section in ("baseline", "pending", "diverted"):
         rows = [row for fragment in fragments for row in fragment[section]]
         sort_key = (
             (lambda item: (item[0], item[1]))
@@ -1071,9 +1037,4 @@ def merge_monitor_states(fragments: list[dict]) -> dict:
         )
         rows.sort(key=sort_key)
         merged[section] = rows
-    tracking: dict[str, list] = {}
-    for fragment in fragments:
-        for row in fragment["tracking"]:
-            tracking.setdefault(repr(row[0]), row)
-    merged["tracking"] = sorted(tracking.values(), key=lambda item: item[0])
     return merged

@@ -119,6 +119,7 @@ def signal_to_json(signal: OutageSignal) -> dict[str, Any]:
         "baseline_paths": signal.baseline_paths,
         "links": links_to_json(signal.links),
         "path_as_sets": [sorted(ps) for ps in signal.path_as_sets],
+        "keys": [key_to_json(k) for k in signal.keys],
     }
 
 
@@ -134,6 +135,7 @@ def signal_from_json(data: dict[str, Any]) -> OutageSignal:
         path_as_sets=tuple(
             frozenset(ps) for ps in data["path_as_sets"]
         ),
+        keys=tuple(key_from_json(k) for k in data["keys"]),
     )
 
 

@@ -60,6 +60,11 @@ class PoP:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self) -> tuple:
+        # String hashes differ per interpreter start: an unpickled PoP
+        # must recompute its hash, not carry the writer's.
+        return (PoP, (self.kind, self.pop_id))
+
     def __str__(self) -> str:
         return f"{self.kind.value}:{self.pop_id}"
 

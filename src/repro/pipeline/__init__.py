@@ -31,8 +31,6 @@ from repro.core.monitor import OutageMonitor
 from repro.core.signals import SignalClassification
 from repro.pipeline.checkpoint import (
     CheckpointableChain,
-    convert_pipeline_state,
-    linearize_pipeline_state,
     strip_checkpoint_telemetry,
 )
 from repro.pipeline.classification import ClassificationStage
@@ -233,9 +231,7 @@ __all__ = [
     "build_kepler_pipeline",
     "build_shard_process_kepler_pipeline",
     "common_city",
-    "convert_pipeline_state",
     "fork_available",
-    "linearize_pipeline_state",
     "merge_oscillations",
     "merge_streams",
     "reap_workers",

@@ -96,12 +96,9 @@ class LocatedBatch:
 class OutageCandidate:
     """A located, validated signal ready for record lifecycle handling.
 
-    ``diverted_keys`` carries the signal PoP's just-diverted path keys
-    when the candidate crosses a monitor-share boundary (the
-    shard-process runtime ships them with the candidate, because the
-    receiving record stage's monitor share does not own the signal
-    PoP's ``last_diverted`` view).  ``None`` means "read the live
-    monitor", which the in-process chains do.
+    The record it opens or extends waits on the paths its
+    classification's signals counted (``OutageSignal.keys``), so it
+    needs nothing from the monitor's state at the time it arrives.
     """
 
     classification: SignalClassification
@@ -109,4 +106,3 @@ class OutageCandidate:
     method: str
     outcome: ValidationOutcome
     city_scope: str | None = None
-    diverted_keys: frozenset | None = None

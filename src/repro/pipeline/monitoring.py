@@ -39,7 +39,7 @@ class BinningMonitorStage(PassthroughStage):
 
     name = "monitor"
     #: Localisation and record stages query the live monitor (baseline
-    #: links, return-tracking fractions): every signal batch and bin
+    #: links, the watch report): every signal batch and bin
     #: marker must clear the chain before the next element advances
     #: the monitor, so batching stops here (see Stage.depth_first).
     depth_first = True

@@ -32,13 +32,11 @@ The driver therefore keeps:
       1. every worker ships, in a single message, its partial
          signals *and* everything the driver analysis needs from
          its monitor share: the baseline far-AS/link sets of
-         the PoPs in its share of the correlation window, and its
-         monitor's last-diverted path keys            ("bin")
+         the PoPs in its share of the correlation window ("bin")
       2. the driver merges the partials under the monitor's signal
          sort key (the linear close order), runs classification →
          localisation → validation against the shipped baselines,
-         stamps each candidate with its PoP's diverted keys, and
-         broadcasts the candidate list in linear emission
+         and broadcasts the candidate list in linear emission
          order                                        ("fin")
       3. every worker applies the full candidate list to its
          record stage, then the bin marker, and posts a fire-and-
@@ -52,14 +50,13 @@ the PoPs the driver's window holds for that share, never a miss.
 
 The **record lifecycle is replicated, not sharded**: every worker
 applies the identical, globally-ordered candidate sequence, so all
-record stages (and their return-tracking state, which lives in the
-worker's monitor share and is fed by the full broadcast stream)
-are byte-identical replicas.  The record stage is the pipeline's
-cheapest stage by orders of magnitude, and replication removes every
-cross-share monitor read a located-elsewhere record would
-otherwise need — candidates carry their signal PoP's diverted keys
-across the share boundary (``OutageCandidate.diverted_keys``,
-stamped by the driver from the shipped last-diverted maps).
+record stages (and their return watches, reported on by the worker's
+monitor share, which sees the full broadcast stream whatever PoPs
+it owns) are byte-identical replicas.  The record stage is the
+pipeline's cheapest stage by orders of magnitude, and replication
+removes every cross-share monitor read a located-elsewhere record
+would otherwise need: a candidate's signals carry the paths its
+record waits on (``OutageSignal.keys``).
 
 **Transport** is the columnar batch codec of :mod:`repro.core.serde`,
 which carries exactly what ingest admits (updates, state messages,
@@ -389,8 +386,8 @@ def _shard_worker_loop(
 
     def sync_round(signals: list, advanced: float | None) -> None:
         # The fused bin exchange: one message up (partial signals plus
-        # the baseline reads and diverted keys the driver analysis
-        # needs), one broadcast back (the globally ordered candidate
+        # the baseline reads the driver analysis needs), one broadcast
+        # back (the globally ordered candidate
         # list).  See the module docstring.
         nonlocal round_id
         round_id += 1
@@ -419,7 +416,6 @@ def _shard_worker_loop(
                 signals,
                 advanced,
                 reads,
-                dict(monitor.last_diverted),
                 live_frame(),
             )
         )
@@ -849,7 +845,6 @@ class ShardProcessPipeline:
             state = self._rounds[rid] = {
                 "bin": {},
                 "reads": {},
-                "diverted": {},
                 "rdone": set(),
                 "advanced": None,
             }
@@ -887,13 +882,12 @@ class ShardProcessPipeline:
             block = False  # made progress: drain the rest lazily
             kind = msg[0]
             if kind == "bin":
-                _, wid, rid, signals, advanced, reads, diverted, frame = msg
+                _, wid, rid, signals, advanced, reads, frame = msg
                 if frame is not None:
                     self._live_frames[wid] = frame
                 state = self._round(rid)
                 state["bin"][wid] = signals
                 state["reads"].update(reads)
-                state["diverted"].update(diverted)
                 if advanced is not None:
                     state["advanced"] = advanced
                 if len(state["bin"]) == self.workers:
@@ -962,7 +956,6 @@ class ShardProcessPipeline:
             self.batches_routed += 1
             self.signals_routed += len(merged)
             self._baselines.reads = state["reads"]
-            diverted = state["diverted"]
             registry = self._registry
             outs = [SignalBatch(signals=merged)]
             for stage in (
@@ -983,10 +976,6 @@ class ShardProcessPipeline:
                 handle.emitted += len(nexts)
                 outs = nexts
             candidates = outs
-            for candidate in candidates:
-                candidate.diverted_keys = frozenset(
-                    diverted.get(candidate.classification.pop, ())
-                )
         self.sync_rounds += 1
         self._registry.trace.emit(
             "sync_round",

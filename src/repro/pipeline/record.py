@@ -4,7 +4,8 @@ Terminal stage of the pipeline.  Consumes
 :class:`~repro.pipeline.events.OutageCandidate` elements (open a record
 or extend the open one) and :class:`~repro.pipeline.events.BinAdvanced`
 markers (re-evaluate open records against the >50 % return-to-baseline
-rule and the oscillation watch list).  ``finalize`` flushes open
+rule over each record's own diverted paths, and the oscillation watch
+list).  ``finalize`` flushes open
 records and merges oscillating outages separated by less than the
 12-hour gap into single incidents whose downtime is the sum of the
 member durations.
@@ -21,14 +22,55 @@ from repro.core.dataplane import (
     ValidationOutcome,
 )
 from repro.core.events import OutageRecord
+from repro.core.input import PathKey
 from repro.core.monitor import OutageMonitor
 from repro.docmine.dictionary import PoP
 from repro.pipeline.events import BinAdvanced, OutageCandidate
 from repro.pipeline.stage import PassthroughStage
 
 
+class _ReturnWatch:
+    """What one record waits on (§4.4): per signal PoP, the diverted
+    paths its signals counted, and those of them that are back — whose
+    latest row since the watch began tags the PoP."""
+
+    __slots__ = ("paths", "back")
+
+    def __init__(self) -> None:
+        self.paths: dict[PoP, set[PathKey]] = {}
+        self.back: dict[PoP, set[PathKey]] = {}
+
+    def fraction(self) -> float | None:
+        """Share back at the signal PoP that lags most; ``None`` while
+        nothing is watched."""
+        if not self.paths:
+            return None
+        back = self.back
+        return min(len(back[pop]) / len(keys) for pop, keys in self.paths.items())
+
+    def to_json(self) -> list:
+        from repro.core.serde import key_to_json, pop_to_json
+
+        return sorted(
+            [
+                pop_to_json(pop),
+                sorted(key_to_json(k) for k in keys),
+                sorted(key_to_json(k) for k in self.back[pop]),
+            ]
+            for pop, keys in self.paths.items()
+        )
+
+
 class RecordStage(PassthroughStage):
-    """OutageCandidate / BinAdvanced -> OutageRecord lifecycle."""
+    """OutageCandidate / BinAdvanced -> OutageRecord lifecycle.
+
+    Each open or relapse-watched record owns a :class:`_ReturnWatch`
+    over the paths its candidates' signals counted.  The monitor only
+    reports rows of watched paths (:meth:`OutageMonitor.report`); the
+    stage applies the report before it opens a watch and at every
+    ``BinAdvanced``, so a path counts as back on the rows that arrived
+    after its record began watching it.
+    """
 
     name = "record"
 
@@ -47,11 +89,13 @@ class RecordStage(PassthroughStage):
         self.records: list[OutageRecord] = []
         #: open outages keyed by located PoP.
         self.open: dict[PoP, OutageRecord] = {}
-        #: signal PoPs tracked for each open record.
-        self._tracked: dict[PoP, set[PoP]] = {}
         #: recently closed records still watched for oscillation
-        #: relapses: located pop -> (record, signal pops, close time).
-        self._watch: dict[PoP, tuple[OutageRecord, set[PoP], float]] = {}
+        #: relapses: located pop -> (record, close time).
+        self._watch: dict[PoP, tuple[OutageRecord, float]] = {}
+        #: the return watch of every open or relapse-watched record.
+        self._returns: dict[PoP, _ReturnWatch] = {}
+        #: (signal pop, key) -> located pops whose watch holds it.
+        self._watchers: dict[tuple[PoP, PathKey], set[PoP]] = {}
 
     # ------------------------------------------------------------------
     def feed(self, element: Any) -> list[Any]:
@@ -64,52 +108,59 @@ class RecordStage(PassthroughStage):
         return [element]
 
     def state_dict(self) -> dict:
+        """The records and their watches, with the monitor's report
+        applied first: the document holds every row folded so far."""
         from repro.core.serde import pop_to_json, record_to_json
 
+        self._settle()
+        returns = self._returns
         return {
             "records": [record_to_json(r) for r in self.records],
             "open": [
-                [pop_to_json(pop), record_to_json(r)]
+                [pop_to_json(pop), record_to_json(r), returns[pop].to_json()]
                 for pop, r in self.open.items()
-            ],
-            "tracked": [
-                [pop_to_json(pop), sorted(pop_to_json(p) for p in pops)]
-                for pop, pops in self._tracked.items()
             ],
             "watch": [
                 [
                     pop_to_json(pop),
                     record_to_json(record),
-                    sorted(pop_to_json(p) for p in pops),
+                    returns[pop].to_json(),
                     closed_at,
                 ]
-                for pop, (record, pops, closed_at) in self._watch.items()
+                for pop, (record, closed_at) in self._watch.items()
             ],
         }
 
     def load_state(self, state: dict) -> None:
+        """Restore after the monitor's own load: every record's watch
+        is re-opened on the (reset) monitor."""
         from repro.core.serde import pop_from_json, record_from_json
 
         self.records = [record_from_json(r) for r in state["records"]]
-        self.open = {
-            pop_from_json(pop): record_from_json(r)
-            for pop, r in state["open"]
-        }
-        self._tracked = {
-            pop_from_json(pop): {pop_from_json(p) for p in pops}
-            for pop, pops in state["tracked"]
-        }
-        self._watch = {
-            pop_from_json(pop): (
-                record_from_json(record),
-                {pop_from_json(p) for p in pops},
-                closed_at,
-            )
-            for pop, record, pops, closed_at in state["watch"]
-        }
+        self._returns = {}
+        self._watchers = {}
+        self.open = {}
+        for pop_json, record, watch in state["open"]:
+            located = pop_from_json(pop_json)
+            self.open[located] = record_from_json(record)
+            self._load_watch(located, watch)
+        self._watch = {}
+        for pop_json, record, watch, closed_at in state["watch"]:
+            located = pop_from_json(pop_json)
+            self._watch[located] = (record_from_json(record), closed_at)
+            self._load_watch(located, watch)
+
+    def _load_watch(self, located: PoP, rows: list) -> None:
+        from repro.core.serde import key_from_json, pop_from_json
+
+        watch = self._returns[located] = _ReturnWatch()
+        for pop_json, keys, back in rows:
+            pop = pop_from_json(pop_json)
+            self._add_paths(located, pop, map(key_from_json, keys))
+            watch.back[pop] = {key_from_json(k) for k in back}
 
     def finalize(self, end_time: float | None = None) -> list[OutageRecord]:
-        """Close tracking, merge oscillations; return the record list."""
+        """Settle open records, merge oscillations; return the record list."""
         if end_time is not None:
             self._evaluate_open(end_time)
         # Ongoing outages stay open (duration unknown).
@@ -121,14 +172,54 @@ class RecordStage(PassthroughStage):
         return self.records
 
     # ------------------------------------------------------------------
+    # Return watches
+    # ------------------------------------------------------------------
+    def _settle(self) -> None:
+        """Apply the monitor's report to the watches holding its paths."""
+        watchers = self._watchers
+        returns = self._returns
+        for (pop, key), tagged in self.monitor.report().items():
+            for located in watchers.get((pop, key), ()):
+                back = returns[located].back[pop]
+                if tagged:
+                    back.add(key)
+                else:
+                    back.discard(key)
+
+    def _add_paths(self, located: PoP, pop: PoP, keys) -> None:
+        """Add ``keys`` at signal ``pop`` to ``located``'s watch."""
+        watch = self._returns[located]
+        fresh = set(keys).difference(watch.paths.get(pop, ()))
+        if not fresh:
+            return
+        watch.paths.setdefault(pop, set()).update(fresh)
+        watch.back.setdefault(pop, set())
+        self.monitor.watch(pop, fresh)
+        watchers = self._watchers
+        for key in fresh:
+            watchers.setdefault((pop, key), set()).add(located)
+
+    def _release(self, located: PoP) -> None:
+        """Drop ``located``'s watch."""
+        watchers = self._watchers
+        for pop, keys in self._returns.pop(located).paths.items():
+            self.monitor.unwatch(pop, keys)
+            for key in keys:
+                holders = watchers[pop, key]
+                holders.discard(located)
+                if not holders:
+                    del watchers[pop, key]
+
+    # ------------------------------------------------------------------
     def _open_or_extend(self, candidate: OutageCandidate) -> None:
+        # Rows folded so far predate this candidate's watch.
+        self._settle()
         c = candidate.classification
         located = candidate.located
         if located in self._watch:
             # A fresh signal while watching for relapses: new incident.
-            _, pops, _ = self._watch.pop(located)
-            for pop in pops:
-                self.monitor.stop_tracking(pop)
+            del self._watch[located]
+            self._release(located)
         record = self.open.get(located)
         if record is None:
             record = OutageRecord(
@@ -139,60 +230,45 @@ class RecordStage(PassthroughStage):
                 city_scope=candidate.city_scope,
             )
             self.open[located] = record
-            self._tracked[located] = set()
+            self._returns[located] = _ReturnWatch()
         record.affected_ases.update(c.affected_ases)
         record.affected_links.update(c.links)
         if candidate.outcome is ValidationOutcome.CONFIRMED:
             record.confirmed_by_dataplane = True
         elif candidate.outcome is ValidationOutcome.REJECTED:
             record.confirmed_by_dataplane = False
-        # Track returns on the signal PoP (where communities are visible).
-        # A candidate that crossed a monitor-share boundary carries
-        # the diverted keys itself; otherwise read the live monitor.
-        if candidate.diverted_keys is not None:
-            diverted = candidate.diverted_keys
-        else:
-            diverted = self.monitor.last_diverted.get(c.pop, set())
-        if diverted:
-            self.monitor.start_tracking(c.pop, set(diverted))
-            self._tracked[located].add(c.pop)
+        # Wait on the paths the signals counted, at their signal PoP
+        # (where the communities are visible).
+        for signal in c.signals:
+            self._add_paths(located, signal.pop, signal.keys)
 
-    def _restored_fraction(
-        self, located: PoP, pops: set[PoP], now: float
-    ) -> float | None:
+    def _restored_fraction(self, located: PoP, now: float) -> float | None:
         # Prefer the data plane when available, BGP otherwise (§4.4).
         fraction = self.validator.restored_fraction(located, now)
         if fraction is not None:
             return fraction
-        fractions = [
-            f
-            for pop in pops
-            if (f := self.monitor.returned_fraction(pop)) is not None
-        ]
-        return min(fractions) if fractions else None
+        return self._returns[located].fraction()
 
     def _evaluate_open(self, now: float) -> None:
+        self._settle()
         for located in sorted(self.open, key=str):
-            record = self.open[located]
-            pops = self._tracked.get(located, set())
-            fraction = self._restored_fraction(located, pops, now)
+            fraction = self._restored_fraction(located, now)
             if fraction is None:
                 continue
             if fraction > self.restore_fraction:
+                record = self.open.pop(located)
                 record.end = now
                 self.records.append(record)
-                del self.open[located]
                 # Keep watching the signal PoPs: oscillating outages
                 # relapse within the merge window (Section 4.4).
-                self._watch[located] = (record, self._tracked.pop(located), now)
+                self._watch[located] = (record, now)
         for located in sorted(self._watch, key=str):
-            record, pops, closed_at = self._watch[located]
+            record, closed_at = self._watch[located]
             if now - closed_at > self.merge_gap_s:
-                for pop in pops:
-                    self.monitor.stop_tracking(pop)
                 del self._watch[located]
+                self._release(located)
                 continue
-            fraction = self._restored_fraction(located, pops, now)
+            fraction = self._restored_fraction(located, now)
             if fraction is not None and fraction <= self.restore_fraction:
                 relapse = OutageRecord(
                     signal_pop=record.signal_pop,
@@ -204,7 +280,6 @@ class RecordStage(PassthroughStage):
                 relapse.affected_ases.update(record.affected_ases)
                 relapse.affected_links.update(record.affected_links)
                 self.open[located] = relapse
-                self._tracked[located] = pops
                 del self._watch[located]
 
 

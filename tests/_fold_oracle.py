@@ -2,9 +2,11 @@
 
 The fold slice of ROADMAP item 2a's executable spec: what one admitted
 tagged row does to the monitor's in-bin state — the stable baseline,
-the stability candidates, the bin's divergences and Section 4.4's
-return tracking.  No interning, masks, caches or skip path: each rule
-is one statement.  ``OutageMonitor.apply_events`` is checked against
+the stability candidates, the bin's divergences and the report on the
+paths open outages watch (Section 4.4's return rule is the record
+stage's; the monitor only says what the latest row of a watched path
+tagged).  No interning, masks, caches or skip path: each rule is one
+statement.  ``OutageMonitor.apply_events`` is checked against
 it (``tests/test_core_monitor.py::TestFoldOracle``).
 
 Past the fold it states the promotion slice: what a bin close does to
@@ -36,8 +38,11 @@ class FoldOracle:
         self.pending: dict = {}
         #: pop -> keys that left the baseline path this bin
         self.diverted: dict = {}
-        #: pop -> (tracked keys, keys seen back at the pop)
-        self.tracking: dict = {}
+        #: (pop, key) -> open watches on it
+        self.watched: dict = {}
+        #: (pop, key) -> whether its latest row since the last report
+        #: tagged the pop
+        self.reported: dict = {}
         #: (collector, peer) pairs in a feed gap
         self.gapped: set = set()
 
@@ -63,12 +68,22 @@ class FoldOracle:
         else:
             self.gapped.discard(peer)
 
-    def start_tracking(self, pop, keys) -> None:
-        tracked, _ = self.tracking.setdefault(pop, (set(), set()))
-        tracked.update(keys)
+    def watch(self, pop, keys) -> None:
+        """One more watch on each (pop, key)."""
+        for key in keys:
+            self.watched[pop, key] = self.watched.get((pop, key), 0) + 1
 
-    def stop_tracking(self, pop) -> None:
-        self.tracking.pop(pop, None)
+    def unwatch(self, pop, keys) -> None:
+        """One watch fewer; a pair is watched until its last release."""
+        for key in keys:
+            self.watched[pop, key] -= 1
+            if not self.watched[pop, key]:
+                del self.watched[pop, key]
+
+    def report(self) -> dict:
+        """Hand over the verdicts gathered since the last report."""
+        reported, self.reported = self.reported, {}
+        return reported
 
     def row(self, tagged) -> None:
         """One stream row: admission, then the transition."""
@@ -82,14 +97,11 @@ class FoldOracle:
         for pop, entries in self.baseline.items():
             if key in entries and (withdrawn or pop not in tagged_pops):
                 self.diverted.setdefault(pop, set()).add(key)
-        # Return tracking: a tracked path is back while it is tagged
-        # with the PoP again, and not back otherwise.
-        for pop, (tracked, returned) in self.tracking.items():
-            if key in tracked:
-                if not withdrawn and pop in tagged_pops:
-                    returned.add(key)
-                else:
-                    returned.discard(key)
+        # Watched paths: the report keeps whether the latest row
+        # tagged the watching PoP.
+        for pop, watched_key in self.watched:
+            if watched_key == key:
+                self.reported[pop, key] = not withdrawn and pop in tagged_pops
         if withdrawn:
             # A withdrawal ends every stability candidate of the path.
             for pop_key in [pk for pk in self.pending if pk[1] == key]:
@@ -162,13 +174,5 @@ class FoldOracle:
             "diverted": sorted(
                 [pop_to_json(pop), sorted(key_to_json(k) for k in keys)]
                 for pop, keys in self.diverted.items()
-            ),
-            "tracking": sorted(
-                [
-                    pop_to_json(pop),
-                    sorted(key_to_json(k) for k in tracked),
-                    sorted(key_to_json(k) for k in returned),
-                ]
-                for pop, (tracked, returned) in self.tracking.items()
             ),
         }

@@ -5,6 +5,13 @@ pipeline refactor, kept ONLY for the equivalence test: seed scenarios
 must produce identical records through this class and through the
 pipeline-backed facade.  Do not extend it.
 
+One rule has been rewritten since, on its own rather than by importing
+the record stage, so the equivalence test still compares two
+implementations: each record waits on the paths its classifications'
+signals counted (``OutageSignal.keys``), and a path is back when its
+latest row since the record began watching it tags the signal PoP.
+The monitor only reports those rows (``watch``/``unwatch``/``report``).
+
 Original module docstring:
 
 Wires the input module, the stable-path monitor, signal classification,
@@ -91,12 +98,12 @@ class LegacyKepler:
         self.records: list[OutageRecord] = []
         #: open outages keyed by located PoP.
         self.open: dict[PoP, OutageRecord] = {}
-        #: signal PoPs tracked for each open record.
-        self._tracked: dict[PoP, set[PoP]] = {}
+        #: per open or relapse-watched record (located pop): signal
+        #: pop -> (watched paths, those of them back).
+        self._returns: dict[PoP, dict[PoP, tuple[set, set]]] = {}
         #: recently closed records still watched for oscillation
-        #: relapses (Section 4.4): located pop -> (record, signal pops,
-        #: close time).
-        self._watch: dict[PoP, tuple[OutageRecord, set[PoP], float]] = {}
+        #: relapses (Section 4.4): located pop -> (record, close time).
+        self._watch: dict[PoP, tuple[OutageRecord, float]] = {}
         #: every classification ever made, for sensitivity analysis.
         self.signal_log: list[SignalClassification] = []
         #: signals rejected by the data plane (false-positive pruning).
@@ -224,11 +231,12 @@ class LegacyKepler:
         outcome: ValidationOutcome,
         city_scope: str | None,
     ) -> None:
+        # Rows folded so far predate this candidate's watch.
+        self._apply_report()
         if located in self._watch:
             # A fresh signal while watching for relapses: new incident.
-            _, pops, _ = self._watch.pop(located)
-            for pop in pops:
-                self.monitor.stop_tracking(pop)
+            del self._watch[located]
+            self._release(located)
         record = self.open.get(located)
         if record is None:
             record = OutageRecord(
@@ -239,36 +247,53 @@ class LegacyKepler:
                 city_scope=city_scope,
             )
             self.open[located] = record
-            self._tracked[located] = set()
+            self._returns[located] = {}
         record.affected_ases.update(c.affected_ases)
         record.affected_links.update(c.links)
         if outcome is ValidationOutcome.CONFIRMED:
             record.confirmed_by_dataplane = True
         elif outcome is ValidationOutcome.REJECTED:
             record.confirmed_by_dataplane = False
-        # Track returns on the signal PoP (where communities are visible).
-        diverted = getattr(self.monitor, "last_diverted", {}).get(c.pop, set())
-        if diverted:
-            self.monitor.start_tracking(c.pop, set(diverted))
-            self._tracked[located].add(c.pop)
+        # Wait on the paths the signals counted, at the signal PoP.
+        watch = self._returns[located]
+        for signal in c.signals:
+            if not signal.keys:
+                continue
+            paths, _ = watch.setdefault(signal.pop, (set(), set()))
+            fresh = set(signal.keys) - paths
+            if fresh:
+                paths.update(fresh)
+                self.monitor.watch(signal.pop, fresh)
 
-    def _restored_fraction(self, located: PoP, pops: set[PoP], now: float) -> float | None:
+    def _apply_report(self) -> None:
+        for (pop, key), tagged in self.monitor.report().items():
+            for watch in self._returns.values():
+                paths, back = watch.get(pop, ((), set()))
+                if key in paths:
+                    if tagged:
+                        back.add(key)
+                    else:
+                        back.discard(key)
+
+    def _release(self, located: PoP) -> None:
+        for pop, (paths, _) in self._returns.pop(located).items():
+            self.monitor.unwatch(pop, paths)
+
+    def _restored_fraction(self, located: PoP, now: float) -> float | None:
         # Prefer the data plane when available, BGP otherwise (§4.4).
         fraction = self.validator.restored_fraction(located, now)
         if fraction is not None:
             return fraction
-        fractions = [
-            f
-            for pop in pops
-            if (f := self.monitor.returned_fraction(pop)) is not None
-        ]
-        return min(fractions) if fractions else None
+        watch = self._returns[located]
+        if not watch:
+            return None
+        return min(len(back) / len(paths) for paths, back in watch.values())
 
     def _evaluate_open(self, now: float) -> None:
+        self._apply_report()
         for located in sorted(self.open, key=str):
             record = self.open[located]
-            pops = self._tracked.get(located, set())
-            fraction = self._restored_fraction(located, pops, now)
+            fraction = self._restored_fraction(located, now)
             if fraction is None:
                 continue
             if fraction > self.params.restore_fraction:
@@ -277,15 +302,14 @@ class LegacyKepler:
                 del self.open[located]
                 # Keep watching the signal PoPs: oscillating outages
                 # relapse within the merge window (Section 4.4).
-                self._watch[located] = (record, self._tracked.pop(located), now)
+                self._watch[located] = (record, now)
         for located in sorted(self._watch, key=str):
-            record, pops, closed_at = self._watch[located]
+            record, closed_at = self._watch[located]
             if now - closed_at > self.params.merge_gap_s:
-                for pop in pops:
-                    self.monitor.stop_tracking(pop)
                 del self._watch[located]
+                self._release(located)
                 continue
-            fraction = self._restored_fraction(located, pops, now)
+            fraction = self._restored_fraction(located, now)
             if fraction is not None and fraction <= self.params.restore_fraction:
                 relapse = OutageRecord(
                     signal_pop=record.signal_pop,
@@ -297,7 +321,6 @@ class LegacyKepler:
                 relapse.affected_ases.update(record.affected_ases)
                 relapse.affected_links.update(record.affected_links)
                 self.open[located] = relapse
-                self._tracked[located] = pops
                 del self._watch[located]
 
     # ------------------------------------------------------------------

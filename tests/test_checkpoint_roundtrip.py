@@ -7,21 +7,29 @@ with records and signal log identical to an uninterrupted run — on
 two scenario worlds, with and without a data-plane validator.
 
 The document is fail-closed (a malformed one raises ``ValueError`` and
-leaves the detector as it was), and a ``shards=2`` document written by
-the retired thread-sharded runtime — a committed fixture — still
-restores and resumes to the linear run's output.
+leaves the detector as it was).  A version-3 document — the committed
+fixture the retired thread-sharded runtime wrote — carries no signal
+keys, so it cannot resume exactly and is refused by version.  A cut
+between a signal's bin and the arrival of the candidate it feeds
+resumes to the uninterrupted output: the window's signals carry the
+paths the record will wait on.  A PoP pickled by one interpreter start
+matches the same PoP decoded by another.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from test_oscillation_edges import LATE_END, late_kepler, late_replay
 from test_pipeline_equivalence import (
     FIRST_WORLD,
     SECOND_WORLD,
@@ -29,10 +37,11 @@ from test_pipeline_equivalence import (
     prepared,
     record_fields,
 )
+import repro
 from repro.bgp.communities import Community
 from repro.bgp.messages import BGPUpdate, ElemType
 from repro.core.colocation import ColocationMap
-from repro.core.kepler import Kepler, KeplerParams
+from repro.core.kepler import CHECKPOINT_VERSION, Kepler, KeplerParams
 from repro.core.monitor import MonitorParams
 from repro.docmine.dictionary import (
     CommunityDictionary,
@@ -163,8 +172,9 @@ class TestCheckpointDocument:
         blob = json.dumps(document)
         parsed = json.loads(blob)
         assert parsed["format"] == "kepler-checkpoint"
-        assert parsed["version"] == 3
-        assert parsed["shards"] == 0
+        assert parsed["version"] == 4
+        monitor = parsed["pipeline"]["stages"]["monitor"]["monitor"]
+        assert "tracking" not in monitor and "shards" not in parsed
         assert parsed["primed_paths"] == detector.primed_paths
 
     def test_snapshot_is_read_only_and_idempotent(self, world_a):
@@ -223,16 +233,15 @@ class TestCheckpointDocument:
 
 
 # ----------------------------------------------------------------------
-# The retired thread-sharded layout, and malformed documents
+# A version-3 document, and malformed documents
 # ----------------------------------------------------------------------
 #: ``snapshot()`` of ``KeplerParams(shards=2)`` after ``REPLAY_CUT``
-#: elements of :func:`synthetic_replay`, captured at the last commit
-#: that had the thread-sharded runtime (PR 23, ce153cb).
+#: elements of :func:`synthetic_replay`, captured at commit ce153cb,
+#: the last that had the thread-sharded runtime: a version-3 document.
 SHARDED_FIXTURE = (
     pathlib.Path(__file__).parent / "fixtures" / "shards2_midstream.json"
 )
 REPLAY_CUT = 151
-REPLAY_END = 6000.0
 #: PoP index -> (down bin, up bin) of each full outage of that PoP.
 REPLAY_OUTAGES = {
     0: [(3, 9), (30, 34)],
@@ -318,17 +327,6 @@ def synthetic_kepler(dictionary: CommunityDictionary) -> Kepler:
     )
 
 
-def synthetic_output(detector: Kepler) -> tuple[list, list, list]:
-    return (
-        [record_fields(r) for r in detector.records],
-        [
-            (c.pop, c.signal_type, c.bin_start, c.bin_end)
-            for c in detector.signal_log
-        ],
-        [(c.pop, c.bin_start) for c in detector.rejected],
-    )
-
-
 @pytest.fixture(scope="module")
 def sharded_document() -> dict:
     return json.loads(SHARDED_FIXTURE.read_text())
@@ -339,30 +337,26 @@ def replay() -> tuple[CommunityDictionary, list, list]:
     return synthetic_replay()
 
 
-def test_retired_sharded_document_resumes_to_the_linear_output(
+def test_version_3_document_is_refused_and_changes_nothing(
     sharded_document, replay
 ):
     dictionary, priming, elements = replay
-    # The fixture is the hard case: both chains hold an open record and
-    # a share of the classification window, and a reject is on file.
-    assert sharded_document["shards"] == 2
-    chains = sharded_document["pipeline"]["chains"]
-    assert all(chain["record"]["open"] for chain in chains)
-    assert all(chain["classify"]["window"] for chain in chains)
-    assert sharded_document["rejected"]
-
-    linear = synthetic_kepler(dictionary)
-    linear.prime(priming)
-    linear.process(elements)
-    linear.finalize(end_time=REPLAY_END)
-    assert len(linear.records) >= 3 and linear.rejected
-
-    resumed = synthetic_kepler(dictionary)
-    resumed.restore(copy.deepcopy(sharded_document))
-    assert resumed.snapshot()["shards"] == 0
-    resumed.process(elements[REPLAY_CUT:])
-    resumed.finalize(end_time=REPLAY_END)
-    assert synthetic_output(resumed) == synthetic_output(linear)
+    # Its window signals hold no keys: the records they open could not
+    # wait on their paths, so the document is refused, not resumed.
+    assert sharded_document["version"] == 3
+    window = [
+        signal
+        for chain in sharded_document["pipeline"]["chains"]
+        for signal in chain["classify"]["window"]
+    ]
+    assert window and not any("keys" in signal for signal in window)
+    detector = synthetic_kepler(dictionary)
+    detector.prime(priming)
+    detector.process(elements[:REPLAY_CUT])
+    before = json.dumps(detector.snapshot(), sort_keys=True)
+    with pytest.raises(ValueError, match="version 3 not supported"):
+        detector.restore(copy.deepcopy(sharded_document))
+    assert json.dumps(detector.snapshot(), sort_keys=True) == before
 
 
 def _without(*path: str):
@@ -375,26 +369,18 @@ def _without(*path: str):
     return mutate
 
 
-def _with_shards(value):
-    def mutate(doc: dict) -> None:
-        doc["shards"] = value
-
-    return mutate
+def _as_current(doc: dict) -> None:
+    """Stamp a retired document with the current version."""
+    doc["version"] = CHECKPOINT_VERSION
+    doc["shards"] = 0
 
 
 @pytest.mark.parametrize(
     "layout, mutate, field",
     [
-        pytest.param("linear", _without("shards"), "shards", id="no-shards"),
-        pytest.param("linear", _with_shards(-1), "shards", id="shards=-1"),
-        pytest.param("linear", _with_shards(1), "shards", id="shards=1"),
-        pytest.param("linear", _with_shards("2"), "shards", id="shards='2'"),
-        pytest.param(
-            "linear", _with_shards(2), "upstream", id="linear-as-shards=2"
-        ),
-        pytest.param(
-            "sharded", _with_shards(0), "stages", id="sharded-as-shards=0"
-        ),
+        # A retired pipeline section under the current stamp still
+        # fails on its shape.
+        pytest.param("sharded", _as_current, "stages", id="sharded-as-shards=0"),
         *(
             pytest.param("linear", _without(*path), path[-1], id="no-" + path[-1])
             for path in (
@@ -404,9 +390,10 @@ def _with_shards(value):
                 ("pipeline", "metrics"),
             )
         ),
+        # A version-3 document is refused by version whatever its shape.
         *(
             pytest.param(
-                "sharded", _without("pipeline", name), name, id="no-" + name
+                "sharded", _without("pipeline", name), "version", id="no-" + name
             )
             for name in ("upstream", "chains", "signal_log")
         ),
@@ -430,3 +417,75 @@ def test_malformed_document_is_refused_and_changes_nothing(
     with pytest.raises(ValueError, match=field):
         detector.restore(document)
     assert json.dumps(detector.snapshot(), sort_keys=True) == before
+
+
+# ----------------------------------------------------------------------
+# A cut between a signal's bin and its candidate's arrival
+# ----------------------------------------------------------------------
+def late_output(detector: Kepler) -> tuple[list, list]:
+    return (
+        [record_fields(r) for r in detector.records],
+        [
+            (c.pop, c.signal_type, c.bin_start, c.bin_end, c.signals)
+            for c in detector.signal_log
+        ],
+    )
+
+
+@pytest.mark.parametrize("cut_after", [65.0, 150.0])
+def test_cut_before_the_candidate_resumes_to_the_same_record(cut_after):
+    """The window's first signals are in the document, their candidate
+    is not: the resumed record must wait on their paths all the same."""
+    dictionary, priming, elements = late_replay("window")
+    whole = late_kepler(dictionary)
+    whole.prime(priming)
+    whole.process(elements)
+    whole.finalize(end_time=LATE_END)
+
+    cut = next(i for i, e in enumerate(elements) if e.time > cut_after)
+    first = late_kepler(dictionary)
+    first.prime(priming)
+    first.process(elements[:cut])
+    document = json.loads(json.dumps(first.snapshot()))
+    stages = document["pipeline"]["stages"]
+    assert stages["classify"]["window"] and not stages["record"]["open"]
+    assert all(signal["keys"] for signal in stages["classify"]["window"])
+
+    second = late_kepler(dictionary)
+    second.restore(document)
+    second.process(elements[cut:])
+    second.finalize(end_time=LATE_END)
+    assert late_output(second) == late_output(whole)
+    assert [(r.start, r.end) for r in second.records] == [(0.0, 360.0)]
+
+
+# ----------------------------------------------------------------------
+# Pickled deployment inputs under another interpreter start
+# ----------------------------------------------------------------------
+def test_pop_unpickled_under_another_hash_seed_finds_its_decoded_twin():
+    """A resumed process unpickles its deployment inputs (dictionary,
+    colocation map) and decodes PoPs from the checkpoint: the two must
+    hash alike, or a record's watch never hears of its paths."""
+    writer = (
+        "import pickle, sys\n"
+        "from repro.docmine.dictionary import PoP, PoPKind\n"
+        "sys.stdout.buffer.write(pickle.dumps(PoP(PoPKind.IXP, 'ix-a')))\n"
+    )
+    reader = (
+        "import pickle, sys\n"
+        "from repro.core.serde import pop_from_json\n"
+        "pop = pickle.loads(sys.stdin.buffer.read())\n"
+        "sys.exit(0 if {pop} == {pop_from_json(['ixp', 'ix-a'])}"
+        " and pop in {pop_from_json(['ixp', 'ix-a'])} else 1)\n"
+    )
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+
+    def run(code: str, seed: str, data: bytes = b"") -> subprocess.CompletedProcess:
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        return subprocess.run(
+            [sys.executable, "-c", code], input=data, env=env,
+            capture_output=True, timeout=60,
+        )
+
+    blob = run(writer, "1").stdout
+    assert run(reader, "2", blob).returncode == 0

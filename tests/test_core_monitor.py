@@ -188,33 +188,65 @@ class TestFeedGaps:
 
 
 class TestReturnTracking:
+    """The monitor's half of return tracking: it reports, per watched
+    (PoP, key) with a row, whether the latest row tagged the PoP; the
+    record stage turns the reports into each record's fraction."""
+
     def test_fraction_returned(self):
         monitor = primed_monitor(4)
-        keys = {key(i) for i in range(4)}
-        monitor.start_tracking(POP_F, keys)
-        assert monitor.returned_fraction(POP_F) == 0.0
+        monitor.watch(POP_F, {key(i) for i in range(4)})
+        assert monitor.report() == {}
         monitor.observe(tagged(key(0), time=10.0))
         monitor.observe(tagged(key(1), time=11.0))
-        assert monitor.returned_fraction(POP_F) == pytest.approx(0.5)
+        monitor.observe(tagged(key(5), time=12.0))  # not watched
+        assert monitor.report() == {(POP_F, key(0)): True, (POP_F, key(1)): True}
+        # Taking the report empties it.
+        assert monitor.report() == {}
 
     def test_oscillation_unreturns(self):
         monitor = primed_monitor(2)
-        monitor.start_tracking(POP_F, {key(0), key(1)})
+        monitor.watch(POP_F, {key(0), key(1)})
         monitor.observe(tagged(key(0), time=10.0))
         monitor.observe(tagged(key(0), time=20.0, withdraw=True))
-        assert monitor.returned_fraction(POP_F) == 0.0
+        monitor.observe(tagged(key(1), time=21.0, pops=(POP_C,)))
+        # The latest row decides: withdrawn, or tagged elsewhere.
+        assert monitor.report() == {(POP_F, key(0)): False, (POP_F, key(1)): False}
 
     def test_stop_tracking(self):
+        # Watches are counted: two records on one path, one releases,
+        # the other still hears of it; the last release stops reports.
         monitor = primed_monitor(2)
-        monitor.start_tracking(POP_F, {key(0)})
-        monitor.stop_tracking(POP_F)
-        assert monitor.returned_fraction(POP_F) is None
+        monitor.watch(POP_F, {key(0)})
+        monitor.watch(POP_F, {key(0), key(1)})
+        monitor.unwatch(POP_F, {key(0)})
+        monitor.observe(tagged(key(0), time=10.0))
+        assert monitor.report() == {(POP_F, key(0)): True}
+        monitor.unwatch(POP_F, {key(0), key(1)})
+        monitor.observe(tagged(key(0), time=20.0))
+        monitor.observe(tagged(key(1), time=21.0))
+        assert monitor.report() == {}
 
-    def test_last_diverted_exposed_for_tracking(self):
-        monitor = primed_monitor(5)
-        monitor.observe(tagged(key(0), time=10.0, withdraw=True))
-        monitor.close_bin()
-        assert monitor.last_diverted.get(POP_F) == {key(0)}
+    def test_signal_keys_are_the_counted_paths(self):
+        monitor = OutageMonitor(MonitorParams(t_fail=0.10))
+        ases = {}
+        for i in range(10):
+            near = 10 if i < 5 else 11
+            path = (1, near, 30, 100 + i)
+            ases[key(i)] = frozenset(path[1:])
+            monitor.prime(tagged(key(i), time=0.0, near=near, path=path))
+        for i in (6, 0, 5):
+            monitor.observe(tagged(key(i), time=10.0, withdraw=True))
+        signals = monitor.close_bin()
+        assert {s.near_asn: s.keys for s in signals} == {
+            10: (key(0),),
+            11: (key(5), key(6)),
+            30: (key(0), key(5), key(6)),
+        }
+        for signal in signals:
+            # Sorted, one per counted path, aligned with path_as_sets.
+            assert list(signal.keys) == sorted(signal.keys)
+            assert len(signal.keys) == signal.diverted_paths
+            assert signal.path_as_sets == tuple(ases[k] for k in signal.keys)
 
 
 class TestParams:
@@ -333,7 +365,7 @@ def share_stream(monitor) -> list[list]:
     for i in range(6):
         monitor.observe(tagged(key(i), time=10.0 + i, withdraw=True))
     bins.append(monitor.close_bin())
-    monitor.start_tracking(POP_F, {key(i) for i in range(6)})
+    monitor.watch(POP_F, {key(i) for i in range(6)})
     for i in range(4):
         monitor.observe(tagged(key(i), time=70.0 + i, pops=SHARE_POPS[:3]))
     bins.append(monitor.close_bin())
@@ -354,14 +386,14 @@ class TestMonitorShares:
             share = OutageMonitor(share=(w, n))
             share_stream(share)
             doc = share.state_dict()
-            for section in ("baseline", "pending", "diverted", "last_diverted"):
+            for section in ("baseline", "pending", "diverted"):
                 for row in doc[section]:
                     pop = pop_from_json(row[0])
                     assert partition_of(pop, n) == w
                     owned.add((section, pop))
         assert owned == {
             (section, pop_from_json(row[0]))
-            for section in ("baseline", "pending", "diverted", "last_diverted")
+            for section in ("baseline", "pending", "diverted")
             for row in full.state_dict()[section]
         }
 
@@ -537,7 +569,6 @@ class TestEventDrivenClock:
                 withdraw=op == "withdraw",
             )
             assert real.observe(element) == stepping_observe(oracle, element)
-            assert real.last_diverted == oracle.last_diverted
             assert real.bins_processed == oracle.bins_processed
             assert real.current_bin_start.hex() == oracle.current_bin_start.hex()
         assert real.close_bin() == oracle.close_bin()
@@ -601,7 +632,7 @@ def _fold_op(kind: str):
         keys = st.lists(fold_key, min_size=1, max_size=4)
         return st.tuples(st.just(kind), st.sampled_from(CLOCK_POPS), keys, st.none())
     if kind == "untrack":
-        return st.tuples(st.just(kind), st.sampled_from(CLOCK_POPS), st.none(), st.none())
+        return st.tuples(st.just(kind), st.none(), st.none(), st.none())
     return st.tuples(st.just(kind), st.sampled_from(CLOCK_PEERS), st.none(), st.none())
 
 
@@ -644,6 +675,22 @@ def feed_in_bin_batch(stage, elements):
         assert outs == []
 
 
+def watch_op(op, subject, picks, live, keys, *monitors) -> None:
+    """The record stage's side of the watch protocol on every monitor:
+    ``track`` opens a watch on ``keys[i]`` for ``i`` in ``picks`` at
+    PoP ``subject``, ``untrack`` releases the oldest one still open.
+    ``live`` holds the open watches in opening order."""
+    if op == "track":
+        watched = {keys[i] for i in picks}
+        live.append((subject, watched))
+        for monitor in monitors:
+            monitor.watch(subject, watched)
+    elif live:
+        pop, watched = live.pop(0)
+        for monitor in monitors:
+            monitor.unwatch(pop, watched)
+
+
 @pytest.mark.parametrize("share", [None, (1, 3)], ids=["full", "share1of3"])
 class TestFoldOracle:
     """One bin of random rows folded by the monitor and by
@@ -652,8 +699,11 @@ class TestFoldOracle:
 
     Rows reach the monitor both ways it takes them: as tagged batches
     (built with the batch's own row appenders) cut at random points,
-    and one at a time through ``observe``.  ``prime`` and tracking calls fall between
-    rows and flush the deferred fold, as they do in the chain.
+    and one at a time through ``observe``.  ``prime`` and watch calls
+    fall between rows and flush the deferred fold, as they do in the
+    chain.  The watch reports must agree too: two open outages share a
+    watched path from the start, so releasing one must leave the other
+    hearing of it.
     """
 
     @settings(max_examples=150, deadline=None)
@@ -672,15 +722,18 @@ class TestFoldOracle:
             primed = fold_row(i, 0.0, PRIMED_TAGS, FOLD_PATHS[0])
             monitor.prime(primed)
             oracle.prime(primed)
-        # An open outage tracks two of them from the start.
-        monitor.start_tracking(CLOCK_POPS[0], set(FOLD_KEYS[:2]))
-        oracle.start_tracking(CLOCK_POPS[0], set(FOLD_KEYS[:2]))
+        # Two open outages watch them from the start, sharing two
+        # paths: the first release must leave those reported.
+        live: list = []
+        for picks in ([0, 1, 2], [1, 2, 3]):
+            watch_op("track", CLOCK_POPS[0], picks, live, FOLD_KEYS, monitor, oracle)
         queued: list = []
 
         def check():
             doc = monitor.state_dict()
-            sections = ("baseline", "pending", "diverted", "tracking")
+            sections = ("baseline", "pending", "diverted")
             assert {s: doc[s] for s in sections} == oracle.sections()
+            assert monitor.report() == oracle.report()
 
         def feed_queued():
             if queued:
@@ -697,13 +750,8 @@ class TestFoldOracle:
                 row = fold_row(subject, when, tags, path)
                 monitor.prime(row)
                 oracle.prime(row)
-            elif op == "track":
-                keys = {FOLD_KEYS[i] for i in tags}
-                monitor.start_tracking(subject, keys)
-                oracle.start_tracking(subject, keys)
-            elif op == "untrack":
-                monitor.stop_tracking(subject)
-                oracle.stop_tracking(subject)
+            elif op in ("track", "untrack"):
+                watch_op(op, subject, tags, live, FOLD_KEYS, monitor, oracle)
             elif op in ("loss", "recovery"):
                 message = session_message(when, subject, loss=op == "loss")
                 oracle.session(subject, op == "loss")
@@ -751,6 +799,7 @@ class TestGapSnapshot:
 
     def test_row_deferred_in_a_gap_stays_out_after_recovery(self, lane):
         monitor = primed_monitor(10)
+        monitor.watch(POP_F, {key(0)})
         self._feed(
             monitor,
             lane,
@@ -764,7 +813,7 @@ class TestGapSnapshot:
         )
         assert monitor._events  # nothing folded yet
         assert monitor.close_bin() == []
-        assert monitor.last_diverted == {}
+        assert monitor.report() == {}
         assert monitor.baseline_size(POP_F) == 10
         assert monitor.pending_count == 0
 
@@ -826,8 +875,11 @@ class TestPromotionOracle:
     """Random rows through bin closes and empty-bin crossings, with a
     checkpoint cut: after every close the monitor's baseline and
     candidates must be the oracle's (``FoldOracle.close_bin`` and
-    ``promote``).  Out-of-order rows make late candidates, which may
-    sit in the queue behind a candidate that is not due yet."""
+    ``promote``), and so must the watch reports.  Out-of-order rows
+    make late candidates, which may sit in the queue behind a candidate
+    that is not due yet.  At the cut the watches are re-opened on the
+    restored monitor after the report is taken, as the record stage
+    does."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -847,31 +899,32 @@ class TestPromotionOracle:
             monitor.prime(primed)
             oracle.prime(primed)
 
+        live: list = []
+
         def check():
             doc = monitor.state_dict()
             sections = oracle.sections()
             assert doc["baseline"] == sections["baseline"]
             assert doc["pending"] == sections["pending"]
+            assert monitor.report() == oracle.report()
 
         newest = 0.0
         for index, ((op, subject, tags, path), offset) in enumerate(steps):
             if index == cut:
                 state = monitor.state_dict()
+                assert monitor.report() == oracle.report()
                 monitor = OutageMonitor(params, share=share)
                 monitor.load_state(state)
+                for pop, watched in live:
+                    monitor.watch(pop, watched)
             when = max(0.0, newest + offset * width)
             newest = max(newest, when)
             if op == "prime":
                 row = fold_row(subject, when, tags, path, keys=PROMO_KEYS)
                 monitor.prime(row)
                 oracle.prime(row)
-            elif op == "track":
-                keys = {PROMO_KEYS[i] for i in tags}
-                monitor.start_tracking(subject, keys)
-                oracle.start_tracking(subject, keys)
-            elif op == "untrack":
-                monitor.stop_tracking(subject)
-                oracle.stop_tracking(subject)
+            elif op in ("track", "untrack"):
+                watch_op(op, subject, tags, live, PROMO_KEYS, monitor, oracle)
             elif op in ("loss", "recovery"):
                 monitor.observe_state(
                     session_message(when, subject, loss=op == "loss")

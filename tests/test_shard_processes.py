@@ -206,7 +206,6 @@ class TestCheckpointInterchange:
             return {
                 "format": doc["format"],
                 "version": doc["version"],
-                "shards": doc["shards"],
                 "primed_paths": doc["primed_paths"],
                 "rejected": doc["rejected"],
                 "cache": doc["cache"],
