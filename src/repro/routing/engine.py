@@ -34,8 +34,8 @@ from repro.routing.interconnection import (
     Interconnection,
     build_adjacencies,
 )
-from repro.routing.policy import AdjacencyIndex, route_table
-from repro.routing.tagging import tag_path
+from repro.routing.policy import AdjacencyIndex, ObservedSet, route_table
+from repro.routing.tagging import RouteTags
 from repro.topology.entities import ASTier, Topology
 
 
@@ -142,6 +142,9 @@ class RoutingEngine:
             asn for asn, rec in topo.ases.items() if rec.originates
         )
         self._vantage_set = frozenset(self.vantages)
+        #: the route-table rows the collectors see: convergence computes
+        #: tables over this set only (None: every AS).
+        self.observed: ObservedSet | None = ObservedSet(self.index, self.vantages)
         self._origin_set = frozenset(self.origins)
         self._rng = random.Random(self.params.seed ^ 0xE9617E)
         self._event_counter = 0
@@ -168,7 +171,9 @@ class RoutingEngine:
     # ------------------------------------------------------------------
     def _initialise(self) -> None:
         for origin in self.origins:
-            tree = route_table(self.index, origin, frozenset(self.failures.ases))
+            tree = route_table(
+                self.index, origin, frozenset(self.failures.ases), self.observed
+            )
             for vantage in self.vantages:
                 route = tree.get(vantage)
                 if route is None:
@@ -184,14 +189,19 @@ class RoutingEngine:
     def _realise(
         self, path: tuple[int, ...], failures: FailureState | None = None
     ) -> RouteState | None:
-        """Bind a policy path to concrete interconnections."""
-        active = failures if failures is not None else self.failures
+        """Bind a policy path to concrete interconnections.
+
+        Under the engine's own failure state this reads the index's
+        per-state choice; an explicit ``failures`` (a probe's past state)
+        selects afresh and leaves that cache alone.
+        """
         ics: list[Interconnection] = []
         for a, b in zip(path, path[1:]):
-            adj = self.adjacencies.get(frozenset((a, b)))
-            if adj is None:
-                return None
-            ic = adj.select(active)
+            if failures is None:
+                ic = self.index.choice(a, b)
+            else:
+                adj = self.adjacencies.get(frozenset((a, b)))
+                ic = None if adj is None else adj.select(failures)
             if ic is None:
                 return None
             ics.append(ic)
@@ -235,9 +245,16 @@ class RoutingEngine:
             families.append((4, rec.prefixes_v4))
         if afi in (None, 6):
             families.append((6, rec.prefixes_v6))
+        # The prefix-independent communities are derived once per route;
+        # each prefix adds only its IPv6 and leak draws.
+        tags = (
+            None
+            if elem_type is ElemType.WITHDRAWAL or state is None
+            else RouteTags(self.topo, state.path, state.interconnections)
+        )
         for family, prefixes in families:
             for prefix in prefixes:
-                if elem_type is ElemType.WITHDRAWAL or state is None:
+                if tags is None:
                     out.append(
                         BGPUpdate(
                             time=time,
@@ -249,13 +266,7 @@ class RoutingEngine:
                         )
                     )
                     continue
-                communities = tag_path(
-                    self.topo,
-                    state.path,
-                    state.interconnections,
-                    afi=family,
-                    prefix=prefix,
-                )
+                communities = tags.for_prefix(afi=family, prefix=prefix)
                 out.append(
                     BGPUpdate(
                         time=time,
@@ -362,7 +373,9 @@ class RoutingEngine:
         # converged: every pair's route is its healthy one, no tree and
         # no ``_realise`` needed.  Overlapping outages still compute.
         tree = (
-            route_table(self.index, origin, frozenset(self.failures.ases))
+            route_table(
+                self.index, origin, frozenset(self.failures.ases), self.observed
+            )
             if self.failures.any_active()
             else None
         )
@@ -409,11 +422,8 @@ class RoutingEngine:
         return elements
 
     def _still_valid(self, state: RouteState) -> bool:
-        for a, b in zip(state.path, state.path[1:]):
-            adj = self.adjacencies.get(frozenset((a, b)))
-            if adj is None or not adj.is_up(self.failures):
-                return False
-        return True
+        up = self.index.up
+        return all(up(a, b) for a, b in zip(state.path, state.path[1:]))
 
     def _pair_roll(self, label: str, key: tuple[int, int]) -> float:
         rng = random.Random((hash((label, key)) ^ self.params.seed) & 0xFFFFFFFF)

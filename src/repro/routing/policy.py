@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import enum
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from repro.routing.interconnection import Adjacency, FailureState
+from repro.routing.interconnection import Adjacency, FailureState, Interconnection
 from repro.topology.entities import Topology
 
 
@@ -53,14 +54,18 @@ _CUSTOMER = PathClass.CUSTOMER.value
 _PEER = PathClass.PEER.value
 _PROVIDER = PathClass.PROVIDER.value
 _PATH_CLASSES = {c.value: c for c in PathClass}
+_UNKNOWN = object()
 
 
 class AdjacencyIndex:
     """Pre-computed neighbor lists with live/dead filtering.
 
     Rebuilding neighbor lists per event would dominate runtime, so the
-    index keeps static neighbor lists and consults a per-event cache of
-    adjacency availability.
+    index keeps static neighbor lists and caches, per failure state, the
+    interconnection each adjacency uses: the route BFS asks whether it is
+    up, the engine binds paths to it, and both read one
+    ``Adjacency.select`` per adjacency until ``set_failures`` installs the
+    next state.
     """
 
     def __init__(
@@ -96,34 +101,72 @@ class AdjacencyIndex:
         for adj in adjacencies.values():
             self._neighbours.setdefault(adj.asn_a, {})[adj.asn_b] = adj
             self._neighbours.setdefault(adj.asn_b, {})[adj.asn_a] = adj
-        self._up_cache: dict[int, dict[int, bool]] = {}
-        self._failures: FailureState | None = None
+        #: ``a -> {b: interconnection or None}`` under ``_failures``.
+        self._choices: dict[int, dict[int, Interconnection | None]] = {}
+        self._failures = FailureState()
 
     def set_failures(self, failures: FailureState) -> None:
-        """Install the failure state for subsequent ``up`` queries."""
+        """Install the failure state for subsequent queries."""
         self._failures = failures
-        self._up_cache.clear()
+        self._choices.clear()
 
     def invalidate(self) -> None:
-        self._up_cache.clear()
+        self._choices.clear()
+
+    def choice(self, a: int, b: int) -> Interconnection | None:
+        """The interconnection ``a``–``b`` uses now; None when it is down
+        or the two are not adjacent."""
+        row = self._choices.get(a)
+        if row is None:
+            row = self._choices[a] = {}
+        ic = row.get(b, _UNKNOWN)
+        if ic is _UNKNOWN:
+            adj = self._neighbours.get(a, {}).get(b)
+            ic = None if adj is None else adj.select(self._failures)
+            row[b] = ic
+            self._choices.setdefault(b, {})[a] = ic
+        return ic
 
     def up(self, a: int, b: int) -> bool:
-        row = self._up_cache.get(a)
-        if row is None:
-            row = self._up_cache[a] = {}
-        cached = row.get(b)
-        if cached is None:
-            adj = self._neighbours.get(a, {}).get(b)
-            cached = adj is not None and (
-                self._failures is None or adj.is_up(self._failures)
-            )
-            row[b] = cached
-            self._up_cache.setdefault(b, {})[a] = cached
-        return cached
+        return self.choice(a, b) is not None
+
+
+class ObservedSet:
+    """The ASes whose :func:`route_table` rows a caller reads, closed
+    under providers.
+
+    Restricting the peer and provider phases to such a set leaves every
+    row inside it exact: phase 3 gives an AS a route only from its
+    providers, phase 2 only from a peer's customer route (phase 1, which
+    stays unrestricted), so no AS outside the set can change a row in it.
+    Phase 3 only ever queues a customer of a dequeued AS, and a customer
+    inside the set has all its providers inside it, so the queue
+    restricted to the set is the same sequence and the tie-breaks match.
+    """
+
+    def __init__(self, index: AdjacencyIndex, asns: Iterable[int]) -> None:
+        members: set[int] = set()
+        stack = list(asns)
+        while stack:
+            asn = stack.pop()
+            if asn not in members and asn in index.providers_of:
+                members.add(asn)
+                stack.extend(index.providers_of[asn])
+        self.members = frozenset(members)
+        #: ascending: the peer phase's visiting order.
+        self.ases: tuple[int, ...] = tuple(sorted(members))
+        #: each member's customers inside the set (phase 3's fan-out).
+        self.customers_of: dict[int, tuple[int, ...]] = {
+            asn: tuple(c for c in index.customers_of[asn] if c in members)
+            for asn in self.ases
+        }
 
 
 def route_table(
-    index: AdjacencyIndex, origin: int, down_ases: frozenset[int] = frozenset()
+    index: AdjacencyIndex,
+    origin: int,
+    down_ases: frozenset[int] = frozenset(),
+    observed: ObservedSet | None = None,
 ) -> dict[int, Route]:
     """Best Gao-Rexford :data:`Route` of every AS towards ``origin``.
 
@@ -131,10 +174,12 @@ def route_table(
     simulator read this table directly, :func:`compute_routes` is the
     ``RouteInfo`` view over it.  ASes with no policy-compliant path are
     absent; ``down_ases`` are excluded entirely (AS-level outages).
+    With ``observed`` the peer and provider phases run over that set
+    only: its rows are exact, rows outside it may be missing.
     """
     if origin in down_ases:
         return {}
-    up = index.up
+    choice = index.choice
     best: dict[int, Route] = {origin: (_ORIGIN, 0, (origin,))}
 
     # Phase 1: customer routes — BFS uphill over provider edges.
@@ -145,7 +190,7 @@ def route_table(
         _, hops_u, path_u = best[u]
         hops = hops_u + 1
         for p in providers_of[u]:
-            if p in down_ases or not up(u, p):
+            if p in down_ases or choice(u, p) is None:
                 continue
             incumbent = best.get(p)
             if incumbent is None:
@@ -164,13 +209,13 @@ def route_table(
 
     # Phase 2: peer routes — one lateral step from a customer route.
     peers_of = index.peers_of
-    for u in index.ases:
+    for u in index.ases if observed is None else observed.ases:
         if u in best or u in down_ases:
             continue
         chosen: Route | None = None
         for v in peers_of[u]:  # ascending: the first of equal length wins
             route_v = customer_routes.get(v)
-            if route_v is None or v in down_ases or not up(u, v):
+            if route_v is None or v in down_ases or choice(u, v) is None:
                 continue
             if u in route_v[2]:
                 continue
@@ -180,14 +225,17 @@ def route_table(
             best[u] = chosen
 
     # Phase 3: provider routes — flood downhill (provider -> customer).
-    customers_of = index.customers_of
-    queue = deque(sorted(best, key=lambda a: (best[a][1], a)))
+    # ``customers_of`` has a key for every AS this phase may visit.
+    customers_of = index.customers_of if observed is None else observed.customers_of
+    queue = deque(
+        sorted((a for a in best if a in customers_of), key=lambda a: (best[a][1], a))
+    )
     while queue:
         u = queue.popleft()
         _, hops_u, path_u = best[u]
         hops = hops_u + 1
         for c in customers_of[u]:
-            if c in down_ases or not up(c, u):
+            if c in down_ases or choice(c, u) is None:
                 continue
             if c in path_u:
                 continue

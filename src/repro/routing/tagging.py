@@ -54,6 +54,99 @@ def _survives_propagation(path: tuple[int, ...], tagger_index: int) -> bool:
     return True
 
 
+class RouteTags:
+    """The communities of one route, derived once for all its prefixes.
+
+    Route-server markers, stripping and every tagger's facility, IXP and
+    city tags depend on the route alone; per prefix only the IPv6 draw
+    (does the tagger tag this prefix at all) and the leak draw remain.
+    ``interconnections[i]`` realises the adjacency ``path[i]–path[i+1]``.
+    """
+
+    __slots__ = ("_markers", "_taggers")
+
+    def __init__(
+        self,
+        topo: Topology,
+        path: tuple[int, ...],
+        interconnections: tuple[Interconnection, ...],
+    ) -> None:
+        if len(interconnections) != max(0, len(path) - 1):
+            raise ValueError("one interconnection per path edge required")
+        markers: set[Community] = set()
+        #: (asn, IPv6 tagging rate, location tags, leaked community)
+        taggers: list[
+            tuple[int, float, tuple[Community, ...], Community | None]
+        ] = []
+        for i, ic in enumerate(interconnections):
+            asn = path[i]
+            rec = topo.ases.get(asn)
+            if rec is None:
+                continue
+            # Route-server redistribution marker: set by the route server
+            # on multilateral sessions (roughly three quarters of public
+            # peerings; bilateral sessions carry none), then subject to the
+            # same stripping as any other community.
+            if ic.ixp_id is not None:
+                rs = topo.rs_schemes.get(ic.ixp_id)
+                if (
+                    rs is not None
+                    and _stable_fraction("rs", ic.ixp_id, ic.asn_a, ic.asn_b) < 0.75
+                    and _survives_propagation(path, i)
+                ):
+                    markers.add(rs.marker())
+            scheme = rec.scheme
+            if scheme is None or not rec.uses_communities:
+                continue
+            # The first AS is the collector peer itself: many operators
+            # scrub their internal ingress tags on eBGP export, so only
+            # some vantage ASes reveal their own communities (per-AS,
+            # deterministic — baselines stay stable).
+            if i == 0 and _stable_fraction("self-export", asn) < 0.55:
+                continue
+            if not _survives_propagation(path, i):
+                continue
+            ingress_fac = ic.facility_of(asn)
+            fac = topo.facilities[ingress_fac]
+            location = (
+                scheme.community_for(TagKind.FACILITY, ingress_fac),
+                None
+                if ic.ixp_id is None
+                else scheme.community_for(TagKind.IXP, ic.ixp_id),
+                scheme.community_for(TagKind.CITY, fac.city.name),
+            )
+            # Occasional leaked outbound community — dictionary noise the
+            # voice-filtering step must have excluded from location lookups.
+            leak = Community(asn, min(scheme.outbound)) if scheme.outbound else None
+            taggers.append(
+                (
+                    asn,
+                    scheme.ipv6_tagging_rate,
+                    tuple(c for c in location if c is not None),
+                    leak,
+                )
+            )
+        self._markers = frozenset(markers)
+        self._taggers = tuple(taggers)
+
+    def for_prefix(
+        self, afi: int = 4, prefix: str = "", noise: bool = True
+    ) -> tuple[Community, ...]:
+        """Sorted, de-duplicated communities of the route for ``prefix``."""
+        tags = set(self._markers)
+        for asn, ipv6_rate, location, leak in self._taggers:
+            if afi == 6 and _stable_fraction("v6", asn, prefix) >= ipv6_rate:
+                continue
+            tags.update(location)
+            if (
+                noise
+                and leak is not None
+                and _stable_fraction("leak", asn, prefix) < 0.10
+            ):
+                tags.add(leak)
+        return tuple(sorted(tags))
+
+
 def tag_path(
     topo: Topology,
     path: tuple[int, ...],
@@ -67,54 +160,4 @@ def tag_path(
     ``interconnections[i]`` realises the adjacency ``path[i]–path[i+1]``.
     Returns a sorted, de-duplicated tuple (deterministic attribute order).
     """
-    if len(interconnections) != max(0, len(path) - 1):
-        raise ValueError("one interconnection per path edge required")
-    tags: set[Community] = set()
-    for i, ic in enumerate(interconnections):
-        asn = path[i]
-        rec = topo.ases.get(asn)
-        if rec is None:
-            continue
-        # Route-server redistribution marker: set by the route server on
-        # multilateral sessions (roughly three quarters of public
-        # peerings; bilateral sessions carry none), then subject to the
-        # same stripping as any other community.
-        if ic.ixp_id is not None:
-            rs = topo.rs_schemes.get(ic.ixp_id)
-            if (
-                rs is not None
-                and _stable_fraction("rs", ic.ixp_id, ic.asn_a, ic.asn_b) < 0.75
-                and _survives_propagation(path, i)
-            ):
-                tags.add(rs.marker())
-        scheme = rec.scheme
-        if scheme is None or not rec.uses_communities:
-            continue
-        # The first AS is the collector peer itself: many operators
-        # scrub their internal ingress tags on eBGP export, so only
-        # some vantage ASes reveal their own communities (per-AS,
-        # deterministic — baselines stay stable).
-        if i == 0 and _stable_fraction("self-export", asn) < 0.55:
-            continue
-        if not _survives_propagation(path, i):
-            continue
-        if afi == 6 and _stable_fraction("v6", asn, prefix) >= scheme.ipv6_tagging_rate:
-            continue
-        ingress_fac = ic.facility_of(asn)
-        fac = topo.facilities[ingress_fac]
-        community = scheme.community_for(TagKind.FACILITY, ingress_fac)
-        if community is not None:
-            tags.add(community)
-        if ic.ixp_id is not None:
-            community = scheme.community_for(TagKind.IXP, ic.ixp_id)
-            if community is not None:
-                tags.add(community)
-        community = scheme.community_for(TagKind.CITY, fac.city.name)
-        if community is not None:
-            tags.add(community)
-        # Occasional leaked outbound community — dictionary noise the
-        # voice-filtering step must have excluded from location lookups.
-        if noise and scheme.outbound and _stable_fraction("leak", asn, prefix) < 0.10:
-            value = sorted(scheme.outbound)[0]
-            tags.add(Community(asn, value))
-    return tuple(sorted(tags))
+    return RouteTags(topo, path, interconnections).for_prefix(afi, prefix, noise)

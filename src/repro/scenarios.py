@@ -17,7 +17,6 @@ import random
 from dataclasses import dataclass, field
 
 from repro.bgp.messages import BGPUpdate, StreamElement
-from repro.bgp.stream import BGPStream
 from repro.core.colocation import ColocationMap, build_colocation_map
 from repro.core.dataplane import DataPlaneValidator
 from repro.core.kepler import Kepler, KeplerParams
@@ -93,11 +92,17 @@ class World:
     def run_events(
         self, timed_events: list[tuple[float, InfraEvent]]
     ) -> list[StreamElement]:
-        """Apply a timed event sequence; return the merged sorted stream."""
-        stream = BGPStream()
+        """Apply a timed event sequence; return the merged sorted stream.
+
+        One stable sort on ``sort_key()``: equal keys keep the order the
+        engine emitted them in, which is the order a ``BGPStream`` merge
+        (ties broken by push order) would drain.
+        """
+        elements: list[StreamElement] = []
         for when, event in sorted(timed_events, key=lambda te: te[0]):
-            stream.push_many(self.engine.apply_event(event, when))
-        return list(stream.drain())
+            elements.extend(self.engine.apply_event(event, when))
+        elements.sort(key=lambda e: e.sort_key())
+        return elements
 
 
 def build_world(

@@ -1,14 +1,24 @@
-"""The ``RouteInfo`` BFS that ``routing/policy.py`` ran before it moved
-to plain tuples, kept verbatim as the oracle ``route_table`` is checked
-against (tests/test_route_table.py).  Slow on purpose: a frozen
-dataclass per candidate, comparisons through ``PathClass.value``.
+"""Oracles the routing simulator is checked against (tests/test_routing.py).
+
+* ``oracle_routes``: the ``RouteInfo`` BFS that ``routing/policy.py``
+  ran before it moved to plain tuples, kept verbatim.  Slow on purpose:
+  a frozen dataclass per candidate, comparisons through
+  ``PathClass.value``.
+* ``oracle_tag_path``: the one-shot ``tag_path`` body that
+  ``routing/tagging.py`` ran per prefix before ``RouteTags`` derived a
+  route's prefix-independent communities once, kept verbatim.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
+from repro.bgp.communities import Community
+from repro.routing.interconnection import Interconnection
 from repro.routing.policy import AdjacencyIndex, PathClass, RouteInfo
+from repro.routing.tagging import _stable_fraction, _survives_propagation
+from repro.topology.communities import TagKind
+from repro.topology.entities import Topology
 
 
 def oracle_routes(
@@ -100,3 +110,69 @@ def _route_key(route: RouteInfo) -> tuple[int, int, int]:
 
 def _better(a: RouteInfo, b: RouteInfo) -> bool:
     return _route_key(a) < _route_key(b)
+
+
+def oracle_tag_path(
+    topo: Topology,
+    path: tuple[int, ...],
+    interconnections: tuple[Interconnection, ...],
+    afi: int = 4,
+    prefix: str = "",
+    noise: bool = True,
+) -> tuple[Community, ...]:
+    """Communities visible on a route with the given physical realisation.
+
+    ``interconnections[i]`` realises the adjacency ``path[i]–path[i+1]``.
+    Returns a sorted, de-duplicated tuple (deterministic attribute order).
+    """
+    if len(interconnections) != max(0, len(path) - 1):
+        raise ValueError("one interconnection per path edge required")
+    tags: set[Community] = set()
+    for i, ic in enumerate(interconnections):
+        asn = path[i]
+        rec = topo.ases.get(asn)
+        if rec is None:
+            continue
+        # Route-server redistribution marker: set by the route server on
+        # multilateral sessions (roughly three quarters of public
+        # peerings; bilateral sessions carry none), then subject to the
+        # same stripping as any other community.
+        if ic.ixp_id is not None:
+            rs = topo.rs_schemes.get(ic.ixp_id)
+            if (
+                rs is not None
+                and _stable_fraction("rs", ic.ixp_id, ic.asn_a, ic.asn_b) < 0.75
+                and _survives_propagation(path, i)
+            ):
+                tags.add(rs.marker())
+        scheme = rec.scheme
+        if scheme is None or not rec.uses_communities:
+            continue
+        # The first AS is the collector peer itself: many operators
+        # scrub their internal ingress tags on eBGP export, so only
+        # some vantage ASes reveal their own communities (per-AS,
+        # deterministic — baselines stay stable).
+        if i == 0 and _stable_fraction("self-export", asn) < 0.55:
+            continue
+        if not _survives_propagation(path, i):
+            continue
+        if afi == 6 and _stable_fraction("v6", asn, prefix) >= scheme.ipv6_tagging_rate:
+            continue
+        ingress_fac = ic.facility_of(asn)
+        fac = topo.facilities[ingress_fac]
+        community = scheme.community_for(TagKind.FACILITY, ingress_fac)
+        if community is not None:
+            tags.add(community)
+        if ic.ixp_id is not None:
+            community = scheme.community_for(TagKind.IXP, ic.ixp_id)
+            if community is not None:
+                tags.add(community)
+        community = scheme.community_for(TagKind.CITY, fac.city.name)
+        if community is not None:
+            tags.add(community)
+        # Occasional leaked outbound community — dictionary noise the
+        # voice-filtering step must have excluded from location lookups.
+        if noise and scheme.outbound and _stable_fraction("leak", asn, prefix) < 0.10:
+            value = sorted(scheme.outbound)[0]
+            tags.add(Community(asn, value))
+    return tuple(sorted(tags))

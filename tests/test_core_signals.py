@@ -179,6 +179,27 @@ class TestInvestigation:
         assert result.located_pop == PoP(PoPKind.FACILITY, "mf1")
         assert result.method == "fabric-refinement"
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason=(
+            "ROADMAP 1a: _investigate_ixp scores a building with no"
+            " baseline link avoiding it as spared = 1.0 (vacuous truth)"
+            " and refines the IXP to it"
+        ),
+    )
+    def test_ixp_wide_when_no_link_avoids_the_building(self):
+        colo = make_colo()
+        inv = Investigator(colo)
+        # Every known link touches mf1, so none can show that links
+        # avoiding mf1 stayed up: Figure 2(b) has no evidence here.
+        affected = {(10, 40), (20, 50), (30, 60), (10, 20)}
+        c = classification(POP_IX, affected)
+        result = inv.investigate(c, {f for _, f in affected}, set(affected))
+        assert result.converged
+        assert result.located_pop == POP_IX
+        assert result.method == "ixp-wide"
+
     def test_ixp_wide_when_both_buildings_hit(self):
         colo = make_colo()
         inv = Investigator(colo)
