@@ -37,11 +37,8 @@ class OutageSignal:
     baseline_paths: int
     #: affected (near-end, far-end) AS pairs, far-end None when unknown.
     links: frozenset[tuple[int | None, int | None]]
-    #: AS sets of the diverted paths (vantage excluded) — used to spot a
-    #: common downstream cause the tagged links do not show.
-    path_as_sets: tuple[frozenset[int], ...] = ()
-    #: the diverted paths it counted, sorted and aligned with
-    #: ``path_as_sets``: what an outage opened on it waits on (§4.4).
+    #: the diverted paths it counted, sorted: what an outage opened on
+    #: it waits on (§4.4).
     keys: tuple[PathKey, ...] = ()
 
     @property

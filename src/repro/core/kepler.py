@@ -59,7 +59,11 @@ if TYPE_CHECKING:
 #: section drops its two return-tracking sections.  A version-3
 #: document has no signal keys, so it cannot resume exactly and is
 #: refused; the top-level ``shards`` layout field is gone.
-CHECKPOINT_VERSION = 4
+#: Version 5: monitor baseline and pending entries are
+#: ``[near, far, since]`` and signals carry no path AS sets (nothing
+#: classifies on them).  A version-4 document is refused like a
+#: version-3 one.
+CHECKPOINT_VERSION = 5
 CHECKPOINT_FORMAT = "kepler-checkpoint"
 
 #: First-generation collector threshold while the chain runs a staged

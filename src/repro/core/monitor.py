@@ -97,22 +97,15 @@ class MonitorParams:
 
 @dataclass
 class _BaselineEntry:
+    """A stable path's tagged link at one PoP and when it was first seen."""
+
     near_asn: int | None
     far_asn: int | None
     since: float
-    #: ASes on the monitored path (excluding the vantage), used to spot
-    #: divergences caused by a common downstream AS (the Figure 9a
-    #: time-B trap).
-    path_ases: frozenset[int] = frozenset()
 
 
 def _entry_to_json(entry: _BaselineEntry) -> list:
-    return [
-        entry.near_asn,
-        entry.far_asn,
-        entry.since,
-        sorted(entry.path_ases),
-    ]
+    return [entry.near_asn, entry.far_asn, entry.since]
 
 
 #: Bits reserved for the PoP index in a packed (key, pop) pending id.
@@ -271,16 +264,14 @@ class OutageMonitor:
         #: full baseline walk per diverted pop at every bin close.
         self._as_totals: dict[PoP, dict[int, int]] = {}
         #: stability candidates: packed (key_id << _POP_SHIFT | pop_id)
-        #: -> plain ``(near_asn, far_asn, since, path_ases)`` tuple (the
+        #: -> plain ``(near_asn, far_asn, since)`` tuple (the
         #: fold allocates one per candidate; a dataclass would double
         #: the cost of the hottest allocation in the system).  The dict
         #: is also the promotion queue: a candidate is inserted only
         #: while absent and a reset deletes it, so on a time-sorted
         #: stream insertion order is ``since`` order (see
         #: :meth:`_promote_pending`).
-        self._pending: dict[
-            int, tuple[int | None, int | None, float, frozenset[int]]
-        ] = {}
+        self._pending: dict[int, tuple[int | None, int | None, float]] = {}
         #: newest ``since`` inserted in order; a candidate older than it
         #: is *late* and also goes on ``_late``.
         self._newest = -math.inf
@@ -351,14 +342,11 @@ class OutageMonitor:
     def _pair_cols(self, pair: tuple) -> list:
         """Derived columns for one (memo-shared) ``(path, tags)`` pair.
 
-        Returns ``[pair, update_mask, owned, path_ases]`` where
-        ``update_mask`` has the bit of every tagged PoP, ``owned``
-        holds one ``(pop_id, bit, near_asn, far_asn)`` row per owned
-        tag, and ``path_ases`` (the path's ASes past the vantage) is
-        ``None`` until the fold first needs it for a stability
-        candidate.  Cached per pair identity: the tagging memo hands
-        back one object per repeated pair, so the cache hit rate
-        tracks the memo's.
+        Returns ``[pair, update_mask, owned]`` where ``update_mask``
+        has the bit of every tagged PoP and ``owned`` holds one
+        ``(pop_id, bit, near_asn, far_asn)`` row per owned tag.  Cached
+        per pair identity: the tagging memo hands back one object per
+        repeated pair, so the cache hit rate tracks the memo's.
         """
         cache = self._cols
         if len(cache) > _COLS_CACHE_MAX:
@@ -371,7 +359,7 @@ class OutageMonitor:
             mask |= bit
             if self.owns(tag.pop):
                 owned.append((idx, bit, tag.near_asn, tag.far_asn))
-        cols = [pair, mask, tuple(owned), None]
+        cols = [pair, mask, tuple(owned)]
         cache[id(pair)] = cols
         return cols
 
@@ -384,33 +372,22 @@ class OutageMonitor:
         # them before the install becomes visible.
         if self._events:
             self._flush_events()
-        path_ases = frozenset(tagged.as_path[1:])
         for tag in tagged.tags:
             if self.owns(tag.pop):
                 self._install(
-                    tag.pop, tagged.key, tag.near_asn, tag.far_asn,
-                    tagged.time, path_ases,
+                    tag.pop, tagged.key, tag.near_asn, tag.far_asn, tagged.time
                 )
 
     def prime_row(self, key: PathKey, time: float, pair: tuple) -> None:
-        """:meth:`prime` for a primed row of a tagged batch.
-
-        The path's AS set comes from the pair's derived columns, so
-        every row and candidate of one memo-shared pair shares it.
-        """
+        """:meth:`prime` for a primed row of a tagged batch."""
         if self._events:
             self._flush_events()
         cols = self._cols.get(id(pair))
         if cols is None:
             cols = self._pair_cols(pair)
-        if not cols[2]:
-            return
-        ases = cols[3]
-        if ases is None:
-            ases = cols[3] = frozenset(pair[0][1:])
         pops = self._pops
         for pop_idx, _, near_asn, far_asn in cols[2]:
-            self._install(pops[pop_idx], key, near_asn, far_asn, time, ases)
+            self._install(pops[pop_idx], key, near_asn, far_asn, time)
 
     def observe_state(self, message: BGPStateMessage) -> None:
         peer = (message.collector, message.peer_asn)
@@ -462,7 +439,6 @@ class OutageMonitor:
         near_asn: int | None,
         far_asn: int | None,
         since: float,
-        path_ases: frozenset[int],
     ) -> None:
         entries = self.baseline.setdefault(pop, {})
         old = entries.get(key)
@@ -470,12 +446,7 @@ class OutageMonitor:
             self._count_entry(pop, old, -1)
         else:
             self.total_baseline_entries += 1
-        entry = _BaselineEntry(
-            near_asn=near_asn,
-            far_asn=far_asn,
-            since=since,
-            path_ases=path_ases,
-        )
+        entry = _BaselineEntry(near_asn=near_asn, far_asn=far_asn, since=since)
         entries[key] = entry
         self._count_entry(pop, entry, +1)
         self._base_mask[self._intern_key(key)] |= 1 << self._intern_pop(pop)
@@ -631,11 +602,8 @@ class OutageMonitor:
                             new_mask &= ~bit
                         continue
                     if not (new_mask & bit):
-                        ases = cols[3]
-                        if ases is None:
-                            ases = cols[3] = frozenset(pair[0][1:])
                         packed = key_idx << shift | pop_idx
-                        pending[packed] = (near_asn, far_asn, when, ases)
+                        pending[packed] = (near_asn, far_asn, when)
                         if when < newest:
                             heapq.heappush(late, (when, packed))
                         else:
@@ -740,9 +708,6 @@ class OutageMonitor:
                         diverted_paths=len(keys),
                         baseline_paths=total,
                         links=links,
-                        path_as_sets=tuple(
-                            entries[k].path_ases for k in counted
-                        ),
                         keys=tuple(counted),
                     )
                 )
@@ -935,7 +900,7 @@ class OutageMonitor:
             [
                 pop_to_json(pops[packed & _POP_MASK]),
                 key_to_json(keys[packed >> _POP_SHIFT]),
-                [entry[0], entry[1], entry[2], sorted(entry[3])],
+                list(entry),
             ]
             for packed, entry in self._pending.items()
         ]
@@ -971,16 +936,13 @@ class OutageMonitor:
             pop = pop_from_json(pop_json)
             if not self.owns(pop):
                 continue
-            for key_json, (near, far, since, path_ases) in entries:
-                self._install(
-                    pop, key_from_json(key_json), near, far, since,
-                    frozenset(path_ases),
-                )
+            for key_json, (near, far, since) in entries:
+                self._install(pop, key_from_json(key_json), near, far, since)
         # Pending entries enter the queue in (since, pop, key) order:
         # the document is sorted by (pop, key) and the sort is stable.
         # Deterministic, and output-equivalent to the live arrival
         # order (promotions of distinct (pop, key) pairs commute).
-        for pop_json, key_json, (near, far, since, path_ases) in sorted(
+        for pop_json, key_json, (near, far, since) in sorted(
             state["pending"], key=lambda row: row[2][2]
         ):
             pop = pop_from_json(pop_json)
@@ -988,9 +950,7 @@ class OutageMonitor:
                 continue
             key_idx = self._intern_key(key_from_json(key_json))
             pop_idx = self._intern_pop(pop)
-            self._pending[key_idx << _POP_SHIFT | pop_idx] = (
-                near, far, since, frozenset(path_ases),
-            )
+            self._pending[key_idx << _POP_SHIFT | pop_idx] = (near, far, since)
             self._pend_mask[key_idx] |= 1 << pop_idx
             self._newest = since
         for pop_json, keys in state["diverted"]:

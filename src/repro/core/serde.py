@@ -118,7 +118,6 @@ def signal_to_json(signal: OutageSignal) -> dict[str, Any]:
         "diverted_paths": signal.diverted_paths,
         "baseline_paths": signal.baseline_paths,
         "links": links_to_json(signal.links),
-        "path_as_sets": [sorted(ps) for ps in signal.path_as_sets],
         "keys": [key_to_json(k) for k in signal.keys],
     }
 
@@ -132,9 +131,6 @@ def signal_from_json(data: dict[str, Any]) -> OutageSignal:
         diverted_paths=data["diverted_paths"],
         baseline_paths=data["baseline_paths"],
         links=frozenset(link_from_json(lk) for lk in data["links"]),
-        path_as_sets=tuple(
-            frozenset(ps) for ps in data["path_as_sets"]
-        ),
         keys=tuple(key_from_json(k) for k in data["keys"]),
     )
 

@@ -89,18 +89,11 @@ def _classify_one(
     if len(distinct) <= min_pop_ases:
         return SignalType.LINK
 
-    # AS-level: a single AS common to every affected link.  A dominance
-    # relaxation (>= 90 % of links) absorbs collateral divergences: when
-    # a major transit AS dies, a few monitored paths re-route away from
-    # healthy links too, which would otherwise masquerade as PoP-level.
-    best_asn, best_cover = None, 0.0
+    # AS-level: a single AS common to every affected link.
     for candidate in sorted(distinct):
-        cover = sum(1 for n, f in c.links if candidate in (n, f)) / len(c.links)
-        if cover > best_cover:
-            best_asn, best_cover = candidate, cover
-    if best_asn is not None and best_cover >= 0.9:
-        c.common_asn = best_asn
-        return SignalType.AS
+        if all(candidate in link for link in c.links):
+            c.common_asn = candidate
+            return SignalType.AS
 
     # Operator-level: one organization touching every link.
     orgs = sorted(_orgs_of(distinct, as2org))
@@ -109,22 +102,6 @@ def _classify_one(
         if all(members & {n, f} for n, f in c.links):
             c.common_org = org
             return SignalType.OPERATOR
-
-    # Weak-evidence guard: when few links diverted, check whether one
-    # downstream AS sits on (nearly) all diverted paths — re-routing
-    # away from a failing transit drags tagged-but-healthy links along
-    # (the Figure 9a time-B trap).
-    if len(c.links) < 8:
-        path_sets = [ps for s in c.signals for ps in s.path_as_sets if ps]
-        if path_sets:
-            candidates: set[int] = set().union(*path_sets) - distinct
-            for candidate in sorted(candidates):
-                cover = sum(1 for ps in path_sets if candidate in ps) / len(
-                    path_sets
-                )
-                if cover >= 0.9:
-                    c.common_asn = candidate
-                    return SignalType.AS
 
     # PoP-level: >=3 disjoint non-sibling orgs on each end.
     near_orgs = _orgs_of(c.near_ases, as2org)

@@ -32,9 +32,9 @@ class FoldOracle:
     ) -> None:
         self.share = share
         self.stable_window_s = stable_window_s
-        #: pop -> key -> (near, far, since, path ASes)
+        #: pop -> key -> (near, far, since)
         self.baseline: dict = {}
-        #: (pop, key) -> (near, far, since, path ASes)
+        #: (pop, key) -> (near, far, since)
         self.pending: dict = {}
         #: pop -> keys that left the baseline path this bin
         self.diverted: dict = {}
@@ -59,7 +59,6 @@ class FoldOracle:
                     tag.near_asn,
                     tag.far_asn,
                     tagged.time,
-                    frozenset(tagged.as_path[1:]),
                 )
 
     def session(self, peer: tuple[str, int], lost: bool) -> None:
@@ -119,7 +118,6 @@ class FoldOracle:
                     tag.near_asn,
                     tag.far_asn,
                     tagged.time,
-                    frozenset(tagged.as_path[1:]),
                 )
         # A candidate at a PoP the path no longer carries is dropped.
         for pop_key in [
@@ -154,21 +152,16 @@ class FoldOracle:
     # ------------------------------------------------------------------
     def sections(self) -> dict:
         """The ``state_dict()`` sections the fold writes, in its shape."""
-
-        def entry(value) -> list:
-            near, far, since, ases = value
-            return [near, far, since, sorted(ases)]
-
         return {
             "baseline": sorted(
                 [
                     pop_to_json(pop),
-                    sorted([key_to_json(k), entry(v)] for k, v in entries.items()),
+                    sorted([key_to_json(k), list(v)] for k, v in entries.items()),
                 ]
                 for pop, entries in self.baseline.items()
             ),
             "pending": sorted(
-                [pop_to_json(pop), key_to_json(key), entry(value)]
+                [pop_to_json(pop), key_to_json(key), list(value)]
                 for (pop, key), value in self.pending.items()
             ),
             "diverted": sorted(

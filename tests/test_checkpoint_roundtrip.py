@@ -9,7 +9,8 @@ two scenario worlds, with and without a data-plane validator.
 The document is fail-closed (a malformed one raises ``ValueError`` and
 leaves the detector as it was).  A version-3 document — the committed
 fixture the retired thread-sharded runtime wrote — carries no signal
-keys, so it cannot resume exactly and is refused by version.  A cut
+keys, so it cannot resume exactly and is refused by version, as is a
+version-4 document, whose monitor entries still carry path AS sets.  A cut
 between a signal's bin and the arrival of the candidate it feeds
 resumes to the uninterrupted output: the window's signals carry the
 paths the record will wait on.  A PoP pickled by one interpreter start
@@ -172,7 +173,7 @@ class TestCheckpointDocument:
         blob = json.dumps(document)
         parsed = json.loads(blob)
         assert parsed["format"] == "kepler-checkpoint"
-        assert parsed["version"] == 4
+        assert parsed["version"] == 5
         monitor = parsed["pipeline"]["stages"]["monitor"]["monitor"]
         assert "tracking" not in monitor and "shards" not in parsed
         assert parsed["primed_paths"] == detector.primed_paths
@@ -191,11 +192,15 @@ class TestCheckpointDocument:
     def test_restore_rejects_wrong_version(self, world_a):
         world, _, _ = world_a
         detector = make_kepler(world, KeplerParams(), False)
-        document = detector.snapshot()
-        document["version"] = 99
         fresh = make_kepler(world, KeplerParams(), False)
-        with pytest.raises(ValueError, match="version"):
-            fresh.restore(document)
+        before = json.dumps(fresh.snapshot(), sort_keys=True)
+        # Version 4 entries still carry path AS sets: refused, not read.
+        for version in (4, 99):
+            document = detector.snapshot()
+            document["version"] = version
+            with pytest.raises(ValueError, match="version"):
+                fresh.restore(document)
+            assert json.dumps(fresh.snapshot(), sort_keys=True) == before
 
     def test_restore_rejects_foreign_document(self, world_a):
         world, _, _ = world_a

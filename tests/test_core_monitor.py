@@ -228,11 +228,9 @@ class TestReturnTracking:
 
     def test_signal_keys_are_the_counted_paths(self):
         monitor = OutageMonitor(MonitorParams(t_fail=0.10))
-        ases = {}
         for i in range(10):
             near = 10 if i < 5 else 11
             path = (1, near, 30, 100 + i)
-            ases[key(i)] = frozenset(path[1:])
             monitor.prime(tagged(key(i), time=0.0, near=near, path=path))
         for i in (6, 0, 5):
             monitor.observe(tagged(key(i), time=10.0, withdraw=True))
@@ -243,10 +241,9 @@ class TestReturnTracking:
             30: (key(0), key(5), key(6)),
         }
         for signal in signals:
-            # Sorted, one per counted path, aligned with path_as_sets.
+            # Sorted, one per counted path.
             assert list(signal.keys) == sorted(signal.keys)
             assert len(signal.keys) == signal.diverted_paths
-            assert signal.path_as_sets == tuple(ases[k] for k in signal.keys)
 
 
 class TestParams:

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bgp.messages import ElemType
 from repro.core.colocation import ColocationMap, MapFacility, MapIXP
 from repro.core.events import OutageSignal, SignalType
+from repro.core.input import PoPTag, TaggedPath
 from repro.core.investigation import Investigator
+from repro.core.monitor import MonitorParams, OutageMonitor
 from repro.core.signals import SignalClassification, classify_signals
 from repro.docmine.dictionary import PoP, PoPKind
 
@@ -31,6 +34,42 @@ def org_map(*asns, org=None):
     return {a: (org or f"org{a}") for a in asns}
 
 
+def one_as_on_nine_of_ten_links():
+    # AS99 is near on three links and far on six; (50, 60) avoids it.
+    links = (
+        {(99, f) for f in (40, 41, 42)}
+        | {(n, 99) for n in range(10, 16)}
+        | {(50, 60)}
+    )
+    return [signal(POP_F1, n, {(n, f)}) for n, f in links]
+
+
+def paths_sharing_a_downstream_as():
+    # Three links fail; every diverted path runs on through AS77, which
+    # is on none of them.
+    monitor = OutageMonitor(MonitorParams(t_fail=0.5))
+    keys = [("rrc00", 1, f"10.0.{i}.0/24") for i in range(3)]
+    for i, (near, far) in enumerate([(10, 40), (20, 50), (30, 60)]):
+        monitor.prime(
+            TaggedPath(
+                key=keys[i],
+                time=0.0,
+                elem_type=ElemType.ANNOUNCEMENT,
+                as_path=(1, near, far, 77, 200 + i),
+                tags=(PoPTag(pop=POP_F1, near_asn=near, far_asn=far),),
+                afi=4,
+            )
+        )
+    for k in keys:
+        monitor.observe(
+            TaggedPath(
+                key=k, time=10.0, elem_type=ElemType.WITHDRAWAL,
+                as_path=(), tags=(), afi=4,
+            )
+        )
+    return monitor.close_bin()
+
+
 class TestClassification:
     def test_few_ases_is_link_level(self):
         signals = [signal(POP_F1, 10, {(10, 20)})]
@@ -45,12 +84,29 @@ class TestClassification:
         assert out[0].common_asn == 99
 
     def test_dominant_as_with_collateral_still_as_level(self):
-        # 10 links, 9 share AS99: the dominance relaxation at 90 %.
+        # 10 links, 9 share AS99: no AS is on every link, and two far
+        # orgs are too few for PoP-level, so the fall-through says AS.
         links = {(n, 99) for n in range(10, 19)} | {(50, 60)}
         signals = [signal(POP_F1, n, {(n, f)}) for n, f in links]
         as2org = org_map(*range(10, 19), 50, 60, 99)
         out = classify_signals(signals, as2org)
         assert out[0].signal_type is SignalType.AS
+        assert out[0].common_asn is None
+
+    @pytest.mark.parametrize(
+        "make_signals",
+        [one_as_on_nine_of_ten_links, paths_sharing_a_downstream_as],
+        ids=["as-on-9-of-10-links", "shared-downstream-as"],
+    )
+    def test_pop_eligible_group_is_pop_level(self, make_signals):
+        # AS-level needs one AS on every affected link (Section 4.3);
+        # with >=3 near and >=3 far orgs the group is PoP-level.
+        signals = make_signals()
+        ases = {a for s in signals for link in s.links for a in link}
+        out = classify_signals(signals, org_map(*ases))
+        assert [(c.signal_type, c.common_asn) for c in out] == [
+            (SignalType.POP, None)
+        ]
 
     def test_operator_level_for_siblings(self):
         # All links touch one of the siblings {97, 98, 99} of one org.
