@@ -245,10 +245,11 @@ class Investigator:
                 link for link in known_baseline if touches(link, tenants)
             }
             untouched = known_baseline - touching
-            if untouched:
-                spared = 1.0 - len(affected_links & untouched) / len(untouched)
-            else:
-                spared = 1.0
+            if not untouched:
+                # No known link avoids the building, so none can show
+                # that the rest of the fabric stayed up: no evidence.
+                continue
+            spared = 1.0 - len(affected_links & untouched) / len(untouched)
             saturation = (
                 len(affected_links & touching) / len(touching) if touching else 0.0
             )

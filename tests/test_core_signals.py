@@ -235,15 +235,6 @@ class TestInvestigation:
         assert result.located_pop == PoP(PoPKind.FACILITY, "mf1")
         assert result.method == "fabric-refinement"
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason=(
-            "ROADMAP 1a: _investigate_ixp scores a building with no"
-            " baseline link avoiding it as spared = 1.0 (vacuous truth)"
-            " and refines the IXP to it"
-        ),
-    )
     def test_ixp_wide_when_no_link_avoids_the_building(self):
         colo = make_colo()
         inv = Investigator(colo)
