@@ -28,11 +28,6 @@ repository root:
   >= 4 cores the shard-process runtime must beat the linear chain end
   to end by >= 1.5x (``gate_enforced`` records whether the machine
   was big enough for the gate to apply);
-* **ingest_tier** — an announcement-heavy multi-collector stream
-  through one global-heap ``BGPStream`` merge plus the serial driver
-  ``IngestStage`` hop, and as per-collector sources through
-  ``process_feeds`` at 4 forked feed workers.  The released stream
-  must be element-identical always; both timings are informational;
 * **telemetry** — the live telemetry plane's end-to-end cost: the
   world-scale linear workload with histograms/trace recording on
   against ``telemetry.set_enabled(False)`` (< 5% overhead gate), plus
@@ -700,164 +695,6 @@ def run_partitioned_monitor() -> dict:
 
 
 # ----------------------------------------------------------------------
-# Ingest tier: heap-merge + serial admission vs forked feed workers
-# ----------------------------------------------------------------------
-IT_ELEMENTS = 120_000
-IT_FEEDS = 4
-#: Collector names chosen to hash onto four *distinct* feeds
-#: (feed_of: rrc00 -> 3, rrc01 -> 1, rrc04 -> 2, rrc05 -> 0), so the
-#: source-mode run really exercises IT_FEEDS-way admission.
-IT_COLLECTORS = ("rrc00", "rrc01", "rrc04", "rrc05")
-#: Best-of-N timing, with a gc.collect() before every run: this
-#: section runs last, after the world-scale workloads above have
-#: churned hundreds of MB — without the sweep, collector pauses land
-#: inside the timed regions and dominate the sub-second measurements.
-IT_TIMING_RUNS = 3
-
-
-def _ingest_stream() -> list[BGPUpdate]:
-    """An announcement-heavy multi-collector stream, globally sorted.
-
-    Realistic attribute sizes (six-hop paths, three communities) keep
-    the comparison honest: admission and serde encoding are cheap per
-    element, so the baseline's heap cost and the tier's transport cost
-    both matter — neither side gets a synthetic handicap.
-    """
-    from repro.bgp.communities import Community
-
-    elements: list[BGPUpdate] = []
-    t = 0.0
-    for i in range(IT_ELEMENTS):
-        t += 0.06
-        elements.append(
-            BGPUpdate(
-                time=t,
-                collector=IT_COLLECTORS[i % len(IT_COLLECTORS)],
-                peer_asn=64_500 + i % 8,
-                prefix=f"10.{i % 60}.{(i // 60) % 60}.0/24",
-                elem_type=ElemType.ANNOUNCEMENT,
-                as_path=(
-                    64_500 + i % 8,
-                    64_000 + i % 7,
-                    63_500 + i % 5,
-                    63_000 + i % 11,
-                    62_000 + i % 13,
-                    61_000,
-                ),
-                communities=tuple(
-                    Community(65_000 + d, (i * (d + 3)) % 3000)
-                    for d in range(3)
-                ),
-            )
-        )
-    return elements
-
-
-class _CollectingRuntime:
-    """A bare runtime behind the tier: it admits what ``feed_many`` is
-    handed (the no-fork path) and keeps the released stream."""
-
-    def __init__(self) -> None:
-        from repro.pipeline import IngestStage, StageMetrics
-
-        self.stage = IngestStage()
-        self.meter = StageMetrics(name="ingest")
-        self.payloads: list = []
-        self.wired = False
-
-    def admission(self):
-        return self.stage, self.meter
-
-    def feed_admitted_wires(self, wires: list) -> list:
-        self.wired = True
-        self.payloads.extend(wires)
-        return []
-
-    def feed_many(self, elements) -> list:
-        for element in elements:
-            self.payloads.extend(self.stage.feed(element))
-        return []
-
-
-def run_ingest_tier() -> dict:
-    """The heap-merge path vs ``process_feeds`` over the same collectors.
-
-    Reference: the single global-heap ``BGPStream`` merge plus the
-    serial driver ``IngestStage`` hop.  Source mode: ``process_feeds``
-    over per-collector sources, forked feed workers admitting and
-    encoding in parallel.  The released stream must be
-    element-identical to the reference admission output always; both
-    timings are informational — the serde hop trades driver relief for
-    transport, which pays off composed with a detector, not against a
-    bare element sink.
-    """
-    from repro.bgp.stream import BGPStream
-    from repro.core.serde import element_from_wire
-    from repro.ingest import IngestTier, split_by_collector
-    from repro.pipeline import fork_available
-    from repro.pipeline.ingest import IngestStage
-
-    cores = (
-        len(os.sched_getaffinity(0))
-        if hasattr(os, "sched_getaffinity")
-        else (os.cpu_count() or 1)
-    )
-    elements = _ingest_stream()
-    sources = split_by_collector(elements)
-
-    import gc
-
-    baseline_s = float("inf")
-    admitted: list | None = None
-    for _ in range(IT_TIMING_RUNS):
-        gc.collect()
-        began = time.perf_counter()
-        stream = BGPStream()
-        stream.push_many(elements)
-        stage = IngestStage()
-        out = [o for e in stream.drain() for o in stage.feed(e)]
-        baseline_s = min(baseline_s, time.perf_counter() - began)
-        if admitted is None:
-            admitted = out
-
-    source_s = float("inf")
-    merge_stats: dict = {}
-    for _ in range(IT_TIMING_RUNS):
-        runtime = _CollectingRuntime()
-        gc.collect()
-        began = time.perf_counter()
-        tier = IngestTier(runtime, feeds=IT_FEEDS)
-        tier.process_feeds(sources)
-        source_s = min(source_s, time.perf_counter() - began)
-        released = (
-            [element_from_wire(w) for w in runtime.payloads]
-            if runtime.wired
-            else runtime.payloads
-        )
-        assert released == admitted, (
-            "source-driven released stream diverged from the heap path"
-        )
-        merge_stats = {
-            "late_elements": tier.merge.late_elements,
-            "peak_reorder_window": tier.merge.peak_buffered,
-        }
-
-    return {
-        "elements": len(elements),
-        "collectors": list(IT_COLLECTORS),
-        "feeds": IT_FEEDS,
-        "output_identical": True,
-        **merge_stats,
-        "heap_merge_seconds": round(baseline_s, 3),
-        "source_mode_seconds": round(source_s, 3),
-        "source_mode_forked": fork_available(),
-        "cores": cores,
-        # Identity only: no speed gate applies to this entry.
-        "gate_enforced": False,
-    }
-
-
-# ----------------------------------------------------------------------
 # Telemetry overhead: histograms + trace + live sampling vs disabled
 # ----------------------------------------------------------------------
 TEL_ELEMENTS = 60_000
@@ -1105,8 +942,6 @@ def _identity_runtimes() -> list[tuple[str, dict]]:
 
     combos: list[tuple[str, dict]] = [("linear", {})]
     if fork_available():
-        # Crossed with the ingest_feeds loop in run_identity this
-        # covers every runtime x ingest layout cell of the matrix.
         combos.append(
             ("shard_processes", {"shard_processes": 2, "process_batch": 512})
         )
@@ -1114,13 +949,13 @@ def _identity_runtimes() -> list[tuple[str, dict]]:
 
 
 def run_identity() -> dict:
-    """Byte-identity smoke: every runtime × ingest tier, two worlds.
+    """Byte-identity smoke: every runtime, two worlds.
 
     No timing, no throughput gates — just the invariant that gates
     every optimisation in this file: records, signal log and rejects
-    must be byte-identical to the linear chain whichever runtime and
-    ingest layout processed the stream.  Fast enough for a CI smoke
-    job (`--identity`).
+    must be byte-identical to the linear chain whichever runtime
+    processed the stream.  Fast enough for a CI smoke job
+    (`--identity`).
     """
     report: dict = {}
     for seed in IDENTITY_SEEDS:
@@ -1132,24 +967,21 @@ def run_identity() -> dict:
         reference = None
         runtimes: dict[str, bool] = {}
         for name, overrides in _identity_runtimes():
-            for feeds in (0, 2):
-                kepler = world.make_kepler(
-                    params=KeplerParams(ingest_feeds=feeds, **overrides),
-                    validator=PureValidator(),
-                )
-                kepler.prime(priming)
-                kepler.process(elements)
-                kepler.finalize(end_time=elements[-1].time + 3600.0)
-                observed = _process_observed(kepler)
-                kepler.close()
-                label = f"{name}+ingest_feeds" if feeds else name
-                if reference is None:
-                    reference = observed
-                runtimes[label] = observed == reference
-                assert observed == reference, (
-                    f"world seed {seed}: {label} diverged from the"
-                    " linear chain"
-                )
+            kepler = world.make_kepler(
+                params=KeplerParams(**overrides),
+                validator=PureValidator(),
+            )
+            kepler.prime(priming)
+            kepler.process(elements)
+            kepler.finalize(end_time=elements[-1].time + 3600.0)
+            observed = _process_observed(kepler)
+            kepler.close()
+            if reference is None:
+                reference = observed
+            runtimes[name] = observed == reference
+            assert observed == reference, (
+                f"world seed {seed}: {name} diverged from the linear chain"
+            )
         assert reference[1], (
             f"world seed {seed}: stream raised no signals — the"
             " identity check would be vacuous"
@@ -1270,14 +1102,12 @@ def test_pipeline_throughput():
     hot = run_hot_path()
     end_to_end = run_end_to_end()
     partitioned = run_partitioned_monitor()
-    ingest_tier = run_ingest_tier()
     recovery = run_recovery()
     telemetry_entry = run_telemetry()
     report = {
         "hot_path": hot,
         "end_to_end": end_to_end,
         "partitioned_monitor": partitioned,
-        "ingest_tier": ingest_tier,
         "recovery": recovery,
         "telemetry": telemetry_entry,
     }
@@ -1304,9 +1134,6 @@ def test_pipeline_throughput():
         ), partitioned
         if partitioned["gate_enforced"]:
             assert partitioned["speedup"] >= PM_SPEEDUP_GATE, partitioned
-    # Ingest tier: released-stream identity always (timings are
-    # informational).
-    assert ingest_tier["output_identical"], ingest_tier
     # Recovery: identity under injected kills always; timings are
     # informational (fork + restore + replay cost is machine-bound).
     if "skipped" not in recovery:

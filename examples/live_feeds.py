@@ -1,19 +1,16 @@
 """Multi-feed ingest with a mid-stream resume: the live-collector drill.
 
 A production detector watches many collectors at once.  This example
-drives the ingest tier (``KeplerParams(ingest_feeds=N)``) the way an
-operator would:
+feeds Kepler per-collector sources the way an operator would:
 
 1. build the world and replay an outage scenario, keeping the
    per-collector feeds separate (what BGPStream would hand us per
    collector, before any global merge);
 2. run the first half of the stream through
-   ``Kepler.process_feeds(...)`` — each feed consumed by its own
-   forked feed worker (merged in the driver where the platform cannot
-   fork), the watermark merge releasing the unified sorted stream —
-   and snapshot;
-3. restore the snapshot into a detector with a *different* ingest
-   layout (the driver ingest path), finish the stream, and compare
+   ``Kepler.process_feeds(...)`` — the sources merged lazily by sort
+   key in the driver, the BGPStream merge — and snapshot;
+3. restore the snapshot into a fresh detector, finish the stream
+   through ``process`` on the pre-merged elements, and compare
    against an uninterrupted single-stream run: records must match
    byte for byte.
 
@@ -27,7 +24,7 @@ import json
 
 from repro.core.kepler import Kepler, KeplerParams
 from repro.core.serde import record_to_json
-from repro.ingest import split_by_collector
+from repro.pipeline import split_by_collector
 from repro.routing.events import (
     FacilityFailure,
     FacilityRecovery,
@@ -48,7 +45,6 @@ WORLD = WorldParams(
     n_ixps=12,
 )
 END_TIME = 60_000.0
-FEEDS = 3
 
 
 def replay(world: World):
@@ -70,11 +66,6 @@ def replay(world: World):
             (22_000.0, IXPRecovery(ixp_ids[0])),
         ]
     return world.rib_snapshot(0.0), world.run_events(events)
-
-
-def collector_sources(elements) -> dict[str, list]:
-    """Per-collector feeds: each source pinned to its collector's feed."""
-    return split_by_collector(elements)
 
 
 def records_json(kepler: Kepler) -> list[dict]:
@@ -100,22 +91,24 @@ def main() -> int:
     expected = records_json(reference)
 
     # Phase 1: consume the first half as per-collector feeds.
-    print(f"\nPhase 1: ingest tier with {FEEDS} feed workers ...")
-    live = world.make_kepler(params=KeplerParams(ingest_feeds=FEEDS))
+    print("\nPhase 1: per-collector feeds through process_feeds ...")
+    live = world.make_kepler(params=KeplerParams())
     live.prime(snapshot)
-    live.process_feeds(collector_sources(elements[:cut]))
-    checkpoint = json.dumps(live.snapshot())
-    merge = live.stages.tier.merge
+    live.process_feeds(split_by_collector(elements[:cut]))
+    doc = live.snapshot()
+    checkpoint = json.dumps(doc)
+    ingest = doc["pipeline"]["stages"]["ingest"]
     print(
         f"  {cut} elements merged from {len(collectors)} collectors"
-        f" ({merge.released} released, {merge.late_elements} late,"
-        f" peak reorder window {merge.peak_buffered});"
+        f" ({ingest['announcements']} announcements,"
+        f" {ingest['withdrawals']} withdrawals,"
+        f" {ingest['out_of_order']} out of order);"
         f" checkpoint: {len(checkpoint)} bytes"
     )
     live.close()
 
-    # Phase 2: restore into a *different* ingest layout and finish.
-    print("Phase 2: resume under the driver ingest path ...")
+    # Phase 2: restore into a fresh detector and finish the stream.
+    print("Phase 2: resume on the pre-merged stream ...")
     resumed = world.make_kepler(params=KeplerParams())
     resumed.restore(json.loads(checkpoint))
     resumed.process(elements[cut:])
@@ -127,7 +120,7 @@ def main() -> int:
         print("MISMATCH: multi-feed resumed run diverged from reference")
         return 1
     print(
-        f"\nOK: multi-feed ingest + cross-layout resume reproduced all"
+        f"\nOK: per-collector feeds + resume reproduced all"
         f" {len(expected)} records byte-identically:"
     )
     for record in resumed.records:

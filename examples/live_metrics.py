@@ -1,7 +1,7 @@
 """Live metrics from a running multiprocess detector.
 
-Runs the full shard-process runtime behind the sharded ingest tier
-(`KeplerParams(shard_processes=2, ingest_feeds=2)`), serves
+Runs the shard-process runtime (`KeplerParams(shard_processes=2)`) on
+per-collector feeds (``kepler.process_feeds``), serves
 ``kepler.metrics_live()`` over HTTP from a daemon thread, and polls it
 *while the stream is being processed* — no drain barrier, no effect on
 the detector's output.
@@ -24,7 +24,7 @@ import urllib.request
 
 from repro import telemetry
 from repro.core.kepler import KeplerParams
-from repro.ingest import split_by_collector
+from repro.pipeline import split_by_collector
 from repro.routing.events import FacilityFailure, FacilityRecovery
 from repro.scenarios import build_world
 
@@ -34,15 +34,12 @@ def describe(snapshot: dict) -> str:
     tagging = stages.get("tagging", {})
     live = snapshot.get("live", {})
     depths = snapshot.get("depths", {})
-    feeds = snapshot.get("feeds", {})
     parts = [
         f"tagged={tagging.get('fed', 0):>6}",
         f"workers={live.get('workers_reporting', 0)}/{live.get('workers', 0)}",
         f"sync_rounds={live.get('sync_rounds', 0):>4}",
         f"queued={sum(depths.values()) if depths else 0:>3}",
     ]
-    for name in sorted(feeds):
-        parts.append(f"{name}={feeds[name].get('fed', 0)}")
     p95 = snapshot.get("hists", {}).get("stage_ns.tagging", {}).get("p95")
     if p95 is not None:
         parts.append(f"tagging_p95={p95 / 1000.0:.1f}us/elem")
@@ -64,9 +61,7 @@ def main() -> None:
     )
     print(f"  {len(elements)} BGP stream elements generated")
 
-    kepler = world.make_kepler(
-        params=KeplerParams(shard_processes=2, ingest_feeds=2)
-    )
+    kepler = world.make_kepler(params=KeplerParams(shard_processes=2))
     kepler.prime(world.rib_snapshot(0.0))
 
     from repro.telemetry import MetricsEndpoint

@@ -98,12 +98,12 @@ class Collector:
         """Observe an update sequence; yield the published feed.
 
         The generator form of :meth:`observe` — exactly what a live
-        collector hands the ingest tier as one per-collector source
-        (:meth:`repro.core.kepler.Kepler.process_feeds`): updates from
-        down sessions are lost, publication lag is applied.  With
-        ``apply_lag`` the jittered timestamps may leave publication
-        order; the tier surfaces such elements through its
-        late-element accounting rather than re-sorting history.
+        collector hands :meth:`repro.core.kepler.Kepler.process_feeds`
+        as one per-collector source: updates from down sessions are
+        lost, publication lag is applied.  With ``apply_lag`` the
+        jittered timestamps may leave publication order; ingest counts
+        such elements as ``out_of_order`` rather than re-sorting
+        history.
         """
         for update in updates:
             published = self.observe(update)

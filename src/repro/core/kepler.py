@@ -50,10 +50,9 @@ if TYPE_CHECKING:
 #: promotion heap — rebuilt on load) so documents are identical across
 #: monitor partition layouts.
 #: Version 3: the ingest section gains the per-type drop breakdown
-#: (``dropped_types``).  It is the driver ingest stage's state under
-#: every ``ingest_feeds`` layout — forked feed workers add their
-#: counters into that stage at end of run, and its clock doubles as the
-#: feed merge's cursor — so any snapshot restores into any layout.
+#: (``dropped_types``).  It is the driver ingest stage's state, the
+#: one place admission is counted, so any snapshot restores into any
+#: runtime.
 #: Version 4: signals carry the paths they counted (``keys``), the
 #: record stage carries each record's return watch, and the monitor
 #: section drops its two return-tracking sections.  A version-3
@@ -156,16 +155,6 @@ class KeplerParams:
     #: worker per bin).  See :mod:`repro.pipeline.parallel`.  Requires
     #: the ``fork`` start method (POSIX).
     shard_processes: int = 0
-    #: Number of forked feed workers :meth:`Kepler.process_feeds` runs
-    #: per-collector sources in (0 = no ``process_feeds``).  With >= 1
-    #: the facade wraps whichever runtime the other knobs built in an
-    #: :class:`~repro.ingest.tier.IngestTier`: each worker admits its
-    #: collectors locally and a watermark merge releases the sorted
-    #: stream downstream.  :meth:`Kepler.process` and :meth:`prime`
-    #: ignore it — they run the driver ingest path of
-    #: ``ingest_feeds=0`` exactly, so output and checkpoint bytes
-    #: never depend on it.
-    ingest_feeds: int = 0
     #: Wrap the built runtime in the supervision layer
     #: (:mod:`repro.pipeline.supervisor`): worker death, hung queues
     #: and poisoned batches become metered checkpoint-replay
@@ -184,13 +173,10 @@ class KeplerParams:
 
     def __post_init__(self) -> None:
         # Fail closed: ``shard_processes=1`` or a negative count would
-        # silently build the linear chain, a negative ``ingest_feeds``
-        # no tier.
+        # silently build the linear chain.
         shards = self.shard_processes
         if not _is_int(shards) or not (shards == 0 or shards >= 2):
             raise ValueError("shard_processes must be an int, 0 or >= 2")
-        if not _is_int(self.ingest_feeds) or self.ingest_feeds < 0:
-            raise ValueError("ingest_feeds must be an int >= 0")
         # A fractional chunk fails only at the first ``process``; a
         # ``restore_fraction`` of 1.0 or NaN never closes a record (the
         # rule is ``fraction > restore_fraction``).
@@ -291,31 +277,19 @@ class Kepler:
         from repro.pipeline import build_shard_process_kepler_pipeline
 
         if self.params.shard_processes >= 2:
-            stages: KeplerPipeline = build_shard_process_kepler_pipeline(
+            return build_shard_process_kepler_pipeline(
                 workers=self.params.shard_processes,
                 batch_size=self.params.process_batch,
                 **self._wiring(),
             )
-        else:
-            stages = self._build_linear_stages()
-        if self.params.ingest_feeds >= 1:
-            # Outermost wrapper: the ingest tier adds process_feeds
-            # (forked per-collector feed workers and a watermark merge)
-            # and leaves the runtime's driver ingest path in place for
-            # everything else.
-            from repro.ingest import build_ingest_kepler_pipeline
-
-            stages = build_ingest_kepler_pipeline(
-                stages, feeds=self.params.ingest_feeds
-            )
-        return stages
+        return self._build_linear_stages()
 
     def _build_linear_stages(self) -> "KeplerPipeline":
         """The linear chain, also the graceful-degradation target.
 
-        No forked workers, no queues, no ingest tier — nothing left to
-        kill or stall.  Every runtime composes linear-layout documents,
-        which is exactly what this chain restores.
+        No forked workers, no queues — nothing left to kill or stall.
+        Every runtime composes linear-layout documents, which is
+        exactly what this chain restores.
         """
         from repro.pipeline import build_kepler_pipeline
 
@@ -377,9 +351,7 @@ class Kepler:
         one live interval stale, see
         :func:`repro.telemetry.set_live_interval`), the in-process
         runtimes read their live registries.  Adds ``depths``
-        (queue occupancy), ``hists`` (p50/p95/p99 summaries) and,
-        under the ingest tier, per-feed admission counts of the
-        forked ``process_feeds`` runs (``feeds``).
+        (queue occupancy) and ``hists`` (p50/p95/p99 summaries).
 
         Unlike the facade views this does **not** run the admission
         buffer (the chain belongs to the thread inside ``process``), so
@@ -435,7 +407,7 @@ class Kepler:
         (an element that opens a bin of the stream is never held back),
         when ``feed_chunk`` elements are staged, or when anything reads
         detector state (every facade view, ``snapshot``, ``prime``,
-        ``process_feeds``, ``finalize``).  Output is identical for
+        ``finalize``).  Output is identical for
         every chunking of a stream, so a per-element live loop costs an
         ``extend`` and a compare per call and the chain still sees
         bin-sized batches.  A list of ``feed_chunk`` or more elements
@@ -514,28 +486,22 @@ class Kepler:
         self,
         feeds: "dict[str, Iterable[StreamElement]] | Iterable[Iterable[StreamElement]]",
     ) -> None:
-        """Consume per-collector element feeds in forked feed workers.
+        """Consume per-collector element feeds, merged in the driver.
 
         Pass a mapping ``{collector: source}`` (see
-        :func:`repro.ingest.split_by_collector`) — each time-sorted
-        source is pinned to its collector's feed worker, consumed
-        concurrently (merged in the driver where the platform cannot
-        fork), and the watermark merge releases exactly the stream
-        :func:`~repro.pipeline.ingest.merge_streams` would produce
-        over the union, so output is identical to :meth:`process` on
-        the pre-merged stream.  A bare sequence of sources is also
-        accepted (round-robin feed assignment; see
-        :meth:`repro.ingest.tier.IngestTier.process_feeds` for the
-        tie-break caveat).  Requires
-        ``KeplerParams(ingest_feeds >= 1)``.
+        :func:`repro.pipeline.split_by_collector`) or a bare sequence of
+        sources, each time-sorted.  The sources are merged lazily by
+        sort key (:func:`~repro.pipeline.ingest.merge_streams`, the
+        BGPStream merge of Section 4.1) — a mapping in sorted collector
+        order, a sequence in the given order, which breaks ties between
+        equal sort keys — and the merged stream goes to :meth:`process`,
+        so the output equals :meth:`process` on the pre-merged stream.
         """
-        if self.params.ingest_feeds < 1:
-            raise ValueError(
-                "process_feeds requires the ingest tier"
-                " (KeplerParams(ingest_feeds=N))"
-            )
-        self._flush()
-        self.stages.process_feeds(feeds)
+        from repro.pipeline import merge_streams
+
+        if isinstance(feeds, dict):
+            feeds = [feeds[collector] for collector in sorted(feeds)]
+        self.process(merge_streams(*feeds))
 
     def finalize(self, end_time: float | None = None) -> list[OutageRecord]:
         """Flush bins, settle open records, merge oscillations; return records."""

@@ -15,8 +15,9 @@ carries exactly what ingest admits
 ``BGPStateMessage`` and ``PrimingUpdate``, and every byte that crosses
 a process boundary is produced behind that gate.
 :func:`element_to_wire` / :func:`element_from_wire` wrap one element
-in a ``[tag, payload]`` envelope (``"u"``, ``"s"``, ``"pu"``), which
-the forked ingest feed workers ship.  Bulk transport is *columnar*:
+in a ``[tag, payload]`` envelope (``"u"``, ``"s"``, ``"pu"``), the
+per-element reference form the columnar codec is tested against.  Bulk
+transport is *columnar*:
 :func:`encode_batch` turns a chunk into a struct-of-arrays batch
 ``(kinds, u_rows, s_rows, path_tab, comm_tab)`` — parallel field
 columns per element family plus per-batch AS-path / community tables —
@@ -341,25 +342,8 @@ def state_message_from_json(data: list[Any]) -> BGPStateMessage:
     return message
 
 
-def wire_sort_key(wire: list[Any]) -> tuple[float, str, int, str]:
-    """Stream sort key of an encoded raw element, without decoding it.
-
-    Mirrors ``BGPUpdate.sort_key`` / ``BGPStateMessage.sort_key`` over
-    the wire payload shape, so the ingest tier's merge coordinator can
-    order batches published by forked feed workers (which ship encoded
-    elements) without paying a decode per element.  Only the stream
-    envelopes (``"u"``/``"s"``) carry a stream position.
-    """
-    tag, payload = wire[0], wire[1]
-    if tag == "u":
-        return (payload[0], payload[1], payload[2], payload[3])
-    if tag == "s":
-        return (payload[0], payload[1], payload[2], "")
-    raise ValueError(f"wire tag {tag!r} carries no stream sort key")
-
-
 # ----------------------------------------------------------------------
-# Wire envelope: [tag, payload] dispatch for queue transport
+# Wire envelope: [tag, payload], the per-element reference form
 # ----------------------------------------------------------------------
 # ``PrimingUpdate`` lives in repro.pipeline.events, whose package
 # imports this module — resolved lazily once, then cached.
@@ -606,78 +590,6 @@ def decode_batch(batch: tuple) -> list:
             set_s_new(message, session_states[new_state])
             append(message)
     return out
-
-
-def wires_to_batch(wires: list) -> tuple:
-    """Repack admitted wire envelopes as one columnar batch.
-
-    The ingest tier's release path holds envelopes (feed workers sort
-    by :func:`wire_sort_key` without decoding); this folds a released
-    chunk into the columnar shape :func:`tag_wire_batch` consumes —
-    straight column appends from the envelope payloads, no object
-    materialisation.  Payload tuples survive ``marshal`` as tuples, so
-    the table keys below are allocation-free on the hot path.  Raises
-    ``ValueError`` on an envelope tag outside ``"u"``/``"pu"``/``"s"``.
-    """
-    kinds = bytearray()
-    append_kind = kinds.append
-    u_time: list = []
-    u_coll: list = []
-    u_peer: list = []
-    u_pfx: list = []
-    u_elem: list = []
-    u_path: list = []
-    u_comm: list = []
-    u_afi: list = []
-    s_time: list = []
-    s_coll: list = []
-    s_peer: list = []
-    s_old: list = []
-    s_new: list = []
-    path_tab: list = []
-    comm_tab: list = []
-    path_vals: dict = {}
-    comm_vals: dict = {}
-    for wire in wires:
-        tag = wire[0]
-        if tag == "u" or tag == "pu":
-            time_, coll, peer, pfx, elem, path, flat, afi = wire[1]
-            append_kind(_K_UPDATE if tag == "u" else _K_PRIMING)
-            u_time.append(time_)
-            u_coll.append(coll)
-            u_peer.append(peer)
-            u_pfx.append(pfx)
-            u_elem.append(elem)
-            path = tuple(path)
-            pi = path_vals.get(path)
-            if pi is None:
-                pi = path_vals[path] = len(path_tab)
-                path_tab.append(path)
-            u_path.append(pi)
-            flat = tuple(flat)
-            ci = comm_vals.get(flat)
-            if ci is None:
-                ci = comm_vals[flat] = len(comm_tab)
-                comm_tab.append(flat)
-            u_comm.append(ci)
-            u_afi.append(afi)
-        elif tag == "s":
-            time_, coll, peer, old, new_state = wire[1]
-            append_kind(_K_STATE)
-            s_time.append(time_)
-            s_coll.append(coll)
-            s_peer.append(peer)
-            s_old.append(old)
-            s_new.append(new_state)
-        else:
-            raise ValueError(f"unknown wire tag {tag!r}")
-    return (
-        bytes(kinds),
-        (u_time, u_coll, u_peer, u_pfx, u_elem, u_path, u_comm, u_afi),
-        (s_time, s_coll, s_peer, s_old, s_new),
-        path_tab,
-        comm_tab,
-    )
 
 
 # ----------------------------------------------------------------------

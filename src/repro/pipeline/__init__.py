@@ -44,7 +44,7 @@ from repro.pipeline.events import (
     PrimingUpdate,
     SignalBatch,
 )
-from repro.pipeline.ingest import IngestStage, merge_streams
+from repro.pipeline.ingest import IngestStage, merge_streams, split_by_collector
 from repro.pipeline.localisation import LocalisationStage, common_city
 from repro.pipeline.metrics import BinStats, PipelineMetrics, StageMetrics
 from repro.pipeline.monitoring import BinningMonitorStage
@@ -235,5 +235,6 @@ __all__ = [
     "merge_oscillations",
     "merge_streams",
     "reap_workers",
+    "split_by_collector",
     "strip_checkpoint_telemetry",
 ]

@@ -1,12 +1,11 @@
-"""Deterministic fault injection for the parallel runtimes.
+"""Deterministic fault injection for the shard-process runtime.
 
 The chaos suite (and the recovery bench) needs to kill a worker at
 element K, hang a queue, corrupt a wire batch or tamper with control
 messages — *deterministically*, inside forked worker processes, and
 without the fault re-firing after the supervisor restores and replays
-the stream.  Every worker that arms itself is a forked process — a
-shard worker (:mod:`repro.pipeline.parallel`) or an ingest feed
-worker (:mod:`repro.ingest.feed`) — so a kill is always a real
+the stream.  Every worker that arms itself is a forked shard worker
+(:mod:`repro.pipeline.parallel`), so a kill is always a real
 ``SIGKILL``.  This module is that lever:
 
 * a :class:`FaultPlan` is built in the driver **before** the runtime
@@ -34,8 +33,6 @@ Fault kinds:
                detector fodder)
 ``corrupt``    replace the decoded wire batch with garbage, so
                tagging raises and the batch is quarantined
-``corrupt_payload``  mangle the *packed* payload a feed worker
-               publishes, so the driver-side unpack fails
 ``drop_ctl``   swallow one control ack (the driver's barrier hangs
                until the stall detector fires)
 ``dup_ctl``    post one control ack twice (the driver must dedupe)
@@ -58,10 +55,8 @@ from dataclasses import dataclass
 _WORKER_SLOTS = 16
 #: Worker families a spec can aim at (the scopes :func:`arm` is called
 #: with, plus the wildcard) and the kinds the armed hooks read.
-SCOPES = ("shard", "feed", "*")
-KINDS = (
-    "kill", "stall", "corrupt", "corrupt_payload", "drop_ctl", "dup_ctl",
-)
+SCOPES = ("shard", "*")
+KINDS = ("kill", "stall", "corrupt", "drop_ctl", "dup_ctl")
 
 
 @dataclass
@@ -69,7 +64,7 @@ class FaultSpec:
     """One fault: where it arms, what it does, when it fires.
 
     ``scope`` picks the worker family — ``"shard"`` (shard-process
-    runtime), ``"feed"`` (ingest tier), ``"*"`` (any); a scope or kind
+    runtime) or ``"*"`` (any); a scope or kind
     that names no seam is a ``ValueError``, because such a spec would
     never fire and its test would pass while injecting nothing.
     ``worker_id`` pins the fault to one worker
@@ -194,9 +189,6 @@ class _ArmedFaults:
                 os.kill(os.getpid(), signal_mod.SIGKILL)
         self.seen += n
 
-    def on_element(self) -> None:
-        self.on_elements(1)
-
     # -- data-corruption faults ----------------------------------------
     def corrupt_batch(self, batch: tuple, n: int) -> tuple:
         """Maybe replace a decoded wire batch with garbage (pre-count).
@@ -211,20 +203,6 @@ class _ArmedFaults:
             if self.plan._try_fire(index, self.wid, spec.once):
                 return ("corrupt-wire-batch",)
         return batch
-
-    def corrupt_payload(self, payload: bytes) -> bytes:
-        """Maybe mangle a packed feed batch so the driver unpack fails.
-
-        Fires at the first publish boundary after the element clock
-        passes ``at_element`` (feed workers publish at batch
-        boundaries, not per element).
-        """
-        for index, spec in self._matched:
-            if spec.kind != "corrupt_payload" or self.seen < spec.at_element:
-                continue
-            if self.plan._try_fire(index, self.wid, spec.once):
-                return b"\x00not-a-marshal-payload"
-        return payload
 
     # -- control-plane faults ------------------------------------------
     def on_control(self) -> str | None:

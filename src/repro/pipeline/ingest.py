@@ -29,6 +29,21 @@ def merge_streams(
     return heapq.merge(*streams, key=lambda e: e.sort_key())
 
 
+def split_by_collector(
+    elements: Iterable[StreamElement],
+) -> dict[str, list[StreamElement]]:
+    """Partition a merged stream into per-collector feeds, order kept.
+
+    The inverse of :func:`merge_streams`: merging the returned lists
+    again (what :meth:`repro.core.kepler.Kepler.process_feeds` does)
+    reproduces a stream sorted by ``sort_key`` exactly.
+    """
+    feeds: dict[str, list[StreamElement]] = {}
+    for element in elements:
+        feeds.setdefault(element.collector, []).append(element)
+    return feeds
+
+
 class IngestStage(PassthroughStage):
     """Admission control and accounting at the mouth of the pipeline."""
 
@@ -137,19 +152,6 @@ class IngestStage(PassthroughStage):
             self.out_of_order += 1
         self.last_time = element.time
         return [element]
-
-    def absorb(self, state: dict) -> None:
-        """Add another stage's counters into this one; keep this clock.
-
-        The ingest tier's forked feed workers admit on fresh stages
-        and ship their state home at end of run; the driver stage stays
-        the one place admission is counted.
-        """
-        for name, value in state.items():
-            if name not in ("last_time", "dropped_types"):
-                setattr(self, name, getattr(self, name) + value)
-        for name, count in state["dropped_types"].items():
-            self.dropped_types[name] = self.dropped_types.get(name, 0) + count
 
     def state_dict(self) -> dict:
         return {

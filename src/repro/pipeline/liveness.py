@@ -1,13 +1,8 @@
 """Worker liveness: one error vocabulary, one teardown helper.
 
-Every parallel runtime in this codebase — the shard-process runtime
-(:mod:`repro.pipeline.parallel`) and the sharded ingest tier
-(:mod:`repro.ingest.tier`) — watches a set of forked worker processes
-through bounded queues, and until PR 8 each of them reported
-failure its own way: a bare ``RuntimeError``
-naming the dead processes, a scattered ``join(timeout=2.0)`` /
-``terminate()`` teardown sequence per ``close()``.  This module is the
-shared vocabulary:
+The shard-process runtime (:mod:`repro.pipeline.parallel`) watches a
+set of forked worker processes through bounded queues.  This module is
+its failure vocabulary and teardown:
 
 * :class:`RecoverableWorkerError` is the contract with the supervision
   layer (:mod:`repro.pipeline.supervisor`): anything that subclasses
@@ -22,9 +17,8 @@ shared vocabulary:
 * :func:`reap_workers` is the single teardown helper: join with a
   configurable deadline, terminate the survivors, join again, close
   the queues.  Idempotent and safe on part-dead worker sets.
-* :func:`drain_put` and :class:`ControlStash` are the shared
-  bounded-queue send / control-message stash pattern both parallel
-  runtimes used to reimplement privately: a driver must keep *pumping
+* :func:`drain_put` and :class:`ControlStash` are the bounded-queue
+  send / control-message stash pattern: a driver must keep *pumping
   its return path* while a worker-bound queue is full (anything else
   deadlocks against its own backpressure), and any control message the
   pump drains while looking for data must be stashed, not dropped.

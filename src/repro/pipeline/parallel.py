@@ -99,7 +99,7 @@ from collections import deque
 from typing import Any, Iterable
 
 from repro import telemetry
-from repro.core.serde import encode_batch, tag_wire_batch, wires_to_batch
+from repro.core.serde import encode_batch, tag_wire_batch
 from repro.pipeline import faults
 from repro.pipeline.checkpoint import CheckpointableChain
 from repro.pipeline.liveness import (
@@ -131,9 +131,7 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-#: The wire-batch queue codec, shared with the ingest tier
-#: (:mod:`repro.ingest`): its forked feed workers publish the same
-#: marshal-packed wire batches the shard-process runtime ships.  The
+#: The wire-batch queue codec of the shard-process runtime.  The
 #: serde wire format is pure builtins (tuples, lists, strings,
 #: numbers), which ``marshal`` round-trips far faster than pickling the
 #: nested structure — and the queue then pickles one opaque bytes object
@@ -731,25 +729,6 @@ class ShardProcessPipeline:
         handle.emitted += emitted
         self._pump()
         return []
-
-    def feed_admitted_wires(self, wires: list[list]) -> list[Any]:
-        """Broadcast envelopes a forked ingest feed worker admitted.
-
-        Feed workers ship per-element envelopes (the tier sorts them
-        by wire key without decoding) and their admission counters at
-        end of run, so the envelopes bypass the driver's ingest stage.
-        The buffer ships first so arrival order is preserved, then the
-        envelopes fold into one columnar batch that goes out as-is —
-        no object ever materialises in the driver.
-        """
-        self._ship()
-        self._broadcast_batch(wires_to_batch(wires))
-        self._pump()
-        return []
-
-    def admission(self) -> tuple[Any, Any]:
-        """The driver's ingest stage and its metrics entry."""
-        return self._ingest, self._ingest_handle
 
     def flush(self) -> list[Any]:
         """Drain the stream, then run the end-of-stream trailing-bin round."""

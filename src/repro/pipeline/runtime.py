@@ -27,7 +27,6 @@ from __future__ import annotations
 import time
 from typing import Any, Iterable
 
-from repro.core.serde import wires_to_batch
 from repro.pipeline.metrics import PipelineMetrics
 from repro.pipeline.stage import Stage
 
@@ -47,9 +46,7 @@ class StagePipeline:
     wire pair run breadth-per-stage on the chunk, the wire pair tags it
     into one batch and drives the monitor over its column view
     (:meth:`_drive_wire_batch`), and every emission clears the rest of
-    the chain before the monitor advances.  The ingest tier's forked
-    feed workers enter behind admission through
-    :meth:`feed_admitted_wires`.
+    the chain before the monitor advances.
     """
 
     def __init__(
@@ -159,40 +156,6 @@ class StagePipeline:
     # ------------------------------------------------------------------
     # Wire pair: batch-native tagging + monitor fold
     # ------------------------------------------------------------------
-    def feed_admitted_wires(self, wires: list[list]) -> list[Any]:
-        """Thread released wire envelopes through ``stages[1:]``.
-
-        The entry point of the ingest tier's forked feed workers:
-        admission already ran in a worker (its counters are added to
-        stage 0 at end of run), so the envelopes fold into one columnar
-        batch, tagging runs column to column and the monitor consumes
-        the result as a view.  Raises ``ValueError`` on a chain whose
-        wire pair does not start at stage 1 (right behind ingest).
-        """
-        wire_at = self._wire_at
-        if wire_at != 1:
-            raise ValueError(
-                f"{self!r} has no tagging -> monitor pair at stage 1:"
-                " it cannot take a wire batch"
-            )
-        batch = wires_to_batch(wires)
-        stage, metrics = self._metered[wire_at]
-        began = time.perf_counter()
-        tagged = stage.feed_wire_batch(batch)
-        delta = time.perf_counter() - began
-        fed = len(batch[0])
-        metrics.seconds += delta
-        metrics.fed += fed
-        metrics.batches += 1
-        metrics.emitted += len(tagged)
-        if fed:
-            metrics.hist.record(delta * 1e9 / fed)
-        return self._drive_wire_batch(tagged)
-
-    def admission(self) -> tuple[Stage, Any]:
-        """The admitting stage (stage 0) and its metrics entry."""
-        return self._metered[0]
-
     def _drive_wire(self, staged: list[Any]) -> list[Any]:
         """Tag a staged chunk into a batch and drive the barrier on it."""
         stage, metrics = self._metered[self._wire_at]

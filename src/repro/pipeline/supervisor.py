@@ -1,7 +1,7 @@
 """Crash-tolerant supervision: checkpoint-replay recovery over any runtime.
 
-The parallel runtimes (:mod:`repro.pipeline.parallel`,
-:mod:`repro.ingest.tier`) fail loudly — a SIGKILLed worker, a hung
+The shard-process runtime (:mod:`repro.pipeline.parallel`) fails
+loudly — a SIGKILLed worker, a hung
 queue or a poisoned wire batch surfaces as a
 :class:`~repro.pipeline.liveness.RecoverableWorkerError` subclass and
 the runtime is dead.  This module turns that death into *metered,
@@ -99,8 +99,8 @@ class SupervisedKeplerPipeline:
     ``build`` constructs the primary runtime (fresh stage state, fresh
     workers) and is called again for every restart; ``fallback``
     constructs the in-process degradation target.  Both must return a
-    stages wrapper (``KeplerPipeline`` / ``ShardProcessKeplerPipeline``
-    / ``IngestKeplerPipeline``) whose checkpoint documents are
+    stages wrapper (``KeplerPipeline`` / ``ShardProcessKeplerPipeline``)
+    whose checkpoint documents are
     mutually restorable — which they are: every runtime writes the
     linear layout, the repo-wide checkpoint contract.
 
@@ -126,9 +126,8 @@ class SupervisedKeplerPipeline:
         self._fallback = fallback if fallback is not None else build
         self.policy = policy
         self.recovery_stats = RecoveryStats()
-        #: replay buffer: ``("elements", chunk)`` / ``("flush",)`` /
-        #: ``("feeds", materialized, count)`` units since the last
-        #: stored checkpoint.
+        #: replay buffer: ``("elements", chunk)`` / ``("flush",)`` units
+        #: since the last stored checkpoint.
         self._journal: list[tuple] = []
         self._journal_elements = 0
         #: supervised dead-letter mirror: quarantined batches harvested
@@ -139,10 +138,6 @@ class SupervisedKeplerPipeline:
         #: runtime rebuilds; telemetry only, never checkpoint state.
         self.trace = TraceJournal(pid_label="supervisor")
         self.inner = build()
-        #: feed count of the primary runtime's ingest tier: the
-        #: degraded path merges ``process_feeds`` sources by it.
-        tier = getattr(self.inner, "tier", None)
-        self._feeds = tier.feeds if tier is not None else 1
         self._apply_policy()
         # The epoch checkpoint: a fresh runtime's (empty) document, so
         # a crash before the first interval still has a restore target.
@@ -155,27 +150,13 @@ class SupervisedKeplerPipeline:
     # Runtime discovery: the knob surface of whatever ``build`` built
     # ------------------------------------------------------------------
     def _runtimes(self) -> list[Any]:
-        """Every runtime object under ``inner`` with a supervision knob.
-
-        Walks the wrapper attributes (``pipeline`` / ``inner`` /
-        ``tier``) by identity — the wrappers are dataclasses in places,
-        and ``__eq__`` must not be consulted.
-        """
-        found: list[Any] = []
-        seen: set[int] = set()
-        stack: list[Any] = [self.inner]
-        while stack:
-            obj = stack.pop()
-            if obj is None or id(obj) in seen:
-                continue
-            seen.add(id(obj))
-            if hasattr(type(obj), "stall_timeout_s") or hasattr(
-                obj, "quarantined"
-            ):
-                found.append(obj)
-            for name in ("pipeline", "inner", "tier"):
-                stack.append(getattr(obj, name, None))
-        return found
+        """The built wrapper and its ``pipeline``, where they carry a
+        supervision knob (the shard-process runtime's feed surface)."""
+        return [
+            obj
+            for obj in (self.inner, self.inner.pipeline)
+            if hasattr(type(obj), "stall_timeout_s") or hasattr(obj, "quarantined")
+        ]
 
     def _apply_policy(self) -> None:
         """Arm the stall detector and shorten teardown on every runtime."""
@@ -220,46 +201,6 @@ class SupervisedKeplerPipeline:
         # point, and it makes the finalize path cheap to guard.
         self._take_checkpoint()
         return outs
-
-    def process_feeds(self, sources) -> list[Any]:
-        """Supervised per-collector feed runs (requires the ingest tier).
-
-        The sources are materialised before the run — the journal must
-        be able to replay them after a mid-run crash (an aborted tier
-        run releases a prefix downstream; the rollback rewinds that
-        prefix and the replay re-runs the whole set).  After
-        degradation the tier is gone and the materialised feeds are
-        merged by sort key instead — exactly the stream the watermark
-        merge releases, by its own contract.
-        """
-        if isinstance(sources, dict):
-            materialized: Any = {
-                name: list(source) for name, source in sources.items()
-            }
-            count = sum(len(v) for v in materialized.values())
-        else:
-            materialized = [list(source) for source in sources]
-            count = sum(len(v) for v in materialized)
-        self._journal.append(("feeds", materialized, count))
-        self._journal_elements += count
-        outs = self._guarded(
-            lambda inner: self._dispatch_feeds(inner, materialized)
-        )
-        self._take_checkpoint()
-        return outs
-
-    def _dispatch_feeds(self, inner: Any, materialized) -> list[Any]:
-        target = getattr(inner, "process_feeds", None)
-        if target is not None:
-            return target(materialized)
-        # Degraded runtime: no tier.  Merge the materialised feeds in
-        # the driver exactly as the tier does where it cannot fork —
-        # the watermark merge's release stream, by its own contract.
-        from repro.ingest.feed import merged_feed_stream
-
-        return inner.pipeline.feed_many(
-            merged_feed_stream(materialized, self._feeds)
-        )
 
     def _maybe_checkpoint(self) -> None:
         trigger = self.policy.checkpoint_interval
@@ -455,11 +396,8 @@ class SupervisedKeplerPipeline:
             if kind == "elements":
                 self.inner.pipeline.feed_many(unit[1])
                 replayed += len(unit[1])
-            elif kind == "flush":
+            else:  # "flush"
                 self.inner.pipeline.flush()
-            else:  # "feeds"
-                self._dispatch_feeds(self.inner, unit[1])
-                replayed += unit[2]
         return replayed
 
     # ------------------------------------------------------------------

@@ -99,12 +99,6 @@ def prometheus_text(snapshot: dict, prefix: str = "repro") -> str:
     for name, depth in snapshot.get("depths", {}).items():
         emit(_metric_name(prefix, "depth"), depth, {"edge": name})
 
-    for feed, counters in snapshot.get("feeds", {}).items():
-        labels = {"feed": feed}
-        for key, value in counters.items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                emit(_metric_name(prefix, "feed", key), value, labels)
-
     return out.getvalue()
 
 

@@ -6,10 +6,9 @@ element types — ``BGPUpdate``, ``BGPStateMessage`` and
 encoded behind it.  Both halves are pinned here:
 
 * foreign objects mixed into a stream are dropped and counted in
-  ``dropped_types`` under every layout that has a codec (the linear
-  chain, the shard-process driver's ``encode_batch`` and the forked
-  feed workers' ``element_to_wire``), and the output equals the run
-  without them;
+  ``dropped_types`` on the linear chain and in front of the
+  shard-process driver's ``encode_batch``, and the output equals the
+  run without them;
 * the codec itself fails closed on anything outside that vocabulary
   instead of falling back to pickling or passing it through.
 """
@@ -19,7 +18,7 @@ from __future__ import annotations
 import pytest
 
 from test_core_input_colocation import make_colo, make_dictionary, update
-from test_ingest_tier import END_TIME, make_kepler, needs_fork, observed
+from test_process_feeds import END_TIME, make_kepler, needs_fork, observed
 from test_pipeline_equivalence import FIRST_WORLD, prepared
 from repro.bgp.communities import Community
 from repro.bgp.messages import BGPStateMessage, ElemType, SessionState
@@ -27,14 +26,12 @@ from repro.core.input import InputModule, TaggedPath
 from repro.core.kepler import KeplerParams
 from repro.core.serde import (
     decode_batch,
+    element_from_wire,
     element_to_wire,
     encode_batch,
     tag_elements_to_wire,
     tag_wire_batch,
-    wires_to_batch,
 )
-from repro.ingest import feed_of
-from repro.pipeline import merge_streams
 from repro.pipeline.events import PrimingUpdate, SignalBatch
 from repro.pipeline.parallel import pack_wires
 from repro.scenarios import build_world
@@ -76,15 +73,12 @@ def _mixed(elements: list) -> list:
     return mixed
 
 
-def _run(replay, params: KeplerParams, stream=None, sources=None):
+def _run(replay, params: KeplerParams, stream):
     world, snapshot, _ = replay
     detector = make_kepler(world, params, False)
     try:
         detector.prime(snapshot)
-        if sources is None:
-            detector.process(stream)
-        else:
-            detector.process_feeds(sources)
+        detector.process(stream)
         ingest = detector.snapshot()["pipeline"]["stages"]["ingest"]
         detector.finalize(end_time=END_TIME)
         return observed(detector), ingest["dropped_types"]
@@ -113,26 +107,6 @@ class TestForeignElementsStopAtAdmission:
             replay,
             KeplerParams(shard_processes=2, process_batch=256),
             stream=_mixed(replay[2]),
-        )
-        assert dropped == DROPPED
-        assert output == clean
-
-    @needs_fork
-    def test_forked_collector_sources(self, replay, clean):
-        """Forked feed workers admit before ``element_to_wire``.
-
-        One source per feed (each the merge of that feed's collectors),
-        so the foreign objects reach admission without passing through
-        a sort-key merge first.
-        """
-        feeds: list[dict] = [{}, {}]
-        for element in replay[2]:
-            feed = feeds[feed_of(element.collector, 2)]
-            feed.setdefault(element.collector, []).append(element)
-        sources = [list(merge_streams(*feed.values())) for feed in feeds]
-        sources[0] = _mixed(sources[0])
-        output, dropped = _run(
-            replay, KeplerParams(ingest_feeds=2), sources=sources
         )
         assert dropped == DROPPED
         assert output == clean
@@ -221,7 +195,6 @@ class TestDecodersRefuseUnknownCodes:
 
 
 @pytest.mark.parametrize("tag", ["t", "pp", "sb", "ba", "py", "x"])
-def test_wires_to_batch_refuses_unknown_envelopes(tag):
-    wires = [element_to_wire(e) for e in _vocabulary()]
+def test_element_from_wire_refuses_unknown_envelopes(tag):
     with pytest.raises(ValueError, match="wire tag"):
-        wires_to_batch(wires + [[tag, None]])
+        element_from_wire([tag, None])

@@ -6,9 +6,8 @@
 end in the same state from either:
 
 * equal ``primed`` count and telemetry-free ``snapshot()`` for the linear
-  chain, ``shard_processes=2``, ``ingest_feeds=2`` and
-  ``supervised=True``, at ``feed_chunk`` 1, 7 and 4096, from a list and
-  from a generator;
+  chain, ``shard_processes=2`` and ``supervised=True``, at ``feed_chunk``
+  1, 7 and 4096, from a list and from a generator;
 * a lazy source is pulled exactly one chunk at a time, never ahead of the
   chunk being run;
 * a ``prime`` issued mid-stream runs what ``process`` staged first, and
@@ -34,7 +33,6 @@ needs_fork = pytest.mark.skipif(
 LAYOUTS = {
     "linear": {},
     "shard_processes": dict(shard_processes=2, process_batch=128),
-    "ingest_feeds": dict(ingest_feeds=2),
     "supervised": dict(supervised=True),
 }
 layouts = pytest.mark.parametrize(

@@ -199,17 +199,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import HealthCheck
 
-from repro.core.colocation import ColocationMap
-from repro.core.input import InputModule
-from repro.core.monitor import OutageMonitor
 from repro.core.serde import tagged_view
-from repro.docmine.dictionary import CommunityDictionary
-from repro.pipeline import (
-    FEED_CHUNK,
-    BinningMonitorStage,
-    StagePipeline,
-    TaggingStage,
-)
+from repro.pipeline import FEED_CHUNK
 from repro.routing.events import FacilityFailure, FacilityRecovery
 from repro.scenarios import build_world
 from repro.topology.builder import WorldParams
@@ -445,11 +436,3 @@ class TestBarrierFailsClosed:
         ]
         with pytest.raises(TypeError, match="TaggedPath"):
             encode_batch(tagged)
-
-    def test_wire_batch_needs_a_pair_at_stage_one(self):
-        module = InputModule(CommunityDictionary(), ColocationMap())
-        pipeline = StagePipeline(
-            [TaggingStage(module), BinningMonitorStage(OutageMonitor())]
-        )
-        with pytest.raises(ValueError, match="stage 1"):
-            pipeline.feed_admitted_wires([])

@@ -11,8 +11,8 @@ from repro.core.kepler import KeplerParams, RecoveryPolicy
 
 def test_knob_census():
     # ROADMAP item 3 counts the layout knobs: today ``process_batch``,
-    # ``shard_processes``, ``ingest_feeds``, ``supervised``,
-    # ``recovery`` and ``feed_chunk`` (6); the target is at most four.
+    # ``shard_processes``, ``supervised``, ``recovery`` and
+    # ``feed_chunk`` (5); the target is one (``feed_chunk``).
     # Adding a field here means moving away from it.
     assert {f.name for f in dataclasses.fields(KeplerParams)} == {
         "monitor",
@@ -25,11 +25,11 @@ def test_knob_census():
         "correlation_window_s",
         "process_batch",
         "shard_processes",
-        "ingest_feeds",
         "supervised",
         "recovery",
         "feed_chunk",
     }
+    assert len(dataclasses.fields(KeplerParams)) == 13
     assert {f.name for f in dataclasses.fields(RecoveryPolicy)} == {
         "max_restarts",
         "checkpoint_interval",
@@ -43,7 +43,8 @@ def test_knob_census():
 
 
 @pytest.mark.parametrize(
-    "retired", ["shards", "shard_workers", "monitor_partitions", "transport"]
+    "retired",
+    ["shards", "shard_workers", "monitor_partitions", "transport", "ingest_feeds"],
 )
 def test_retired_layout_knobs_are_type_errors(retired):
     with pytest.raises(TypeError, match=retired):
@@ -57,9 +58,6 @@ def test_retired_layout_knobs_are_type_errors(retired):
         ("shard_processes", -3),
         ("shard_processes", 2.0),
         ("shard_processes", True),
-        ("ingest_feeds", -1),
-        ("ingest_feeds", 1.5),
-        ("ingest_feeds", False),
     ],
 )
 def test_layout_knobs_fail_closed(field, value):
@@ -119,8 +117,8 @@ def test_recovery_knobs_fail_closed(field, value):
 
 
 def test_edge_values_stay_legal():
-    KeplerParams(shard_processes=0, ingest_feeds=0)
-    KeplerParams(shard_processes=2, ingest_feeds=1)
+    KeplerParams(shard_processes=0)
+    KeplerParams(shard_processes=2)
     KeplerParams(
         feed_chunk=1,
         process_batch=1,

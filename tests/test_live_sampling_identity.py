@@ -32,7 +32,6 @@ from test_pipeline_equivalence import (
 )
 from repro import telemetry
 from repro.core.kepler import Kepler, KeplerParams, RecoveryPolicy
-from repro.ingest import split_by_collector
 from repro.pipeline import (
     FaultPlan,
     FaultSpec,
@@ -53,9 +52,8 @@ needs_fork = pytest.mark.skipif(
 LAYOUTS: dict[str, dict] = {
     "linear": {},
     "shard_processes": dict(shard_processes=2, process_batch=128),
-    "ingest_feeds": dict(ingest_feeds=2, shard_processes=2, process_batch=128),
 }
-FORK_LAYOUTS = {"shard_processes", "ingest_feeds"}
+FORK_LAYOUTS = {"shard_processes"}
 
 POLICY = dict(
     checkpoint_interval=512,
@@ -105,10 +103,7 @@ def baseline_doc(world_a, layout: str) -> str:
         detector = make_kepler(world, KeplerParams(**LAYOUTS[layout]))
         try:
             detector.prime(snapshot)
-            if "ingest_feeds" in LAYOUTS[layout]:
-                detector.process_feeds(split_by_collector(elements))
-            else:
-                detector.process(elements)
+            detector.process(elements)
             detector.finalize(end_time=END_TIME)
             doc = json.dumps(
                 strip_checkpoint_telemetry(detector.snapshot()),
@@ -182,7 +177,6 @@ def sampled_run(
     params: KeplerParams,
     *,
     period_s: float,
-    via_feeds: bool = False,
 ) -> tuple[tuple, str, Poller]:
     """Full run with a live poller attached; returns outputs + snapshot."""
     world, snapshot, elements = world_a
@@ -190,10 +184,7 @@ def sampled_run(
     try:
         detector.prime(snapshot)
         with Poller(detector, period_s) as poller:
-            if via_feeds:
-                detector.process_feeds(split_by_collector(elements))
-            else:
-                detector.process(elements)
+            detector.process(elements)
             detector.finalize(end_time=END_TIME)
         doc = json.dumps(
             strip_checkpoint_telemetry(detector.snapshot()), sort_keys=True
@@ -238,7 +229,6 @@ class TestCleanRunSampling:
             world_a,
             KeplerParams(**LAYOUTS[layout]),
             period_s=period_ms / 1000.0,
-            via_feeds=(layout == "ingest_feeds"),
         )
         check_identity(got, doc, poller, ground_truth, expected_doc)
 

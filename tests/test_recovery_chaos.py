@@ -17,7 +17,6 @@ dying on them.
 from __future__ import annotations
 
 import json
-import multiprocessing
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,11 +29,9 @@ from test_pipeline_equivalence import (
     record_fields,
 )
 from repro.core.kepler import Kepler, KeplerParams, RecoveryPolicy
-from repro.ingest import split_by_collector
 from repro.pipeline import (
     FaultPlan,
     FaultSpec,
-    RecoverableWorkerError,
     WorkerDeathError,
     fork_available,
     strip_checkpoint_telemetry,
@@ -50,7 +47,6 @@ pytestmark = pytest.mark.skipif(
 END_TIME = 80_000.0
 #: Small IPC batches so element-count faults land inside shipped batches.
 SHARDED = dict(shard_processes=2, process_batch=128)
-INGEST = dict(ingest_feeds=2)
 
 #: Fast-recovery policy for tests: frequent micro-checkpoints, short
 #: backoff, a stall detector quick enough for CI.
@@ -138,12 +134,9 @@ def faulted_run(
     params: KeplerParams,
     plan: FaultPlan,
     snapshot_doc: bool = False,
-    by_feeds: bool = False,
 ) -> tuple[tuple, dict, str | None]:
     """Full supervised (or not) run under an installed fault plan.
 
-    ``by_feeds`` streams per-collector sources through
-    ``process_feeds`` (forked feed workers) instead of ``process``.
     Returns ``(observed, recovery_snapshot, stripped_snapshot_json)``.
     """
     world, snapshot, elements = world_a
@@ -151,10 +144,7 @@ def faulted_run(
         detector = make_kepler(world, params)
         try:
             detector.prime(snapshot)
-            if by_feeds:
-                detector.process_feeds(split_by_collector(elements))
-            else:
-                detector.process(elements)
+            detector.process(elements)
             detector.finalize(end_time=END_TIME)
             recovery = detector.metrics.snapshot()["recovery"]
             doc = (
@@ -188,22 +178,6 @@ class TestKillRecovery:
         assert recovery["recovery_ms"] > 0.0
         assert recovery["replayed_elements"] >= 0
         assert not recovery["degraded"]
-
-    # Feed workers are forked per process_feeds run and see their own
-    # collectors' elements only.  Collector->feed hashing can leave a
-    # feed empty, so arm every feed worker rather than pinning one —
-    # only workers that actually see elements fire.
-    @chaos_settings
-    @given(at_element=st.integers(min_value=1, max_value=500))
-    def test_feed_worker_kill_is_byte_exact(self, world_a, linear_run, at_element):
-        plan = FaultPlan(
-            [FaultSpec(scope="feed", kind="kill", at_element=at_element)]
-        )
-        got, recovery, _ = faulted_run(
-            world_a, supervised_params(INGEST), plan, by_feeds=True
-        )
-        assert got == linear_run[0]
-        assert recovery["restarts"] >= 1
 
     def test_kill_during_replay_still_converges(self, world_a, linear_run):
         """A second kill while replaying the journal costs one more restart.
@@ -290,43 +264,6 @@ class TestQuarantine:
         assert recovery["restarts"] >= 1
 
 
-class TestFeedCorruptPayload:
-    """A forked feed worker publishes a batch the driver cannot unpack."""
-
-    PLAN = [FaultSpec(scope="feed", kind="corrupt_payload", at_element=1)]
-
-    def test_unsupervised_run_aborts_recoverably(self, world_a):
-        """The run raises a recoverable error (never a silent skip: the
-        feed's watermark promise would break) and reaps its workers."""
-        world, snapshot, elements = world_a
-        with faults.injected(FaultPlan(self.PLAN)):
-            detector = make_kepler(world, KeplerParams(**INGEST))
-            try:
-                detector.prime(snapshot)
-                with pytest.raises(RecoverableWorkerError, match="undecodable"):
-                    detector.process_feeds(split_by_collector(elements))
-                alive = [
-                    proc.name
-                    for proc in multiprocessing.active_children()
-                    if proc.name.startswith("kepler-feed-")
-                ]
-                assert not alive, f"feed workers outlived the run: {alive}"
-            finally:
-                detector.close()
-
-    def test_supervised_run_is_rolled_back_byte_exact(
-        self, world_a, linear_run
-    ):
-        got, recovery, _ = faulted_run(
-            world_a,
-            supervised_params(INGEST),
-            FaultPlan(self.PLAN),
-            by_feeds=True,
-        )
-        assert got == linear_run[0]
-        assert recovery["restarts"] >= 1
-
-
 class TestControlFaults:
     def test_dropped_ack_recovers_via_stall_detector(self, world_a, linear_run):
         plan = FaultPlan(
@@ -375,36 +312,6 @@ class TestGracefulDegradation:
         assert got == linear_run[0]
         assert recovery["degraded"] is True
         assert recovery["restarts"] >= 2
-
-    def test_persistent_feed_kill_degrades_to_the_driver_merge(
-        self, world_a, linear_run, monkeypatch
-    ):
-        """Degraded ``process_feeds`` merges the sources in the driver
-        through the helper the tier's no-fork path runs."""
-        from repro.ingest import feed as feed_mod
-
-        calls: list[int] = []
-        merged = feed_mod.merged_feed_stream
-
-        def spy(sources, feeds):
-            calls.append(feeds)
-            return merged(sources, feeds)
-
-        monkeypatch.setattr(feed_mod, "merged_feed_stream", spy)
-        plan = FaultPlan(
-            [FaultSpec(scope="feed", kind="kill", at_element=1, once=False)]
-        )
-        got, recovery, doc = faulted_run(
-            world_a,
-            supervised_params(INGEST, max_restarts=1),
-            plan,
-            snapshot_doc=True,
-            by_feeds=True,
-        )
-        assert recovery["degraded"] is True
-        assert calls == [INGEST["ingest_feeds"]]
-        assert got == linear_run[0]
-        assert doc == linear_run[1]
 
     def test_degrade_false_reraises_after_budget(self, world_a):
         world, snapshot, elements = world_a
@@ -517,6 +424,9 @@ class TestUnsupervisedDiagnostics:
         # Ring seams of the retired shared-memory transport.
         ("kind", "torn_write"),
         ("kind", "stale_cursor"),
+        # Seams of the retired forked feed workers.
+        ("scope", "feed"),
+        ("kind", "corrupt_payload"),
     ],
 )
 def test_fault_aimed_at_nothing_is_rejected(field, value):

@@ -12,10 +12,10 @@ Four layers of guarantees:
 * **Exporters**: Prometheus text, JSONL sink and the stdlib HTTP
   endpoint render any snapshot (live or drained).
 * **Acceptance**: ``Kepler.metrics_live()`` polled from a thread
-  against a *running* ``shard_processes`` + ``ingest_feeds`` detector
-  returns per-stage histograms, queue depths and per-feed admission
-  counts without a drain barrier — and the run's output stays
-  byte-identical to the linear ground truth.
+  against a *running* ``shard_processes`` detector fed per-collector
+  sources returns per-stage histograms and queue depths without a
+  drain barrier — and the run's output stays byte-identical to the
+  linear ground truth.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from test_pipeline_equivalence import (
 )
 from repro import telemetry
 from repro.core.kepler import Kepler, KeplerParams
-from repro.ingest import split_by_collector
-from repro.pipeline import fork_available
+from repro.pipeline import fork_available, split_by_collector
 from repro.pipeline.metrics import PipelineMetrics
 from repro.pipeline.parallel import (
     _adopt_worker_gauges,
@@ -327,7 +326,6 @@ def _sample_snapshot() -> dict:
             }
         },
         "depths": {"in[0]": 2, "ret": 0},
-        "feeds": {"feed0": {"announcements": 50, "fed": 60}},
     }
 
 
@@ -343,7 +341,6 @@ class TestExporters:
             'repro_hist_stage_ns_tagging{quantile="0.99"} 398.0' in text
         )
         assert 'repro_depth{edge="in[0]"} 2' in text
-        assert 'repro_feed_announcements{feed="feed0"} 50' in text
 
     def test_jsonl_sink(self, tmp_path):
         sink = str(tmp_path / "metrics.jsonl")
@@ -386,7 +383,7 @@ class TestExporters:
     reason="the live-sampling acceptance targets the fork-based runtimes",
 )
 class TestMetricsLive:
-    def test_running_shard_processes_with_ingest_feeds(self, world_a):
+    def test_running_shard_processes(self, world_a):
         world, snapshot, elements = world_a
         telemetry.set_live_interval(0.0)  # frame on every exchange
         try:
@@ -398,9 +395,7 @@ class TestMetricsLive:
 
             detector = make_kepler(
                 world,
-                KeplerParams(
-                    ingest_feeds=2, shard_processes=2, process_batch=256
-                ),
+                KeplerParams(shard_processes=2, process_batch=256),
             )
             samples: list[dict] = []
             errors: list[BaseException] = []
@@ -433,7 +428,6 @@ class TestMetricsLive:
             # Mid-run samples carry the live sections without a drain.
             final = samples[-1]
             assert final["live"]["workers"] == 2
-            assert set(final["feeds"]) == {"feed0", "feed1"}
             hists = final["hists"]
             for name in ("stage_ns.tagging", "stage_ns.monitor",
                          "stage_ns.record", "sync_round_s"):
