@@ -44,11 +44,18 @@ def test_knob_census():
 
 @pytest.mark.parametrize(
     "retired",
-    ["shards", "shard_workers", "monitor_partitions", "transport", "ingest_feeds"],
+    ["shards", "shard_workers", "monitor_partitions", "transport"],
 )
 def test_retired_layout_knobs_are_type_errors(retired):
     with pytest.raises(TypeError, match=retired):
         KeplerParams(**{retired: 2})
+
+
+@pytest.mark.parametrize("value", [-1, 1.5, False])
+def test_retired_ingest_feeds_is_a_type_error(value):
+    # The knob's old bad values are refused as loudly as its old good ones.
+    with pytest.raises(TypeError, match="ingest_feeds"):
+        KeplerParams(ingest_feeds=value)
 
 
 @pytest.mark.parametrize(
