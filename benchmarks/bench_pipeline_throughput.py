@@ -12,12 +12,6 @@ repository root:
   handled at ~1.2k updates/sec because every update scanned the whole
   pending dict.  The reverse-index monitor must beat that baseline by
   >= 2x (it lands around 100x);
-* **recovery** — a tagging-heavy stream (real announcements carry
-  large community sets and pathologically prepended paths, so the
-  wire batches are fat) through supervised
-  ``Kepler(shard_processes=2)`` with and without injected worker
-  kills: supervision overhead and mean time-to-recover, output
-  identity always (informational, no speed gate);
 * **partitioned_monitor** — a monitor-bound stream (memo-friendly
   tagging, large per-PoP baselines under sustained divergence churn
   across 32 PoPs) replayed through the linear singleton-monitor chain
@@ -302,22 +296,8 @@ def _record_fields(record) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# Tagging-heavy stream (the recovery entry replays it)
+# Shared helpers of the telemetry and identity entries
 # ----------------------------------------------------------------------
-PROC_DECOYS = 2  # non-location communities per announcement
-#: Distinct values per decoy community (live streams draw informational
-#: communities from bounded operator-defined sets, so the values repeat
-#: — but the *combinations* on a path rarely do, defeating the memo).
-PROC_DECOY_VALUES = 3000
-#: Pathological AS-path prepending: the sanitiser's worst case, which
-#: real feeds do contain (prepend-loop paths past 500 hops have been
-#: recorded by route collectors).  Sanitisation cost scales with raw
-#: hops, and every hop rides the wire, so batches are as fat as a
-#: real feed makes them.
-PROC_PREPENDS = 640
-PROC_PREFIX_SPACE = 60  # distinct prefix octet values (key reuse)
-
-
 class PureValidator:
     """Stateless deterministic validator (no latency, no salted hash)."""
 
@@ -332,109 +312,6 @@ class PureValidator:
 
     def restored_fraction(self, pop: PoP, time_: float) -> float | None:
         return None
-
-
-def synthesize_rich_stream(world, n_elements: int) -> list[StreamElement]:
-    """A stream whose announcements look like real table churn.
-
-    Announcements ride pathologically prepended paths
-    (``PROC_PREPENDS`` repeats — prepend-heavy paths are a fixture of
-    real tables, and sanitisation walks every hop) and carry a
-    route-server community plus ``PROC_DECOYS`` informational decoys;
-    a quarter additionally carry a location community pinned to the
-    announced prefix.  The route-server community is the expensive
-    part of the input module (the Giotsas & Zhou member-pair search
-    walks the whole AS path), and decoy value *combinations* never
-    repeat, so the tagging memo cannot shortcut the work, while the
-    monitor's per-key state stays compact (stable prefix->community
-    assignment, bounded key space).
-    """
-    entries = sorted(
-        world.dictionary.entries.items(), key=lambda kv: str(kv[0])
-    )
-    rs_asns = sorted(world.dictionary.rs_asn_to_pop)
-    asns = sorted(world.topo.ases)
-    fars = asns[:16]
-    key_cycle = PROC_PREFIX_SPACE * PROC_PREFIX_SPACE
-    elements: list[StreamElement] = []
-    t = 0.0
-    for i in range(n_elements):
-        t += 0.06
-        mode = i % 20
-        # The location community is a function of the prefix, so a
-        # key's candidate PoP is stable across re-announcements (as a
-        # real peering location is) and the monitor's pending state
-        # converges instead of churning.
-        prefix_index = i % key_cycle
-        community, entry = entries[prefix_index % len(entries)]
-        vantage = asns[-1 - (i % 8)]
-        far = fars[i % len(fars)]
-        if community.asn in (vantage, far) or vantage == far:
-            far = fars[(i + 7) % len(fars)]
-            if community.asn in (vantage, far) or vantage == far:
-                continue
-        mid = 64_000 + i % 7
-        origin = 63_000 + i % 11
-        if origin == far or mid == far:
-            continue
-        prefix = (
-            f"10.{prefix_index // PROC_PREFIX_SPACE}"
-            f".{prefix_index % PROC_PREFIX_SPACE}.0/24"
-        )
-        if mode < 17:
-            decoys = tuple(
-                Community(65_000 + d, (i * (d + 3)) % PROC_DECOY_VALUES)
-                for d in range(PROC_DECOYS)
-            )
-            route_server = Community(
-                rs_asns[prefix_index % len(rs_asns)], 100
-            )
-            # A quarter of the announcements are location-tagged; the
-            # rest are background churn the input module still chews.
-            location = (community,) if mode < 4 else ()
-            elements.append(
-                BGPUpdate(
-                    time=t,
-                    collector=f"rrc{i % 4:02d}",
-                    peer_asn=vantage,
-                    prefix=prefix,
-                    elem_type=ElemType.ANNOUNCEMENT,
-                    # prepends exercise the sanitizer's de-prepending
-                    as_path=(
-                        (vantage,)
-                        + (mid,) * PROC_PREPENDS
-                        + (community.asn, far)
-                        + (origin,) * 2
-                    ),
-                    communities=(*location, route_server, *decoys),
-                )
-            )
-        elif mode < 19:
-            elements.append(
-                BGPUpdate(
-                    time=t,
-                    collector=f"rrc{i % 4:02d}",
-                    peer_asn=vantage,
-                    prefix=prefix,
-                    elem_type=ElemType.WITHDRAWAL,
-                )
-            )
-        else:
-            flap = (i // 20) % 2 == 0
-            elements.append(
-                BGPStateMessage(
-                    time=t,
-                    collector=f"rrc{i % 4:02d}",
-                    peer_asn=vantage,
-                    old_state=SessionState.ESTABLISHED
-                    if flap
-                    else SessionState.IDLE,
-                    new_state=SessionState.IDLE
-                    if flap
-                    else SessionState.ESTABLISHED,
-                )
-            )
-    return elements
 
 
 def _baseline_churn(
@@ -473,27 +350,6 @@ def _process_observed(kepler: Kepler) -> tuple:
         ],
         [(c.pop, c.bin_start) for c in kepler.rejected],
     )
-
-
-def _run_rich_workload(
-    world, priming, elements, params: KeplerParams
-) -> tuple[float, tuple, dict]:
-    """Wall clock of one layout over the rich stream.
-
-    Returns ``(seconds, observed, recovery)``: the output (for the
-    identity checks) and the recovery counters (read after the clock
-    stops).
-    """
-    kepler = world.make_kepler(params=params, validator=PureValidator())
-    kepler.prime(priming)
-    began = time.perf_counter()
-    kepler.process(elements)
-    kepler.finalize(end_time=elements[-1].time + 3600.0)
-    elapsed = time.perf_counter() - began
-    observed = _process_observed(kepler)
-    recovery = kepler.metrics.snapshot()["recovery"]
-    kepler.close()
-    return elapsed, observed, recovery
 
 
 # ----------------------------------------------------------------------
@@ -844,99 +700,6 @@ IDENTITY_ELEMENTS = 30_000
 IDENTITY_SEEDS = (1, 3)
 
 
-# ----------------------------------------------------------------------
-# Recovery bench: supervised runtime under injected worker kills
-# ----------------------------------------------------------------------
-REC_ELEMENTS = 30_000
-REC_WORKERS = 2
-REC_BATCH = 1024
-REC_KILLS = 3  # injected worker deaths per faulted run
-REC_CHECKPOINT_INTERVAL = 4096
-
-
-def run_recovery() -> dict:
-    """Mean time-to-recover and replay overhead under injected kills.
-
-    Three runs over the same churn stream: unsupervised (the floor),
-    supervised with no faults (checkpoint + journal overhead), and
-    supervised with ``REC_KILLS`` worker deaths spread across the
-    stream (recovery cost).  Informational — no gates: recovery time
-    is dominated by fork + restore + replay, all of which scale with
-    the workload, so absolute numbers only mean something relative to
-    the same machine's unfaulted run.
-    """
-    from repro.core.kepler import RecoveryPolicy
-    from repro.pipeline import FaultPlan, FaultSpec, faults, fork_available
-
-    if not fork_available():
-        return {"skipped": "fork start method unavailable"}
-    world = build_world(seed=1)
-    elements = synthesize_rich_stream(world, REC_ELEMENTS)
-    priming = world.rib_snapshot(0.0)
-    elements.extend(_baseline_churn(priming, REC_ELEMENTS))
-    elements.sort(key=lambda e: e.sort_key())
-    policy = RecoveryPolicy(
-        checkpoint_interval=REC_CHECKPOINT_INTERVAL,
-        backoff_base_s=0.0,
-        backoff_cap_s=0.0,
-        stall_timeout_s=10.0,
-    )
-
-    def timed(supervised: bool):
-        # One run each: a fault plan fires once, so a faulted run
-        # cannot be repeated for a best-of-N.
-        return _run_rich_workload(
-            world,
-            priming,
-            elements,
-            KeplerParams(
-                shard_processes=REC_WORKERS,
-                process_batch=REC_BATCH,
-                supervised=supervised,
-                recovery=policy,
-            ),
-        )
-
-    plain_s, plain_out, _ = timed(False)
-    clean_s, clean_out, _ = timed(True)
-    # A worker's element clock restarts with every generation, so the
-    # same offset lands each successive kill one step further down the
-    # stream (each spec fires once, in spec order).
-    step = len(elements) // (REC_KILLS + 1)
-    plan = FaultPlan(
-        [
-            FaultSpec(scope="shard", kind="kill", at_element=step, worker_id=0)
-            for _ in range(REC_KILLS)
-        ]
-    )
-    with faults.injected(plan):
-        faulted_s, faulted_out, recovery = timed(True)
-    assert clean_out == plain_out, (
-        "supervised runtime diverged from the unsupervised chain"
-    )
-    assert faulted_out == plain_out, (
-        "faulted supervised run diverged from the unfaulted chain"
-    )
-    assert recovery["restarts"] >= REC_KILLS, recovery
-    return {
-        "elements": len(elements),
-        "shard_processes": REC_WORKERS,
-        "checkpoint_interval": REC_CHECKPOINT_INTERVAL,
-        "kills_injected": REC_KILLS,
-        "restarts": recovery["restarts"],
-        "replayed_elements": recovery["replayed_elements"],
-        "output_identical": True,
-        "unsupervised_seconds": round(plain_s, 3),
-        "supervised_seconds": round(clean_s, 3),
-        "faulted_seconds": round(faulted_s, 3),
-        "supervision_overhead": round(clean_s / plain_s - 1.0, 3),
-        "recovery_ms_total": round(recovery["recovery_ms"], 1),
-        "mean_time_to_recover_ms": round(
-            recovery["recovery_ms"] / max(1, recovery["restarts"]), 1
-        ),
-    }
-
-
 def _identity_runtimes() -> list[tuple[str, dict]]:
     from repro.pipeline import fork_available
 
@@ -1102,13 +865,11 @@ def test_pipeline_throughput():
     hot = run_hot_path()
     end_to_end = run_end_to_end()
     partitioned = run_partitioned_monitor()
-    recovery = run_recovery()
     telemetry_entry = run_telemetry()
     report = {
         "hot_path": hot,
         "end_to_end": end_to_end,
         "partitioned_monitor": partitioned,
-        "recovery": recovery,
         "telemetry": telemetry_entry,
     }
     # Every entry records the machine size and whether its speed gate
@@ -1134,10 +895,6 @@ def test_pipeline_throughput():
         ), partitioned
         if partitioned["gate_enforced"]:
             assert partitioned["speedup"] >= PM_SPEEDUP_GATE, partitioned
-    # Recovery: identity under injected kills always; timings are
-    # informational (fork + restore + replay cost is machine-bound).
-    if "skipped" not in recovery:
-        assert recovery["output_identical"], recovery
     # Telemetry gates: recording and live sampling never change
     # output; the plane must cost < 5% end to end where the machine
     # is big enough for the measurement to mean anything.
@@ -1154,14 +911,13 @@ if __name__ == "__main__":
     known = {
         "--identity",
         "--check-regression",
-        "--recovery",
         "--telemetry",
     }
     flags = set(sys.argv[1:])
     if flags - known:
         print(
             "usage: bench_pipeline_throughput.py"
-            " [--identity] [--check-regression] [--recovery]"
+            " [--identity] [--check-regression]"
             " [--telemetry]\n"
             "  (no flags runs the full bench and rewrites"
             f" {OUTPUT_JSON.name})"
@@ -1172,9 +928,6 @@ if __name__ == "__main__":
         print("identity smoke passed (no timings recorded)")
     if "--check-regression" in flags:
         run_regression_check()
-    if "--recovery" in flags:
-        print(json.dumps(run_recovery(), indent=2))
-        print("recovery bench passed (informational — no gates)")
     if "--telemetry" in flags:
         entry = run_telemetry()
         print(json.dumps(entry, indent=2))

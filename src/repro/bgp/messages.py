@@ -59,6 +59,10 @@ class BGPUpdate:
     def __post_init__(self) -> None:
         if self.afi not in (4, 6):
             raise ValueError(f"afi must be 4 or 6, got {self.afi}")
+        if self.elem_type is ElemType.STATE:
+            # Ingest would count it as an announcement: a session change
+            # is a BGPStateMessage.
+            raise ValueError("a session state change is a BGPStateMessage")
         if self.elem_type is ElemType.WITHDRAWAL and self.as_path:
             raise ValueError("withdrawals carry no AS path")
         if self.elem_type in (ElemType.ANNOUNCEMENT, ElemType.RIB) and not self.as_path:

@@ -25,7 +25,7 @@ from repro.core.monitor import (
 from repro.core.signals import classify_signals, SignalClassification
 from repro.core.investigation import Investigator, InvestigationResult
 from repro.core.dataplane import DataPlaneValidator, NullValidator, ValidationOutcome
-from repro.core.kepler import Kepler, KeplerParams, RecoveryPolicy
+from repro.core.kepler import Kepler, KeplerParams
 
 __all__ = [
     "ColocationMap",
@@ -54,5 +54,4 @@ __all__ = [
     "ValidationOutcome",
     "Kepler",
     "KeplerParams",
-    "RecoveryPolicy",
 ]

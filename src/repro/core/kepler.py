@@ -73,52 +73,6 @@ CHECKPOINT_FORMAT = "kepler-checkpoint"
 _STREAM_GC_GEN0 = 2_000_000
 
 
-@dataclass
-class RecoveryPolicy:
-    """Knobs of the supervision layer (``KeplerParams.supervised``).
-
-    See :class:`repro.pipeline.supervisor.SupervisedKeplerPipeline`.
-    ``max_restarts`` is a cumulative worker-generation budget; once it
-    is exhausted the supervisor degrades to the in-process fallback
-    runtime (``degrade=True``, the default) or re-raises the failure.
-    ``checkpoint_interval`` / ``journal_limit`` bound the replay
-    buffer in elements; ``stall_timeout_s`` arms the hung-queue
-    detector on every wrapped runtime (``None`` disables it);
-    ``teardown_deadline_s`` caps how long each recovery waits for dead
-    workers to join before terminating them.
-    """
-
-    max_restarts: int = 3
-    checkpoint_interval: int = 8192
-    journal_limit: int | None = None
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-    stall_timeout_s: float | None = 30.0
-    teardown_deadline_s: float = 0.5
-    degrade: bool = True
-
-    def __post_init__(self) -> None:
-        # Fail closed: out of range, each of these would silently mean
-        # something else (no restart budget, no checkpoint cadence, an
-        # empty journal, a stall detector that fires at once or never).
-        if not _is_int(self.max_restarts) or self.max_restarts < 0:
-            raise ValueError("max_restarts must be an int >= 0")
-        if not _is_int(self.checkpoint_interval) or self.checkpoint_interval < 1:
-            raise ValueError("checkpoint_interval must be an int >= 1")
-        if self.journal_limit is not None and (
-            not _is_int(self.journal_limit) or self.journal_limit < 1
-        ):
-            raise ValueError("journal_limit must be None or an int >= 1")
-        if self.stall_timeout_s is not None and not (
-            math.isfinite(self.stall_timeout_s) and self.stall_timeout_s > 0
-        ):
-            raise ValueError("stall_timeout_s must be None or finite and > 0")
-        for name in ("backoff_base_s", "backoff_cap_s", "teardown_deadline_s"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0")
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -155,15 +109,6 @@ class KeplerParams:
     #: worker per bin).  See :mod:`repro.pipeline.parallel`.  Requires
     #: the ``fork`` start method (POSIX).
     shard_processes: int = 0
-    #: Wrap the built runtime in the supervision layer
-    #: (:mod:`repro.pipeline.supervisor`): worker death, hung queues
-    #: and poisoned batches become metered checkpoint-replay
-    #: recoveries instead of exceptions, and restart exhaustion
-    #: degrades to the in-process chain.  Output stays byte-identical
-    #: to an unfaulted run.
-    supervised: bool = False
-    #: Supervision knobs (ignored unless ``supervised``).
-    recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
     #: Elements per chunk on the in-process chain's ``feed_many`` fast
     #: path (the shard-process runtime batches by ``process_batch``
     #: instead).  Also the bound of the facade's admission buffer under
@@ -209,21 +154,7 @@ class Kepler:
         self.colo = colo
         self.as2org = dict(as2org)
         self.validator: DataPlaneValidator = validator or NullValidator()
-        if self.params.supervised:
-            # The supervision layer owns the runtime's lifecycle: it
-            # calls ``_build_stages`` now and again after every crash
-            # (fresh stage state each time — a restart must not
-            # inherit the dead incarnation's mutated cores), and
-            # ``_build_linear_stages`` once restarts are exhausted.
-            from repro.pipeline.supervisor import SupervisedKeplerPipeline
-
-            self.stages = SupervisedKeplerPipeline(
-                self._build_stages,
-                self._build_linear_stages,
-                self.params.recovery,
-            )
-        else:
-            self.stages = self._build_stages()
+        self.stages = self._build_stages()
         self.pipeline = self.stages.pipeline
         #: primed baseline paths (installed outside the streaming path).
         self.primed_paths = 0
@@ -235,15 +166,20 @@ class Kepler:
         self._flush_edge = float("-inf")
 
     # ------------------------------------------------------------------
-    # Runtime factories (called repeatedly under supervision)
-    # ------------------------------------------------------------------
-    def _wiring(self) -> dict:
-        """Fresh stage cores plus the canonical builder kwargs.
+    def _build_stages(self) -> "KeplerPipeline":
+        """Build the stage cores and the runtime the params describe.
 
-        Rebuilds ``input`` / ``monitor`` / ``investigator`` on every
-        call and repoints the facade attributes at the new incarnation;
-        the validator is the operator's object and is reused.
+        ``input`` / ``monitor`` / ``investigator`` are the facade's
+        handles on the cores; the validator is the operator's object.
         """
+        # Imported here, not at module scope: repro.pipeline imports the
+        # sibling core modules through the package __init__, which ends
+        # by importing this module — a cycle at import time, not at use.
+        from repro.pipeline import (
+            build_kepler_pipeline,
+            build_shard_process_kepler_pipeline,
+        )
+
         self.input = InputModule(self.dictionary, self.colo)
         # Under shard_processes the live monitor state is distributed
         # across the worker processes (one monitor share each, built by
@@ -254,7 +190,7 @@ class Kepler:
         self.investigator = Investigator(
             self.colo, margin=self.params.colocation_margin
         )
-        return dict(
+        wiring = dict(
             input_module=self.input,
             monitor=self.monitor,
             investigator=self.investigator,
@@ -268,34 +204,13 @@ class Kepler:
             drop_rejected=self.params.drop_rejected,
             enable_investigation=self.params.enable_investigation,
         )
-
-    def _build_stages(self) -> "KeplerPipeline":
-        """Build the runtime the params describe (the primary)."""
-        # Imported here, not at module scope: repro.pipeline imports the
-        # sibling core modules through the package __init__, which ends
-        # by importing this module — a cycle at import time, not at use.
-        from repro.pipeline import build_shard_process_kepler_pipeline
-
         if self.params.shard_processes >= 2:
             return build_shard_process_kepler_pipeline(
                 workers=self.params.shard_processes,
                 batch_size=self.params.process_batch,
-                **self._wiring(),
+                **wiring,
             )
-        return self._build_linear_stages()
-
-    def _build_linear_stages(self) -> "KeplerPipeline":
-        """The linear chain, also the graceful-degradation target.
-
-        No forked workers, no queues — nothing left to kill or stall.
-        Every runtime composes linear-layout documents, which is
-        exactly what this chain restores.
-        """
-        from repro.pipeline import build_kepler_pipeline
-
-        return build_kepler_pipeline(
-            chunk_size=self.params.feed_chunk, **self._wiring()
-        )
+        return build_kepler_pipeline(chunk_size=self.params.feed_chunk, **wiring)
 
     # ------------------------------------------------------------------
     @classmethod

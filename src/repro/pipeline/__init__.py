@@ -57,19 +57,13 @@ from repro.pipeline.parallel import (
 from repro.pipeline.faults import FaultPlan, FaultSpec
 from repro.pipeline.liveness import (
     PoisonedBatchError,
-    RecoverableWorkerError,
     WorkerCrashError,
     WorkerDeathError,
-    WorkerStallError,
     reap_workers,
 )
 from repro.pipeline.record import RecordStage, merge_oscillations
 from repro.pipeline.runtime import FEED_CHUNK, StagePipeline
 from repro.pipeline.stage import PassthroughStage, Stage, StatefulStage
-from repro.pipeline.supervisor import (
-    SupervisedKeplerPipeline,
-    SupervisedPipeline,
-)
 from repro.pipeline.tagging import TaggingStage
 from repro.pipeline.validation import ValidationCache, ValidationStage
 
@@ -211,7 +205,6 @@ __all__ = [
     "PrimedPath",
     "PrimingUpdate",
     "RecordStage",
-    "RecoverableWorkerError",
     "ShardProcessKeplerPipeline",
     "ShardProcessPipeline",
     "SignalBatch",
@@ -219,14 +212,11 @@ __all__ = [
     "StageMetrics",
     "StagePipeline",
     "StatefulStage",
-    "SupervisedKeplerPipeline",
-    "SupervisedPipeline",
     "TaggingStage",
     "ValidationCache",
     "ValidationStage",
     "WorkerCrashError",
     "WorkerDeathError",
-    "WorkerStallError",
     "FEED_CHUNK",
     "build_kepler_pipeline",
     "build_shard_process_kepler_pipeline",

@@ -52,12 +52,11 @@ def strip_checkpoint_telemetry(doc: dict) -> dict:
     """A deep copy of a snapshot with wall-clock telemetry removed.
 
     Checkpoint documents of one runtime are byte-identical across
-    faulted and unfaulted runs (the supervision layer's property)
-    *except* for the wall-clock fields: per-stage ``seconds`` and the
-    bin-close latency gauges, which measure the run rather than the
-    stream (a recovery replay legitimately pays the stage time twice).
-    This helper removes exactly those fields so the chaos suite can
-    assert equality on everything else.  Across runtimes the stripped
+    runs of one stream *except* for the wall-clock fields: per-stage
+    ``seconds`` and the bin-close latency gauges, which measure the
+    run rather than the stream.  This helper removes exactly those
+    fields so the identity suites can assert equality on everything
+    else.  Across runtimes the stripped
     documents agree on the stage states, cache and rejects, but the
     shard-process document also differs from the linear one in the
     per-stage ``fed``/``emitted`` counters after the monitor (its

@@ -4,19 +4,14 @@ The shard-process runtime (:mod:`repro.pipeline.parallel`) watches a
 set of forked worker processes through bounded queues.  This module is
 its failure vocabulary and teardown:
 
-* :class:`RecoverableWorkerError` is the contract with the supervision
-  layer (:mod:`repro.pipeline.supervisor`): anything that subclasses
-  it means "the runtime is dead but the *stream* is fine — tear down,
-  restore the last checkpoint into fresh workers, replay".  Everything
-  else still propagates as a plain error.
 * :class:`WorkerDeathError` carries diagnostics, not just names: the
   ``exitcode`` of every dead worker (``-9`` for a SIGKILL), the
   last-seen depth of every runtime queue, and
   how many control messages were still pending — the three questions
   an operator asks first.
 * :func:`reap_workers` is the single teardown helper: join with a
-  configurable deadline, terminate the survivors, join again, close
-  the queues.  Idempotent and safe on part-dead worker sets.
+  deadline, terminate the survivors, join again, close the queues.
+  Idempotent and safe on part-dead worker sets.
 * :func:`drain_put` and :class:`ControlStash` are the bounded-queue
   send / control-message stash pattern: a driver must keep *pumping
   its return path* while a worker-bound queue is full (anything else
@@ -30,17 +25,7 @@ import queue as queue_mod
 from typing import Any, Callable, Iterable, Sequence
 
 
-class RecoverableWorkerError(RuntimeError):
-    """A runtime failure the supervision layer can recover from.
-
-    The stream itself is intact (the driver holds the journal and the
-    last checkpoint); only the worker set is gone.  Raisers must leave
-    the runtime closed (or closeable) — the supervisor will not feed
-    it again.
-    """
-
-
-class WorkerDeathError(RecoverableWorkerError):
+class WorkerDeathError(RuntimeError):
     """One or more workers died without posting a result.
 
     ``dead`` is a list of ``(name, exitcode)`` pairs — ``exitcode`` is
@@ -71,51 +56,17 @@ class WorkerDeathError(RecoverableWorkerError):
         )
 
 
-class WorkerCrashError(RecoverableWorkerError):
+class WorkerCrashError(RuntimeError):
     """A worker caught an exception and posted it before exiting."""
 
 
-class WorkerStallError(RecoverableWorkerError):
-    """A worker is alive but made no observable progress for too long.
+class PoisonedBatchError(RuntimeError):
+    """A wire payload that does not decode.
 
-    Raised by the driver pumps when ``stall_timeout_s`` is set and a
-    blocked wait (empty return queue, full input queue) exceeds it —
-    the hung-queue detector of the supervision layer.
+    Raised inside a worker and caught there: the batch is dead-lettered
+    (its elements dropped from the stream, the payload kept for
+    inspection) and the runtime keeps streaming.
     """
-
-    def __init__(
-        self,
-        stalled_s: float,
-        timeout_s: float,
-        queue_depths: dict[str, int] | None = None,
-        noun: str = "pipeline worker(s)",
-    ) -> None:
-        self.stalled_s = stalled_s
-        self.timeout_s = timeout_s
-        self.queue_depths = dict(queue_depths or {})
-        super().__init__(
-            f"{noun} made no progress for {stalled_s:.2f}s"
-            f" (stall timeout {timeout_s:.2f}s);"
-            f" queue depths {self.queue_depths}"
-        )
-
-
-class PoisonedBatchError(RecoverableWorkerError):
-    """A batch was quarantined; the supervised stream must be replayed.
-
-    Unsupervised runtimes *continue* past a quarantined batch (its
-    elements are dropped into the dead-letter buffer); the supervisor
-    instead treats the quarantine as recoverable data loss and rolls
-    the stream back to the last checkpoint, where the replay — with
-    the fault no longer firing — re-tags the same elements exactly.
-    """
-
-    def __init__(self, quarantined: int, noun: str = "runtime") -> None:
-        self.quarantined = quarantined
-        super().__init__(
-            f"{noun} quarantined {quarantined} batch(es) since the last"
-            " checkpoint; rolling back to recover the dropped elements"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -155,9 +106,9 @@ def drain_put(q: Any, message: tuple, on_full: Callable[[], None]) -> None:
     """Put on a bounded queue without ever blocking the driver blind.
 
     Retries ``put_nowait`` and calls ``on_full()`` between attempts —
-    the callback is the runtime's pump-and-tick step, so a full
+    the callback is the runtime's pump-and-liveness step, so a full
     worker-bound queue drains the return path (freeing the workers)
-    and feeds the stall detector instead of deadlocking on a blocking
+    and notices a dead worker instead of deadlocking on a blocking
     ``put``.
     """
     while True:
@@ -186,29 +137,30 @@ def worker_exits(procs: Iterable[Any]) -> list[tuple[str, int | None]]:
     return [(proc.name, proc.exitcode) for proc in procs if not proc.is_alive()]
 
 
-def reap_workers(
-    procs: Iterable[Any],
-    queues: Iterable[Any] = (),
-    deadline_s: float = 2.0,
-) -> None:
+#: How long a worker gets to exit on its own at teardown, and again
+#: after ``terminate``.
+TEARDOWN_DEADLINE_S = 2.0
+
+
+def reap_workers(procs: Iterable[Any], queues: Iterable[Any] = ()) -> None:
     """Tear a worker set down: join, terminate survivors, close queues.
 
     The single teardown sequence every runtime ``close()`` uses: each
-    worker gets ``deadline_s`` to exit on its own (they were sent stop
-    messages, or are already dead), survivors are terminated and
-    joined once more, and the queues' feeder threads are cancelled so
-    interpreter shutdown never blocks on a queue a dead worker will
-    never drain.  Idempotent.
+    worker gets :data:`TEARDOWN_DEADLINE_S` to exit on its own (they
+    were sent stop messages, or are already dead), survivors are
+    terminated and joined once more, and the queues' feeder threads
+    are cancelled so interpreter shutdown never blocks on a queue a
+    dead worker will never drain.  Idempotent.
     """
     procs = list(procs)
     for proc in procs:
-        proc.join(timeout=deadline_s)
+        proc.join(timeout=TEARDOWN_DEADLINE_S)
     for proc in procs:
         if proc.is_alive():
             proc.terminate()
     for proc in procs:
         if proc.is_alive():
-            proc.join(timeout=deadline_s)
+            proc.join(timeout=TEARDOWN_DEADLINE_S)
     for q in queues:
         cancel = getattr(q, "cancel_join_thread", None)
         if cancel is not None:

@@ -90,30 +90,18 @@ class StageMetrics:
 
 @dataclass
 class RecoveryStats:
-    """Supervision-layer telemetry (run observability, never state).
+    """Dead-letter telemetry (run observability, never state).
 
-    Populated by :class:`~repro.pipeline.supervisor.SupervisedKeplerPipeline`
-    and by the quarantine path of the parallel runtimes.  Deliberately
-    absent from :meth:`PipelineMetrics.state_dict`: recovery history is
-    a property of *this* run, not of the stream, and folding it into
-    checkpoints would break the byte-identity contract between faulted
-    and unfaulted runs.
+    Populated by the quarantine path of the shard-process runtime.
+    Deliberately absent from :meth:`PipelineMetrics.state_dict`: how
+    many batches this run quarantined is a property of the run, not of
+    the stream.
     """
 
-    restarts: int = 0
-    replayed_elements: int = 0
-    recovery_ms: float = 0.0
-    degraded: bool = False
     quarantined_batches: int = 0
 
-    def as_dict(self) -> dict[str, float | int | bool]:
-        return {
-            "restarts": self.restarts,
-            "replayed_elements": self.replayed_elements,
-            "recovery_ms": round(self.recovery_ms, 3),
-            "degraded": self.degraded,
-            "quarantined_batches": self.quarantined_batches,
-        }
+    def as_dict(self) -> dict[str, int]:
+        return {"quarantined_batches": self.quarantined_batches}
 
 
 @dataclass
@@ -195,8 +183,8 @@ class PipelineMetrics:
         almost always a composition bug (two processes' caches fighting
         over one name), so it logs a warning unless ``replace=True`` —
         builders that intentionally refresh their own sources on a
-        supervisor rebuild pass ``replace=True``.  The new source wins
-        either way, matching the historical behaviour.
+        registry their caller may reuse pass ``replace=True``.  The new
+        source wins either way, matching the historical behaviour.
         """
         existing = self._gauge_sources.get(name)
         if (

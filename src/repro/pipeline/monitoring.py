@@ -54,8 +54,9 @@ class BinningMonitorStage(PassthroughStage):
         #: RIB paths installed into the baseline via the priming path.
         self.primed = 0
         if metrics is not None:
-            # replace=True: supervisor rebuilds re-run this constructor
-            # against the same registry, refreshing the source.
+            # replace=True: a caller-supplied registry may outlive this
+            # stage (``build_kepler_pipeline(metrics=...)``); the newest
+            # stage's source wins.
             metrics.gauge_source(
                 "monitor_skipped_steady_state",
                 lambda: monitor.skipped_steady_state,

@@ -107,7 +107,6 @@ from repro.pipeline.liveness import (
     PoisonedBatchError,
     WorkerCrashError,
     WorkerDeathError,
-    WorkerStallError,
     drain_put,
     queue_depths,
     reap_workers,
@@ -146,15 +145,14 @@ def unpack_wires(payload: bytes) -> Any:
     """Decode a wire payload; corrupt input surfaces as a quarantine.
 
     A torn or tampered payload must never crash the consumer with a
-    bare unmarshal error — it raises :class:`PoisonedBatchError`, the
-    vocabulary every quarantine/dead-letter/rollback path already
-    speaks.
+    bare unmarshal error — it raises :class:`PoisonedBatchError`, which
+    the worker dead-letters like any other poisoned batch.
     """
     try:
         return marshal.loads(payload)
     except (ValueError, EOFError, TypeError) as exc:
         raise PoisonedBatchError(
-            1, noun=f"wire codec ({exc!r}; payload unreadable)"
+            f"wire payload unreadable ({exc!r})"
         ) from exc
 
 
@@ -205,22 +203,14 @@ def _batch_signature(payload: bytes) -> int:
     return zlib.crc32(payload)
 
 
-def _poll_interval(stall_timeout_s: float | None) -> float:
-    """Blocked-wait granularity: finer when a stall deadline is armed."""
-    if stall_timeout_s is None:
-        return WAIT_POLL_S
-    return min(WAIT_POLL_S, max(0.01, stall_timeout_s / 4.0))
-
-
 def _note_quarantine(
     runtime, signature: int, payload: bytes, detail: str
 ) -> None:
     """Driver-side dead-lettering of one poisoned wire batch.
 
-    The count is the graceful-degradation metric
-    (``PipelineMetrics.recovery.quarantined_batches`` on the composed
-    views); the payload buffer is capped; the log fires once per batch
-    signature so a replayed or rebroadcast poison batch cannot spam.
+    The count is ``PipelineMetrics.recovery.quarantined_batches`` on
+    the composed views; the payload buffer is capped; the log fires
+    once per batch signature so a rebroadcast poison batch cannot spam.
     """
     runtime.quarantined += 1
     runtime.dead_letters.append(
@@ -532,12 +522,10 @@ def _shard_worker_loop(
                         )
                     elif section == "primed":
                         info[section] = chain.monitoring.primed
-            action = armed.on_control() if armed is not None else None
             ack = ("ack", msg[1], wid, info)
-            if action != "drop":
+            ret_q.put(ack)
+            if armed is not None and armed.on_control():
                 ret_q.put(ack)
-                if action == "dup":
-                    ret_q.put(ack)
         elif kind == "load":
             from repro.core.serde import signal_from_json
 
@@ -590,13 +578,6 @@ class ShardProcessPipeline:
     the module docstring).  ``state_dict`` composes the linear
     canonical pipeline document from the worker states.
     """
-
-    #: When set, a blocked barrier that sees no worker progress for
-    #: this long raises :class:`WorkerStallError` (the supervision
-    #: layer's hung-queue detector).  ``None`` = wait forever.
-    stall_timeout_s: float | None = None
-    #: Per-worker join deadline used by :func:`reap_workers`.
-    teardown_deadline_s: float = 2.0
 
     def __init__(
         self,
@@ -680,7 +661,6 @@ class ShardProcessPipeline:
         self.quarantined = 0
         self.dead_letters: deque = deque(maxlen=DEAD_LETTER_CAP)
         self._quar_seen: set[int] = set()
-        self._idle_since: float | None = None
         #: latest live metrics frame per worker — piggybacked on the
         #: fused "bin" exchange (and "mtx" messages between closes);
         #: read by :meth:`metrics_live` without a drain barrier.
@@ -777,11 +757,10 @@ class ShardProcessPipeline:
         input queue, and retries the put after each service pass.
         """
         drain_put(in_q, message, self._pump_blocked)
-        self._idle_since = None
 
     def _pump_blocked(self) -> None:
         self._pump(block=True, timeout=0.05)
-        self._blocked_tick()
+        self._check_alive()
 
     def _check_alive(self) -> None:
         dead = worker_exits(self._procs)
@@ -791,24 +770,6 @@ class ShardProcessPipeline:
             self.close()
             raise WorkerDeathError(
                 dead, depths, pending_ctl=pending, noun="shard worker(s)"
-            )
-
-    def _blocked_tick(self) -> None:
-        """One bounded wait elapsed without progress: liveness + stall."""
-        self._check_alive()
-        timeout = self.stall_timeout_s
-        if timeout is None:
-            return
-        now = time.monotonic()
-        if self._idle_since is None:
-            self._idle_since = now
-            return
-        stalled = now - self._idle_since
-        if stalled >= timeout:
-            depths = self._queue_depth_sample()
-            self.close()
-            raise WorkerStallError(
-                stalled, timeout, depths, noun="shard worker(s)"
             )
 
     def _queue_depth_sample(self) -> dict[str, int]:
@@ -829,9 +790,7 @@ class ShardProcessPipeline:
             }
         return state
 
-    def _pump(
-        self, block: bool = False, timeout: float | None = None
-    ) -> None:
+    def _pump(self, block: bool = False, timeout: float = WAIT_POLL_S) -> None:
         """Drain the return queue, driving round phases and serving reads.
 
         Control messages ("ack", "fdone", "final") are stashed on
@@ -841,8 +800,6 @@ class ShardProcessPipeline:
         """
         from repro.pipeline.validation import PRUNE_HORIZON_S
 
-        if timeout is None:
-            timeout = _poll_interval(self.stall_timeout_s)
         while True:
             try:
                 msg = (
@@ -855,9 +812,8 @@ class ShardProcessPipeline:
                     # One bounded wait per call: callers that need more
                     # messages loop, callers retrying a put must not
                     # hang on a quiet return queue.
-                    self._blocked_tick()
+                    self._check_alive()
                 return
-            self._idle_since = None
             block = False  # made progress: drain the rest lazily
             kind = msg[0]
             if kind == "bin":
@@ -1256,11 +1212,7 @@ class ShardProcessPipeline:
                 in_q.put_nowait(("stop",))
             except queue_mod.Full:
                 pass
-        reap_workers(
-            self._procs,
-            (*self._in_qs, *self._sync_qs, self._ret_q),
-            deadline_s=self.teardown_deadline_s,
-        )
+        reap_workers(self._procs, (*self._in_qs, *self._sync_qs, self._ret_q))
 
     def __repr__(self) -> str:
         return (

@@ -6,13 +6,12 @@
 end in the same state from either:
 
 * equal ``primed`` count and telemetry-free ``snapshot()`` for the linear
-  chain, ``shard_processes=2`` and ``supervised=True``, at ``feed_chunk``
-  1, 7 and 4096, from a list and from a generator;
+  chain and ``shard_processes=2``, at ``feed_chunk`` 1, 7 and 4096, from
+  a list and from a generator;
 * a lazy source is pulled exactly one chunk at a time, never ahead of the
   chunk being run;
 * a ``prime`` issued mid-stream runs what ``process`` staged first, and
-  the rest of the stream then finishes identically;
-* under supervision the journal holds one unit per chunk, not per path.
+  the rest of the stream then finishes identically.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ needs_fork = pytest.mark.skipif(
 LAYOUTS = {
     "linear": {},
     "shard_processes": dict(shard_processes=2, process_batch=128),
-    "supervised": dict(supervised=True),
 }
 layouts = pytest.mark.parametrize(
     "layout",
@@ -163,15 +161,3 @@ def test_prime_mid_stream_runs_the_staged_elements_first(scenario, layout):
     finally:
         batch.close()
         ref.close()
-
-
-def test_supervised_journal_unit_is_a_chunk(scenario):
-    world, snapshot, _ = scenario
-    updates = snapshot[:3000]
-    detector = make_kepler(world, KeplerParams(supervised=True, feed_chunk=1024))
-    try:
-        detector.prime(updates)
-        journal = detector.stages._journal
-        assert [len(unit[1]) for unit in journal] == [1024, 1024, 952]
-    finally:
-        detector.close()

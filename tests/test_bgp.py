@@ -98,6 +98,17 @@ class TestMessages:
                 elem_type=ElemType.ANNOUNCEMENT,
             )
 
+    @pytest.mark.parametrize("path", [(), (1, 2)])
+    def test_state_typed_update_rejected(self, path):
+        # A located path on a STATE-typed update would be admitted and
+        # tagged as an announcement; a session change is a
+        # BGPStateMessage, so the update must not construct.
+        with pytest.raises(ValueError, match="BGPStateMessage"):
+            BGPUpdate(
+                time=0.0, collector="c", peer_asn=1, prefix="p",
+                elem_type=ElemType.STATE, as_path=path,
+            )
+
     def test_invalid_afi_rejected(self):
         with pytest.raises(ValueError):
             _announce(afi=5)

@@ -13,6 +13,15 @@ compares the outputs:
   changes nothing — a re-announcement of a path is not a change.
 * **Collector rename**: an order-preserving rename of every collector
   (one common prefix) changes nothing — collectors are names.
+* **Session gap on an untagged peer**: a session down/up pair, an hour
+  apart and opening just before the first signal, on a collector peer
+  whose paths carry no dictionary community changes nothing — missing
+  data is not a withdrawal.  No peer of worlds A and B is untagged, so
+  the case adds one: a new peer on the first collector carrying
+  community-stripped copies of another peer's paths.
+* **Untagged extra collector**: every third primed path and stream
+  update copied under an extra collector, with every community
+  stripped, changes nothing — only dictionary communities locate.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from test_pipeline_equivalence import (
     prepared,
     record_fields,
 )
-from repro.bgp.messages import BGPUpdate
+from repro.bgp.messages import BGPStateMessage, BGPUpdate, SessionState
 from repro.core.kepler import Kepler
 from repro.pipeline import split_by_collector
 from repro.scenarios import build_world
@@ -113,3 +122,69 @@ def test_order_preserving_collector_rename_changes_nothing(replay, reference):
         ]
 
     assert run(world, renamed(snapshot), renamed(elements)) == reference
+
+
+def stripped(update: BGPUpdate, **changes) -> BGPUpdate:
+    return dataclasses.replace(update, communities=(), **changes)
+
+
+def merged(*streams) -> list:
+    """One time-sorted stream from several (``split_by_collector`` input)."""
+    return sorted(
+        (e for stream in streams for e in stream), key=lambda e: e.sort_key()
+    )
+
+
+def test_session_gap_on_an_untagged_peer_changes_nothing(replay, reference):
+    world, snapshot, elements = replay
+    collector = elements[0].collector
+    peers = sorted({u.peer_asn for u in snapshot if u.collector == collector})
+    source, peer = peers[0], max(u.peer_asn for u in snapshot) + 1
+
+    def copied(items):
+        return [
+            stripped(u, peer_asn=peer)
+            for u in items
+            if isinstance(u, BGPUpdate)
+            and (u.collector, u.peer_asn) == (collector, source)
+        ]
+
+    down = reference[1][0][2] - 60.0
+    gap = [
+        BGPStateMessage(
+            down, collector, peer, SessionState.ESTABLISHED, SessionState.IDLE
+        ),
+        BGPStateMessage(
+            down + 3600.0,
+            collector,
+            peer,
+            SessionState.IDLE,
+            SessionState.ESTABLISHED,
+        ),
+    ]
+    assert copied(snapshot) and copied(elements)
+    assert (
+        run(
+            world,
+            snapshot + copied(snapshot),
+            merged(elements, copied(elements), gap),
+        )
+        == reference
+    )
+
+
+def test_untagged_extra_collector_changes_nothing(replay, reference):
+    world, snapshot, elements = replay
+
+    def copied(items):
+        return [
+            stripped(u, collector="zz-extra")
+            for i, u in enumerate(items)
+            if isinstance(u, BGPUpdate) and i % 3 == 0
+        ]
+
+    assert copied(snapshot) and copied(elements)
+    assert (
+        run(world, snapshot + copied(snapshot), merged(elements, copied(elements)))
+        == reference
+    )

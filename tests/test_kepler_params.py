@@ -6,14 +6,13 @@ import dataclasses
 
 import pytest
 
-from repro.core.kepler import KeplerParams, RecoveryPolicy
+from repro.core.kepler import KeplerParams
 
 
 def test_knob_census():
     # ROADMAP item 3 counts the layout knobs: today ``process_batch``,
-    # ``shard_processes``, ``supervised``, ``recovery`` and
-    # ``feed_chunk`` (5); the target is one (``feed_chunk``).
-    # Adding a field here means moving away from it.
+    # ``shard_processes`` and ``feed_chunk`` (3); the target is one
+    # (``feed_chunk``).  Adding a field here means moving away from it.
     assert {f.name for f in dataclasses.fields(KeplerParams)} == {
         "monitor",
         "min_pop_ases",
@@ -25,21 +24,9 @@ def test_knob_census():
         "correlation_window_s",
         "process_batch",
         "shard_processes",
-        "supervised",
-        "recovery",
         "feed_chunk",
     }
-    assert len(dataclasses.fields(KeplerParams)) == 13
-    assert {f.name for f in dataclasses.fields(RecoveryPolicy)} == {
-        "max_restarts",
-        "checkpoint_interval",
-        "journal_limit",
-        "backoff_base_s",
-        "backoff_cap_s",
-        "stall_timeout_s",
-        "teardown_deadline_s",
-        "degrade",
-    }
+    assert len(dataclasses.fields(KeplerParams)) == 11
 
 
 @pytest.mark.parametrize(
@@ -56,6 +43,20 @@ def test_retired_ingest_feeds_is_a_type_error(value):
     # The knob's old bad values are refused as loudly as its old good ones.
     with pytest.raises(TypeError, match="ingest_feeds"):
         KeplerParams(ingest_feeds=value)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_retired_supervised_is_a_type_error(value):
+    # Off as loudly as on: the runtime mode is gone, not defaulted.
+    with pytest.raises(TypeError, match="supervised"):
+        KeplerParams(supervised=value)
+
+
+@pytest.mark.parametrize("value", [None, {"max_restarts": 0}])
+def test_retired_recovery_is_a_type_error(value):
+    # Its old "disabled" value is refused like a policy.
+    with pytest.raises(TypeError, match="recovery"):
+        KeplerParams(recovery=value)
 
 
 @pytest.mark.parametrize(
@@ -101,28 +102,6 @@ def test_detection_and_chunk_knobs_fail_closed(field, value):
         KeplerParams(**{field: value})
 
 
-@pytest.mark.parametrize(
-    ("field", "value"),
-    [
-        ("max_restarts", -1),
-        ("max_restarts", True),
-        ("checkpoint_interval", 0),
-        ("checkpoint_interval", 8.5),
-        ("journal_limit", 0),
-        ("stall_timeout_s", 0),
-        ("stall_timeout_s", -1.0),
-        ("stall_timeout_s", float("inf")),
-        ("stall_timeout_s", float("nan")),
-        ("backoff_base_s", -0.1),
-        ("backoff_cap_s", float("nan")),
-        ("teardown_deadline_s", float("inf")),
-    ],
-)
-def test_recovery_knobs_fail_closed(field, value):
-    with pytest.raises(ValueError, match=field):
-        RecoveryPolicy(**{field: value})
-
-
 def test_edge_values_stay_legal():
     KeplerParams(shard_processes=0)
     KeplerParams(shard_processes=2)
@@ -135,13 +114,3 @@ def test_edge_values_stay_legal():
         correlation_window_s=0.0,
     )
     KeplerParams(restore_fraction=0.999, merge_gap_s=0, correlation_window_s=0)
-    RecoveryPolicy(
-        max_restarts=0,
-        checkpoint_interval=1,
-        journal_limit=None,
-        stall_timeout_s=None,
-        backoff_base_s=0.0,
-        backoff_cap_s=0.0,
-        teardown_deadline_s=0.0,
-    )
-    RecoveryPolicy(journal_limit=1, stall_timeout_s=0.5)

@@ -1,9 +1,8 @@
-"""Live sampling never perturbs output (hypothesis + chaos).
+"""Live sampling never perturbs output (hypothesis).
 
 The hard invariant of the telemetry plane: polling
 ``Kepler.metrics_live()`` from a concurrent thread at *arbitrary*
-points mid-run — including while a supervised runtime is killing,
-restarting and replaying workers — changes nothing observable.
+points mid-run changes nothing observable.
 Records, signal log, rejects and the telemetry-stripped checkpoint
 document stay byte-identical to the unsampled linear ground truth
 across every runtime layout.
@@ -31,14 +30,8 @@ from test_pipeline_equivalence import (
     record_fields,
 )
 from repro import telemetry
-from repro.core.kepler import Kepler, KeplerParams, RecoveryPolicy
-from repro.pipeline import (
-    FaultPlan,
-    FaultSpec,
-    fork_available,
-    strip_checkpoint_telemetry,
-)
-from repro.pipeline import faults
+from repro.core.kepler import Kepler, KeplerParams
+from repro.pipeline import fork_available, strip_checkpoint_telemetry
 from repro.scenarios import World, build_world
 
 END_TIME = 80_000.0
@@ -54,14 +47,6 @@ LAYOUTS: dict[str, dict] = {
     "shard_processes": dict(shard_processes=2, process_batch=128),
 }
 FORK_LAYOUTS = {"shard_processes"}
-
-POLICY = dict(
-    checkpoint_interval=512,
-    backoff_base_s=0.01,
-    backoff_cap_s=0.05,
-    stall_timeout_s=5.0,
-    teardown_deadline_s=0.5,
-)
 
 sampling_settings = settings(
     max_examples=2,
@@ -231,51 +216,3 @@ class TestCleanRunSampling:
             period_s=period_ms / 1000.0,
         )
         check_identity(got, doc, poller, ground_truth, expected_doc)
-
-
-# ----------------------------------------------------------------------
-# Faulted runs: sampling while the supervisor kills and replays workers
-# ----------------------------------------------------------------------
-@needs_fork
-class TestFaultedRunSampling:
-    def _supervised(self) -> KeplerParams:
-        return KeplerParams(
-            supervised=True,
-            recovery=RecoveryPolicy(**POLICY),
-            **LAYOUTS["shard_processes"],
-        )
-
-    @sampling_settings
-    @given(
-        at_element=st.integers(min_value=1, max_value=4000),
-        period_ms=st.integers(min_value=1, max_value=10),
-    )
-    def test_shard_worker_kill_under_sampling(
-        self, world_a, ground_truth, at_element, period_ms
-    ):
-        expected_doc = baseline_doc(world_a, "shard_processes")
-        plan = FaultPlan(
-            [FaultSpec(scope="shard", kind="kill", at_element=at_element, worker_id=1)]
-        )
-        with faults.injected(plan):
-            got, doc, poller = sampled_run(
-                world_a,
-                self._supervised(),
-                period_s=period_ms / 1000.0,
-            )
-        check_identity(got, doc, poller, ground_truth, expected_doc)
-
-    def test_recovering_sample_is_well_formed(self, world_a, ground_truth):
-        """Samples taken mid-rebuild degrade gracefully, never raise."""
-        expected_doc = baseline_doc(world_a, "shard_processes")
-        plan = FaultPlan(
-            [FaultSpec(scope="shard", kind="kill", at_element=900, worker_id=0)]
-        )
-        with faults.injected(plan):
-            got, doc, poller = sampled_run(
-                world_a, self._supervised(), period_s=0.001
-            )
-        check_identity(got, doc, poller, ground_truth, expected_doc)
-        # Every sample — including any taken during the teardown/rebuild
-        # window — carries the live section (possibly flagged recovering).
-        assert all("live" in snap for snap in poller.samples)

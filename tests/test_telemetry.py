@@ -179,7 +179,7 @@ class TestTraceJournal:
     def test_jsonl_round_trip(self):
         journal = TraceJournal(capacity=16)
         journal.emit("bin_close", "bin", dur_s=0.25, bin=120.0, signals=3)
-        journal.emit("worker_failure", "supervise", cause="WorkerDeathError")
+        journal.emit("quarantine", "fault", signature=7, detail="ValueError")
         back = TraceJournal.from_jsonl(journal.to_jsonl())
         assert list(back) == list(journal)
 
@@ -312,7 +312,7 @@ def _sample_snapshot() -> dict:
             }
         ],
         "bins": {"bins_closed": 7, "mean_latency_s": 0.002},
-        "recovery": {"restarts": 1, "degraded": False},
+        "recovery": {"quarantined_batches": 1},
         "gauges": {"memo_hits": 42, "w0.memo_hits": 21},
         "hists": {
             "stage_ns.tagging": {
@@ -334,7 +334,7 @@ class TestExporters:
         text = prometheus_text(_sample_snapshot())
         assert 'repro_stage_fed_total{stage="tagging"} 100' in text
         assert "repro_bins_closed_total 7" in text
-        assert "repro_recovery_restarts 1" in text
+        assert "repro_recovery_quarantined_batches 1" in text
         assert 'repro_gauge{name="w0.memo_hits"} 21' in text
         assert "repro_hist_stage_ns_tagging_count 3" in text
         assert (
