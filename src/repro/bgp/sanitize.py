@@ -73,6 +73,11 @@ def deprepend(path: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def collapse_runs(path: Sequence[int]) -> tuple[int, ...]:
+    """:func:`deprepend` in one C pass (an ``itertools.groupby`` collapse)."""
+    return tuple(map(_RUN_HEAD, groupby(path)))
+
+
 def sanitize_path(path: Sequence[int]) -> tuple[int, ...] | None:
     """Return the de-prepended path, or ``None`` if it must be discarded.
 
@@ -84,14 +89,21 @@ def sanitize_path(path: Sequence[int]) -> tuple[int, ...] | None:
         ) else deprepend(path)
 
     but the raw path — which prepending can stretch to hundreds of hops
-    — is walked once, in C (a ``groupby`` run collapse); everything else
-    reads the short de-prepended result.  An ASN re-appears after a
-    different ASN exactly when the de-prepended path holds it twice, so
-    the loop verdict is a duplicate test on ``clean``; and de-prepending
-    drops no distinct ASN, so the reserved-ASN verdict is the same on
-    ``clean`` as on ``path``.
+    — is walked once, in C (:func:`collapse_runs`); everything else
+    reads the short de-prepended result (:func:`sanitize_collapsed`).
     """
-    clean = tuple(map(_RUN_HEAD, groupby(path)))
+    return sanitize_collapsed(collapse_runs(path))
+
+
+def sanitize_collapsed(clean: tuple[int, ...]) -> tuple[int, ...] | None:
+    """:func:`sanitize_path`'s verdict on an already run-collapsed path.
+
+    The verdict and the output depend only on the collapsed path.  An
+    ASN re-appears after a different ASN exactly when the de-prepended
+    path holds it twice, so the loop verdict is a duplicate test on
+    ``clean``; and de-prepending drops no distinct ASN, so the
+    reserved-ASN verdict is the same on ``clean`` as on the raw path.
+    """
     if not clean or len(set(clean)) != len(clean):
         return None
     if max(clean) >= _RESERVED_HIGH or not _RESERVED_LOW.isdisjoint(clean):

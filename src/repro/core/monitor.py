@@ -111,8 +111,8 @@ def _entry_to_json(entry: _BaselineEntry) -> list:
 #: Bits reserved for the PoP index in a packed (key, pop) pending id.
 _POP_SHIFT = 20
 _POP_MASK = (1 << _POP_SHIFT) - 1
-#: Cap on the monitor's derived-column cache (one entry per tagged
-#: pair); wholesale clear on overflow — it is a pure cache.
+#: Cap on the monitor's derived-column cache (one entry per distinct
+#: tags object); wholesale clear on overflow — it is a pure cache.
 _COLS_CACHE_MAX = 65536
 #: Late-heap size below which stale entries are left for promotion to
 #: skip.
@@ -281,10 +281,10 @@ class OutageMonitor:
         #: lower bound on every in-order candidate's ``since``: a
         #: promotion threshold below it has no prefix to scan.
         self._due_floor = -math.inf
-        #: derived columns per tagged pair, keyed by id() of the
-        #: memo-shared ``(path, tags)`` object (see :meth:`_pair_cols`);
-        #: the cached value holds the pair, so a live cache hit is
-        #: always an identity hit.
+        #: derived columns per tags tuple, keyed by its id() (see
+        #: :meth:`_tag_cols`): the tagger interns tags, so equal tags
+        #: are one object.  The cached value holds the tags, so a live
+        #: cache hit is always an identity hit.
         self._cols: dict[int, list] = {}
         #: divergences observed in the current bin (owned pops only).
         self._diverted: dict[PoP, set[PathKey]] = {}
@@ -339,28 +339,29 @@ class OutageMonitor:
             self._pops.append(pop)
         return idx
 
-    def _pair_cols(self, pair: tuple) -> list:
-        """Derived columns for one (memo-shared) ``(path, tags)`` pair.
+    def _tag_cols(self, tags: tuple) -> list:
+        """Derived columns for one (interned) tags tuple.
 
-        Returns ``[pair, update_mask, owned]`` where ``update_mask``
+        Returns ``[tags, update_mask, owned]`` where ``update_mask``
         has the bit of every tagged PoP and ``owned`` holds one
         ``(pop_id, bit, near_asn, far_asn)`` row per owned tag.  Cached
-        per pair identity: the tagging memo hands back one object per
-        repeated pair, so the cache hit rate tracks the memo's.
+        per tags identity: the tagger hands back one object per
+        distinct tags value, whatever the path, so the cache misses
+        once per tags value, not once per path.
         """
         cache = self._cols
         if len(cache) > _COLS_CACHE_MAX:
             cache.clear()
         mask = 0
         owned = []
-        for tag in pair[1]:
+        for tag in tags:
             idx = self._intern_pop(tag.pop)
             bit = 1 << idx
             mask |= bit
             if self.owns(tag.pop):
                 owned.append((idx, bit, tag.near_asn, tag.far_asn))
-        cols = [pair, mask, tuple(owned)]
-        cache[id(pair)] = cols
+        cols = [tags, mask, tuple(owned)]
+        cache[id(tags)] = cols
         return cols
 
     # ------------------------------------------------------------------
@@ -382,9 +383,10 @@ class OutageMonitor:
         """:meth:`prime` for a primed row of a tagged batch."""
         if self._events:
             self._flush_events()
-        cols = self._cols.get(id(pair))
+        tags = pair[1]
+        cols = self._cols.get(id(tags))
         if cols is None:
-            cols = self._pair_cols(pair)
+            cols = self._tag_cols(tags)
         pops = self._pops
         for pop_idx, _, near_asn, far_asn in cols[2]:
             self._install(pops[pop_idx], key, near_asn, far_asn, time)
@@ -516,7 +518,7 @@ class OutageMonitor:
         pend_mask = self._pend_mask
         track_mask = self._track_mask
         cols_get = self._cols.get
-        pair_cols = self._pair_cols
+        tag_cols = self._tag_cols
         pending = self._pending
         late = self._late
         newest = self._newest
@@ -545,9 +547,9 @@ class OutageMonitor:
                     update_mask = 0
                     owned = ()
                 else:
-                    cols = cols_get(id(pair))
+                    cols = cols_get(id(pair[1]))
                     if cols is None:
-                        cols = pair_cols(pair)
+                        cols = tag_cols(pair[1])
                     update_mask = cols[1]
                     owned = cols[2]
                 key_idx = key_ids_get(key)

@@ -28,7 +28,7 @@ vocabulary fails closed: a ``TypeError`` naming the type on encode, a
 
 :func:`tag_wire_batch` runs the tagging stage *on the batch itself*:
 the community→PoP derivation becomes a bulk pass over the id columns
-(the input module's memo is keyed on exactly these table tuples), so
+(the input module's memo is keyed on these table tuples), so
 repeated attribute pairs inside a batch cost one dict probe and never
 materialise an intermediate ``BGPUpdate``.
 
@@ -61,9 +61,15 @@ from repro.bgp.messages import (
     ElemType,
     SessionState,
 )
+from repro.bgp.sanitize import collapse_runs
 from repro.core.dataplane import ValidationOutcome
 from repro.core.events import OutageRecord, OutageSignal, SignalType
-from repro.core.input import WITHDRAWN, PathKey, TaggedPath
+from repro.core.input import (
+    COLLAPSE_KEY_HOPS,
+    WITHDRAWN,
+    PathKey,
+    TaggedPath,
+)
 from repro.core.signals import SignalClassification
 from repro.docmine.dictionary import PoP, PoPKind
 
@@ -275,10 +281,10 @@ def _slot_setters(cls, names: tuple[str, ...]) -> tuple:
 def intern_stats() -> dict[str, dict[str, int]]:
     """Size/cap/eviction counters of the community intern table.
 
-    ``InputModule.memo_miss`` and the update decoders rebuild
-    ``Community`` objects through it; the numbers feed the
-    ``intern_community_*`` metrics gauges so operators can see churn
-    (a high eviction count means the vocabulary exceeds the cap).
+    The update decoders rebuild ``Community`` objects through it; the
+    numbers feed the ``intern_community_*`` metrics gauges so operators
+    can see churn (a high eviction count means the vocabulary exceeds
+    the cap).
     """
     return {"community": community_intern_stats()}
 
@@ -609,7 +615,8 @@ class TaggedBatch:
     ``(clean path, tags)`` result object, shared across rows and
     batches for a repeated ``(path, communities)`` pair; every
     withdrawal row holds the one empty pair ``((), ())``.  The monitor
-    keys its derived columns on that object's identity.  State rows
+    keys its derived columns on the identity of the pair's tags, which
+    the tagger interns.  State rows
     (``_K_STATE``) hold the ``BGPStateMessage`` itself.  The batch never
     leaves the process that tagged it, so nothing in it needs to be
     marshal-safe.
@@ -691,7 +698,8 @@ def tag_wire_batch(input_module, batch: tuple) -> TaggedBatch:
     result (or ``None``, a discard), so the first occurrence pays one
     memo probe against ``input_module`` — the same two-generation memo
     the scalar path uses, keyed on the very tuples sitting in the
-    tables — and every repeat is one dict hit.  Counters fold into the
+    tables (a long path on its run collapse, by the same rule) — and
+    every repeat is one dict hit.  Counters fold into the
     module's totals exactly as the scalar path would have counted them
     (the pair cache is dropped when the memo rotates mid-batch).
 
@@ -721,6 +729,7 @@ def tag_wire_batch(input_module, batch: tuple) -> TaggedBatch:
     pair_miss = _PAIR_MISS
     memo_get = input_module.memo_probe
     memo_miss = input_module.memo_miss
+    long_path = COLLAPSE_KEY_HOPS
     rotations = input_module.memo_rotations
     parsed = 0
     hits = 0
@@ -745,12 +754,15 @@ def tag_wire_batch(input_module, batch: tuple) -> TaggedBatch:
         if pair is not pair_miss:
             hits += 1
         else:
-            memo_key = (path_tab[pi], comm_tab[ci])
+            path = path_tab[pi]
+            if len(path) > long_path:
+                path = collapse_runs(path)
+            memo_key = (path, comm_tab[ci])
             pair = memo_get(memo_key, pair_miss)
             if pair is not pair_miss:
                 hits += 1
             else:
-                pair = memo_miss(memo_key)
+                pair = memo_miss(memo_key, len(path_tab[pi]) > long_path)
                 if input_module.memo_rotations != rotations:
                     # Cached pairs aged into the old generation, where
                     # the scalar path would promote them on their next
@@ -805,6 +817,7 @@ def tag_elements_to_wire(input_module, elements) -> TaggedBatch:
     withdrawn = WITHDRAWN
     memo_get = input_module.memo_probe
     memo_miss = input_module.memo_miss
+    long_path = COLLAPSE_KEY_HOPS
     miss = _PAIR_MISS
     parsed = 0
     hits = 0
@@ -837,21 +850,22 @@ def tag_elements_to_wire(input_module, elements) -> TaggedBatch:
         communities = element.communities
         if len(communities) == 1:
             community = communities[0]
-            memo_key = (
-                element.as_path,
-                (community.asn, community.value),
-            )
+            flat = (community.asn, community.value)
         else:
-            flat: list[int] = []
+            flat = []
             for community in communities:
                 flat.append(community.asn)
                 flat.append(community.value)
-            memo_key = (element.as_path, tuple(flat))
+            flat = tuple(flat)
+        path = element.as_path
+        if len(path) > long_path:
+            path = collapse_runs(path)
+        memo_key = (path, flat)
         pair = memo_get(memo_key, miss)
         if pair is not miss:
             hits += 1
         else:
-            pair = memo_miss(memo_key, communities)
+            pair = memo_miss(memo_key, len(element.as_path) > long_path)
         if pair is None:
             discarded += 1
             continue

@@ -5,15 +5,18 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.bgp.communities import Community
 from repro.bgp.messages import BGPUpdate, ElemType
+from repro.bgp.sanitize import sanitize_path
 from repro.core.colocation import (
     ColocationMap,
     MIN_TRACKABLE_MEMBERS,
     build_colocation_map,
 )
-from repro.core.input import InputModule
+from repro.core.input import COLLAPSE_KEY_HOPS, InputModule, PoPTag
 from repro.core.serde import (
     _K_PRIMED,
     _K_TAGGED,
@@ -401,9 +404,13 @@ class _CountingPath(tuple):
 
 
 class TestMissPathHashing:
-    """The raw path — 645 hops on ``tagging_heavy`` — is hashed once on
-    a hit and at most three times on a miss (probe, old-generation
-    probe, insert).  A non-timing guard on the miss routine."""
+    """A path over ``COLLAPSE_KEY_HOPS`` (645 hops on ``tagging_heavy``)
+    is keyed by its run collapse, so the raw path is never hashed, on a
+    miss or a hit.  A short path keeps its raw key: hashed once on a hit
+    and at most three times on a miss (probe, old-generation probe,
+    insert).  A non-timing guard on all three entry points; the wire
+    batch is counted from the tagger on, not from the codec's own
+    table dedup."""
 
     @staticmethod
     def _hashes(entry, mod, path, communities=(Community(10, 101),)):
@@ -418,23 +425,184 @@ class TestMissPathHashing:
             as_path=counted,
             communities=communities,
         )
-        assert len(entry(mod, [element])) == 1
-        return counted.hashed
+        if entry is _via_wire_batch:
+            batch = encode_batch([element])
+            before = counted.hashed
+            rows = _rows(tag_wire_batch(mod, batch))
+        else:
+            before = 0
+            rows = entry(mod, [element])
+        assert len(rows) == 1
+        return counted.hashed - before
 
-    @pytest.mark.parametrize("entry", [_via_process, _via_wire_view])
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
     def test_hash_budget(self, entry):
         mod = InputModule(make_dictionary(), make_colo(), memo_max=4)
         prepended = (1,) + (10,) * 640 + (30,)
-        assert self._hashes(entry, mod, prepended) <= 2  # miss, no old gen
-        assert self._hashes(entry, mod, prepended) == 1  # hit
-        self._hashes(entry, mod, (2, 10, 30))
+        short = (1, 10, 10, 30)
+        assert len(prepended) > COLLAPSE_KEY_HOPS >= len(short)
+        assert self._hashes(entry, mod, prepended) == 0  # miss
+        assert self._hashes(entry, mod, prepended) == 0  # hit
+        assert self._hashes(entry, mod, short) <= 2  # miss, no old gen
+        assert self._hashes(entry, mod, short) == 1  # hit
         assert mod.memo_rotations == 0
         self._hashes(entry, mod, (3, 10, 30))
         assert mod.memo_rotations == 1  # the old generation now exists
-        assert self._hashes(entry, mod, (4,) + prepended) <= 3  # full miss
-        assert self._hashes(entry, mod, prepended) <= 3  # old-gen promotion
-        assert self._hashes(entry, mod, prepended) == 1
-        assert mod.memo_hits == 3
+        assert self._hashes(entry, mod, prepended) == 0  # old-gen promotion
+        assert self._hashes(entry, mod, short) <= 3  # old-gen promotion
+        assert self._hashes(entry, mod, short) == 1
+        assert self._hashes(entry, mod, (4,) + prepended) == 0  # full miss
+        assert self._hashes(entry, mod, (4,) + short) <= 3  # full miss
+        assert mod.memo_rotations == 3
+        assert mod.memo_hits == 5
+
+
+_FAC, _CITY = PoP(PoPKind.FACILITY, "mf1"), PoP(PoPKind.CITY, "London")
+_MIX = PoP(PoPKind.IXP, "mix1")
+#: members of mix1 (``make_colo``), dictionary ASNs, bystanders and
+#: reserved ASNs (documentation, private, AS_TRANS, 0).
+_PATH_ASNS = st.sampled_from(
+    (20, 30, 40, 10, 1, 2, 5, 64500, 64512, 23456, 0, 4200000001)
+)
+
+
+@st.composite
+def _tagging_inputs(draw):
+    """One announcement's path and communities.
+
+    Paths are runs of one ASN, 1 to 200 hops long: prepending on either
+    side of ``COLLAPSE_KEY_HOPS``, loops (one ASN in two runs apart) and
+    reserved ASNs.  Communities mix location, route-server and decoy
+    ones.
+    """
+    lengths = st.sampled_from((1, 1, 2, 30, COLLAPSE_KEY_HOPS, 200))
+    runs = draw(
+        st.lists(st.tuples(_PATH_ASNS, lengths), min_size=1, max_size=5)
+    )
+    path = tuple(asn for asn, length in runs for _ in range(length))
+    community = st.one_of(
+        st.sampled_from((Community(10, 101), Community(30, 301))),
+        st.builds(Community, st.just(59900), st.integers(0, 3)),
+        st.builds(Community, st.integers(65000, 65002), st.integers(0, 3)),
+    )
+    return path, tuple(draw(st.lists(community, max_size=4)))
+
+
+@st.composite
+def _tagging_streams(draw):
+    """Picks from a few announcements: repeats age through the memo."""
+    pool = draw(st.lists(_tagging_inputs(), min_size=1, max_size=10))
+    picks = st.integers(0, len(pool) - 1)
+    return [pool[i] for i in draw(st.lists(picks, min_size=1, max_size=60))]
+
+
+def _reference_tags(path, communities):
+    """Section 4.1 over ``make_dictionary``, with no memo or intern.
+
+    A location community tags its PoP when its ASN is on the sanitised
+    path, with the next hop towards the origin as the far end; a
+    route-server community tags its IXP between the first adjacent
+    on-path member pair, or unattributed.  The first tag per (PoP,
+    near AS) wins.
+    """
+    location = {Community(10, 101): _FAC, Community(30, 301): _CITY}
+    members = {20, 30, 40}
+    tags: list[PoPTag] = []
+    for community in communities:
+        if community.asn == 59900:
+            pair = next(
+                (
+                    (near, far)
+                    for near, far in zip(path, path[1:])
+                    if near in members and far in members
+                ),
+                (None, None),
+            )
+            tag = PoPTag(_MIX, *pair)
+        elif community in location and community.asn in path:
+            at = path.index(community.asn)
+            far = path[at + 1] if at + 1 < len(path) else None
+            tag = PoPTag(location[community], community.asn, far)
+        else:
+            continue
+        if all((t.pop, t.near_asn) != (tag.pop, tag.near_asn) for t in tags):
+            tags.append(tag)
+    return tuple(tags)
+
+
+def _live_tags(mod):
+    """The tags of every memo entry, checked to be one object per value."""
+    held: dict = {}
+    for pair in (*mod._memo.values(), *mod._memo_old.values()):
+        if pair is not None and pair[1]:
+            assert held.setdefault(pair[1], pair[1]) is pair[1]
+    return held
+
+
+class TestTaggingMatchesReference:
+    """Every entry point, memo rotating at ``memo_max=8``, against
+    ``sanitize_path`` and a memo-less Section 4.1 reference."""
+
+    @given(_tagging_streams())
+    @example(  # an old-generation hit keeps its tags interned
+        [((1, 10, 30), (Community(10, 101),))]
+        + [((n, 5), ()) for n in (2, 3, 4, 20)]
+        + [((1, 10, 30), (Community(10, 101),))]
+        + [((n, 5), ()) for n in (40, 64, 65, 66)]
+        + [((1, 10, 30), (Community(10, 101), Community(65000, 1)))]
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pairs_match_the_reference(self, inputs):
+        stream = [
+            update(path, communities, time=float(i))
+            for i, (path, communities) in enumerate(inputs)
+        ]
+        expected = []
+        for path, communities in inputs:
+            clean = sanitize_path(path)
+            if clean is not None:
+                expected.append((clean, _reference_tags(clean, communities)))
+        for entry in _ENTRY_POINTS:
+            for chunk in (1, len(stream)):
+                mod = InputModule(make_dictionary(), make_colo(), memo_max=8)
+                got = []
+                for start in range(0, len(stream), chunk):
+                    rows = entry(mod, stream[start : start + chunk])
+                    got.extend((row.as_path, row.tags) for _, row in rows)
+                    held = _live_tags(mod)
+                    if chunk == 1 and rows and rows[0][1].tags:
+                        # Equal tags are one object: the new row's is
+                        # the one every live memo entry holds.
+                        assert held[rows[0][1].tags] is rows[0][1].tags
+                assert got == expected, (entry.__name__, chunk)
+
+
+class TestBoundedTaggingCaches:
+    def test_many_long_paths_stay_within_the_bounds(self):
+        """Far more distinct long paths than ``memo_max``, two tags
+        each: the memo and both intern tables keep their bounds, and no
+        key holds a path longer than ``COLLAPSE_KEY_HOPS``."""
+        memo_max = 8
+        stream = [
+            update(
+                (1000 + i,) + (5,) * 200 + (10, 30, 2000 + i % 97),
+                [Community(10, 101), Community(30, 301)],
+                time=float(i),
+            )
+            for i in range(630)
+        ]
+        for entry in _ENTRY_POINTS:
+            mod = InputModule(make_dictionary(), make_colo(), memo_max=memo_max)
+            for start in range(0, len(stream), 7):
+                assert len(entry(mod, stream[start : start + 7])) == 7
+                assert len(mod._memo) + len(mod._memo_old) <= memo_max
+                assert len(mod._tags) + len(mod._tags_old) <= memo_max
+                assert len(mod._tag) + len(mod._tag_old) <= memo_max
+                assert all(
+                    len(path) <= COLLAPSE_KEY_HOPS
+                    for path, _ in (*mod._memo, *mod._memo_old)
+                )
+            assert mod.memo_rotations > 100, entry.__name__
 
 
 class TestColocationMap:

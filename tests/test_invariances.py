@@ -22,6 +22,11 @@ compares the outputs:
 * **Untagged extra collector**: every third primed path and stream
   update copied under an extra collector, with every community
   stripped, changes nothing — only dictionary communities locate.
+* **Prepending**: every hop of every primed and streamed path repeated
+  k times changes nothing — tags depend on the de-prepended path.  At
+  k = 40 every path of two or more hops is longer than the tagging
+  memo's collapse threshold, at k = 2 none is, so both memo key forms
+  are exercised.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from test_pipeline_equivalence import (
     record_fields,
 )
 from repro.bgp.messages import BGPStateMessage, BGPUpdate, SessionState
+from repro.core.input import COLLAPSE_KEY_HOPS
 from repro.core.kepler import Kepler
 from repro.pipeline import split_by_collector
 from repro.scenarios import build_world
@@ -188,3 +194,23 @@ def test_untagged_extra_collector_changes_nothing(replay, reference):
         run(world, snapshot + copied(snapshot), merged(elements, copied(elements)))
         == reference
     )
+
+
+@pytest.mark.parametrize("k", [2, 40])
+def test_prepending_changes_nothing(replay, reference, k):
+    world, snapshot, elements = replay
+
+    def prepended(items):
+        return [
+            dataclasses.replace(
+                e, as_path=tuple(asn for asn in e.as_path for _ in range(k))
+            )
+            if isinstance(e, BGPUpdate) and e.as_path
+            else e
+            for e in items
+        ]
+
+    primed = prepended(snapshot)
+    longest = max(len(u.as_path) for u in primed)
+    assert (longest > COLLAPSE_KEY_HOPS) == (k == 40)
+    assert run(world, primed, prepended(elements)) == reference
