@@ -95,17 +95,12 @@ class MonitorParams:
             raise ValueError("t_fail must be in (0, 1]")
 
 
-@dataclass
-class _BaselineEntry:
-    """A stable path's tagged link at one PoP and when it was first seen."""
-
-    near_asn: int | None
-    far_asn: int | None
-    since: float
-
-
-def _entry_to_json(entry: _BaselineEntry) -> list:
-    return [entry.near_asn, entry.far_asn, entry.since]
+def _tally(totals: dict[int, int], entry: tuple, delta: int) -> None:
+    """Add ``delta`` to the path counts of a baseline entry's near- and
+    far-end AS."""
+    for asn in (entry[0], entry[1]):
+        if asn is not None:
+            totals[asn] = totals.get(asn, 0) + delta
 
 
 #: Bits reserved for the PoP index in a packed (key, pop) pending id.
@@ -203,15 +198,17 @@ class OutageMonitor:
     full stream, so it can report on *any* PoP's paths, which is what
     lets every worker's record stage watch every record.
 
-    The hot per-element state is columnar: path keys and PoPs are
-    interned to dense integer ids, and per-key PoP membership
-    (baseline, pending, watched) is an int bitmask in a dense list
-    indexed by key id.  The per-bin fold therefore runs on C-speed
-    list indexing and integer mask arithmetic; the object-shaped
-    views (``baseline``, ``_pending`` entries) are only touched when
-    an event actually changes state.  The intern tables grow with the
-    key universe — the same order of memory as the baseline itself —
-    and are rebuilt empty on :meth:`load_state`.
+    Path keys and PoPs are interned to dense integer ids, and all
+    per-PoP state is keyed by them: the baseline store and its reverse
+    indexes, the candidates and the bin's divergences.  Per-key PoP
+    membership (baseline, pending, watched) is an int bitmask in a
+    dense list indexed by key id, so the per-bin fold runs on list
+    indexing and mask arithmetic, and a promotion moves the
+    candidate's own tuple into the baseline.  ``PoP`` and ``PathKey``
+    objects are looked up only at the boundary: signals, the
+    ``baseline_*`` queries and the checkpoint document.  The intern
+    tables grow with the key universe — the same order of memory as
+    the baseline itself — and are rebuilt empty on :meth:`load_state`.
     """
 
     def __init__(
@@ -240,8 +237,9 @@ class OutageMonitor:
 
     def _reset(self) -> None:
         """Empty per-PoP state, caches and intern tables."""
-        #: pop -> key -> entry (the stable baseline).
-        self.baseline: dict[PoP, dict[PathKey, _BaselineEntry]] = {}
+        #: the stable baseline: pop id -> key id -> ``(near_asn,
+        #: far_asn, since)``.  A PoP with no entries has no dict.
+        self._base: dict[int, dict[int, tuple]] = {}
         #: running count of (pop, key) baseline entries.
         self.total_baseline_entries = 0
         #: key/PoP intern tables: id assignment order is arrival order
@@ -256,13 +254,15 @@ class OutageMonitor:
         self._base_mask: list[int] = []
         self._pend_mask: list[int] = []
         self._track_mask: list[int] = []
-        #: reverse index (collector, peer) -> baseline keys of that peer,
-        #: so feed-gap corrections touch only the gapped peers' paths.
-        self._peer_keys: dict[tuple[str, int], set[PathKey]] = {}
-        #: running per-AS baseline path counts per pop — each entry
-        #: contributes one count to its near- and far-end AS.  Avoids the
-        #: full baseline walk per diverted pop at every bin close.
-        self._as_totals: dict[PoP, dict[int, int]] = {}
+        #: reverse index (collector, peer) -> ids of that peer's keys
+        #: with a baseline entry at any PoP, so feed-gap corrections
+        #: touch only the gapped peers' paths.
+        self._peer_keys: dict[tuple[str, int], set[int]] = {}
+        #: per pop id in ``_base``: AS -> baseline paths counting it —
+        #: each entry counts once for its near- and once for its far-end
+        #: AS — so a bin close does not walk the PoP's baseline.  An AS
+        #: whose paths all left may stay at 0.
+        self._totals: dict[int, dict[int, int]] = {}
         #: stability candidates: packed (key_id << _POP_SHIFT | pop_id)
         #: -> plain ``(near_asn, far_asn, since)`` tuple (the
         #: fold allocates one per candidate; a dataclass would double
@@ -286,8 +286,9 @@ class OutageMonitor:
         #: are one object.  The cached value holds the tags, so a live
         #: cache hit is always an identity hit.
         self._cols: dict[int, list] = {}
-        #: divergences observed in the current bin (owned pops only).
-        self._diverted: dict[PoP, set[PathKey]] = {}
+        #: pop id -> ids of its baseline keys that diverted in the
+        #: current bin (owned pops only).
+        self._diverted: dict[int, set[int]] = {}
         #: open watches per (pop, key), any pop (see :meth:`watch`).
         self._watched: dict[tuple[PoP, PathKey], int] = {}
         #: per watched (pop, key) with a row since the last
@@ -369,27 +370,23 @@ class OutageMonitor:
     # ------------------------------------------------------------------
     def prime(self, tagged: TaggedPath) -> None:
         """Install a path's owned tags into the baseline (table dump)."""
-        # Earlier stream elements must see the pre-prime baseline: fold
-        # them before the install becomes visible.
-        if self._events:
-            self._flush_events()
-        for tag in tagged.tags:
-            if self.owns(tag.pop):
-                self._install(
-                    tag.pop, tagged.key, tag.near_asn, tag.far_asn, tagged.time
-                )
+        self.prime_row(tagged.key, tagged.time, (tagged.as_path, tagged.tags))
 
     def prime_row(self, key: PathKey, time: float, pair: tuple) -> None:
         """:meth:`prime` for a primed row of a tagged batch."""
+        # Earlier stream elements must see the pre-prime baseline: fold
+        # them before the install becomes visible.
         if self._events:
             self._flush_events()
         tags = pair[1]
         cols = self._cols.get(id(tags))
         if cols is None:
             cols = self._tag_cols(tags)
-        pops = self._pops
-        for pop_idx, _, near_asn, far_asn in cols[2]:
-            self._install(pops[pop_idx], key, near_asn, far_asn, time)
+        owned = cols[2]
+        if owned:
+            key_idx = self._intern_key(key)
+            for pop_idx, _, near_asn, far_asn in owned:
+                self._install(pop_idx, key_idx, (near_asn, far_asn, time))
 
     def observe_state(self, message: BGPStateMessage) -> None:
         peer = (message.collector, message.peer_asn)
@@ -434,62 +431,66 @@ class OutageMonitor:
     # ------------------------------------------------------------------
     # Baseline bookkeeping (the single install/remove choke points)
     # ------------------------------------------------------------------
-    def _install(
-        self,
-        pop: PoP,
-        key: PathKey,
-        near_asn: int | None,
-        far_asn: int | None,
-        since: float,
-    ) -> None:
-        entries = self.baseline.setdefault(pop, {})
-        old = entries.get(key)
+    def _install(self, pop_idx: int, key_idx: int, entry: tuple) -> None:
+        """Make ``entry``, a ``(near_asn, far_asn, since)`` tuple, the
+        baseline entry of a key at a PoP."""
+        entries = self._base.get(pop_idx)
+        if entries is None:
+            entries = self._base[pop_idx] = {}
+            totals = self._totals[pop_idx] = {}
+        else:
+            totals = self._totals[pop_idx]
+        old = entries.get(key_idx)
+        entries[key_idx] = entry
         if old is not None:
-            self._count_entry(pop, old, -1)
+            _tally(totals, old, -1)
         else:
             self.total_baseline_entries += 1
-        entry = _BaselineEntry(near_asn=near_asn, far_asn=far_asn, since=since)
-        entries[key] = entry
-        self._count_entry(pop, entry, +1)
-        self._base_mask[self._intern_key(key)] |= 1 << self._intern_pop(pop)
-        self._peer_keys.setdefault((key[0], key[1]), set()).add(key)
-
-    def _remove(self, pop: PoP, key: PathKey) -> None:
-        entries = self.baseline.get(pop)
-        if entries is not None:
-            entry = entries.pop(key, None)
-            if entry is not None:
-                self._count_entry(pop, entry, -1)
-                self.total_baseline_entries -= 1
-            if not entries:
-                self.baseline.pop(pop, None)
-                self._as_totals.pop(pop, None)
-        key_idx = self._key_ids.get(key)
-        pop_idx = self._pop_ids.get(pop)
-        if key_idx is not None and pop_idx is not None:
-            bit = 1 << pop_idx
             mask = self._base_mask[key_idx]
-            if mask & bit:
-                mask &= ~bit
-                self._base_mask[key_idx] = mask
-                if not mask:
-                    peer = (key[0], key[1])
-                    keys = self._peer_keys.get(peer)
-                    if keys is not None:
-                        keys.discard(key)
-                        if not keys:
-                            self._peer_keys.pop(peer, None)
+            if not mask:
+                key = self._keys[key_idx]
+                peer = (key[0], key[1])
+                peer_keys = self._peer_keys.get(peer)
+                if peer_keys is None:
+                    self._peer_keys[peer] = {key_idx}
+                else:
+                    peer_keys.add(key_idx)
+            self._base_mask[key_idx] = mask | 1 << pop_idx
+        near, far, _ = entry
+        if near is not None:
+            totals[near] = totals.get(near, 0) + 1
+        if far is not None:
+            totals[far] = totals.get(far, 0) + 1
 
-    def _count_entry(self, pop: PoP, entry: _BaselineEntry, delta: int) -> None:
-        totals = self._as_totals.setdefault(pop, {})
-        for subject in (entry.near_asn, entry.far_asn):
-            if subject is None:
+    def _remove(self, pop_idx: int, key_ids) -> None:
+        """Drop the baseline entries of ``key_ids`` at a PoP."""
+        entries = self._base.get(pop_idx)
+        if entries is None:
+            return
+        totals = self._totals[pop_idx]
+        base_mask = self._base_mask
+        clear = ~(1 << pop_idx)
+        for key_idx in key_ids:
+            entry = entries.pop(key_idx, None)
+            if entry is None:
                 continue
-            updated = totals.get(subject, 0) + delta
-            if updated <= 0:
-                totals.pop(subject, None)
-            else:
-                totals[subject] = updated
+            self.total_baseline_entries -= 1
+            near, far, _ = entry
+            if near is not None:
+                totals[near] -= 1
+            if far is not None:
+                totals[far] -= 1
+            mask = base_mask[key_idx] = base_mask[key_idx] & clear
+            if not mask:
+                key = self._keys[key_idx]
+                peer = (key[0], key[1])
+                peer_keys = self._peer_keys[peer]
+                peer_keys.discard(key_idx)
+                if not peer_keys:
+                    del self._peer_keys[peer]
+        if not entries:
+            del self._base[pop_idx]
+            del self._totals[pop_idx]
 
     # ------------------------------------------------------------------
     # The per-bin fold
@@ -582,11 +583,11 @@ class OutageMonitor:
                     while div:
                         bit = div & -div
                         div ^= bit
-                        pop = pops[bit.bit_length() - 1]
-                        keys = diverted.get(pop)
+                        pop_idx = bit.bit_length() - 1
+                        keys = diverted.get(pop_idx)
                         if keys is None:
-                            keys = diverted[pop] = set()
-                        keys.add(key)
+                            keys = diverted[pop_idx] = set()
+                        keys.add(key_idx)
                 while tmask:
                     # Watched by an open outage at this pop: the latest
                     # row's verdict is what the report carries.
@@ -640,14 +641,21 @@ class OutageMonitor:
             return []
         bin_start = self._bin_start
         bin_end = bin_start + self.params.bin_interval_s
+        t_fail = self.params.t_fail
+        pops = self._pops
+        keys = self._keys
+        gapped = self._gapped
+        # Removals below touch only non-gapped keys, so the gapped
+        # peers' baseline keys stay the same over the whole close.
+        gapped_keys = sum(len(self._peer_keys.get(peer, ())) for peer in gapped)
         signals: list[OutageSignal] = []
-        for pop in sorted(self._diverted, key=pop_sort_key):
-            changed = {
-                k
-                for k in self._diverted[pop]
-                if (k[0], k[1]) not in self._gapped
-            }
-            entries = self.baseline.get(pop, {})
+        for pop_idx in sorted(self._diverted, key=lambda p: pop_sort_key(pops[p])):
+            changed = self._diverted[pop_idx]
+            if gapped:
+                changed = {
+                    k for k in changed if (keys[k][0], keys[k][1]) not in gapped
+                }
+            entries = self._base.get(pop_idx)
             if not entries:
                 continue
             # Group per AS involved in the tagged link (Section 4.2:
@@ -660,63 +668,51 @@ class OutageMonitor:
             # from both numerator and denominator; when a gapped peer
             # carries more keys than the PoP's own baseline, rebuilding
             # from the PoP's entries is cheaper than subtracting.
-            totals: dict[int, int] = self._as_totals.get(pop, {})
-            if self._gapped:
-                gapped_keys = sum(
-                    len(self._peer_keys.get(peer, ())) for peer in self._gapped
-                )
-                if gapped_keys > len(entries):
-                    totals = {}
-                    for key, entry in entries.items():
-                        if (key[0], key[1]) in self._gapped:
-                            continue
-                        for subject in (entry.near_asn, entry.far_asn):
-                            if subject is not None:
-                                totals[subject] = totals.get(subject, 0) + 1
-                else:
-                    totals = dict(totals)
-                    for peer in self._gapped:
-                        for key in self._peer_keys.get(peer, ()):
-                            entry = entries.get(key)
-                            if entry is None:
-                                continue
-                            for subject in (entry.near_asn, entry.far_asn):
-                                if subject is not None:
-                                    totals[subject] = totals.get(subject, 0) - 1
-            diverted: dict[int, set[PathKey]] = {}
-            for key in changed:
-                entry = entries.get(key)
+            totals = self._totals[pop_idx]
+            if gapped_keys > len(entries):
+                totals = {}
+                for key_idx, entry in entries.items():
+                    if (keys[key_idx][0], keys[key_idx][1]) not in gapped:
+                        _tally(totals, entry, 1)
+            elif gapped_keys:
+                totals = dict(totals)
+                for peer in gapped:
+                    for key_idx in self._peer_keys.get(peer, ()):
+                        entry = entries.get(key_idx)
+                        if entry is not None:
+                            _tally(totals, entry, -1)
+            diverted: dict[int, list[int]] = {}
+            for key_idx in changed:
+                entry = entries.get(key_idx)
                 if entry is None:
                     continue
-                for subject in (entry.near_asn, entry.far_asn):
-                    if subject is not None:
-                        diverted.setdefault(subject, set()).add(key)
-            for subject, keys in sorted(diverted.items()):
+                near, far, _ = entry
+                if near is not None:
+                    diverted.setdefault(near, []).append(key_idx)
+                if far is not None and far != near:
+                    diverted.setdefault(far, []).append(key_idx)
+            for subject, hit in sorted(diverted.items()):
                 total = totals.get(subject, 0)
-                if total == 0:
+                if total == 0 or len(hit) / total < t_fail:
                     continue
-                if len(keys) / total < self.params.t_fail:
-                    continue
-                counted = sorted(keys)
-                links = frozenset(
-                    (entries[k].near_asn, entries[k].far_asn) for k in counted
-                )
+                counted = sorted(hit, key=keys.__getitem__)
                 signals.append(
                     OutageSignal(
-                        pop=pop,
+                        pop=pops[pop_idx],
                         near_asn=subject,
                         bin_start=bin_start,
                         bin_end=bin_end,
-                        diverted_paths=len(keys),
+                        diverted_paths=len(hit),
                         baseline_paths=total,
-                        links=links,
-                        keys=tuple(counted),
+                        links=frozenset(
+                            (entries[k][0], entries[k][1]) for k in counted
+                        ),
+                        keys=tuple(keys[k] for k in counted),
                     )
                 )
             # "After each binning interval, we remove the changed paths
             # from the set of stable paths."
-            for key in changed:
-                self._remove(pop, key)
+            self._remove(pop_idx, changed)
         self._diverted.clear()
         self._promote_pending(bin_end)
         self._bin_start = bin_end
@@ -784,7 +780,7 @@ class OutageMonitor:
         key_idx = packed >> _POP_SHIFT
         pop_idx = packed & _POP_MASK
         self._pend_mask[key_idx] &= ~(1 << pop_idx)
-        self._install(self._pops[pop_idx], self._keys[key_idx], *entry)
+        self._install(pop_idx, key_idx, entry)
 
     # ------------------------------------------------------------------
     # Watched paths of open outages (ownership-agnostic)
@@ -835,20 +831,19 @@ class OutageMonitor:
     # ------------------------------------------------------------------
     # Queries used by investigation / Kepler
     # ------------------------------------------------------------------
+    def _entries(self, pop: PoP) -> dict[int, tuple]:
+        """The baseline entries of ``pop`` by key id (empty if none)."""
+        return self._base.get(self._pop_ids.get(pop), {})
+
     def baseline_size(self, pop: PoP) -> int:
-        return len(self.baseline.get(pop, {}))
+        return len(self._entries(pop))
 
     def baseline_links(self, pop: PoP) -> set[tuple[int | None, int | None]]:
-        return {
-            (entry.near_asn, entry.far_asn)
-            for entry in self.baseline.get(pop, {}).values()
-        }
+        return {(near, far) for near, far, _ in self._entries(pop).values()}
 
     def baseline_far_ases(self, pop: PoP) -> set[int]:
         return {
-            entry.far_asn
-            for entry in self.baseline.get(pop, {}).values()
-            if entry.far_asn is not None
+            far for _, far, _ in self._entries(pop).values() if far is not None
         }
 
     @property
@@ -890,13 +885,13 @@ class OutageMonitor:
         pops = self._pops
         baseline = [
             [
-                pop_to_json(pop),
+                pop_to_json(pops[pop_idx]),
                 [
-                    [key_to_json(key), _entry_to_json(entries[key])]
-                    for key in sorted(entries)
+                    [key_to_json(keys[k]), list(entries[k])]
+                    for k in sorted(entries, key=keys.__getitem__)
                 ],
             ]
-            for pop, entries in self.baseline.items()
+            for pop_idx, entries in self._base.items()
         ]
         pending = [
             [
@@ -907,8 +902,8 @@ class OutageMonitor:
             for packed, entry in self._pending.items()
         ]
         diverted = [
-            [pop_to_json(pop), sorted(key_to_json(k) for k in keys)]
-            for pop, keys in self._diverted.items()
+            [pop_to_json(pops[pop_idx]), sorted(key_to_json(keys[k]) for k in ids)]
+            for pop_idx, ids in self._diverted.items()
         ]
         baseline.sort(key=lambda item: item[0])
         pending.sort(key=lambda item: (item[0], item[1]))
@@ -938,8 +933,10 @@ class OutageMonitor:
             pop = pop_from_json(pop_json)
             if not self.owns(pop):
                 continue
+            pop_idx = self._intern_pop(pop)
             for key_json, (near, far, since) in entries:
-                self._install(pop, key_from_json(key_json), near, far, since)
+                key_idx = self._intern_key(key_from_json(key_json))
+                self._install(pop_idx, key_idx, (near, far, since))
         # Pending entries enter the queue in (since, pop, key) order:
         # the document is sorted by (pop, key) and the sort is stable.
         # Deterministic, and output-equivalent to the live arrival
@@ -958,7 +955,9 @@ class OutageMonitor:
         for pop_json, keys in state["diverted"]:
             pop = pop_from_json(pop_json)
             if self.owns(pop):
-                self._diverted[pop] = {key_from_json(k) for k in keys}
+                self._diverted[self._intern_pop(pop)] = {
+                    self._intern_key(key_from_json(k)) for k in keys
+                }
         self._bin_start = state["bin_start"]
         self.bins_processed = state["bins_processed"]
 

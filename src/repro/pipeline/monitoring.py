@@ -125,8 +125,8 @@ class BinningMonitorStage(PassthroughStage):
         advances.  In-bin tagged rows defer as
         :class:`~repro.core.monitor.TaggedRun` column spans that carry
         the monitor's current feed-gap set — the common whole-run case
-        is one ``max()`` over the time column plus one append, and no
-        row materialises an object.  The bin-closing row enters
+        is one scan of the time column plus one append, and no row
+        materialises an object.  The bin-closing row enters
         through :meth:`feed` (which closes the bin and defers the row
         as a one-row run) so the per-bin metering lives in one place.
         Returns ``(outputs, next_slot)``.
@@ -149,15 +149,18 @@ class BinningMonitorStage(PassthroughStage):
                     bin_start = monitor._bin_floor(t_time[f0])
                     monitor._bin_start = bin_start
                     limit = bin_start + width
-                if max(t_time[f0:f1]) < limit:
+                # The bin-closing row is the first in arrival order at
+                # or past the limit; the scan stops there, so each row
+                # of a batch is compared once however many bins close.
+                for f in range(f0, f1):
+                    if not t_time[f] < limit:
+                        break
+                else:
                     # Whole remaining run is in-bin: one deferral covers
                     # it (order inside the run is the arrival order).
                     defer(run_cls(view, f0, f1, monitor._gapped))
                     slot = run_stop
                     continue
-                f = f0
-                while t_time[f] < limit:
-                    f += 1
                 # Bin close: the per-element path does the metrics
                 # bookkeeping; stop so outputs cascade.
                 if f0 < f:

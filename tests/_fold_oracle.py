@@ -9,16 +9,23 @@ tagged).  No interning, masks, caches or skip path: each rule is one
 statement.  ``OutageMonitor.apply_events`` is checked against
 it (``tests/test_core_monitor.py::TestFoldOracle``).
 
-Past the fold it states the promotion slice: what a bin close does to
-the baseline and the candidates (:meth:`FoldOracle.close_bin`,
-:meth:`FoldOracle.promote`).  The per-AS thresholds and signals are
-not part of it.
+Past the fold it states the bin-close slice: the per-AS signals a
+bin close raises (:meth:`FoldOracle.signals`), and what it does to the
+baseline and the candidates (:meth:`FoldOracle.close_bin`,
+:meth:`FoldOracle.promote`).  ``TestPromotionOracle`` and
+``TestBinCloseOracle`` hold ``OutageMonitor.close_bin`` to it.
 """
 
 from __future__ import annotations
 
 from repro.bgp.messages import ElemType
-from repro.core.monitor import STABLE_WINDOW_S, partition_of
+from repro.core.events import OutageSignal
+from repro.core.monitor import (
+    DEFAULT_T_FAIL,
+    STABLE_WINDOW_S,
+    partition_of,
+    pop_sort_key,
+)
 from repro.core.serde import key_to_json, pop_to_json
 
 
@@ -29,9 +36,11 @@ class FoldOracle:
         self,
         share: tuple[int, int] | None = None,
         stable_window_s: float = STABLE_WINDOW_S,
+        t_fail: float = DEFAULT_T_FAIL,
     ) -> None:
         self.share = share
         self.stable_window_s = stable_window_s
+        self.t_fail = t_fail
         #: pop -> key -> (near, far, since)
         self.baseline: dict = {}
         #: (pop, key) -> (near, far, since)
@@ -134,11 +143,54 @@ class FoldOracle:
         ]:
             self.baseline.setdefault(pop, {})[key] = self.pending.pop((pop, key))
 
-    def close_bin(self, bin_end: float) -> None:
-        """The bin's changed paths leave the baseline ("after each
-        binning interval, we remove the changed paths from the set of
-        stable paths") — except a gapped peer's, whose change is absence
-        of data — then the candidates due at the bin end are promoted."""
+    def signals(self, bin_start: float, bin_end: float) -> list:
+        """The bin's per-AS signals (Section 4.2: "we group the paths
+        based on the ASes that are involved in the tagged links and
+        determine outages per AS").
+
+        At each PoP with diverted paths, every AS groups the baseline
+        paths whose tagged link it is the near- or far-end AS of.  A
+        gapped peer's paths are missing data, so they count in neither
+        the diverted paths nor the group.  An AS signals when the
+        diverted share of its group reaches ``t_fail``.  Signals come
+        in (PoP, AS) order and list the diverted paths sorted.
+        """
+        out = []
+        for pop in sorted(self.diverted, key=pop_sort_key):
+            live = {
+                key: entry
+                for key, entry in self.baseline.get(pop, {}).items()
+                if (key[0], key[1]) not in self.gapped
+            }
+            changed = self.diverted[pop] & live.keys()
+            ases = {asn for near, far, _ in live.values() for asn in (near, far)}
+            for asn in sorted(ases - {None}):
+                group = {
+                    key for key, (near, far, _) in live.items() if asn in (near, far)
+                }
+                hit = sorted(changed & group)
+                if hit and len(hit) / len(group) >= self.t_fail:
+                    out.append(
+                        OutageSignal(
+                            pop=pop,
+                            near_asn=asn,
+                            bin_start=bin_start,
+                            bin_end=bin_end,
+                            diverted_paths=len(hit),
+                            baseline_paths=len(group),
+                            links=frozenset(live[key][:2] for key in hit),
+                            keys=tuple(hit),
+                        )
+                    )
+        return out
+
+    def close_bin(self, bin_start: float, bin_end: float) -> list:
+        """Close the bin: its signals, then the bin's changed paths
+        leave the baseline ("after each binning interval, we remove the
+        changed paths from the set of stable paths") — except a gapped
+        peer's, whose change is absence of data — then the candidates
+        due at the bin end are promoted.  Returns the signals."""
+        signals = self.signals(bin_start, bin_end)
         for pop, keys in self.diverted.items():
             entries = self.baseline.get(pop, {})
             for key in keys:
@@ -148,6 +200,7 @@ class FoldOracle:
                 self.baseline.pop(pop, None)
         self.diverted.clear()
         self.promote(bin_end)
+        return signals
 
     # ------------------------------------------------------------------
     def sections(self) -> dict:

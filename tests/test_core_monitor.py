@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.core.monitor as monitor_module
@@ -20,6 +22,7 @@ from repro.core.monitor import (
 )
 from repro.core.serde import _K_TAGGED, TaggedBatch, pop_from_json
 from repro.docmine.dictionary import PoP, PoPKind
+from repro.pipeline.events import BinAdvanced
 from repro.pipeline.monitoring import BinningMonitorStage
 
 from _fold_oracle import FoldOracle
@@ -433,7 +436,7 @@ class TestMonitorShares:
 
 
 def recomputed_baseline_entries(monitor) -> int:
-    return sum(len(entries) for entries in monitor.baseline.values())
+    return sum(len(entries) for entries in monitor._base.values())
 
 
 class TestBaselineEntryCounter:
@@ -836,6 +839,53 @@ class TestGapSnapshot:
         assert doc["gapped"] == [["rrc00", 100]]
 
 
+class TestBinClosingScan:
+    """``feed_wire_run`` closes a bin at the first row, in arrival
+    order, whose time reaches the bin's end, however unsorted the run:
+    the rows before it defer into the open bin and the row itself
+    enters through ``feed``, which emits the ``BinAdvanced``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        times=st.lists(
+            st.one_of(
+                st.floats(0.0, 400.0),
+                st.sampled_from([59.5, 60.0, 119.0, 120.0, 180.0]),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_closes_at_the_first_row_past_the_bin(self, times):
+        monitor = OutageMonitor()
+        stage = BinningMonitorStage(monitor)
+        batch = TaggedBatch()
+        for i, when in enumerate(times):
+            row = tagged(key(i % 5), when)
+            batch.add_tagged(
+                _K_TAGGED, row.key, row.time, row.elem_type,
+                row.as_path, row.tags, row.afi,
+            )
+        view = stage.prepare_wire(batch)
+        slot = 0
+        while slot < len(times):
+            start = monitor.current_bin_start
+            if start is None:
+                start = (times[slot] // 60.0) * 60.0
+            closing = next(
+                (i for i in range(slot, len(times)) if times[i] >= start + 60.0),
+                None,
+            )
+            outs, slot = stage.feed_wire_run(view, slot)
+            if closing is None:
+                assert (outs, slot) == ([], len(times))
+                break
+            assert slot == closing + 1
+            assert isinstance(outs[-1], BinAdvanced)
+            bin_start = monitor.current_bin_start
+            assert bin_start <= times[closing] < bin_start + 60.0
+
+
 # ----------------------------------------------------------------------
 # Promotion: the candidate dict is the queue, checked against the oracle
 # ----------------------------------------------------------------------
@@ -867,6 +917,116 @@ promo_offset = st.one_of(
 )
 
 
+def assert_reverse_indexes(monitor) -> None:
+    """Everything derived from the baseline store is a function of it:
+    the per-AS totals (an AS may stay at 0), the per-key PoP masks, the
+    per-peer key index and the entry counter."""
+    base = monitor._base
+    keys = monitor._keys
+    assert all(base.values()), "a PoP with no entries keeps no dict"
+    assert monitor._totals.keys() == base.keys()
+    for pop_idx, entries in base.items():
+        recount = Counter(
+            asn
+            for near, far, _ in entries.values()
+            for asn in (near, far)
+            if asn is not None
+        )
+        totals = monitor._totals[pop_idx]
+        assert min(totals.values(), default=0) >= 0
+        assert {asn: n for asn, n in totals.items() if n} == dict(recount)
+    for key_idx, mask in enumerate(monitor._base_mask):
+        assert mask == sum(
+            1 << pop_idx for pop_idx, entries in base.items() if key_idx in entries
+        )
+    in_baseline = {key_idx for entries in base.values() for key_idx in entries}
+    assert all(monitor._peer_keys.values())
+    assert {
+        key_idx for ids in monitor._peer_keys.values() for key_idx in ids
+    } == in_baseline
+    for peer, ids in monitor._peer_keys.items():
+        assert all((keys[k][0], keys[k][1]) == peer for k in ids)
+    assert monitor.total_baseline_entries == recomputed_baseline_entries(monitor)
+
+
+def replay_against_oracle(share, params, steps, cut, probe=None):
+    """Drive random rows through bin closes and empty-bin crossings,
+    cutting a checkpoint into a fresh monitor before step ``cut``.
+
+    After every close the monitor's signals must be the oracle's, and
+    so must its baseline, candidates and watch reports; ``probe``, if
+    given, checks the monitor there and after the restore.  At the cut
+    the watches are re-opened on the restored monitor after the report
+    is taken, as the record stage does.  Returns the monitor and the
+    newest row time.
+    """
+    width = params.bin_interval_s
+    monitor = OutageMonitor(params, share=share)
+    oracle = FoldOracle(share, params.stable_window_s, params.t_fail)
+    for i in range(3):
+        primed = fold_row(i, 0.0, PRIMED_TAGS, FOLD_PATHS[0])
+        monitor.prime(primed)
+        oracle.prime(primed)
+
+    live: list = []
+
+    def check():
+        doc = monitor.state_dict()
+        sections = oracle.sections()
+        assert doc["baseline"] == sections["baseline"]
+        assert doc["pending"] == sections["pending"]
+        assert monitor.report() == oracle.report()
+        if probe is not None:
+            probe(monitor)
+
+    newest = 0.0
+    for index, ((op, subject, tags, path), offset) in enumerate(steps):
+        if index == cut:
+            state = monitor.state_dict()
+            assert monitor.report() == oracle.report()
+            monitor = OutageMonitor(params, share=share)
+            monitor.load_state(state)
+            if probe is not None:
+                probe(monitor)
+            for pop, watched in live:
+                monitor.watch(pop, watched)
+        when = max(0.0, newest + offset * width)
+        newest = max(newest, when)
+        if op == "prime":
+            row = fold_row(subject, when, tags, path, keys=PROMO_KEYS)
+            monitor.prime(row)
+            oracle.prime(row)
+        elif op in ("track", "untrack"):
+            watch_op(op, subject, tags, live, PROMO_KEYS, monitor, oracle)
+        elif op in ("loss", "recovery"):
+            monitor.observe_state(
+                session_message(when, subject, loss=op == "loss")
+            )
+            oracle.session(subject, op == "loss")
+        else:
+            row = fold_row(
+                subject, when, tags, path, op == "withdraw", keys=PROMO_KEYS
+            )
+            before = monitor.current_bin_start
+            signals = monitor.observe(row)
+            after = monitor.current_bin_start
+            closed = before is not None and after != before
+            if closed:
+                assert signals == oracle.close_bin(before, before + width)
+                oracle.promote(after)  # the empty bins crossed
+            else:
+                assert signals == []
+            oracle.row(row)
+            if closed:
+                check()
+    end = monitor.current_bin_start
+    signals = monitor.close_bin()
+    if end is not None:
+        assert signals == oracle.close_bin(end, end + width)
+    check()
+    return monitor, newest
+
+
 @pytest.mark.parametrize("share", [None, (1, 3)], ids=["full", "share1of3"])
 class TestPromotionOracle:
     """Random rows through bin closes and empty-bin crossings, with a
@@ -874,9 +1034,7 @@ class TestPromotionOracle:
     candidates must be the oracle's (``FoldOracle.close_bin`` and
     ``promote``), and so must the watch reports.  Out-of-order rows
     make late candidates, which may sit in the queue behind a candidate
-    that is not due yet.  At the cut the watches are re-opened on the
-    restored monitor after the report is taken, as the record stage
-    does."""
+    that is not due yet."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -885,66 +1043,103 @@ class TestPromotionOracle:
         cut=st.integers(0, 60),
     )
     def test_promotion_matches_oracle(self, share, window_bins, steps, cut):
-        width = 60.0
-        params = MonitorParams(
-            bin_interval_s=width, stable_window_s=window_bins * width
+        params = MonitorParams(stable_window_s=window_bins * 60.0)
+        replay_against_oracle(share, params, steps, cut)
+
+
+def _peer_op(kind: str):
+    return st.tuples(st.just(kind), st.sampled_from(CLOCK_PEERS), st.none(), st.none())
+
+
+#: Bin-close streams: primes build baselines at several PoPs from both
+#: peers' keys, and sessions drop and recover often, so a close finds
+#: gapped peers with more baseline keys than a PoP's own baseline (the
+#: totals are rebuilt) and with fewer (they are subtracted).
+close_op = st.one_of(
+    st.tuples(
+        st.just("prime"),
+        st.integers(0, len(PROMO_KEYS) - 1),
+        fold_tags,
+        st.sampled_from(FOLD_PATHS),
+    ),
+    promo_op,
+    _peer_op("loss"),
+    _peer_op("recovery"),
+)
+#: A gapped peer carrying fewer baseline keys (key 1) than the diverted
+#: PoP (keys 0-2): the close subtracts the gapped paths from the totals.
+SUBTRACT_STREAM = [
+    (("loss", CLOCK_PEERS[1], None, None), 0.0),
+    (("withdraw", 0, None, None), 0.5),
+    (("announce", 2, PRIMED_TAGS, FOLD_PATHS[0]), 1.0),
+]
+#: A gapped peer carrying more baseline keys (1, 3, 5) than the diverted
+#: PoP (key 4 alone): the close rebuilds the totals from the PoP's
+#: entries.
+REBUILD_STREAM = [
+    (("prime", 3, PRIMED_TAGS, FOLD_PATHS[0]), 0.0),
+    (("prime", 5, PRIMED_TAGS, FOLD_PATHS[0]), 0.0),
+    (("prime", 4, ((CLOCK_POPS[2], 20, None),), FOLD_PATHS[1]), 0.0),
+    (("loss", CLOCK_PEERS[1], None, None), 0.0),
+    (("withdraw", 4, None, None), 0.5),
+    (("announce", 2, PRIMED_TAGS, FOLD_PATHS[0]), 1.0),
+]
+
+
+@pytest.mark.parametrize("share", [None, (1, 3)], ids=["full", "share1of3"])
+class TestBinCloseOracle:
+    """``close_bin``'s signals against ``FoldOracle.signals``: per PoP
+    with diverted paths, per near- or far-end AS, the diverted share of
+    the AS's non-gapped baseline paths against ``t_fail``, with the
+    counts, links and sorted keys.  The two explicit examples reach
+    both ways the monitor corrects its running totals for gapped peers
+    (rebuild and subtract); the rest of the run mixes them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        t_fail=st.sampled_from([0.1, 0.34, 0.5, 1.0]),
+        window_bins=st.sampled_from([0.0, 1.0, 10.0]),
+        steps=st.lists(st.tuples(close_op, promo_offset), min_size=10, max_size=60),
+        cut=st.integers(0, 60),
+    )
+    @example(t_fail=0.1, window_bins=10.0, steps=SUBTRACT_STREAM, cut=60)
+    @example(t_fail=0.1, window_bins=10.0, steps=REBUILD_STREAM, cut=60)
+    def test_signals_match_oracle(self, share, t_fail, window_bins, steps, cut):
+        params = MonitorParams(stable_window_s=window_bins * 60.0, t_fail=t_fail)
+        replay_against_oracle(share, params, steps, cut)
+
+
+@pytest.mark.parametrize("share", [None, (1, 3)], ids=["full", "share1of3"])
+class TestReverseIndexes:
+    """The baseline's reverse indexes (per-AS totals, per-peer keys,
+    per-key PoP masks, the entry counter) follow any stream of primes,
+    rows, promotions, closes and a checkpoint restore, and a stream
+    that then withdraws every path leaves them all empty."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        window_bins=st.sampled_from([0.0, 1.0, 10.0]),
+        steps=st.lists(st.tuples(close_op, promo_offset), min_size=5, max_size=40),
+        cut=st.integers(0, 40),
+    )
+    def test_indexes_follow_the_baseline(self, share, window_bins, steps, cut):
+        params = MonitorParams(stable_window_s=window_bins * 60.0)
+        monitor, newest = replay_against_oracle(
+            share, params, steps, cut, probe=assert_reverse_indexes
         )
-        monitor = OutageMonitor(params, share=share)
-        oracle = FoldOracle(share, params.stable_window_s)
-        for i in range(3):
-            primed = fold_row(i, 0.0, PRIMED_TAGS, FOLD_PATHS[0])
-            monitor.prime(primed)
-            oracle.prime(primed)
-
-        live: list = []
-
-        def check():
-            doc = monitor.state_dict()
-            sections = oracle.sections()
-            assert doc["baseline"] == sections["baseline"]
-            assert doc["pending"] == sections["pending"]
-            assert monitor.report() == oracle.report()
-
-        newest = 0.0
-        for index, ((op, subject, tags, path), offset) in enumerate(steps):
-            if index == cut:
-                state = monitor.state_dict()
-                assert monitor.report() == oracle.report()
-                monitor = OutageMonitor(params, share=share)
-                monitor.load_state(state)
-                for pop, watched in live:
-                    monitor.watch(pop, watched)
-            when = max(0.0, newest + offset * width)
-            newest = max(newest, when)
-            if op == "prime":
-                row = fold_row(subject, when, tags, path, keys=PROMO_KEYS)
-                monitor.prime(row)
-                oracle.prime(row)
-            elif op in ("track", "untrack"):
-                watch_op(op, subject, tags, live, PROMO_KEYS, monitor, oracle)
-            elif op in ("loss", "recovery"):
-                monitor.observe_state(
-                    session_message(when, subject, loss=op == "loss")
-                )
-                oracle.session(subject, op == "loss")
-            else:
-                row = fold_row(
-                    subject, when, tags, path, op == "withdraw", keys=PROMO_KEYS
-                )
-                before = monitor.current_bin_start
-                monitor.observe(row)
-                after = monitor.current_bin_start
-                if before is not None and after != before:
-                    oracle.close_bin(before + width)
-                    oracle.promote(after)  # the empty bins crossed
-                oracle.row(row)
-                if before is not None and after != before:
-                    check()
-        end = monitor.current_bin_start
+        for peer in CLOCK_PEERS:
+            monitor.observe_state(session_message(newest, peer, loss=False))
+        for key_idx in range(len(PROMO_KEYS)):
+            monitor.observe(
+                fold_row(key_idx, newest + 60.0, withdraw=True, keys=PROMO_KEYS)
+            )
         monitor.close_bin()
-        if end is not None:
-            oracle.close_bin(end + width)
-        check()
+        assert_reverse_indexes(monitor)
+        assert monitor._base == {}
+        assert monitor._totals == {}
+        assert monitor._peer_keys == {}
+        assert not any(monitor._base_mask)
+        assert monitor.total_baseline_entries == 0
 
 
 class TestBoundedPending:
@@ -976,7 +1171,7 @@ class TestBoundedPending:
             self._assert_bounded(monitor, len(self.KEYS))
             assert monitor._late == []
         assert monitor.bins_processed > 100
-        assert not monitor.baseline
+        assert not monitor._base
 
     def test_unsorted_churn_drops_stale_late_candidates(self, monkeypatch):
         monkeypatch.setattr(monitor_module, "_LATE_COMPACT_MIN", 16)

@@ -27,6 +27,14 @@ compares the outputs:
   k = 40 every path of two or more hops is longer than the tagging
   memo's collapse threshold, at k = 2 none is, so both memo key forms
   are exercised.
+* **Same-timestamp permutation**: reversing the peer order among
+  elements and primed paths that share a timestamp, each peer's own
+  order kept, changes nothing — the rules read no arrival order among
+  peers.  The monitor numbers path keys in arrival order, so this pins
+  that the numbering never reaches the output.  The whole RIB snapshot
+  shares one timestamp; in the stream only elements of one collector
+  stay permuted, because ``process_feeds`` merges collectors by
+  ``sort_key``.
 """
 
 from __future__ import annotations
@@ -214,3 +222,20 @@ def test_prepending_changes_nothing(replay, reference, k):
     longest = max(len(u.as_path) for u in primed)
     assert (longest > COLLAPSE_KEY_HOPS) == (k == 40)
     assert run(world, primed, prepended(elements)) == reference
+
+
+def peers_reversed(items: list) -> list:
+    """``items`` with each timestamp's elements in descending (collector,
+    peer) order; one peer's elements keep their order."""
+    peers = sorted({(e.collector, e.peer_asn) for e in items}, reverse=True)
+    rank = {peer: i for i, peer in enumerate(peers)}
+    return sorted(items, key=lambda e: (e.time, rank[e.collector, e.peer_asn]))
+
+
+def test_same_timestamp_peer_permutation_changes_nothing(replay, reference):
+    world, snapshot, elements = replay
+    primed, streamed = peers_reversed(snapshot), peers_reversed(elements)
+    assert [u.time for u in primed] == [u.time for u in snapshot]
+    assert [e.time for e in streamed] == [e.time for e in elements]
+    assert primed != snapshot and streamed != elements
+    assert run(world, primed, streamed) == reference
