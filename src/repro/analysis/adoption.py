@@ -75,19 +75,3 @@ class AdoptionModel:
                 )
             )
         return out
-
-
-def attrition(
-    old_values: set[tuple[int, int]], new_values: set[tuple[int, int]]
-) -> tuple[float, float]:
-    """(fraction of old still visible, fraction of new that is old).
-
-    Mirrors the Donnet & Bonaventure comparison of Section 3.2: only
-    552/2980 of 2008-dictionary communities were visible in 2016, while
-    9 % of the 2016 dictionary predates 2008.
-    """
-    if not old_values or not new_values:
-        return 0.0, 0.0
-    still_visible = len(old_values & new_values) / len(old_values)
-    inherited = len(old_values & new_values) / len(new_values)
-    return still_visible, inherited

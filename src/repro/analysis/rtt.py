@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.ecdf import ecdf, quantile
+from repro.analysis.ecdf import quantile
 from repro.traceroute.mapping import HopMapper
 from repro.traceroute.simulator import Traceroute
 
@@ -29,13 +29,6 @@ class RttComparison:
 
     def median_off(self) -> float | None:
         return quantile(self.off_pop_ms, 0.5) if self.off_pop_ms else None
-
-    def ecdf_via(self) -> list[tuple[float, float]]:
-        return ecdf(self.via_pop_ms)
-
-    def ecdf_off(self) -> list[tuple[float, float]]:
-        return ecdf(self.off_pop_ms)
-
 
 def rtt_comparison(
     phase: str,

@@ -10,15 +10,9 @@ handle as the production system.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from repro.bgp.messages import (
-    BGPStateMessage,
-    BGPUpdate,
-    SessionState,
-    StreamElement,
-)
+from repro.bgp.messages import BGPUpdate
 from repro.bgp.rib import RoutingInformationBase
 
 #: Publication lag bounds, seconds (the paper: "5 to 15 minute lag").
@@ -46,16 +40,10 @@ class Collector:
     apply_lag: bool = False
     rib: RoutingInformationBase = field(init=False)
     _rng: random.Random = field(init=False, repr=False)
-    _session_up: dict[int, bool] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.rib = RoutingInformationBase(self.name)
         self._rng = random.Random(self.lag_seed)
-        for peer in self.peers:
-            self._session_up[peer.peer_asn] = True
-
-    def peer_asns(self) -> list[int]:
-        return [p.peer_asn for p in self.peers]
 
     def has_peer(self, peer_asn: int) -> bool:
         return any(p.peer_asn == peer_asn for p in self.peers)
@@ -67,18 +55,12 @@ class Collector:
             return event_time
         return event_time + self._rng.uniform(MIN_FEED_LAG_S, MAX_FEED_LAG_S)
 
-    def observe(self, update: BGPUpdate) -> BGPUpdate | None:
-        """Record an update from a peer; return the published element.
-
-        Updates from peers whose session is down are lost (the real
-        failure mode behind feed gaps).
-        """
+    def observe(self, update: BGPUpdate) -> BGPUpdate:
+        """Record an update from a peer; return the published element."""
         if not self.has_peer(update.peer_asn):
             raise ValueError(
                 f"collector {self.name} has no peer AS{update.peer_asn}"
             )
-        if not self._session_up.get(update.peer_asn, False):
-            return None
         self.rib.apply(update)
         published_time = self.publication_time(update.time)
         if published_time == update.time:
@@ -93,44 +75,3 @@ class Collector:
             communities=update.communities,
             afi=update.afi,
         )
-
-    def publish(self, updates: Iterable[BGPUpdate]) -> Iterator[BGPUpdate]:
-        """Observe an update sequence; yield the published feed.
-
-        The generator form of :meth:`observe` — exactly what a live
-        collector hands :meth:`repro.core.kepler.Kepler.process_feeds`
-        as one per-collector source: updates from down sessions are
-        lost, publication lag is applied.  With ``apply_lag`` the
-        jittered timestamps may leave publication order; ingest counts
-        such elements as ``out_of_order`` rather than re-sorting
-        history.
-        """
-        for update in updates:
-            published = self.observe(update)
-            if published is not None:
-                yield published
-
-    def set_session(self, peer_asn: int, up: bool, time: float) -> StreamElement:
-        """Flip a peer session; emits the corresponding state message."""
-        if not self.has_peer(peer_asn):
-            raise ValueError(f"collector {self.name} has no peer AS{peer_asn}")
-        was_up = self._session_up.get(peer_asn, False)
-        self._session_up[peer_asn] = up
-        if up and not was_up:
-            old, new = SessionState.IDLE, SessionState.ESTABLISHED
-        elif not up and was_up:
-            old, new = SessionState.ESTABLISHED, SessionState.IDLE
-            self.rib.drop_peer(peer_asn)
-        else:  # no-op transition, still surfaced for observability
-            state = SessionState.ESTABLISHED if up else SessionState.IDLE
-            old = new = state
-        return BGPStateMessage(
-            time=self.publication_time(time),
-            collector=self.name,
-            peer_asn=peer_asn,
-            old_state=old,
-            new_state=new,
-        )
-
-    def session_up(self, peer_asn: int) -> bool:
-        return self._session_up.get(peer_asn, False)

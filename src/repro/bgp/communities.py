@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from collections.abc import Iterable
 
 _COMMUNITY_RE = re.compile(r"^(\d{1,10}):(\d{1,10})$")
 
@@ -33,11 +32,6 @@ class Community:
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def is_extended(self) -> bool:
-        """True when either field exceeds 16 bits (RFC 4360 style)."""
-        return self.asn > 0xFFFF or self.value > 0xFFFF
 
     def __str__(self) -> str:
         return f"{self.asn}:{self.value}"
@@ -109,10 +103,3 @@ def parse_communities(text: str) -> tuple[Community, ...]:
         except ValueError:
             continue
     return tuple(out)
-
-
-def communities_from_asn(
-    communities: Iterable[Community], asn: int
-) -> tuple[Community, ...]:
-    """All communities whose top 16 bits (administrator) equal ``asn``."""
-    return tuple(c for c in communities if c.asn == asn)

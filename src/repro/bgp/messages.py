@@ -10,7 +10,7 @@ discard intervals with gaps in the feed (Section 4.2).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.bgp.communities import Community
 
@@ -68,14 +68,6 @@ class BGPUpdate:
         if self.elem_type in (ElemType.ANNOUNCEMENT, ElemType.RIB) and not self.as_path:
             raise ValueError("announcements must carry an AS path")
 
-    @property
-    def origin_asn(self) -> int | None:
-        return self.as_path[-1] if self.as_path else None
-
-    @property
-    def is_announcement(self) -> bool:
-        return self.elem_type in (ElemType.ANNOUNCEMENT, ElemType.RIB)
-
     def sort_key(self) -> tuple[float, str, int, str]:
         return (self.time, self.collector, self.peer_asn, self.prefix)
 
@@ -110,33 +102,3 @@ class BGPStateMessage:
 
 #: Union type alias for stream elements.
 StreamElement = BGPUpdate | BGPStateMessage
-
-
-@dataclass(slots=True)
-class UpdateBatch:
-    """A time-ordered batch of stream elements with validation helpers."""
-
-    elements: list[StreamElement] = field(default_factory=list)
-
-    def append(self, element: StreamElement) -> None:
-        self.elements.append(element)
-
-    def sorted(self) -> list[StreamElement]:
-        return sorted(self.elements, key=lambda e: e.sort_key())
-
-    def announcements(self) -> list[BGPUpdate]:
-        return [
-            e
-            for e in self.elements
-            if isinstance(e, BGPUpdate) and e.is_announcement
-        ]
-
-    def withdrawals(self) -> list[BGPUpdate]:
-        return [
-            e
-            for e in self.elements
-            if isinstance(e, BGPUpdate) and e.elem_type is ElemType.WITHDRAWAL
-        ]
-
-    def __len__(self) -> int:
-        return len(self.elements)

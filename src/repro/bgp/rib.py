@@ -1,9 +1,7 @@
 """Routing Information Base keyed by (collector peer, prefix).
 
 Each collector peer contributes one best route per prefix; the RIB tracks
-the latest announcement/withdrawal per (peer, prefix) key and can emit
-table-dump snapshots, which Kepler's monitoring module uses to build its
-stable-path baseline (Section 4.2).
+the latest announcement/withdrawal per (peer, prefix) key.
 """
 
 from __future__ import annotations
@@ -60,13 +58,6 @@ class RoutingInformationBase:
         self._entries[key] = entry
         return entry
 
-    def drop_peer(self, peer_asn: int) -> int:
-        """Remove all routes of a peer (session loss); return count."""
-        keys = [key for key in self._entries if key[0] == peer_asn]
-        for key in keys:
-            del self._entries[key]
-        return len(keys)
-
     def lookup(self, peer_asn: int, prefix: str) -> RibEntry | None:
         return self._entries.get((peer_asn, prefix))
 
@@ -77,24 +68,5 @@ class RoutingInformationBase:
     def prefixes(self) -> set[str]:
         return {prefix for _, prefix in self._entries}
 
-    def peer_asns(self) -> set[int]:
-        return {peer for peer, _ in self._entries}
-
     def __len__(self) -> int:
         return len(self._entries)
-
-    def snapshot_updates(self, time: float) -> list[BGPUpdate]:
-        """Emit the RIB as table-dump (``ElemType.RIB``) elements."""
-        return [
-            BGPUpdate(
-                time=time,
-                collector=self.collector,
-                peer_asn=entry.peer_asn,
-                prefix=entry.prefix,
-                elem_type=ElemType.RIB,
-                as_path=entry.as_path,
-                communities=entry.communities,
-                afi=entry.afi,
-            )
-            for entry in self.entries()
-        ]

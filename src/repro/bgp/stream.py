@@ -4,20 +4,19 @@
 sources of BGP feeds, and thus obtain a unified feed of sorted BGP
 records."
 
-:class:`BGPStream` merges per-collector element queues into one
-monotonically time-ordered iterator, exactly the interface Kepler's input
-module consumes.  It supports replay of pre-recorded element lists (the
-historical analysis of Section 6.1) and incremental live feeding.
+:class:`BGPStream` merges elements pushed from many collectors into one
+queue popped in time order; a push behind the last popped time is
+counted, not reordered.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from repro.bgp.messages import BGPStateMessage, BGPUpdate, StreamElement
+from repro.bgp.messages import StreamElement
 
 
 @dataclass
@@ -48,10 +47,6 @@ class BGPStream:
             self.late_pushes += 1
         heapq.heappush(self._heap, (key, next(self._counter), element))
 
-    def push_many(self, elements: Iterable[StreamElement]) -> None:
-        for element in elements:
-            self.push(element)
-
     def __len__(self) -> int:
         return len(self._heap)
 
@@ -63,41 +58,6 @@ class BGPStream:
         self._last_popped = element.sort_key()[0]
         return element
 
-    def drain(self) -> Iterator[StreamElement]:
-        """Iterate all queued elements in time order, consuming them."""
-        while self._heap:
-            element = self.pop()
-            assert element is not None
-            yield element
-
-    def drain_until(self, time: float) -> Iterator[StreamElement]:
-        """Consume elements with timestamp <= ``time`` in order."""
-        while self._heap and self._heap[0][0][0] <= time:
-            element = self.pop()
-            assert element is not None
-            yield element
-
     @property
     def last_time(self) -> float:
         return self._last_popped
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_elements(cls, elements: Iterable[StreamElement]) -> "BGPStream":
-        stream = cls()
-        stream.push_many(elements)
-        return stream
-
-
-def split_by_type(
-    elements: Iterable[StreamElement],
-) -> tuple[list[BGPUpdate], list[BGPStateMessage]]:
-    """Partition a stream into routing updates and state messages."""
-    updates: list[BGPUpdate] = []
-    states: list[BGPStateMessage] = []
-    for element in elements:
-        if isinstance(element, BGPUpdate):
-            updates.append(element)
-        else:
-            states.append(element)
-    return updates, states

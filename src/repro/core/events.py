@@ -77,10 +77,6 @@ class OutageRecord:
         return self.end - self.start
 
     @property
-    def is_open(self) -> bool:
-        return self.end is None
-
-    @property
     def kind(self) -> PoPKind:
         return self.located_pop.kind
 

@@ -45,19 +45,8 @@ class TaggedPath:
     tags: tuple[PoPTag, ...]
     afi: int
 
-    @property
-    def is_withdrawal(self) -> bool:
-        return self.elem_type is ElemType.WITHDRAWAL
-
     def pops(self) -> set[PoP]:
         return {tag.pop for tag in self.tags}
-
-    def tag_for(self, pop: PoP) -> PoPTag | None:
-        for tag in self.tags:
-            if tag.pop == pop:
-                return tag
-        return None
-
 
 #: Distinct (AS path, communities) pairs memoised before the oldest
 #: generation is dropped.  BGP streams repeat the same attribute pairs

@@ -62,7 +62,10 @@ if TYPE_CHECKING:
 #: ``[near, far, since]`` and signals carry no path AS sets (nothing
 #: classifies on them).  A version-4 document is refused like a
 #: version-3 one.
-CHECKPOINT_VERSION = 5
+#: Version 6: the metrics section carries no wall clock (no stage busy
+#: seconds, no bin-close latencies), so two runs of one replay prefix
+#: give byte-equal documents.  A version-5 document is refused.
+CHECKPOINT_VERSION = 6
 CHECKPOINT_FORMAT = "kepler-checkpoint"
 
 #: First-generation collector threshold while the chain runs a staged
@@ -213,15 +216,6 @@ class Kepler:
         return build_kepler_pipeline(chunk_size=self.params.feed_chunk, **wiring)
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_world(cls, world: "World", **kwargs: object) -> "Kepler":
-        """Convenience constructor from a :class:`repro.scenarios.World`."""
-        return cls(
-            dictionary=world.dictionary,
-            colo=world.colo,
-            as2org=world.as2org,
-            **kwargs,  # type: ignore[arg-type]
-        )
 
     # ------------------------------------------------------------------
     # Facade views over stage state (the historical attribute API)

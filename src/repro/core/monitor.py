@@ -835,9 +835,6 @@ class OutageMonitor:
         """The baseline entries of ``pop`` by key id (empty if none)."""
         return self._base.get(self._pop_ids.get(pop), {})
 
-    def baseline_size(self, pop: PoP) -> int:
-        return len(self._entries(pop))
-
     def baseline_links(self, pop: PoP) -> set[tuple[int | None, int | None]]:
         return {(near, far) for near, far, _ in self._entries(pop).values()}
 

@@ -13,18 +13,14 @@ The stream half of the vocabulary is also the inter-process codec.  It
 carries exactly what ingest admits
 (:class:`~repro.pipeline.ingest.IngestStage`): ``BGPUpdate``,
 ``BGPStateMessage`` and ``PrimingUpdate``, and every byte that crosses
-a process boundary is produced behind that gate.
-:func:`element_to_wire` / :func:`element_from_wire` wrap one element
-in a ``[tag, payload]`` envelope (``"u"``, ``"s"``, ``"pu"``), the
-per-element reference form the columnar codec is tested against.  Bulk
-transport is *columnar*:
-:func:`encode_batch` turns a chunk into a struct-of-arrays batch
-``(kinds, u_rows, s_rows, path_tab, comm_tab)`` — parallel field
+a process boundary is produced behind that gate.  Transport is
+*columnar*: :func:`encode_batch` turns a chunk into a struct-of-arrays
+batch ``(kinds, u_rows, s_rows, path_tab, comm_tab)`` — parallel field
 columns per element family plus per-batch AS-path / community tables —
 and :func:`decode_batch` rebuilds the elements with one table decode
 per distinct value instead of one per element.  Anything outside the
 vocabulary fails closed: a ``TypeError`` naming the type on encode, a
-``ValueError`` on an unknown kind code or envelope tag on decode.
+``ValueError`` on an unknown kind code on decode.
 
 :func:`tag_wire_batch` runs the tagging stage *on the batch itself*:
 the community→PoP derivation becomes a bulk pass over the id columns
@@ -289,54 +285,6 @@ def intern_stats() -> dict[str, dict[str, int]]:
     return {"community": community_intern_stats()}
 
 
-def update_to_json(update: BGPUpdate) -> list[Any]:
-    # Transport notes: the AS path rides as its original tuple and the
-    # communities flatten to one (asn, value, asn, value, ...) tuple —
-    # marshal serialises tuples natively, so the hot path allocates no
-    # per-community lists.  (JSON-dumping this shape still works;
-    # tuples become arrays.)
-    flat: list[int] = []
-    for community in update.communities:
-        flat.append(community.asn)
-        flat.append(community.value)
-    return [
-        update.time,
-        update.collector,
-        update.peer_asn,
-        update.prefix,
-        _ELEM_VALUE[update.elem_type],
-        update.as_path,
-        tuple(flat),
-        update.afi,
-    ]
-
-
-def update_from_json(data: list[Any]) -> BGPUpdate:
-    update = object.__new__(BGPUpdate)
-    time_, coll, peer, pfx, elem, path, flat, afi = data
-    _SET_U_TIME(update, time_)
-    _SET_U_COLL(update, coll)
-    _SET_U_PEER(update, peer)
-    _SET_U_PFX(update, pfx)
-    _SET_U_ELEM(update, _ELEM_TYPES[elem])
-    # tuple(t) on an exact tuple returns it unchanged (free); decoding
-    # from a JSON list still lands on a proper tuple.
-    _SET_U_PATH(update, tuple(path))
-    _SET_U_COMM(update, communities_from_flat(flat))
-    _SET_U_AFI(update, afi)
-    return update
-
-
-def state_message_to_json(message: BGPStateMessage) -> list[Any]:
-    return [
-        message.time,
-        message.collector,
-        message.peer_asn,
-        _SESSION_VALUE[message.old_state],
-        _SESSION_VALUE[message.new_state],
-    ]
-
-
 def state_message_from_json(data: list[Any]) -> BGPStateMessage:
     message = object.__new__(BGPStateMessage)
     time_, coll, peer, old, new = data
@@ -349,7 +297,7 @@ def state_message_from_json(data: list[Any]) -> BGPStateMessage:
 
 
 # ----------------------------------------------------------------------
-# Wire envelope: [tag, payload], the per-element reference form
+# Admission vocabulary: what the encoders accept
 # ----------------------------------------------------------------------
 # ``PrimingUpdate`` lives in repro.pipeline.events, whose package
 # imports this module — resolved lazily once, then cached.
@@ -370,33 +318,6 @@ def _not_admitted(element: Any) -> TypeError:
         f"{type(element).__name__} is not in the wire vocabulary: ingest"
         " admits BGPUpdate, BGPStateMessage and PrimingUpdate only"
     )
-
-
-def element_to_wire(element: Any) -> list[Any]:
-    """Encode one admitted element as a tagged ``[tag, payload]`` pair.
-
-    ``"u"`` (update), ``"s"`` (state message) or ``"pu"`` (priming
-    update).  Raises ``TypeError`` on anything ingest does not admit.
-    """
-    if isinstance(element, BGPUpdate):
-        return ["u", update_to_json(element)]
-    if isinstance(element, BGPStateMessage):
-        return ["s", state_message_to_json(element)]
-    if isinstance(element, _priming_cls()):
-        return ["pu", update_to_json(element.update)]
-    raise _not_admitted(element)
-
-
-def element_from_wire(wire: list[Any]) -> Any:
-    """Decode a :func:`element_to_wire` envelope back to the element."""
-    tag = wire[0]
-    if tag == "u":
-        return update_from_json(wire[1])
-    if tag == "s":
-        return state_message_from_json(wire[1])
-    if tag == "pu":
-        return _priming_cls()(update=update_from_json(wire[1]))
-    raise ValueError(f"unknown wire tag {tag!r}")
 
 
 # ----------------------------------------------------------------------

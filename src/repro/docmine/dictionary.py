@@ -102,13 +102,6 @@ class CommunityDictionary:
     def covered_asns(self) -> set[int]:
         return {community.asn for community in self.entries}
 
-    def communities_for_pop(self, pop: PoP) -> set[Community]:
-        return {
-            community
-            for community, entry in self.entries.items()
-            if entry.pop == pop
-        }
-
     def size_by_kind(self) -> dict[PoPKind, int]:
         counts = {kind: 0 for kind in PoPKind}
         for entry in self.entries.values():

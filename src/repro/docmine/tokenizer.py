@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import re
 
-_WORD_RE = re.compile(r"[A-Za-z0-9&:/.\-]+")
-
 
 def split_lines(text: str) -> list[str]:
     """Split a document into non-empty, stripped lines.
@@ -27,11 +25,6 @@ def split_lines(text: str) -> list[str]:
         if line:
             out.append(line)
     return out
-
-
-def tokenize(line: str) -> list[str]:
-    """Word-level tokens preserving community values and entity names."""
-    return _WORD_RE.findall(line)
 
 
 def normalize_tokens(text: str) -> tuple[str, ...]:

@@ -74,9 +74,3 @@ class ReportingModel:
                     )
                 )
         return out
-
-    def reported_fraction(self, truths: list[GroundTruthOutage]) -> float:
-        infra = [t for t in truths if t.kind in ("facility", "ixp")]
-        if not infra:
-            return 0.0
-        return len(self.reports_for(infra)) / len(infra)

@@ -29,10 +29,7 @@ from repro.core.input import InputModule
 from repro.core.investigation import Investigator
 from repro.core.monitor import OutageMonitor
 from repro.core.signals import SignalClassification
-from repro.pipeline.checkpoint import (
-    CheckpointableChain,
-    strip_checkpoint_telemetry,
-)
+from repro.pipeline.checkpoint import CheckpointableChain
 from repro.pipeline.classification import ClassificationStage
 from repro.pipeline.events import (
     BinAdvanced,
@@ -226,5 +223,4 @@ __all__ = [
     "merge_streams",
     "reap_workers",
     "split_by_collector",
-    "strip_checkpoint_telemetry",
 ]

@@ -44,37 +44,3 @@ class CheckpointableChain:
         self.cache.load_state(parts["cache"])
         self.pipeline.load_state(parts["pipeline"])
 
-
-# ----------------------------------------------------------------------
-# Telemetry stripping: the byte-identity comparison surface
-# ----------------------------------------------------------------------
-def strip_checkpoint_telemetry(doc: dict) -> dict:
-    """A deep copy of a snapshot with wall-clock telemetry removed.
-
-    Checkpoint documents of one runtime are byte-identical across
-    runs of one stream *except* for the wall-clock fields: per-stage
-    ``seconds`` and the bin-close latency gauges, which measure the
-    run rather than the stream.  This helper removes exactly those
-    fields so the identity suites can assert equality on everything
-    else.  Across runtimes the stripped
-    documents agree on the stage states, cache and rejects, but the
-    shard-process document also differs from the linear one in the
-    per-stage ``fed``/``emitted`` counters after the monitor (its
-    driver analysis is fed one merged batch per bin): compare a
-    shard-process document against another shard-process run's.
-
-    Accepts a full :meth:`repro.core.kepler.Kepler.snapshot` document
-    or a bare ``checkpoint_parts`` dict.
-    """
-    import copy
-
-    doc = copy.deepcopy(doc)
-    pipeline = doc["pipeline"] if "pipeline" in doc else doc
-    metrics = pipeline["metrics"]
-    metrics["stages"] = [
-        [name, fed, emitted] for name, fed, emitted, _ in metrics["stages"]
-    ]
-    bins = metrics["bins"]
-    bins.pop("total_latency_s", None)
-    bins.pop("max_latency_s", None)
-    return doc

@@ -19,10 +19,11 @@ side of observability:
   of bin-lifecycle span events.
 
 The metric taxonomy is strict about what checkpoints see: counters in
-``state_dict()`` only.  Histograms, gauges, batches, recovery stats and
-the trace journal are *run* telemetry — merged across processes via
-the wire sidecars (``hists_to_wire``/``absorb_hists_wire``), but never
-part of a checkpoint document.
+``state_dict()`` only.  Stage busy seconds, bin-close latencies,
+histograms, gauges, batches, recovery stats and the trace journal are
+*run* telemetry — merged across processes via the shard runtime's
+worker sync sidecars (``hists_to_wire``/``load_hists_wire`` for the
+histograms), but never part of a checkpoint document.
 """
 
 from __future__ import annotations
@@ -264,16 +265,19 @@ class PipelineMetrics:
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Checkpoint shape: exact counters, no rounding."""
+        """Checkpoint shape: exact counters, no rounding, no wall clock.
+
+        Stage busy seconds and bin-close latencies measure the run, not
+        the stream, so they stay out: two runs of one replay prefix
+        give byte-equal documents, and a restored registry measures
+        its own process from zero.
+        """
         return {
             "stages": [
-                [m.name, m.fed, m.emitted, m.seconds]
-                for m in self.stages.values()
+                [m.name, m.fed, m.emitted] for m in self.stages.values()
             ],
             "bins": {
                 "count": self.bins.count,
-                "total_latency_s": self.bins.total_latency_s,
-                "max_latency_s": self.bins.max_latency_s,
                 "last_baseline_entries": self.bins.last_baseline_entries,
                 "last_pending_entries": self.bins.last_pending_entries,
             },
@@ -288,15 +292,12 @@ class PipelineMetrics:
         stay live across a checkpoint restore.
         """
         self.reset()  # entries absent from the checkpoint go to zero
-        for name, fed, emitted, seconds in state["stages"]:
+        for name, fed, emitted in state["stages"]:
             metrics = self.stage(name)
             metrics.fed = fed
             metrics.emitted = emitted
-            metrics.seconds = seconds
         bins = state["bins"]
         self.bins.count = bins["count"]
-        self.bins.total_latency_s = bins["total_latency_s"]
-        self.bins.max_latency_s = bins["max_latency_s"]
         self.bins.last_baseline_entries = bins["last_baseline_entries"]
         self.bins.last_pending_entries = bins["last_pending_entries"]
 
@@ -329,26 +330,6 @@ class PipelineMetrics:
         for name, hist in list(other.hists.items()):
             if hist.count:
                 self.hist(name).merge(hist)
-
-    def absorb_bins(self, other: "PipelineMetrics") -> None:
-        """Fold another registry's bin gauges into this one.
-
-        Used by the multiprocess runtime to compose worker registries:
-        counts and latencies sum; the population gauges take the other
-        side's last sample when it has closed any bin at all (workers
-        hold the live monitor, so their samples are the fresher ones).
-        """
-        bins = other.bins
-        if bins.count == 0:
-            return
-        self.bins.count += bins.count
-        self.bins.total_latency_s += bins.total_latency_s
-        self.bins.max_latency_s = max(
-            self.bins.max_latency_s, bins.max_latency_s
-        )
-        self.bins.last_baseline_entries = bins.last_baseline_entries
-        self.bins.last_pending_entries = bins.last_pending_entries
-        self.bins.hist.merge(bins.hist)
 
     def adopt_gauges(self, other: "PipelineMetrics") -> None:
         """Share another registry's gauge sources (composed views).

@@ -156,19 +156,28 @@ def unpack_wires(payload: bytes) -> Any:
         ) from exc
 
 
-def _metrics_with_batches(registry: PipelineMetrics) -> dict:
-    """``state_dict`` plus the per-stage fold-invocation counters.
+def _worker_metrics_doc(registry: PipelineMetrics) -> dict:
+    """``state_dict`` plus the run telemetry the live views compose.
 
-    ``batches`` is run telemetry the checkpoint shape intentionally
-    drops, but the live metrics views must compose it across processes
-    so ``mean_batch`` reports fold invocations consistently on every
-    runtime; it rides the worker sync payload as a sidecar key that
+    Fold invocations (``batches``), stage busy ``seconds``, bin-close
+    latencies (``latency_s``: total and max), gauges and histograms are
+    run telemetry the checkpoint shape drops, but the live metrics
+    views must compose them across processes so ``mean_batch`` and
+    the timings read the same on every runtime; they ride the worker
+    sync payload as sidecar keys that
     :meth:`PipelineMetrics.load_state` ignores.
     """
     doc = registry.state_dict()
     doc["batches"] = {
         m.name: m.batches for m in registry.stages.values()
     }
+    doc["seconds"] = {
+        m.name: m.seconds for m in registry.stages.values()
+    }
+    doc["latency_s"] = [
+        registry.bins.total_latency_s,
+        registry.bins.max_latency_s,
+    ]
     doc["gauge_values"] = registry.gauges()
     doc["hists"] = registry.hists_to_wire()
     return doc
@@ -178,8 +187,11 @@ def _load_with_batches(registry: PipelineMetrics, doc: dict) -> None:
     """Restore a worker metrics payload including the telemetry sidecars."""
     registry.load_state(doc)
     counts = doc.get("batches", {})
+    seconds = doc["seconds"]
     for name, metrics in registry.stages.items():
         metrics.batches = counts.get(name, 0)
+        metrics.seconds = seconds.get(name, 0.0)
+    registry.bins.total_latency_s, registry.bins.max_latency_s = doc["latency_s"]
     registry.load_hists_wire(doc.get("hists"))
 
 
@@ -346,7 +358,7 @@ def _shard_worker_loop(
         if now - last_frame < frame_interval:
             return None
         last_frame = now
-        return _metrics_with_batches(chain.registry)
+        return _worker_metrics_doc(chain.registry)
 
     #: this worker's share of the driver's correlation window — pruned
     #: against the *local* bin clock, which can only lag the global
@@ -517,7 +529,7 @@ def _shard_worker_loop(
                     elif section == "record":
                         info[section] = chain.record.state_dict()
                     elif section == "metrics":
-                        info[section] = _metrics_with_batches(
+                        info[section] = _worker_metrics_doc(
                             chain.registry
                         )
                     elif section == "primed":
@@ -1169,10 +1181,9 @@ class ShardProcessPipeline:
                 handle = self._registry.stage(name)
                 handle.fed = entry.fed
                 handle.emitted = entry.emitted
-                handle.seconds = entry.seconds
         worker0_metrics = {
             "stages": [
-                [m.name, m.fed, m.emitted, m.seconds]
+                [m.name, m.fed, m.emitted]
                 for m in doc_metrics.stages.values()
                 if m.name not in self._DRIVER_STAGES
             ],

@@ -275,11 +275,6 @@ class StagePipeline:
         self.metrics.load_state(state["metrics"])
 
     # ------------------------------------------------------------------
-    def stage_named(self, name: str) -> Stage:
-        for stage in self.stages:
-            if stage.name == name:
-                return stage
-        raise KeyError(name)
 
     def __repr__(self) -> str:
         chain = " -> ".join(stage.name for stage in self.stages)

@@ -19,7 +19,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 
-from repro.bgp.collector import Collector, CollectorPeer
 from repro.bgp.messages import (
     BGPStateMessage,
     BGPUpdate,
@@ -91,16 +90,6 @@ class CollectorLayout:
             if peer_asn in asns:
                 return name
         raise KeyError(f"AS{peer_asn} feeds no collector")
-
-    def build_collectors(self) -> dict[str, Collector]:
-        return {
-            name: Collector(
-                name=name,
-                peers=[CollectorPeer(peer_asn=a, collector=name) for a in asns],
-            )
-            for name, asns in self.collectors.items()
-        }
-
 
 @dataclass(frozen=True)
 class RouteState:
@@ -487,26 +476,3 @@ class RoutingEngine:
     # ------------------------------------------------------------------
     def route(self, vantage: int, origin: int) -> RouteState | None:
         return self.routes.get((vantage, origin))
-
-    def reachable_fraction(self) -> float:
-        """Fraction of healthy (vantage, origin) pairs currently routed."""
-        if not self.healthy:
-            return 1.0
-        return len(self.routes) / len(self.healthy)
-
-    def pairs_via_facility(self, fac_id: str) -> set[tuple[int, int]]:
-        return {
-            key
-            for key, state in self.routes.items()
-            if any(
-                fac_id in (ic.facility_a, ic.facility_b)
-                for ic in state.interconnections
-            )
-        }
-
-    def pairs_via_ixp(self, ixp_id: str) -> set[tuple[int, int]]:
-        return {
-            key
-            for key, state in self.routes.items()
-            if any(ic.ixp_id == ixp_id for ic in state.interconnections)
-        }

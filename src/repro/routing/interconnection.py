@@ -150,9 +150,6 @@ class Adjacency:
                 return ic
         return None
 
-    def is_up(self, failures: FailureState) -> bool:
-        return self.select(failures) is not None
-
     def touches_facility(self, fac_id: str) -> bool:
         return any(
             fac_id in (ic.facility_a, ic.facility_b) for ic in self.interconnections

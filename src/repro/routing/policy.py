@@ -110,9 +110,6 @@ class AdjacencyIndex:
         self._failures = failures
         self._choices.clear()
 
-    def invalidate(self) -> None:
-        self._choices.clear()
-
     def choice(self, a: int, b: int) -> Interconnection | None:
         """The interconnection ``a``–``b`` uses now; None when it is down
         or the two are not adjacent."""
@@ -271,46 +268,3 @@ def compute_routes(
             index, origin, down_ases
         ).items()
     }
-
-
-def is_valley_free(
-    path: tuple[int, ...], topo: Topology
-) -> bool:
-    """Check the valley-free property of an AS path against ground truth.
-
-    Walking from the first AS (vantage) towards the origin, the sequence
-    of edge types must match ``down* lateral? up*`` when read in the
-    direction of route propagation (origin -> vantage): once a route has
-    been carried over a peer or provider edge it may only be exported to
-    customers.  Equivalently, read from the vantage side: provider edges
-    (towards origin: "up" = next hop is provider of current) may only
-    appear before the single peer edge and customer edges after it.
-    """
-    if len(path) < 2:
-        return True
-    # Edge labels walking vantage -> origin.
-    labels: list[str] = []
-    for u, v in zip(path, path[1:]):
-        if v in topo.providers.get(u, set()):
-            labels.append("up")
-        elif u in topo.providers.get(v, set()):
-            labels.append("down")
-        elif frozenset((u, v)) in topo.peers:
-            labels.append("peer")
-        else:
-            return False  # unknown edge
-    # Valid shape: up* (peer|nothing) down*
-    state = "up"
-    for label in labels:
-        if state == "up":
-            if label == "up":
-                continue
-            state = "down" if label == "down" else "peered"
-        elif state == "peered":
-            if label != "down":
-                return False
-            state = "down"
-        else:  # state == "down"
-            if label != "down":
-                return False
-    return True

@@ -13,7 +13,6 @@ ground truth needed for evaluation.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from repro.bgp.messages import BGPUpdate, StreamElement
@@ -208,25 +207,3 @@ def build_validator(
     from repro.traceroute.validator import TracerouteValidator
 
     return TracerouteValidator(platform=platform, archive=archive, mapper=mapper)
-
-
-def pick_outage_target(
-    world: World, rng: random.Random, kind: str = "facility", min_members: int = 8
-) -> str | None:
-    """Choose a random trackable outage target (ground-truth id)."""
-    if kind == "facility":
-        candidates = sorted(
-            fac_id
-            for fac_id, tenants in world.topo.facility_tenants.items()
-            if len(tenants) >= min_members
-            and world.map_facility_id(fac_id) is not None
-        )
-    else:
-        candidates = sorted(
-            ixp_id
-            for ixp_id, members in world.topo.ixp_members.items()
-            if len(members) >= min_members and world.map_ixp_id(ixp_id) is not None
-        )
-    if not candidates:
-        return None
-    return rng.choice(candidates)

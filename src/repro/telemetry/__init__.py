@@ -36,6 +36,7 @@ from repro.telemetry.export import (
 )
 
 __all__ = [
+    "DEFAULT_LIVE_INTERVAL_S",
     "LogHistogram",
     "TraceJournal",
     "MetricsEndpoint",

@@ -27,7 +27,6 @@ Histograms are run telemetry, never state: they are excluded from
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 from repro.telemetry._state import _STATE
 
@@ -84,10 +83,6 @@ class LogHistogram:
             self.min = value
         if value > self.max:
             self.max = value
-
-    def record_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.record(value)
 
     # -- merging ------------------------------------------------------
 

@@ -5,14 +5,11 @@ close, fused sync exchange, quarantine -- into a bounded ring buffer.  The journ
 run telemetry: it never enters checkpoints, and emission is a no-op
 while ``repro.telemetry.set_enabled(False)``.
 
-Spans export two ways:
-
-- **JSONL** (one event per line) for ad-hoc grepping and the JSONL
-  metrics sink.
-- **Chrome trace-event format** (the JSON array flavour) so a soak
-  run's journal opens directly in Perfetto / ``chrome://tracing``:
-  complete events (``ph: "X"``) for spans with a duration, instant
-  events (``ph: "i"``) for point events like a quarantine.
+Spans export in the Chrome trace-event format (the JSON array
+flavour), so a soak run's journal opens directly in Perfetto /
+``chrome://tracing``: complete events (``ph: "X"``) for spans with a
+duration, instant events (``ph: "i"``) for point events like a
+quarantine.
 
 Timestamps are ``time.time()`` seconds; durations are seconds.  The
 Chrome export converts both to the microseconds the format expects.
@@ -20,7 +17,6 @@ Chrome export converts both to the microseconds the format expects.
 
 from __future__ import annotations
 
-import io
 import json
 import time
 from collections import deque
@@ -89,23 +85,6 @@ class TraceJournal:
             self.events.append(event)
 
     # -- exports ------------------------------------------------------
-
-    def to_jsonl(self) -> str:
-        """One JSON object per line, in emission order."""
-        out = io.StringIO()
-        for event in self.events:
-            out.write(json.dumps(event, sort_keys=True))
-            out.write("\n")
-        return out.getvalue()
-
-    @classmethod
-    def from_jsonl(cls, text: str, capacity: int = DEFAULT_CAPACITY) -> "TraceJournal":
-        journal = cls(capacity=capacity)
-        for line in text.splitlines():
-            line = line.strip()
-            if line:
-                journal.events.append(json.loads(line))
-        return journal
 
     def to_chrome_trace(self) -> str:
         """Chrome trace-event JSON (openable in Perfetto)."""

@@ -84,15 +84,6 @@ class CommunityScheme:
                 return Community(self.asn, value)
         return None
 
-    def tag_of(self, community: Community) -> CommunityTag | None:
-        """Decode a community if it is one of this AS's ingress values."""
-        if community.asn != self.asn:
-            return None
-        return self.ingress.get(community.value)
-
-    def ingress_communities(self) -> list[Community]:
-        return [Community(self.asn, value) for value in sorted(self.ingress)]
-
     def granularities(self) -> set[TagKind]:
         return {tag.kind for tag in self.ingress.values()}
 

@@ -164,11 +164,6 @@ class Topology:
         """ASes that buy transit from ``asn``."""
         return {a for a, provs in self.providers.items() if asn in provs}
 
-    def siblings(self, asn: int) -> set[int]:
-        """All ASes under the same organization, including ``asn``."""
-        org = self.ases[asn].org_id
-        return {a for a, rec in self.ases.items() if rec.org_id == org}
-
     def as_ixps(self, asn: int) -> set[str]:
         """IXPs where the AS is a member."""
         return {ixp_id for ixp_id, members in self.ixp_members.items() if asn in members}
@@ -185,12 +180,6 @@ class Topology:
             fac_id
             for fac_id, fac in self.facilities.items()
             if fac.city.name == city_name
-        }
-
-    def ixps_at_facility(self, fac_id: str) -> set[str]:
-        """IXPs with switching fabric hosted in the given building."""
-        return {
-            ixp_id for ixp_id, ixp in self.ixps.items() if fac_id in ixp.facility_ids
         }
 
     def validate(self) -> None:

@@ -73,12 +73,6 @@ class AddressPlan:
     def lookup(self, ip: str) -> InterfaceInfo | None:
         return self._by_ip.get(ip)
 
-    def ixp_lan_prefix(self, ixp_id: str) -> str | None:
-        return self._ixp_lan.get(ixp_id)
-
-    def ixp_lan_prefixes(self) -> dict[str, str]:
-        return dict(self._ixp_lan)
-
     def port_ip(self, ixp_id: str, asn: int) -> str | None:
         return self._port_ip.get((ixp_id, asn))
 
@@ -88,6 +82,3 @@ class AddressPlan:
     def host_ip(self, asn: int) -> str:
         """A host address inside the AS (probe or target)."""
         return f"172.{(asn >> 8) & 0xFF}.{asn & 0xFF}.10"
-
-    def interface_count(self) -> int:
-        return len(self._by_ip)

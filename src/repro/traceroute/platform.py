@@ -13,7 +13,6 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.routing.engine import RoutingEngine
 from repro.topology.entities import ASTier
 from repro.traceroute.simulator import Traceroute, TracerouteSimulator
 
@@ -80,17 +79,3 @@ class MeasurementPlatform:
 
     def probes_in(self, asns: set[int]) -> list[Probe]:
         return [p for p in self.probes if p.asn in asns]
-
-
-def build_platform(
-    engine: RoutingEngine, plan: "object", seed: int = 0, daily_credits: int = DEFAULT_DAILY_CREDITS
-) -> MeasurementPlatform:
-    """Convenience constructor from engine + address plan."""
-    from repro.traceroute.addressing import AddressPlan
-
-    assert isinstance(plan, AddressPlan)
-    return MeasurementPlatform(
-        simulator=TracerouteSimulator(engine, plan, seed=seed),
-        daily_credits=daily_credits,
-        seed=seed,
-    )

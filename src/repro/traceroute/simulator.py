@@ -59,13 +59,6 @@ class Traceroute:
     def end_to_end_rtt_ms(self) -> float | None:
         return self.hops[-1].rtt_ms if self.hops else None
 
-    def crosses_facility(self, fac_id: str) -> bool:
-        return any(hop.facility_id == fac_id for hop in self.hops)
-
-    def crosses_ixp(self, ixp_id: str) -> bool:
-        return any(hop.ixp_id == ixp_id for hop in self.hops)
-
-
 class TracerouteSimulator:
     """Issues traceroutes against the live world state."""
 

@@ -63,7 +63,3 @@ class TrafficMatrix:
 
     def total(self) -> float:
         return sum(self._demand.values())
-
-    def top_talkers(self, n: int = 25) -> list[tuple[tuple[int, int], float]]:
-        ranked = sorted(self._demand.items(), key=lambda kv: -kv[1])
-        return ranked[:n]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import pytest
 
+from _wire_oracle import element_from_wire, element_to_wire
 from test_core_input_colocation import make_colo, make_dictionary, update
 from test_process_feeds import END_TIME, make_kepler, needs_fork, observed
 from test_pipeline_equivalence import FIRST_WORLD, prepared
@@ -26,8 +27,6 @@ from repro.core.input import InputModule, TaggedPath
 from repro.core.kepler import KeplerParams
 from repro.core.serde import (
     decode_batch,
-    element_from_wire,
-    element_to_wire,
     encode_batch,
     tag_elements_to_wire,
     tag_wire_batch,

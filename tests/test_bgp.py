@@ -7,13 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.collector import Collector, CollectorPeer
-from repro.bgp.communities import Community, communities_from_asn, parse_communities
+from repro.bgp.communities import Community, parse_communities
 from repro.bgp.messages import (
     BGPStateMessage,
     BGPUpdate,
     ElemType,
     SessionState,
-    UpdateBatch,
 )
 from repro.bgp.rib import RoutingInformationBase
 from repro.bgp.sanitize import (
@@ -23,7 +22,7 @@ from repro.bgp.sanitize import (
     is_special_purpose_asn,
     sanitize_path,
 )
-from repro.bgp.stream import BGPStream, split_by_type
+from repro.bgp.stream import BGPStream
 
 
 def _announce(time=0.0, collector="rrc00", peer=100, prefix="10.0.0.0/24",
@@ -67,20 +66,12 @@ class TestCommunity:
         with pytest.raises(ValueError):
             Community(1, 2**33)
 
-    def test_is_extended(self):
-        assert not Community(13030, 51904).is_extended
-        assert Community(200000, 1).is_extended
-
     def test_ordering_is_total(self):
         assert Community(1, 2) < Community(1, 3) < Community(2, 0)
 
     def test_parse_communities_skips_malformed_tokens(self):
         out = parse_communities("13030:51904 junk 2914:420 9:9:9")
         assert out == (Community(13030, 51904), Community(2914, 420))
-
-    def test_communities_from_asn(self):
-        cs = (Community(1, 1), Community(2, 2), Community(1, 3))
-        assert communities_from_asn(cs, 1) == (Community(1, 1), Community(1, 3))
 
 
 class TestMessages:
@@ -113,10 +104,6 @@ class TestMessages:
         with pytest.raises(ValueError):
             _announce(afi=5)
 
-    def test_origin_asn(self):
-        assert _announce(path=(1, 2, 3)).origin_asn == 3
-        assert _withdraw().origin_asn is None
-
     def test_state_message_transitions(self):
         loss = BGPStateMessage(
             time=0.0, collector="c", peer_asn=1,
@@ -128,15 +115,6 @@ class TestMessages:
             old_state=SessionState.IDLE, new_state=SessionState.ESTABLISHED,
         )
         assert recovery.is_session_recovery and not recovery.is_session_loss
-
-    def test_update_batch_partition(self):
-        batch = UpdateBatch()
-        batch.append(_announce(time=2.0))
-        batch.append(_withdraw(time=1.0))
-        assert len(batch) == 2
-        assert len(batch.announcements()) == 1
-        assert len(batch.withdrawals()) == 1
-        assert [e.time for e in batch.sorted()] == [1.0, 2.0]
 
 
 class TestSanitize:
@@ -260,21 +238,6 @@ class TestRib:
         with pytest.raises(ValueError):
             rib.apply(_announce(collector="route-views2"))
 
-    def test_drop_peer(self):
-        rib = RoutingInformationBase("rrc00")
-        rib.apply(_announce(peer=100))
-        rib.apply(_announce(peer=200, prefix="10.1.0.0/24", path=(200, 300)))
-        assert rib.drop_peer(100) == 1
-        assert rib.peer_asns() == {200}
-
-    def test_snapshot_emits_rib_elements(self):
-        rib = RoutingInformationBase("rrc00")
-        rib.apply(_announce())
-        snap = rib.snapshot_updates(99.0)
-        assert len(snap) == 1
-        assert snap[0].elem_type is ElemType.RIB
-        assert snap[0].time == 99.0
-
 
 class TestCollector:
     def _collector(self, lag=False):
@@ -301,31 +264,6 @@ class TestCollector:
         assert out is not None
         assert 1300.0 <= out.time <= 1900.0
 
-    def test_session_loss_drops_routes_and_blocks_updates(self):
-        coll = self._collector()
-        coll.observe(_announce())
-        msg = coll.set_session(100, up=False, time=5.0)
-        assert msg.is_session_loss
-        assert len(coll.rib) == 0
-        assert coll.observe(_announce(time=6.0)) is None
-
-    def test_session_recovery(self):
-        coll = self._collector()
-        coll.set_session(100, up=False, time=5.0)
-        msg = coll.set_session(100, up=True, time=9.0)
-        assert msg.is_session_recovery
-        assert coll.observe(_announce(time=10.0)) is not None
-
-    def test_publish_yields_the_feed_and_drops_lost_updates(self):
-        coll = self._collector()
-        coll.set_session(100, up=False, time=1.0)
-        updates = [_announce(time=2.0), _announce(time=4.0)]
-        assert list(coll.publish(updates)) == []  # session down: lost
-        coll.set_session(100, up=True, time=5.0)
-        published = list(coll.publish([_announce(time=6.0, prefix="10.1.0.0/24")]))
-        assert [u.time for u in published] == [6.0]
-        assert len(coll.rib) == 1
-
 
 class TestStream:
     def test_merge_is_time_sorted(self):
@@ -333,34 +271,20 @@ class TestStream:
         stream.push(_announce(time=5.0))
         stream.push(_announce(time=1.0, collector="route-views2"))
         stream.push(_announce(time=3.0))
-        times = [e.sort_key()[0] for e in stream.drain()]
+        times = [e.sort_key()[0] for e in iter(stream.pop, None)]
         assert times == [1.0, 3.0, 5.0]
-
-    def test_drain_until(self):
-        stream = BGPStream.from_elements(
-            [_announce(time=t) for t in (1.0, 2.0, 3.0, 4.0)]
-        )
-        early = list(stream.drain_until(2.5))
-        assert len(early) == 2
-        assert len(stream) == 2
 
     def test_pop_empty_returns_none(self):
         assert BGPStream().pop() is None
-
-    def test_split_by_type(self):
-        state = BGPStateMessage(
-            time=0.0, collector="c", peer_asn=1,
-            old_state=SessionState.ESTABLISHED, new_state=SessionState.IDLE,
-        )
-        updates, states = split_by_type([_announce(), state])
-        assert len(updates) == 1 and len(states) == 1
 
     def test_stable_order_for_equal_keys(self):
         # Equal sort keys must not raise (heap falls back to counter).
         a = _announce(time=1.0)
         b = _announce(time=1.0)
-        stream = BGPStream.from_elements([a, b])
-        assert len(list(stream.drain())) == 2
+        stream = BGPStream()
+        stream.push(a)
+        stream.push(b)
+        assert len(list(iter(stream.pop, None))) == 2
 
     def test_late_pushes_counted_not_reordered(self):
         stream = BGPStream()

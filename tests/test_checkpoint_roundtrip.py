@@ -10,7 +10,9 @@ The document is fail-closed (a malformed one raises ``ValueError`` and
 leaves the detector as it was).  A version-3 document — the committed
 fixture the retired thread-sharded runtime wrote — carries no signal
 keys, so it cannot resume exactly and is refused by version, as is a
-version-4 document, whose monitor entries still carry path AS sets.  A cut
+version-4 document, whose monitor entries still carry path AS sets, and
+a version-5 one, whose metrics still carry wall-clock seconds.  Two
+runs of one replay prefix give byte-equal documents.  A cut
 between a signal's bin and the arrival of the candidate it feeds
 resumes to the uninterrupted output: the window's signals carry the
 paths the record will wait on.  A PoP pickled by one interpreter start
@@ -31,6 +33,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from test_oscillation_edges import LATE_END, late_kepler, late_replay
+from test_process_feeds import needs_fork
 from test_pipeline_equivalence import (
     FIRST_WORLD,
     SECOND_WORLD,
@@ -173,7 +176,7 @@ class TestCheckpointDocument:
         blob = json.dumps(document)
         parsed = json.loads(blob)
         assert parsed["format"] == "kepler-checkpoint"
-        assert parsed["version"] == 5
+        assert parsed["version"] == 6
         monitor = parsed["pipeline"]["stages"]["monitor"]["monitor"]
         assert "tracking" not in monitor and "shards" not in parsed
         assert parsed["primed_paths"] == detector.primed_paths
@@ -189,13 +192,44 @@ class TestCheckpointDocument:
         second = json.dumps(detector.snapshot(), sort_keys=True)
         assert first == second
 
+    @pytest.mark.parametrize(
+        "shard_processes",
+        [0, pytest.param(2, marks=needs_fork)],
+        ids=["linear", "shard_processes"],
+    )
+    def test_two_runs_of_one_prefix_give_byte_equal_snapshots(
+        self, world_a, shard_processes
+    ):
+        # A checkpoint is the detector's state, not a measurement of
+        # the run: no wall-clock field may make two runs differ.
+        world, snapshot, elements = world_a
+        documents = []
+        for _ in range(2):
+            detector = make_kepler(
+                world, KeplerParams(shard_processes=shard_processes), False
+            )
+            try:
+                detector.prime(snapshot)
+                detector.process(elements[: len(elements) // 2])
+                documents.append(json.dumps(detector.snapshot(), sort_keys=True))
+            finally:
+                detector.close()
+        first, second = documents
+        if first != second:  # no multi-MB difflib on failure
+            at = next(i for i, (x, y) in enumerate(zip(first, second)) if x != y)
+            pytest.fail(
+                "two runs of one prefix differ at byte"
+                f" {at}: {first[at - 60:at + 20]!r} vs {second[at - 60:at + 20]!r}"
+            )
+
     def test_restore_rejects_wrong_version(self, world_a):
         world, _, _ = world_a
         detector = make_kepler(world, KeplerParams(), False)
         fresh = make_kepler(world, KeplerParams(), False)
         before = json.dumps(fresh.snapshot(), sort_keys=True)
-        # Version 4 entries still carry path AS sets: refused, not read.
-        for version in (4, 99):
+        # Version 4 entries still carry path AS sets and version 5
+        # metrics carry wall-clock seconds: refused, not read.
+        for version in (4, 5, 99):
             document = detector.snapshot()
             document["version"] = version
             with pytest.raises(ValueError, match="version"):
@@ -231,7 +265,14 @@ class TestCheckpointDocument:
         )
         original = detector.metrics.snapshot()
         restored = fresh.metrics.snapshot()
-        assert original["bins"] == restored["bins"]
+        # Bin-close latencies are run telemetry, not state: the
+        # restored detector has closed no bin in its own process yet.
+        timing = ("mean_latency_s", "max_latency_s")
+        assert {
+            k: v for k, v in original["bins"].items() if k not in timing
+        } == {k: v for k, v in restored["bins"].items() if k not in timing}
+        assert original["bins"]["max_latency_s"] > 0.0
+        assert [restored["bins"][k] for k in timing] == [0.0, 0.0]
         assert [s["name"] for s in original["stages"]] == [
             s["name"] for s in restored["stages"]
         ]

@@ -2,9 +2,8 @@
 
 The columnar transport (:func:`repro.core.serde.encode_batch` /
 :func:`~repro.core.serde.decode_batch`) must be observationally
-equivalent to the per-element envelopes
-(:func:`~repro.core.serde.element_to_wire` /
-:func:`~repro.core.serde.element_from_wire`) over the vocabulary
+equivalent to the per-element envelopes of ``tests/_wire_oracle.py``
+(``element_to_wire`` / ``element_from_wire``) over the vocabulary
 ingest admits: announcements, withdrawals, state messages and priming
 updates.  The strategies deliberately draw paths and community tuples
 from small pools so batches carry *duplicate and interleaved*
@@ -20,6 +19,7 @@ import marshal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _wire_oracle import element_from_wire, element_to_wire
 from repro.bgp.communities import Community
 from repro.bgp.messages import (
     BGPStateMessage,
@@ -32,8 +32,6 @@ from repro.core.serde import (
     _K_TAGGED,
     TaggedBatch,
     decode_batch,
-    element_from_wire,
-    element_to_wire,
     encode_batch,
 )
 from repro.docmine.dictionary import PoP, PoPKind
@@ -304,14 +302,8 @@ def _observed(kepler) -> tuple:
 
 
 def _checkpoint_bytes(kepler) -> bytes:
-    """The checkpoint document minus run telemetry.
-
-    The metrics registry holds wall-clock stage seconds (never identical
-    between two runs of anything); all semantic state must be.
-    """
-    doc = kepler.snapshot()
-    del doc["pipeline"]["metrics"]
-    return json.dumps(doc, sort_keys=True, default=repr).encode()
+    """The checkpoint document's bytes (it carries no wall clock)."""
+    return json.dumps(kepler.snapshot(), sort_keys=True, default=repr).encode()
 
 
 def _run_cut(seed, chunk_size, cuts):
@@ -406,7 +398,7 @@ class TestBarrierFailsClosed:
 
     @staticmethod
     def _observable(kepler):
-        monitor = kepler.pipeline.stage_named("monitor")
+        monitor = kepler.stages.monitoring
         metrics = kepler.pipeline.metrics.stage("monitor")
         return (
             json.dumps(monitor.state_dict(), sort_keys=True),

@@ -152,7 +152,8 @@ class TestInputModule:
     def test_withdrawal_passes_through(self):
         mod = self._module()
         tagged = mod.process(update((), [], withdraw=True))
-        assert tagged is not None and tagged.is_withdrawal
+        assert tagged is not None
+        assert tagged.elem_type is ElemType.WITHDRAWAL
 
     def test_looped_path_discarded(self):
         mod = self._module()

@@ -68,7 +68,7 @@ def primed_monitor(n_paths=10, t_fail=0.10):
 class TestBaseline:
     def test_prime_installs_baseline(self):
         monitor = primed_monitor(5)
-        assert monitor.baseline_size(POP_F) == 5
+        assert len(monitor._entries(POP_F)) == 5
 
     def test_baseline_links_exposed(self):
         monitor = primed_monitor(3)
@@ -79,11 +79,11 @@ class TestBaseline:
         params = MonitorParams(stable_window_s=120.0, bin_interval_s=60.0)
         monitor = OutageMonitor(params)
         monitor.observe(tagged(key(1), time=10.0))
-        assert monitor.baseline_size(POP_F) == 0
+        assert len(monitor._entries(POP_F)) == 0
         # Advance past the stable window with later updates.
         monitor.observe(tagged(key(1), time=70.0))
         monitor.observe(tagged(key(1), time=200.0))
-        assert monitor.baseline_size(POP_F) == 1
+        assert len(monitor._entries(POP_F)) == 1
 
     def test_tag_flap_resets_pending(self):
         params = MonitorParams(stable_window_s=120.0, bin_interval_s=60.0)
@@ -95,7 +95,7 @@ class TestBaseline:
         monitor.observe(tagged(key(1), time=140.0))
         # Window restarted at t=130: not yet stable at t=200.
         monitor.observe(tagged(key(1), time=200.0))
-        assert monitor.baseline_size(POP_F) == 0
+        assert len(monitor._entries(POP_F)) == 0
 
 
 class TestDivergence:
@@ -150,7 +150,7 @@ class TestDivergence:
         monitor = primed_monitor(10)
         monitor.observe(tagged(key(0), time=10.0, withdraw=True))
         monitor.close_bin()
-        assert monitor.baseline_size(POP_F) == 9
+        assert len(monitor._entries(POP_F)) == 9
 
     def test_signal_carries_affected_links(self):
         monitor = primed_monitor(5)
@@ -247,6 +247,26 @@ class TestReturnTracking:
             # Sorted, one per counted path.
             assert list(signal.keys) == sorted(signal.keys)
             assert len(signal.keys) == signal.diverted_paths
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "the bin-closing row is deferred before BinAdvanced leaves the"
+            " stage, so the record stage's settle at that BinAdvanced folds"
+            " and reports a row of the next bin; which row that is depends"
+            " on arrival order among peers"
+        ),
+    )
+    def test_bin_closing_row_is_not_reported_at_its_close(self):
+        monitor = primed_monitor(2)
+        stage = BinningMonitorStage(monitor)
+        assert stage.feed(tagged(key(1), time=10.0)) == []
+        monitor.watch(POP_F, {key(0)})
+        out = stage.feed(tagged(key(0), time=60.0, withdraw=True))
+        assert [o.now for o in out if isinstance(o, BinAdvanced)] == [60.0]
+        # What the record stage settles at that BinAdvanced must hold
+        # rows of the closed bin [0, 60) only.
+        assert monitor.report() == {}
 
 
 class TestParams:
@@ -814,7 +834,7 @@ class TestGapSnapshot:
         assert monitor._events  # nothing folded yet
         assert monitor.close_bin() == []
         assert monitor.report() == {}
-        assert monitor.baseline_size(POP_F) == 10
+        assert len(monitor._entries(POP_F)) == 10
         assert monitor.pending_count == 0
 
     def test_row_deferred_before_a_loss_is_folded(self, lane):

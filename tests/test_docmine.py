@@ -11,7 +11,7 @@ from repro.docmine.dictionary import PoPKind, build_dictionary
 from repro.docmine.extractor import extract_mentions
 from repro.docmine.ner import EntityKind, GazetteerNER
 from repro.docmine.scraper import WebScraper
-from repro.docmine.tokenizer import normalize_tokens, split_lines, tokenize
+from repro.docmine.tokenizer import normalize_tokens, split_lines
 from repro.docmine.voice import Voice, classify_voice
 from repro.topology.communities import TagKind
 from repro.topology.sources import export_datacentermap, export_peeringdb
@@ -21,9 +21,6 @@ class TestTokenizer:
     def test_split_lines_strips_remarks_prefix(self):
         text = "remarks:   13030:100 - received at AMS\n\n  plain line  "
         assert split_lines(text) == ["13030:100 - received at AMS", "plain line"]
-
-    def test_tokenize_preserves_communities(self):
-        assert "13030:100" in tokenize("13030:100 - received at AMS-IX")
 
     def test_normalize_tokens_handles_punctuation(self):
         assert normalize_tokens("Harbour Exchange 8&9") == (

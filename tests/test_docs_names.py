@@ -18,7 +18,8 @@ are checked:
   name.
 
 Builtins (``ValueError``, ``None``) pass; the few other names defined
-outside the repo are on :data:`EXTERNAL`, each with its reason.
+outside the repo are on :data:`EXTERNAL`, each with its reason, and
+each must still be named by some document.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ CODE_DIRS = ("src", "tests", "benchmarks", "examples")
 #: Capitalised names the documents use that the standard library
 #: defines; their attributes are not checked.
 EXTERNAL = {
-    "Value": "multiprocessing.Value, the fork-shared counter cell",
     "Process": "multiprocessing.Process, a forked worker's handle",
 }
 
@@ -195,6 +195,16 @@ def test_every_named_thing_is_defined(doc, index):
         if (why := undefined(span, index)) is not None
     }
     assert not stale, f"{doc} names what nothing defines: {stale}"
+
+
+def test_every_external_name_is_still_named():
+    named = {
+        match.group(1)
+        for doc in DOCS
+        for span in spans(doc)
+        if (match := CLASS.match(span)) is not None
+    }
+    assert not set(EXTERNAL) - named
 
 
 @pytest.mark.parametrize(

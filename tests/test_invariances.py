@@ -34,7 +34,13 @@ compares the outputs:
   that the numbering never reaches the output.  The whole RIB snapshot
   shares one timestamp; in the stream only elements of one collector
   stay permuted, because ``process_feeds`` merges collectors by
-  ``sort_key``.
+  ``sort_key``.  The streams of worlds A and B hold almost no
+  multi-peer (time, collector) group, so a second case floors every
+  element's time to its bin start first: each element stays in its
+  bin, and the stream then holds hundreds of such groups.  Signals and
+  rejects must match; records may not yet, because the row that closes
+  a bin is reported to the record stage at that close, so which peer's
+  row arrives first in a bin can move a record's end by one bin.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from test_pipeline_equivalence import (
 )
 from repro.bgp.messages import BGPStateMessage, BGPUpdate, SessionState
 from repro.core.input import COLLAPSE_KEY_HOPS
-from repro.core.kepler import Kepler
+from repro.core.monitor import MonitorParams
 from repro.pipeline import split_by_collector
 from repro.scenarios import build_world
 
@@ -69,7 +75,7 @@ def replay(request):
 
 def run(world, snapshot, elements, end_time=END_TIME) -> tuple[list, list, list]:
     """Records, signal log and rejects of one ``process_feeds`` run."""
-    detector = Kepler.from_world(world, validator=DeterministicValidator())
+    detector = world.make_kepler(validator=DeterministicValidator())
     try:
         detector.prime(snapshot)
         detector.process_feeds(split_by_collector(elements))
@@ -239,3 +245,35 @@ def test_same_timestamp_peer_permutation_changes_nothing(replay, reference):
     assert [e.time for e in streamed] == [e.time for e in elements]
     assert primed != snapshot and streamed != elements
     assert run(world, primed, streamed) == reference
+
+
+def multi_peer_groups(items: list) -> int:
+    """(time, collector) groups that hold more than one peer."""
+    peers: dict[tuple, set] = {}
+    for e in items:
+        peers.setdefault((e.time, e.collector), set()).add(e.peer_asn)
+    return sum(len(group) > 1 for group in peers.values())
+
+
+def test_same_bin_peer_permutation_changes_nothing(replay):
+    world, snapshot, elements = replay
+    width = MonitorParams().bin_interval_s
+    floored = [
+        dataclasses.replace(e, time=(e.time // width) * width) for e in elements
+    ]
+    assert all(f.time // width == e.time // width for f, e in zip(floored, elements))
+    assert [e.time for e in floored] == sorted(e.time for e in floored)
+    assert multi_peer_groups(floored) >= 100
+    streamed = peers_reversed(floored)
+    assert streamed != floored
+    records, signals, rejects = run(world, snapshot, streamed)
+    expected = run(world, snapshot, floored)
+    assert (signals, rejects) == expected[1:]
+    if records != expected[0]:
+        # Seen on world A under some hash seeds (the world's history
+        # depends on the seed): a record ends one bin apart.
+        pytest.xfail(
+            "a bin-closing row is reported at the close of the bin before"
+            " it (test_core_monitor.py::TestReturnTracking::"
+            "test_bin_closing_row_is_not_reported_at_its_close)"
+        )

@@ -3,8 +3,7 @@
 The hard invariant of the telemetry plane: polling
 ``Kepler.metrics_live()`` from a concurrent thread at *arbitrary*
 points mid-run changes nothing observable.
-Records, signal log, rejects and the telemetry-stripped checkpoint
-document stay byte-identical to the unsampled linear ground truth
+Records, signal log, rejects and the checkpoint document bytes stay byte-identical to the unsampled linear ground truth
 across every runtime layout.
 
 The poller is deliberately hostile: no synchronisation with the
@@ -31,7 +30,7 @@ from test_pipeline_equivalence import (
 )
 from repro import telemetry
 from repro.core.kepler import Kepler, KeplerParams
-from repro.pipeline import fork_available, strip_checkpoint_telemetry
+from repro.pipeline import fork_available
 from repro.scenarios import World, build_world
 
 END_TIME = 80_000.0
@@ -73,7 +72,7 @@ def ground_truth(world_a) -> tuple:
     return observed(detector)
 
 
-#: Stripped checkpoint JSON of an *unsampled* run, per layout.  The
+#: Checkpoint JSON of an *unsampled* run, per layout.  The
 #: per-stage counters are runtime-dependent (the shard-process driver
 #: analysis is fed one merged batch per bin), so the sampling
 #: invariant is sampled == unsampled *same layout*, while records /
@@ -90,10 +89,7 @@ def baseline_doc(world_a, layout: str) -> str:
             detector.prime(snapshot)
             detector.process(elements)
             detector.finalize(end_time=END_TIME)
-            doc = json.dumps(
-                strip_checkpoint_telemetry(detector.snapshot()),
-                sort_keys=True,
-            )
+            doc = json.dumps(detector.snapshot(), sort_keys=True)
         finally:
             detector.close()
         _BASELINE_DOCS[layout] = doc
@@ -171,9 +167,7 @@ def sampled_run(
         with Poller(detector, period_s) as poller:
             detector.process(elements)
             detector.finalize(end_time=END_TIME)
-        doc = json.dumps(
-            strip_checkpoint_telemetry(detector.snapshot()), sort_keys=True
-        )
+        doc = json.dumps(detector.snapshot(), sort_keys=True)
         return observed(detector), doc, poller
     finally:
         detector.close()
@@ -184,7 +178,7 @@ def check_identity(got, doc, poller, ground_truth, expected_doc) -> None:
     assert got == ground_truth
     if doc != expected_doc:  # avoid a multi-MB difflib on failure
         pytest.fail(
-            "stripped checkpoint diverged under live sampling "
+            "checkpoint diverged under live sampling "
             f"({len(doc)} vs {len(expected_doc)} bytes)"
         )
     assert poller.samples, "poller never sampled"

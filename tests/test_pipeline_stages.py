@@ -403,23 +403,21 @@ class TestStreamingPrime:
 
         input_module, community = _priming_input_module()
         monitor = OutageMonitor()
+        ingest = IngestStage()
+        monitoring = BinningMonitorStage(monitor)
         pipeline = StagePipeline(
-            [
-                IngestStage(),
-                TaggingStage(input_module),
-                BinningMonitorStage(monitor),
-            ]
+            [ingest, TaggingStage(input_module), monitoring]
         )
         for i in range(3):
             out = pipeline.feed(
                 PrimingUpdate(update=self._rib_update(community, i))
             )
             assert out == []
-        assert monitor.baseline_size(POP_F) == 3
+        assert len(monitor._entries(POP_F)) == 3
         # Direct installation: the binning clock has not started.
         assert monitor.current_bin_start is None
-        assert pipeline.stage_named("monitor").primed == 3
-        assert pipeline.stage_named("ingest").priming_updates == 3
+        assert monitoring.primed == 3
+        assert ingest.priming_updates == 3
 
     def test_untagged_rib_paths_end_at_tagging(self):
         from repro.pipeline import PrimingUpdate, TaggingStage
@@ -435,7 +433,7 @@ class TestStreamingPrime:
             )
         )
         assert out == []
-        assert monitor.baseline_size(POP_F) == 0
+        assert not monitor._entries(POP_F)
         assert monitoring.primed == 0
 
     def test_priming_does_not_disturb_stream_order_accounting(self):

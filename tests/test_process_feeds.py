@@ -6,8 +6,7 @@ the BGPStream merge of Section 4.1).  Pinned here:
 
 * **Identity**: on worlds A and B, under the linear chain and
   ``shard_processes=2``, ``process_feeds(split_by_collector(x))``
-  gives the records, signal log, rejects and telemetry-stripped
-  checkpoint of ``process(x)`` on the same runtime; a bare sequence of
+  gives the records, signal log, rejects and checkpoint bytes of ``process(x)`` on the same runtime; a bare sequence of
   sources gives what the mapping gives.
 * **Checkpoints**: a snapshot taken between two ``process_feeds`` runs
   resumes byte-identically.
@@ -31,11 +30,7 @@ from test_pipeline_equivalence import (
     record_fields,
 )
 from repro.core.kepler import Kepler, KeplerParams
-from repro.pipeline import (
-    fork_available,
-    split_by_collector,
-    strip_checkpoint_telemetry,
-)
+from repro.pipeline import fork_available, split_by_collector
 from repro.scenarios import World, build_world
 
 END_TIME = 80_000.0
@@ -96,10 +91,8 @@ def observed(detector: Kepler) -> tuple[list, list, list]:
     )
 
 
-def stripped(detector: Kepler) -> str:
-    return json.dumps(
-        strip_checkpoint_telemetry(detector.snapshot()), sort_keys=True
-    )
+def document(detector: Kepler) -> str:
+    return json.dumps(detector.snapshot(), sort_keys=True)
 
 
 def full_run(
@@ -118,7 +111,7 @@ def full_run(
             detector.process(elements)
         else:
             feed(detector, elements)
-        doc = stripped(detector)
+        doc = document(detector)
         detector.finalize(end_time=END_TIME)
         return observed(detector), doc
     finally:
@@ -180,7 +173,7 @@ def test_cut_between_collector_source_runs(world_a):
     try:
         second.restore(json.loads(blob))
         second.process_feeds(split_by_collector(elements[cut:]))
-        doc = stripped(second)
+        doc = document(second)
         second.finalize(end_time=END_TIME)
         assert (observed(second), doc) == expected
     finally:

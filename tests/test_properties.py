@@ -159,7 +159,7 @@ class TestStreamProperties:
                     as_path=(1, 2),
                 )
             )
-        out = [e.time for e in stream.drain()]
+        out = [e.time for e in iter(stream.pop, None)]
         assert out == sorted(out)
         assert len(out) == len(times)
 

@@ -27,7 +27,6 @@ from repro.pipeline import (
     FaultSpec,
     WorkerDeathError,
     fork_available,
-    strip_checkpoint_telemetry,
 )
 from repro.pipeline import faults
 from repro.scenarios import World, build_world
@@ -103,7 +102,7 @@ def faulted_run(
 ) -> tuple[tuple, dict, str | None]:
     """Full run under an installed fault plan.
 
-    Returns ``(observed, recovery_snapshot, stripped_snapshot_json)``.
+    Returns ``(observed, recovery_snapshot, snapshot_json)``.
     """
     world, snapshot, elements = world_a
     with faults.injected(plan):
@@ -114,10 +113,7 @@ def faulted_run(
             detector.finalize(end_time=END_TIME)
             recovery = detector.metrics.snapshot()["recovery"]
             doc = (
-                json.dumps(
-                    strip_checkpoint_telemetry(detector.snapshot()),
-                    sort_keys=True,
-                )
+                json.dumps(detector.snapshot(), sort_keys=True)
                 if snapshot_doc
                 else None
             )

@@ -259,6 +259,13 @@ class TestRuntimeSurface:
                 "ingest", "tagging", "monitor",
                 "classify", "localise", "validate", "record",
             } <= metric_names
+            # Busy seconds and bin-close latencies are not in the
+            # checkpoint; the worker sync sidecars still bring them to
+            # the composed views.
+            for snap in (shardproc.metrics.snapshot(), shardproc.metrics_live()):
+                seconds = {s["name"]: s["seconds"] for s in snap["stages"]}
+                assert seconds["tagging"] > 0 and seconds["monitor"] > 0
+                assert snap["bins"]["max_latency_s"] > 0
         finally:
             linear.close()
             shardproc.close()
