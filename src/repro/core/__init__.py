@@ -13,7 +13,7 @@ from repro.core.colocation import (
     build_colocation_map,
 )
 from repro.core.events import OutageRecord, OutageSignal, SignalType
-from repro.core.input import InputModule, TaggedPath, PoPTag
+from repro.core.input import InputModule, PoPTag
 from repro.core.monitor import (
     MonitorParams,
     OutageMonitor,
@@ -37,7 +37,6 @@ __all__ = [
     "OutageSignal",
     "SignalType",
     "InputModule",
-    "TaggedPath",
     "PoPTag",
     "MonitorParams",
     "OutageMonitor",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bgp.messages import BGPUpdate, ElemType
 from repro.bgp.sanitize import collapse_runs, sanitize_collapsed
 from repro.core.colocation import ColocationMap
 from repro.docmine.dictionary import CommunityDictionary, PoP
@@ -33,20 +32,6 @@ class PoPTag:
     near_asn: int | None  # AS that applied the ingress community
     far_asn: int | None  # neighbor the route was received from
 
-
-@dataclass(frozen=True)
-class TaggedPath:
-    """A sanitized, location-annotated stream element."""
-
-    key: PathKey
-    time: float
-    elem_type: ElemType
-    as_path: tuple[int, ...]
-    tags: tuple[PoPTag, ...]
-    afi: int
-
-    def pops(self) -> set[PoP]:
-        return {tag.pop for tag in self.tags}
 
 #: Distinct (AS path, communities) pairs memoised before the oldest
 #: generation is dropped.  BGP streams repeat the same attribute pairs
@@ -65,7 +50,6 @@ _MEMO_MISS = object()
 #: what a withdrawal "tags" to: no path, no tags.  One shared object,
 #: so every withdrawal row of a tagged batch carries the same pair.
 WITHDRAWN: tuple[tuple[int, ...], tuple[PoPTag, ...]] = ((), ())
-_TAGGED_NEW = TaggedPath.__new__
 
 
 def _interned(young: dict, old: dict, key):
@@ -79,7 +63,7 @@ def _interned(young: dict, old: dict, key):
 
 
 class InputModule:
-    """Stateless update parser: BGPUpdate -> TaggedPath.
+    """The tagging memo and dictionary tables behind serde's taggers.
 
     Tagging is a pure function of the update's *sanitised* path and its
     communities — the key, timestamp and prefix pass through untouched
@@ -88,8 +72,10 @@ class InputModule:
     entirely, and get back the *same* ``(clean path, tags)`` result
     object, which a tagged batch carries as the row's pair.  The memo
     key is a pair of *int tuples*: the path, and the flattened ``(asn,
-    value, ...)`` community ints, so the columnar wire path consults
-    the same memo straight from a batch's community-id table, and the
+    value, ...)`` community ints, so both batch taggers
+    (:func:`~repro.core.serde.tag_elements_to_wire` over stream
+    objects, :func:`~repro.core.serde.tag_wire_batch` over a
+    columnar batch's community-id table) probe one memo, and the
     community walk classifies those ints without a ``Community``
     object.  A path over :data:`COLLAPSE_KEY_HOPS` is keyed by its run
     collapse: prepending is the only thing that makes a path that long,
@@ -163,47 +149,6 @@ class InputModule:
         self._tag: dict[tuple, PoPTag] = {}
         self._tag_old: dict[tuple, PoPTag] = {}
 
-    def process(self, update: BGPUpdate) -> TaggedPath | None:
-        """Parse one update; ``None`` when the path must be discarded."""
-        elem_type = update.elem_type
-        if elem_type is ElemType.WITHDRAWAL:
-            cached = WITHDRAWN
-        else:
-            communities = update.communities
-            if len(communities) == 1:
-                community = communities[0]
-                flat = (community.asn, community.value)
-            else:
-                flat = []
-                for community in communities:
-                    flat.append(community.asn)
-                    flat.append(community.value)
-                flat = tuple(flat)
-            path = update.as_path
-            if len(path) > COLLAPSE_KEY_HOPS:
-                path = collapse_runs(path)
-            memo_key = (path, flat)
-            cached = self.memo_probe(memo_key, _MEMO_MISS)
-            if cached is not _MEMO_MISS:
-                self.memo_hits += 1
-            else:
-                cached = self.memo_miss(
-                    memo_key, len(update.as_path) > COLLAPSE_KEY_HOPS
-                )
-            if cached is None:
-                self.discarded_count += 1
-                return None
-        self.parsed_count += 1
-        tagged = _TAGGED_NEW(TaggedPath)
-        fields = tagged.__dict__
-        fields["key"] = (update.collector, update.peer_asn, update.prefix)
-        fields["time"] = update.time
-        fields["elem_type"] = elem_type
-        fields["as_path"] = cached[0]
-        fields["tags"] = cached[1]
-        fields["afi"] = update.afi
-        return tagged
-
     def memo_miss(
         self,
         memo_key: tuple[tuple[int, ...], tuple[int, ...]],
@@ -211,9 +156,8 @@ class InputModule:
     ) -> tuple[tuple[int, ...], tuple[PoPTag, ...]] | None:
         """Resolve a key the caller built and ``memo_probe`` just missed.
 
-        The one miss routine behind all three entry points —
-        ``process`` and serde's two batch taggers: an old-generation
-        probe, else sanitise and map, then insert.  The key's path is
+        The one miss routine behind serde's two batch taggers: an
+        old-generation probe, else sanitise and map, then insert.  The key's path is
         the raw path, or its run collapse when ``collapsed`` (a path
         over :data:`COLLAPSE_KEY_HOPS`), which then takes only the
         sanitiser's verdicts.  A short raw path is hashed at most three

@@ -267,12 +267,7 @@ class Kepler:
         the counters are at most one bin or ``feed_chunk`` elements
         behind ``process``; ``depths["staged"]`` says by how many.
         """
-        live = getattr(self.stages, "metrics_live", None)
-        if live is not None:
-            snap = live()
-        else:
-            snap = self.stages.metrics.snapshot()
-            snap.setdefault("live", {"workers": 0, "workers_reporting": 0})
+        snap = self.stages.metrics_live()
         snap.setdefault("depths", {})["staged"] = len(self._staged)
         return snap
 

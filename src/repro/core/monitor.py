@@ -41,8 +41,7 @@ from dataclasses import dataclass
 
 from repro.bgp.messages import BGPStateMessage, ElemType
 from repro.core.events import OutageSignal
-from repro.core.input import PathKey, TaggedPath
-from repro.core.serde import _K_TAGGED, TaggedBatch
+from repro.core.input import PathKey
 from repro.docmine.dictionary import PoP
 
 #: Paper defaults.
@@ -154,11 +153,8 @@ class TaggedRun:
     peer is in ``gapped``.  State rows form their own runs, so that set
     is the one current at every row's arrival: the snapshot *is* the
     arrival-time admission check.  It stays a snapshot because the
-    monitor replaces its gap set and never mutates it.  A row that
-    arrives as an object (the bin-closing row, any
-    :meth:`OutageMonitor.observe` caller) defers as a one-row run
-    (:meth:`of`).  The view pins the batch columns alive for the life
-    of the run.
+    monitor replaces its gap set and never mutates it.  The view pins
+    the batch columns alive for the life of the run.
     """
 
     __slots__ = ("view", "start", "stop", "gapped")
@@ -168,16 +164,6 @@ class TaggedRun:
         self.start = start
         self.stop = stop
         self.gapped = gapped
-
-    @classmethod
-    def of(cls, tagged: TaggedPath, gapped: frozenset = _NO_GAP) -> TaggedRun:
-        """One ``TaggedPath`` as a one-row run."""
-        view = TaggedBatch()
-        view.add_tagged(
-            _K_TAGGED, tagged.key, tagged.time, tagged.elem_type,
-            tagged.as_path, tagged.tags, tagged.afi,
-        )
-        return cls(view, 0, 1, gapped)
 
 
 class OutageMonitor:
@@ -368,12 +354,9 @@ class OutageMonitor:
     # ------------------------------------------------------------------
     # Streaming interface
     # ------------------------------------------------------------------
-    def prime(self, tagged: TaggedPath) -> None:
-        """Install a path's owned tags into the baseline (table dump)."""
-        self.prime_row(tagged.key, tagged.time, (tagged.as_path, tagged.tags))
-
     def prime_row(self, key: PathKey, time: float, pair: tuple) -> None:
-        """:meth:`prime` for a primed row of a tagged batch."""
+        """Install a primed row's owned tags into the baseline (table
+        dump): no bin clock advance, no divergence accounting."""
         # Earlier stream elements must see the pre-prime baseline: fold
         # them before the install becomes visible.
         if self._events:
@@ -394,26 +377,6 @@ class OutageMonitor:
             self._gapped = self._gapped | {peer}
         elif message.is_session_recovery:
             self._gapped = self._gapped - {peer}
-
-    def observe(self, tagged: TaggedPath) -> list[OutageSignal]:
-        """Feed one tagged element; returns signals of any closed bins.
-
-        In-bin elements defer as one-row runs with the current feed-gap
-        set; the grouped fold over the whole bin runs at the close — or
-        earlier, when a query needs divergence, pending or watch
-        state mid-bin.  The fold replays arrival order, so any flush
-        prefix is state-identical to per-element application.
-        """
-        signals: list[OutageSignal] = []
-        if self._bin_start is None:
-            self._bin_start = self._bin_floor(tagged.time)
-        width = self.params.bin_interval_s
-        if tagged.time >= self._bin_start + width:
-            signals = self.close_bin()
-            if tagged.time >= self._bin_start + width:
-                self._cross_empty_bins(tagged.time)
-        self._events.append(TaggedRun.of(tagged, self._gapped))
-        return signals
 
     def _flush_events(self) -> None:
         """Fold the deferred in-bin elements."""
@@ -719,18 +682,23 @@ class OutageMonitor:
         self.bins_processed += 1
         return signals
 
-    def _cross_empty_bins(self, until: float) -> None:
-        """Close the run of empty bins before the bin holding ``until``.
+    def close_bins(self, until: float) -> list[OutageSignal]:
+        """Close the current bin, then the empty bins before the one
+        holding ``until``; returns the closed bin's signals.
 
-        Right after :meth:`close_bin` nothing is deferred or diverted:
-        stepping would emit nothing and promote every candidate due by
-        the last bin end, as one promote call does.
+        Called with ``until`` at or past the current bin's end, before
+        the row at ``until`` is deferred: the close reads rows of its
+        own bin only.  The empty bins emit nothing, and crossing them
+        promotes every candidate due by the last bin end, as one
+        promote call does.
         """
-        self._bin_start, crossed = cross_bins(
-            self._bin_start, self.params.bin_interval_s, until
-        )
-        self._promote_pending(self._bin_start)
-        self.bins_processed += crossed
+        signals = self.close_bin()
+        width = self.params.bin_interval_s
+        if until >= self._bin_start + width:
+            self._bin_start, crossed = cross_bins(self._bin_start, width, until)
+            self._promote_pending(self._bin_start)
+            self.bins_processed += crossed
+        return signals
 
     def _promote_pending(self, now: float) -> None:
         """Install every candidate first seen at or before ``now - W``.

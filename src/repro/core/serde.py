@@ -64,7 +64,6 @@ from repro.core.input import (
     COLLAPSE_KEY_HOPS,
     WITHDRAWN,
     PathKey,
-    TaggedPath,
 )
 from repro.core.signals import SignalClassification
 from repro.docmine.dictionary import PoP, PoPKind
@@ -544,8 +543,7 @@ class TaggedBatch:
 
     :func:`tagged_view` groups the rows into maximal same-kind *runs*
     so the monitor's fold and its priming lane sweep whole column
-    spans; only the rare rows that need the object protocol (bin
-    closers) are materialised, one at a time, by :meth:`tagged_at`.
+    spans; no row is ever materialised as an object.
     """
 
     __slots__ = (
@@ -597,35 +595,25 @@ class TaggedBatch:
         self._run_pos = pos
         return runs[pos]
 
-    def tagged_at(self, fam: int) -> TaggedPath:
-        tagged = object.__new__(TaggedPath)
-        fields = tagged.__dict__
-        fields["key"] = self.t_key[fam]
-        fields["time"] = self.t_time[fam]
-        fields["elem_type"] = self.t_elem[fam]
-        fields["as_path"], fields["tags"] = self.t_pair[fam]
-        fields["afi"] = self.t_afi[fam]
-        return tagged
-
 
 def tag_wire_batch(input_module, batch: tuple) -> TaggedBatch:
     """Run the tagging stage over a columnar batch, column to column.
 
-    The bulk equivalent of decode → ``TaggingStage.feed`` per element,
-    with the intermediate objects elided: update rows never
+    The equivalent of decode → :func:`tag_elements_to_wire`, with the
+    intermediate objects elided: update rows never
     materialise a ``BGPUpdate``, and the community→PoP derivation is
     driven entirely by the batch's ``(path_idx, comm_idx)`` columns.
     A per-batch pair cache maps each distinct id pair to its memo
     result (or ``None``, a discard), so the first occurrence pays one
     memo probe against ``input_module`` — the same two-generation memo
-    the scalar path uses, keyed on the very tuples sitting in the
+    the object tagger uses, keyed on the very tuples sitting in the
     tables (a long path on its run collapse, by the same rule) — and
-    every repeat is one dict hit.  Counters fold into the
-    module's totals exactly as the scalar path would have counted them
-    (the pair cache is dropped when the memo rotates mid-batch).
+    every repeat is one dict hit.  Counters fold into the module's
+    totals exactly as the object tagger counts them (the pair cache is
+    dropped when the memo rotates mid-batch).
 
     Priming rows tag into ``_K_PRIMED`` rows (withdrawn and tagless ones
-    end here, as in ``TaggingStage.feed``) and state rows pass through.
+    end here) and state rows pass through.
     Raises ``ValueError`` on an unknown kind code before any counter or
     memo entry moves.
     """
@@ -686,8 +674,8 @@ def tag_wire_batch(input_module, batch: tuple) -> TaggedBatch:
                 pair = memo_miss(memo_key, len(path_tab[pi]) > long_path)
                 if input_module.memo_rotations != rotations:
                     # Cached pairs aged into the old generation, where
-                    # the scalar path would promote them on their next
-                    # use: send them back to the memo.
+                    # the object tagger would promote them on their
+                    # next use: send them back to the memo.
                     rotations = input_module.memo_rotations
                     pair_cache.clear()
             pair_cache[(pi, ci)] = pair
@@ -712,13 +700,14 @@ def tag_wire_batch(input_module, batch: tuple) -> TaggedBatch:
 def tag_elements_to_wire(input_module, elements) -> TaggedBatch:
     """Tag a chunk of admitted stream *objects* into a :class:`TaggedBatch`.
 
-    The fusion of ``TaggingStage.feed`` per element and the batch's row
-    appenders: one pass over the elements that probes the tagging memo
-    per ``(as_path, communities)`` pair and appends the memo result
-    itself as the row's pair — no ``TaggedPath`` is ever materialised.
-    A ``PrimingUpdate`` takes the update arm into a ``_K_PRIMED`` row
-    (withdrawn and tagless ones end here), state messages pass through,
-    and counters fold exactly as ``TaggingStage.feed`` counts them.
+    One pass over the elements that probes the tagging memo per
+    ``(as_path, communities)`` pair and appends the memo result itself
+    as the row's pair — no tagged row is ever an object.  An update the
+    sanitiser discards ends here and counts as discarded; every other
+    update, withdrawals included, counts as parsed.  A
+    ``PrimingUpdate`` takes the update arm into a ``_K_PRIMED`` row
+    (withdrawn and tagless ones end here: they cannot seed a baseline),
+    and state messages pass through.
     Raises ``TypeError`` naming any element type ingest does not admit.
     """
     out = TaggedBatch()

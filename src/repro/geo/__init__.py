@@ -6,7 +6,7 @@ geocoder that stands in for the Google Maps Geocoding API used in the paper
 ("New York City", "NYC", "JFK") that refer to the same place.
 """
 
-from repro.geo.cities import City, WORLD_CITIES, city_by_name, cities_by_continent
+from repro.geo.cities import City, WORLD_CITIES, city_by_name
 from repro.geo.cluster import CLUSTER_RADIUS_KM, cluster_identifiers
 from repro.geo.distance import EARTH_RADIUS_KM, haversine_km
 from repro.geo.geocoder import GeocodeResult, Geocoder
@@ -15,7 +15,6 @@ __all__ = [
     "City",
     "WORLD_CITIES",
     "city_by_name",
-    "cities_by_continent",
     "EARTH_RADIUS_KM",
     "haversine_km",
     "Geocoder",

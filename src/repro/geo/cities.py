@@ -123,9 +123,3 @@ def city_by_name(identifier: str) -> City | None:
     """
     return _BY_NAME.get(identifier.strip().lower())
 
-
-def cities_by_continent(continent: str) -> tuple[City, ...]:
-    """All gazetteer cities on the given continent code (e.g. ``"EU"``)."""
-    if continent not in CONTINENTS:
-        raise ValueError(f"unknown continent code {continent!r}")
-    return tuple(c for c in WORLD_CITIES if c.continent == continent)

@@ -37,7 +37,6 @@ from repro.pipeline.events import (
     LocatedBatch,
     LocatedSignal,
     OutageCandidate,
-    PrimedPath,
     PrimingUpdate,
     SignalBatch,
 )
@@ -60,7 +59,7 @@ from repro.pipeline.liveness import (
 )
 from repro.pipeline.record import RecordStage, merge_oscillations
 from repro.pipeline.runtime import FEED_CHUNK, StagePipeline
-from repro.pipeline.stage import PassthroughStage, Stage, StatefulStage
+from repro.pipeline.stage import PassthroughStage, Stage
 from repro.pipeline.tagging import TaggingStage
 from repro.pipeline.validation import ValidationCache, ValidationStage
 
@@ -199,7 +198,6 @@ __all__ = [
     "PassthroughStage",
     "PipelineMetrics",
     "PoisonedBatchError",
-    "PrimedPath",
     "PrimingUpdate",
     "RecordStage",
     "ShardProcessKeplerPipeline",
@@ -208,7 +206,6 @@ __all__ = [
     "Stage",
     "StageMetrics",
     "StagePipeline",
-    "StatefulStage",
     "TaggingStage",
     "ValidationCache",
     "ValidationStage",

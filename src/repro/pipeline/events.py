@@ -1,10 +1,11 @@
 """Inter-stage element types of the Kepler pipeline.
 
 Raw BGP elements (:class:`repro.bgp.messages.BGPUpdate`,
-:class:`~repro.bgp.messages.BGPStateMessage`) and tagged paths
-(:class:`repro.core.input.TaggedPath`) flow through the early stages
-unchanged; the types below are produced as the stream is progressively
-reduced from updates to outage records.
+:class:`~repro.bgp.messages.BGPStateMessage`) flow into the early
+stages unchanged, and the wire pair carries tagged rows as one
+:class:`~repro.core.serde.TaggedBatch` per chunk; the types below are
+produced as the stream is progressively reduced from updates to
+outage records.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 from repro.bgp.messages import BGPUpdate
 from repro.core.dataplane import ValidationOutcome
 from repro.core.events import OutageSignal
-from repro.core.input import TaggedPath
 from repro.core.signals import SignalClassification
 from repro.docmine.dictionary import PoP
 
@@ -30,13 +30,6 @@ class PrimingUpdate:
     """
 
     update: BGPUpdate
-
-
-@dataclass(frozen=True)
-class PrimedPath:
-    """A tagged RIB path ready for direct baseline installation."""
-
-    path: TaggedPath
 
 
 @dataclass(frozen=True)

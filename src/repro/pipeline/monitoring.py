@@ -5,15 +5,15 @@ one way: as a column view over a tagged batch
 (:meth:`BinningMonitorStage.feed_wire_run`), whose in-bin runs defer
 into the monitor's fold as :class:`~repro.core.monitor.TaggedRun`
 spans, each with the feed-gap set current at its deferral.  Tagged
-rows advance the 60-second binning clock; whenever one or more bins
-close, their per-AS signals are emitted as one
-:class:`~repro.pipeline.events.SignalBatch`, followed by a
-:class:`~repro.pipeline.events.BinAdvanced` marker so downstream
-lifecycle stages re-evaluate open outages — the exact order the
-monolithic detector used.  State messages replace the feed-gap set
-and emit nothing.  :meth:`BinningMonitorStage.feed` takes one element:
-the bin-closing row of a view, and every element of a chain without a
-tagging stage in front.
+rows advance the 60-second binning clock.  A row past the open bin
+closes it before the row itself is deferred: the closed bins' per-AS
+signals leave as one :class:`~repro.pipeline.events.SignalBatch`,
+followed by a :class:`~repro.pipeline.events.BinAdvanced` marker so
+downstream lifecycle stages re-evaluate open outages, and the row
+folds into its own bin only after both cleared the chain.  State
+messages replace the feed-gap set and emit nothing.  The close runs in
+:meth:`BinningMonitorStage.feed`, whose one input is that row's time
+as a ``BinAdvanced``; stream elements are refused with ``TypeError``.
 
 Each bin-closing call also records one gauge sample (latency, baseline
 and pending population), weighted by the bins it closed, into the
@@ -25,24 +25,17 @@ from __future__ import annotations
 import time
 from typing import Any
 
-from repro.bgp.messages import BGPStateMessage
-from repro.core.input import TaggedPath
 from repro.core.monitor import OutageMonitor, TaggedRun
 from repro.core.serde import _K_PRIMED, _K_TAGGED, TaggedBatch, tagged_view
-from repro.pipeline.events import BinAdvanced, PrimedPath, SignalBatch
+from repro.pipeline.events import BinAdvanced, SignalBatch
 from repro.pipeline.metrics import PipelineMetrics
 from repro.pipeline.stage import PassthroughStage
 
 
 class BinningMonitorStage(PassthroughStage):
-    """TaggedPath / BGPStateMessage -> SignalBatch + BinAdvanced."""
+    """Tagged batch -> SignalBatch + BinAdvanced."""
 
     name = "monitor"
-    #: Localisation and record stages query the live monitor (baseline
-    #: links, the watch report): every signal batch and bin
-    #: marker must clear the chain before the next element advances
-    #: the monitor, so batching stops here (see Stage.depth_first).
-    depth_first = True
 
     def __init__(
         self,
@@ -64,51 +57,49 @@ class BinningMonitorStage(PassthroughStage):
             )
 
     def feed(self, element: Any) -> list[Any]:
-        if isinstance(element, PrimedPath):
-            # Direct baseline installation: no binning-clock advance,
-            # no divergence accounting (the snapshot is assumed aged).
-            self.monitor.prime(element.path)
-            self.primed += 1
-            return []
-        if isinstance(element, BGPStateMessage):
-            self.monitor.observe_state(element)
-            return []
-        if not isinstance(element, TaggedPath):
-            return [element]
-        prev_bin = self.monitor.current_bin_start
-        bins_before = self.monitor.bins_processed
-        began = time.perf_counter()
-        signals = self.monitor.observe(element)
-        latency = time.perf_counter() - began
-        new_bin = self.monitor.current_bin_start
-        out: list[Any] = []
-        if signals:
-            out.append(SignalBatch(signals=signals))
-        if prev_bin is not None and new_bin != prev_bin:
-            if self.metrics is not None:
-                # One observe call can close several bins (sparse
-                # streams); attribute the latency evenly across them so
-                # bins_closed matches the monitor's own count.
-                closed = max(1, self.monitor.bins_processed - bins_before)
-                pending = self.monitor.pending_count
-                self.metrics.record_bin(
-                    latency_s=latency / closed,
-                    baseline_entries=self.monitor.total_baseline_entries,
-                    pending_entries=pending,
-                    bins=closed,
-                )
-                self.metrics.trace.emit(
-                    "bin_close",
-                    "bin",
-                    dur_s=latency,
-                    bin=prev_bin,
-                    closed=closed,
-                    signals=len(signals) if signals else 0,
-                    pending=pending,
-                )
-            out.append(
-                BinAdvanced(now=new_bin if new_bin is not None else element.time)
+        """Close the open bin and the empty ones before the bin of
+        ``element.now``; the signals and the ``BinAdvanced`` to emit.
+
+        ``element`` is a :class:`~repro.pipeline.events.BinAdvanced`
+        carrying the time of the first row past the open bin:
+        :meth:`feed_wire_run` hands it over, so every bin close and its
+        metering run in this one call.  Stream elements are refused
+        with ``TypeError``: rows reach the monitor as tagged batches.
+        """
+        if type(element) is not BinAdvanced:
+            raise TypeError(
+                f"the monitor takes tagged batches, not {type(element).__name__}:"
+                " use prepare_wire and feed_wire_run"
             )
+        monitor = self.monitor
+        prev_bin = monitor.current_bin_start
+        bins_before = monitor.bins_processed
+        began = time.perf_counter()
+        signals = monitor.close_bins(element.now)
+        latency = time.perf_counter() - began
+        out: list[Any] = [SignalBatch(signals=signals)] if signals else []
+        if self.metrics is not None:
+            # One call can close several bins (sparse streams);
+            # attribute the latency evenly across them so bins_closed
+            # matches the monitor's own count.
+            closed = monitor.bins_processed - bins_before
+            pending = monitor.pending_count
+            self.metrics.record_bin(
+                latency_s=latency / closed,
+                baseline_entries=monitor.total_baseline_entries,
+                pending_entries=pending,
+                bins=closed,
+            )
+            self.metrics.trace.emit(
+                "bin_close",
+                "bin",
+                dur_s=latency,
+                bin=prev_bin,
+                closed=closed,
+                signals=len(signals),
+                pending=pending,
+            )
+        out.append(BinAdvanced(now=monitor.current_bin_start))
         return out
 
     def prepare_wire(self, batch: TaggedBatch) -> TaggedBatch:
@@ -120,16 +111,17 @@ class BinningMonitorStage(PassthroughStage):
     ) -> tuple[list[Any], int]:
         """Consume slots of ``view`` from ``start``.
 
-        Stops at the first slot that produces output (a bin-closing
-        row) so emitted batches clear the chain before the monitor
-        advances.  In-bin tagged rows defer as
+        In-bin tagged rows defer as
         :class:`~repro.core.monitor.TaggedRun` column spans that carry
         the monitor's current feed-gap set — the common whole-run case
         is one scan of the time column plus one append, and no row
-        materialises an object.  The bin-closing row enters
-        through :meth:`feed` (which closes the bin and defers the row
-        as a one-row run) so the per-bin metering lives in one place.
-        Returns ``(outputs, next_slot)``.
+        materialises an object.  The first row past the open bin stops
+        the call: the rows before it defer, the bin closes
+        (:meth:`feed`), and the call returns the outputs with the
+        closing row's *own* slot.  The caller clears the outputs
+        through the chain and resumes there, so the row folds into its
+        own bin and what the close's ``BinAdvanced`` settles holds rows
+        of the closed bin only.  Returns ``(outputs, next_slot)``.
         """
         monitor = self.monitor
         defer = monitor._events.append
@@ -161,11 +153,9 @@ class BinningMonitorStage(PassthroughStage):
                     defer(run_cls(view, f0, f1, monitor._gapped))
                     slot = run_stop
                     continue
-                # Bin close: the per-element path does the metrics
-                # bookkeeping; stop so outputs cascade.
                 if f0 < f:
                     defer(run_cls(view, f0, f, monitor._gapped))
-                return self.feed(view.tagged_at(f)), slot + (f - f0) + 1
+                return self.feed(BinAdvanced(t_time[f])), slot + (f - f0)
             if kind == _K_PRIMED:
                 prime_row = monitor.prime_row
                 for key, when, pair in zip(

@@ -1273,7 +1273,7 @@ class ShardProcessKeplerPipeline(CheckpointableChain):
 
         return {
             pop_from_json(pop): record_from_json(record)
-            for pop, record in self._worker0_records()["open"]
+            for pop, record, _ in self._worker0_records()["open"]
         }
 
     @property

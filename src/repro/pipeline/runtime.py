@@ -5,16 +5,18 @@ element through it breadth-per-stage: all outputs of stage *i* are
 computed, then passed on to stage *i+1* together.  Because stages are
 synchronous and order-preserving, this is observationally equivalent
 to depth-first threading (each output of stage *i* reaching stage
-*i+1* before the next output of stage *i* is computed) — up to the
-chain's ``depth_first`` barrier, from which each output clears the
-rest of the chain before the barrier stage advances.
+*i+1* before the next output of stage *i* is computed).
 
-On the Kepler chain the barrier is the monitor and the stage just in
-front of it is tagging.  Such a tagging → monitor pair is the chain's
-*wire pair*, and it is the one way tagged rows reach the monitor: a
-chunk is tagged into one :class:`~repro.core.serde.TaggedBatch`, and
-the monitor folds its columns in place.  A chain without
-a wire pair threads elements through the barrier one at a time.
+On the Kepler chain the monitor and the tagging stage in front of it
+form the chain's *wire pair*, and it is the one way tagged rows reach
+the monitor: a chunk is tagged into one
+:class:`~repro.core.serde.TaggedBatch`, and the monitor folds its
+columns in place.  The localisation and record stages read the live
+monitor, so each emission of the monitor clears the rest of the chain
+before the monitor consumes its next row.  A stage that folds tagged
+batches (``feed_wire_run``) needs a wire tagger (``feed_wire`` and
+``feed_wire_batch``) just in front of it: anything else is refused at
+construction.
 
 Per-stage wall time and element counts are recorded into the shared
 :class:`~repro.pipeline.metrics.PipelineMetrics` on every call —
@@ -42,11 +44,11 @@ FEED_CHUNK = 4096
 class StagePipeline:
     """Composition of stages with metering.
 
-    ``feed`` and ``feed_many`` share one path: stages in front of the
-    wire pair run breadth-per-stage on the chunk, the wire pair tags it
-    into one batch and drives the monitor over its column view
-    (:meth:`_drive_wire_batch`), and every emission clears the rest of
-    the chain before the monitor advances.
+    ``feed``, ``feed_many`` and ``flush`` share one path: stages in
+    front of the wire pair run breadth-per-stage, the wire pair tags
+    their output into one batch and drives the monitor over its column
+    view (:meth:`_drive_wire_batch`), and every emission clears the
+    rest of the chain before the monitor advances.
     """
 
     def __init__(
@@ -72,48 +74,38 @@ class StagePipeline:
         self._metered: list[tuple[Stage, Any]] = [
             (stage, self.metrics.stage(stage.name)) for stage in self.stages
         ]
-        # First stage that forbids batching across itself (its outputs
-        # must clear the chain before its next input): feed_many runs
-        # breadth-per-stage up to here, one element at a time after.
-        self.barrier_index = len(self.stages)
+        # Wire pair: the tagger tags into columnar batches
+        # (``feed_wire``/``feed_wire_batch``) and the monitor just
+        # behind it consumes them as column views (``prepare_wire`` +
+        # ``feed_wire_run``) — no per-element objects between the two
+        # hottest stages.  ``_wire_at`` is the tagger's index.
+        self._wire_at: int | None = None
         for index, stage in enumerate(self.stages):
-            if getattr(stage, "depth_first", False):
-                self.barrier_index = index
-                break
-        # Wire pair: the stage just before the barrier tags into
-        # columnar batches (``feed_wire``/``feed_wire_batch``) and the
-        # barrier stage consumes them as column views (``prepare_wire``
-        # + ``feed_wire_run``) — no per-element objects between the two
-        # hottest stages.
-        self._wire_at = None
-        barrier = self.barrier_index
-        if 0 < barrier < len(self.stages):
-            before = self.stages[barrier - 1]
-            at = self.stages[barrier]
-            if (
-                hasattr(before, "feed_wire")
-                and hasattr(before, "feed_wire_batch")
-                and hasattr(at, "prepare_wire")
-                and hasattr(at, "feed_wire_run")
+            if not hasattr(stage, "feed_wire_run"):
+                continue
+            before = self.stages[index - 1] if index else None
+            if not (
+                hasattr(before, "feed_wire") and hasattr(before, "feed_wire_batch")
             ):
-                self._wire_at = barrier - 1
+                raise ValueError(
+                    f"stage {stage.name!r} folds tagged batches: it needs a"
+                    " wire tagger (feed_wire, feed_wire_batch) just in front"
+                )
+            self._wire_at = index - 1
+            break
 
     # ------------------------------------------------------------------
     def feed(self, element: Any) -> list[Any]:
         """Push one element through all stages; return what falls out."""
-        return self._feed_chunk([element])
+        return self._run(0, [element])
 
     def feed_many(self, elements: Iterable[Any]) -> list[Any]:
         """Thread a whole element sequence through the chain, chunked.
 
         Elements travel in chunks of ``chunk_size`` so the per-stage
         metering and dispatch overhead is paid once per chunk rather
-        than once per element.  Batching stops at the chain's
-        ``depth_first`` barrier (the monitor in the Kepler chain):
-        stages before it are pure stream transducers, so breadth-
-        per-stage over a chunk is output-identical; from the barrier
-        on, each emission clears the chain before the barrier stage's
-        state advances further.
+        than once per element, and the wire pair tags each chunk into
+        one batch.
         """
         out: list[Any] = []
         size = self.chunk_size
@@ -121,43 +113,23 @@ class StagePipeline:
             # The common call (a materialised stream): slice chunks out
             # directly instead of copying element by element.
             for start in range(0, len(elements), size):
-                out.extend(self._feed_chunk(elements[start : start + size]))
+                out.extend(self._run(0, elements[start : start + size]))
             return out
         chunk: list[Any] = []
         for element in elements:
             chunk.append(element)
             if len(chunk) >= size:
-                out.extend(self._feed_chunk(chunk))
+                out.extend(self._run(0, chunk))
                 chunk = []
         if chunk:
-            out.extend(self._feed_chunk(chunk))
-        return out
-
-    def _feed_chunk(self, elements: list[Any]) -> list[Any]:
-        """Thread one element chunk through the whole chain.
-
-        Stages in front of the wire pair run breadth-per-stage on the
-        chunk; with no wire pair, batching stops at the chain's
-        ``depth_first`` barrier and each element clears the chain
-        from there one at a time.
-        """
-        wire_at = self._wire_at
-        if wire_at is not None:
-            return self._drive_wire(self._run_span(0, wire_at, elements))
-        barrier = self.barrier_index
-        staged = self._run_span(0, barrier, elements)
-        if barrier >= len(self.stages):
-            return staged
-        out: list[Any] = []
-        for element in staged:
-            out.extend(self._run(barrier, [element]))
+            out.extend(self._run(0, chunk))
         return out
 
     # ------------------------------------------------------------------
     # Wire pair: batch-native tagging + monitor fold
     # ------------------------------------------------------------------
     def _drive_wire(self, staged: list[Any]) -> list[Any]:
-        """Tag a staged chunk into a batch and drive the barrier on it."""
+        """Tag a staged chunk into a batch and drive the monitor on it."""
         stage, metrics = self._metered[self._wire_at]
         began = time.perf_counter()
         batch = stage.feed_wire(staged)
@@ -171,21 +143,20 @@ class StagePipeline:
         return self._drive_wire_batch(batch)
 
     def _drive_wire_batch(self, batch: tuple) -> list[Any]:
-        """Run the barrier stage over a tagged batch's runs.
+        """Run the monitor over a tagged batch's runs.
 
         Anything but a tagged batch (e.g. a raw columnar batch, whose
         update rows were never tagged) raises ``ValueError`` before
         any state or metric moves.
         """
-        barrier = self.barrier_index
-        stage, metrics = self._metered[barrier]
+        at = self._wire_at + 1
+        stage, metrics = self._metered[at]
         began = time.perf_counter()
         view = stage.prepare_wire(batch)
         metrics.seconds += time.perf_counter() - began
         # Emitted batches clear the rest of the chain before the next
-        # slot advances the barrier stage (the depth-first contract).
-        # One ``feed_wire_run`` call counts as one metered batch (one
-        # fold invocation).
+        # slot advances the monitor.  One ``feed_wire_run`` call counts
+        # as one metered batch (one fold invocation).
         out: list[Any] = []
         feed_wire_run = stage.feed_wire_run
         slot, n = 0, len(view)
@@ -201,7 +172,7 @@ class StagePipeline:
                 metrics.hist.record(delta * 1e9 / (advanced - slot))
             slot = advanced
             if outs:
-                out.extend(self._run(barrier + 1, outs))
+                out.extend(self._run(at + 1, outs))
         return out
 
     def flush(self) -> list[Any]:
@@ -225,6 +196,11 @@ class StagePipeline:
 
     # ------------------------------------------------------------------
     def _run(self, start: int, elements: list[Any]) -> list[Any]:
+        """Thread ``elements`` through the stages from ``start`` on;
+        in front of the wire pair, through the pair."""
+        wire_at = self._wire_at
+        if wire_at is not None and start <= wire_at:
+            return self._drive_wire(self._run_span(start, wire_at, elements))
         return self._run_span(start, len(self.stages), elements)
 
     def _run_span(

@@ -5,7 +5,7 @@ returns zero or more output elements *synchronously*; ``flush`` drains
 any buffered state at end of stream.  Stages never call each other —
 the :class:`~repro.pipeline.runtime.StagePipeline` threads elements
 through them, which keeps every stage independently testable,
-observable (see :mod:`repro.pipeline.metrics`) and, later, shardable.
+observable (see :mod:`repro.pipeline.metrics`) and checkpointable.
 
 Contract:
 
@@ -16,6 +16,11 @@ Contract:
   :class:`~repro.pipeline.events.BinAdvanced` reach downstream stages;
 * ``flush`` may emit trailing elements but must leave the stage in a
   state where further ``feed`` calls are still legal.
+
+The tagging and monitoring stages are the exception: they form the
+chain's *wire pair*, take chunks and tagged batches through their own
+entry points, and refuse stream elements (see
+:mod:`repro.pipeline.runtime`).
 """
 
 from __future__ import annotations
@@ -27,14 +32,12 @@ from typing import Any, Protocol, runtime_checkable
 class Stage(Protocol):
     """What the pipeline runtime needs from a stage.
 
-    A stage may additionally declare ``depth_first = True``: its
-    outputs must clear the rest of the chain before the stage consumes
-    its next element.  The runtime honours this by never batching
-    elements across such a stage — required when downstream stages
-    read the stage's backing state through direct references (the
-    localisation and record stages query the live monitor), so the
-    state they observe at each emitted element must be the state at
-    emission time, not at the end of a batch.
+    ``state_dict`` must return a JSON-serialisable dict capturing every
+    piece of state that affects future ``feed``/``flush`` output;
+    ``load_state`` must restore it such that the restored stage
+    continues the stream exactly as the original would have.  Together
+    they make a pipeline snapshot a plain JSON document (see
+    :meth:`repro.core.kepler.Kepler.snapshot`).
     """
 
     #: stable identifier used by the metrics registry.
@@ -47,19 +50,6 @@ class Stage(Protocol):
     def flush(self) -> list[Any]:
         """Drain buffered state at end of stream."""
         ...
-
-
-@runtime_checkable
-class StatefulStage(Stage, Protocol):
-    """A stage whose buffered state can be checkpointed.
-
-    ``state_dict`` must return a JSON-serialisable dict capturing every
-    piece of state that affects future ``feed``/``flush`` output;
-    ``load_state`` must restore it such that the restored stage
-    continues the stream exactly as the original would have.  Together
-    they make a pipeline snapshot a plain JSON document (see
-    :meth:`repro.core.kepler.Kepler.snapshot`).
-    """
 
     def state_dict(self) -> dict:
         """JSON-serialisable snapshot of the stage's mutable state."""
@@ -74,8 +64,6 @@ class PassthroughStage:
     """Base class implementing the pass-through/no-op contract."""
 
     name = "passthrough"
-    #: see :class:`Stage`: True forbids batching across this stage.
-    depth_first = False
 
     def feed(self, element: Any) -> list[Any]:
         return [element]

@@ -14,8 +14,7 @@ from repro.routing.interconnection import (
     InterconnectKind,
     build_adjacencies,
 )
-from repro.routing.policy import PathClass, RouteInfo, compute_routes
-from repro.routing.tagging import tag_path
+from repro.routing.policy import PathClass
 from repro.routing.events import (
     ASFailure,
     ASRecovery,
@@ -38,9 +37,6 @@ __all__ = [
     "InterconnectKind",
     "build_adjacencies",
     "PathClass",
-    "RouteInfo",
-    "compute_routes",
-    "tag_path",
     "InfraEvent",
     "FacilityFailure",
     "FacilityRecovery",

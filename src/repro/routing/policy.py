@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from repro.routing.interconnection import Adjacency, FailureState, Interconnection
 from repro.topology.entities import Topology
@@ -32,18 +31,6 @@ class PathClass(enum.Enum):
     PROVIDER = 3
 
 
-@dataclass(frozen=True)
-class RouteInfo:
-    """Best route of one AS towards the origin."""
-
-    path: tuple[int, ...]  # from this AS to the origin, inclusive
-    path_class: PathClass
-
-    @property
-    def hops(self) -> int:
-        return len(self.path) - 1
-
-
 #: One row of a :func:`route_table`: ``(class, hops, path)`` with the
 #: class as the ``PathClass`` value — lower wins, then fewer hops, then
 #: the lower next-hop ASN (``path[1]``).
@@ -53,7 +40,6 @@ _ORIGIN = PathClass.ORIGIN.value
 _CUSTOMER = PathClass.CUSTOMER.value
 _PEER = PathClass.PEER.value
 _PROVIDER = PathClass.PROVIDER.value
-_PATH_CLASSES = {c.value: c for c in PathClass}
 _UNKNOWN = object()
 
 
@@ -168,8 +154,7 @@ def route_table(
     """Best Gao-Rexford :data:`Route` of every AS towards ``origin``.
 
     The one route computation: the routing engine and the traceroute
-    simulator read this table directly, :func:`compute_routes` is the
-    ``RouteInfo`` view over it.  ASes with no policy-compliant path are
+    simulator read this table directly.  ASes with no policy-compliant path are
     absent; ``down_ases`` are excluded entirely (AS-level outages).
     With ``observed`` the peer and provider phases run over that set
     only: its rows are exact, rows outside it may be missing.
@@ -253,18 +238,3 @@ def _beats(path_class: int, hops: int, next_hop: int, incumbent: Route) -> bool:
         return hops < incumbent[1]
     return next_hop < (incumbent[2][1] if incumbent[1] else 0)
 
-
-def compute_routes(
-    index: AdjacencyIndex, origin: int, down_ases: frozenset[int] = frozenset()
-) -> dict[int, RouteInfo]:
-    """Best Gao-Rexford route of every AS towards ``origin``.
-
-    ASes with no policy-compliant path are absent from the result.
-    ``down_ases`` are excluded entirely (AS-level outages).
-    """
-    return {
-        asn: RouteInfo(path=path, path_class=_PATH_CLASSES[path_class])
-        for asn, (path_class, _, path) in route_table(
-            index, origin, down_ases
-        ).items()
-    }

@@ -146,18 +146,3 @@ class RouteTags:
                 tags.add(leak)
         return tuple(sorted(tags))
 
-
-def tag_path(
-    topo: Topology,
-    path: tuple[int, ...],
-    interconnections: tuple[Interconnection, ...],
-    afi: int = 4,
-    prefix: str = "",
-    noise: bool = True,
-) -> tuple[Community, ...]:
-    """Communities visible on a route with the given physical realisation.
-
-    ``interconnections[i]`` realises the adjacency ``path[i]–path[i+1]``.
-    Returns a sorted, de-duplicated tuple (deterministic attribute order).
-    """
-    return RouteTags(topo, path, interconnections).for_prefix(afi, prefix, noise)

@@ -32,7 +32,6 @@ from repro.telemetry.trace import TraceJournal
 from repro.telemetry.export import (
     MetricsEndpoint,
     prometheus_text,
-    write_jsonl,
 )
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "TraceJournal",
     "MetricsEndpoint",
     "prometheus_text",
-    "write_jsonl",
     "enabled",
     "set_enabled",
     "live_interval",

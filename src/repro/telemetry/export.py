@@ -1,14 +1,12 @@
 """Exporters for :class:`~repro.pipeline.metrics.PipelineMetrics` snapshots.
 
-Three surfaces, all stdlib-only:
+Two surfaces, both stdlib-only:
 
 - :func:`prometheus_text` renders a snapshot dict (the shape returned
   by ``PipelineMetrics.snapshot()`` / ``Kepler.metrics_live()``) in
   the Prometheus text exposition format.  Histograms are rendered as
   Prometheus *summaries* (``quantile`` labels + ``_count``/``_sum``),
   which is the honest encoding for client-side quantiles.
-- :func:`write_jsonl` appends timestamped snapshot lines to a file —
-  the minimal durable sink for soak runs.
 - :class:`MetricsEndpoint` serves live snapshots over HTTP from a
   daemon thread (``/metrics`` Prometheus text, ``/metrics.json`` raw
   snapshot, ``/trace`` Chrome trace-event JSON when a journal source
@@ -21,9 +19,8 @@ import io
 import json
 import re
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, IO
+from typing import Callable
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 
@@ -100,21 +97,6 @@ def prometheus_text(snapshot: dict, prefix: str = "repro") -> str:
         emit(_metric_name(prefix, "depth"), depth, {"edge": name})
 
     return out.getvalue()
-
-
-def write_jsonl(
-    snapshot: dict, sink: str | IO[str], *, ts: float | None = None
-) -> None:
-    """Append one timestamped snapshot line to a path or open file."""
-    line = json.dumps(
-        {"ts": time.time() if ts is None else ts, "metrics": snapshot},
-        sort_keys=True,
-    )
-    if isinstance(sink, str):
-        with open(sink, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-    else:
-        sink.write(line + "\n")
 
 
 class MetricsEndpoint:

@@ -12,6 +12,13 @@ signals counted (``OutageSignal.keys``), and a path is back when its
 latest row since the record began watching it tags the signal PoP.
 The monitor only reports those rows (``watch``/``unwatch``/``report``).
 
+A second rule follows the staged chain too: a row past the open bin
+closes it, and the closed bin's signals are handled and the open
+records evaluated, before the row itself is deferred into its own bin,
+so what that evaluation reads holds rows of the closed bin only.  Rows
+reach the monitor through ``tests/_tagged_rows.py``, since the monitor
+folds only tagged batches.
+
 Original module docstring:
 
 Wires the input module, the stable-path monitor, signal classification,
@@ -50,6 +57,8 @@ from repro.core.signals import (
     classify_signals,
 )
 from repro.docmine.dictionary import CommunityDictionary, PoP, PoPKind
+
+from _tagged_rows import defer, prime, tag_one
 
 
 @dataclass
@@ -127,10 +136,10 @@ class LegacyKepler:
         """Install a RIB snapshot as the stable baseline (assumed aged)."""
         count = 0
         for update in updates:
-            tagged = self.input.process(update)
+            tagged = tag_one(self.input, update)
             if tagged is None or not tagged.tags:
                 continue
-            self.monitor.prime(tagged)
+            prime(self.monitor, tagged)
             count += 1
         return count
 
@@ -140,16 +149,17 @@ class LegacyKepler:
             if isinstance(element, BGPStateMessage):
                 self.monitor.observe_state(element)
                 continue
-            tagged = self.input.process(element)
+            tagged = tag_one(self.input, element)
             if tagged is None:
                 continue
-            prev_bin = self.monitor.current_bin_start
-            signals = self.monitor.observe(tagged)
-            if signals:
-                self._handle_signals(signals)
-            new_bin = self.monitor.current_bin_start
-            if prev_bin is not None and new_bin != prev_bin:
-                self._evaluate_open(new_bin if new_bin is not None else element.sort_key()[0])
+            start = self.monitor.current_bin_start
+            width = self.params.monitor.bin_interval_s
+            if start is not None and tagged.time >= start + width:
+                signals = self.monitor.close_bins(tagged.time)
+                if signals:
+                    self._handle_signals(signals)
+                self._evaluate_open(self.monitor.current_bin_start)
+            defer(self.monitor, tagged)
 
     def finalize(self, end_time: float | None = None) -> list[OutageRecord]:
         """Flush bins, close tracking, merge oscillations; return records."""

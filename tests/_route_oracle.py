@@ -1,5 +1,10 @@
 """Oracles the routing simulator is checked against (tests/test_routing.py).
 
+* ``RouteInfo`` and ``compute_routes``: one route as an object, and
+  every AS's best route towards an origin as that object — the view
+  the tests read ``routing/policy.py::route_table`` through.
+* ``tag_path``: the communities of one route for one prefix, through
+  ``routing/tagging.py::RouteTags``.
 * ``oracle_routes``: the ``RouteInfo`` BFS that ``routing/policy.py``
   ran before it moved to plain tuples, kept verbatim.  Slow on purpose:
   a frozen dataclass per candidate, comparisons through
@@ -14,13 +19,58 @@
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 
 from repro.bgp.communities import Community
 from repro.routing.interconnection import Interconnection
-from repro.routing.policy import AdjacencyIndex, PathClass, RouteInfo
-from repro.routing.tagging import _stable_fraction, _survives_propagation
+from repro.routing.policy import AdjacencyIndex, PathClass, route_table
+from repro.routing.tagging import (
+    RouteTags,
+    _stable_fraction,
+    _survives_propagation,
+)
 from repro.topology.communities import TagKind
 from repro.topology.entities import Topology
+
+
+@dataclass(frozen=True)
+class RouteInfo:
+    """Best route of one AS towards the origin."""
+
+    path: tuple[int, ...]  # from this AS to the origin, inclusive
+    path_class: PathClass
+
+    @property
+    def hops(self) -> int:
+        return len(self.path) - 1
+
+
+def compute_routes(
+    index: AdjacencyIndex, origin: int, down_ases: frozenset[int] = frozenset()
+) -> dict[int, RouteInfo]:
+    """``route_table`` with each row as a :class:`RouteInfo`."""
+    return {
+        asn: RouteInfo(path=path, path_class=PathClass(path_class))
+        for asn, (path_class, _, path) in route_table(
+            index, origin, down_ases
+        ).items()
+    }
+
+
+def tag_path(
+    topo: Topology,
+    path: tuple[int, ...],
+    interconnections: tuple[Interconnection, ...],
+    afi: int = 4,
+    prefix: str = "",
+    noise: bool = True,
+) -> tuple[Community, ...]:
+    """Communities visible on a route with the given physical realisation.
+
+    ``interconnections[i]`` realises the adjacency ``path[i]–path[i+1]``.
+    Returns a sorted, de-duplicated tuple (deterministic attribute order).
+    """
+    return RouteTags(topo, path, interconnections).for_prefix(afi, prefix, noise)
 
 
 def oracle_routes(

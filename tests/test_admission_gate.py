@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import pytest
 
+from _tagged_rows import TaggedPath
 from _wire_oracle import element_from_wire, element_to_wire
 from test_core_input_colocation import make_colo, make_dictionary, update
 from test_process_feeds import END_TIME, make_kepler, needs_fork, observed
 from test_pipeline_equivalence import FIRST_WORLD, prepared
 from repro.bgp.communities import Community
 from repro.bgp.messages import BGPStateMessage, ElemType, SessionState
-from repro.core.input import InputModule, TaggedPath
+from repro.core.input import InputModule
 from repro.core.kepler import KeplerParams
 from repro.core.serde import (
     decode_batch,
@@ -40,8 +41,9 @@ class Foreign:
     """An object no collector produces."""
 
 
-#: One of each: an unknown type, a process-local tagged row and a
-#: downstream stage's output — none of them is stream input.
+#: One of each: an unknown type, a tagged row as an object (the chain
+#: never makes one) and a downstream stage's output — none of them is
+#: stream input.
 FOREIGN = (
     Foreign(),
     TaggedPath(

@@ -6,23 +6,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.bgp.collector import Collector, CollectorPeer
-from repro.bgp.communities import Community, parse_communities
+from repro.bgp.communities import Community
 from repro.bgp.messages import (
     BGPStateMessage,
     BGPUpdate,
     ElemType,
     SessionState,
 )
-from repro.bgp.rib import RoutingInformationBase
 from repro.bgp.sanitize import (
-    deprepend,
-    has_as_loop,
+    collapse_runs,
     is_private_asn,
     is_special_purpose_asn,
-    sanitize_path,
+    sanitize_collapsed,
 )
-from repro.bgp.stream import BGPStream
+from repro.pipeline.ingest import merge_streams
+
+from _sanitize_oracle import sanitize_path
+
+
+def sanitize(path):
+    """The chain's sanitiser: one run collapse, then the verdicts."""
+    return sanitize_collapsed(collapse_runs(path))
 
 
 def _announce(time=0.0, collector="rrc00", peer=100, prefix="10.0.0.0/24",
@@ -39,27 +43,7 @@ def _announce(time=0.0, collector="rrc00", peer=100, prefix="10.0.0.0/24",
     )
 
 
-def _withdraw(time=0.0, collector="rrc00", peer=100, prefix="10.0.0.0/24"):
-    return BGPUpdate(
-        time=time,
-        collector=collector,
-        peer_asn=peer,
-        prefix=prefix,
-        elem_type=ElemType.WITHDRAWAL,
-    )
-
-
 class TestCommunity:
-    def test_parse_roundtrip(self):
-        c = Community.parse("13030:51904")
-        assert c == Community(13030, 51904)
-        assert str(c) == "13030:51904"
-
-    def test_parse_rejects_garbage(self):
-        for bad in ("", "abc", "1:2:3", "13030", ":42", "13030:"):
-            with pytest.raises(ValueError):
-                Community.parse(bad)
-
     def test_value_range_enforced(self):
         with pytest.raises(ValueError):
             Community(-1, 5)
@@ -68,10 +52,6 @@ class TestCommunity:
 
     def test_ordering_is_total(self):
         assert Community(1, 2) < Community(1, 3) < Community(2, 0)
-
-    def test_parse_communities_skips_malformed_tokens(self):
-        out = parse_communities("13030:51904 junk 2914:420 9:9:9")
-        assert out == (Community(13030, 51904), Community(2914, 420))
 
 
 class TestMessages:
@@ -131,25 +111,25 @@ class TestSanitize:
         assert not is_special_purpose_asn(174)
 
     def test_prepending_is_not_a_loop(self):
-        assert not has_as_loop((1, 2, 2, 2, 3))
+        assert sanitize((1, 2, 2, 2, 3)) == (1, 2, 3)
 
     def test_real_loop_detected(self):
-        assert has_as_loop((1, 2, 3, 2))
+        assert sanitize((1, 2, 3, 2)) is None
 
     def test_deprepend(self):
-        assert deprepend((1, 2, 2, 3, 3, 3)) == (1, 2, 3)
+        assert collapse_runs((1, 2, 2, 3, 3, 3)) == (1, 2, 3)
 
     def test_sanitize_removes_prepending(self):
-        assert sanitize_path((10, 20, 20, 30)) == (10, 20, 30)
+        assert sanitize((10, 20, 20, 30)) == (10, 20, 30)
 
     def test_sanitize_discards_loops(self):
-        assert sanitize_path((1, 2, 1)) is None
+        assert sanitize((1, 2, 1)) is None
 
     def test_sanitize_discards_private_asn(self):
-        assert sanitize_path((10, 64512, 30)) is None
+        assert sanitize((10, 64512, 30)) is None
 
     def test_sanitize_discards_empty(self):
-        assert sanitize_path(()) is None
+        assert sanitize(()) is None
 
 
 #: Both sides of every reserved-range edge (64495 | 64496-65551 | 65552,
@@ -180,17 +160,6 @@ def _raw_paths(draw):
     return draw(st.sampled_from((list, tuple)))(path)
 
 
-def _sanitize_oracle(path):
-    """Section 4.1 spelled out with the readable per-hop predicates."""
-    if (
-        not path
-        or has_as_loop(path)
-        or any(is_private_asn(a) or is_special_purpose_asn(a) for a in path)
-    ):
-        return None
-    return deprepend(path)
-
-
 class TestSanitizeAgainstOracle:
     @given(_raw_paths())
     @example([174, 174, 3356, 174])  # A A B A: prepending before the loop
@@ -199,8 +168,8 @@ class TestSanitizeAgainstOracle:
     @example([4294967296, 174])  # beyond 32 bits: not reserved
     @settings(max_examples=400)
     def test_matches_oracle(self, path):
-        got = sanitize_path(path)
-        assert got == _sanitize_oracle(path)
+        got = sanitize(path)
+        assert got == sanitize_path(path)
         assert got is None or type(got) is tuple
 
     @pytest.mark.parametrize("boundary", _BOUNDARY_ASNS)
@@ -208,94 +177,21 @@ class TestSanitizeAgainstOracle:
     def test_boundary_asn_at_every_position(self, boundary, position):
         path = [174, 3356, 3356, 131072]
         path.insert(position, boundary)
-        assert sanitize_path(path) == _sanitize_oracle(path)
-        assert sanitize_path(tuple(path)) == _sanitize_oracle(tuple(path))
-
-
-class TestRib:
-    def test_announce_then_lookup(self):
-        rib = RoutingInformationBase("rrc00")
-        rib.apply(_announce())
-        entry = rib.lookup(100, "10.0.0.0/24")
-        assert entry is not None and entry.as_path == (100, 200, 300)
-
-    def test_withdrawal_removes_entry(self):
-        rib = RoutingInformationBase("rrc00")
-        rib.apply(_announce())
-        rib.apply(_withdraw())
-        assert rib.lookup(100, "10.0.0.0/24") is None
-        assert len(rib) == 0
-
-    def test_reannouncement_replaces(self):
-        rib = RoutingInformationBase("rrc00")
-        rib.apply(_announce(path=(100, 200, 300)))
-        rib.apply(_announce(time=5.0, path=(100, 400, 300)))
-        entry = rib.lookup(100, "10.0.0.0/24")
-        assert entry is not None and entry.as_path == (100, 400, 300)
-
-    def test_wrong_collector_rejected(self):
-        rib = RoutingInformationBase("rrc00")
-        with pytest.raises(ValueError):
-            rib.apply(_announce(collector="route-views2"))
-
-
-class TestCollector:
-    def _collector(self, lag=False):
-        return Collector(
-            name="rrc00",
-            peers=[CollectorPeer(peer_asn=100, collector="rrc00")],
-            apply_lag=lag,
-        )
-
-    def test_observe_feeds_rib(self):
-        coll = self._collector()
-        out = coll.observe(_announce())
-        assert out is not None and out.time == 0.0
-        assert len(coll.rib) == 1
-
-    def test_unknown_peer_rejected(self):
-        coll = self._collector()
-        with pytest.raises(ValueError):
-            coll.observe(_announce(peer=999))
-
-    def test_publication_lag_bounds(self):
-        coll = self._collector(lag=True)
-        out = coll.observe(_announce(time=1000.0))
-        assert out is not None
-        assert 1300.0 <= out.time <= 1900.0
+        assert sanitize(path) == sanitize_path(path)
+        assert sanitize(tuple(path)) == sanitize_path(tuple(path))
 
 
 class TestStream:
+    """The merge of Section 4.1 (``merge_streams``): many time-sorted
+    collector feeds into one time-sorted stream."""
+
     def test_merge_is_time_sorted(self):
-        stream = BGPStream()
-        stream.push(_announce(time=5.0))
-        stream.push(_announce(time=1.0, collector="route-views2"))
-        stream.push(_announce(time=3.0))
-        times = [e.sort_key()[0] for e in iter(stream.pop, None)]
+        first = [_announce(time=1.0, collector="route-views2")]
+        second = [_announce(time=3.0), _announce(time=5.0)]
+        times = [e.sort_key()[0] for e in merge_streams(second, first)]
         assert times == [1.0, 3.0, 5.0]
 
-    def test_pop_empty_returns_none(self):
-        assert BGPStream().pop() is None
-
     def test_stable_order_for_equal_keys(self):
-        # Equal sort keys must not raise (heap falls back to counter).
-        a = _announce(time=1.0)
-        b = _announce(time=1.0)
-        stream = BGPStream()
-        stream.push(a)
-        stream.push(b)
-        assert len(list(iter(stream.pop, None))) == 2
-
-    def test_late_pushes_counted_not_reordered(self):
-        stream = BGPStream()
-        stream.push(_announce(time=5.0))
-        assert stream.pop() is not None
-        # Below the last released time: history cannot be rewritten —
-        # the element still pops (next), but the violation is counted.
-        stream.push(_announce(time=2.0))
-        assert stream.late_pushes == 1
-        late = stream.pop()
-        assert late is not None and late.time == 2.0
-        # At or after the last released time is not late.
-        stream.push(_announce(time=5.0))
-        assert stream.late_pushes == 1
+        # Equal sort keys keep their feed's order, earlier feeds first.
+        a, b, c = (_announce(time=1.0, path=(100, n)) for n in (1, 2, 3))
+        assert list(merge_streams([a, b], [c])) == [a, b, c]

@@ -19,6 +19,7 @@ import marshal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _tagged_rows import TaggedPath, rows_of
 from _wire_oracle import element_from_wire, element_to_wire
 from repro.bgp.communities import Community
 from repro.bgp.messages import (
@@ -27,7 +28,7 @@ from repro.bgp.messages import (
     ElemType,
     SessionState,
 )
-from repro.core.input import PoPTag, TaggedPath
+from repro.core.input import PoPTag
 from repro.core.serde import (
     _K_TAGGED,
     TaggedBatch,
@@ -369,8 +370,7 @@ class TestViewMaterialisation:
                 _K_TAGGED, row.key, row.time, row.elem_type, row.as_path,
                 row.tags, row.afi,
             )
-        view = tagged_view(batch)
-        materialised = [view.tagged_at(i) for i in range(len(tagged))]
+        materialised = [row for _, row in rows_of(tagged_view(batch))]
         assert materialised == tagged
         # The view's tables hold the source tuples themselves — no
         # codec round trip ever rebuilds one.

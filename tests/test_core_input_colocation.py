@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro.bgp.communities import Community
 from repro.bgp.messages import BGPUpdate, ElemType
-from repro.bgp.sanitize import sanitize_path
 from repro.core.colocation import (
     ColocationMap,
     MIN_TRACKABLE_MEMBERS,
@@ -19,7 +18,6 @@ from repro.core.colocation import (
 from repro.core.input import COLLAPSE_KEY_HOPS, InputModule, PoPTag
 from repro.core.serde import (
     _K_PRIMED,
-    _K_TAGGED,
     encode_batch,
     tag_elements_to_wire,
     tag_wire_batch,
@@ -31,13 +29,15 @@ from repro.docmine.dictionary import (
     PoP,
     PoPKind,
 )
-from repro.pipeline.events import PrimedPath, PrimingUpdate
-from repro.pipeline.tagging import TaggingStage
+from repro.pipeline.events import PrimingUpdate
 from repro.topology.sources import (
     ColocationRecord,
     IXPRecord,
     export_peeringdb,
 )
+
+from _sanitize_oracle import sanitize_path
+from _tagged_rows import rows_of, tag_one
 
 
 def make_dictionary() -> CommunityDictionary:
@@ -95,7 +95,7 @@ class TestInputModule:
 
     def test_known_community_mapped_with_near_and_far(self):
         mod = self._module()
-        tagged = mod.process(update((1, 10, 30), [Community(10, 101)]))
+        tagged = tag_one(mod, update((1, 10, 30), [Community(10, 101)]))
         assert tagged is not None
         assert len(tagged.tags) == 1
         tag = tagged.tags[0]
@@ -105,24 +105,24 @@ class TestInputModule:
 
     def test_unknown_community_ignored(self):
         mod = self._module()
-        tagged = mod.process(update((1, 10, 30), [Community(999, 1)]))
+        tagged = tag_one(mod, update((1, 10, 30), [Community(999, 1)]))
         assert tagged is not None and tagged.tags == ()
 
     def test_offpath_community_ignored(self):
         # 10:101 is known but AS10 is not on the path: leaked community.
         mod = self._module()
-        tagged = mod.process(update((1, 2, 3), [Community(10, 101)]))
+        tagged = tag_one(mod, update((1, 2, 3), [Community(10, 101)]))
         assert tagged is not None and tagged.tags == ()
 
     def test_origin_tagger_has_no_far_end(self):
         mod = self._module()
-        tagged = mod.process(update((1, 10), [Community(10, 101)]))
+        tagged = tag_one(mod, update((1, 10), [Community(10, 101)]))
         assert tagged is not None
         assert tagged.tags[0].far_asn is None
 
     def test_route_server_community_attributed_to_member_pair(self):
         mod = self._module()
-        tagged = mod.process(update((20, 30, 5), [Community(59900, 0)]))
+        tagged = tag_one(mod, update((20, 30, 5), [Community(59900, 0)]))
         assert tagged is not None
         tag = tagged.tags[0]
         assert tag.pop == PoP(PoPKind.IXP, "mix1")
@@ -130,7 +130,7 @@ class TestInputModule:
 
     def test_route_server_without_member_pair_unattributed(self):
         mod = self._module()
-        tagged = mod.process(update((1, 2, 3), [Community(59900, 0)]))
+        tagged = tag_one(mod, update((1, 2, 3), [Community(59900, 0)]))
         assert tagged is not None
         tag = tagged.tags[0]
         assert tag.near_asn is None and tag.far_asn is None
@@ -142,7 +142,7 @@ class TestInputModule:
             raise AssertionError("member set copied on the tagging path")
 
         monkeypatch.setattr(type(mod.colo), "ixp_members", copying)
-        tagged = mod.process(update((20, 30, 5), [Community(59900, 0)]))
+        tagged = tag_one(mod, update((20, 30, 5), [Community(59900, 0)]))
         assert tagged is not None
         tag = tagged.tags[0]
         assert (tag.pop.pop_id, tag.near_asn, tag.far_asn) == ("mix1", 20, 30)
@@ -151,46 +151,32 @@ class TestInputModule:
 
     def test_withdrawal_passes_through(self):
         mod = self._module()
-        tagged = mod.process(update((), [], withdraw=True))
+        tagged = tag_one(mod, update((), [], withdraw=True))
         assert tagged is not None
         assert tagged.elem_type is ElemType.WITHDRAWAL
 
     def test_looped_path_discarded(self):
         mod = self._module()
-        assert mod.process(update((1, 2, 1), [])) is None
+        assert tag_one(mod, update((1, 2, 1), [])) is None
         assert mod.discarded_count == 1
 
     def test_prepending_cleaned_before_tagging(self):
         mod = self._module()
-        tagged = mod.process(update((1, 10, 10, 30), [Community(10, 101)]))
+        tagged = tag_one(mod, update((1, 10, 10, 30), [Community(10, 101)]))
         assert tagged is not None
         assert tagged.as_path == (1, 10, 30)
         assert tagged.tags[0].far_asn == 30
 
     def test_duplicate_tags_deduplicated(self):
         mod = self._module()
-        tagged = mod.process(
+        tagged = tag_one(mod, 
             update((1, 10, 30), [Community(10, 101), Community(10, 101)])
         )
         assert tagged is not None and len(tagged.tags) == 1
 
 
-def _via_process(mod, chunk):
-    """The reference: ``TaggingStage.feed`` per element, as (kind, row)."""
-    feed = TaggingStage(mod).feed
-    rows = []
-    for element in chunk:
-        for out in feed(element):
-            if isinstance(out, PrimedPath):
-                rows.append((_K_PRIMED, out.path))
-            else:
-                rows.append((_K_TAGGED, out))
-    return rows
-
-
 def _rows(tagged_batch):
-    view = tagged_view(tagged_batch)  # the streams carry no state rows
-    return [(kind, view.tagged_at(i)) for i, kind in enumerate(view.kinds)]
+    return rows_of(tagged_view(tagged_batch))  # the streams carry no state rows
 
 
 def _via_wire_view(mod, chunk):
@@ -201,7 +187,7 @@ def _via_wire_batch(mod, chunk):
     return _rows(tag_wire_batch(mod, encode_batch(chunk)))
 
 
-_ENTRY_POINTS = (_via_process, _via_wire_view, _via_wire_batch)
+_ENTRY_POINTS = (_via_wire_view, _via_wire_batch)
 
 
 def _memo_stream(n=400):
@@ -257,7 +243,8 @@ def _priming_stream(n=400):
 
 
 class TestMemoEntryPoints:
-    """One memo, three ways in: same answers, same counters."""
+    """One memo, two ways in: same answers and same counters, in
+    one-element chunks and in longer ones."""
 
     @staticmethod
     def _run(entry, stream, chunk):
@@ -275,7 +262,7 @@ class TestMemoEntryPoints:
 
     def test_entry_points_and_chunkings_agree(self):
         stream = _memo_stream()
-        reference, counters = self._run(_via_process, stream, 1)
+        reference, counters = self._run(_via_wire_view, stream, 1)
         parsed, discarded, hits, evictions = counters
         # The stream does what the test needs it to do.
         assert parsed == len(reference) and discarded > 20
@@ -287,11 +274,11 @@ class TestMemoEntryPoints:
                 assert got == counters, (entry.__name__, chunk)
 
     def test_priming_rows_agree_with_the_stage(self):
-        """Priming updates tag into ``_K_PRIMED`` rows on all three entry
+        """Priming updates tag into ``_K_PRIMED`` rows on both entry
         points: tagless and withdrawn ones end at tagging (parsed, no
         row), sanitiser rejects count as discarded."""
         stream = _priming_stream()
-        reference, counters = self._run(_via_process, stream, 1)
+        reference, counters = self._run(_via_wire_view, stream, 1)
         primes = [e.update for e in stream if isinstance(e, PrimingUpdate)]
         withdrawn = [u for u in primes if u.elem_type is ElemType.WITHDRAWAL]
         tagless = [u for u in primes if u.as_path in ((4, 5, 6), (1, 2, 3))]
@@ -308,7 +295,8 @@ class TestMemoEntryPoints:
                 assert got == counters, (entry.__name__, chunk)
 
     def test_hoisted_probe_survives_rotation(self):
-        """A key aged mid-batch is promoted, exactly as ``process`` does."""
+        """A key aged mid-batch is promoted, exactly as it is between
+        one-element chunks."""
         a, b, c, d, e = (
             update((n, 10, 30), [Community(10, 101)]) for n in range(1, 6)
         )
@@ -318,9 +306,10 @@ class TestMemoEntryPoints:
         batches = ([a, b, c, a, a], [d, e, a])
         scalar = InputModule(make_dictionary(), make_colo(), memo_max=4)
         for batch in batches:
-            _via_process(scalar, batch)
+            for element in batch:
+                _via_wire_view(scalar, [element])
         assert scalar.memo_hits == 3
-        for entry in _ENTRY_POINTS[1:]:
+        for entry in _ENTRY_POINTS:
             mod = InputModule(make_dictionary(), make_colo(), memo_max=4)
             for batch in batches:
                 assert len(entry(mod, batch)) == len(batch)
@@ -353,7 +342,7 @@ class TestPairIdentity:
             ],
         )
         pair = first.t_pair[0]
-        assert pair == ((1, 10, 30), mod.process(update((1, 10, 30), fac)).tags)
+        assert pair == ((1, 10, 30), tag_one(mod, update((1, 10, 30), fac)).tags)
         assert second.t_pair[1] is pair and second.t_pair[2] is pair
         assert second.t_pair[0] is not pair
 
@@ -388,7 +377,9 @@ class TestPairIdentity:
         # The batch rotated the memo many times over.
         assert mod.memo_rotations > 10
         unrotated = InputModule(make_dictionary(), make_colo())
-        reference = [row for _, row in _via_process(unrotated, stream)]
+        reference = [
+            row for element in stream for _, row in _via_wire_view(unrotated, [element])
+        ]
         assert len(batch.t_pair) == len(reference)
         for pair, row in zip(batch.t_pair, reference):
             assert pair == (row.as_path, row.tags)
@@ -409,7 +400,7 @@ class TestMissPathHashing:
     is keyed by its run collapse, so the raw path is never hashed, on a
     miss or a hit.  A short path keeps its raw key: hashed once on a hit
     and at most three times on a miss (probe, old-generation probe,
-    insert).  A non-timing guard on all three entry points; the wire
+    insert).  A non-timing guard on both entry points; the wire
     batch is counted from the tagger on, not from the codec's own
     table dedup."""
 

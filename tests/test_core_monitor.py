@@ -10,22 +10,22 @@ from hypothesis import strategies as st
 
 import repro.core.monitor as monitor_module
 from repro.bgp.messages import BGPStateMessage, ElemType, SessionState
-from repro.core.input import PoPTag, TaggedPath
+from repro.core.input import PoPTag
 from repro.core.monitor import (
     MonitorParams,
     OutageMonitor,
-    TaggedRun,
     cross_bins,
     merge_monitor_states,
     partition_of,
     signal_sort_key,
 )
-from repro.core.serde import _K_TAGGED, TaggedBatch, pop_from_json
+from repro.core.serde import pop_from_json
 from repro.docmine.dictionary import PoP, PoPKind
 from repro.pipeline.events import BinAdvanced
 from repro.pipeline.monitoring import BinningMonitorStage
 
 from _fold_oracle import FoldOracle
+from _tagged_rows import TaggedPath, batch_of, defer, feed, observe, prime
 
 POP_F = PoP(PoPKind.FACILITY, "f1")
 POP_C = PoP(PoPKind.CITY, "London")
@@ -61,7 +61,7 @@ def session_message(time, peer, loss):
 def primed_monitor(n_paths=10, t_fail=0.10):
     monitor = OutageMonitor(MonitorParams(t_fail=t_fail))
     for i in range(n_paths):
-        monitor.prime(tagged(key(i), time=0.0))
+        prime(monitor, tagged(key(i), time=0.0))
     return monitor
 
 
@@ -78,23 +78,23 @@ class TestBaseline:
     def test_pending_promotion_after_stable_window(self):
         params = MonitorParams(stable_window_s=120.0, bin_interval_s=60.0)
         monitor = OutageMonitor(params)
-        monitor.observe(tagged(key(1), time=10.0))
+        observe(monitor, tagged(key(1), time=10.0))
         assert len(monitor._entries(POP_F)) == 0
         # Advance past the stable window with later updates.
-        monitor.observe(tagged(key(1), time=70.0))
-        monitor.observe(tagged(key(1), time=200.0))
+        observe(monitor, tagged(key(1), time=70.0))
+        observe(monitor, tagged(key(1), time=200.0))
         assert len(monitor._entries(POP_F)) == 1
 
     def test_tag_flap_resets_pending(self):
         params = MonitorParams(stable_window_s=120.0, bin_interval_s=60.0)
         monitor = OutageMonitor(params)
-        monitor.observe(tagged(key(1), time=10.0))
+        observe(monitor, tagged(key(1), time=10.0))
         # Tag disappears: candidate resets.
-        monitor.observe(tagged(key(1), time=50.0, pops=()))
-        monitor.observe(tagged(key(1), time=130.0))
-        monitor.observe(tagged(key(1), time=140.0))
+        observe(monitor, tagged(key(1), time=50.0, pops=()))
+        observe(monitor, tagged(key(1), time=130.0))
+        observe(monitor, tagged(key(1), time=140.0))
         # Window restarted at t=130: not yet stable at t=200.
-        monitor.observe(tagged(key(1), time=200.0))
+        observe(monitor, tagged(key(1), time=200.0))
         assert len(monitor._entries(POP_F)) == 0
 
 
@@ -102,7 +102,7 @@ class TestDivergence:
     def test_withdrawal_raises_signal(self):
         monitor = primed_monitor(10)
         for i in range(3):
-            monitor.observe(tagged(key(i), time=10.0, withdraw=True))
+            observe(monitor, tagged(key(i), time=10.0, withdraw=True))
         signals = monitor.close_bin()
         # One signal per involved AS: near-end 10 and far-end 30.
         assert {s.near_asn for s in signals} == {10, 30}
@@ -116,53 +116,53 @@ class TestDivergence:
         # Same AS path, tag for a different PoP: divergence for POP_F.
         other = PoP(PoPKind.FACILITY, "f2")
         for i in range(2):
-            monitor.observe(tagged(key(i), time=10.0, pops=(other,)))
+            observe(monitor, tagged(key(i), time=10.0, pops=(other,)))
         signals = monitor.close_bin()
         assert signals and signals[0].pop == POP_F
 
     def test_as_path_change_keeping_tag_is_not_divergence(self):
         monitor = primed_monitor(10)
-        monitor.observe(tagged(key(0), time=10.0, path=(1, 2, 10, 30)))
+        observe(monitor, tagged(key(0), time=10.0, path=(1, 2, 10, 30)))
         assert monitor.close_bin() == []
 
     def test_below_threshold_no_signal(self):
         monitor = primed_monitor(20, t_fail=0.25)
-        monitor.observe(tagged(key(0), time=10.0, withdraw=True))
+        observe(monitor, tagged(key(0), time=10.0, withdraw=True))
         assert monitor.close_bin() == []
 
     def test_per_as_grouping_catches_partial_outage(self):
         # 100 paths of a big AS (near=10) plus 5 of a small AS (near=77).
         monitor = OutageMonitor(MonitorParams(t_fail=0.10))
         for i in range(100):
-            monitor.prime(tagged(key(i), time=0.0, near=10))
+            prime(monitor, tagged(key(i), time=0.0, near=10))
         small_keys = [("rrc00", 100, f"10.9.{i}.0/24") for i in range(5)]
         for k in small_keys:
-            monitor.prime(tagged(k, time=0.0, near=77))
+            prime(monitor, tagged(k, time=0.0, near=77))
         # All of the small AS's paths divert: 5/105 < Tfail overall,
         # but 5/5 for AS77 (the false-negative case of Section 4.2).
         for k in small_keys:
-            monitor.observe(tagged(k, time=10.0, withdraw=True))
+            observe(monitor, tagged(k, time=10.0, withdraw=True))
         signals = monitor.close_bin()
         assert len(signals) == 1
         assert signals[0].near_asn == 77
 
     def test_diverted_paths_removed_from_baseline(self):
         monitor = primed_monitor(10)
-        monitor.observe(tagged(key(0), time=10.0, withdraw=True))
+        observe(monitor, tagged(key(0), time=10.0, withdraw=True))
         monitor.close_bin()
         assert len(monitor._entries(POP_F)) == 9
 
     def test_signal_carries_affected_links(self):
         monitor = primed_monitor(5)
-        monitor.observe(tagged(key(0), time=10.0, withdraw=True))
+        observe(monitor, tagged(key(0), time=10.0, withdraw=True))
         signals = monitor.close_bin()
         assert signals[0].links == frozenset({(10, 30)})
 
     def test_multiple_bins_advance(self):
         monitor = primed_monitor(10)
-        monitor.observe(tagged(key(0), time=10.0, withdraw=True))
+        observe(monitor, tagged(key(0), time=10.0, withdraw=True))
         # An element 3 bins later closes the open bins in order.
-        signals = monitor.observe(tagged(key(1), time=200.0))
+        signals = observe(monitor, tagged(key(1), time=200.0))
         assert {s.near_asn for s in signals} == {10, 30}
         assert monitor.bins_processed >= 1
 
@@ -178,7 +178,7 @@ class TestFeedGaps:
         monitor = primed_monitor(10)
         monitor.observe_state(self._loss(5.0))
         for i in range(10):
-            monitor.observe(tagged(key(i), time=10.0, withdraw=True))
+            observe(monitor, tagged(key(i), time=10.0, withdraw=True))
         assert monitor.close_bin() == []
 
     def test_recovery_resumes_monitoring(self):
@@ -186,7 +186,7 @@ class TestFeedGaps:
         monitor.observe_state(self._loss(5.0))
         monitor.observe_state(self._recovery(6.0))
         for i in range(5):
-            monitor.observe(tagged(key(i), time=10.0, withdraw=True))
+            observe(monitor, tagged(key(i), time=10.0, withdraw=True))
         assert monitor.close_bin()
 
 
@@ -199,9 +199,9 @@ class TestReturnTracking:
         monitor = primed_monitor(4)
         monitor.watch(POP_F, {key(i) for i in range(4)})
         assert monitor.report() == {}
-        monitor.observe(tagged(key(0), time=10.0))
-        monitor.observe(tagged(key(1), time=11.0))
-        monitor.observe(tagged(key(5), time=12.0))  # not watched
+        observe(monitor, tagged(key(0), time=10.0))
+        observe(monitor, tagged(key(1), time=11.0))
+        observe(monitor, tagged(key(5), time=12.0))  # not watched
         assert monitor.report() == {(POP_F, key(0)): True, (POP_F, key(1)): True}
         # Taking the report empties it.
         assert monitor.report() == {}
@@ -209,9 +209,9 @@ class TestReturnTracking:
     def test_oscillation_unreturns(self):
         monitor = primed_monitor(2)
         monitor.watch(POP_F, {key(0), key(1)})
-        monitor.observe(tagged(key(0), time=10.0))
-        monitor.observe(tagged(key(0), time=20.0, withdraw=True))
-        monitor.observe(tagged(key(1), time=21.0, pops=(POP_C,)))
+        observe(monitor, tagged(key(0), time=10.0))
+        observe(monitor, tagged(key(0), time=20.0, withdraw=True))
+        observe(monitor, tagged(key(1), time=21.0, pops=(POP_C,)))
         # The latest row decides: withdrawn, or tagged elsewhere.
         assert monitor.report() == {(POP_F, key(0)): False, (POP_F, key(1)): False}
 
@@ -222,11 +222,11 @@ class TestReturnTracking:
         monitor.watch(POP_F, {key(0)})
         monitor.watch(POP_F, {key(0), key(1)})
         monitor.unwatch(POP_F, {key(0)})
-        monitor.observe(tagged(key(0), time=10.0))
+        observe(monitor, tagged(key(0), time=10.0))
         assert monitor.report() == {(POP_F, key(0)): True}
         monitor.unwatch(POP_F, {key(0), key(1)})
-        monitor.observe(tagged(key(0), time=20.0))
-        monitor.observe(tagged(key(1), time=21.0))
+        observe(monitor, tagged(key(0), time=20.0))
+        observe(monitor, tagged(key(1), time=21.0))
         assert monitor.report() == {}
 
     def test_signal_keys_are_the_counted_paths(self):
@@ -234,9 +234,9 @@ class TestReturnTracking:
         for i in range(10):
             near = 10 if i < 5 else 11
             path = (1, near, 30, 100 + i)
-            monitor.prime(tagged(key(i), time=0.0, near=near, path=path))
+            prime(monitor, tagged(key(i), time=0.0, near=near, path=path))
         for i in (6, 0, 5):
-            monitor.observe(tagged(key(i), time=10.0, withdraw=True))
+            observe(monitor, tagged(key(i), time=10.0, withdraw=True))
         signals = monitor.close_bin()
         assert {s.near_asn: s.keys for s in signals} == {
             10: (key(0),),
@@ -248,25 +248,28 @@ class TestReturnTracking:
             assert list(signal.keys) == sorted(signal.keys)
             assert len(signal.keys) == signal.diverted_paths
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "the bin-closing row is deferred before BinAdvanced leaves the"
-            " stage, so the record stage's settle at that BinAdvanced folds"
-            " and reports a row of the next bin; which row that is depends"
-            " on arrival order among peers"
-        ),
-    )
     def test_bin_closing_row_is_not_reported_at_its_close(self):
+        # The first row past the bin stops the call at its own slot,
+        # after the close: what the record stage settles at that
+        # BinAdvanced holds rows of the closed bin [0, 60) only, and
+        # the row is reported once it folds into its own bin.
         monitor = primed_monitor(2)
         stage = BinningMonitorStage(monitor)
-        assert stage.feed(tagged(key(1), time=10.0)) == []
         monitor.watch(POP_F, {key(0)})
-        out = stage.feed(tagged(key(0), time=60.0, withdraw=True))
+        view = stage.prepare_wire(
+            batch_of(
+                [
+                    tagged(key(1), time=10.0),
+                    tagged(key(0), time=60.0, withdraw=True),
+                ]
+            )
+        )
+        out, slot = stage.feed_wire_run(view, 0)
         assert [o.now for o in out if isinstance(o, BinAdvanced)] == [60.0]
-        # What the record stage settles at that BinAdvanced must hold
-        # rows of the closed bin [0, 60) only.
+        assert slot == 1
         assert monitor.report() == {}
+        assert stage.feed_wire_run(view, slot) == ([], 2)
+        assert monitor.report() == {(POP_F, key(0)): False}
 
 
 class TestParams:
@@ -315,11 +318,11 @@ class TestEmissionOrder:
                 for i in range(3):
                     k = ("rrc00", 100, f"10.{p}.{near}.{i}/32")
                     keys.append(k)
-                    monitor.prime(
+                    prime(monitor, 
                         tagged(k, time=0.0, pops=(pop,), near=near, far=near + 1000)
                     )
         for k in reversed(keys):
-            monitor.observe(tagged(k, time=10.0, withdraw=True))
+            observe(monitor, tagged(k, time=10.0, withdraw=True))
         return monitor
 
     def test_signals_sorted_under_documented_key(self):
@@ -343,7 +346,7 @@ class TestEmissionOrder:
         for p, pop in enumerate(self.POPS):
             for near in (13, 55, 97):
                 for i in range(3):
-                    monitor.prime(
+                    prime(monitor, 
                         tagged(
                             ("rrc00", 100, f"10.{len(self.POPS) - 1 - p}.{near}.{i}/32"),
                             time=0.0,
@@ -355,7 +358,7 @@ class TestEmissionOrder:
         for p in range(len(self.POPS)):
             for near in (13, 55, 97):
                 for i in range(3):
-                    monitor.observe(
+                    observe(monitor, 
                         tagged(
                             ("rrc00", 100, f"10.{p}.{near}.{i}/32"),
                             time=10.0,
@@ -381,15 +384,15 @@ def share_stream(monitor) -> list[list]:
     bin's signals."""
     bins = []
     for i in range(12):
-        monitor.prime(tagged(key(i), time=0.0, pops=SHARE_POPS, near=10 + i % 3))
+        prime(monitor, tagged(key(i), time=0.0, pops=SHARE_POPS, near=10 + i % 3))
     for i in range(6):
-        monitor.observe(tagged(key(i), time=10.0 + i, withdraw=True))
+        observe(monitor, tagged(key(i), time=10.0 + i, withdraw=True))
     bins.append(monitor.close_bin())
     monitor.watch(POP_F, {key(i) for i in range(6)})
     for i in range(4):
-        monitor.observe(tagged(key(i), time=70.0 + i, pops=SHARE_POPS[:3]))
+        observe(monitor, tagged(key(i), time=70.0 + i, pops=SHARE_POPS[:3]))
     bins.append(monitor.close_bin())
-    monitor.observe(tagged(key(6), time=130.0, withdraw=True))
+    observe(monitor, tagged(key(6), time=130.0, withdraw=True))
     return bins
 
 
@@ -466,19 +469,19 @@ class TestBaselineEntryCounter:
         params = MonitorParams(stable_window_s=120.0)
         monitor = OutageMonitor(params)
         for i in range(6):
-            monitor.prime(tagged(key(i), time=0.0, pops=(POP_F, POP_C)))
+            prime(monitor, tagged(key(i), time=0.0, pops=(POP_F, POP_C)))
         # Re-priming an installed key replaces the entry, adds nothing.
-        monitor.prime(tagged(key(0), time=0.0, pops=(POP_F, POP_C)))
+        prime(monitor, tagged(key(0), time=0.0, pops=(POP_F, POP_C)))
         assert monitor.total_baseline_entries == 12
-        monitor.observe(tagged(key(0), time=10.0, withdraw=True))  # removal
-        monitor.observe(tagged(key(7), time=20.0))  # candidate
-        monitor.observe(tagged(key(1), time=400.0))  # closes, promotes key 7
+        observe(monitor, tagged(key(0), time=10.0, withdraw=True))  # removal
+        observe(monitor, tagged(key(7), time=20.0))  # candidate
+        observe(monitor, tagged(key(1), time=400.0))  # closes, promotes key 7
         assert monitor.total_baseline_entries == 11
         assert monitor.total_baseline_entries == recomputed_baseline_entries(
             monitor
         )
         restored = OutageMonitor(params)
-        restored.prime(tagged(key(9), time=0.0))  # wiped by the restore
+        prime(restored, tagged(key(9), time=0.0))  # wiped by the restore
         restored.load_state(monitor.state_dict())
         assert restored.total_baseline_entries == 11
         assert recomputed_baseline_entries(restored) == 11
@@ -488,10 +491,9 @@ class TestBaselineEntryCounter:
 # Event-driven bin clock against the stepping clock it replaced
 # ----------------------------------------------------------------------
 def stepping_observe(monitor, element):
-    """``OutageMonitor.observe`` as it was: one close per empty bin.
-
-    Kept as the oracle for the fast-forward — the only place the
-    per-bin loop survives.
+    """The bin clock stepping one close per empty bin, then the row
+    deferred: the oracle for ``close_bins``' fast-forward — the only
+    place the per-bin loop survives.
     """
     signals = []
     if monitor._bin_start is None:
@@ -499,8 +501,7 @@ def stepping_observe(monitor, element):
     width = monitor.params.bin_interval_s
     while element.time >= monitor._bin_start + width:
         signals.extend(monitor.close_bin())
-    if (element.key[0], element.key[1]) not in monitor._gapped:
-        monitor._events.append(TaggedRun.of(element))
+    defer(monitor, element)
     return signals
 
 
@@ -562,7 +563,7 @@ class TestEventDrivenClock:
         oracle = OutageMonitor(params)
         for monitor in (real, oracle):
             for i in range(4):
-                monitor.prime(
+                prime(monitor, 
                     tagged(clock_key(i), time=origin, pops=CLOCK_POPS[:2])
                 )
         now = origin
@@ -588,7 +589,7 @@ class TestEventDrivenClock:
                 pops=tuple(pops or ()),
                 withdraw=op == "withdraw",
             )
-            assert real.observe(element) == stepping_observe(oracle, element)
+            assert observe(real, element) == stepping_observe(oracle, element)
             assert real.bins_processed == oracle.bins_processed
             assert real.current_bin_start.hex() == oracle.current_bin_start.hex()
         assert real.close_bin() == oracle.close_bin()
@@ -677,22 +678,8 @@ def fold_row(index, time, tags=None, path=None, withdraw=False, keys=FOLD_KEYS):
 
 def feed_in_bin_batch(stage, elements):
     """Feed tagged rows and state messages to a monitoring stage as one
-    tagged batch, built with the batch's own row appenders; no row may
-    close a bin."""
-    batch = TaggedBatch()
-    for element in elements:
-        if isinstance(element, TaggedPath):
-            batch.add_tagged(
-                _K_TAGGED, element.key, element.time, element.elem_type,
-                element.as_path, element.tags, element.afi,
-            )
-        else:
-            batch.add_state(element)
-    view = stage.prepare_wire(batch)
-    slot = 0
-    while slot < len(view):
-        outs, slot = stage.feed_wire_run(view, slot)
-        assert outs == []
+    tagged batch; no row may close a bin."""
+    assert feed(stage, elements) == []
 
 
 def watch_op(op, subject, picks, live, keys, *monitors) -> None:
@@ -717,9 +704,9 @@ class TestFoldOracle:
     ``tests/_fold_oracle.py``: the in-bin state must agree at every
     point where nothing is queued, and at the end.
 
-    Rows reach the monitor both ways it takes them: as tagged batches
-    (built with the batch's own row appenders) cut at random points,
-    and one at a time through ``observe``.  ``prime`` and watch calls
+    Rows reach the monitor as tagged batches (built with the batch's
+    own row appenders) cut at random points, and one row per batch
+    through ``observe``.  ``prime`` and watch calls
     fall between rows and flush the deferred fold, as they do in the
     chain.  The watch reports must agree too: two open outages share a
     watched path from the start, so releasing one must leave the other
@@ -740,7 +727,7 @@ class TestFoldOracle:
         oracle = FoldOracle(share)
         for i in range(3):
             primed = fold_row(i, 0.0, PRIMED_TAGS, FOLD_PATHS[0])
-            monitor.prime(primed)
+            prime(monitor, primed)
             oracle.prime(primed)
         # Two open outages watch them from the start, sharing two
         # paths: the first release must leave those reported.
@@ -768,7 +755,7 @@ class TestFoldOracle:
                 feed_queued()
             if op == "prime":
                 row = fold_row(subject, when, tags, path)
-                monitor.prime(row)
+                prime(monitor, row)
                 oracle.prime(row)
             elif op in ("track", "untrack"):
                 watch_op(op, subject, tags, live, FOLD_KEYS, monitor, oracle)
@@ -783,7 +770,7 @@ class TestFoldOracle:
                 row = fold_row(subject, when, tags, path, op == "withdraw")
                 oracle.row(row)
                 if via_observe:
-                    assert monitor.observe(row) == []
+                    assert observe(monitor, row) == []
                 else:
                     queued.append(row)
             if not queued:
@@ -802,8 +789,8 @@ class TestGapSnapshot:
 
     The fold runs at bin close, after any state message later in the
     bin, so the set a row is admitted against must be the one current
-    when it arrived.  Both lanes the monitor takes rows on are checked:
-    tagged batches through ``feed_wire_run`` and ``observe``.
+    when it arrived.  Rows arrive in one tagged batch, or one row per
+    batch through ``observe``.
     """
 
     @staticmethod
@@ -815,7 +802,7 @@ class TestGapSnapshot:
             if isinstance(element, BGPStateMessage):
                 monitor.observe_state(element)
             else:
-                assert monitor.observe(element) == []
+                assert observe(monitor, element) == []
 
     def test_row_deferred_in_a_gap_stays_out_after_recovery(self, lane):
         monitor = primed_monitor(10)
@@ -862,8 +849,9 @@ class TestGapSnapshot:
 class TestBinClosingScan:
     """``feed_wire_run`` closes a bin at the first row, in arrival
     order, whose time reaches the bin's end, however unsorted the run:
-    the rows before it defer into the open bin and the row itself
-    enters through ``feed``, which emits the ``BinAdvanced``."""
+    the rows before it defer into the open bin, the close emits the
+    ``BinAdvanced``, and the call stops at the row's own slot, so the
+    row folds into its own bin on the next call."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -879,14 +867,9 @@ class TestBinClosingScan:
     def test_closes_at_the_first_row_past_the_bin(self, times):
         monitor = OutageMonitor()
         stage = BinningMonitorStage(monitor)
-        batch = TaggedBatch()
-        for i, when in enumerate(times):
-            row = tagged(key(i % 5), when)
-            batch.add_tagged(
-                _K_TAGGED, row.key, row.time, row.elem_type,
-                row.as_path, row.tags, row.afi,
-            )
-        view = stage.prepare_wire(batch)
+        view = stage.prepare_wire(
+            batch_of([tagged(key(i % 5), when) for i, when in enumerate(times)])
+        )
         slot = 0
         while slot < len(times):
             start = monitor.current_bin_start
@@ -900,7 +883,7 @@ class TestBinClosingScan:
             if closing is None:
                 assert (outs, slot) == ([], len(times))
                 break
-            assert slot == closing + 1
+            assert slot == closing
             assert isinstance(outs[-1], BinAdvanced)
             bin_start = monitor.current_bin_start
             assert bin_start <= times[closing] < bin_start + 60.0
@@ -985,7 +968,7 @@ def replay_against_oracle(share, params, steps, cut, probe=None):
     oracle = FoldOracle(share, params.stable_window_s, params.t_fail)
     for i in range(3):
         primed = fold_row(i, 0.0, PRIMED_TAGS, FOLD_PATHS[0])
-        monitor.prime(primed)
+        prime(monitor, primed)
         oracle.prime(primed)
 
     live: list = []
@@ -1014,7 +997,7 @@ def replay_against_oracle(share, params, steps, cut, probe=None):
         newest = max(newest, when)
         if op == "prime":
             row = fold_row(subject, when, tags, path, keys=PROMO_KEYS)
-            monitor.prime(row)
+            prime(monitor, row)
             oracle.prime(row)
         elif op in ("track", "untrack"):
             watch_op(op, subject, tags, live, PROMO_KEYS, monitor, oracle)
@@ -1028,7 +1011,7 @@ def replay_against_oracle(share, params, steps, cut, probe=None):
                 subject, when, tags, path, op == "withdraw", keys=PROMO_KEYS
             )
             before = monitor.current_bin_start
-            signals = monitor.observe(row)
+            signals = observe(monitor, row)
             after = monitor.current_bin_start
             closed = before is not None and after != before
             if closed:
@@ -1150,7 +1133,7 @@ class TestReverseIndexes:
         for peer in CLOCK_PEERS:
             monitor.observe_state(session_message(newest, peer, loss=False))
         for key_idx in range(len(PROMO_KEYS)):
-            monitor.observe(
+            observe(monitor, 
                 fold_row(key_idx, newest + 60.0, withdraw=True, keys=PROMO_KEYS)
             )
         monitor.close_bin()
@@ -1183,10 +1166,10 @@ class TestBoundedPending:
         when = 0.0
         for cycle in range(200):
             for k in self.KEYS:
-                monitor.observe(tagged(k, when, pops=self.POPS))
+                observe(monitor, tagged(k, when, pops=self.POPS))
                 when += 0.5
             for k in self.KEYS[cycle % 2 :: 2]:
-                monitor.observe(tagged(k, when, withdraw=True))
+                observe(monitor, tagged(k, when, withdraw=True))
                 when += 0.5
             self._assert_bounded(monitor, len(self.KEYS))
             assert monitor._late == []
@@ -1201,13 +1184,13 @@ class TestBoundedPending:
             # Every row after the first of a bin is older than it: late.
             when = bin_start + 59.0
             for k in self.KEYS:
-                monitor.observe(tagged(k, when, pops=self.POPS))
+                observe(monitor, tagged(k, when, pops=self.POPS))
                 when -= 0.25
             for k in self.KEYS[cycle % 2 :: 2]:
-                monitor.observe(tagged(k, when, withdraw=True))
+                observe(monitor, tagged(k, when, withdraw=True))
                 when -= 0.25
             bin_start += 60.0
-            monitor.observe(tagged(self.KEYS[0], bin_start, pops=self.POPS))
+            observe(monitor, tagged(self.KEYS[0], bin_start, pops=self.POPS))
             assert monitor.bins_processed == cycle + 1
             live = len(monitor._pending)
             assert len(monitor._late) <= max(16, 2 * live)

@@ -7,11 +7,13 @@ import pytest
 from repro.bgp.messages import ElemType
 from repro.core.colocation import ColocationMap, MapFacility, MapIXP
 from repro.core.events import OutageSignal, SignalType
-from repro.core.input import PoPTag, TaggedPath
+from repro.core.input import PoPTag
 from repro.core.investigation import Investigator
 from repro.core.monitor import MonitorParams, OutageMonitor
 from repro.core.signals import SignalClassification, classify_signals
 from repro.docmine.dictionary import PoP, PoPKind
+
+from _tagged_rows import TaggedPath, observe, prime
 
 POP_F1 = PoP(PoPKind.FACILITY, "mf1")
 POP_IX = PoP(PoPKind.IXP, "mix1")
@@ -50,7 +52,7 @@ def paths_sharing_a_downstream_as():
     monitor = OutageMonitor(MonitorParams(t_fail=0.5))
     keys = [("rrc00", 1, f"10.0.{i}.0/24") for i in range(3)]
     for i, (near, far) in enumerate([(10, 40), (20, 50), (30, 60)]):
-        monitor.prime(
+        prime(monitor, 
             TaggedPath(
                 key=keys[i],
                 time=0.0,
@@ -61,7 +63,7 @@ def paths_sharing_a_downstream_as():
             )
         )
     for k in keys:
-        monitor.observe(
+        observe(monitor, 
             TaggedPath(
                 key=k, time=10.0, elem_type=ElemType.WITHDRAWAL,
                 as_path=(), tags=(), afi=4,

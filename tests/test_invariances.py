@@ -268,12 +268,4 @@ def test_same_bin_peer_permutation_changes_nothing(replay):
     assert streamed != floored
     records, signals, rejects = run(world, snapshot, streamed)
     expected = run(world, snapshot, floored)
-    assert (signals, rejects) == expected[1:]
-    if records != expected[0]:
-        # Seen on world A under some hash seeds (the world's history
-        # depends on the seed): a record ends one bin apart.
-        pytest.xfail(
-            "a bin-closing row is reported at the close of the bin before"
-            " it (test_core_monitor.py::TestReturnTracking::"
-            "test_bin_closing_row_is_not_reported_at_its_close)"
-        )
+    assert (records, signals, rejects) == expected

@@ -24,7 +24,7 @@ from repro.bgp.messages import BGPStateMessage, BGPUpdate, ElemType, SessionStat
 from repro.core.colocation import ColocationMap
 from repro.core.dataplane import NullValidator, ValidationOutcome
 from repro.core.events import SignalType
-from repro.core.input import PoPTag, TaggedPath
+from repro.core.input import PoPTag
 from repro.core.kepler import Kepler, KeplerParams
 from repro.core.monitor import MonitorParams, OutageMonitor
 from repro.core.signals import SignalClassification
@@ -35,6 +35,8 @@ from repro.docmine.dictionary import (
     PoPKind,
 )
 from repro.pipeline import BinAdvanced, OutageCandidate, RecordStage
+
+from _tagged_rows import TaggedPath, observe, prime
 
 POP_F = PoP(PoPKind.FACILITY, "f1")
 MERGE_GAP = 100.0
@@ -92,19 +94,19 @@ def opened_and_closed(n_keys=4, n_return=3):
     """Monitor + stage with one outage opened, then closed at t=120."""
     monitor = OutageMonitor(MonitorParams())
     for i in range(n_keys):
-        monitor.prime(tagged(key(i), time=0.0))
+        prime(monitor, tagged(key(i), time=0.0))
     stage = RecordStage(
         monitor, NullValidator(), restore_fraction=0.5, merge_gap_s=MERGE_GAP
     )
     for i in range(n_keys):
-        monitor.observe(tagged(key(i), time=10.0, withdraw=True))
+        observe(monitor, tagged(key(i), time=10.0, withdraw=True))
     signals = monitor.close_bin()
     stage.feed(candidate(signals, bin_start=0.0))
     assert POP_F in stage.open
     assert stage._returns[POP_F].paths == {POP_F: {key(i) for i in range(n_keys)}}
     # Paths return: fraction above the restore threshold.
     for i in range(n_return):
-        monitor.observe(tagged(key(i), time=70.0))
+        observe(monitor, tagged(key(i), time=70.0))
     stage.feed(BinAdvanced(now=120.0))
     assert POP_F not in stage.open
     assert POP_F in stage._watch
@@ -116,7 +118,7 @@ class TestRelapseAtExactGap:
         monitor, stage, signals = opened_and_closed()
         # The paths flap back down...
         for i in range(3):
-            monitor.observe(tagged(key(i), time=130.0, withdraw=True))
+            observe(monitor, tagged(key(i), time=130.0, withdraw=True))
         # ...and the evaluation lands exactly merge_gap_s after close:
         # the watch must still be live (expiry is strictly greater-than).
         stage.feed(BinAdvanced(now=120.0 + MERGE_GAP))
@@ -127,20 +129,20 @@ class TestRelapseAtExactGap:
     def test_watch_expires_strictly_after_gap(self):
         monitor, stage, signals = opened_and_closed()
         for i in range(3):
-            monitor.observe(tagged(key(i), time=130.0, withdraw=True))
+            observe(monitor, tagged(key(i), time=130.0, withdraw=True))
         stage.feed(BinAdvanced(now=120.0 + MERGE_GAP + 0.5))
         assert POP_F not in stage.open
         assert POP_F not in stage._watch
         # The paths are released with the watch: no more reports.
         assert POP_F not in stage._returns
-        monitor.observe(tagged(key(0), time=240.0))
+        observe(monitor, tagged(key(0), time=240.0))
         assert monitor.report() == {}
 
     def test_relapse_inherits_record_identity(self):
         monitor, stage, signals = opened_and_closed()
         closed = stage.records[-1]
         for i in range(3):
-            monitor.observe(tagged(key(i), time=130.0, withdraw=True))
+            observe(monitor, tagged(key(i), time=130.0, withdraw=True))
         stage.feed(BinAdvanced(now=180.0))
         relapse = stage.open[POP_F]
         assert relapse.method == closed.method
@@ -168,7 +170,7 @@ class TestFreshSignalOnWatchedPop:
         monitor, stage, signals = opened_and_closed()
         stage.feed(candidate(signals, bin_start=300.0))
         for i in range(3):
-            monitor.observe(tagged(key(i), time=310.0))
+            observe(monitor, tagged(key(i), time=310.0))
         stage.feed(BinAdvanced(now=360.0))
         records = stage.finalize()
         mine = [r for r in records if r.located_pop == POP_F]
@@ -201,40 +203,40 @@ class TestFeedGapDuringOutage:
     def test_gap_does_not_disturb_return_tracking(self):
         monitor = OutageMonitor(MonitorParams())
         for i in range(6):
-            monitor.prime(tagged(key(i), time=0.0))
+            prime(monitor, tagged(key(i), time=0.0))
         stage = RecordStage(
             monitor, NullValidator(), restore_fraction=0.5, merge_gap_s=MERGE_GAP
         )
         for i in range(4):
-            monitor.observe(tagged(key(i), time=10.0, withdraw=True))
+            observe(monitor, tagged(key(i), time=10.0, withdraw=True))
         signals = monitor.close_bin()
         stage.feed(candidate(signals, bin_start=0.0))
         for i in range(3):
-            monitor.observe(tagged(key(i), time=70.0))
+            observe(monitor, tagged(key(i), time=70.0))
         assert returned(stage) == pytest.approx(0.75)
         # Session loss: the peer's withdrawals are a feed gap, not an
         # oscillation — tracked fraction must not move.
         monitor.observe_state(self._loss(80.0))
         for i in range(3):
-            monitor.observe(tagged(key(i), time=90.0, withdraw=True))
+            observe(monitor, tagged(key(i), time=90.0, withdraw=True))
         assert returned(stage) == pytest.approx(0.75)
 
     def test_gap_suppresses_divergence_of_remaining_baseline(self):
         monitor = OutageMonitor(MonitorParams())
         for i in range(6):
-            monitor.prime(tagged(key(i), time=0.0))
+            prime(monitor, tagged(key(i), time=0.0))
         for i in range(4):
-            monitor.observe(tagged(key(i), time=10.0, withdraw=True))
+            observe(monitor, tagged(key(i), time=10.0, withdraw=True))
         monitor.close_bin()
         # Outage open; now the collector session drops mid-outage.
         monitor.observe_state(self._loss(65.0))
-        monitor.observe(tagged(key(4), time=70.0, withdraw=True))
-        monitor.observe(tagged(key(5), time=70.0, withdraw=True))
+        observe(monitor, tagged(key(4), time=70.0, withdraw=True))
+        observe(monitor, tagged(key(5), time=70.0, withdraw=True))
         assert monitor.close_bin() == []
         # After recovery the same paths diverging do raise signals.
         monitor.observe_state(self._recovery(125.0))
-        monitor.observe(tagged(key(4), time=130.0, withdraw=True))
-        monitor.observe(tagged(key(5), time=130.0, withdraw=True))
+        observe(monitor, tagged(key(4), time=130.0, withdraw=True))
+        observe(monitor, tagged(key(5), time=130.0, withdraw=True))
         signals = monitor.close_bin()
         assert signals and all(s.pop == POP_F for s in signals)
 
@@ -245,32 +247,32 @@ class TestRecordsSharingASignalPoP:
         located_b = PoP(PoPKind.FACILITY, "b1")
         monitor = OutageMonitor(MonitorParams())
         for i in range(4):
-            monitor.prime(tagged(key(i), time=0.0))
+            prime(monitor, tagged(key(i), time=0.0))
         stage = RecordStage(
             monitor, NullValidator(), restore_fraction=0.5, merge_gap_s=MERGE_GAP
         )
         # Record A: three of the signal PoP's keys divert in bin 0.
         for i in range(3):
-            monitor.observe(tagged(key(i), time=10.0, withdraw=True))
+            observe(monitor, tagged(key(i), time=10.0, withdraw=True))
         signals = monitor.close_bin()
         stage.feed(candidate(signals, bin_start=0.0, located=located_a))
         stage.feed(BinAdvanced(now=60.0))
         # Record B: the fourth key diverts one bin later, same signal PoP.
-        monitor.observe(tagged(key(3), time=70.0, withdraw=True))
+        observe(monitor, tagged(key(3), time=70.0, withdraw=True))
         signals = monitor.close_bin()
         stage.feed(candidate(signals, bin_start=60.0, located=located_b))
         assert set(stage.open) == {located_a, located_b}
         # Step 1: only A's keys return.  A closes (3/3); B's one key is
         # still down, so B stays open.
         for i in range(3):
-            monitor.observe(tagged(key(i), time=130.0))
+            observe(monitor, tagged(key(i), time=130.0))
         stage.feed(BinAdvanced(now=180.0))
         assert located_a not in stage.open
         assert located_b in stage.open
         # Step 2: A's watch expires; B's tracking must survive it.
         stage.feed(BinAdvanced(now=180.0 + MERGE_GAP + 60.0))
         assert located_a not in stage._watch
-        monitor.observe(tagged(key(3), time=350.0))
+        observe(monitor, tagged(key(3), time=350.0))
         stage.feed(BinAdvanced(now=360.0))
         assert located_b not in stage.open
         closed = [r for r in stage.records if r.located_pop == located_b]

@@ -12,7 +12,7 @@ from repro.bgp.messages import (
 )
 from repro.core.dataplane import NullValidator, ValidationOutcome
 from repro.core.events import OutageSignal
-from repro.core.input import PoPTag, TaggedPath
+from repro.core.input import PoPTag
 from repro.core.monitor import MonitorParams, OutageMonitor
 from repro.docmine.dictionary import PoP, PoPKind
 from repro.pipeline import (
@@ -24,9 +24,12 @@ from repro.pipeline import (
     PipelineMetrics,
     SignalBatch,
     StagePipeline,
+    TaggingStage,
     ValidationCache,
     merge_streams,
 )
+
+from _tagged_rows import TaggedPath, feed, prime
 
 POP_F = PoP(PoPKind.FACILITY, "f1")
 
@@ -125,6 +128,58 @@ class TestStagePipeline:
         with pytest.raises(ValueError):
             StagePipeline([])
 
+    def test_a_monitor_needs_a_wire_tagger_in_front(self):
+        monitor = OutageMonitor()
+        for stages in (
+            [BinningMonitorStage(monitor)],
+            [Doubler(), BinningMonitorStage(monitor)],
+        ):
+            with pytest.raises(ValueError, match="wire tagger"):
+                StagePipeline(stages)
+
+    def test_flush_routes_upstream_output_through_the_wire_pair(self):
+        # A stage in front of the pair that emits on flush: its output
+        # is tagged and folded like any chunk, and the monitor's own
+        # flush then closes the bin it opened.
+        class Holder(PassthroughStage):
+            name = "holder"
+
+            def __init__(self):
+                self.held = []
+
+            def feed(self, element):
+                self.held.append(element)
+                return []
+
+            def flush(self):
+                held, self.held = self.held, []
+                return held
+
+        input_module, community = _priming_input_module()
+        monitor = OutageMonitor()
+        for i in range(10):
+            prime(monitor, tagged(key(i), time=0.0))
+        holder = Holder()
+        pipeline = StagePipeline(
+            [holder, TaggingStage(input_module), BinningMonitorStage(monitor)]
+        )
+        withdrawals = [
+            BGPUpdate(
+                time=10.0,
+                collector="rrc00",
+                peer_asn=100,
+                prefix=f"10.0.{i}.0/24",
+                elem_type=ElemType.WITHDRAWAL,
+            )
+            for i in range(3)
+        ]
+        assert pipeline.feed_many(withdrawals) == []
+        assert monitor.current_bin_start is None
+        out = pipeline.flush()
+        assert [type(o) for o in out] == [SignalBatch]
+        assert {s.diverted_paths for s in out[0].signals} == {3}
+        assert pipeline.metrics.stage("tagging").fed == 3
+
     def test_snapshot_is_json_shaped(self):
         metrics = PipelineMetrics()
         pipeline = StagePipeline([Doubler()], metrics=metrics)
@@ -186,16 +241,15 @@ class TestBinningMonitorStage:
     def _primed(self, n=10):
         monitor = OutageMonitor(MonitorParams())
         for i in range(n):
-            monitor.prime(tagged(key(i), time=0.0))
+            prime(monitor, tagged(key(i), time=0.0))
         return monitor
 
     def test_emits_signals_then_bin_advanced(self):
         monitor = self._primed()
         metrics = PipelineMetrics()
         stage = BinningMonitorStage(monitor, metrics=metrics)
-        for i in range(3):
-            assert stage.feed(tagged(key(i), time=10.0, withdraw=True)) == []
-        out = stage.feed(tagged(key(5), time=70.0))
+        rows = [tagged(key(i), time=10.0, withdraw=True) for i in range(3)]
+        out = feed(stage, rows + [tagged(key(5), time=70.0)])
         assert isinstance(out[0], SignalBatch)
         assert isinstance(out[1], BinAdvanced)
         assert out[1].now == 60.0
@@ -204,7 +258,7 @@ class TestBinningMonitorStage:
 
     def test_state_messages_consumed_silently(self):
         stage = BinningMonitorStage(self._primed())
-        assert stage.feed(state_message(5.0)) == []
+        assert feed(stage, [state_message(5.0)]) == []
 
     def test_sparse_stream_counts_every_closed_bin(self):
         # One element three bins later closes three bins: the metrics
@@ -212,8 +266,8 @@ class TestBinningMonitorStage:
         monitor = self._primed()
         metrics = PipelineMetrics()
         stage = BinningMonitorStage(monitor, metrics=metrics)
-        stage.feed(tagged(key(0), time=10.0, withdraw=True))
-        stage.feed(tagged(key(1), time=200.0))
+        feed(stage, [tagged(key(0), time=10.0, withdraw=True)])
+        feed(stage, [tagged(key(1), time=200.0)])
         assert metrics.bins.count == monitor.bins_processed == 3
         # The two empty bins are crossed in one step and metered as one
         # weighted sample: the histogram still counts every bin and the
@@ -226,9 +280,18 @@ class TestBinningMonitorStage:
     def test_flush_closes_trailing_bin_without_advance(self):
         monitor = self._primed()
         stage = BinningMonitorStage(monitor)
-        stage.feed(tagged(key(0), time=10.0, withdraw=True))
+        feed(stage, [tagged(key(0), time=10.0, withdraw=True)])
         out = stage.flush()
         assert len(out) == 1 and isinstance(out[0], SignalBatch)
+
+    def test_single_elements_are_refused(self):
+        stage = BinningMonitorStage(self._primed())
+        for element in (tagged(key(0), time=10.0), state_message(5.0)):
+            with pytest.raises(TypeError, match="feed_wire_run"):
+                stage.feed(element)
+        tagging = TaggingStage(_priming_input_module()[0])
+        with pytest.raises(TypeError, match="feed_wire"):
+            tagging.feed(update(0, 1.0))
 
 
 def signal(pop, near, links, bin_start=0.0):

@@ -5,34 +5,21 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.ecdf import ecdf, quantile
-from repro.bgp.communities import Community, parse_communities
-from repro.bgp.sanitize import deprepend, has_as_loop, sanitize_path
-from repro.bgp.stream import BGPStream
+from repro.analysis.ecdf import quantile
+from repro.bgp.sanitize import collapse_runs, sanitize_collapsed
 from repro.bgp.messages import BGPUpdate, ElemType
 from repro.geo.cluster import cluster_points
 from repro.geo.distance import haversine_km
+from repro.pipeline.ingest import merge_streams
 
-asn_strategy = st.integers(min_value=0, max_value=0xFFFF)
-value_strategy = st.integers(min_value=0, max_value=0xFFFF)
+from _sanitize_oracle import has_as_loop
+from _tagged_rows import TaggedPath, observe, prime
+
 lat_strategy = st.floats(min_value=-89.9, max_value=89.9, allow_nan=False)
 lon_strategy = st.floats(min_value=-179.9, max_value=179.9, allow_nan=False)
 path_strategy = st.lists(
     st.integers(min_value=1, max_value=60000), min_size=1, max_size=12
 )
-
-
-class TestCommunityProperties:
-    @given(asn_strategy, value_strategy)
-    def test_parse_format_roundtrip(self, asn, value):
-        community = Community(asn, value)
-        assert Community.parse(str(community)) == community
-
-    @given(st.lists(st.tuples(asn_strategy, value_strategy), max_size=8))
-    def test_parse_communities_roundtrip(self, pairs):
-        text = " ".join(f"{a}:{v}" for a, v in pairs)
-        parsed = parse_communities(text)
-        assert list(parsed) == [Community(a, v) for a, v in pairs]
 
 
 class TestDistanceProperties:
@@ -62,24 +49,24 @@ class TestDistanceProperties:
 class TestSanitizeProperties:
     @given(path_strategy)
     def test_deprepend_idempotent(self, path):
-        once = deprepend(path)
-        assert deprepend(once) == once
+        once = collapse_runs(path)
+        assert collapse_runs(once) == once
 
     @given(path_strategy)
     def test_deprepend_no_consecutive_duplicates(self, path):
-        out = deprepend(path)
+        out = collapse_runs(path)
         assert all(a != b for a, b in zip(out, out[1:]))
 
     @given(path_strategy)
     def test_sanitized_paths_are_loop_free(self, path):
-        clean = sanitize_path(path)
+        clean = sanitize_collapsed(collapse_runs(path))
         if clean is not None:
             assert not has_as_loop(clean)
             assert len(set(clean)) == len(clean)
 
     @given(path_strategy)
     def test_deprepend_preserves_as_set(self, path):
-        assert set(deprepend(path)) == set(path)
+        assert set(collapse_runs(path)) == set(path)
 
 
 class TestClusterProperties:
@@ -125,15 +112,6 @@ class TestEcdfProperties:
         max_size=50,
     )
 
-    @given(values)
-    def test_ecdf_monotone_and_bounded(self, xs):
-        points = ecdf(xs)
-        fractions = [f for _, f in points]
-        assert fractions == sorted(fractions)
-        assert fractions[-1] == 1.0
-        vals = [v for v, _ in points]
-        assert vals == sorted(vals)
-
     @given(values, st.floats(min_value=0.0, max_value=1.0))
     def test_quantile_within_range(self, xs, q):
         result = quantile(xs, q)
@@ -145,23 +123,31 @@ class TestEcdfProperties:
 
 
 class TestStreamProperties:
-    @given(st.lists(st.floats(min_value=0, max_value=1e9, allow_nan=False), max_size=30))
-    def test_stream_outputs_sorted(self, times):
-        stream = BGPStream()
-        for i, t in enumerate(times):
-            stream.push(
+    @given(
+        st.lists(
+            st.lists(st.floats(min_value=0, max_value=1e9, allow_nan=False)),
+            max_size=5,
+        )
+    )
+    def test_stream_outputs_sorted(self, feeds):
+        """Merging time-sorted collector feeds gives one sorted stream."""
+        streams = [
+            [
                 BGPUpdate(
                     time=t,
-                    collector="c",
+                    collector=f"c{f}",
                     peer_asn=1,
                     prefix=f"10.0.{i % 256}.0/24",
                     elem_type=ElemType.ANNOUNCEMENT,
                     as_path=(1, 2),
                 )
-            )
-        out = [e.time for e in iter(stream.pop, None)]
+                for i, t in enumerate(sorted(times))
+            ]
+            for f, times in enumerate(feeds)
+        ]
+        out = [e.time for e in merge_streams(*streams)]
         assert out == sorted(out)
-        assert len(out) == len(times)
+        assert len(out) == sum(map(len, feeds))
 
 
 class TestMonitorProperties:
@@ -172,7 +158,7 @@ class TestMonitorProperties:
     @settings(max_examples=30)
     def test_signal_fraction_consistency(self, baseline_n, divert_n):
         """Signals fire iff the diverted fraction crosses Tfail."""
-        from repro.core.input import PoPTag, TaggedPath
+        from repro.core.input import PoPTag
         from repro.core.monitor import MonitorParams, OutageMonitor
         from repro.docmine.dictionary import PoP, PoPKind
 
@@ -181,7 +167,8 @@ class TestMonitorProperties:
         monitor = OutageMonitor(MonitorParams(t_fail=0.25))
         for i in range(baseline_n):
             key = ("c", 1, f"p{i}")
-            monitor.prime(
+            prime(
+                monitor,
                 TaggedPath(
                     key=key, time=0.0, elem_type=ElemType.ANNOUNCEMENT,
                     as_path=(1, 5, 9),
@@ -189,7 +176,8 @@ class TestMonitorProperties:
                 )
             )
         for i in range(divert_n):
-            monitor.observe(
+            observe(
+                monitor,
                 TaggedPath(
                     key=("c", 1, f"p{i}"), time=10.0,
                     elem_type=ElemType.WITHDRAWAL, as_path=(), tags=(), afi=4,

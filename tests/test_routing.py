@@ -11,7 +11,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _route_oracle import is_valley_free, oracle_routes, oracle_tag_path
+from _route_oracle import (
+    RouteInfo,
+    compute_routes,
+    is_valley_free,
+    oracle_routes,
+    oracle_tag_path,
+    tag_path,
+)
 from repro.bgp.messages import ElemType
 from repro.routing.engine import CollectorLayout, EngineParams, RoutingEngine
 from repro.routing.events import (
@@ -39,11 +46,9 @@ from repro.routing.policy import (
     AdjacencyIndex,
     ObservedSet,
     PathClass,
-    RouteInfo,
-    compute_routes,
     route_table,
 )
-from repro.routing.tagging import RouteTags, tag_path
+from repro.routing.tagging import RouteTags
 from repro.bgp.communities import Community
 from repro.topology.entities import Relationship, Topology
 

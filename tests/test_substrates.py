@@ -16,7 +16,7 @@ from repro.analysis.durations import (
     duration_stats,
     uptime_fraction,
 )
-from repro.analysis.ecdf import ecdf, fraction_at_least, quantile
+from repro.analysis.ecdf import fraction_at_least, quantile
 from repro.core.events import OutageRecord
 from repro.docmine.dictionary import PoP, PoPKind
 from repro.outages.case_studies import (
@@ -281,11 +281,6 @@ class TestOutageScenarios:
 
 
 class TestAnalysis:
-    def test_ecdf_properties(self):
-        points = ecdf([3.0, 1.0, 2.0])
-        assert points[0] == (1.0, pytest.approx(1 / 3))
-        assert points[-1] == (3.0, pytest.approx(1.0))
-
     def test_quantile_interpolation(self):
         assert quantile([0.0, 10.0], 0.5) == pytest.approx(5.0)
         assert quantile([5.0], 0.9) == 5.0

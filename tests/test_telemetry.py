@@ -50,7 +50,6 @@ from repro.telemetry import (
     MetricsEndpoint,
     TraceJournal,
     prometheus_text,
-    write_jsonl,
 )
 
 END_TIME = 80_000.0
@@ -346,17 +345,6 @@ class TestExporters:
             'repro_hist_stage_ns_tagging{quantile="0.99"} 398.0' in text
         )
         assert 'repro_depth{edge="in[0]"} 2' in text
-
-    def test_jsonl_sink(self, tmp_path):
-        sink = str(tmp_path / "metrics.jsonl")
-        write_jsonl(_sample_snapshot(), sink, ts=123.0)
-        write_jsonl(_sample_snapshot(), sink, ts=124.0)
-        lines = [
-            json.loads(line)
-            for line in open(sink, encoding="utf-8").read().splitlines()
-        ]
-        assert [line["ts"] for line in lines] == [123.0, 124.0]
-        assert lines[0]["metrics"]["gauges"]["memo_hits"] == 42
 
     def test_http_endpoint(self):
         journal = TraceJournal(capacity=8)

@@ -8,7 +8,9 @@ is imported), so a method counts as read when any ``x.name`` load,
 ``getattr(x, "name")`` or import of that name exists outside its own
 body.  That is lenient on purpose (a common method name is read by
 every ``x.name``), and it still catches the definition whose name no
-running code writes.
+running code writes.  An import in a package's ``__init__.py`` under
+``src/`` is not a reader: a re-export only passes the name on, so a
+definition that nothing but its package's re-export reads is caught.
 
 Exempt: dunders, the members of a ``Protocol`` class, the stdlib hooks
 of :data:`HOOKS` and the names on :data:`ALLOWED`, each with its
@@ -68,6 +70,8 @@ class Code:
         def add(name: str, line: int) -> None:
             self.reads.setdefault(name, []).append((path, line))
 
+        reexports = path.name == "__init__.py" and self.root / "src" in path.parents
+
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 add(node.id, node.lineno)
@@ -75,7 +79,7 @@ class Code:
                 node.ctx, ast.Store
             ):
                 add(node.attr, node.lineno)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and not reexports:
                 for alias in node.names:
                     add(alias.name.split(".")[-1], node.lineno)
             elif (
@@ -210,6 +214,10 @@ def test_every_allowed_name_is_defined(repo):
 # The guard itself, on a planted tree
 # ----------------------------------------------------------------------
 PLANTED = {
+    "src/repro/__init__.py": (
+        "from repro.planted import reexported_function\n"
+        "__all__ = [\"reexported_function\"]\n"
+    ),
     "src/repro/planted.py": '''
 import json
 import os
@@ -229,6 +237,10 @@ def read_function():
 
 def allowed_function():
     return 2
+
+
+def reexported_function():
+    return 3
 
 
 def recursive_function(n):
@@ -280,6 +292,7 @@ def planted(tmp_path) -> Code:
         "recursive_function",
         "Widget.method_only_a_test_reads",
         "allowed_function",
+        "reexported_function",
     ],
 )
 def test_a_stale_name_is_caught(name, planted):
@@ -295,5 +308,6 @@ def test_an_allowlisted_name_passes(planted):
     assert sorted(unread(planted, allowed)) == [
         "src/repro/planted.py::Widget.method_only_a_test_reads",
         "src/repro/planted.py::recursive_function",
+        "src/repro/planted.py::reexported_function",
         "src/repro/planted.py::unread_function",
     ]
