@@ -1,7 +1,9 @@
 """Pipeline throughput: end-to-end updates/sec and per-stage timings.
 
-Measurements recorded into ``BENCH_pipeline_throughput.json`` at the
-repository root:
+Measurements recorded into ``benchmarks/output/pipeline_throughput.json``
+(the committed ``BENCH_pipeline_throughput.json`` at the repository
+root is the baseline ``--check-regression`` compares against; no run
+rewrites it):
 
 * **end_to_end** — a synthesized world-scale stream (>= 200k elements:
   announcements with real dictionary communities, withdrawals, state
@@ -65,7 +67,9 @@ from repro.pipeline.monitoring import BinningMonitorStage
 from repro.scenarios import build_world
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-OUTPUT_JSON = REPO_ROOT / "BENCH_pipeline_throughput.json"
+OUTPUT_JSON = REPO_ROOT / "benchmarks" / "output" / "pipeline_throughput.json"
+#: The committed report: the regression check's baseline, kept as history.
+BASELINE_JSON = REPO_ROOT / "BENCH_pipeline_throughput.json"
 
 #: Pre-refactor monitor hot-path throughput on this exact workload
 #: (mean of two runs of the monolithic, scan-per-update monitor at the
@@ -790,6 +794,7 @@ def test_runtime_identity():
 
 
 def emit(report: dict) -> None:
+    OUTPUT_JSON.parent.mkdir(parents=True, exist_ok=True)
     OUTPUT_JSON.write_text(json.dumps(report, indent=2) + "\n")
 
 
@@ -815,10 +820,10 @@ def run_regression_check() -> None:
     stream (one timing run) keeps this cheap enough for every push;
     per-element stage costs amortise the same as the full bench.
     """
-    if not OUTPUT_JSON.exists():
-        print(f"regression check skipped: {OUTPUT_JSON} not found")
+    if not BASELINE_JSON.exists():
+        print(f"regression check skipped: {BASELINE_JSON} not found")
         return
-    committed = json.loads(OUTPUT_JSON.read_text())
+    committed = json.loads(BASELINE_JSON.read_text())
     baseline = {
         stage["name"]: stage["ns_per_element"]
         for stage in committed.get("end_to_end", {}).get("stages", [])
@@ -942,8 +947,8 @@ if __name__ == "__main__":
             "usage: bench_pipeline_throughput.py"
             " [--identity] [--check-regression]"
             " [--telemetry]\n"
-            "  (no flags runs the full bench and rewrites"
-            f" {OUTPUT_JSON.name})"
+            "  (no flags runs the full bench and writes"
+            f" {OUTPUT_JSON.relative_to(REPO_ROOT)})"
         )
         sys.exit(2)
     if "--identity" in flags:

@@ -9,12 +9,11 @@ Kepler is a staged streaming detector:
       -> open outage record; track return-to-baseline; close at >50 %
       -> merge oscillating outages separated by < 12 h
 
-Each arrow is a :class:`~repro.pipeline.stage.Stage` of
-:mod:`repro.pipeline`; this class wires the canonical chain and keeps
-the historical batch API (``prime`` / ``process`` / ``finalize``,
-``records``, ``signal_log``, ``rejected``, ``signal_counts``) as a thin
-facade over it, so every existing caller keeps working while new code
-can meter, test or shard the stages individually.
+Each arrow is a stage of :mod:`repro.pipeline`; this class builds the
+chain (or the shard-process runtime that runs it across worker
+processes) and keeps the batch API (``prime`` / ``process`` /
+``finalize``, ``records``, ``signal_log``, ``rejected``,
+``signal_counts``) as a thin facade over it.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from repro.core.signals import MIN_POP_LEVEL_ASES, SignalClassification
 from repro.docmine.dictionary import CommunityDictionary, PoP
 
 if TYPE_CHECKING:
-    from repro.pipeline import KeplerPipeline, PipelineMetrics
+    from repro.pipeline import PipelineMetrics
     from repro.scenarios import World
 
 #: Checkpoint document version written by :meth:`Kepler.snapshot`.
@@ -157,8 +156,10 @@ class Kepler:
         self.colo = colo
         self.as2org = dict(as2org)
         self.validator: DataPlaneValidator = validator or NullValidator()
-        self.stages = self._build_stages()
-        self.pipeline = self.stages.pipeline
+        #: the facade views' source and the runtime that feeds it: one
+        #: object for the in-process chain, a wrapper and its driver
+        #: under ``shard_processes``.
+        self.stages, self.pipeline = self._build_stages()
         #: primed baseline paths (installed outside the streaming path).
         self.primed_paths = 0
         # Admission staging (see ``process``): elements handed over but
@@ -169,8 +170,9 @@ class Kepler:
         self._flush_edge = float("-inf")
 
     # ------------------------------------------------------------------
-    def _build_stages(self) -> "KeplerPipeline":
-        """Build the stage cores and the runtime the params describe.
+    def _build_stages(self) -> tuple:
+        """Build the stage cores and the runtime the params describe;
+        return ``(stages, pipeline)``.
 
         ``input`` / ``monitor`` / ``investigator`` are the facade's
         handles on the cores; the validator is the operator's object.
@@ -208,12 +210,14 @@ class Kepler:
             enable_investigation=self.params.enable_investigation,
         )
         if self.params.shard_processes >= 2:
-            return build_shard_process_kepler_pipeline(
+            shards = build_shard_process_kepler_pipeline(
                 workers=self.params.shard_processes,
                 batch_size=self.params.process_batch,
                 **wiring,
             )
-        return build_kepler_pipeline(chunk_size=self.params.feed_chunk, **wiring)
+            return shards, shards.pipeline
+        chain = build_kepler_pipeline(chunk_size=self.params.feed_chunk, **wiring)
+        return chain, chain
 
     # ------------------------------------------------------------------
 
@@ -306,7 +310,7 @@ class Kepler:
         Kepler decides once per bin, so nothing can observe an element
         before its bin closes.  ``process`` therefore only *stages*
         what it is handed and runs the chain
-        (:meth:`StagePipeline.feed_many`) when the newest staged
+        (``pipeline.feed_many``) when the newest staged
         element falls in a later bin than the last element already run
         (an element that opens a bin of the stream is never held back),
         when ``feed_chunk`` elements are staged, or when anything reads
@@ -419,11 +423,7 @@ class Kepler:
         Staged elements are not run: a detector closed without
         ``finalize`` never exposed their effect.
         """
-        for target in (self.stages, self.pipeline):
-            close = getattr(target, "close", None)
-            if close is not None:
-                close()
-                return
+        self.stages.close()
 
     # ------------------------------------------------------------------
     # Checkpointing: a versioned JSON document of a mid-stream detector

@@ -24,10 +24,9 @@ from repro.core.signals import (
     classify_signals,
 )
 from repro.pipeline.events import ClassifiedBatch, SignalBatch
-from repro.pipeline.stage import PassthroughStage
 
 
-class ClassificationStage(PassthroughStage):
+class ClassificationStage:
     """SignalBatch -> ClassifiedBatch (PoP-level only)."""
 
     name = "classify"

@@ -17,7 +17,6 @@ from typing import Any, Iterable, Iterator
 
 from repro.bgp.messages import BGPStateMessage, BGPUpdate, ElemType, StreamElement
 from repro.pipeline.events import PrimingUpdate
-from repro.pipeline.stage import PassthroughStage
 
 logger = logging.getLogger("repro.pipeline.ingest")
 
@@ -44,7 +43,7 @@ def split_by_collector(
     return feeds
 
 
-class IngestStage(PassthroughStage):
+class IngestStage:
     """Admission control and accounting at the mouth of the pipeline."""
 
     name = "ingest"
@@ -63,12 +62,13 @@ class IngestStage(PassthroughStage):
         self.last_time: float | None = None
 
     def feed_batch(self, elements: list[Any]) -> list[Any]:
-        """Batch admission: count a run of plain updates in one pass.
+        """Admit a chunk: count every element, drop foreign objects.
 
         The common chunk is all ``BGPUpdate`` — counted with local
-        tallies and returned as-is (admission drops nothing from such
-        a run).  The first non-update element falls back to
-        :meth:`feed` for the remainder of the chunk.
+        tallies and returned as-is.  Priming updates (RIB-snapshot
+        paths) are admitted outside the stream clock: table-dump
+        timestamps say nothing about feed order.  The first element of
+        an unknown type starts a copy of the chunk without it.
         """
         last = self.last_time
         announcements = withdrawals = out_of_order = 0
@@ -120,38 +120,7 @@ class IngestStage(PassthroughStage):
         self.withdrawals += withdrawals
         self.out_of_order += out_of_order
         self.last_time = last
-        if out is not None:
-            return out
-        return elements if isinstance(elements, list) else list(elements)
-
-    def feed(self, element: Any) -> list[Any]:
-        if isinstance(element, PrimingUpdate):
-            # RIB-snapshot paths: admitted outside the stream clock
-            # (table-dump timestamps say nothing about feed order).
-            self.priming_updates += 1
-            return [element]
-        if isinstance(element, BGPStateMessage):
-            self.state_messages += 1
-        elif isinstance(element, BGPUpdate):
-            if element.elem_type is ElemType.WITHDRAWAL:
-                self.withdrawals += 1
-            else:
-                self.announcements += 1
-        else:
-            self.dropped += 1
-            type_name = type(element).__name__
-            if type_name not in self.dropped_types:
-                logger.warning(
-                    "ingest dropped element of unknown type %s", type_name
-                )
-            self.dropped_types[type_name] = (
-                self.dropped_types.get(type_name, 0) + 1
-            )
-            return []
-        if self.last_time is not None and element.time < self.last_time:
-            self.out_of_order += 1
-        self.last_time = element.time
-        return [element]
+        return elements if out is None else out
 
     def state_dict(self) -> dict:
         return {

@@ -24,11 +24,10 @@ from repro.core.monitor import OutageMonitor
 from repro.core.signals import SignalClassification
 from repro.docmine.dictionary import PoPKind
 from repro.pipeline.events import ClassifiedBatch, LocatedBatch, LocatedSignal
-from repro.pipeline.stage import PassthroughStage
 from repro.pipeline.validation import ValidationCache
 
 
-class LocalisationStage(PassthroughStage):
+class LocalisationStage:
     """ClassifiedBatch -> LocatedBatch (investigated + city-scoped)."""
 
     name = "localise"
@@ -85,6 +84,12 @@ class LocalisationStage(PassthroughStage):
                 city_scope=common_city(results, self.colo),
             )
         ]
+
+    def flush(self) -> list[Any]:
+        """End of stream: nothing is buffered here.  The ledger tracer
+        (``benchmarks/ledger/tracing.py``) times ``feed`` and ``flush``
+        of every stage that holds the Kepler monitor."""
+        return []
 
 
 def common_city(

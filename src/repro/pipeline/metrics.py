@@ -1,6 +1,6 @@
 """Pipeline observability: per-stage counters, gauges, histograms.
 
-Every stage of a :class:`~repro.pipeline.runtime.StagePipeline` gets a
+Every stage of a :class:`~repro.pipeline.runtime.KeplerPipeline` gets a
 :class:`StageMetrics` entry (elements fed, elements emitted, cumulative
 wall time in ``feed``).  The monitoring stage additionally reports a
 gauge sample per closed bin — bin-close latency, baseline and pending

@@ -13,7 +13,7 @@ downstream lifecycle stages re-evaluate open outages, and the row
 folds into its own bin only after both cleared the chain.  State
 messages replace the feed-gap set and emit nothing.  The close runs in
 :meth:`BinningMonitorStage.feed`, whose one input is that row's time
-as a ``BinAdvanced``; stream elements are refused with ``TypeError``.
+as a ``BinAdvanced``.
 
 Each bin-closing call also records one gauge sample (latency, baseline
 and pending population), weighted by the bins it closed, into the
@@ -29,10 +29,9 @@ from repro.core.monitor import OutageMonitor, TaggedRun
 from repro.core.serde import _K_PRIMED, _K_TAGGED, TaggedBatch, tagged_view
 from repro.pipeline.events import BinAdvanced, SignalBatch
 from repro.pipeline.metrics import PipelineMetrics
-from repro.pipeline.stage import PassthroughStage
 
 
-class BinningMonitorStage(PassthroughStage):
+class BinningMonitorStage:
     """Tagged batch -> SignalBatch + BinAdvanced."""
 
     name = "monitor"
@@ -47,30 +46,19 @@ class BinningMonitorStage(PassthroughStage):
         #: RIB paths installed into the baseline via the priming path.
         self.primed = 0
         if metrics is not None:
-            # replace=True: a caller-supplied registry may outlive this
-            # stage (``build_kepler_pipeline(metrics=...)``); the newest
-            # stage's source wins.
             metrics.gauge_source(
                 "monitor_skipped_steady_state",
                 lambda: monitor.skipped_steady_state,
-                replace=True,
             )
 
-    def feed(self, element: Any) -> list[Any]:
+    def feed(self, element: BinAdvanced) -> list[Any]:
         """Close the open bin and the empty ones before the bin of
         ``element.now``; the signals and the ``BinAdvanced`` to emit.
 
-        ``element`` is a :class:`~repro.pipeline.events.BinAdvanced`
-        carrying the time of the first row past the open bin:
-        :meth:`feed_wire_run` hands it over, so every bin close and its
-        metering run in this one call.  Stream elements are refused
-        with ``TypeError``: rows reach the monitor as tagged batches.
+        ``element`` carries the time of the first row past the open
+        bin: :meth:`feed_wire_run` hands it over, so every bin close
+        and its metering run in this one call.
         """
-        if type(element) is not BinAdvanced:
-            raise TypeError(
-                f"the monitor takes tagged batches, not {type(element).__name__}:"
-                " use prepare_wire and feed_wire_run"
-            )
         monitor = self.monitor
         prev_bin = monitor.current_bin_start
         bins_before = monitor.bins_processed

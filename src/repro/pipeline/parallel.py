@@ -101,7 +101,6 @@ from typing import Any, Iterable
 from repro import telemetry
 from repro.core.serde import encode_batch, tag_wire_batch
 from repro.pipeline import faults
-from repro.pipeline.checkpoint import CheckpointableChain
 from repro.pipeline.liveness import (
     ControlStash,
     PoisonedBatchError,
@@ -113,6 +112,7 @@ from repro.pipeline.liveness import (
     worker_exits,
 )
 from repro.pipeline.metrics import PipelineMetrics
+from repro.pipeline.runtime import checkpoint_parts, restore_parts
 
 _LOG = logging.getLogger("repro.pipeline.parallel")
 
@@ -582,8 +582,8 @@ def _shard_worker_loop(
 class ShardProcessPipeline:
     """Driver runtime for N end-to-end shard worker processes.
 
-    Presents the ``StagePipeline`` surface (``feed`` / ``feed_many`` /
-    ``flush`` / ``state_dict`` / ``load_state``).  The driver runs
+    Presents the chain's runtime surface (``feed_many`` / ``flush`` /
+    ``state_dict`` / ``load_state``).  The driver runs
     ingest, broadcasts encoded element batches to every worker, serves
     probe / restored-fraction reads against the shared cache and
     validator, and drives the per-bin sync-round phase protocol (see
@@ -684,45 +684,30 @@ class ShardProcessPipeline:
         return self._classification.signal_log
 
     # ------------------------------------------------------------------
-    # StagePipeline-compatible surface
+    # The chain's runtime surface
     # ------------------------------------------------------------------
-    def feed(self, element: Any) -> list[Any]:
+    def feed_many(self, elements: Iterable[Any]) -> None:
+        """Admit the elements in one ingest call, then broadcast every
+        full ``batch_size`` slice of the admitted tail."""
+        if type(elements) is not list:
+            elements = list(elements)
+        handle = self._ingest_handle
         began = time.perf_counter()
-        outs = self._ingest.feed(element)
-        handle = self._ingest_handle
+        admitted = self._ingest.feed_batch(elements)
         handle.seconds += time.perf_counter() - began
-        handle.fed += 1
+        handle.fed += len(elements)
         handle.batches += 1
-        handle.emitted += len(outs)
-        self._buffer.extend(outs)
-        if len(self._buffer) >= self.batch_size:
-            self._ship()
-        return []
-
-    def feed_many(self, elements: Iterable[Any]) -> list[Any]:
-        ingest = self._ingest.feed
-        handle = self._ingest_handle
+        handle.emitted += len(admitted)
+        buffer = self._buffer + admitted
         size = self.batch_size
-        fed = 0
-        emitted = 0
-        began = time.perf_counter()
-        for element in elements:
-            fed += 1
-            outs = ingest(element)
-            emitted += len(outs)
-            self._buffer.extend(outs)
-            if len(self._buffer) >= size:
-                handle.seconds += time.perf_counter() - began
-                self._ship()
-                began = time.perf_counter()
-        handle.seconds += time.perf_counter() - began
-        handle.fed += fed
-        handle.batches += 1
-        handle.emitted += emitted
+        full = len(buffer) - len(buffer) % size
+        self._buffer = buffer[full:]
+        for start in range(0, full, size):
+            self._broadcast_batch(encode_batch(buffer[start : start + size]))
+            self._pump()
         self._pump()
-        return []
 
-    def flush(self) -> list[Any]:
+    def flush(self) -> None:
         """Drain the stream, then run the end-of-stream trailing-bin round."""
         self._ship()
         self._fid += 1
@@ -740,7 +725,6 @@ class ShardProcessPipeline:
             if len(done) >= self.workers:
                 break
             self._pump(block=True)
-        return []
 
     # ------------------------------------------------------------------
     # Shipping and the message pump
@@ -1025,8 +1009,10 @@ class ShardProcessPipeline:
             # The driver stage IS the linear classification stage over
             # the merged signal stream; its document is canonical.
             "classify": self._classification.state_dict(),
-            "localise": self._localisation.state_dict(),
-            "validate": self._validation.state_dict(),
+            # Stateless: the probe cache and reject list are parts of
+            # their own (see ``checkpoint_parts``).
+            "localise": {},
+            "validate": {},
             "record": infos[0]["record"],
         }
         return {
@@ -1163,8 +1149,6 @@ class ShardProcessPipeline:
         stages = state["stages"]
         self._ingest.load_state(stages["ingest"])
         self._classification.load_state(stages["classify"])
-        self._localisation.load_state(stages["localise"])
-        self._validation.load_state(stages["validate"])
         self._baselines.reads = {}
         self._rounds.clear()
         self._rf_memo.clear()
@@ -1239,7 +1223,7 @@ class _MonitoringView:
         self.primed = primed
 
 
-class ShardProcessKeplerPipeline(CheckpointableChain):
+class ShardProcessKeplerPipeline:
     """Facade wrapper: the shard-process runtime behind the Kepler surface.
 
     The record stages are identical replicas across workers, so the
@@ -1302,13 +1286,12 @@ class ShardProcessKeplerPipeline(CheckpointableChain):
         return self.pipeline.metrics_live()
 
     def checkpoint_parts(self) -> dict:
-        # Quiesce BEFORE the mixin serialises the shared views: the
-        # reject list and probe cache are live driver objects, and
-        # in-flight rounds (or the buffered element tail) may still
-        # append to them — serialising first would snapshot stage
+        # ``self.rejected`` quiesces the workers before anything
+        # serialises: the reject list and probe cache are live driver
+        # objects that in-flight rounds (or the buffered element tail)
+        # may still append to, and serialising first would take stage
         # state and shared views from two different stream positions.
-        self.pipeline.sync()
-        return super().checkpoint_parts()
+        return checkpoint_parts(self.rejected, self.cache, self.pipeline)
 
     # -- lifecycle ------------------------------------------------------
     def finalize_records(self, end_time: float | None = None) -> list:
@@ -1317,7 +1300,8 @@ class ShardProcessKeplerPipeline(CheckpointableChain):
 
     def restore_parts(self, parts: dict) -> None:
         self._finalized = None
-        super().restore_parts(parts)
+        # ``self.rejected`` drains in-flight rounds before the refill.
+        restore_parts(parts, self.rejected, self.cache, self.pipeline)
 
     def close(self) -> None:
         self.pipeline.close()
@@ -1336,7 +1320,6 @@ def build_shard_process_kepler_pipeline(
     merge_gap_s: float,
     drop_rejected: bool = True,
     enable_investigation: bool = True,
-    metrics: PipelineMetrics | None = None,
     workers: int = 2,
     *,
     batch_size: int,
@@ -1360,7 +1343,7 @@ def build_shard_process_kepler_pipeline(
     from repro.pipeline.tagging import TaggingStage
     from repro.pipeline.validation import ValidationCache, ValidationStage
 
-    registry = metrics or PipelineMetrics()
+    registry = PipelineMetrics()
     registry.register_cache_gauges(input_module)
     cache = ValidationCache(validator)
     rejected: list = []

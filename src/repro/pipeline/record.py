@@ -26,7 +26,6 @@ from repro.core.input import PathKey
 from repro.core.monitor import OutageMonitor
 from repro.docmine.dictionary import PoP
 from repro.pipeline.events import BinAdvanced, OutageCandidate
-from repro.pipeline.stage import PassthroughStage
 
 
 class _ReturnWatch:
@@ -61,7 +60,7 @@ class _ReturnWatch:
         )
 
 
-class RecordStage(PassthroughStage):
+class RecordStage:
     """OutageCandidate / BinAdvanced -> OutageRecord lifecycle.
 
     Each open or relapse-watched record owns a :class:`_ReturnWatch`
@@ -106,6 +105,12 @@ class RecordStage(PassthroughStage):
             self._evaluate_open(element.now)
             return []
         return [element]
+
+    def flush(self) -> list[Any]:
+        """End of stream: nothing is buffered here.  The ledger tracer
+        (``benchmarks/ledger/tracing.py``) times ``feed`` and ``flush``
+        of every stage that holds the Kepler monitor."""
+        return []
 
     def state_dict(self) -> dict:
         """The records and their watches, with the monitor's report

@@ -1,168 +1,152 @@
-"""The staged streaming runtime.
+"""The Kepler chain: seven stages in one fixed order (Figure 6).
 
-A :class:`StagePipeline` owns an ordered stage list and threads every
-element through it breadth-per-stage: all outputs of stage *i* are
-computed, then passed on to stage *i+1* together.  Because stages are
-synchronous and order-preserving, this is observationally equivalent
-to depth-first threading (each output of stage *i* reaching stage
-*i+1* before the next output of stage *i* is computed).
+:class:`KeplerPipeline` drives
 
-On the Kepler chain the monitor and the tagging stage in front of it
-form the chain's *wire pair*, and it is the one way tagged rows reach
-the monitor: a chunk is tagged into one
-:class:`~repro.core.serde.TaggedBatch`, and the monitor folds its
-columns in place.  The localisation and record stages read the live
-monitor, so each emission of the monitor clears the rest of the chain
-before the monitor consumes its next row.  A stage that folds tagged
-batches (``feed_wire_run``) needs a wire tagger (``feed_wire`` and
-``feed_wire_batch``) just in front of it: anything else is refused at
-construction.
+    ingest -> tagging -> monitor -> classify -> localise -> validate -> record
 
-Per-stage wall time and element counts are recorded into the shared
-:class:`~repro.pipeline.metrics.PipelineMetrics` on every call —
-including end-of-stream ``flush`` cost — so the cost profile of a run
-is always available.
+directly.  ``feed_many`` cuts its input into chunks of ``chunk_size``
+elements.  Ingest admits a chunk (``feed_batch``), the tagger tags it
+into one :class:`~repro.core.serde.TaggedBatch` (``feed_wire``), and
+the monitor folds the batch's columns in place (``prepare_wire``, then
+``feed_wire_run`` from slot to slot), so no tagged row becomes an
+object between the two hottest stages.  The localisation and record
+stages read the live monitor, so each emission of the monitor — the
+closed bins' signals and their ``BinAdvanced`` — clears the four
+analysis stages (:meth:`KeplerPipeline._analyse`) before the monitor
+consumes its next row.  ``flush`` closes the monitor's trailing
+partial bin and analyses its signals.
+
+Every stage call is metered into the chain's
+:class:`~repro.pipeline.metrics.PipelineMetrics`: wall time, elements
+fed and emitted, and calls (``batches``).  Stage methods are looked up
+on the stage objects at each call, so a wrapper installed on a stage
+instance after construction sees every call.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import islice
 from typing import Any, Iterable
 
+from repro.core.serde import classification_from_json, classification_to_json
 from repro.pipeline.metrics import PipelineMetrics
-from repro.pipeline.stage import Stage
 
 
-#: Elements threaded through the stage chain per ``feed_many`` chunk.
-#: Large enough to amortise per-stage metering over thousands of
-#: elements, small enough that inter-stage buffers stay cache-sized.
-#: The tagged batch also dedups its output tables per chunk, so bigger
-#: chunks raise the within-batch repeat rate of (path, tags) pairs.
-FEED_CHUNK = 4096
+def checkpoint_parts(rejected: list, cache, pipeline) -> dict:
+    """The reject list, the probe cache and the stages' document.
 
-
-class StagePipeline:
-    """Composition of stages with metering.
-
-    ``feed``, ``feed_many`` and ``flush`` share one path: stages in
-    front of the wire pair run breadth-per-stage, the wire pair tags
-    their output into one batch and drives the monitor over its column
-    view (:meth:`_drive_wire_batch`), and every emission clears the
-    rest of the chain before the monitor advances.
+    ``Kepler.snapshot`` writes these parts whichever runtime holds the
+    state, so any checkpoint restores into any runtime.
     """
+    return {
+        "rejected": [classification_to_json(c) for c in rejected],
+        "cache": cache.state_dict(),
+        "pipeline": pipeline.state_dict(),
+    }
+
+
+def restore_parts(parts: dict, rejected: list, cache, pipeline) -> None:
+    """Load :func:`checkpoint_parts` back.  The reject list is shared by
+    reference between stages, so it is refilled in place."""
+    rejected[:] = [classification_from_json(c) for c in parts["rejected"]]
+    cache.load_state(parts["cache"])
+    pipeline.load_state(parts["pipeline"])
+
+
+class KeplerPipeline:
+    """The in-process chain: its stages, their metrics, the facade views."""
 
     def __init__(
         self,
-        stages: Iterable[Stage],
-        metrics: PipelineMetrics | None = None,
-        chunk_size: int = FEED_CHUNK,
+        ingest,
+        tagging,
+        monitoring,
+        classification,
+        localisation,
+        validation,
+        record,
+        *,
+        metrics: PipelineMetrics,
+        cache,
+        rejected: list,
+        chunk_size: int,
     ) -> None:
-        self.stages: list[Stage] = list(stages)
-        if not self.stages:
-            raise ValueError("a pipeline needs at least one stage")
-        names = [stage.name for stage in self.stages]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate stage names: {names}")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
-        self.metrics = metrics or PipelineMetrics()
-        self.chunk_size = chunk_size
-        # Stage metric handles resolved once: the hot loop must not pay
-        # a registry dict lookup per (stage, element-batch) call.  The
-        # registry mutates these objects in place on load_state/reset,
-        # so the handles stay live across checkpoint restores.
-        self._metered: list[tuple[Stage, Any]] = [
-            (stage, self.metrics.stage(stage.name)) for stage in self.stages
+        self.ingest = ingest
+        self.tagging = tagging
+        self.monitoring = monitoring
+        self.classification = classification
+        self.localisation = localisation
+        self.validation = validation
+        self.record = record
+        #: the stages in chain order.
+        self.stages = [
+            ingest,
+            tagging,
+            monitoring,
+            classification,
+            localisation,
+            validation,
+            record,
         ]
-        # Wire pair: the tagger tags into columnar batches
-        # (``feed_wire``/``feed_wire_batch``) and the monitor just
-        # behind it consumes them as column views (``prepare_wire`` +
-        # ``feed_wire_run``) — no per-element objects between the two
-        # hottest stages.  ``_wire_at`` is the tagger's index.
-        self._wire_at: int | None = None
-        for index, stage in enumerate(self.stages):
-            if not hasattr(stage, "feed_wire_run"):
-                continue
-            before = self.stages[index - 1] if index else None
-            if not (
-                hasattr(before, "feed_wire") and hasattr(before, "feed_wire_batch")
-            ):
-                raise ValueError(
-                    f"stage {stage.name!r} folds tagged batches: it needs a"
-                    " wire tagger (feed_wire, feed_wire_batch) just in front"
-                )
-            self._wire_at = index - 1
-            break
+        self.metrics = metrics
+        self.cache = cache
+        #: chronological data-plane rejects, shared by both reject sites.
+        self.rejected = rejected
+        self.chunk_size = chunk_size
+        # Metric handles resolved once: the registry mutates them in
+        # place on load_state/reset, so they stay live across restores.
+        handles = [metrics.stage(stage.name) for stage in self.stages]
+        self._ingest_m, self._tagging_m, self._monitor_m = handles[:3]
+        self._analysis_m = handles[3:]
 
     # ------------------------------------------------------------------
-    def feed(self, element: Any) -> list[Any]:
-        """Push one element through all stages; return what falls out."""
-        return self._run(0, [element])
-
-    def feed_many(self, elements: Iterable[Any]) -> list[Any]:
-        """Thread a whole element sequence through the chain, chunked.
-
-        Elements travel in chunks of ``chunk_size`` so the per-stage
-        metering and dispatch overhead is paid once per chunk rather
-        than once per element, and the wire pair tags each chunk into
-        one batch.
-        """
-        out: list[Any] = []
+    def feed_many(self, elements: Iterable[Any]) -> None:
+        """Run an element sequence through the chain, ``chunk_size`` at a
+        time (a list is sliced, any other source pulled chunk by chunk)."""
         size = self.chunk_size
         if type(elements) is list:
-            # The common call (a materialised stream): slice chunks out
-            # directly instead of copying element by element.
             for start in range(0, len(elements), size):
-                out.extend(self._run(0, elements[start : start + size]))
-            return out
-        chunk: list[Any] = []
-        for element in elements:
-            chunk.append(element)
-            if len(chunk) >= size:
-                out.extend(self._run(0, chunk))
-                chunk = []
-        if chunk:
-            out.extend(self._run(0, chunk))
-        return out
+                self._run(elements[start : start + size])
+            return
+        source = iter(elements)
+        while chunk := list(islice(source, size)):
+            self._run(chunk)
 
-    # ------------------------------------------------------------------
-    # Wire pair: batch-native tagging + monitor fold
-    # ------------------------------------------------------------------
-    def _drive_wire(self, staged: list[Any]) -> list[Any]:
-        """Tag a staged chunk into a batch and drive the monitor on it."""
-        stage, metrics = self._metered[self._wire_at]
+    def _run(self, chunk: list[Any]) -> None:
+        """Admit, tag and fold one chunk; analyse each monitor emission."""
+        metrics = self._ingest_m
         began = time.perf_counter()
-        batch = stage.feed_wire(staged)
+        admitted = self.ingest.feed_batch(chunk)
         delta = time.perf_counter() - began
         metrics.seconds += delta
-        metrics.fed += len(staged)
+        metrics.fed += len(chunk)
+        metrics.batches += 1
+        metrics.emitted += len(admitted)
+        metrics.hist.record(delta * 1e9 / len(chunk))
+
+        metrics = self._tagging_m
+        began = time.perf_counter()
+        batch = self.tagging.feed_wire(admitted)
+        delta = time.perf_counter() - began
+        metrics.seconds += delta
+        metrics.fed += len(admitted)
         metrics.batches += 1
         metrics.emitted += len(batch)
-        if staged:
-            metrics.hist.record(delta * 1e9 / len(staged))
-        return self._drive_wire_batch(batch)
+        if admitted:
+            metrics.hist.record(delta * 1e9 / len(admitted))
 
-    def _drive_wire_batch(self, batch: tuple) -> list[Any]:
-        """Run the monitor over a tagged batch's runs.
-
-        Anything but a tagged batch (e.g. a raw columnar batch, whose
-        update rows were never tagged) raises ``ValueError`` before
-        any state or metric moves.
-        """
-        at = self._wire_at + 1
-        stage, metrics = self._metered[at]
+        metrics = self._monitor_m
+        monitoring = self.monitoring
         began = time.perf_counter()
-        view = stage.prepare_wire(batch)
+        view = monitoring.prepare_wire(batch)
         metrics.seconds += time.perf_counter() - began
-        # Emitted batches clear the rest of the chain before the next
-        # slot advances the monitor.  One ``feed_wire_run`` call counts
-        # as one metered batch (one fold invocation).
-        out: list[Any] = []
-        feed_wire_run = stage.feed_wire_run
+        # One ``feed_wire_run`` call is one metered call of the monitor
+        # (one fold invocation); it stops at each bin close.
         slot, n = 0, len(view)
         while slot < n:
             began = time.perf_counter()
-            outs, advanced = feed_wire_run(view, slot)
+            outs, advanced = monitoring.feed_wire_run(view, slot)
             delta = time.perf_counter() - began
             metrics.seconds += delta
             metrics.fed += advanced - slot
@@ -172,86 +156,107 @@ class StagePipeline:
                 metrics.hist.record(delta * 1e9 / (advanced - slot))
             slot = advanced
             if outs:
-                out.extend(self._run(at + 1, outs))
-        return out
+                self._analyse(outs)
 
-    def flush(self) -> list[Any]:
-        """Flush stages front to back, cascading trailing elements.
-
-        Stage *i*'s flush output is fed through stages *i+1..n* before
-        stage *i+1* itself is flushed, mirroring end-of-stream order.
-        The flush itself is metered (time and emitted count) so
-        end-of-stream cost — e.g. the monitor closing its trailing
-        partial bin — shows up in the per-stage profile.
-        """
-        tail: list[Any] = []
-        for index, (stage, metrics) in enumerate(self._metered):
+    def _analyse(self, elements: list[Any]) -> None:
+        """Run a monitor emission through classify -> localise ->
+        validate -> record, each stage over the whole list in turn."""
+        for stage, metrics in zip(self.stages[3:], self._analysis_m):
+            if not elements:
+                return
+            feed = stage.feed
             began = time.perf_counter()
-            flushed = stage.flush()
-            metrics.seconds += time.perf_counter() - began
-            if flushed:
-                metrics.emitted += len(flushed)
-                tail.extend(self._run(index + 1, flushed))
-        return tail
-
-    # ------------------------------------------------------------------
-    def _run(self, start: int, elements: list[Any]) -> list[Any]:
-        """Thread ``elements`` through the stages from ``start`` on;
-        in front of the wire pair, through the pair."""
-        wire_at = self._wire_at
-        if wire_at is not None and start <= wire_at:
-            return self._drive_wire(self._run_span(start, wire_at, elements))
-        return self._run_span(start, len(self.stages), elements)
-
-    def _run_span(
-        self, start: int, stop: int, elements: list[Any]
-    ) -> list[Any]:
-        current = elements
-        for stage, metrics in self._metered[start:stop]:
-            if not current:
-                break
-            feed_batch = getattr(stage, "feed_batch", None)
-            began = time.perf_counter()
-            if feed_batch is not None:
-                produced: list[Any] = feed_batch(current)
-            else:
-                produced = []
-                for element in current:
-                    produced.extend(stage.feed(element))
+            produced: list[Any] = []
+            for element in elements:
+                produced.extend(feed(element))
             delta = time.perf_counter() - began
             metrics.seconds += delta
-            metrics.fed += len(current)
+            metrics.fed += len(elements)
             metrics.batches += 1
             metrics.emitted += len(produced)
-            metrics.hist.record(delta * 1e9 / len(current))
-            current = produced
-        return current
+            metrics.hist.record(delta * 1e9 / len(elements))
+            elements = produced
+
+    def flush(self) -> None:
+        """End of stream: close the monitor's trailing partial bin and
+        analyse its signals.  The flush's time and emitted signals count
+        on the monitor."""
+        metrics = self._monitor_m
+        began = time.perf_counter()
+        flushed = self.monitoring.flush()
+        metrics.seconds += time.perf_counter() - began
+        metrics.emitted += len(flushed)
+        self._analyse(flushed)
+
+    # ------------------------------------------------------------------
+    # Facade views (the surface every runtime's wrapper provides)
+    # ------------------------------------------------------------------
+    @property
+    def records(self):
+        return self.record.records
+
+    @property
+    def open(self):
+        return self.record.open
+
+    @property
+    def signal_log(self) -> list:
+        return self.classification.signal_log
+
+    def metrics_live(self) -> dict:
+        """Live snapshot — single-threaded chain, so the registry IS live."""
+        snap = self.metrics.snapshot()
+        snap["depths"] = {}
+        snap["live"] = {"workers": 0, "workers_reporting": 0}
+        return snap
+
+    def finalize_records(self, end_time: float | None = None):
+        return self.record.finalize(end_time)
+
+    def close(self) -> None:
+        """Nothing to release: the chain runs in this process."""
 
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
+    def checkpoint_parts(self) -> dict:
+        return checkpoint_parts(self.rejected, self.cache, self)
+
+    def restore_parts(self, parts: dict) -> None:
+        restore_parts(parts, self.rejected, self.cache, self)
+
     def state_dict(self) -> dict:
-        """Per-stage state keyed by stage name, plus the metrics."""
+        """Per-stage state keyed by stage name, plus the metrics.
+
+        Localisation and validation keep no state of their own: the
+        probe cache and reject list they share are separate parts.
+        """
         return {
             "stages": {
-                stage.name: stage.state_dict() for stage in self.stages
+                "ingest": self.ingest.state_dict(),
+                "tagging": self.tagging.state_dict(),
+                "monitor": self.monitoring.state_dict(),
+                "classify": self.classification.state_dict(),
+                "localise": {},
+                "validate": {},
+                "record": self.record.state_dict(),
             },
             "metrics": self.metrics.state_dict(),
         }
 
     def load_state(self, state: dict) -> None:
+        """Restore :meth:`state_dict`; the monitor loads before the record
+        stage, which re-opens its records' watches on it."""
+        stages = state["stages"]
         names = {stage.name for stage in self.stages}
-        if set(state["stages"]) != names:
+        if set(stages) != names:
             raise ValueError(
-                f"checkpoint stages {sorted(state['stages'])} do not match"
+                f"checkpoint stages {sorted(stages)} do not match"
                 f" pipeline stages {sorted(names)}"
             )
-        for stage in self.stages:
-            stage.load_state(state["stages"][stage.name])
+        self.ingest.load_state(stages["ingest"])
+        self.tagging.load_state(stages["tagging"])
+        self.monitoring.load_state(stages["monitor"])
+        self.classification.load_state(stages["classify"])
+        self.record.load_state(stages["record"])
         self.metrics.load_state(state["metrics"])
-
-    # ------------------------------------------------------------------
-
-    def __repr__(self) -> str:
-        chain = " -> ".join(stage.name for stage in self.stages)
-        return f"StagePipeline({chain})"

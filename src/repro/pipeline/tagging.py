@@ -6,14 +6,11 @@ untouched — the monitoring stage consumes them for feed-gap handling.
 Updates the sanitizer rejects are dropped here, ending their journey
 through the pipeline, and so are RIB paths that carry no tag.
 
-The stage tags whole chunks: :meth:`~TaggingStage.feed_wire` over
-stream objects and :meth:`~TaggingStage.feed_wire_batch` over a
-columnar wire batch, each returning one
-:class:`~repro.core.serde.TaggedBatch` that the monitoring stage folds
-in place.  Both take only what ingest admits and raise ``TypeError``
-on anything else, and so does :meth:`~TaggingStage.feed`, which takes
-no single element: nothing passes through the tagging → monitor pair
-untagged.
+The stage tags whole chunks: :meth:`~TaggingStage.feed_wire` returns
+one :class:`~repro.core.serde.TaggedBatch` per chunk of admitted
+stream objects, which the monitoring stage folds in place; anything
+ingest does not admit raises ``TypeError``.  Shard workers tag their
+columnar wire batches with :func:`~repro.core.serde.tag_wire_batch`.
 """
 
 from __future__ import annotations
@@ -21,23 +18,16 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.input import InputModule
-from repro.core.serde import TaggedBatch, tag_elements_to_wire, tag_wire_batch
-from repro.pipeline.stage import PassthroughStage
+from repro.core.serde import TaggedBatch, tag_elements_to_wire
 
 
-class TaggingStage(PassthroughStage):
+class TaggingStage:
     """Stream chunk -> tagged batch, via the community dictionary."""
 
     name = "tagging"
 
     def __init__(self, input_module: InputModule) -> None:
         self.input = input_module
-
-    def feed(self, element: Any) -> list[Any]:
-        raise TypeError(
-            f"tagging takes chunks, not one {type(element).__name__}:"
-            " use feed_wire or feed_wire_batch"
-        )
 
     def feed_wire(self, elements: list[Any]) -> TaggedBatch:
         """Tag a chunk of admitted stream objects into a tagged batch.
@@ -46,10 +36,6 @@ class TaggingStage(PassthroughStage):
         row ever becomes an object.
         """
         return tag_elements_to_wire(self.input, elements)
-
-    def feed_wire_batch(self, batch: tuple) -> TaggedBatch:
-        """Tag a columnar wire batch column to column into a tagged batch."""
-        return tag_wire_batch(self.input, batch)
 
     def state_dict(self) -> dict:
         return {

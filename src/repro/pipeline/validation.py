@@ -22,7 +22,6 @@ from repro.core.dataplane import DataPlaneValidator, ValidationOutcome
 from repro.core.signals import SignalClassification
 from repro.docmine.dictionary import PoP
 from repro.pipeline.events import BinAdvanced, LocatedBatch, OutageCandidate
-from repro.pipeline.stage import PassthroughStage
 
 #: Cache entries older than this are pruned (no bin is revisited after
 #: the correlation window has moved past it; one hour is generous).
@@ -108,7 +107,7 @@ class ValidationCache:
         self.hits = state["hits"]
 
 
-class ValidationStage(PassthroughStage):
+class ValidationStage:
     """LocatedBatch -> OutageCandidate*, dropping data-plane rejects."""
 
     name = "validate"
@@ -122,7 +121,9 @@ class ValidationStage(PassthroughStage):
         self.cache = cache
         self.drop_rejected = drop_rejected
         #: signals rejected by the data plane (shared with localisation
-        #: so the facade exposes one chronological reject list).
+        #: so the facade exposes one chronological reject list).  The
+        #: list and the probe memo are checkpointed beside the chain:
+        #: the stage has no state of its own.
         self.rejected = rejected if rejected is not None else []
 
     def feed(self, element: Any) -> list[Any]:
@@ -148,8 +149,3 @@ class ValidationStage(PassthroughStage):
                 )
             )
         return out
-
-    # The probe memo and the reject list are shared with localisation:
-    # both are checkpointed once by the pipeline owner, so this stage
-    # has no state of its own — the inherited empty ``state_dict``
-    # applies.

@@ -10,7 +10,8 @@ and puts it on that lane:
 * :func:`tag_one` tags one update through ``tag_elements_to_wire``;
 * :func:`prime` installs a row as a table-dump path (``prime_row``);
 * :func:`feed` drives a monitoring stage over rows and state messages
-  as one tagged batch, and :func:`observe` feeds one row to a monitor
+  as one tagged batch (:func:`fold` over a batch the tagger built),
+  and :func:`observe` feeds one row to a monitor
   that way and returns the signals of the bins it closed — the bins
   close before the row is deferred;
 * :func:`defer` defers a row into the open bin and closes nothing, for
@@ -67,10 +68,16 @@ def batch_of(elements, kind: int = _K_TAGGED) -> TaggedBatch:
 
 
 def feed(stage, elements) -> list:
-    """Drive a monitoring stage over ``elements`` as one tagged batch,
-    resuming where each ``feed_wire_run`` call stops, as the chain
-    does; every output, in order."""
-    view = stage.prepare_wire(batch_of(elements))
+    """Drive a monitoring stage over ``elements`` as one tagged batch;
+    every output, in order."""
+    return fold(stage, batch_of(elements))
+
+
+def fold(stage, batch: TaggedBatch) -> list:
+    """Drive a monitoring stage over a tagged batch, resuming where each
+    ``feed_wire_run`` call stops, as the chain does; every output, in
+    order."""
+    view = stage.prepare_wire(batch)
     outs: list = []
     slot = 0
     while slot < len(view):

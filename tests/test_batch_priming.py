@@ -2,7 +2,7 @@
 
 ``Kepler.prime`` wraps and feeds ``feed_chunk`` updates at a time through
 ``pipeline.feed_many``.  The reference is priming as it was before — one
-``pipeline.feed(PrimingUpdate(update))`` per path — and every layout must
+``pipeline.feed_many([PrimingUpdate(update)])`` per path — and every layout must
 end in the same state from either:
 
 * equal ``primed`` count and telemetry-free ``snapshot()`` for the linear
@@ -51,7 +51,7 @@ def prime_one_by_one(detector: Kepler, updates) -> int:
     """``Kepler.prime`` as it was: one chain run per path."""
     before = detector.stages.monitoring.primed
     for update in updates:
-        detector.pipeline.feed(PrimingUpdate(update=update))
+        detector.pipeline.feed_many([PrimingUpdate(update=update)])
     count = detector.stages.monitoring.primed - before
     detector.primed_paths += count
     return count

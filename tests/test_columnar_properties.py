@@ -198,8 +198,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import HealthCheck
 
+from repro.core.kepler import KeplerParams
 from repro.core.serde import tagged_view
-from repro.pipeline import FEED_CHUNK
 from repro.routing.events import FacilityFailure, FacilityRecovery
 from repro.scenarios import build_world
 from repro.topology.builder import WorldParams
@@ -328,7 +328,7 @@ def _run_cut(seed, chunk_size, cuts):
 
 @lru_cache(maxsize=None)
 def _uncut(seed):
-    return _run_cut(seed, FEED_CHUNK, ())
+    return _run_cut(seed, KeplerParams().feed_chunk, ())
 
 
 class TestBatchNativeEquivalence:
@@ -410,7 +410,7 @@ class TestBarrierFailsClosed:
         before = self._observable(kepler)
         raw = [e for e in elements[500:600] if isinstance(e, BGPUpdate)]
         with pytest.raises(ValueError, match="untagged"):
-            kepler.pipeline._drive_wire_batch(encode_batch(raw))
+            kepler.stages.monitoring.prepare_wire(encode_batch(raw))
         assert self._observable(kepler) == before
         kepler.close()
 

@@ -1,4 +1,4 @@
-"""Unit tests for the staged streaming runtime and individual stages."""
+"""Unit tests for the Kepler chain and its individual stages."""
 
 from __future__ import annotations
 
@@ -20,16 +20,15 @@ from repro.pipeline import (
     BinningMonitorStage,
     ClassificationStage,
     IngestStage,
-    PassthroughStage,
     PipelineMetrics,
+    PrimingUpdate,
     SignalBatch,
-    StagePipeline,
     TaggingStage,
     ValidationCache,
     merge_streams,
 )
 
-from _tagged_rows import TaggedPath, feed, prime
+from _tagged_rows import TaggedPath, feed, fold, prime
 
 POP_F = PoP(PoPKind.FACILITY, "f1")
 
@@ -71,151 +70,33 @@ def state_message(time: float) -> BGPStateMessage:
     )
 
 
-class Doubler(PassthroughStage):
-    name = "doubler"
-
-    def feed(self, element):
-        return [element, element]
-
-
-class Dropper(PassthroughStage):
-    name = "dropper"
-
-    def feed(self, element):
-        return [] if element == "drop" else [element]
-
-
-class Trailer(PassthroughStage):
-    name = "trailer"
-
-    def __init__(self):
-        self.buffered = []
-
-    def feed(self, element):
-        self.buffered.append(element)
-        return [element]
-
-    def flush(self):
-        return ["trailing"]
-
-
-class TestStagePipeline:
-    def test_elements_thread_through_stages(self):
-        pipeline = StagePipeline([Doubler(), Dropper()])
-        assert pipeline.feed("x") == ["x", "x"]
-        assert pipeline.feed("drop") == []
-
-    def test_metrics_count_fed_and_emitted(self):
-        metrics = PipelineMetrics()
-        pipeline = StagePipeline([Doubler(), Dropper()], metrics=metrics)
-        pipeline.feed("x")
-        pipeline.feed("drop")
-        assert metrics.stage("doubler").fed == 2
-        assert metrics.stage("doubler").emitted == 4
-        assert metrics.stage("dropper").fed == 4
-        assert metrics.stage("dropper").emitted == 2
-
-    def test_flush_cascades_through_downstream_stages(self):
-        pipeline = StagePipeline([Trailer(), Doubler()])
-        out = pipeline.flush()
-        assert out == ["trailing", "trailing"]
-
-    def test_duplicate_stage_names_rejected(self):
-        with pytest.raises(ValueError):
-            StagePipeline([Doubler(), Doubler()])
-
-    def test_empty_pipeline_rejected(self):
-        with pytest.raises(ValueError):
-            StagePipeline([])
-
-    def test_a_monitor_needs_a_wire_tagger_in_front(self):
-        monitor = OutageMonitor()
-        for stages in (
-            [BinningMonitorStage(monitor)],
-            [Doubler(), BinningMonitorStage(monitor)],
-        ):
-            with pytest.raises(ValueError, match="wire tagger"):
-                StagePipeline(stages)
-
-    def test_flush_routes_upstream_output_through_the_wire_pair(self):
-        # A stage in front of the pair that emits on flush: its output
-        # is tagged and folded like any chunk, and the monitor's own
-        # flush then closes the bin it opened.
-        class Holder(PassthroughStage):
-            name = "holder"
-
-            def __init__(self):
-                self.held = []
-
-            def feed(self, element):
-                self.held.append(element)
-                return []
-
-            def flush(self):
-                held, self.held = self.held, []
-                return held
-
-        input_module, community = _priming_input_module()
-        monitor = OutageMonitor()
-        for i in range(10):
-            prime(monitor, tagged(key(i), time=0.0))
-        holder = Holder()
-        pipeline = StagePipeline(
-            [holder, TaggingStage(input_module), BinningMonitorStage(monitor)]
-        )
-        withdrawals = [
-            BGPUpdate(
-                time=10.0,
-                collector="rrc00",
-                peer_asn=100,
-                prefix=f"10.0.{i}.0/24",
-                elem_type=ElemType.WITHDRAWAL,
-            )
-            for i in range(3)
-        ]
-        assert pipeline.feed_many(withdrawals) == []
-        assert monitor.current_bin_start is None
-        out = pipeline.flush()
-        assert [type(o) for o in out] == [SignalBatch]
-        assert {s.diverted_paths for s in out[0].signals} == {3}
-        assert pipeline.metrics.stage("tagging").fed == 3
-
-    def test_snapshot_is_json_shaped(self):
-        metrics = PipelineMetrics()
-        pipeline = StagePipeline([Doubler()], metrics=metrics)
-        pipeline.feed("x")
-        snap = metrics.snapshot()
-        assert snap["stages"][0]["name"] == "doubler"
-        assert "bins" in snap
-        assert isinstance(metrics.describe(), str)
-
-
 class TestIngestStage:
     def test_counts_element_kinds(self):
         stage = IngestStage()
-        stage.feed(update(0, 1.0))
-        stage.feed(state_message(2.0))
-        stage.feed(
-            BGPUpdate(
-                time=3.0,
-                collector="rrc00",
-                peer_asn=100,
-                prefix="10.0.0.0/24",
-                elem_type=ElemType.WITHDRAWAL,
-            )
+        stage.feed_batch(
+            [
+                update(0, 1.0),
+                state_message(2.0),
+                BGPUpdate(
+                    time=3.0,
+                    collector="rrc00",
+                    peer_asn=100,
+                    prefix="10.0.0.0/24",
+                    elem_type=ElemType.WITHDRAWAL,
+                ),
+            ]
         )
         assert (stage.announcements, stage.state_messages, stage.withdrawals) == (1, 1, 1)
 
     def test_foreign_objects_dropped(self):
         stage = IngestStage()
-        assert stage.feed(object()) == []
+        first, last = update(0, 1.0), update(1, 2.0)
+        assert stage.feed_batch([first, object(), last]) == [first, last]
         assert stage.dropped == 1
 
     def test_dropped_types_metered_and_checkpointed(self):
         stage = IngestStage()
-        stage.feed(object())
-        stage.feed(object())
-        stage.feed("not an element")
+        assert stage.feed_batch([object(), object(), "not an element"]) == []
         assert stage.dropped == 3
         assert stage.dropped_types == {"object": 2, "str": 1}
         state = stage.state_dict()
@@ -226,9 +107,9 @@ class TestIngestStage:
 
     def test_out_of_order_counted_not_dropped(self):
         stage = IngestStage()
-        stage.feed(update(0, 10.0))
-        out = stage.feed(update(1, 5.0))
-        assert out and stage.out_of_order == 1
+        chunk = [update(0, 10.0), update(1, 5.0)]
+        assert stage.feed_batch(chunk) == chunk
+        assert stage.out_of_order == 1
 
     def test_merge_streams_sorts_lazily(self):
         a = [update(0, 1.0), update(0, 5.0)]
@@ -283,15 +164,6 @@ class TestBinningMonitorStage:
         feed(stage, [tagged(key(0), time=10.0, withdraw=True)])
         out = stage.flush()
         assert len(out) == 1 and isinstance(out[0], SignalBatch)
-
-    def test_single_elements_are_refused(self):
-        stage = BinningMonitorStage(self._primed())
-        for element in (tagged(key(0), time=10.0), state_message(5.0)):
-            with pytest.raises(TypeError, match="feed_wire_run"):
-                stage.feed(element)
-        tagging = TaggingStage(_priming_input_module()[0])
-        with pytest.raises(TypeError, match="feed_wire"):
-            tagging.feed(update(0, 1.0))
 
 
 def signal(pop, near, links, bin_start=0.0):
@@ -406,29 +278,6 @@ class TestValidationCache:
         assert cache.probes == 1
 
 
-class TestFlushMetering:
-    def test_flush_cost_lands_in_stage_seconds(self):
-        class SlowTrailer(PassthroughStage):
-            name = "slow-trailer"
-
-            def flush(self):
-                import time as _time
-
-                _time.sleep(0.01)
-                return ["trailing"]
-
-        metrics = PipelineMetrics()
-        pipeline = StagePipeline([SlowTrailer(), Doubler()], metrics=metrics)
-        out = pipeline.flush()
-        assert out == ["trailing", "trailing"]
-        # End-of-stream cost is part of the per-stage profile.
-        assert metrics.stage("slow-trailer").seconds >= 0.01
-        assert metrics.stage("slow-trailer").emitted == 1
-        # The cascade into downstream stages is metered as ordinary feed.
-        assert metrics.stage("doubler").fed == 1
-        assert metrics.stage("doubler").emitted == 2
-
-
 def _priming_input_module():
     from repro.bgp.communities import Community
     from repro.core.colocation import ColocationMap
@@ -449,33 +298,30 @@ def _priming_input_module():
     return InputModule(dictionary, ColocationMap()), community
 
 
+def rib_update(community, i=0, communities=True) -> BGPUpdate:
+    return BGPUpdate(
+        time=0.0,
+        collector="rrc00",
+        peer_asn=100,
+        prefix=f"10.0.{i}.0/24",
+        elem_type=ElemType.ANNOUNCEMENT,
+        as_path=(100, 10, 30),
+        communities=(community,) if communities else (),
+    )
+
+
 class TestStreamingPrime:
-    def _rib_update(self, community, i=0, communities=True):
-        return BGPUpdate(
-            time=0.0,
-            collector="rrc00",
-            peer_asn=100,
-            prefix=f"10.0.{i}.0/24",
-            elem_type=ElemType.ANNOUNCEMENT,
-            as_path=(100, 10, 30),
-            communities=(community,) if communities else (),
-        )
-
     def test_priming_updates_flow_to_baseline(self):
-        from repro.pipeline import PrimingUpdate, TaggingStage
-
         input_module, community = _priming_input_module()
         monitor = OutageMonitor()
         ingest = IngestStage()
+        tagging = TaggingStage(input_module)
         monitoring = BinningMonitorStage(monitor)
-        pipeline = StagePipeline(
-            [ingest, TaggingStage(input_module), monitoring]
-        )
         for i in range(3):
-            out = pipeline.feed(
-                PrimingUpdate(update=self._rib_update(community, i))
+            admitted = ingest.feed_batch(
+                [PrimingUpdate(update=rib_update(community, i))]
             )
-            assert out == []
+            assert tag_and_fold(tagging, monitoring, admitted) == []
         assert len(monitor._entries(POP_F)) == 3
         # Direct installation: the binning clock has not started.
         assert monitor.current_bin_start is None
@@ -483,31 +329,67 @@ class TestStreamingPrime:
         assert ingest.priming_updates == 3
 
     def test_untagged_rib_paths_end_at_tagging(self):
-        from repro.pipeline import PrimingUpdate, TaggingStage
-
         input_module, community = _priming_input_module()
         monitor = OutageMonitor()
-        tagging = TaggingStage(input_module)
         monitoring = BinningMonitorStage(monitor)
-        pipeline = StagePipeline([tagging, monitoring])
-        out = pipeline.feed(
-            PrimingUpdate(
-                update=self._rib_update(community, communities=False)
-            )
+        rib = rib_update(community, communities=False)
+        out = tag_and_fold(
+            TaggingStage(input_module), monitoring, [PrimingUpdate(update=rib)]
         )
         assert out == []
         assert not monitor._entries(POP_F)
         assert monitoring.primed == 0
 
     def test_priming_does_not_disturb_stream_order_accounting(self):
-        from repro.pipeline import PrimingUpdate
-
         ingest = IngestStage()
-        ingest.feed(update(0, 100.0))
+        ingest.feed_batch([update(0, 100.0)])
         # A late RIB chunk (snapshot timestamps predate the stream)
         # must not count as an out-of-order stream element.
         input_module, community = _priming_input_module()
-        ingest.feed(PrimingUpdate(update=self._rib_update(community)))
-        ingest.feed(update(1, 101.0))
+        ingest.feed_batch([PrimingUpdate(update=rib_update(community))])
+        ingest.feed_batch([update(1, 101.0)])
         assert ingest.out_of_order == 0
         assert ingest.priming_updates == 1
+
+
+def tag_and_fold(tagging, monitoring, elements) -> list:
+    """The tagging -> monitor pair as the chain runs it: tag a chunk
+    into one batch and fold it; the monitor's outputs."""
+    return fold(monitoring, tagging.feed_wire(elements))
+
+
+class TestKeplerPipeline:
+    def test_flush_analyses_the_trailing_bin(self):
+        # The chain's flush is metered on the monitor (time and
+        # emitted), and its signals are fed to the analysis stages
+        # like any emission of the monitor.
+        from repro.core.colocation import ColocationMap
+        from repro.core.kepler import Kepler
+
+        input_module, community = _priming_input_module()
+        chain = Kepler(input_module.dictionary, ColocationMap(), {}).pipeline
+        chain.feed_many(
+            [PrimingUpdate(update=rib_update(community, i)) for i in range(10)]
+        )
+        chain.feed_many(
+            [
+                BGPUpdate(
+                    time=10.0,
+                    collector="rrc00",
+                    peer_asn=100,
+                    prefix=f"10.0.{i}.0/24",
+                    elem_type=ElemType.WITHDRAWAL,
+                )
+                for i in range(3)
+            ]
+        )
+        assert chain.monitoring.monitor.bins_processed == 0
+        metrics = chain.metrics
+        assert (metrics.stage("monitor").emitted, metrics.stage("classify").fed) == (0, 0)
+        chain.flush()
+        assert chain.monitoring.monitor.bins_processed == 1
+        assert metrics.stage("monitor").emitted == 1
+        assert metrics.stage("monitor").seconds > 0
+        assert metrics.stage("classify").fed == 1
+        (logged,) = chain.signal_log
+        assert {s.diverted_paths for s in logged.signals} == {3}

@@ -29,6 +29,7 @@ from test_pipeline_equivalence import (
     prepared,
     record_fields,
 )
+from repro import telemetry
 from repro.core.kepler import Kepler, KeplerParams
 from repro.pipeline import fork_available
 from repro.scenarios import World, build_world
@@ -238,7 +239,20 @@ class TestCheckpointInterchange:
             detector.close()
 
 
+@pytest.fixture
+def unthrottled_frames():
+    """Workers built inside ship a metrics frame on every exchange, so
+    the live view holds each worker's counters once a facade read has
+    drained the workers."""
+    telemetry.set_live_interval(0.0)
+    try:
+        yield
+    finally:
+        telemetry.set_live_interval(telemetry.DEFAULT_LIVE_INTERVAL_S)
+
+
 class TestRuntimeSurface:
+    @pytest.mark.usefixtures("unthrottled_frames")
     def test_views_reflect_all_fed_elements(self, world_a):
         """Facade reads drain the workers: nothing fed is ever missing."""
         world, snapshot, elements = world_a
