@@ -42,7 +42,6 @@ from repro.docmine.dictionary import CommunityDictionary, PoP
 
 if TYPE_CHECKING:
     from repro.pipeline import PipelineMetrics
-    from repro.scenarios import World
 
 #: Checkpoint document version written by :meth:`Kepler.snapshot`.
 #: Version 2: the monitor section is canonical (fully sorted, no
@@ -64,7 +63,13 @@ if TYPE_CHECKING:
 #: Version 6: the metrics section carries no wall clock (no stage busy
 #: seconds, no bin-close latencies), so two runs of one replay prefix
 #: give byte-equal documents.  A version-5 document is refused.
-CHECKPOINT_VERSION = 6
+#: Version 7: the metrics section counts each analysis stage in its own
+#: items (classify: signals in, PoP-level classifications out; localise:
+#: those in, located signals out; validate: those in, candidates out;
+#: record: candidates in) and the monitor's ``emitted`` in signals, not
+#: in inter-stage envelopes and bin markers.  A version-6 document is
+#: refused.
+CHECKPOINT_VERSION = 7
 CHECKPOINT_FORMAT = "kepler-checkpoint"
 
 #: First-generation collector threshold while the chain runs a staged

@@ -15,6 +15,15 @@ as a metered component, driven in one fixed order by
       -> ValidationStage      (memoised data-plane probes, FP pruning)
       -> RecordStage          (open/close/watch/relapse/merge lifecycle)
 
+The first three stages carry stream elements in chunks.  The last four
+run once per bin close, by typed calls: the monitor's
+``feed(now)`` returns the closed bins' signals and the bin advanced
+to, :func:`~repro.pipeline.runtime.analyse` takes the signals through
+classification (``feed(signals)``), localisation
+(``feed(pop_level, concurrent)``) and validation
+(``feed(located, city_scope)``), and the record stage takes the
+candidates and the advance (``feed(candidates, now)``).
+
 :func:`build_kepler_pipeline` wires the chain;
 :class:`repro.core.kepler.Kepler` is a thin facade over it.
 """
@@ -28,15 +37,7 @@ from repro.core.investigation import Investigator
 from repro.core.monitor import OutageMonitor
 from repro.core.signals import SignalClassification
 from repro.pipeline.classification import ClassificationStage
-from repro.pipeline.events import (
-    BinAdvanced,
-    ClassifiedBatch,
-    LocatedBatch,
-    LocatedSignal,
-    OutageCandidate,
-    PrimingUpdate,
-    SignalBatch,
-)
+from repro.pipeline.events import LocatedSignal, OutageCandidate, PrimingUpdate
 from repro.pipeline.ingest import IngestStage, merge_streams, split_by_collector
 from repro.pipeline.localisation import LocalisationStage, common_city
 from repro.pipeline.metrics import BinStats, PipelineMetrics, StageMetrics
@@ -71,8 +72,8 @@ def build_kepler_pipeline(
     correlation_window_s: float,
     restore_fraction: float,
     merge_gap_s: float,
-    drop_rejected: bool = True,
-    enable_investigation: bool = True,
+    drop_rejected: bool,
+    enable_investigation: bool,
     *,
     chunk_size: int,
 ) -> KeplerPipeline:
@@ -113,17 +114,14 @@ def build_kepler_pipeline(
 
 
 __all__ = [
-    "BinAdvanced",
     "BinStats",
     "BinningMonitorStage",
     "ClassificationStage",
-    "ClassifiedBatch",
     "FaultPlan",
     "FaultSpec",
     "IngestStage",
     "KeplerPipeline",
     "LocalisationStage",
-    "LocatedBatch",
     "LocatedSignal",
     "OutageCandidate",
     "PipelineMetrics",
@@ -132,7 +130,6 @@ __all__ = [
     "RecordStage",
     "ShardProcessKeplerPipeline",
     "ShardProcessPipeline",
-    "SignalBatch",
     "StageMetrics",
     "TaggingStage",
     "ValidationCache",

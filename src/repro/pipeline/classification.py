@@ -1,7 +1,7 @@
 """Classification stage: correlation window + per-AS rules (§4.3).
 
-Consumes :class:`~repro.pipeline.events.SignalBatch` elements.  Every
-batch is classified twice, as the monolithic detector did:
+:meth:`ClassificationStage.feed` takes the signals of one bin close.
+They are classified twice, as the monolithic detector did:
 
 * **per bin** — feeding the sensitivity log (Figure 7a), every
   classification ever made;
@@ -10,32 +10,27 @@ batch is classified twice, as the monolithic detector did:
   runs on the signals of the last ``correlation_window_s`` seconds.
 
 Only PoP-level classifications of the window evaluation continue down
-the pipeline, bundled with the set of concurrently-signalling PoPs.
+the pipeline, returned with the set of concurrently-signalling PoPs.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.core.events import OutageSignal, SignalType
-from repro.core.signals import (
-    MIN_POP_LEVEL_ASES,
-    SignalClassification,
-    classify_signals,
-)
-from repro.pipeline.events import ClassifiedBatch, SignalBatch
+from repro.core.signals import SignalClassification, classify_signals
+from repro.docmine.dictionary import PoP
 
 
 class ClassificationStage:
-    """SignalBatch -> ClassifiedBatch (PoP-level only)."""
+    """Signals -> PoP-level classifications + the concurrent PoPs."""
 
     name = "classify"
 
     def __init__(
         self,
         as2org: dict[int, str],
-        min_pop_ases: int = MIN_POP_LEVEL_ASES,
-        correlation_window_s: float = 180.0,
+        *,
+        min_pop_ases: int,
+        correlation_window_s: float,
     ) -> None:
         self.as2org = as2org
         self.min_pop_ases = min_pop_ases
@@ -45,17 +40,16 @@ class ClassificationStage:
         #: sliding correlation window of raw signals.
         self._window: list[OutageSignal] = []
 
-    def feed(self, element: Any) -> list[Any]:
-        if not isinstance(element, SignalBatch):
-            return [element]
-        signals = element.signals
+    def feed(
+        self, signals: list[OutageSignal]
+    ) -> tuple[list[SignalClassification], set[PoP]]:
+        """Classify one bin close's signals (one or more); the window's
+        PoP-level classifications and the set of their PoPs."""
         per_bin = classify_signals(
             signals, self.as2org, min_pop_ases=self.min_pop_ases
         )
         self.signal_log.extend(per_bin)
-        if not signals:
-            return []
-        # The window clock is the latest bin of the batch.
+        # The window clock is the latest bin of the signals.
         now_bin = max(s.bin_start for s in signals)
         self._window.extend(signals)
         self._window = [
@@ -69,14 +63,7 @@ class ClassificationStage:
         pop_level = [
             c for c in classifications if c.signal_type is SignalType.POP
         ]
-        if not pop_level:
-            return []
-        return [
-            ClassifiedBatch(
-                pop_level=pop_level,
-                concurrent={c.pop for c in pop_level},
-            )
-        ]
+        return pop_level, {c.pop for c in pop_level}
 
     def state_dict(self) -> dict:
         from repro.core.serde import classification_to_json, signal_to_json

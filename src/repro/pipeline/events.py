@@ -1,20 +1,23 @@
-"""Inter-stage element types of the Kepler pipeline.
+"""Inter-stage types of the Kepler pipeline.
 
 Raw BGP elements (:class:`repro.bgp.messages.BGPUpdate`,
-:class:`~repro.bgp.messages.BGPStateMessage`) flow into the early
-stages unchanged, and the wire pair carries tagged rows as one
-:class:`~repro.core.serde.TaggedBatch` per chunk; the types below are
-produced as the stream is progressively reduced from updates to
-outage records.
+:class:`~repro.bgp.messages.BGPStateMessage`) and
+:class:`PrimingUpdate` flow into the early stages, and the wire pair
+carries tagged rows as one :class:`~repro.core.serde.TaggedBatch` per
+chunk.  Each closed bin is then analysed by typed calls: the monitor
+hands over its signals and the bin it advanced to, classification
+returns PoP-level classifications and the set of PoPs signalling
+together, localisation returns :class:`LocatedSignal` items and the
+city scope, and validation returns :class:`OutageCandidate` items for
+the record stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.bgp.messages import BGPUpdate
 from repro.core.dataplane import ValidationOutcome
-from repro.core.events import OutageSignal
 from repro.core.signals import SignalClassification
 from repro.docmine.dictionary import PoP
 
@@ -32,38 +35,6 @@ class PrimingUpdate:
     update: BGPUpdate
 
 
-@dataclass(frozen=True)
-class BinAdvanced:
-    """Control marker: the monitor moved to a new binning interval.
-
-    Emitted *after* the closed bins' signals so downstream stages see
-    signals first, then re-evaluate open outages at ``now`` — the same
-    order the monolithic detector used.
-    """
-
-    now: float
-
-
-@dataclass
-class SignalBatch:
-    """Per-AS outage signals of one or more just-closed bins."""
-
-    signals: list[OutageSignal]
-
-
-@dataclass
-class ClassifiedBatch:
-    """PoP-level classifications of one correlation-window evaluation.
-
-    ``concurrent`` is the set of PoPs with a simultaneous PoP-level
-    signal — localisation uses it to demand corroborating signals from
-    candidate epicenters.
-    """
-
-    pop_level: list[SignalClassification]
-    concurrent: set[PoP] = field(default_factory=set)
-
-
 @dataclass
 class LocatedSignal:
     """One PoP-level classification with its inferred epicenter."""
@@ -71,18 +42,6 @@ class LocatedSignal:
     classification: SignalClassification
     located: PoP
     method: str
-
-
-@dataclass
-class LocatedBatch:
-    """All located epicenters of one evaluation, plus the city scope.
-
-    ``city_scope`` is the city abstraction of Section 4.3: set when at
-    least two epicenters of the batch share one city.
-    """
-
-    results: list[LocatedSignal]
-    city_scope: str | None = None
 
 
 @dataclass

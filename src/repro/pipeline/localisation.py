@@ -7,28 +7,26 @@ back to targeted data-plane probing (through the shared
 probe keeps the signal at its observed PoP with method ``dataplane``;
 anything else rejects it as a false positive.
 
-The city abstraction then runs over the *located* epicenters of the
-batch: when several epicenters share one city in one evaluation, the
-incident is flagged city-scoped (multiple buildings of one metro failed
-together, Section 4.3).
+The city abstraction then runs over the *located* epicenters of one
+bin close: when several epicenters share one city in one evaluation,
+the incident is flagged city-scoped (multiple buildings of one metro
+failed together, Section 4.3).
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from repro.core.colocation import ColocationMap
 from repro.core.dataplane import ValidationOutcome
 from repro.core.investigation import Investigator
 from repro.core.monitor import OutageMonitor
 from repro.core.signals import SignalClassification
-from repro.docmine.dictionary import PoPKind
-from repro.pipeline.events import ClassifiedBatch, LocatedBatch, LocatedSignal
+from repro.docmine.dictionary import PoP, PoPKind
+from repro.pipeline.events import LocatedSignal
 from repro.pipeline.validation import ValidationCache
 
 
 class LocalisationStage:
-    """ClassifiedBatch -> LocatedBatch (investigated + city-scoped)."""
+    """PoP-level classifications -> located signals + city scope."""
 
     name = "localise"
 
@@ -38,8 +36,9 @@ class LocalisationStage:
         monitor: OutageMonitor,
         colo: ColocationMap,
         cache: ValidationCache,
-        enable_investigation: bool = True,
-        rejected: list[SignalClassification] | None = None,
+        *,
+        enable_investigation: bool,
+        rejected: list[SignalClassification],
     ) -> None:
         self.investigator = investigator
         self.monitor = monitor
@@ -47,13 +46,20 @@ class LocalisationStage:
         self.cache = cache
         self.enable_investigation = enable_investigation
         #: signals neither the map nor the data plane could substantiate.
-        self.rejected = rejected if rejected is not None else []
+        self.rejected = rejected
 
-    def feed(self, element: Any) -> list[Any]:
-        if not isinstance(element, ClassifiedBatch):
-            return [element]
+    def feed(
+        self, pop_level: list[SignalClassification], concurrent: set[PoP]
+    ) -> tuple[list[LocatedSignal], str | None]:
+        """Locate each classification's epicenter; the located signals
+        and their common city (``None`` unless two or more share one).
+
+        ``concurrent`` is the set of PoPs with a simultaneous PoP-level
+        signal: the investigator demands corroborating signals from
+        candidate epicenters in it.
+        """
         results: list[LocatedSignal] = []
-        for c in element.pop_level:
+        for c in pop_level:
             if not self.enable_investigation:
                 results.append(LocatedSignal(c, c.pop, "signal-pop"))
                 continue
@@ -62,7 +68,7 @@ class LocalisationStage:
             }
             baseline_links = self.monitor.baseline_links(c.pop) | set(c.links)
             result = self.investigator.investigate(
-                c, baseline_far, baseline_links, element.concurrent
+                c, baseline_far, baseline_links, concurrent
             )
             if result.converged:
                 assert result.located_pop is not None
@@ -76,26 +82,19 @@ class LocalisationStage:
                 results.append(LocatedSignal(c, c.pop, "dataplane"))
             else:
                 self.rejected.append(c)
-        if not results:
-            return []
-        return [
-            LocatedBatch(
-                results=results,
-                city_scope=common_city(results, self.colo),
-            )
-        ]
+        return results, common_city(results, self.colo)
 
-    def flush(self) -> list[Any]:
+    def flush(self) -> None:
         """End of stream: nothing is buffered here.  The ledger tracer
         (``benchmarks/ledger/tracing.py``) times ``feed`` and ``flush``
         of every stage that holds the Kepler monitor."""
-        return []
 
 
 def common_city(
     results: list[LocatedSignal], colo: ColocationMap
 ) -> str | None:
-    """City shared by all located epicenters of one batch (>=2 of them)."""
+    """City shared by all located epicenters of one bin close (>=2 of
+    them)."""
     if len(results) < 2:
         return None
     cities: set[str] = set()

@@ -1,16 +1,21 @@
 """Pipeline observability: per-stage counters, gauges, histograms.
 
 Every stage of a :class:`~repro.pipeline.runtime.KeplerPipeline` gets a
-:class:`StageMetrics` entry (elements fed, elements emitted, cumulative
-wall time in ``feed``).  The monitoring stage additionally reports a
-gauge sample per closed bin — bin-close latency, baseline and pending
-population — so capacity trends are visible without profiling.
+:class:`StageMetrics` entry: items fed, items emitted, cumulative wall
+time and metered calls, all written by one method,
+:meth:`StageMetrics.meter`.  Each stage counts its own items: ingest
+and tagging stream elements, the monitor tagged rows in and signals
+out, classification signals in and PoP-level classifications out,
+localisation those in and located signals out, validation those in
+and candidates out, and the record stage candidates in.  The
+monitoring stage additionally reports a gauge sample per closed bin —
+bin-close latency, baseline and pending population — so capacity
+trends are visible without profiling.
 
-Since the telemetry-plane PR the registry also owns the distribution
-side of observability:
+The registry also owns the distribution side of observability:
 
 - every stage carries a :class:`~repro.telemetry.hist.LogHistogram`
-  of nanoseconds per element per metered feed call;
+  of nanoseconds per item per metered call;
 - :class:`BinStats` carries a histogram of bin-close latency;
 - ``hist(name)`` hands out named histograms for non-stage
   distributions (today one: ``sync_round_s``, the shard-process
@@ -29,6 +34,7 @@ histograms), but never part of a checkpoint document.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -40,20 +46,32 @@ logger = logging.getLogger("repro.pipeline.metrics")
 
 @dataclass
 class StageMetrics:
-    """Counters for one stage."""
+    """Counters for one stage, in the stage's own items."""
 
     name: str
     fed: int = 0
     emitted: int = 0
     seconds: float = 0.0
-    #: metered feed calls — one per chunk on the batched runtimes, so
+    #: metered calls — one per chunk on the batched runtimes, so
     #: ``fed / batches`` is the realised batch size.  Run telemetry,
     #: not state: never checkpointed, zeroed on restore.
     batches: int = 0
-    #: distribution of nanoseconds per element, one sample per metered
-    #: feed call.  Run telemetry: excluded from checkpoints, merged
-    #: across workers by :meth:`PipelineMetrics.absorb`.
+    #: distribution of nanoseconds per item, one sample per metered
+    #: call that was fed anything.  Run telemetry: excluded from
+    #: checkpoints, merged across workers by
+    #: :meth:`PipelineMetrics.absorb`.
     hist: LogHistogram = field(default_factory=LogHistogram)
+
+    def meter(self, began: float, fed: int, emitted: int) -> None:
+        """Count one call that began at ``perf_counter()`` ``began``,
+        was fed ``fed`` items and emitted ``emitted``."""
+        delta = time.perf_counter() - began
+        self.seconds += delta
+        self.fed += fed
+        self.batches += 1
+        self.emitted += emitted
+        if fed:
+            self.hist.record(delta * 1e9 / fed)
 
     @property
     def throughput(self) -> float:

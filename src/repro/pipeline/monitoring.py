@@ -6,14 +6,13 @@ one way: as a column view over a tagged batch
 into the monitor's fold as :class:`~repro.core.monitor.TaggedRun`
 spans, each with the feed-gap set current at its deferral.  Tagged
 rows advance the 60-second binning clock.  A row past the open bin
-closes it before the row itself is deferred: the closed bins' per-AS
-signals leave as one :class:`~repro.pipeline.events.SignalBatch`,
-followed by a :class:`~repro.pipeline.events.BinAdvanced` marker so
-downstream lifecycle stages re-evaluate open outages, and the row
-folds into its own bin only after both cleared the chain.  State
-messages replace the feed-gap set and emit nothing.  The close runs in
-:meth:`BinningMonitorStage.feed`, whose one input is that row's time
-as a ``BinAdvanced``.
+closes it before the row itself is deferred: the close hands back the
+closed bins' per-AS signals and the start of the bin the clock
+advanced to, at which downstream lifecycle stages re-evaluate open
+outages, and the row folds into its own bin only after the runtime
+analysed that emission.  State messages replace the feed-gap set and
+emit nothing.  The close runs in :meth:`BinningMonitorStage.feed`,
+whose one input is that row's time.
 
 Each bin-closing call also records one gauge sample (latency, baseline
 and pending population), weighted by the bins it closed, into the
@@ -23,16 +22,18 @@ shared metrics registry.
 from __future__ import annotations
 
 import time
-from typing import Any
 
+from repro.core.events import OutageSignal
 from repro.core.monitor import OutageMonitor, TaggedRun
 from repro.core.serde import _K_PRIMED, _K_TAGGED, TaggedBatch, tagged_view
-from repro.pipeline.events import BinAdvanced, SignalBatch
 from repro.pipeline.metrics import PipelineMetrics
+
+#: One bin close: the closed bins' signals and the bin advanced to.
+Emission = tuple[list[OutageSignal], float]
 
 
 class BinningMonitorStage:
-    """Tagged batch -> SignalBatch + BinAdvanced."""
+    """Tagged batch -> (signals, bin advanced to) per bin close."""
 
     name = "monitor"
 
@@ -51,21 +52,20 @@ class BinningMonitorStage:
                 lambda: monitor.skipped_steady_state,
             )
 
-    def feed(self, element: BinAdvanced) -> list[Any]:
+    def feed(self, now: float) -> Emission:
         """Close the open bin and the empty ones before the bin of
-        ``element.now``; the signals and the ``BinAdvanced`` to emit.
+        ``now``; the closed bins' signals and the bin advanced to.
 
-        ``element`` carries the time of the first row past the open
-        bin: :meth:`feed_wire_run` hands it over, so every bin close
-        and its metering run in this one call.
+        ``now`` is the time of the first row past the open bin:
+        :meth:`feed_wire_run` hands it over, so every bin close and its
+        metering run in this one call.
         """
         monitor = self.monitor
         prev_bin = monitor.current_bin_start
         bins_before = monitor.bins_processed
         began = time.perf_counter()
-        signals = monitor.close_bins(element.now)
+        signals = monitor.close_bins(now)
         latency = time.perf_counter() - began
-        out: list[Any] = [SignalBatch(signals=signals)] if signals else []
         if self.metrics is not None:
             # One call can close several bins (sparse streams);
             # attribute the latency evenly across them so bins_closed
@@ -87,8 +87,7 @@ class BinningMonitorStage:
                 signals=len(signals),
                 pending=pending,
             )
-        out.append(BinAdvanced(now=monitor.current_bin_start))
-        return out
+        return signals, monitor.current_bin_start
 
     def prepare_wire(self, batch: TaggedBatch) -> TaggedBatch:
         """Runs over a tagged batch; ``ValueError`` on anything else."""
@@ -96,7 +95,7 @@ class BinningMonitorStage:
 
     def feed_wire_run(
         self, view: TaggedBatch, start: int
-    ) -> tuple[list[Any], int]:
+    ) -> tuple[Emission | None, int]:
         """Consume slots of ``view`` from ``start``.
 
         In-bin tagged rows defer as
@@ -105,11 +104,12 @@ class BinningMonitorStage:
         is one scan of the time column plus one append, and no row
         materialises an object.  The first row past the open bin stops
         the call: the rows before it defer, the bin closes
-        (:meth:`feed`), and the call returns the outputs with the
-        closing row's *own* slot.  The caller clears the outputs
-        through the chain and resumes there, so the row folds into its
-        own bin and what the close's ``BinAdvanced`` settles holds rows
-        of the closed bin only.  Returns ``(outputs, next_slot)``.
+        (:meth:`feed`), and the call returns the close's emission with
+        the closing row's *own* slot.  The caller analyses the emission
+        and resumes there, so the row folds into its own bin and what
+        the record stage settles at the advance holds rows of the
+        closed bin only.  Returns ``(emission, next_slot)``; the
+        emission is ``None`` when no bin closed.
         """
         monitor = self.monitor
         defer = monitor._events.append
@@ -143,7 +143,7 @@ class BinningMonitorStage:
                     continue
                 if f0 < f:
                     defer(run_cls(view, f0, f, monitor._gapped))
-                return self.feed(BinAdvanced(t_time[f])), slot + (f - f0)
+                return self.feed(t_time[f]), slot + (f - f0)
             if kind == _K_PRIMED:
                 prime_row = monitor.prime_row
                 for key, when, pair in zip(
@@ -157,14 +157,12 @@ class BinningMonitorStage:
             for message in view.states[f0:f1]:
                 monitor.observe_state(message)
             slot = run_stop
-        return [], n
+        return None, n
 
-    def flush(self) -> list[Any]:
-        """Close the trailing partial bin (no BinAdvanced: end of stream)."""
-        signals = self.monitor.close_bin()
-        if not signals:
-            return []
-        return [SignalBatch(signals=signals)]
+    def flush(self) -> list[OutageSignal]:
+        """Close the trailing partial bin; its signals (the clock does
+        not advance: end of stream)."""
+        return self.monitor.close_bin()
 
     def state_dict(self) -> dict:
         return {"primed": self.primed, "monitor": self.monitor.state_dict()}

@@ -35,13 +35,14 @@ The driver therefore keeps:
          the PoPs in its share of the correlation window ("bin")
       2. the driver merges the partials under the monitor's signal
          sort key (the linear close order), runs classification →
-         localisation → validation against the shipped baselines,
-         and broadcasts the candidate list in linear emission
-         order                                        ("fin")
-      3. every worker applies the full candidate list to its
-         record stage, then the bin marker, and posts a fire-and-
-         forget round-done marker that lets the driver prune its
-         probe cache and round memos                  ("rdone")
+         localisation → validation against the shipped baselines
+         (:func:`~repro.pipeline.runtime.analyse`, the linear
+         chain's own function), and broadcasts the candidate list
+         in linear emission order                     ("fin")
+      3. every worker hands the full candidate list and the bin
+         advanced to its record stage, and posts a fire-and-forget
+         round-done marker that lets the driver prune its probe
+         cache and round memos                        ("rdone")
 
 Each worker prunes its shipped window share against its *local* bin
 clock (the max bin_start among its own signals), which can only lag
@@ -112,7 +113,7 @@ from repro.pipeline.liveness import (
     worker_exits,
 )
 from repro.pipeline.metrics import PipelineMetrics
-from repro.pipeline.runtime import checkpoint_parts, restore_parts
+from repro.pipeline.runtime import analyse, checkpoint_parts, restore_parts
 
 _LOG = logging.getLogger("repro.pipeline.parallel")
 
@@ -337,8 +338,6 @@ def _shard_worker_loop(
     chain: _ShardWorkerChain, in_q, sync_q, ret_q
 ) -> None:
     """One shard worker: stream stages over the broadcast element stream."""
-    from repro.pipeline.events import BinAdvanced, SignalBatch
-
     wid = chain.wid
     chain.validator.connect(wid, ret_q, sync_q)
     monitor = chain.monitoring.monitor
@@ -365,16 +364,6 @@ def _shard_worker_loop(
     #: one, so the shipped read set is a superset of what the driver's
     #: window holds for this share.
     own_window: list = []
-
-    def feed_record(element) -> None:
-        began = time.perf_counter()
-        out = chain.record.feed(element)
-        delta = time.perf_counter() - began
-        record_handle.seconds += delta
-        record_handle.fed += 1
-        record_handle.batches += 1
-        record_handle.emitted += len(out)
-        record_handle.hist.record(delta * 1e9)
 
     def await_phase(expected: str):
         kind, *payload = sync_q.get()
@@ -421,27 +410,16 @@ def _shard_worker_loop(
         )
         (candidates,) = await_phase("fin")
         sync_hist.record(time.perf_counter() - began_round)
-        for candidate in candidates:
-            feed_record(candidate)
-        if advanced is not None:
-            feed_record(BinAdvanced(now=advanced))
+        began = time.perf_counter()
+        chain.record.feed(candidates, advanced)
+        record_handle.meter(began, len(candidates), 0)
         ret_q.put(("rdone", wid, round_id))
-
-    def emit_rounds(mouts) -> None:
-        signals: list = []
-        advanced: float | None = None
-        for mout in mouts:
-            if isinstance(mout, SignalBatch):
-                signals = mout.signals
-            elif isinstance(mout, BinAdvanced):
-                advanced = mout.now
-        sync_round(signals, advanced)
 
     def consume_tagged(tagged) -> None:
         # Batch-native monitor sweep over the tagged batch's column
         # view: one fold invocation per metered batch (the same
-        # accounting the driver-side runtimes use); the per-bin sync
-        # round runs per emission, before the next slot advances the
+        # accounting the linear chain uses); the per-bin sync round
+        # runs per bin close, before the next slot advances the
         # monitor.
         began = time.perf_counter()
         view = chain.monitoring.prepare_wire(tagged)
@@ -450,17 +428,11 @@ def _shard_worker_loop(
         slot, n = 0, len(view)
         while slot < n:
             began = time.perf_counter()
-            mouts, nxt = feed_wire_run(view, slot)
-            delta = time.perf_counter() - began
-            mon_handle.seconds += delta
-            mon_handle.fed += nxt - slot
-            mon_handle.batches += 1
-            mon_handle.emitted += len(mouts)
-            if nxt > slot:
-                mon_handle.hist.record(delta * 1e9 / (nxt - slot))
+            emission, nxt = feed_wire_run(view, slot)
+            mon_handle.meter(began, nxt - slot, len(emission[0]) if emission else 0)
             slot = nxt
-            if mouts:
-                emit_rounds(mouts)
+            if emission is not None:
+                sync_round(*emission)
         # Keep the driver's live cache warm even between bin closes
         # (the fused exchange is the primary carrier; this covers long
         # in-bin stretches).  Shares the sync-round frame throttle.
@@ -488,13 +460,7 @@ def _shard_worker_loop(
             # the record replicas stay consistent.
             quarantine(msg, traceback.format_exc())
             return None
-        delta = time.perf_counter() - began
-        tag_handle.seconds += delta
-        tag_handle.fed += n
-        tag_handle.batches += 1
-        tag_handle.emitted += len(tagged)
-        if n:
-            tag_handle.hist.record(delta * 1e9 / n)
+        tag_handle.meter(began, n, len(tagged))
         return tagged
 
     def handle_control(msg) -> None:
@@ -502,10 +468,9 @@ def _shard_worker_loop(
         kind = msg[0]
         if kind == "flush":
             began = time.perf_counter()
-            flushed = chain.monitoring.flush()
+            signals = chain.monitoring.flush()
             mon_handle.seconds += time.perf_counter() - began
-            mon_handle.emitted += len(flushed)
-            signals = flushed[0].signals if flushed else []
+            mon_handle.emitted += len(signals)
             sync_round(signals, None)
             ret_q.put(("fdone", wid, msg[1]))
         elif kind == "finalize":
@@ -628,6 +593,10 @@ class ShardProcessPipeline:
         self._classification = classification
         self._localisation = localisation
         self._validation = validation
+        self._analysis_m = [
+            registry.stage(stage.name)
+            for stage in (classification, localisation, validation)
+        ]
         self._baselines = baselines
         self.rejected = rejected
 
@@ -659,9 +628,6 @@ class ShardProcessPipeline:
         #: collection may briefly keep a second entry alive).
         self._rounds: dict[int, dict] = {}
         self._rf_memo: dict[tuple, float | None] = {}
-        #: router-equivalent counters (observability parity).
-        self.batches_routed = 0
-        self.signals_routed = 0
         #: fused-sync counters: rounds completed, and driver→worker
         #: broadcasts sent inside them — the bench asserts their ratio
         #: is exactly one exchange per worker per bin.
@@ -694,10 +660,7 @@ class ShardProcessPipeline:
         handle = self._ingest_handle
         began = time.perf_counter()
         admitted = self._ingest.feed_batch(elements)
-        handle.seconds += time.perf_counter() - began
-        handle.fed += len(elements)
-        handle.batches += 1
-        handle.emitted += len(admitted)
+        handle.meter(began, len(elements), len(admitted))
         buffer = self._buffer + admitted
         size = self.batch_size
         full = len(buffer) - len(buffer) % size
@@ -794,8 +757,6 @@ class ShardProcessPipeline:
         never returned and dropped, because pumps also happen inside
         ``_put_checked`` retries; everything else is handled in place.
         """
-        from repro.pipeline.validation import PRUNE_HORIZON_S
-
         while True:
             try:
                 msg = (
@@ -832,7 +793,7 @@ class ShardProcessPipeline:
                 state["rdone"].add(wid)
                 if len(state["rdone"]) == self.workers:
                     if state["advanced"] is not None:
-                        self.cache.prune(state["advanced"] - PRUNE_HORIZON_S)
+                        self._validation.prune(state["advanced"])
                     self._rf_memo.clear()
                     del self._rounds[rid]
             elif kind == "rf":
@@ -863,17 +824,16 @@ class ShardProcessPipeline:
 
         The partials merge under the monitor's signal sort key — the
         exact order a singleton monitor's ``close_bin`` would emit —
-        then flow through the driver's classification → localisation →
-        validation stages with plain linear-chain semantics (window,
-        probe cache, reject list are all the real, single objects).
-        A zero-signal round skips the stages entirely, matching the
-        linear chain (its classification feed is a no-op without
-        signals) while still releasing the workers.
+        then flow through :func:`~repro.pipeline.runtime.analyse` over
+        the driver's classification → localisation → validation stages
+        with plain linear-chain semantics (window, probe cache, reject
+        list are all the real, single objects).  A zero-signal round
+        runs no stage, as on the linear chain, while still releasing
+        the workers.
         """
         import heapq
 
         from repro.core.monitor import signal_sort_key
-        from repro.pipeline.events import SignalBatch
 
         round_began = time.perf_counter()
         bins = state["bin"]
@@ -882,31 +842,14 @@ class ShardProcessPipeline:
                 *(bins[w] for w in sorted(bins)), key=signal_sort_key
             )
         )
-        candidates: list = []
-        if merged:
-            self.batches_routed += 1
-            self.signals_routed += len(merged)
-            self._baselines.reads = state["reads"]
-            registry = self._registry
-            outs = [SignalBatch(signals=merged)]
-            for stage in (
-                self._classification,
-                self._localisation,
-                self._validation,
-            ):
-                handle = registry.stage(stage.name)
-                nexts: list = []
-                began = time.perf_counter()
-                for element in outs:
-                    nexts.extend(stage.feed(element))
-                delta = time.perf_counter() - began
-                handle.seconds += delta
-                handle.hist.record(delta * 1e9 / max(1, len(outs)))
-                handle.fed += len(outs)
-                handle.batches += 1
-                handle.emitted += len(nexts)
-                outs = nexts
-            candidates = outs
+        self._baselines.reads = state["reads"]
+        candidates = analyse(
+            merged,
+            self._classification,
+            self._localisation,
+            self._validation,
+            self._analysis_m,
+        )
         self.sync_rounds += 1
         self._registry.trace.emit(
             "sync_round",
@@ -1318,9 +1261,9 @@ def build_shard_process_kepler_pipeline(
     correlation_window_s: float,
     restore_fraction: float,
     merge_gap_s: float,
-    drop_rejected: bool = True,
-    enable_investigation: bool = True,
-    workers: int = 2,
+    drop_rejected: bool,
+    enable_investigation: bool,
+    workers: int,
     *,
     batch_size: int,
 ) -> ShardProcessKeplerPipeline:

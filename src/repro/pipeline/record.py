@@ -1,11 +1,11 @@
 """Record lifecycle stage: open, track, close, watch, merge (§4.4).
 
-Terminal stage of the pipeline.  Consumes
-:class:`~repro.pipeline.events.OutageCandidate` elements (open a record
-or extend the open one) and :class:`~repro.pipeline.events.BinAdvanced`
-markers (re-evaluate open records against the >50 % return-to-baseline
-rule over each record's own diverted paths, and the oscillation watch
-list).  ``finalize`` flushes open
+Terminal stage of the pipeline.  :meth:`RecordStage.feed` takes one
+bin close's :class:`~repro.pipeline.events.OutageCandidate` items (each
+opens a record or extends the open one) and the time the bin clock
+advanced to, at which it re-evaluates open records against the >50 %
+return-to-baseline rule over each record's own diverted paths, and the
+oscillation watch list.  ``finalize`` flushes open
 records and merges oscillating outages separated by less than the
 12-hour gap into single incidents whose downtime is the sum of the
 member durations.
@@ -13,19 +13,12 @@ member durations.
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.core.dataplane import (
-    DataPlaneValidator,
-    MERGE_GAP_S,
-    RESTORE_FRACTION,
-    ValidationOutcome,
-)
+from repro.core.dataplane import DataPlaneValidator, ValidationOutcome
 from repro.core.events import OutageRecord
 from repro.core.input import PathKey
 from repro.core.monitor import OutageMonitor
 from repro.docmine.dictionary import PoP
-from repro.pipeline.events import BinAdvanced, OutageCandidate
+from repro.pipeline.events import OutageCandidate
 
 
 class _ReturnWatch:
@@ -61,14 +54,14 @@ class _ReturnWatch:
 
 
 class RecordStage:
-    """OutageCandidate / BinAdvanced -> OutageRecord lifecycle.
+    """OutageCandidate items + bin advances -> OutageRecord lifecycle.
 
     Each open or relapse-watched record owns a :class:`_ReturnWatch`
     over the paths its candidates' signals counted.  The monitor only
     reports rows of watched paths (:meth:`OutageMonitor.report`); the
-    stage applies the report before it opens a watch and at every
-    ``BinAdvanced``, so a path counts as back on the rows that arrived
-    after its record began watching it.
+    stage applies the report before it opens a watch and at every bin
+    advance, so a path counts as back on the rows that arrived after
+    its record began watching it.
     """
 
     name = "record"
@@ -77,8 +70,9 @@ class RecordStage:
         self,
         monitor: OutageMonitor,
         validator: DataPlaneValidator,
-        restore_fraction: float = RESTORE_FRACTION,
-        merge_gap_s: float = MERGE_GAP_S,
+        *,
+        restore_fraction: float,
+        merge_gap_s: float,
     ) -> None:
         self.monitor = monitor
         self.validator = validator
@@ -97,20 +91,21 @@ class RecordStage:
         self._watchers: dict[tuple[PoP, PathKey], set[PoP]] = {}
 
     # ------------------------------------------------------------------
-    def feed(self, element: Any) -> list[Any]:
-        if isinstance(element, OutageCandidate):
-            self._open_or_extend(element)
-            return []
-        if isinstance(element, BinAdvanced):
-            self._evaluate_open(element.now)
-            return []
-        return [element]
+    def feed(
+        self, candidates: list[OutageCandidate], now: float | None
+    ) -> None:
+        """Open or extend a record per candidate, then re-evaluate the
+        open and watched records at ``now``, the bin the clock advanced
+        to (``None`` at the end of the stream: nothing is evaluated)."""
+        for candidate in candidates:
+            self._open_or_extend(candidate)
+        if now is not None:
+            self._evaluate_open(now)
 
-    def flush(self) -> list[Any]:
+    def flush(self) -> None:
         """End of stream: nothing is buffered here.  The ledger tracer
         (``benchmarks/ledger/tracing.py``) times ``feed`` and ``flush``
         of every stage that holds the Kepler monitor."""
-        return []
 
     def state_dict(self) -> dict:
         """The records and their watches, with the monitor's report

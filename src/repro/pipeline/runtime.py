@@ -10,17 +10,21 @@ into one :class:`~repro.core.serde.TaggedBatch` (``feed_wire``), and
 the monitor folds the batch's columns in place (``prepare_wire``, then
 ``feed_wire_run`` from slot to slot), so no tagged row becomes an
 object between the two hottest stages.  The localisation and record
-stages read the live monitor, so each emission of the monitor — the
-closed bins' signals and their ``BinAdvanced`` — clears the four
-analysis stages (:meth:`KeplerPipeline._analyse`) before the monitor
-consumes its next row.  ``flush`` closes the monitor's trailing
-partial bin and analyses its signals.
+stages read the live monitor, so each bin close of the monitor — the
+closed bins' signals and the bin the clock advanced to — is analysed
+(:meth:`KeplerPipeline._advance`) before the monitor consumes its next
+row: :func:`analyse` classifies, localises and validates the signals,
+the probe memo is pruned at the advance, and the record stage takes
+the candidates and the advance.  ``flush`` closes the monitor's
+trailing partial bin and analyses its signals with no advance.
 
 Every stage call is metered into the chain's
-:class:`~repro.pipeline.metrics.PipelineMetrics`: wall time, elements
-fed and emitted, and calls (``batches``).  Stage methods are looked up
-on the stage objects at each call, so a wrapper installed on a stage
-instance after construction sees every call.
+:class:`~repro.pipeline.metrics.PipelineMetrics`
+(:meth:`~repro.pipeline.metrics.StageMetrics.meter`): wall time, items
+fed and emitted in the stage's own units, and calls (``batches``).
+Stage methods are looked up on the stage objects at each call, so a
+wrapper installed on a stage instance after construction sees every
+call.
 """
 
 from __future__ import annotations
@@ -29,8 +33,40 @@ import time
 from itertools import islice
 from typing import Any, Iterable
 
+from repro.core.events import OutageSignal
 from repro.core.serde import classification_from_json, classification_to_json
-from repro.pipeline.metrics import PipelineMetrics
+from repro.pipeline.events import OutageCandidate
+from repro.pipeline.metrics import PipelineMetrics, StageMetrics
+
+
+def analyse(
+    signals: list[OutageSignal],
+    classification,
+    localisation,
+    validation,
+    meters: list[StageMetrics],
+) -> list[OutageCandidate]:
+    """Classify, localise and validate one bin close's signals; the
+    candidates.  Each stage is metered on ``meters`` (classify,
+    localise, validate) in its own items, and runs only when the stage
+    before it handed anything on.  Both runtimes analyse through here."""
+    classify_m, localise_m, validate_m = meters
+    if not signals:
+        return []
+    began = time.perf_counter()
+    pop_level, concurrent = classification.feed(signals)
+    classify_m.meter(began, len(signals), len(pop_level))
+    if not pop_level:
+        return []
+    began = time.perf_counter()
+    located, city_scope = localisation.feed(pop_level, concurrent)
+    localise_m.meter(began, len(pop_level), len(located))
+    if not located:
+        return []
+    began = time.perf_counter()
+    candidates = validation.feed(located, city_scope)
+    validate_m.meter(began, len(located), len(candidates))
+    return candidates
 
 
 def checkpoint_parts(rejected: list, cache, pipeline) -> dict:
@@ -98,7 +134,8 @@ class KeplerPipeline:
         # place on load_state/reset, so they stay live across restores.
         handles = [metrics.stage(stage.name) for stage in self.stages]
         self._ingest_m, self._tagging_m, self._monitor_m = handles[:3]
-        self._analysis_m = handles[3:]
+        self._analysis_m = handles[3:6]
+        self._record_m = handles[6]
 
     # ------------------------------------------------------------------
     def feed_many(self, elements: Iterable[Any]) -> None:
@@ -114,27 +151,14 @@ class KeplerPipeline:
             self._run(chunk)
 
     def _run(self, chunk: list[Any]) -> None:
-        """Admit, tag and fold one chunk; analyse each monitor emission."""
-        metrics = self._ingest_m
+        """Admit, tag and fold one chunk; analyse each bin close."""
         began = time.perf_counter()
         admitted = self.ingest.feed_batch(chunk)
-        delta = time.perf_counter() - began
-        metrics.seconds += delta
-        metrics.fed += len(chunk)
-        metrics.batches += 1
-        metrics.emitted += len(admitted)
-        metrics.hist.record(delta * 1e9 / len(chunk))
+        self._ingest_m.meter(began, len(chunk), len(admitted))
 
-        metrics = self._tagging_m
         began = time.perf_counter()
         batch = self.tagging.feed_wire(admitted)
-        delta = time.perf_counter() - began
-        metrics.seconds += delta
-        metrics.fed += len(admitted)
-        metrics.batches += 1
-        metrics.emitted += len(batch)
-        if admitted:
-            metrics.hist.record(delta * 1e9 / len(admitted))
+        self._tagging_m.meter(began, len(admitted), len(batch))
 
         metrics = self._monitor_m
         monitoring = self.monitoring
@@ -146,36 +170,28 @@ class KeplerPipeline:
         slot, n = 0, len(view)
         while slot < n:
             began = time.perf_counter()
-            outs, advanced = monitoring.feed_wire_run(view, slot)
-            delta = time.perf_counter() - began
-            metrics.seconds += delta
-            metrics.fed += advanced - slot
-            metrics.batches += 1
-            metrics.emitted += len(outs)
-            if advanced > slot:
-                metrics.hist.record(delta * 1e9 / (advanced - slot))
+            emission, advanced = monitoring.feed_wire_run(view, slot)
+            metrics.meter(began, advanced - slot, len(emission[0]) if emission else 0)
             slot = advanced
-            if outs:
-                self._analyse(outs)
+            if emission is not None:
+                self._advance(*emission)
 
-    def _analyse(self, elements: list[Any]) -> None:
-        """Run a monitor emission through classify -> localise ->
-        validate -> record, each stage over the whole list in turn."""
-        for stage, metrics in zip(self.stages[3:], self._analysis_m):
-            if not elements:
-                return
-            feed = stage.feed
-            began = time.perf_counter()
-            produced: list[Any] = []
-            for element in elements:
-                produced.extend(feed(element))
-            delta = time.perf_counter() - began
-            metrics.seconds += delta
-            metrics.fed += len(elements)
-            metrics.batches += 1
-            metrics.emitted += len(produced)
-            metrics.hist.record(delta * 1e9 / len(elements))
-            elements = produced
+    def _advance(self, signals: list, now: float | None) -> None:
+        """Analyse one bin close; at an advance (``now`` set) prune the
+        probe memo, then hand the candidates and ``now`` to the record
+        stage."""
+        candidates = analyse(
+            signals,
+            self.classification,
+            self.localisation,
+            self.validation,
+            self._analysis_m,
+        )
+        if now is not None:
+            self.validation.prune(now)
+        began = time.perf_counter()
+        self.record.feed(candidates, now)
+        self._record_m.meter(began, len(candidates), 0)
 
     def flush(self) -> None:
         """End of stream: close the monitor's trailing partial bin and
@@ -183,10 +199,10 @@ class KeplerPipeline:
         on the monitor."""
         metrics = self._monitor_m
         began = time.perf_counter()
-        flushed = self.monitoring.flush()
+        signals = self.monitoring.flush()
         metrics.seconds += time.perf_counter() - began
-        metrics.emitted += len(flushed)
-        self._analyse(flushed)
+        metrics.emitted += len(signals)
+        self._advance(signals, None)
 
     # ------------------------------------------------------------------
     # Facade views (the surface every runtime's wrapper provides)

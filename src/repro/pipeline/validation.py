@@ -9,19 +9,19 @@ is probed at most once; both the localisation fallback and this stage
 share one cache.
 
 :class:`ValidationStage` applies the final accept/drop decision to
-located signals and emits :class:`~repro.pipeline.events.OutageCandidate`
-elements for the record lifecycle stage.
+located signals and returns :class:`~repro.pipeline.events.OutageCandidate`
+items for the record lifecycle stage; at each bin advance the runtime
+calls its :meth:`~ValidationStage.prune` to age the memo.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any
 
 from repro.core.dataplane import DataPlaneValidator, ValidationOutcome
 from repro.core.signals import SignalClassification
 from repro.docmine.dictionary import PoP
-from repro.pipeline.events import BinAdvanced, LocatedBatch, OutageCandidate
+from repro.pipeline.events import LocatedSignal, OutageCandidate
 
 #: Cache entries older than this are pruned (no bin is revisited after
 #: the correlation window has moved past it; one hour is generous).
@@ -108,15 +108,16 @@ class ValidationCache:
 
 
 class ValidationStage:
-    """LocatedBatch -> OutageCandidate*, dropping data-plane rejects."""
+    """Located signals -> OutageCandidate*, dropping data-plane rejects."""
 
     name = "validate"
 
     def __init__(
         self,
         cache: ValidationCache,
-        drop_rejected: bool = True,
-        rejected: list[SignalClassification] | None = None,
+        *,
+        drop_rejected: bool,
+        rejected: list[SignalClassification],
     ) -> None:
         self.cache = cache
         self.drop_rejected = drop_rejected
@@ -124,16 +125,14 @@ class ValidationStage:
         #: so the facade exposes one chronological reject list).  The
         #: list and the probe memo are checkpointed beside the chain:
         #: the stage has no state of its own.
-        self.rejected = rejected if rejected is not None else []
+        self.rejected = rejected
 
-    def feed(self, element: Any) -> list[Any]:
-        if isinstance(element, BinAdvanced):
-            self.cache.prune(element.now - PRUNE_HORIZON_S)
-            return [element]
-        if not isinstance(element, LocatedBatch):
-            return [element]
-        out: list[Any] = []
-        for located in element.results:
+    def feed(
+        self, located_signals: list[LocatedSignal], city_scope: str | None
+    ) -> list[OutageCandidate]:
+        """Probe each located signal's epicenter; the candidates."""
+        out: list[OutageCandidate] = []
+        for located in located_signals:
             c = located.classification
             outcome = self.cache.validate(located.located, c.bin_end)
             if outcome is ValidationOutcome.REJECTED and self.drop_rejected:
@@ -145,7 +144,11 @@ class ValidationStage:
                     located=located.located,
                     method=located.method,
                     outcome=outcome,
-                    city_scope=element.city_scope,
+                    city_scope=city_scope,
                 )
             )
         return out
+
+    def prune(self, now: float) -> None:
+        """The bin clock advanced to ``now``: age the probe memo."""
+        self.cache.prune(now - PRUNE_HORIZON_S)

@@ -10,8 +10,8 @@ and puts it on that lane:
 * :func:`tag_one` tags one update through ``tag_elements_to_wire``;
 * :func:`prime` installs a row as a table-dump path (``prime_row``);
 * :func:`feed` drives a monitoring stage over rows and state messages
-  as one tagged batch (:func:`fold` over a batch the tagger built),
-  and :func:`observe` feeds one row to a monitor
+  as one tagged batch (:func:`fold` over a batch the tagger built) and
+  returns its bin closes, and :func:`observe` feeds one row to a monitor
   that way and returns the signals of the bins it closed — the bins
   close before the row is deferred;
 * :func:`defer` defers a row into the open bin and closes nothing, for
@@ -32,7 +32,6 @@ from repro.core.serde import (
     tag_elements_to_wire,
 )
 from repro.docmine.dictionary import PoP
-from repro.pipeline.events import SignalBatch
 from repro.pipeline.monitoring import BinningMonitorStage
 
 
@@ -69,21 +68,22 @@ def batch_of(elements, kind: int = _K_TAGGED) -> TaggedBatch:
 
 def feed(stage, elements) -> list:
     """Drive a monitoring stage over ``elements`` as one tagged batch;
-    every output, in order."""
+    its ``(signals, advanced_to)`` bin closes, in order."""
     return fold(stage, batch_of(elements))
 
 
 def fold(stage, batch: TaggedBatch) -> list:
     """Drive a monitoring stage over a tagged batch, resuming where each
-    ``feed_wire_run`` call stops, as the chain does; every output, in
-    order."""
+    ``feed_wire_run`` call stops, as the chain does; its
+    ``(signals, advanced_to)`` bin closes, in order."""
     view = stage.prepare_wire(batch)
-    outs: list = []
+    closes: list = []
     slot = 0
     while slot < len(view):
-        emitted, slot = stage.feed_wire_run(view, slot)
-        outs.extend(emitted)
-    return outs
+        emission, slot = stage.feed_wire_run(view, slot)
+        if emission is not None:
+            closes.append(emission)
+    return closes
 
 
 def rows_of(batch: TaggedBatch) -> list[tuple[int, TaggedPath]]:
@@ -123,8 +123,8 @@ def prime(monitor, row: TaggedPath) -> None:
 
 def observe(monitor, row: TaggedPath) -> list:
     """Feed ``row`` as a one-row tagged batch; the closed bins' signals."""
-    outs = feed(BinningMonitorStage(monitor), [row])
-    return [s for out in outs if isinstance(out, SignalBatch) for s in out.signals]
+    closes = feed(BinningMonitorStage(monitor), [row])
+    return [s for signals, _ in closes for s in signals]
 
 
 def defer(monitor, row: TaggedPath) -> None:

@@ -32,7 +32,9 @@ from repro.core.serde import (
     tag_elements_to_wire,
     tag_wire_batch,
 )
-from repro.pipeline.events import PrimingUpdate, SignalBatch
+from repro.core.events import OutageSignal
+from repro.docmine.dictionary import PoP, PoPKind
+from repro.pipeline.events import PrimingUpdate
 from repro.pipeline.parallel import pack_wires
 from repro.scenarios import build_world
 
@@ -42,8 +44,8 @@ class Foreign:
 
 
 #: One of each: an unknown type, a tagged row as an object (the chain
-#: never makes one) and a downstream stage's output — none of them is
-#: stream input.
+#: never makes one) and a downstream stage's output (a monitor signal)
+#: — none of them is stream input.
 FOREIGN = (
     Foreign(),
     TaggedPath(
@@ -54,9 +56,17 @@ FOREIGN = (
         tags=(),
         afi=4,
     ),
-    SignalBatch(signals=[]),
+    OutageSignal(
+        pop=PoP(PoPKind.FACILITY, "f1"),
+        near_asn=1,
+        bin_start=0.0,
+        bin_end=60.0,
+        diverted_paths=0,
+        baseline_paths=0,
+        links=frozenset(),
+    ),
 )
-DROPPED = {"Foreign": 1, "SignalBatch": 1, "TaggedPath": 1}
+DROPPED = {"Foreign": 1, "OutageSignal": 1, "TaggedPath": 1}
 
 
 @pytest.fixture(scope="module")

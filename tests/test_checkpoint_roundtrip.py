@@ -10,8 +10,9 @@ The document is fail-closed (a malformed one raises ``ValueError`` and
 leaves the detector as it was).  A version-3 document — the committed
 fixture the retired thread-sharded runtime wrote — carries no signal
 keys, so it cannot resume exactly and is refused by version, as is a
-version-4 document, whose monitor entries still carry path AS sets, and
-a version-5 one, whose metrics still carry wall-clock seconds.  Two
+version-4 document, whose monitor entries still carry path AS sets, a
+version-5 one, whose metrics still carry wall-clock seconds, and a
+version-6 one, whose analysis-stage counts are in envelopes.  Two
 runs of one replay prefix give byte-equal documents.  A cut
 between a signal's bin and the arrival of the candidate it feeds
 resumes to the uninterrupted output: the window's signals carry the
@@ -176,7 +177,7 @@ class TestCheckpointDocument:
         blob = json.dumps(document)
         parsed = json.loads(blob)
         assert parsed["format"] == "kepler-checkpoint"
-        assert parsed["version"] == 6
+        assert parsed["version"] == 7
         monitor = parsed["pipeline"]["stages"]["monitor"]["monitor"]
         assert "tracking" not in monitor and "shards" not in parsed
         assert parsed["primed_paths"] == detector.primed_paths
@@ -227,14 +228,31 @@ class TestCheckpointDocument:
         detector = make_kepler(world, KeplerParams(), False)
         fresh = make_kepler(world, KeplerParams(), False)
         before = json.dumps(fresh.snapshot(), sort_keys=True)
-        # Version 4 entries still carry path AS sets and version 5
-        # metrics carry wall-clock seconds: refused, not read.
-        for version in (4, 5, 99):
+        # Version 4 entries still carry path AS sets, version 5
+        # metrics carry wall-clock seconds and version 6 metrics count
+        # inter-stage envelopes: refused, not read.
+        for version in (4, 5, 6, 99):
             document = detector.snapshot()
             document["version"] = version
             with pytest.raises(ValueError, match="version"):
                 fresh.restore(document)
             assert json.dumps(fresh.snapshot(), sort_keys=True) == before
+
+    def test_version_6_document_is_refused_and_changes_nothing(self, world_a):
+        # A version-6 metrics section counts the analysis stages in
+        # envelopes and bin markers; restoring it mid-stream would mix
+        # its counts with this detector's own units.
+        world, snapshot, elements = world_a
+        detector = make_kepler(world, KeplerParams(), False)
+        detector.prime(snapshot)
+        detector.process(elements[: len(elements) // 2])
+        document = detector.snapshot()
+        document["version"] = 6
+        detector.process(elements[len(elements) // 2 :])
+        before = json.dumps(detector.snapshot(), sort_keys=True)
+        with pytest.raises(ValueError, match="version 6 not supported"):
+            detector.restore(document)
+        assert json.dumps(detector.snapshot(), sort_keys=True) == before
 
     def test_restore_rejects_foreign_document(self, world_a):
         world, _, _ = world_a

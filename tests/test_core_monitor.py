@@ -21,7 +21,6 @@ from repro.core.monitor import (
 )
 from repro.core.serde import pop_from_json
 from repro.docmine.dictionary import PoP, PoPKind
-from repro.pipeline.events import BinAdvanced
 from repro.pipeline.monitoring import BinningMonitorStage
 
 from _fold_oracle import FoldOracle
@@ -251,8 +250,8 @@ class TestReturnTracking:
     def test_bin_closing_row_is_not_reported_at_its_close(self):
         # The first row past the bin stops the call at its own slot,
         # after the close: what the record stage settles at that
-        # BinAdvanced holds rows of the closed bin [0, 60) only, and
-        # the row is reported once it folds into its own bin.
+        # advance holds rows of the closed bin [0, 60) only, and the
+        # row is reported once it folds into its own bin.
         monitor = primed_monitor(2)
         stage = BinningMonitorStage(monitor)
         monitor.watch(POP_F, {key(0)})
@@ -264,11 +263,11 @@ class TestReturnTracking:
                 ]
             )
         )
-        out, slot = stage.feed_wire_run(view, 0)
-        assert [o.now for o in out if isinstance(o, BinAdvanced)] == [60.0]
+        (_, advanced_to), slot = stage.feed_wire_run(view, 0)
+        assert advanced_to == 60.0
         assert slot == 1
         assert monitor.report() == {}
-        assert stage.feed_wire_run(view, slot) == ([], 2)
+        assert stage.feed_wire_run(view, slot) == (None, 2)
         assert monitor.report() == {(POP_F, key(0)): False}
 
 
@@ -849,9 +848,9 @@ class TestGapSnapshot:
 class TestBinClosingScan:
     """``feed_wire_run`` closes a bin at the first row, in arrival
     order, whose time reaches the bin's end, however unsorted the run:
-    the rows before it defer into the open bin, the close emits the
-    ``BinAdvanced``, and the call stops at the row's own slot, so the
-    row folds into its own bin on the next call."""
+    the rows before it defer into the open bin, the close returns its
+    signals and the bin advanced to, and the call stops at the row's
+    own slot, so the row folds into its own bin on the next call."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -879,13 +878,14 @@ class TestBinClosingScan:
                 (i for i in range(slot, len(times)) if times[i] >= start + 60.0),
                 None,
             )
-            outs, slot = stage.feed_wire_run(view, slot)
+            emission, slot = stage.feed_wire_run(view, slot)
             if closing is None:
-                assert (outs, slot) == ([], len(times))
+                assert (emission, slot) == (None, len(times))
                 break
             assert slot == closing
-            assert isinstance(outs[-1], BinAdvanced)
+            _, advanced_to = emission
             bin_start = monitor.current_bin_start
+            assert advanced_to == bin_start
             assert bin_start <= times[closing] < bin_start + 60.0
 
 

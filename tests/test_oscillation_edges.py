@@ -34,7 +34,7 @@ from repro.docmine.dictionary import (
     PoP,
     PoPKind,
 )
-from repro.pipeline import BinAdvanced, OutageCandidate, RecordStage
+from repro.pipeline import OutageCandidate, RecordStage
 
 from _tagged_rows import TaggedPath, observe, prime
 
@@ -101,13 +101,13 @@ def opened_and_closed(n_keys=4, n_return=3):
     for i in range(n_keys):
         observe(monitor, tagged(key(i), time=10.0, withdraw=True))
     signals = monitor.close_bin()
-    stage.feed(candidate(signals, bin_start=0.0))
+    stage.feed([candidate(signals, bin_start=0.0)], None)
     assert POP_F in stage.open
     assert stage._returns[POP_F].paths == {POP_F: {key(i) for i in range(n_keys)}}
     # Paths return: fraction above the restore threshold.
     for i in range(n_return):
         observe(monitor, tagged(key(i), time=70.0))
-    stage.feed(BinAdvanced(now=120.0))
+    stage.feed([], 120.0)
     assert POP_F not in stage.open
     assert POP_F in stage._watch
     return monitor, stage, signals
@@ -121,7 +121,7 @@ class TestRelapseAtExactGap:
             observe(monitor, tagged(key(i), time=130.0, withdraw=True))
         # ...and the evaluation lands exactly merge_gap_s after close:
         # the watch must still be live (expiry is strictly greater-than).
-        stage.feed(BinAdvanced(now=120.0 + MERGE_GAP))
+        stage.feed([], 120.0 + MERGE_GAP)
         assert POP_F in stage.open
         assert stage.open[POP_F].start == 120.0 + MERGE_GAP
         assert POP_F not in stage._watch
@@ -130,7 +130,7 @@ class TestRelapseAtExactGap:
         monitor, stage, signals = opened_and_closed()
         for i in range(3):
             observe(monitor, tagged(key(i), time=130.0, withdraw=True))
-        stage.feed(BinAdvanced(now=120.0 + MERGE_GAP + 0.5))
+        stage.feed([], 120.0 + MERGE_GAP + 0.5)
         assert POP_F not in stage.open
         assert POP_F not in stage._watch
         # The paths are released with the watch: no more reports.
@@ -143,7 +143,7 @@ class TestRelapseAtExactGap:
         closed = stage.records[-1]
         for i in range(3):
             observe(monitor, tagged(key(i), time=130.0, withdraw=True))
-        stage.feed(BinAdvanced(now=180.0))
+        stage.feed([], 180.0)
         relapse = stage.open[POP_F]
         assert relapse.method == closed.method
         assert relapse.affected_ases == closed.affected_ases
@@ -159,7 +159,7 @@ class TestFreshSignalOnWatchedPop:
         monitor, stage, signals = opened_and_closed()
         # A new PoP-level candidate arrives while the PoP is watched:
         # the watch is dropped and a *new* incident opens.
-        stage.feed(candidate(signals, bin_start=300.0))
+        stage.feed([candidate(signals, bin_start=300.0)], None)
         assert POP_F not in stage._watch
         assert stage.open[POP_F].start == 300.0
         # The old watch was released and a fresh one opened on the
@@ -168,10 +168,10 @@ class TestFreshSignalOnWatchedPop:
 
     def test_fresh_signal_separates_records(self):
         monitor, stage, signals = opened_and_closed()
-        stage.feed(candidate(signals, bin_start=300.0))
+        stage.feed([candidate(signals, bin_start=300.0)], None)
         for i in range(3):
             observe(monitor, tagged(key(i), time=310.0))
-        stage.feed(BinAdvanced(now=360.0))
+        stage.feed([], 360.0)
         records = stage.finalize()
         mine = [r for r in records if r.located_pop == POP_F]
         # The second incident started beyond the merge gap (300 vs a
@@ -210,7 +210,7 @@ class TestFeedGapDuringOutage:
         for i in range(4):
             observe(monitor, tagged(key(i), time=10.0, withdraw=True))
         signals = monitor.close_bin()
-        stage.feed(candidate(signals, bin_start=0.0))
+        stage.feed([candidate(signals, bin_start=0.0)], None)
         for i in range(3):
             observe(monitor, tagged(key(i), time=70.0))
         assert returned(stage) == pytest.approx(0.75)
@@ -255,25 +255,25 @@ class TestRecordsSharingASignalPoP:
         for i in range(3):
             observe(monitor, tagged(key(i), time=10.0, withdraw=True))
         signals = monitor.close_bin()
-        stage.feed(candidate(signals, bin_start=0.0, located=located_a))
-        stage.feed(BinAdvanced(now=60.0))
+        stage.feed([candidate(signals, bin_start=0.0, located=located_a)], None)
+        stage.feed([], 60.0)
         # Record B: the fourth key diverts one bin later, same signal PoP.
         observe(monitor, tagged(key(3), time=70.0, withdraw=True))
         signals = monitor.close_bin()
-        stage.feed(candidate(signals, bin_start=60.0, located=located_b))
+        stage.feed([candidate(signals, bin_start=60.0, located=located_b)], None)
         assert set(stage.open) == {located_a, located_b}
         # Step 1: only A's keys return.  A closes (3/3); B's one key is
         # still down, so B stays open.
         for i in range(3):
             observe(monitor, tagged(key(i), time=130.0))
-        stage.feed(BinAdvanced(now=180.0))
+        stage.feed([], 180.0)
         assert located_a not in stage.open
         assert located_b in stage.open
         # Step 2: A's watch expires; B's tracking must survive it.
-        stage.feed(BinAdvanced(now=180.0 + MERGE_GAP + 60.0))
+        stage.feed([], 180.0 + MERGE_GAP + 60.0)
         assert located_a not in stage._watch
         observe(monitor, tagged(key(3), time=350.0))
-        stage.feed(BinAdvanced(now=360.0))
+        stage.feed([], 360.0)
         assert located_b not in stage.open
         closed = [r for r in stage.records if r.located_pop == located_b]
         assert [r.end for r in closed] == [360.0]

@@ -15,14 +15,13 @@ from repro.core.events import OutageSignal
 from repro.core.input import PoPTag
 from repro.core.monitor import MonitorParams, OutageMonitor
 from repro.docmine.dictionary import PoP, PoPKind
+from repro.core.signals import MIN_POP_LEVEL_ASES
 from repro.pipeline import (
-    BinAdvanced,
     BinningMonitorStage,
     ClassificationStage,
     IngestStage,
     PipelineMetrics,
     PrimingUpdate,
-    SignalBatch,
     TaggingStage,
     ValidationCache,
     merge_streams,
@@ -130,10 +129,11 @@ class TestBinningMonitorStage:
         metrics = PipelineMetrics()
         stage = BinningMonitorStage(monitor, metrics=metrics)
         rows = [tagged(key(i), time=10.0, withdraw=True) for i in range(3)]
-        out = feed(stage, rows + [tagged(key(5), time=70.0)])
-        assert isinstance(out[0], SignalBatch)
-        assert isinstance(out[1], BinAdvanced)
-        assert out[1].now == 60.0
+        ((signals, advanced_to),) = feed(
+            stage, rows + [tagged(key(5), time=70.0)]
+        )
+        assert signals and all(s.pop == POP_F for s in signals)
+        assert advanced_to == 60.0
         assert metrics.bins.count == 1
         assert metrics.bins.last_baseline_entries == 7
 
@@ -162,8 +162,8 @@ class TestBinningMonitorStage:
         monitor = self._primed()
         stage = BinningMonitorStage(monitor)
         feed(stage, [tagged(key(0), time=10.0, withdraw=True)])
-        out = stage.flush()
-        assert len(out) == 1 and isinstance(out[0], SignalBatch)
+        signals = stage.flush()
+        assert signals and all(s.pop == POP_F for s in signals)
 
 
 def signal(pop, near, links, bin_start=0.0):
@@ -178,6 +178,12 @@ def signal(pop, near, links, bin_start=0.0):
     )
 
 
+def classification_stage() -> ClassificationStage:
+    return ClassificationStage(
+        as2org={}, min_pop_ases=MIN_POP_LEVEL_ASES, correlation_window_s=180.0
+    )
+
+
 class TestClassificationStage:
     def _pop_level_signals(self, bin_start=0.0):
         # 4 disjoint near ASes x 4 disjoint far ASes: PoP-level.
@@ -188,43 +194,37 @@ class TestClassificationStage:
         ]
 
     def test_pop_level_batch_emitted(self):
-        stage = ClassificationStage(as2org={})
-        out = stage.feed(SignalBatch(self._pop_level_signals()))
-        assert len(out) == 1
-        assert out[0].pop_level[0].pop == POP_F
-        assert out[0].concurrent == {POP_F}
+        stage = classification_stage()
+        pop_level, concurrent = stage.feed(self._pop_level_signals())
+        assert len(pop_level) == 1
+        assert pop_level[0].pop == POP_F
+        assert concurrent == {POP_F}
         assert len(stage.signal_log) == 1
 
     def test_sub_pop_signals_logged_but_not_forwarded(self):
-        stage = ClassificationStage(as2org={})
-        out = stage.feed(SignalBatch([signal(POP_F, 1, [(1, 101)])]))
-        assert out == []
+        stage = classification_stage()
+        out = stage.feed([signal(POP_F, 1, [(1, 101)])])
+        assert out == ([], set())
         assert len(stage.signal_log) == 1
 
     def test_correlation_window_expires_old_signals(self):
-        stage = ClassificationStage(as2org={}, correlation_window_s=180.0)
-        stage.feed(SignalBatch([signal(POP_F, 1, [(1, 101)])]))
+        stage = classification_stage()
+        stage.feed([signal(POP_F, 1, [(1, 101)])])
         assert len(stage._window) == 1
-        stage.feed(SignalBatch([signal(POP_F, 2, [(2, 102)], bin_start=600.0)]))
+        stage.feed([signal(POP_F, 2, [(2, 102)], bin_start=600.0)])
         assert all(s.bin_start == 600.0 for s in stage._window)
 
     def test_adjacent_bins_correlate_into_pop_level(self):
         # 2 links in bin 0 + 2 links in bin 1: neither bin alone is
         # PoP-level, the correlated window is.
-        stage = ClassificationStage(as2org={})
+        stage = classification_stage()
         first = [signal(POP_F, n, [(n, n + 100)]) for n in (1, 2)]
         second = [
             signal(POP_F, n, [(n, n + 100)], bin_start=60.0) for n in (3, 4)
         ]
-        assert stage.feed(SignalBatch(first)) == []
-        out = stage.feed(SignalBatch(second))
-        assert len(out) == 1
-        assert len(out[0].pop_level[0].links) == 4
-
-    def test_markers_pass_through(self):
-        stage = ClassificationStage(as2org={})
-        marker = BinAdvanced(now=60.0)
-        assert stage.feed(marker) == [marker]
+        assert stage.feed(first) == ([], set())
+        (pop_level,), _ = stage.feed(second)
+        assert len(pop_level.links) == 4
 
 
 class CountingValidator(NullValidator):
@@ -354,15 +354,15 @@ class TestStreamingPrime:
 
 def tag_and_fold(tagging, monitoring, elements) -> list:
     """The tagging -> monitor pair as the chain runs it: tag a chunk
-    into one batch and fold it; the monitor's outputs."""
+    into one batch and fold it; the monitor's bin closes."""
     return fold(monitoring, tagging.feed_wire(elements))
 
 
 class TestKeplerPipeline:
     def test_flush_analyses_the_trailing_bin(self):
         # The chain's flush is metered on the monitor (time and
-        # emitted), and its signals are fed to the analysis stages
-        # like any emission of the monitor.
+        # signals emitted), and its signals are fed to the analysis
+        # stages like those of any bin close.
         from repro.core.colocation import ColocationMap
         from repro.core.kepler import Kepler
 
@@ -388,8 +388,8 @@ class TestKeplerPipeline:
         assert (metrics.stage("monitor").emitted, metrics.stage("classify").fed) == (0, 0)
         chain.flush()
         assert chain.monitoring.monitor.bins_processed == 1
-        assert metrics.stage("monitor").emitted == 1
-        assert metrics.stage("monitor").seconds > 0
-        assert metrics.stage("classify").fed == 1
         (logged,) = chain.signal_log
         assert {s.diverted_paths for s in logged.signals} == {3}
+        assert metrics.stage("monitor").emitted == len(logged.signals)
+        assert metrics.stage("monitor").seconds > 0
+        assert metrics.stage("classify").fed == len(logged.signals)

@@ -64,9 +64,9 @@ def sharded_doc(world_a) -> str:
     """Stripped snapshot of an unfaulted shard-process run.
 
     The composed shard-process document differs from the linear one in
-    the per-stage ``fed``/``emitted`` counters after the monitor (the
-    driver analysis sees one merged batch per bin), so a faulted
-    shard-process document is compared against this, not the linear.
+    the monitor's ``emitted`` count (worker 0 counts the signals of its
+    own share), so a faulted shard-process document is compared against
+    this, not the linear.
     """
     return faulted_run(
         world_a, KeplerParams(**SHARDED), FaultPlan([]), snapshot_doc=True

@@ -11,6 +11,10 @@ merged signals.  It must be a pure execution detail:
   data-plane validator);
 * the probe cache's at-most-once-per-(PoP, bin) invariant preserved
   exactly (probe counts match the linear chain);
+* the analysis stages' ``fed``/``emitted`` counts equal the linear
+  chain's: each stage counts its own items (signals, PoP-level
+  classifications, located signals, candidates), whichever process
+  runs it;
 * a mid-stream checkpoint composed by the shard workers restores into
   either runtime — linear, shard-process — and
   finishes the stream byte-identically, and vice versa.
@@ -132,6 +136,30 @@ class TestDeterminism:
             finally:
                 detector.close()
         assert probes[0] == probes[1]
+
+    def test_analysis_stage_counts_match_linear(self, world_a):
+        world, snapshot, elements = world_a
+        counts = []
+        for params in (KeplerParams(), KeplerParams(shard_processes=2)):
+            detector = make_kepler(world, params, True)
+            try:
+                detector.prime(snapshot)
+                detector.process(elements)
+                detector.finalize(end_time=END_TIME)
+                rows = detector.metrics.snapshot()["stages"]
+                counts.append(
+                    {
+                        row["name"]: (row["fed"], row["emitted"])
+                        for row in rows
+                        if row["name"]
+                        in ("classify", "localise", "validate", "record")
+                    }
+                )
+            finally:
+                detector.close()
+        linear, shardproc = counts
+        assert len(linear) == 4 and linear["record"][0] > 0, linear
+        assert shardproc == linear
 
 
 class TestCheckpointInterchange:

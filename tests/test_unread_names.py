@@ -19,7 +19,9 @@ reason.
 The same scan fails on a module-level import in ``src/`` that its
 module never reads and whose ``__all__`` does not list (pyflakes'
 F401), so a deletion cannot leave a dangling import behind where the
-linter is not at hand.
+linter is not at hand.  Imports under a module-level
+``if TYPE_CHECKING:`` count too; a name in a string annotation
+(``-> "World"``) reads them.
 """
 
 from __future__ import annotations
@@ -144,18 +146,54 @@ def unread(code: Code, allowed=ALLOWED) -> list[str]:
     return stale
 
 
+def _module_imports(tree: ast.Module):
+    """Module-level imports, those under ``if TYPE_CHECKING:`` included."""
+    for node in tree.body:
+        if isinstance(node, ast.If) and (
+            (isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING")
+            or (
+                isinstance(node.test, ast.Attribute)
+                and node.test.attr == "TYPE_CHECKING"
+            )
+        ):
+            yield from (n for n in node.body if isinstance(n, (ast.Import, ast.ImportFrom)))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+
+
+def _string_annotation_reads(tree: ast.Module) -> set[str]:
+    """Names read inside string annotations (``x: "World"``)."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    names = set()
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.update(
+                    n.id
+                    for n in ast.walk(ast.parse(node.value, mode="eval"))
+                    if isinstance(n, ast.Name)
+                )
+    return names
+
+
 def unused_imports(code: Code) -> list[str]:
     """Module-level imports in ``src/`` never read nor in ``__all__``."""
     stale = []
     for path, _, tree in code.sources():
         bound: dict[str, int] = {}
-        for node in tree.body:
+        for node in _module_imports(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 continue
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
-        used = _dunder_all(tree) | {
+            for alias in node.names:
+                bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = _dunder_all(tree) | _string_annotation_reads(tree) | {
             node.id
             for node in ast.walk(tree)
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
@@ -222,7 +260,11 @@ PLANTED = {
 import json
 import os
 import re
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
+
+if TYPE_CHECKING:
+    from decimal import Decimal
+    from fractions import Fraction
 
 __all__ = ["os"]
 
@@ -231,7 +273,7 @@ def unread_function():
     return json.dumps({})
 
 
-def read_function():
+def read_function() -> "list[Decimal]":
     return 1
 
 
@@ -300,7 +342,11 @@ def test_a_stale_name_is_caught(name, planted):
 
 
 def test_an_unused_import_is_caught(planted):
-    assert unused_imports(planted) == ["src/repro/planted.py:4: re"]
+    # ``Decimal`` is read by a string annotation; ``Fraction`` by nothing.
+    assert unused_imports(planted) == [
+        "src/repro/planted.py:9: Fraction",
+        "src/repro/planted.py:4: re",
+    ]
 
 
 def test_an_allowlisted_name_passes(planted):
