@@ -11,9 +11,10 @@ Kepler is a staged streaming detector:
 
 Each arrow is a stage of :mod:`repro.pipeline`; this class builds the
 chain (or the shard-process runtime that runs it across worker
-processes) and keeps the batch API (``prime`` / ``process`` /
-``finalize``, ``records``, ``signal_log``, ``rejected``,
-``signal_counts``) as a thin facade over it.
+processes) as its one runtime object, ``pipeline``, and keeps the
+batch API (``prime`` / ``process`` / ``finalize``, ``records``,
+``signal_log``, ``rejected``, ``signal_counts``) as a thin facade over
+it.
 """
 
 from __future__ import annotations
@@ -161,10 +162,12 @@ class Kepler:
         self.colo = colo
         self.as2org = dict(as2org)
         self.validator: DataPlaneValidator = validator or NullValidator()
-        #: the facade views' source and the runtime that feeds it: one
-        #: object for the in-process chain, a wrapper and its driver
-        #: under ``shard_processes``.
-        self.stages, self.pipeline = self._build_stages()
+        #: the runtime: the in-process chain
+        #: (:class:`~repro.pipeline.runtime.KeplerPipeline`), or the
+        #: shard-process driver
+        #: (:class:`~repro.pipeline.parallel.ShardProcessPipeline`) under
+        #: ``shard_processes``.  Both serve the facade views.
+        self.pipeline = self._build_pipeline()
         #: primed baseline paths (installed outside the streaming path).
         self.primed_paths = 0
         # Admission staging (see ``process``): elements handed over but
@@ -175,9 +178,9 @@ class Kepler:
         self._flush_edge = float("-inf")
 
     # ------------------------------------------------------------------
-    def _build_stages(self) -> tuple:
-        """Build the stage cores and the runtime the params describe;
-        return ``(stages, pipeline)``.
+    def _build_pipeline(self):
+        """Build the stage cores and return the runtime the params
+        describe.
 
         ``input`` / ``monitor`` / ``investigator`` are the facade's
         handles on the cores; the validator is the operator's object.
@@ -187,7 +190,7 @@ class Kepler:
         # by importing this module — a cycle at import time, not at use.
         from repro.pipeline import (
             build_kepler_pipeline,
-            build_shard_process_kepler_pipeline,
+            build_shard_process_pipeline,
         )
 
         self.input = InputModule(self.dictionary, self.colo)
@@ -215,14 +218,12 @@ class Kepler:
             enable_investigation=self.params.enable_investigation,
         )
         if self.params.shard_processes >= 2:
-            shards = build_shard_process_kepler_pipeline(
+            return build_shard_process_pipeline(
                 workers=self.params.shard_processes,
                 batch_size=self.params.process_batch,
                 **wiring,
             )
-            return shards, shards.pipeline
-        chain = build_kepler_pipeline(chunk_size=self.params.feed_chunk, **wiring)
-        return chain, chain
+        return build_kepler_pipeline(chunk_size=self.params.feed_chunk, **wiring)
 
     # ------------------------------------------------------------------
 
@@ -235,31 +236,31 @@ class Kepler:
     def records(self) -> list[OutageRecord]:
         """Finalized (closed or merged) outage records."""
         self._flush()
-        return self.stages.records
+        return self.pipeline.records
 
     @property
     def open(self) -> dict[PoP, OutageRecord]:
         """Open outages keyed by located PoP."""
         self._flush()
-        return self.stages.open
+        return self.pipeline.open
 
     @property
     def signal_log(self) -> list[SignalClassification]:
         """Every classification ever made, for sensitivity analysis."""
         self._flush()
-        return self.stages.signal_log
+        return self.pipeline.signal_log
 
     @property
     def rejected(self) -> list[SignalClassification]:
         """Signals rejected by the data plane (false-positive pruning)."""
         self._flush()
-        return self.stages.rejected
+        return self.pipeline.rejected
 
     @property
     def metrics(self) -> PipelineMetrics:
         """Per-stage counters and bin gauges of this detector."""
         self._flush()
-        return self.stages.metrics
+        return self.pipeline.metrics
 
     def metrics_live(self) -> dict:
         """Snapshot of the *running* detector — no drain barrier.
@@ -276,7 +277,7 @@ class Kepler:
         the counters are at most one bin or ``feed_chunk`` elements
         behind ``process``; ``depths["staged"]`` says by how many.
         """
-        snap = self.stages.metrics_live()
+        snap = self.pipeline.metrics_live()
         snap.setdefault("depths", {})["staged"] = len(self._staged)
         return snap
 
@@ -297,7 +298,7 @@ class Kepler:
         from repro.pipeline import PrimingUpdate
 
         self._flush()
-        before = self.stages.monitoring.primed
+        before = self.pipeline.primed
         source = iter(updates)
         chunk = self.params.feed_chunk
         while True:
@@ -305,7 +306,7 @@ class Kepler:
             if not batch:
                 break
             self._run_chain(batch)
-        count = self.stages.monitoring.primed - before
+        count = self.pipeline.primed - before
         self.primed_paths += count
         return count
 
@@ -329,7 +330,7 @@ class Kepler:
         materialised.
 
         What does not read through the facade (``metrics_live``, the
-        validator's probes, ``kepler.stages``) sees the chain less than
+        validator's probes, ``kepler.pipeline``) sees the chain less than
         one bin of stream time behind the calls.  The monitor's own
         clock follows *tagged* elements only: when the element that
         opens a bin carries no location tag, the previous bin's close
@@ -420,7 +421,7 @@ class Kepler:
         """Flush bins, settle open records, merge oscillations; return records."""
         self._flush()
         self.pipeline.flush()
-        return self.stages.finalize_records(end_time)
+        return self.pipeline.finalize_records(end_time)
 
     def close(self) -> None:
         """Release runtime resources (worker processes and their transport).
@@ -428,7 +429,7 @@ class Kepler:
         Staged elements are not run: a detector closed without
         ``finalize`` never exposed their effect.
         """
-        self.stages.close()
+        self.pipeline.close()
 
     # ------------------------------------------------------------------
     # Checkpointing: a versioned JSON document of a mid-stream detector
@@ -457,7 +458,7 @@ class Kepler:
             "format": CHECKPOINT_FORMAT,
             "version": CHECKPOINT_VERSION,
             "primed_paths": self.primed_paths,
-            **self.stages.checkpoint_parts(),
+            **self.pipeline.checkpoint_parts(),
         }
 
     def restore(self, checkpoint: dict) -> None:
@@ -487,7 +488,7 @@ class Kepler:
         for name in ("stages", "metrics"):
             if not isinstance(pipeline, dict) or name not in pipeline:
                 raise ValueError(f"checkpoint pipeline section lacks {name!r}")
-        self.stages.restore_parts(
+        self.pipeline.restore_parts(
             {name: checkpoint[name] for name in ("rejected", "cache", "pipeline")}
         )
         self.primed_paths = checkpoint["primed_paths"]

@@ -24,8 +24,10 @@ classification (``feed(signals)``), localisation
 (``feed(located, city_scope)``), and the record stage takes the
 candidates and the advance (``feed(candidates, now)``).
 
-:func:`build_kepler_pipeline` wires the chain;
-:class:`repro.core.kepler.Kepler` is a thin facade over it.
+:func:`build_kepler_pipeline` wires the chain and
+:func:`build_shard_process_pipeline` the shard-process runtime
+(:mod:`repro.pipeline.parallel`); :class:`repro.core.kepler.Kepler`
+holds one of the two as ``pipeline`` and is a thin facade over it.
 """
 
 from __future__ import annotations
@@ -43,18 +45,11 @@ from repro.pipeline.localisation import LocalisationStage, common_city
 from repro.pipeline.metrics import BinStats, PipelineMetrics, StageMetrics
 from repro.pipeline.monitoring import BinningMonitorStage
 from repro.pipeline.parallel import (
-    ShardProcessKeplerPipeline,
     ShardProcessPipeline,
-    build_shard_process_kepler_pipeline,
+    build_shard_process_pipeline,
     fork_available,
 )
-from repro.pipeline.faults import FaultPlan, FaultSpec
-from repro.pipeline.liveness import (
-    PoisonedBatchError,
-    WorkerCrashError,
-    WorkerDeathError,
-    reap_workers,
-)
+from repro.pipeline.liveness import WorkerCrashError, WorkerDeathError, reap_workers
 from repro.pipeline.record import RecordStage, merge_oscillations
 from repro.pipeline.runtime import KeplerPipeline
 from repro.pipeline.tagging import TaggingStage
@@ -117,18 +112,14 @@ __all__ = [
     "BinStats",
     "BinningMonitorStage",
     "ClassificationStage",
-    "FaultPlan",
-    "FaultSpec",
     "IngestStage",
     "KeplerPipeline",
     "LocalisationStage",
     "LocatedSignal",
     "OutageCandidate",
     "PipelineMetrics",
-    "PoisonedBatchError",
     "PrimingUpdate",
     "RecordStage",
-    "ShardProcessKeplerPipeline",
     "ShardProcessPipeline",
     "StageMetrics",
     "TaggingStage",
@@ -137,7 +128,7 @@ __all__ = [
     "WorkerCrashError",
     "WorkerDeathError",
     "build_kepler_pipeline",
-    "build_shard_process_kepler_pipeline",
+    "build_shard_process_pipeline",
     "common_city",
     "fork_available",
     "merge_oscillations",

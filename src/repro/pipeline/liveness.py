@@ -9,6 +9,10 @@ its failure vocabulary and teardown:
   last-seen depth of every runtime queue, and
   how many control messages were still pending — the three questions
   an operator asks first.
+* :class:`WorkerCrashError` carries the traceback a worker posted
+  before it exited.  Nothing restarts a worker or skips its input:
+  either error closes the runtime and surfaces from the call that met
+  it, as an exception in the in-process chain would.
 * :func:`reap_workers` is the single teardown helper: join with a
   deadline, terminate the survivors, join again, close the queues.
   Idempotent and safe on part-dead worker sets.
@@ -57,15 +61,10 @@ class WorkerDeathError(RuntimeError):
 
 
 class WorkerCrashError(RuntimeError):
-    """A worker caught an exception and posted it before exiting."""
+    """A worker caught an exception and posted it before exiting.
 
-
-class PoisonedBatchError(RuntimeError):
-    """A wire payload that does not decode.
-
-    Raised inside a worker and caught there: the batch is dead-lettered
-    (its elements dropped from the stream, the payload kept for
-    inspection) and the runtime keeps streaming.
+    Stage code that raises and a wire batch the worker cannot unmarshal
+    or tag end the worker alike; the message carries its traceback.
     """
 
 

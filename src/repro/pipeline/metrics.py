@@ -25,7 +25,7 @@ The registry also owns the distribution side of observability:
 
 The metric taxonomy is strict about what checkpoints see: counters in
 ``state_dict()`` only.  Stage busy seconds, bin-close latencies,
-histograms, gauges, batches, recovery stats and the trace journal are
+histograms, gauges, batches and the trace journal are
 *run* telemetry — merged across processes via the shard runtime's
 worker sync sidecars (``hists_to_wire``/``load_hists_wire`` for the
 histograms), but never part of a checkpoint document.
@@ -108,22 +108,6 @@ class StageMetrics:
 
 
 @dataclass
-class RecoveryStats:
-    """Dead-letter telemetry (run observability, never state).
-
-    Populated by the quarantine path of the shard-process runtime.
-    Deliberately absent from :meth:`PipelineMetrics.state_dict`: how
-    many batches this run quarantined is a property of the run, not of
-    the stream.
-    """
-
-    quarantined_batches: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {"quarantined_batches": self.quarantined_batches}
-
-
-@dataclass
 class BinStats:
     """Running statistics over closed bins (bounded memory)."""
 
@@ -172,7 +156,6 @@ class PipelineMetrics:
     def __init__(self) -> None:
         self.stages: dict[str, StageMetrics] = {}
         self.bins = BinStats()
-        self.recovery = RecoveryStats()
         #: pull-based gauge sources: name -> zero-arg callable, sampled
         #: at :meth:`gauges` / :meth:`snapshot` time so the reported
         #: value is never stale.  Gauges expose derived-cache telemetry
@@ -276,7 +259,6 @@ class PipelineMetrics:
                 metrics.as_dict() for metrics in list(self.stages.values())
             ],
             "bins": self.bins.as_dict(),
-            "recovery": self.recovery.as_dict(),
             "gauges": self.gauges(),
             "hists": self.hist_summaries(),
         }

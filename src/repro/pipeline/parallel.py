@@ -89,22 +89,17 @@ from then on.
 
 from __future__ import annotations
 
-import logging
 import marshal
 import multiprocessing
 import queue as queue_mod
 import time
 import traceback
-import zlib
-from collections import deque
 from typing import Any, Iterable
 
 from repro import telemetry
 from repro.core.serde import encode_batch, tag_wire_batch
-from repro.pipeline import faults
 from repro.pipeline.liveness import (
     ControlStash,
-    PoisonedBatchError,
     WorkerCrashError,
     WorkerDeathError,
     drain_put,
@@ -115,15 +110,10 @@ from repro.pipeline.liveness import (
 from repro.pipeline.metrics import PipelineMetrics
 from repro.pipeline.runtime import analyse, checkpoint_parts, restore_parts
 
-_LOG = logging.getLogger("repro.pipeline.parallel")
-
 #: Bounded input-queue depth (in batches) — backpressure, not buffering.
 IN_QUEUE_DEPTH = 8
 #: How long a blocked barrier waits between worker liveness checks.
 WAIT_POLL_S = 5.0
-#: Quarantined batches kept for inspection (the count is unbounded,
-#: the payload buffer is not).
-DEAD_LETTER_CAP = 16
 
 
 def fork_available() -> bool:
@@ -138,23 +128,12 @@ def fork_available() -> bool:
 #: instead of walking it again.  Safe here because both ends are forks
 #: of one interpreter (marshal is version-specific by design).  There is
 #: no pickle fallback: the codec carries only admitted elements, and
-#: anything marshal cannot serialise raises its ``ValueError``.
+#: anything marshal cannot serialise raises its ``ValueError``.  The
+#: driver encodes every payload itself, so a payload the worker cannot
+#: read is a fault of the runtime: it ends the worker like any other
+#: exception in stage code (see :func:`_shard_worker_loop`).
 pack_wires = marshal.dumps
-
-
-def unpack_wires(payload: bytes) -> Any:
-    """Decode a wire payload; corrupt input surfaces as a quarantine.
-
-    A torn or tampered payload must never crash the consumer with a
-    bare unmarshal error — it raises :class:`PoisonedBatchError`, which
-    the worker dead-letters like any other poisoned batch.
-    """
-    try:
-        return marshal.loads(payload)
-    except (ValueError, EOFError, TypeError) as exc:
-        raise PoisonedBatchError(
-            f"wire payload unreadable ({exc!r})"
-        ) from exc
+unpack_wires = marshal.loads
 
 
 def _worker_metrics_doc(registry: PipelineMetrics) -> dict:
@@ -208,46 +187,6 @@ def _adopt_worker_gauges(
     for name, value in doc.get("gauge_values", {}).items():
         composed.gauge_source(
             f"w{wid}.{name}", lambda v=value: v, replace=True
-        )
-
-
-def _batch_signature(payload: bytes) -> int:
-    """Stable id of one wire payload (log-once / dedupe key)."""
-    return zlib.crc32(payload)
-
-
-def _note_quarantine(
-    runtime, signature: int, payload: bytes, detail: str
-) -> None:
-    """Driver-side dead-lettering of one poisoned wire batch.
-
-    The count is ``PipelineMetrics.recovery.quarantined_batches`` on
-    the composed views; the payload buffer is capped; the log fires
-    once per batch signature so a rebroadcast poison batch cannot spam.
-    """
-    runtime.quarantined += 1
-    runtime.dead_letters.append(
-        {
-            "signature": signature,
-            "payload": payload,
-            "detail": detail,
-        }
-    )
-    if signature not in runtime._quar_seen:
-        runtime._quar_seen.add(signature)
-        last = detail.strip().splitlines()[-1] if detail.strip() else detail
-        _LOG.warning(
-            "quarantined wire batch %08x (dropped from the stream,"
-            " %d quarantined total): %s",
-            signature & 0xFFFFFFFF,
-            runtime.quarantined,
-            last,
-        )
-        runtime._registry.trace.emit(
-            "quarantine",
-            "fault",
-            signature=signature & 0xFFFFFFFF,
-            detail=last,
         )
 
 
@@ -440,29 +379,6 @@ def _shard_worker_loop(
         if frame is not None:
             ret_q.put(("mtx", wid, frame))
 
-    armed = faults.arm("shard", wid)
-
-    def quarantine(msg, detail: str) -> None:
-        ret_q.put(("quar", wid, _batch_signature(msg[1]), msg[1], detail))
-
-    def tag_batch(batch, msg):
-        """Corrupt/meter/tag one broadcast batch; None on quarantine."""
-        n = len(batch[0])
-        if armed is not None:
-            batch = armed.corrupt_batch(batch, n)
-            armed.on_elements(n)
-        began = time.perf_counter()
-        try:
-            tagged = tag_wire_batch(chain.tagging.input, batch)
-        except Exception:
-            # Poison batch: every replica skips the same broadcast
-            # batch (the driver dedupes the count by signature), so
-            # the record replicas stay consistent.
-            quarantine(msg, traceback.format_exc())
-            return None
-        tag_handle.meter(began, n, len(tagged))
-        return tagged
-
     def handle_control(msg) -> None:
         nonlocal round_id
         kind = msg[0]
@@ -499,10 +415,7 @@ def _shard_worker_loop(
                         )
                     elif section == "primed":
                         info[section] = chain.monitoring.primed
-            ack = ("ack", msg[1], wid, info)
-            ret_q.put(ack)
-            if armed is not None and armed.on_control():
-                ret_q.put(ack)
+            ret_q.put(("ack", msg[1], wid, info))
         elif kind == "load":
             from repro.core.serde import signal_from_json
 
@@ -518,19 +431,20 @@ def _shard_worker_loop(
             ]
             chain.record.load_state(doc["record"])
 
+    # Any exception — in stage code, or on a batch the worker cannot
+    # unmarshal or tag — ends the worker: it posts its traceback as
+    # "err" and the driver raises it as a WorkerCrashError.
     try:
         while True:
             msg = in_q.get()
             kind = msg[0]
             if kind == "batch":
-                try:
-                    batch = unpack_wires(msg[1])
-                except Exception:
-                    quarantine(msg, traceback.format_exc())
-                    continue
-                tagged = tag_batch(batch, msg)
-                if tagged is not None:
-                    consume_tagged(tagged)
+                batch = unpack_wires(msg[1])
+                n = len(batch[0])
+                began = time.perf_counter()
+                tagged = tag_wire_batch(chain.tagging.input, batch)
+                tag_handle.meter(began, n, len(tagged))
+                consume_tagged(tagged)
             elif kind == "stop":
                 return
             else:
@@ -545,15 +459,25 @@ def _shard_worker_loop(
 
 
 class ShardProcessPipeline:
-    """Driver runtime for N end-to-end shard worker processes.
+    """Driver of N end-to-end shard worker processes: the one runtime
+    object :class:`~repro.core.kepler.Kepler` holds under
+    ``shard_processes``.
 
-    Presents the chain's runtime surface (``feed_many`` / ``flush`` /
-    ``state_dict`` / ``load_state``).  The driver runs
-    ingest, broadcasts encoded element batches to every worker, serves
-    probe / restored-fraction reads against the shared cache and
-    validator, and drives the per-bin sync-round phase protocol (see
-    the module docstring).  ``state_dict`` composes the linear
-    canonical pipeline document from the worker states.
+    Presents the chain's surface: ``feed_many`` / ``flush``, the facade
+    views (``records``, ``open``, ``signal_log``, ``rejected``,
+    ``primed``, ``metrics``, ``metrics_live``), ``checkpoint_parts`` /
+    ``restore_parts``, ``finalize_records`` and ``close``.  The driver
+    runs ingest, broadcasts encoded element batches to every worker,
+    serves restored-fraction reads against the validator, and drives
+    the per-bin sync-round phase protocol (see the module docstring).
+    Every view but ``metrics_live`` drains the workers first.  The
+    record stages are identical replicas, so the record views decode
+    worker 0's state; the signal log, reject list and probe cache are
+    the driver's.  ``state_dict`` composes the linear canonical
+    pipeline document from the worker states.
+
+    A worker that dies raises :class:`WorkerDeathError`, one that fails
+    raises :class:`WorkerCrashError`; either closes the runtime first.
     """
 
     def __init__(
@@ -580,7 +504,6 @@ class ShardProcessPipeline:
                 " (unavailable on this platform); use the in-process"
                 " runtime instead"
             )
-        self.chains = chains
         self.workers = len(chains)
         self.batch_size = batch_size
         self._ingest = ingest
@@ -598,7 +521,13 @@ class ShardProcessPipeline:
             for stage in (classification, localisation, validation)
         ]
         self._baselines = baselines
-        self.rejected = rejected
+        #: chronological data-plane rejects, shared with the
+        #: localisation and validation stages (read through
+        #: :attr:`rejected`, which drains the workers first).
+        self._rejected = rejected
+        #: the records ``finalize_records`` returned, served by
+        #: :attr:`records` from then on.
+        self._finalized: list | None = None
 
         ctx = multiprocessing.get_context("fork")
         self._in_qs = [ctx.Queue(IN_QUEUE_DEPTH) for _ in chains]
@@ -634,20 +563,58 @@ class ShardProcessPipeline:
         self.sync_rounds = 0
         self.sync_broadcasts = 0
         self._closed = False
-        #: quarantine surface (count deduped by batch signature: every
-        #: replica quarantines the same broadcast batch).
-        self.quarantined = 0
-        self.dead_letters: deque = deque(maxlen=DEAD_LETTER_CAP)
-        self._quar_seen: set[int] = set()
         #: latest live metrics frame per worker — piggybacked on the
         #: fused "bin" exchange (and "mtx" messages between closes);
         #: read by :meth:`metrics_live` without a drain barrier.
         self._live_frames: dict[int, dict] = {}
 
+    # ------------------------------------------------------------------
+    # Facade views
+    # ------------------------------------------------------------------
+    def _worker0_records(self) -> dict:
+        return self.sync(("record",))[0]["record"]
+
+    @property
+    def records(self) -> list:
+        from repro.core.serde import record_from_json
+
+        if self._finalized is not None:
+            return self._finalized
+        return [
+            record_from_json(r) for r in self._worker0_records()["records"]
+        ]
+
+    @property
+    def open(self) -> dict:
+        from repro.core.serde import pop_from_json, record_from_json
+
+        return {
+            pop_from_json(pop): record_from_json(record)
+            for pop, record, _ in self._worker0_records()["open"]
+        }
+
     @property
     def signal_log(self) -> list:
         """The global chronological signal log (the driver stage's own)."""
+        # Driver-side data: only quiescence is needed, not worker state.
+        self.sync()
         return self._classification.signal_log
+
+    @property
+    def rejected(self) -> list:
+        # Driver-side, but rejects may still be in flight inside sync
+        # rounds (or element batches in the tail buffer): drain first.
+        self.sync()
+        return self._rejected
+
+    @property
+    def primed(self) -> int:
+        """Baseline paths primed so far (every worker primes them all)."""
+        return self.sync(("primed",))[0]["primed"]
+
+    @property
+    def metrics(self) -> PipelineMetrics:
+        return self._compose_metrics(self.sync(("metrics",)))
 
     # ------------------------------------------------------------------
     # The chain's runtime surface
@@ -804,12 +771,6 @@ class ShardProcessPipeline:
                         pop, time_
                     )
                 self._sync_qs[wid].put(("rf", self._rf_memo[memo_key]))
-            elif kind == "quar":
-                # Every replica dead-letters the same broadcast batch:
-                # count it once per signature.
-                _, wid, signature, payload, detail = msg
-                if signature not in self._quar_seen:
-                    _note_quarantine(self, signature, payload, detail)
             elif kind == "err":
                 detail = msg[1]
                 self.close()
@@ -903,7 +864,7 @@ class ShardProcessPipeline:
             return None
         return [acks[wid][3] for wid in sorted(acks)]
 
-    def finalize(self, end_time: float | None) -> list:
+    def finalize_records(self, end_time: float | None = None) -> list:
         """Run the record-stage finalize on every (replica) worker.
 
         Ships the buffered element tail first, so a direct
@@ -931,6 +892,7 @@ class ShardProcessPipeline:
                     "record replicas diverged at finalize: worker"
                     f" {wid} disagrees with worker 0"
                 )
+        self._finalized = records
         return records
 
     # ------------------------------------------------------------------
@@ -969,10 +931,14 @@ class ShardProcessPipeline:
         The driver registry carries ingest and the driver-resident
         analysis stages (classify/localise/validate) directly; tagging,
         monitor and record counters are per-worker replicas of the
-        same logical work (take worker 0).  Bin gauges: closes are
-        lockstep (count from worker 0), the population gauges are
-        per-share and sum to the global population, and close
-        latencies sum (aggregate CPU across shares).
+        same logical work (take worker 0), except the monitor's
+        ``emitted``: each worker emits its own share's signals and the
+        shares partition them, so it is the sum over workers (after a
+        restore worker 0 carries the document's count, the others
+        start from zero).  Bin gauges: closes are lockstep (count from
+        worker 0), the population gauges are per-share and sum to the
+        global population, and close latencies sum (aggregate CPU
+        across shares).
         """
         registries: dict[int, PipelineMetrics] = {}
         docs: dict[int, dict] = {}
@@ -1013,6 +979,10 @@ class ShardProcessPipeline:
                     handle.seconds = entry.seconds
                     handle.batches = entry.batches
                     handle.hist.merge(entry.hist)
+            composed.stage("monitor").emitted = sum(
+                registry.stage("monitor").emitted
+                for registry in registries.values()
+            )
             bins = composed.bins
             bins.count = first.bins.count
             for registry in registries.values():
@@ -1044,7 +1014,6 @@ class ShardProcessPipeline:
                 totals[name] = totals.get(name, 0) + value
         for name, value in totals.items():
             composed.gauge_source(name, lambda value=value: value, replace=True)
-        composed.recovery.quarantined_batches = self.quarantined
         return composed
 
     def metrics_live(self) -> dict:
@@ -1139,6 +1108,19 @@ class ShardProcessPipeline:
         # confirms the workers applied them.
         self.sync()
 
+    def checkpoint_parts(self) -> dict:
+        # ``self.rejected`` quiesces the workers before anything
+        # serialises: the reject list and probe cache are live driver
+        # objects that in-flight rounds (or the buffered element tail)
+        # may still append to, and serialising first would take stage
+        # state and shared views from two different stream positions.
+        return checkpoint_parts(self.rejected, self.cache, self)
+
+    def restore_parts(self, parts: dict) -> None:
+        self._finalized = None
+        # ``self.rejected`` drains in-flight rounds before the refill.
+        restore_parts(parts, self.rejected, self.cache, self)
+
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Stop the worker processes (idempotent)."""
@@ -1159,98 +1141,7 @@ class ShardProcessPipeline:
         )
 
 
-class _MonitoringView:
-    """Facade stand-in for the monitoring stage of the shard workers."""
-
-    def __init__(self, primed: int) -> None:
-        self.primed = primed
-
-
-class ShardProcessKeplerPipeline:
-    """Facade wrapper: the shard-process runtime behind the Kepler surface.
-
-    The record stages are identical replicas across workers, so the
-    record views decode worker 0's state after a drain barrier; the
-    signal log and reject list are the driver's deterministically
-    merged globals; the probe cache is the driver's.
-    """
-
-    def __init__(self, pipeline: ShardProcessPipeline) -> None:
-        self.pipeline = pipeline
-        self.cache = pipeline.cache
-        self._finalized: list | None = None
-
-    # -- facade views ---------------------------------------------------
-    def _worker0_records(self) -> dict:
-        return self.pipeline.sync(("record",))[0]["record"]
-
-    @property
-    def records(self) -> list:
-        from repro.core.serde import record_from_json
-
-        if self._finalized is not None:
-            return self._finalized
-        return [
-            record_from_json(r) for r in self._worker0_records()["records"]
-        ]
-
-    @property
-    def open(self) -> dict:
-        from repro.core.serde import pop_from_json, record_from_json
-
-        return {
-            pop_from_json(pop): record_from_json(record)
-            for pop, record, _ in self._worker0_records()["open"]
-        }
-
-    @property
-    def signal_log(self) -> list:
-        # Driver-side data: only quiescence is needed, not worker state.
-        self.pipeline.sync()
-        return self.pipeline.signal_log
-
-    @property
-    def rejected(self) -> list:
-        # Driver-side, but rejects may still be in flight inside sync
-        # rounds (or element batches in the tail buffer): drain first.
-        self.pipeline.sync()
-        return self.pipeline.rejected
-
-    @property
-    def monitoring(self) -> _MonitoringView:
-        return _MonitoringView(self.pipeline.sync(("primed",))[0]["primed"])
-
-    @property
-    def metrics(self) -> PipelineMetrics:
-        return self.pipeline._compose_metrics(self.pipeline.sync(("metrics",)))
-
-    def metrics_live(self) -> dict:
-        """Composed live snapshot without draining the workers."""
-        return self.pipeline.metrics_live()
-
-    def checkpoint_parts(self) -> dict:
-        # ``self.rejected`` quiesces the workers before anything
-        # serialises: the reject list and probe cache are live driver
-        # objects that in-flight rounds (or the buffered element tail)
-        # may still append to, and serialising first would take stage
-        # state and shared views from two different stream positions.
-        return checkpoint_parts(self.rejected, self.cache, self.pipeline)
-
-    # -- lifecycle ------------------------------------------------------
-    def finalize_records(self, end_time: float | None = None) -> list:
-        self._finalized = self.pipeline.finalize(end_time)
-        return self._finalized
-
-    def restore_parts(self, parts: dict) -> None:
-        self._finalized = None
-        # ``self.rejected`` drains in-flight rounds before the refill.
-        restore_parts(parts, self.rejected, self.cache, self.pipeline)
-
-    def close(self) -> None:
-        self.pipeline.close()
-
-
-def build_shard_process_kepler_pipeline(
+def build_shard_process_pipeline(
     input_module,
     monitor,
     investigator,
@@ -1266,7 +1157,7 @@ def build_shard_process_kepler_pipeline(
     workers: int,
     *,
     batch_size: int,
-) -> ShardProcessKeplerPipeline:
+) -> ShardProcessPipeline:
     """Wire and fork the end-to-end shard-process runtime.
 
     ``monitor`` supplies the :class:`~repro.core.monitor.MonitorParams`
@@ -1316,7 +1207,7 @@ def build_shard_process_kepler_pipeline(
             )
         )
     baselines = _ShippedBaselines()
-    runtime = ShardProcessPipeline(
+    return ShardProcessPipeline(
         chains=chains,
         ingest=IngestStage(),
         registry=registry,
@@ -1344,4 +1235,3 @@ def build_shard_process_kepler_pipeline(
         rejected=rejected,
         batch_size=batch_size,
     )
-    return ShardProcessKeplerPipeline(runtime)

@@ -205,7 +205,7 @@ class KeplerPipeline:
         self._advance(signals, None)
 
     # ------------------------------------------------------------------
-    # Facade views (the surface every runtime's wrapper provides)
+    # Facade views (the surface the shard-process runtime also provides)
     # ------------------------------------------------------------------
     @property
     def records(self):
@@ -218,6 +218,11 @@ class KeplerPipeline:
     @property
     def signal_log(self) -> list:
         return self.classification.signal_log
+
+    @property
+    def primed(self) -> int:
+        """Baseline paths primed so far."""
+        return self.monitoring.primed
 
     def metrics_live(self) -> dict:
         """Live snapshot — single-threaded chain, so the registry IS live."""

@@ -76,10 +76,6 @@ def prometheus_text(snapshot: dict, prefix: str = "repro") -> str:
             if key in bins:
                 emit(_metric_name(prefix, "bin", key), bins[key])
 
-    recovery = snapshot.get("recovery", {})
-    for key, value in recovery.items():
-        emit(_metric_name(prefix, "recovery", key), value)
-
     for name, value in snapshot.get("gauges", {}).items():
         emit(_metric_name(prefix, "gauge"), value, {"name": name})
 

@@ -1,15 +1,15 @@
 """Bin-lifecycle trace journal: bounded buffer of structured spans.
 
 The pipeline emits one span per interesting lifecycle step -- bin
-close, fused sync exchange, quarantine -- into a bounded ring buffer.  The journal is
+close, fused sync exchange -- into a bounded ring buffer.  The journal is
 run telemetry: it never enters checkpoints, and emission is a no-op
 while ``repro.telemetry.set_enabled(False)``.
 
 Spans export in the Chrome trace-event format (the JSON array
 flavour), so a soak run's journal opens directly in Perfetto /
 ``chrome://tracing``: complete events (``ph: "X"``) for spans with a
-duration, instant events (``ph: "i"``) for point events like a
-quarantine.
+duration, instant events (``ph: "i"``) for events emitted without
+one.
 
 Timestamps are ``time.time()`` seconds; durations are seconds.  The
 Chrome export converts both to the microseconds the format expects.

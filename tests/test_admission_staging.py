@@ -228,8 +228,8 @@ class TestBinOpeningElementIsNeverHeldBack:
                 gaps += previous_bin is not None and this_bin > previous_bin + 1
                 previous_bin = this_bin
                 assert staged_depth(detector) == 0
-                # ``stages`` views do not flush: this is what already ran.
-                live, want = detector.stages, reference.stages
+                # ``pipeline`` views do not flush: this is what already ran.
+                live, want = detector.pipeline, reference.pipeline
                 assert (
                     live.metrics.snapshot()["bins"]["bins_closed"]
                     == want.metrics.snapshot()["bins"]["bins_closed"]
@@ -348,7 +348,7 @@ class TestEdgesOfTheBuffer:
         assert staged_depth(detector) == 1
         detector.process([object()])
         assert staged_depth(detector) == 0
-        assert detector.stages.ingest.dropped == 1
+        assert detector.pipeline.ingest.dropped == 1
 
     def test_restore_clears_and_close_discards(self, scenario):
         world, _, elements = scenario
@@ -368,4 +368,4 @@ class TestEdgesOfTheBuffer:
         assert stage_row(fresh.metrics.snapshot(), "ingest")["fed"] == fed
 
         detector.close()
-        assert stage_row(detector.stages.metrics.snapshot(), "ingest")["fed"] == fed
+        assert stage_row(detector.pipeline.metrics.snapshot(), "ingest")["fed"] == fed

@@ -49,10 +49,10 @@ def scenario() -> tuple:
 
 def prime_one_by_one(detector: Kepler, updates) -> int:
     """``Kepler.prime`` as it was: one chain run per path."""
-    before = detector.stages.monitoring.primed
+    before = detector.pipeline.primed
     for update in updates:
         detector.pipeline.feed_many([PrimingUpdate(update=update)])
-    count = detector.stages.monitoring.primed - before
+    count = detector.pipeline.primed - before
     detector.primed_paths += count
     return count
 

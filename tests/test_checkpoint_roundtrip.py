@@ -271,8 +271,8 @@ class TestCheckpointDocument:
         fresh.restore(json.loads(blob))
         assert fresh.primed_paths == detector.primed_paths
         assert (
-            fresh.stages.ingest.announcements
-            == detector.stages.ingest.announcements
+            fresh.pipeline.ingest.announcements
+            == detector.pipeline.ingest.announcements
         )
         assert (
             fresh.monitor.total_baseline_entries

@@ -1,20 +1,16 @@
 """The wire-batch queue codec.
 
 ``pack_wires``/``unpack_wires`` are ``marshal`` with no fallback (a
-payload marshal rejects raises: ``tests/test_admission_gate.py``), and
-a corrupt or truncated payload must surface as
-:class:`~repro.pipeline.liveness.PoisonedBatchError` — the vocabulary
-the quarantine/rollback machinery speaks — never as a bare unmarshal
-crash.
+payload marshal rejects raises: ``tests/test_admission_gate.py``).  A
+payload a shard worker cannot unmarshal ends that worker, and the
+driver raises its traceback (``tests/test_shard_processes.py``).
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pipeline.liveness import PoisonedBatchError
 from repro.pipeline.parallel import pack_wires, unpack_wires
 
 
@@ -37,12 +33,3 @@ class TestQueueCodec:
         payload = pack_wires(batch)
         assert isinstance(payload, bytes)
         assert unpack_wires(payload) == batch
-
-    def test_corrupt_marshal_payload_raises_poisoned(self):
-        with pytest.raises(PoisonedBatchError):
-            unpack_wires(b"\x00not-a-marshal-payload")
-
-    def test_truncated_marshal_payload_raises_poisoned(self):
-        payload = pack_wires([["A", 1]])
-        with pytest.raises(PoisonedBatchError):
-            unpack_wires(payload[: len(payload) // 2])

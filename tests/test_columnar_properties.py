@@ -398,7 +398,7 @@ class TestBarrierFailsClosed:
 
     @staticmethod
     def _observable(kepler):
-        monitor = kepler.stages.monitoring
+        monitor = kepler.pipeline.monitoring
         metrics = kepler.pipeline.metrics.stage("monitor")
         return (
             json.dumps(monitor.state_dict(), sort_keys=True),
@@ -410,7 +410,7 @@ class TestBarrierFailsClosed:
         before = self._observable(kepler)
         raw = [e for e in elements[500:600] if isinstance(e, BGPUpdate)]
         with pytest.raises(ValueError, match="untagged"):
-            kepler.stages.monitoring.prepare_wire(encode_batch(raw))
+            kepler.pipeline.monitoring.prepare_wire(encode_batch(raw))
         assert self._observable(kepler) == before
         kepler.close()
 

@@ -385,7 +385,7 @@ class TestLateCandidate:
         # its record waits on every path its signals counted.
         (record,) = detector.open.values()
         assert record.located_pop == LATE_POP and record.start == 0.0
-        stage = detector.stages.record
+        stage = detector.pipeline.record
         counted = {
             key for c in detector.signal_log if c.pop == LATE_POP
             for s in c.signals for key in s.keys

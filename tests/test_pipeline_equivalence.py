@@ -213,7 +213,7 @@ class TestEquivalence:
 
     def test_memoisation_never_probes_a_bin_twice(self, world_a):
         legacy, staged = run_both(world_a, with_validator=True)
-        probed = staged.stages.cache.probes
+        probed = staged.pipeline.cache.probes
         # The pipeline may probe strictly fewer times (per-bin memo) but
         # never more, and each (pop, bin) at most once.
         assert probed <= legacy.validator.calls

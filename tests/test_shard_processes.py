@@ -17,12 +17,16 @@ merged signals.  It must be a pure execution detail:
   runs it;
 * a mid-stream checkpoint composed by the shard workers restores into
   either runtime — linear, shard-process — and
-  finishes the stream byte-identically, and vice versa.
+  finishes the stream byte-identically, and vice versa;
+* a worker that dies or fails ends the run with an error naming it, as
+  an exception ends the linear chain, and the detector still closes.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import signal
 
 import pytest
 
@@ -35,7 +39,8 @@ from test_pipeline_equivalence import (
 )
 from repro import telemetry
 from repro.core.kepler import Kepler, KeplerParams
-from repro.pipeline import fork_available
+from repro.pipeline import WorkerCrashError, WorkerDeathError, fork_available
+from repro.pipeline.parallel import pack_wires
 from repro.scenarios import World, build_world
 
 pytestmark = pytest.mark.skipif(
@@ -106,6 +111,16 @@ def full_run(
         detector.close()
 
 
+def first_difference(want: str, got: str) -> str:
+    """The first differing character of two strings, in context."""
+    at = next(
+        (i for i, (a, b) in enumerate(zip(want, got)) if a != b),
+        min(len(want), len(got)),
+    )
+    lo = max(0, at - 60)
+    return f"differ at {at}: {want[lo : at + 60]!r} != {got[lo : at + 60]!r}"
+
+
 class TestDeterminism:
     def test_world_a_with_dataplane(self, world_a):
         linear = full_run(world_a, KeplerParams(), True)
@@ -131,7 +146,7 @@ class TestDeterminism:
                 detector.process(elements)
                 detector.finalize(end_time=END_TIME)
                 probes.append(
-                    (detector.stages.cache.probes, detector.stages.cache.hits)
+                    (detector.pipeline.cache.probes, detector.pipeline.cache.hits)
                 )
             finally:
                 detector.close()
@@ -152,13 +167,13 @@ class TestDeterminism:
                         row["name"]: (row["fed"], row["emitted"])
                         for row in rows
                         if row["name"]
-                        in ("classify", "localise", "validate", "record")
+                        in ("monitor", "classify", "localise", "validate", "record")
                     }
                 )
             finally:
                 detector.close()
         linear, shardproc = counts
-        assert len(linear) == 4 and linear["record"][0] > 0, linear
+        assert len(linear) == 5 and linear["record"][0] > 0, linear
         assert shardproc == linear
 
 
@@ -213,11 +228,9 @@ class TestCheckpointInterchange:
             second.close()
 
     def test_composed_document_matches_linear(self, world_a):
-        """The shard workers compose the linear canonical document:
-        stage states, cache and rejects are byte-identical to the
-        in-process linear chain's snapshot (timings aside; the
-        per-stage metrics split necessarily differs — sharded stages
-        sum over workers)."""
+        """The shard workers compose the linear canonical document: the
+        whole snapshot, metrics section included, is byte-identical to
+        the in-process linear chain's."""
         world, snapshot, elements = world_a
         cut = len(elements) // 2
         docs = []
@@ -229,19 +242,13 @@ class TestCheckpointInterchange:
                 docs.append(detector.snapshot())
             finally:
                 detector.close()
-        linear_doc, shardproc_doc = docs
-
-        def comparable(doc):
-            return {
-                "format": doc["format"],
-                "version": doc["version"],
-                "primed_paths": doc["primed_paths"],
-                "rejected": doc["rejected"],
-                "cache": doc["cache"],
-                "stages": doc["pipeline"]["stages"],
-            }
-
-        assert comparable(shardproc_doc) == comparable(linear_doc)
+        linear_doc, shardproc_doc = (
+            json.dumps(doc, sort_keys=True) for doc in docs
+        )
+        # A bool, not the two strings: pytest's diff of two multi-MB
+        # documents would take minutes to render.
+        same = shardproc_doc == linear_doc
+        assert same, first_difference(linear_doc, shardproc_doc)
 
     @pytest.mark.parametrize("frac", [0.13, 0.5, 0.87])
     def test_snapshot_is_idempotent(self, world_a, frac):
@@ -329,11 +336,11 @@ class TestRuntimeSurface:
         try:
             detector.prime(snapshot)
             detector.process(elements)
-            probes_before = detector.stages.cache.probes
+            probes_before = detector.pipeline.cache.probes
             rejects_before = len(detector.rejected)
             assert rejects_before > 0
             detector.pipeline.load_state(detector.pipeline.state_dict())
-            assert detector.stages.cache.probes == probes_before
+            assert detector.pipeline.cache.probes == probes_before
             assert len(detector.rejected) == rejects_before
         finally:
             detector.close()
@@ -355,3 +362,82 @@ class TestRuntimeSurface:
             RuntimeError, match="ShardProcessPipeline requires the 'fork'"
         ):
             make_kepler(world, KeplerParams(**SHARDPROC), False)
+
+
+class TestWorkersFailLoud:
+    """A shard worker that dies or fails ends the run: the driver
+    closes the runtime and raises, as an exception ends the linear
+    chain.  Nothing restarts a worker or skips its input."""
+
+    def test_killed_worker_raises_death_error(self, world_a):
+        world, snapshot, elements = world_a
+        detector = make_kepler(world, KeplerParams(shard_processes=2), False)
+        try:
+            detector.prime(snapshot)
+            worker = detector.pipeline._procs[0]
+            os.kill(worker.pid, signal.SIGKILL)
+            worker.join(timeout=30)
+            assert worker.exitcode == -signal.SIGKILL
+            # Far more batches than a dead worker's input queue holds,
+            # so the broadcast blocks on it and finds the worker dead.
+            assert len(elements) > 20 * detector.params.process_batch
+            with pytest.raises(WorkerDeathError) as info:
+                detector.process(elements)
+            detector.close()
+            detector.close()
+        finally:
+            detector.close()
+        assert info.value.dead == [(worker.name, -9)]
+        assert "in[0]" in info.value.queue_depths
+        assert "exitcode -9" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "payload, error",
+        [
+            (b"\x00not-a-marshal-payload", "ValueError: bad marshal data"),
+            (
+                pack_wires((b"\xff", [], [], [], [])),
+                "ValueError: unknown batch kind code 255",
+            ),
+        ],
+        ids=["unreadable", "untaggable"],
+    )
+    def test_bad_batch_raises_crash_error(self, world_a, payload, error):
+        world, snapshot, _ = world_a
+        detector = make_kepler(world, KeplerParams(shard_processes=2), False)
+        try:
+            detector.prime(snapshot)
+            detector.pipeline._in_qs[0].put(("batch", payload))
+            with pytest.raises(WorkerCrashError) as info:
+                detector.signal_log
+            detector.close()
+            detector.close()
+        finally:
+            detector.close()
+        text = str(info.value)
+        assert "shard worker 0 failed" in text
+        assert "Traceback (most recent call last)" in text
+        assert error in text
+
+    def test_duplicate_ack_changes_nothing(self, world_a):
+        """Barrier acks are keyed by worker id: a second copy of worker
+        0's ack neither stands in for worker 1's nor moves any output."""
+        world, snapshot, elements = world_a
+        linear = full_run(world_a, KeplerParams(), True)
+        cut = len(elements) // 2
+        detector = make_kepler(world, KeplerParams(shard_processes=2), True)
+        try:
+            detector.prime(snapshot)
+            detector.process(elements[:cut])
+            pipeline = detector.pipeline
+            sections = ("metrics", "primed")
+            want = pipeline.sync(sections)
+            assert want[0] != want[1], "the workers' sections must differ"
+            pipeline._ret_q.put(("ack", pipeline._bid + 1, 0, want[0]))
+            pipeline._pump(block=True)  # the copy reaches the driver first
+            assert pipeline.sync(sections) == want
+            detector.process(elements[cut:])
+            detector.finalize(end_time=END_TIME)
+            assert observed(detector) == linear
+        finally:
+            detector.close()

@@ -183,7 +183,7 @@ class TestTraceJournal:
     def test_chrome_trace_shapes(self):
         journal = TraceJournal(capacity=16, pid_label="driver")
         journal.emit("sync_round", "sync", dur_s=0.5, ts=100.0, signals=2)
-        journal.emit("quarantine", "fault", ts=101.0)
+        journal.emit("mark", "marker", ts=101.0)
         doc = json.loads(journal.to_chrome_trace())
         span, instant = doc["traceEvents"]
         assert span["ph"] == "X" and span["dur"] == 0.5 * 1e6
@@ -316,7 +316,6 @@ def _sample_snapshot() -> dict:
             }
         ],
         "bins": {"bins_closed": 7, "mean_latency_s": 0.002},
-        "recovery": {"quarantined_batches": 1},
         "gauges": {"memo_hits": 42, "w0.memo_hits": 21},
         "hists": {
             "stage_ns.tagging": {
@@ -338,7 +337,6 @@ class TestExporters:
         text = prometheus_text(_sample_snapshot())
         assert 'repro_stage_fed_total{stage="tagging"} 100' in text
         assert "repro_bins_closed_total 7" in text
-        assert "repro_recovery_quarantined_batches 1" in text
         assert 'repro_gauge{name="w0.memo_hits"} 21' in text
         assert "repro_hist_stage_ns_tagging_count 3" in text
         assert (

@@ -42,12 +42,7 @@ HOOKS = {
 }
 
 #: Dotted names kept although no running code reads them.
-ALLOWED = {
-    # The chaos suite's lever: fault injection runs only under a test
-    # by design (see the module docstring), and the module goes with
-    # the shard runtime it targets.
-    "repro.pipeline.faults.injected": "installs a fault plan for a block",
-}
+ALLOWED: dict[str, str] = {}
 
 
 class Code:
