@@ -2,12 +2,14 @@
 
 ``pack_wires``/``unpack_wires`` are ``marshal`` with no fallback (a
 payload marshal rejects raises: ``tests/test_admission_gate.py``).  A
-payload a shard worker cannot unmarshal ends that worker, and the
-driver raises its traceback (``tests/test_shard_processes.py``).
+poisoned payload, corrupt or truncated, raises marshal's own error and
+never decodes to a batch; in a shard worker that error ends the worker,
+and the driver raises its traceback (``tests/test_shard_processes.py``).
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,3 +35,12 @@ class TestQueueCodec:
         payload = pack_wires(batch)
         assert isinstance(payload, bytes)
         assert unpack_wires(payload) == batch
+
+    def test_corrupt_marshal_payload_raises_poisoned(self):
+        with pytest.raises(ValueError, match="bad marshal data"):
+            unpack_wires(b"\x00not-a-marshal-payload")
+
+    def test_truncated_marshal_payload_raises_poisoned(self):
+        payload = pack_wires([["A", 1]])
+        with pytest.raises(EOFError, match="marshal data too short"):
+            unpack_wires(payload[: len(payload) // 2])
